@@ -51,6 +51,17 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _sample_count(text: str) -> int:
+    """argparse type for --samples: a statistic over no samples checks nothing."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser() -> _Parser:
     top = _Parser(prog="poissonkit", description=__doc__)
     top.add_argument("--porcelain", action="store_true", help="machine-readable key=value output")
@@ -115,7 +126,7 @@ def _build_parser() -> _Parser:
     ):
         p = gsub.add_parser(name, help=help_text)
         p.add_argument("--n", type=int, default=3)
-        p.add_argument("--samples", type=int, default=20 if name == "stokes" else 10)
+        p.add_argument("--samples", type=_sample_count, default=20 if name == "stokes" else 10)
         p.add_argument("--seed", type=int, default=1)
         p.add_argument("--tol", type=float, default=1e-8)
 
@@ -123,7 +134,7 @@ def _build_parser() -> _Parser:
     q = p.add_parser("cdybe", help="residual constancy, invariance, gradient check")
     q.add_argument("--algebra", required=True, choices=["sl2", "sl3", "sl4"])
     q.add_argument("--family", default="trig", choices=["trig", "rational", "tanh-corrupted"])
-    q.add_argument("--samples", type=int, default=10)
+    q.add_argument("--samples", type=_sample_count, default=10)
     q.add_argument("--seed", type=int, default=0)
     q.add_argument("--tol", type=float, default=1e-7)
 
@@ -263,10 +274,10 @@ def _dispatch(args) -> Report:
             verdict = liealg.validate_lie(g)
             return Report(cmd, verdict.ok, {"algebra": args.algebra, "dim": g.dim},
                           witness=None if verdict.ok else verdict.reason)
-        g = chartio.load_algebra(args.algebra)
         if args.algebra.startswith("su"):
             g, r = liealg.su_compact_basis(int(args.algebra[2:]))
         else:
+            g = chartio.load_algebra(args.algebra)
             r = liealg.standard_r_matrix(g)
         phi = liealg.transpose_antimorphism(g)
         cob = liealg.coboundary_check(g, r)

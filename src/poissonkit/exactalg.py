@@ -64,7 +64,13 @@ ScalarLike = Union["Scalar", Fraction, int]
 
 
 class Scalar:
-    """An exact Gaussian rational re + im*i."""
+    """An exact Gaussian rational re + im*i.
+
+    Arithmetic short-circuits on a zero operand, and multiplication of two
+    real scalars skips the imaginary cross terms; most products in the
+    Lie-algebra builds have a zero operand, and every built-in algebra has
+    real structure constants.
+    """
 
     __slots__ = ("re", "im")
 
@@ -82,29 +88,49 @@ class Scalar:
         return Scalar(value)
 
     def __add__(self, other: ScalarLike) -> "Scalar":
-        if not isinstance(other, (Scalar, Fraction, int)):
-            return NotImplemented
-        other = Scalar.coerce(other)
-        return Scalar(self.re + other.re, self.im + other.im)
+        if not isinstance(other, Scalar):
+            if not isinstance(other, (Fraction, int)):
+                return NotImplemented
+            other = Scalar(other)
+        if not other.re and not other.im:
+            return self
+        if not self.re and not self.im:
+            return other
+        if not self.im and not other.im:
+            return _from_parts(self.re + other.re, self.im)
+        return _from_parts(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Scalar":
-        return Scalar(-self.re, -self.im)
+        return _from_parts(-self.re, -self.im)
 
     def __sub__(self, other: ScalarLike) -> "Scalar":
-        if not isinstance(other, (Scalar, Fraction, int)):
-            return NotImplemented
-        return self + (-Scalar.coerce(other))
+        if not isinstance(other, Scalar):
+            if not isinstance(other, (Fraction, int)):
+                return NotImplemented
+            other = Scalar(other)
+        if not other.re and not other.im:
+            return self
+        if not self.im and not other.im:
+            return _from_parts(self.re - other.re, self.im)
+        return _from_parts(self.re - other.re, self.im - other.im)
 
     def __rsub__(self, other: ScalarLike) -> "Scalar":
-        return Scalar.coerce(other) + (-self)
+        return Scalar.coerce(other) - self
 
     def __mul__(self, other: ScalarLike) -> "Scalar":
-        if not isinstance(other, (Scalar, Fraction, int)):
-            return NotImplemented
-        other = Scalar.coerce(other)
-        return Scalar(
+        if not isinstance(other, Scalar):
+            if not isinstance(other, (Fraction, int)):
+                return NotImplemented
+            other = Scalar(other)
+        if not self.re and not self.im:
+            return self
+        if not other.re and not other.im:
+            return other
+        if not self.im and not other.im:
+            return _from_parts(self.re * other.re, self.im)
+        return _from_parts(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
         )
@@ -116,7 +142,7 @@ class Scalar:
         norm = other.re * other.re + other.im * other.im
         if norm == 0:
             raise ZeroDivisionError("division by zero Scalar")
-        return self * Scalar(other.re / norm, -other.im / norm)
+        return self * _from_parts(other.re / norm, -other.im / norm)
 
     def __rtruediv__(self, other: ScalarLike) -> "Scalar":
         return Scalar.coerce(other) / self
@@ -134,22 +160,25 @@ class Scalar:
         return out
 
     def conjugate(self) -> "Scalar":
-        return Scalar(self.re, -self.im)
+        return _from_parts(self.re, -self.im)
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not self.re and not self.im
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return bool(self.re) or bool(self.im)
 
     def __eq__(self, other) -> bool:
+        if isinstance(other, Scalar):
+            return self.re == other.re and self.im == other.im
         if isinstance(other, (int, Fraction)):
-            other = Scalar(other)
-        if not isinstance(other, Scalar):
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+            return not self.im and self.re == other
+        return NotImplemented
 
     def __hash__(self):
+        # a real scalar equals its real part, so it must hash like it
+        if not self.im:
+            return hash(self.re)
         return hash((self.re, self.im))
 
     def to_complex(self) -> complex:
@@ -175,6 +204,19 @@ class Scalar:
 
     def __repr__(self) -> str:
         return f"Scalar({self})"
+
+
+_new_scalar = object.__new__
+_set_re = Scalar.re.__set__
+_set_im = Scalar.im.__set__
+
+
+def _from_parts(re: Fraction, im: Fraction) -> Scalar:
+    """A Scalar from parts that are already Fractions, without coercion."""
+    out = _new_scalar(Scalar)
+    _set_re(out, re)
+    _set_im(out, im)
+    return out
 
 
 SCALAR_ZERO = Scalar(0)
@@ -801,7 +843,8 @@ class PolyMultiVec:
         """Exact evaluation of every component at a point."""
         if len(point) != self.dim:
             raise ValueError(f"point length {len(point)} != dim {self.dim}")
-        return {k: p.eval(point) for k, p in self.comps.items() if not p.eval(point).is_zero()}
+        values = ((k, p.eval(point)) for k, p in self.comps.items())
+        return {k: v for k, v in values if not v.is_zero()}
 
     def eval_complex(self, point: Sequence[complex]) -> dict[tuple, complex]:
         return {k: p.eval_complex(point) for k, p in self.comps.items()}

@@ -3,6 +3,9 @@
 Matrices are lists of rows of ``Scalar``.  Everything here is plain Gaussian
 elimination with exact division; sizes in this package stay small (at most a
 few dozen rows), so no pivoting strategy beyond "first nonzero" is needed.
+Row operations touch only the nonzero entries of the pivot row.  ``solve``
+takes a vector or, like ``numpy.linalg.solve``, a matrix of right-hand-side
+columns, which it solves with a single elimination.
 """
 
 from __future__ import annotations
@@ -81,10 +84,15 @@ def rref(a: Matrix) -> tuple[Matrix, list[int]]:
         r[lead], r[pivot_row] = r[pivot_row], r[lead]
         inv = SCALAR_ONE / r[lead][col]
         r[lead] = [x * inv for x in r[lead]]
+        # eliminate along the nonzero entries of the pivot row only
+        support = [(j, y) for j, y in enumerate(r[lead]) if not y.is_zero()]
         for i in range(nrows):
             if i != lead and not r[i][col].is_zero():
                 factor = r[i][col]
-                r[i] = [x - factor * y for x, y in zip(r[i], r[lead])]
+                row = r[i][:]
+                for j, y in support:
+                    row[j] = row[j] - factor * y
+                r[i] = row
         pivots.append(col)
         lead += 1
         if lead == nrows:
@@ -98,22 +106,29 @@ def rank(a: Matrix) -> int:
     return len(rref(a)[1])
 
 
-def solve(a: Matrix, b: Sequence[Scalar]) -> list[Scalar] | None:
-    """One exact solution of A x = b, or None if inconsistent.
+def solve(a: Matrix, b: Sequence) -> list | None:
+    """One exact solution of A X = B, or None if inconsistent.
 
-    Free variables are set to zero, so the result is deterministic.
+    As in ``numpy.linalg.solve``, B is either a vector or a matrix (list of
+    rows) whose columns are right-hand sides, and X is a vector or a matrix
+    to match; one elimination of [A | B] serves every column.  With a matrix
+    B the result is None as soon as any one column is inconsistent.  Free
+    variables are set to zero, so the result is deterministic.
     """
     if len(a) != len(b):
         raise ValueError("right-hand side has wrong length")
     ncols = len(a[0]) if a else 0
-    aug = [row[:] + [Scalar.coerce(v)] for row, v in zip(a, b)]
+    columns = bool(b) and isinstance(b[0], (list, tuple))
+    rhs = [[Scalar.coerce(v) for v in row] for row in b] if columns else [[Scalar.coerce(v)] for v in b]
+    aug = [row[:] + extra for row, extra in zip(a, rhs)]
     r, pivots = rref(aug)
-    if ncols in pivots:
+    if pivots and pivots[-1] >= ncols:  # a zero row of A with a nonzero right-hand side
         return None
-    x = [SCALAR_ZERO] * ncols
+    nrhs = len(rhs[0]) if rhs else 1
+    x = [[SCALAR_ZERO] * nrhs for _ in range(ncols)]
     for i, col in enumerate(pivots):
-        x[col] = r[i][ncols]
-    return x
+        x[col] = r[i][ncols:]
+    return x if columns else [row[0] for row in x]
 
 
 def nullspace(a: Matrix) -> list[list[Scalar]]:

@@ -137,3 +137,16 @@ def test_lie_bialgebra_cli():
     code, report = run_command(["lie", "bialgebra", "--algebra", "su2"])
     assert code == 0
     assert report.values["double_dim"] == 6
+
+
+@pytest.mark.parametrize("argv", [
+    ["group", "stokes"],
+    ["group", "crosscheck"],
+    ["group", "bruhat"],
+    ["dynr", "cdybe", "--algebra", "sl3"],
+])
+def test_sample_count_below_one_is_a_usage_error(argv, capsys):
+    # zero samples used to crash (stokes) or pass without checking anything
+    for samples in ("0", "-1"):
+        assert run_command([*argv, "--samples", samples]) == (2, None)
+        assert "--samples" in capsys.readouterr().err

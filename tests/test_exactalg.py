@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_rng, rand_multivec, rand_poly
 from poissonkit.exactalg import (
@@ -36,6 +38,57 @@ def test_scalar_field_arithmetic():
 def test_scalar_division_by_zero():
     with pytest.raises(ZeroDivisionError):
         Scalar(1) / Scalar(0)
+
+
+fractions_ = st.fractions(min_value=-6, max_value=6, max_denominator=7)
+scalars = st.one_of(
+    st.just(Scalar(0)),
+    st.builds(Scalar, fractions_),  # real
+    st.builds(Scalar, st.just(0), fractions_),  # imaginary
+    st.builds(Scalar, fractions_, fractions_),
+)
+operands = st.one_of(scalars, st.integers(-6, 6), fractions_)
+
+
+def _parts(x):
+    return (x.re, x.im) if isinstance(x, Scalar) else (Fraction(x), Fraction(0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.tuples(scalars, operands), st.tuples(operands, scalars)))
+def test_scalar_arithmetic_matches_gaussian_formula(pair):
+    # the fast paths (zero operand, real operands) must agree with plain Q(i)
+    x, y = pair
+    (a, b), (c, d) = _parts(x), _parts(y)
+    for result, expected in (
+        (x + y, (a + c, b + d)),
+        (x - y, (a - c, b - d)),
+        (x * y, (a * c - b * d, a * d + b * c)),
+    ):
+        assert isinstance(result, Scalar)
+        assert (type(result.re), type(result.im)) == (Fraction, Fraction)
+        assert (result.re, result.im) == expected
+
+
+def _equal_forms(x):
+    """Every int, Fraction and Scalar equal to x."""
+    re, im = _parts(x)
+    if im:
+        return [Scalar(re, im)]
+    return [Scalar(re), re] + ([int(re)] if re.denominator == 1 else [])
+
+
+@settings(max_examples=150, deadline=None)
+@given(operands, operands)
+def test_scalar_hash_agrees_with_eq(x, y):
+    forms = _equal_forms(x) + _equal_forms(y)
+    for a in forms:
+        for b in forms:
+            if a == b:
+                assert b == a
+                assert hash(a) == hash(b)
+                assert {a: "hit"}.get(b) == "hit"
+    assert {3: "a"}.get(Scalar(3)) == "a"
 
 
 def test_scalar_str_round_trip():

@@ -1,6 +1,9 @@
 """Structure constants, Chevalley bases, r-matrices, doubles, and chi."""
 
+import random
 from fractions import Fraction
+
+import pytest
 
 from poissonkit.exactalg import Poly, Scalar
 from poissonkit.liealg import (
@@ -276,3 +279,166 @@ def test_chi_su_doubles():
         g, r_hat = su_compact_basis(n)
         dd = drinfeld_double(g, r_hat)
         assert chi_check(dd, transpose_antimorphism(g)).ok
+
+
+# -- one elimination per algebra, sparse sweeps ---------------------------------------
+
+
+def _per_pair_expand(matrices):
+    """Reference route: one linalg.solve per bracket pair, then a dense residual."""
+    from poissonkit import linalg
+    from poissonkit.liealg import _mat_bracket
+
+    dim, n = len(matrices), len(matrices[0])
+    basis_cols = [[m[r][c] for m in matrices] for r in range(n) for c in range(n)]
+    brackets = {}
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            comm = _mat_bracket(matrices[i], matrices[j])
+            vec = [comm[r][c] for r in range(n) for c in range(n)]
+            coords = linalg.solve(basis_cols, vec)
+            assert coords is not None
+            for row in range(len(vec)):
+                assert sum((basis_cols[row][k] * coords[k] for k in range(dim)), Scalar(0)) == vec[row]
+            entry = {k: c for k, c in enumerate(coords) if not c.is_zero()}
+            if entry:
+                brackets[(i, j)] = entry
+    return brackets
+
+
+def _as_text(brackets):
+    return {pair: {k: str(c) for k, c in entry.items()} for pair, entry in brackets.items()}
+
+
+def test_expand_table_matches_per_pair_solves():
+    from poissonkit.liealg import _expand_table
+
+    algebras = [sl_chevalley(n) for n in (2, 3, 4, 5)] + [su_compact_basis(n)[0] for n in (2, 3, 4)]
+    for g in algebras:
+        reference = _as_text(_per_pair_expand(g.matrices))
+        assert _as_text(_expand_table(g.labels, g.matrices)) == reference, g.name
+        assert _as_text({(i, j): e for (i, j), e in g.table.items() if i < j}) == reference, g.name
+
+
+def test_expand_table_rejects_a_basis_that_misses_commutators():
+    from poissonkit.liealg import _expand_table
+
+    g = sl_chevalley(2)
+    e, f = g.label_index("e12"), g.label_index("f12")
+    # span{e, f} does not contain [e, f] = h
+    with pytest.raises(AssertionError, match="left the span"):
+        _expand_table(["e", "f"], [g.matrices[e], g.matrices[f]])
+
+
+def _dense_chi_failures(double, phi):
+    """chi_check as dense sweeps over full coefficient vectors (reference route)."""
+    from poissonkit.liealg import chi_map
+
+    sigma, n = double.sigma, double.n
+    dim = sigma.dim
+    zero = Scalar(0)
+
+    def bracket(u, v):
+        out = [zero] * dim
+        for i in range(dim):
+            for j in range(dim):
+                for k, c in sigma.table.get((i, j), {}).items():
+                    out[k] = out[k] + u[i] * v[j] * c
+        return out
+
+    def pairing(u, v):
+        return sum((u[a] * v[n + a] + u[n + a] * v[a] for a in range(n)), zero)
+
+    chi = chi_map(double, phi)
+    failures = [] if chi.is_involution() else ["chi^2 != id"]
+    for i in range(dim):
+        vi = [chi.matrix[a][i] for a in range(dim)]
+        ei = [Scalar(int(a == i)) for a in range(dim)]
+        for j in range(i + 1, dim):
+            vj = [chi.matrix[a][j] for a in range(dim)]
+            ej = [Scalar(int(a == j)) for a in range(dim)]
+            bij = bracket(ei, ej)
+            lhs = [sum((chi.matrix[a][b] * bij[b] for b in range(dim)), zero) for a in range(dim)]
+            if lhs != [-c for c in bracket(vi, vj)]:
+                failures.append(f"chi anti-morphism fails on ({sigma.labels[i]}, {sigma.labels[j]})")
+        for j in range(dim):
+            vj = [chi.matrix[a][j] for a in range(dim)]
+            ej = [Scalar(int(a == j)) for a in range(dim)]
+            if not (pairing(vi, vj) + pairing(ei, ej)).is_zero():
+                failures.append(f"pairing flip fails on ({sigma.labels[i]}, {sigma.labels[j]})")
+    return tuple(failures)
+
+
+def test_chi_check_negative_controls_match_dense_sweep():
+    from poissonkit import linalg
+    from poissonkit.liealg import LinearAlgMap
+
+    g = sl_chevalley(3)
+    dd = drinfeld_double(g, standard_r_matrix(g))
+    ident = linalg.identity(g.dim)
+    failures = {}
+    for name, rows in (("identity", ident), ("twice", linalg.mat_scale(ident, 2))):
+        phi = LinearAlgMap(g, g, tuple(tuple(row) for row in rows))
+        failures[name] = chi_check(dd, phi).failures
+        assert failures[name] == _dense_chi_failures(dd, phi)
+    # the identity is an involutive morphism: only the anti-morphism identity fails
+    assert failures["identity"] and all("anti-morphism" in msg for msg in failures["identity"])
+    kinds = {msg.split(" fails")[0] for msg in failures["twice"]}
+    assert kinds == {"chi^2 != id", "chi anti-morphism", "pairing flip"}
+    phi = transpose_antimorphism(g)
+    assert chi_check(dd, phi).ok and _dense_chi_failures(dd, phi) == ()
+
+
+def test_sparse_vector_routines_match_dense_formulas():
+    from poissonkit import linalg
+    from poissonkit.liealg import LinearAlgMap
+
+    rng = random.Random(7)
+    g = sl_chevalley(3)
+    dd = drinfeld_double(g, standard_r_matrix(g))
+    n, dim = g.dim, dd.sigma.dim
+
+    def vec(size):
+        return [Scalar(rng.choice((0, 0, 1, -2, 3))) for _ in range(size)]
+
+    rows = [vec(n) for _ in range(n)]
+    phi = LinearAlgMap(g, g, tuple(map(tuple, rows)))
+    for _ in range(20):
+        u, v = vec(n), vec(n)
+        assert phi.apply_vector(u) == linalg.mat_vec(rows, u)
+        dense = [Scalar(0)] * n
+        for i in range(n):
+            for j in range(n):
+                for k in range(n):
+                    dense[k] = dense[k] + u[i] * v[j] * g.structure_constant(i, j, k)
+        assert g.bracket_vectors(u, v) == dense
+        x, y = vec(dim), vec(dim)
+        assert dd.pairing(x, y) == sum((x[a] * y[n + a] + x[n + a] * y[a] for a in range(n)), Scalar(0))
+
+
+def test_double_pairing_sweep_catches_a_tampered_mixed_bracket(monkeypatch):
+    from poissonkit import liealg
+
+    g = sl_chevalley(2)
+    r = standard_r_matrix(g)
+    build = LieAlgebraData.from_brackets
+
+    def tampered(labels, brackets, *args, **kwargs):
+        if kwargs.get("name", "").startswith("double"):
+            n = len(labels) // 2
+            key = min(pair for pair in brackets if pair[0] < n <= pair[1])
+            entry = dict(brackets[key])
+            m = min(entry)
+            entry[m] = entry[m] + 1
+            brackets = {**brackets, key: entry}
+        return build(labels, brackets, *args, **kwargs)
+
+    monkeypatch.setattr(LieAlgebraData, "from_brackets", staticmethod(tampered))
+    with pytest.raises(AssertionError):
+        drinfeld_double(g, r)
+    # with the Jacobi sweep out of the way, the pairing sweep alone must catch it
+    monkeypatch.setattr(liealg, "validate_lie", lambda alg: liealg.LieVerdict(True))
+    with pytest.raises(AssertionError, match="pairing is not invariant"):
+        drinfeld_double(g, r)
+    monkeypatch.setattr(LieAlgebraData, "from_brackets", staticmethod(build))
+    assert drinfeld_double(g, r).sigma.dim == 6
