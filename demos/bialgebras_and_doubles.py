@@ -62,7 +62,9 @@ for fam in (trig_family(g), rational_family(g)):
 # For sl(2) the residual has a closed form: with c = coth(lambda(h_alpha)),
 # c' + c^2 = 1, so the residual is exactly e ^ f ^ h.
 g2 = sl_chevalley(2)
-print("\nsl2 trig residual:", cdybe_residual(trig_family(g2), [0.8]))
+res = cdybe_residual(trig_family(g2), [0.8])  # a dense antisymmetric dim^3 array
+e, f, h = (g2.label_index(k) for k in ("e12", "f12", "h1"))
+print(f"\nsl2 trig residual: {float(res[e, f, h]):.12f} * e12^f12^h1")
 
 # Replacing coth by tanh breaks constancy at rank >= 2 (at rank 1 the two
 # functions satisfy the same differential equation, so sl2 cannot tell).

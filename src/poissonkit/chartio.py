@@ -218,14 +218,6 @@ def parse_algebra_text(text: str, name: str = "") -> LieAlgebraData:
     return g
 
 
-def emit_algebra(g: LieAlgebraData) -> str:
-    lines = [f"dim {g.dim}", "labels " + " ".join(g.labels)]
-    for (i, j) in sorted(k for k in g.table if k[0] < k[1]):
-        for k, coeff in sorted(g.table[(i, j)].items()):
-            lines.append(f"c {g.labels[i]} {g.labels[j]} {g.labels[k]} = {coeff}")
-    return "\n".join(lines) + "\n"
-
-
 def load_algebra(name_or_path: str | Path) -> LieAlgebraData:
     """Resolve a built-in algebra name, a bundled fixture, or a file path."""
     name = str(name_or_path)

@@ -51,15 +51,23 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _sample_count(text: str) -> int:
-    """argparse type for --samples: a statistic over no samples checks nothing."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    """argparse type for an int of at least ``low``; below it a command would check nothing."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
+_sample_count = _int_at_least(1)  # --samples, --pairs, --dim
+_degree = _int_at_least(0)
 
 
 def _build_parser() -> _Parser:
@@ -96,7 +104,7 @@ def _build_parser() -> _Parser:
     p.add_argument("chart")
     p.add_argument("--t", required=True, help="comma-separated parameter coordinates")
     p.add_argument("--t0", required=True, help="comma-separated exact parameter values")
-    p.add_argument("--degree", type=int, default=1)
+    p.add_argument("--degree", type=_degree, default=1)
     p = dsub.add_parser("transverse", help="transverse structure via a reductive split")
     p.add_argument("--algebra", required=True)
     p.add_argument("--l", required=True)
@@ -125,7 +133,7 @@ def _build_parser() -> _Parser:
         ("bruhat", "two-route fixed-locus tensor on SU(n)"),
     ):
         p = gsub.add_parser(name, help=help_text)
-        p.add_argument("--n", type=int, default=3)
+        p.add_argument("--n", type=int, default=3, choices=[3] if name == "stokes" else None)
         p.add_argument("--samples", type=_sample_count, default=20 if name == "stokes" else 10)
         p.add_argument("--seed", type=int, default=1)
         p.add_argument("--tol", type=float, default=1e-8)
@@ -140,12 +148,12 @@ def _build_parser() -> _Parser:
 
     osub = sub.add_parser("oracle", help="brute-force cross-checks").add_subparsers(dest="sub", required=True)
     p = osub.add_parser("schouten", help="chart bracket vs monomial-expansion oracle")
-    p.add_argument("--dim", type=int, default=3)
-    p.add_argument("--pairs", type=int, default=100)
+    p.add_argument("--dim", type=_sample_count, default=3)
+    p.add_argument("--pairs", type=_sample_count, default=100)
     p.add_argument("--seed", type=int, default=0)
     p = osub.add_parser("alg", help="algebraic bracket vs recursive-Leibniz oracle")
     p.add_argument("--algebra", default="sl2")
-    p.add_argument("--pairs", type=int, default=100)
+    p.add_argument("--pairs", type=_sample_count, default=100)
     p.add_argument("--seed", type=int, default=0)
     return top
 
@@ -154,12 +162,20 @@ def _split_csv(text: str) -> list[str]:
     return [t.strip() for t in text.split(",") if t.strip()]
 
 
+def _coord_indices(chart, text: str, flag: str) -> list[int]:
+    """Indices of the comma-separated coordinate names given to ``flag``."""
+    names = _split_csv(text)
+    unknown = [n for n in names if n not in chart.coords]
+    if unknown:
+        raise _UsageError(f"unknown coordinate {unknown[0]!r} in {flag}; the chart has {', '.join(chart.coords)}")
+    return [chart.coords.index(n) for n in names]
+
+
 def _load_chart(args, need_sub: bool = False):
     chart, sub = chartio.parse_chart_file(args.chart, check_jacobi=not getattr(args, "skip_jacobi", False))
     x_override = getattr(args, "x", None)
     if x_override:
-        names = _split_csv(x_override)
-        xs = tuple(chart.coords.index(n) for n in names)
+        xs = tuple(_coord_indices(chart, x_override, "--x"))
         ys = tuple(i for i in range(chart.dim) if i not in xs)
         sub = dirac.AlignedSubmanifold(chart, xs, ys)
     if need_sub and sub is None:
@@ -233,7 +249,7 @@ def _dispatch(args) -> Report:
             })
         chart, _ = chartio.parse_chart_file(args.chart, check_jacobi=False)
         t_names = _split_csv(args.t)
-        ts = [chart.coords.index(n) for n in t_names]
+        ts = _coord_indices(chart, args.t, "--t")
         t0 = [parse_scalar(v) for v in _split_csv(args.t0)]
         report_obj = dirac.leaf_slice_obstruction(chart, ts, t0, args.degree)
         report = Report(cmd, report_obj.solvable, {"degree_bound": args.degree})
@@ -382,7 +398,7 @@ def run_command(argv: list[str]) -> tuple[int, Report | None]:
     except _UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 2, None
-    except (chartio.ChartFileError, ParseError, FileNotFoundError) as err:
+    except (chartio.ChartFileError, ParseError, FileNotFoundError, dirac.InvalidInvolution) as err:
         print(f"input error: {err}", file=sys.stderr)
         return 2, None
     except ValueError as err:
@@ -396,3 +412,7 @@ def run_command(argv: list[str]) -> tuple[int, Report | None]:
 def main() -> None:
     code, _ = run_command(sys.argv[1:])
     raise SystemExit(code)
+
+
+if __name__ == "__main__":
+    main()

@@ -23,6 +23,7 @@ from .poisson import PoissonChart, jacobiator
 
 __all__ = [
     "AlignedSubmanifold",
+    "InvalidInvolution",
     "LinearInvolution",
     "DiracVerdict",
     "AffineVerdict",
@@ -58,6 +59,10 @@ class AlignedSubmanifold:
         return tuple(self.chart.coords[i] for i in self.x_indices)
 
 
+class InvalidInvolution(ValueError):
+    """The matrix is not a square involution of the chart's dimension (bad input, not a failed check)."""
+
+
 @dataclass(frozen=True)
 class LinearInvolution:
     """An exact matrix S with S^2 = I acting on chart coordinates."""
@@ -73,9 +78,9 @@ class LinearInvolution:
         m = [list(row) for row in self.matrix]
         n = len(m)
         if any(len(row) != n for row in m):
-            raise ValueError("involution matrix must be square")
+            raise InvalidInvolution("involution matrix must be square")
         if not linalg.mat_eq(linalg.mat_mul(m, m), linalg.identity(n)):
-            raise ValueError("matrix is not an involution (S^2 != I)")
+            raise InvalidInvolution("matrix is not an involution (S^2 != I)")
 
     @property
     def dim(self) -> int:
@@ -174,7 +179,7 @@ def fixed_locus_symbolic(chart: PoissonChart, s: LinearInvolution) -> tuple[Alig
     aligned submanifold together with its induced chart.
     """
     if s.dim != chart.dim:
-        raise ValueError("involution dimension does not match the chart")
+        raise InvalidInvolution("involution dimension does not match the chart")
     pushed = _involution_pushforward_chart(chart, s)
     residual = pushed - chart.pi
     if not residual.is_zero():

@@ -55,7 +55,6 @@ __all__ = [
     "print_poly",
     "wedge",
     "schouten",
-    "diff",
     "eval_multivec",
     "sort_with_parity",
 ]
@@ -158,9 +157,6 @@ class Scalar:
             base = base * base
             n >>= 1
         return out
-
-    def conjugate(self) -> "Scalar":
-        return _from_parts(self.re, -self.im)
 
     def is_zero(self) -> bool:
         return not self.re and not self.im
@@ -345,12 +341,6 @@ class Poly:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def total_degree(self) -> int:
-        """Total degree; the zero polynomial reports -1."""
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
-
     # -- calculus and substitution -----------------------------------------
 
     def diff(self, var: int) -> "Poly":
@@ -384,18 +374,6 @@ class Poly:
             total = total + term
         return total
 
-    def eval_complex(self, point: Sequence[complex]) -> complex:
-        if len(point) != self.nvars:
-            raise ValueError(f"point length {len(point)} != nvars {self.nvars}")
-        total = 0j
-        for exps, coeff in self.terms.items():
-            term = coeff.to_complex()
-            for v, e in zip(point, exps):
-                if e:
-                    term *= complex(v) ** e
-            total += term
-        return total
-
     def set_vars_zero(self, idxs: Iterable[int]) -> "Poly":
         """Substitute 0 for the given variables (same ambient chart)."""
         idxset = set(idxs)
@@ -419,18 +397,6 @@ class Poly:
                 raise ValueError("polynomial depends on a dropped variable")
             out[tuple(exps[j] for j in keep)] = coeff
         return Poly(len(keep), out)
-
-    def extend(self, nvars: int, positions: Sequence[int]) -> "Poly":
-        """Embed into a larger chart, variable j going to slot positions[j]."""
-        if len(positions) != self.nvars:
-            raise ValueError("positions length must equal nvars")
-        out: dict[tuple, Scalar] = {}
-        for exps, coeff in self.terms.items():
-            e = [0] * nvars
-            for j, k in enumerate(exps):
-                e[positions[j]] = k
-            out[tuple(e)] = coeff
-        return Poly(nvars, out)
 
     def compose_linear(self, mat: Sequence[Sequence[ScalarLike]]) -> "Poly":
         """Substitute x_i <- sum_j mat[i][j] * x_j (exact)."""
@@ -846,12 +812,6 @@ class PolyMultiVec:
         values = ((k, p.eval(point)) for k, p in self.comps.items())
         return {k: v for k, v in values if not v.is_zero()}
 
-    def eval_complex(self, point: Sequence[complex]) -> dict[tuple, complex]:
-        return {k: p.eval_complex(point) for k, p in self.comps.items()}
-
-    def map_components(self, fn) -> "PolyMultiVec":
-        return PolyMultiVec(self.dim, self.degree, {k: fn(p) for k, p in self.comps.items()})
-
     def __str__(self) -> str:
         if not self.comps:
             return "0"
@@ -918,11 +878,6 @@ def schouten(a: PolyMultiVec, b: PolyMultiVec) -> PolyMultiVec:
     if not second.is_zero():
         total = total + (second if sign_ba == 1 else -second)
     return total
-
-
-def diff(a: PolyMultiVec, var: int) -> PolyMultiVec:
-    """Componentwise partial derivative of a multivector field."""
-    return a.diff(var)
 
 
 def eval_multivec(a: PolyMultiVec, point: Sequence[ScalarLike]) -> dict[tuple, Scalar]:

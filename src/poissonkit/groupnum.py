@@ -337,18 +337,15 @@ class InvolutionSpec:
     """An entrywise-linear group involution and its differential.
 
     kind 'transpose' is g -> g^T on a single matrix group; 'pair-swap' is
-    (B, C) -> (C^T, B^T) on a pair group; 'custom' supplies the map."""
+    (B, C) -> (C^T, B^T) on a pair group."""
 
     kind: str
-    custom: Callable[[np.ndarray], np.ndarray] | None = None
 
     def apply(self, g: np.ndarray) -> np.ndarray:
         if self.kind == "transpose":
             return _transpose(g)
         if self.kind == "pair-swap":
             return np.stack([g[1].T, g[0].T])
-        if self.kind == "custom" and self.custom is not None:
-            return self.custom(g)
         raise ValueError(f"unsupported involution kind {self.kind!r}")
 
     def push(self, v: np.ndarray) -> np.ndarray:

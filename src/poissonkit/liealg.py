@@ -57,29 +57,9 @@ __all__ = [
 ]
 
 
-def _is_zero(c) -> bool:
-    return not c
-
-
 def _support(vec: Sequence) -> list[tuple[int, object]]:
     """The nonzero entries (index, coefficient) of a coefficient vector."""
     return [(i, c) for i, c in enumerate(vec) if c]
-
-
-def _cmul(a, b):
-    if isinstance(a, Scalar) and isinstance(b, (float, complex)):
-        return a.to_complex() * b
-    if isinstance(b, Scalar) and isinstance(a, (float, complex)):
-        return a * b.to_complex()
-    return a * b
-
-
-def _cadd(a, b):
-    if isinstance(a, Scalar) and isinstance(b, (float, complex)):
-        return a.to_complex() + b
-    if isinstance(b, Scalar) and isinstance(a, (float, complex)):
-        return a + b.to_complex()
-    return a + b
 
 
 @dataclass(frozen=True)
@@ -151,18 +131,22 @@ class LieAlgebraData:
         entry = self.table.get((i, j), {})
         return AlgElement(self, 1, {(k,): c for k, c in entry.items()})
 
-    def bracket_vectors(self, u: Sequence, v: Sequence) -> list:
+    def bracket_vectors(self, u: Sequence[Scalar], v: Sequence[Scalar]) -> list[Scalar]:
         """Bracket of two coefficient vectors, returned as a coefficient vector."""
-        return self._bracket_supports(_support(u), _support(v))
+        out = [SCALAR_ZERO] * self.dim
+        for k, c in self._bracket_supports(_support(u), _support(v)).items():
+            out[k] = c
+        return out
 
-    def _bracket_supports(self, u: list, v: list) -> list:
-        """``bracket_vectors`` on the nonzero entries of u and v (see ``_support``)."""
-        out = [0] * self.dim
+    def _bracket_supports(self, u: list, v: list) -> dict[int, Scalar]:
+        """``bracket_vectors`` on the nonzero entries of u and v (see ``_support``), as {index: nonzero}."""
+        out: dict[int, Scalar] = {}
         for i, ci in u:
             for j, cj in v:
+                cij = ci * cj
                 for k, c in self.table.get((i, j), {}).items():
-                    out[k] = _cadd(out[k], _cmul(_cmul(ci, cj), c))
-        return out
+                    out[k] = out.get(k, SCALAR_ZERO) + cij * c
+        return {k: c for k, c in out.items() if c}
 
     def numeric_matrices(self) -> list[np.ndarray]:
         if self.matrices is None:
@@ -182,22 +166,25 @@ class LieAlgebraData:
 class AlgElement:
     """An element of the k-th wedge power of g, on increasing index tuples.
 
-    Coefficients are exact Scalars in the symbolic layer; the same container
-    carries floats or complexes in the numeric layer.
+    Exact only: every coefficient is a ``Scalar``, and any other coefficient
+    type raises ``TypeError``.  Numeric wedge elements (``dynr``) are dense
+    numpy arrays instead.
     """
 
     __slots__ = ("algebra", "degree", "comps")
 
-    def __init__(self, algebra: LieAlgebraData, degree: int, comps: Mapping[tuple, object] | None = None):
-        clean: dict[tuple, object] = {}
+    def __init__(self, algebra: LieAlgebraData, degree: int, comps: Mapping[tuple, Scalar] | None = None):
+        clean: dict[tuple, Scalar] = {}
         if comps:
             for idxs, coeff in comps.items():
+                if not isinstance(coeff, Scalar):
+                    raise TypeError(f"coefficients must be Scalars, got {type(coeff).__name__}")
                 idxs = tuple(idxs)
                 if len(idxs) != degree:
                     raise ValueError("index tuple length != degree")
                 if list(idxs) != sorted(set(idxs)):
                     raise ValueError(f"index tuple {idxs} not strictly increasing")
-                if not _is_zero(coeff):
+                if coeff:
                     clean[idxs] = coeff
         self.algebra = algebra
         self.degree = degree
@@ -213,14 +200,15 @@ class AlgElement:
 
     @staticmethod
     def from_terms(algebra: LieAlgebraData, degree: int, items) -> "AlgElement":
-        total = AlgElement.zero(algebra, degree)
+        """Sum of coefficient * wedge(idxs) over (idxs, coefficient) in any index order."""
+        out: dict[tuple, Scalar] = {}
         for idxs, coeff in items:
             sp = sort_with_parity(idxs)
             if sp is None:
                 continue
             key, sign = sp
-            total = total + AlgElement(algebra, degree, {key: coeff if sign == 1 else _cmul(-1, coeff)})
-        return total
+            out[key] = out.get(key, SCALAR_ZERO) + (coeff if sign == 1 else -coeff)
+        return AlgElement(algebra, degree, out)
 
     def _check(self, other: "AlgElement") -> None:
         if self.algebra is not other.algebra:
@@ -236,33 +224,23 @@ class AlgElement:
             raise ValueError("cannot add elements of different degree")
         out = dict(self.comps)
         for idxs, coeff in other.comps.items():
-            acc = _cadd(out.get(idxs, 0), coeff)
-            if _is_zero(acc):
-                out.pop(idxs, None)
-            else:
-                out[idxs] = acc
-        return AlgElement(self.algebra, self.degree, out)
+            out[idxs] = out.get(idxs, SCALAR_ZERO) + coeff
+        return AlgElement(self.algebra, self.degree, out)  # drops the cancelled entries
 
     def __neg__(self) -> "AlgElement":
-        return AlgElement(self.algebra, self.degree, {k: _cmul(-1, c) for k, c in self.comps.items()})
+        return AlgElement(self.algebra, self.degree, {k: -c for k, c in self.comps.items()})
 
     def __sub__(self, other: "AlgElement") -> "AlgElement":
         return self + (-other)
 
-    def __mul__(self, coeff) -> "AlgElement":
-        if _is_zero(coeff):
-            return AlgElement.zero(self.algebra, self.degree)
-        return AlgElement(self.algebra, self.degree, {k: _cmul(c, coeff) for k, c in self.comps.items()})
+    def __mul__(self, coeff: Scalar | int) -> "AlgElement":
+        return AlgElement(self.algebra, self.degree, {k: c * coeff for k, c in self.comps.items()})
 
     __rmul__ = __mul__
 
     def wedge(self, other: "AlgElement") -> "AlgElement":
         self._check(other)
-        out = AlgElement.zero(self.algebra, self.degree + other.degree)
-        items = []
-        for ia, ca in self.comps.items():
-            for ib, cb in other.comps.items():
-                items.append((ia + ib, _cmul(ca, cb)))
+        items = [(ia + ib, ca * cb) for ia, ca in self.comps.items() for ib, cb in other.comps.items()]
         return AlgElement.from_terms(self.algebra, self.degree + other.degree, items)
 
     def is_zero(self) -> bool:
@@ -276,28 +254,13 @@ class AlgElement:
     def __hash__(self):
         return hash((id(self.algebra), self.degree, frozenset(self.comps)))
 
-    def component(self, idxs: Sequence[int]):
+    def component(self, idxs: Sequence[int]) -> Scalar:
         sp = sort_with_parity(idxs)
         if sp is None:
-            return 0
+            return SCALAR_ZERO
         key, sign = sp
-        c = self.comps.get(key, 0)
-        return c if sign == 1 else _cmul(-1, c)
-
-    def to_numeric(self) -> "AlgElement":
-        return AlgElement(
-            self.algebra,
-            self.degree,
-            {k: (c.to_complex() if isinstance(c, Scalar) else complex(c)) for k, c in self.comps.items()},
-        )
-
-    def norm_inf(self) -> float:
-        """Largest coefficient magnitude (numeric and exact both supported)."""
-        best = 0.0
-        for c in self.comps.values():
-            mag = abs(c.to_complex()) if isinstance(c, Scalar) else abs(c)
-            best = max(best, float(mag))
-        return best
+        c = self.comps.get(key, SCALAR_ZERO)
+        return c if sign == 1 or not c else -c
 
     def __str__(self) -> str:
         if not self.comps:
@@ -461,9 +424,7 @@ def su_compact_basis(n: int) -> tuple[LieAlgebraData, AlgElement]:
     root_data = RootData(tuple(roots), tuple(range(2 * nroots, 2 * nroots + n - 1)))
     g = LieAlgebraData.from_brackets(labels, brackets, mats, root_data, name=f"su{n}")
 
-    r_hat = AlgElement.zero(g, 2)
-    for info in g.root_data.roots:
-        r_hat = r_hat + AlgElement(g, 2, {(info.e_index, info.f_index): Scalar(Fraction(info.d, 2))})
+    r_hat = AlgElement(g, 2, {(info.e_index, info.f_index): Scalar(info.d / 2) for info in g.root_data.roots})
     return g, r_hat
 
 
@@ -503,10 +464,7 @@ def standard_r_matrix(g: LieAlgebraData) -> AlgElement:
     """r = sum of d_a e_a ^ f_a over the positive roots."""
     if g.root_data is None:
         raise ValueError("algebra carries no root data")
-    r = AlgElement.zero(g, 2)
-    for info in g.root_data.roots:
-        r = r + AlgElement(g, 2, {(info.e_index, info.f_index): Scalar(info.d)})
-    return r
+    return AlgElement(g, 2, {(info.e_index, info.f_index): Scalar(info.d) for info in g.root_data.roots})
 
 
 def transpose_antimorphism(g: LieAlgebraData) -> "LinearAlgMap":
@@ -560,14 +518,19 @@ class LinearAlgMap:
     def rows(self) -> linalg.Matrix:
         return [list(row) for row in self.matrix]
 
-    def apply_vector(self, coeffs: Sequence) -> list:
-        out = [0] * self.target.dim
-        for j, cj in enumerate(coeffs):
-            if not cj:
-                continue
-            for i, mij in self._column_support[j]:
-                out[i] = _cadd(out[i], _cmul(cj, mij))
+    def apply_vector(self, coeffs: Sequence[Scalar]) -> list[Scalar]:
+        out = [SCALAR_ZERO] * self.target.dim
+        for i, c in self._apply_support(_support(coeffs)).items():
+            out[i] = c
         return out
+
+    def _apply_support(self, coeffs) -> dict[int, Scalar]:
+        """``apply_vector`` on (index, coefficient) pairs, as {index: nonzero}."""
+        out: dict[int, Scalar] = {}
+        for j, cj in coeffs:
+            for i, mij in self._column_support[j]:
+                out[i] = out.get(i, SCALAR_ZERO) + cj * mij
+        return {i: c for i, c in out.items() if c}
 
     def apply(self, elem: AlgElement) -> AlgElement:
         """Wedge-power action on an element of Lambda^k(source)."""
@@ -575,16 +538,10 @@ class LinearAlgMap:
             raise ValueError("element does not live in the source algebra")
         total = AlgElement.zero(self.target, elem.degree)
         for idxs, coeff in elem.comps.items():
-            images = []
+            acc = AlgElement(self.target, 0, {(): coeff})
             for j in idxs:
-                vec = [self.matrix[i][j] for i in range(self.target.dim)]
-                images.append(AlgElement(self.target, 1, {(i,): c for i, c in enumerate(vec) if not c.is_zero()}))
-            acc = None
-            for img in images:
-                acc = img if acc is None else acc.wedge(img)
-            if acc is None:
-                acc = AlgElement(self.target, 0, {(): SCALAR_ONE})
-            total = total + acc * coeff
+                acc = acc.wedge(AlgElement(self.target, 1, {(i,): c for i, c in self._column_support[j]}))
+            total = total + acc
         return total
 
     def is_involution(self) -> bool:
@@ -607,10 +564,10 @@ def alg_schouten(a: AlgElement, b: AlgElement) -> AlgElement:
     """Graded bracket on wedge powers of g via the pair-sum formula."""
     a._check(b)
     g = a.algebra
-    total = AlgElement.zero(g, max(a.degree + b.degree - 1, 0))
+    out: dict[tuple, Scalar] = {}
     for ia, ca in a.comps.items():
         for ib, cb in b.comps.items():
-            cab = _cmul(ca, cb)
+            cab = ca * cb
             for pi, bi in enumerate(ia):
                 rest_a = ia[:pi] + ia[pi + 1 :]
                 for pj, bj in enumerate(ib):
@@ -624,11 +581,9 @@ def alg_schouten(a: AlgElement, b: AlgElement) -> AlgElement:
                         if sp is None:
                             continue
                         key, s2 = sp
-                        coeff = _cmul(cab, c)
-                        if sign * s2 < 0:
-                            coeff = _cmul(-1, coeff)
-                        total = total + AlgElement(g, total.degree, {key: coeff})
-    return total
+                        coeff = cab * c
+                        out[key] = out.get(key, SCALAR_ZERO) + (coeff if sign * s2 > 0 else -coeff)
+    return AlgElement(g, max(a.degree + b.degree - 1, 0), out)
 
 
 def ad_action(g: LieAlgebraData, basis_index: int, elem: AlgElement) -> AlgElement:
@@ -674,9 +629,9 @@ def _antimorphism_failures(g: LieAlgebraData, phi: LinearAlgMap, i: int) -> list
     images = phi._column_support
     failures = []
     for j in range(i + 1, g.dim):
-        lhs = phi.apply_vector(g._bracket_supports([(i, SCALAR_ONE)], [(j, SCALAR_ONE)]))
+        lhs = phi._apply_support(g._bracket_supports([(i, SCALAR_ONE)], [(j, SCALAR_ONE)]).items())
         rhs = g._bracket_supports(images[i], images[j])
-        if any(x != -y for x, y in zip(lhs, rhs)):
+        if lhs != {k: -c for k, c in rhs.items()}:
             failures.append(j)
     return failures
 
@@ -716,17 +671,17 @@ class DrinfeldDouble:
         """The basis element of sigma paired with basis element a: X_i <-> xi^i."""
         return a + self.n if a < self.n else a - self.n
 
-    def pairing(self, u: Sequence, v: Sequence):
+    def pairing(self, u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
         """Canonical pairing <X + xi, Y + eta> = xi(Y) + eta(X)."""
         return self._pair_supports(_support(u), dict(_support(v)))
 
-    def _pair_supports(self, u: list, v: dict):
+    def _pair_supports(self, u: list, v: dict) -> Scalar:
         """``pairing`` on the nonzero entries of u, and of v as {index: coefficient}."""
         total = SCALAR_ZERO
         for a, ua in u:
             vb = v.get(self.dual_index(a))
             if vb is not None:
-                total = _cadd(total, _cmul(ua, vb))
+                total = total + ua * vb
         return total
 
 
@@ -762,8 +717,8 @@ def drinfeld_double(g: LieAlgebraData, r: AlgElement) -> DrinfeldDouble:
             entry: dict[int, Scalar] = {}
             for k in range(n):
                 c = gamma[k].component((i, j))
-                if not _is_zero(c):
-                    entry[n + k] = Scalar.coerce(c)
+                if c:
+                    entry[n + k] = c
             put(n + i, n + j, entry)
     for i in range(n):
         for j in range(n):
@@ -775,9 +730,9 @@ def drinfeld_double(g: LieAlgebraData, r: AlgElement) -> DrinfeldDouble:
                     entry[n + k] = entry.get(n + k, SCALAR_ZERO) - c
             for m in range(n):
                 c = gamma[i].component((j, m))
-                if not _is_zero(c):
-                    entry[m] = entry.get(m, SCALAR_ZERO) + Scalar.coerce(c)
-            put(i, n + j, {k: c for k, c in entry.items() if not c.is_zero()})
+                if c:
+                    entry[m] = entry.get(m, SCALAR_ZERO) + c
+            put(i, n + j, entry)
 
     sigma = LieAlgebraData.from_brackets(labels, brackets, name=f"double({g.name or 'g'})")
     verdict = validate_lie(sigma)

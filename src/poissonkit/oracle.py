@@ -16,7 +16,7 @@ Leibniz rule instead of the pair-sum formula used by ``liealg.alg_schouten``.
 
 from __future__ import annotations
 
-from .exactalg import Poly, PolyMultiVec, wedge
+from .exactalg import SCALAR_ONE, Poly, PolyMultiVec, wedge
 
 # -- chart-level oracle -------------------------------------------------------
 
@@ -130,7 +130,7 @@ def alg_schouten_oracle(a, b):
         raise ValueError("parent algebra mismatch")
 
     def basis_mono(idxs):
-        return AlgElement(g, len(idxs), {tuple(idxs): 1})
+        return AlgElement(g, len(idxs), {tuple(idxs): SCALAR_ONE})
 
     def bracket_mono(ia, ib):
         """Bracket of two coefficient-one basis wedge monomials."""

@@ -1,11 +1,21 @@
-"""Shared random generators for the property tests (seeded, exact)."""
+"""Shared random generators for the property tests (seeded, exact), and the
+environment for tests that start a Python subprocess."""
 
 import itertools
+import os
 import random
+from pathlib import Path
 
 import pytest
 
+import poissonkit
 from poissonkit.exactalg import Poly, PolyMultiVec, Scalar
+
+
+def subprocess_env():
+    """os.environ with the directory holding this poissonkit first on PYTHONPATH."""
+    src = str(Path(poissonkit.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 def make_rng(seed):

@@ -1,6 +1,11 @@
 """Command-line surface: exit codes, file formats, report determinism."""
 
+import subprocess
+import sys
+
 import pytest
+
+from conftest import subprocess_env
 
 from poissonkit.chartio import (
     ChartFileError,
@@ -150,3 +155,47 @@ def test_sample_count_below_one_is_a_usage_error(argv, capsys):
     for samples in ("0", "-1"):
         assert run_command([*argv, "--samples", samples]) == (2, None)
         assert "--samples" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, needle", [
+    (["dirac", "aligned", "product22.chart", "--x", "q"], "unknown coordinate 'q' in --x"),
+    (["modular", "relative", "relmod2.chart", "--x", "q"], "unknown coordinate 'q' in --x"),
+    (["dirac", "slice", "slice_family.chart", "--t", "q", "--t0", "0"], "unknown coordinate 'q' in --t"),
+    (["dirac", "slice", "slice_family.chart", "--t", "t", "--t0", "0", "--degree", "-1"], "--degree"),
+    (["oracle", "schouten", "--dim", "0"], "--dim"),
+    (["oracle", "schouten", "--pairs", "0"], "--pairs"),
+    (["oracle", "alg", "--pairs", "0"], "--pairs"),
+    (["group", "stokes", "--n", "4"], "--n"),
+    (["dirac", "fixed-locus", "so3.chart", "--matrix=-1,0;0,-1"], "dimension does not match"),
+    (["dirac", "fixed-locus", "so3.chart", "--matrix=1,0,0;0,1;0,0,1"], "must be square"),
+    (["dirac", "fixed-locus", "so3.chart", "--matrix=1,1,0;0,1,0;0,0,1"], "not an involution"),
+])
+def test_bad_input_is_a_usage_error(argv, needle, capsys):
+    # each of these used to exit 1, as if a verification had failed, or to pass having checked nothing
+    assert run_command(argv) == (2, None)
+    assert needle in capsys.readouterr().err
+
+
+def test_non_poisson_involution_is_a_verification_failure():
+    assert run_command(["dirac", "fixed-locus", "so3.chart", "--matrix=1,0,0;0,1,0;0,0,-1"]) == (1, None)
+
+
+def test_dynr_porcelain_values_are_plain_floats(capsys):
+    code, _ = run_command(["--porcelain", "dynr", "cdybe", "--algebra", "sl3", "--samples", "3", "--seed", "0"])
+    assert code == 0
+    values = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
+    for key in ("spread", "invariance_defect", "derivative_defect", "tol"):
+        assert "np." not in values[key]
+        float(values[key])
+
+
+@pytest.mark.parametrize("module", ["poissonkit", "poissonkit.cli"])
+def test_module_invocation(module):
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", module, *argv], capture_output=True, text=True,
+                              env=subprocess_env(), timeout=120)
+
+    done = run("--porcelain", "lie", "validate", "sl3")
+    assert done.returncode == 0, done.stderr
+    assert "pass=True" in done.stdout.splitlines()
+    assert run("lie", "frobnicate").returncode == 2

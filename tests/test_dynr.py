@@ -1,12 +1,16 @@
 """Dynamical r-matrix families: evaluation, CDYBE residual, equivariance."""
 
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from conftest import make_rng, rand_scalar
 from poissonkit.dynr import (
     NearSingular,
+    _ad_defect,
     cdybe_residual,
     corrupted_family,
     equivariance_check,
@@ -14,11 +18,31 @@ from poissonkit.dynr import (
     r_derivative,
     rational_family,
     residual_scan,
+    rr_bracket,
+    structure_tensor,
     trig_family,
 )
-from poissonkit.liealg import sl_chevalley, transpose_antimorphism
-from poissonkit.liealg import LinearAlgMap
+from poissonkit.exactalg import Scalar
+from poissonkit.liealg import (
+    AlgElement,
+    LieAlgebraData,
+    LinearAlgMap,
+    alg_schouten,
+    sl_chevalley,
+    su_compact_basis,
+    transpose_antimorphism,
+)
 from poissonkit import linalg
+
+
+def _upper_entries(t):
+    """(index tuple, entry) of an antisymmetric array on strictly increasing tuples."""
+    return [(idx, t[idx]) for idx in itertools.combinations(range(t.shape[0]), t.ndim)]
+
+
+def _max_gap(elem, t):
+    """Largest difference between an exact element and an antisymmetric array, over increasing tuples."""
+    return max(abs(float(elem.component(idx).re) - value) for idx, value in _upper_entries(t))
 
 
 # -- evaluation -----------------------------------------------------------------
@@ -31,14 +55,16 @@ def test_eval_r_sl2_trig_value():
     r = eval_r(fam, lam)
     e, f = g.label_index("e12"), g.label_index("f12")
     # coefficient g(<alpha, lambda>/2) = coth(lambda(h_alpha)) = coth(0.7)
-    assert abs(r.comps[(e, f)] - 1.0 / math.tanh(0.7)) < 1e-15
+    assert abs(r[e, f] - 1.0 / math.tanh(0.7)) < 1e-15
 
 
 def test_eval_r_antisymmetric_storage():
     g = sl_chevalley(2)
     r = eval_r(trig_family(g), [0.9])
     e, f = g.label_index("e12"), g.label_index("f12")
-    assert r.component((f, e)) == -r.component((e, f))
+    assert r.shape == (g.dim, g.dim)
+    assert r[f, e] == -r[e, f]
+    assert np.array_equal(r, -r.T)
 
 
 def test_rational_homogeneity():
@@ -48,13 +74,19 @@ def test_rational_homogeneity():
     c = 2.5
     r1 = eval_r(fam, c * lam)
     r2 = eval_r(fam, lam) * (1.0 / c)
-    assert (r1 - r2).norm_inf() < 1e-14
+    assert np.max(np.abs(r1 - r2)) < 1e-14
 
 
 def test_singular_guard():
     g = sl_chevalley(2)
     with pytest.raises(NearSingular):
         eval_r(trig_family(g), [1e-5])
+
+
+def test_structure_tensor_rejects_non_real_constants():
+    g = LieAlgebraData.from_brackets(["a", "b"], {(0, 1): {0: Scalar(0, 1)}})
+    with pytest.raises(ValueError, match="not real"):
+        structure_tensor(g)
 
 
 # -- residual -------------------------------------------------------------------
@@ -65,35 +97,110 @@ def test_residual_constant_two_points_sl2():
     fam = trig_family(g)
     r1 = cdybe_residual(fam, [0.6])
     r2 = cdybe_residual(fam, [-1.4])
-    assert (r1 - r2).norm_inf() < 1e-12
+    assert np.max(np.abs(r1 - r2)) < 1e-12
     # the surviving constant is exactly e ^ f ^ h
     e, f, h = (g.label_index(k) for k in ("e12", "f12", "h1"))
-    assert abs(r1.comps[(e, f, h)] - 1.0) < 1e-12
+    assert abs(r1[e, f, h] - 1.0) < 1e-12
 
 
 def test_residual_ad_invariance_sl2():
-    from poissonkit.liealg import AlgElement, alg_schouten
-
+    # [x_b, res] written out slot by slot, without the cyclic shortcut of the scan
     g = sl_chevalley(2)
+    C = structure_tensor(g)
     res = cdybe_residual(trig_family(g), [0.8])
-    for b in range(g.dim):
-        defect = alg_schouten(AlgElement(g, 1, {(b,): 1.0}), res)
-        assert defect.norm_inf() < 1e-12
+    defect = (np.einsum("bil,ijk->bljk", C, res) + np.einsum("bij,lik->bljk", C, res)
+              + np.einsum("bik,lji->bljk", C, res))
+    assert np.max(np.abs(defect)) < 1e-12
+    assert np.max(np.abs(_ad_defect(C, res) - defect)) < 1e-15
 
 
 def test_rational_residual_vanishes_sl2():
     g = sl_chevalley(2)
     res = cdybe_residual(rational_family(g), [0.75])
-    assert res.norm_inf() < 1e-12
+    assert np.max(np.abs(res)) < 1e-12
 
 
 def test_residual_storage_is_antisymmetric():
     g = sl_chevalley(3)
     res = cdybe_residual(trig_family(g), [0.9, 0.7])
-    for idxs in res.comps:
-        assert list(idxs) == sorted(set(idxs))
-        swapped = (idxs[1], idxs[0], idxs[2])
-        assert res.component(swapped) == -res.comps[idxs]
+    assert res.shape == (g.dim,) * 3
+    for axes in ((1, 0, 2), (0, 2, 1), (2, 1, 0)):
+        assert np.array_equal(res, -res.transpose(axes))
+    for i, j in itertools.product(range(g.dim), repeat=2):
+        assert res[i, i, j] == res[i, j, i] == res[j, i, i] == 0.0
+
+
+# -- second routes: exact brackets over Scalars ------------------------------------
+
+
+def _exact_rational_residual(g, lam):
+    """(1/2)[r, r] and sum_m h_m ^ dr/dlambda_m + (1/2)[r, r] for the rational family, exactly."""
+    roots = g.root_data.roots
+    xs = [sum(c * l for c, l in zip(info.h_coords, lam)) for info in roots]  # <alpha, lambda> / 2
+    r = AlgElement(g, 2, {(info.e_index, info.f_index): Scalar(info.d / x) for info, x in zip(roots, xs)})
+    half = alg_schouten(r, r) * Scalar(Fraction(1, 2))
+    total = half
+    for m, h in enumerate(g.root_data.cartan):
+        dr = AlgElement(g, 2, {
+            (info.e_index, info.f_index): Scalar(-info.d * info.h_coords[m] / (x * x)) for info, x in zip(roots, xs)
+        })
+        total = total + AlgElement.basis(g, h).wedge(dr)
+    return half, total
+
+
+# points where every |<alpha, lambda>| >= 1/2, the region the scans sample
+@pytest.mark.parametrize("n, points", [
+    (3, [(Fraction(3, 4), Fraction(-5, 3)), (Fraction(-7, 2), Fraction(2, 3))]),
+    (4, [(Fraction(3, 4), Fraction(-5, 3), Fraction(7, 5)), (Fraction(1, 3), Fraction(5, 4), Fraction(-1, 2))]),
+])
+def test_rational_residual_matches_exact_route(n, points):
+    g = sl_chevalley(n)
+    fam = rational_family(g)
+    C = structure_tensor(g)
+    for lam in points:
+        half, total = _exact_rational_residual(g, lam)
+        assert not half.is_zero()  # the cancellation against the derivative terms is not vacuous
+        lam_f = [float(v) for v in lam]
+        assert _max_gap(half, 0.5 * rr_bracket(C, eval_r(fam, lam_f))) < 1e-12
+        assert _max_gap(total, cdybe_residual(fam, lam_f)) < 1e-12
+
+
+def _rand_elem(rng, g, degree, density):
+    comps = {}
+    for idxs in itertools.combinations(range(g.dim), degree):
+        if rng.random() < density:
+            comps[idxs] = rand_scalar(rng, with_i=False)
+    return AlgElement(g, degree, comps)
+
+
+def _parity(perm):
+    inversions = sum(1 for a, b in itertools.combinations(perm, 2) if a > b)
+    return -1 if inversions % 2 else 1
+
+
+def _dense(elem):
+    """The antisymmetric array of an exact real element of degree 2 or 3."""
+    dim, k = elem.algebra.dim, elem.degree
+    out = np.zeros((dim,) * k)
+    for idxs, c in elem.comps.items():
+        for perm in itertools.permutations(range(k)):
+            out[tuple(idxs[p] for p in perm)] = _parity(perm) * float(c.re)
+    return out
+
+
+@pytest.mark.parametrize("name", ["sl2", "sl3", "sl4", "su2", "su3"])
+def test_einsum_brackets_match_alg_schouten(name):
+    g = sl_chevalley(int(name[2:])) if name.startswith("sl") else su_compact_basis(int(name[2:]))[0]
+    C = structure_tensor(g)
+    rng = make_rng(45)
+    density = 0.6 if g.dim < 5 else 0.2
+    for _ in range(5):
+        r = _rand_elem(rng, g, 2, density)
+        assert _max_gap(alg_schouten(r, r), rr_bracket(C, _dense(r))) < 1e-12
+        t = _rand_elem(rng, g, 3, density / 2)
+        defects = _ad_defect(C, _dense(t))
+        for b in range(g.dim):
+            assert _max_gap(alg_schouten(AlgElement.basis(g, b), t), defects[b]) < 1e-12
 
 
 # -- scans ----------------------------------------------------------------------
@@ -124,6 +231,14 @@ def test_scan_deterministic():
     assert rep1 == rep2
 
 
+def test_report_values_are_python_floats():
+    g = sl_chevalley(2)
+    rep = residual_scan(trig_family(g), samples=3, seed=1)
+    assert all(type(v) is float for v in (rep.spread, rep.invariance_defect, rep.derivative_defect))
+    eq = equivariance_check(trig_family(g), transpose_antimorphism(g), samples=2, seed=1)
+    assert type(eq.defect) is float
+
+
 def test_gradient_check_explicit():
     g = sl_chevalley(3)
     fam = trig_family(g)
@@ -134,7 +249,7 @@ def test_gradient_check_explicit():
         lp[m] += step
         lm[m] -= step
         fd = (eval_r(fam, lp) - eval_r(fam, lm)) * (1.0 / (2 * step))
-        assert (fd - r_derivative(fam, lam, m)).norm_inf() < 1e-7
+        assert np.max(np.abs(fd - r_derivative(fam, lam, m))) < 1e-7
 
 
 # -- equivariance ---------------------------------------------------------------
@@ -155,3 +270,12 @@ def test_equivariance_negative_control_identity():
     rep = equivariance_check(trig_family(g), ident, samples=4, seed=3)
     assert not rep.ok
     assert rep.defect > 0.1
+
+
+def test_equivariance_rejects_a_map_that_leaves_the_cartan():
+    g = sl_chevalley(2)
+    rows = [list(row) for row in linalg.identity(g.dim)]
+    rows[g.label_index("e12")][g.label_index("h1")] = Scalar(1)  # h -> h + e
+    s = LinearAlgMap(g, g, tuple(map(tuple, rows)))
+    with pytest.raises(ValueError, match="Cartan"):
+        equivariance_check(trig_family(g), s, samples=2)

@@ -148,6 +148,23 @@ def test_alg_schouten_r_r_sl2():
     assert w == AlgElement(g, 3, {(e, f, h): Scalar(2)})
 
 
+@pytest.mark.parametrize("coeff", [1.0, 1 + 0j, 1, Fraction(1)])
+def test_alg_element_rejects_inexact_and_plain_coefficients(coeff):
+    g = sl_chevalley(2)
+    with pytest.raises(TypeError):
+        AlgElement(g, 1, {(0,): coeff})
+    with pytest.raises(TypeError):
+        AlgElement.basis(g, 0) * 0.5
+
+
+def test_wedge_collects_repeated_terms():
+    g = sl_chevalley(2)
+    e, f = AlgElement.basis(g, g.label_index("e12")), AlgElement.basis(g, g.label_index("f12"))
+    assert (e + f).wedge(e + f).is_zero()
+    assert (e + f).wedge(e - f) == e.wedge(f) * Scalar(-2)
+    assert AlgElement.from_terms(g, 2, [((0, 1), Scalar(1)), ((1, 0), Scalar(3))]) == e.wedge(f) * Scalar(-2)
+
+
 def test_cobracket_is_ad_of_r():
     # definitional: delta(x) = [x, r] = ad_x r
     g = sl_chevalley(2)
@@ -414,6 +431,20 @@ def test_sparse_vector_routines_match_dense_formulas():
         assert g.bracket_vectors(u, v) == dense
         x, y = vec(dim), vec(dim)
         assert dd.pairing(x, y) == sum((x[a] * y[n + a] + x[n + a] * y[a] for a in range(n)), Scalar(0))
+
+
+def test_sparse_supports_drop_cancelled_entries():
+    # the anti-morphism sweep compares these dicts, so a cancelled entry must not linger as a zero
+    from poissonkit.liealg import LinearAlgMap
+
+    g = sl_chevalley(2)
+    e, f, h = (g.label_index(k) for k in ("e12", "f12", "h1"))
+    one = Scalar(1)
+    assert g._bracket_supports([(e, one), (f, one)], [(e, one), (f, one)]) == {}
+    rows = [[Scalar(int(i == j)) for j in range(g.dim)] for i in range(g.dim)]
+    rows[e][f] = Scalar(-1)  # f -> f - e
+    phi = LinearAlgMap(g, g, tuple(map(tuple, rows)))
+    assert phi._apply_support([(e, one), (f, one)]) == {f: one}
 
 
 def test_double_pairing_sweep_catches_a_tampered_mixed_bracket(monkeypatch):
