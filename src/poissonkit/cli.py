@@ -51,23 +51,26 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _int_at_least(low: int):
-    """argparse type for an int of at least ``low``; below it a command would check nothing."""
+def _int_in_range(low: int, high: int | None = None):
+    """argparse type for an int of at least ``low`` and, if given, at most ``high``;
+    outside that range a command would check nothing or reject its input."""
 
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if value < low or (high is not None and value > high):
+            bound = f"at least {low}" if high is None else f"between {low} and {high}"
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
         return value
 
     return parse
 
 
-_sample_count = _int_at_least(1)  # --samples, --pairs, --dim
-_degree = _int_at_least(0)
+_sample_count = _int_in_range(1)  # --samples, --pairs, --dim
+_degree = _int_in_range(0)
+_group_n = _int_in_range(2, groupnum.N_CAP)  # group crosscheck|bruhat --n
 
 
 def _build_parser() -> _Parser:
@@ -133,7 +136,10 @@ def _build_parser() -> _Parser:
         ("bruhat", "two-route fixed-locus tensor on SU(n)"),
     ):
         p = gsub.add_parser(name, help=help_text)
-        p.add_argument("--n", type=int, default=3, choices=[3] if name == "stokes" else None)
+        if name == "stokes":
+            p.add_argument("--n", type=int, default=3, choices=[3])
+        else:
+            p.add_argument("--n", type=_group_n, default=3)
         p.add_argument("--samples", type=_sample_count, default=20 if name == "stokes" else 10)
         p.add_argument("--seed", type=int, default=1)
         p.add_argument("--tol", type=float, default=1e-8)
@@ -398,7 +404,7 @@ def run_command(argv: list[str]) -> tuple[int, Report | None]:
     except _UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 2, None
-    except (chartio.ChartFileError, ParseError, FileNotFoundError, dirac.InvalidInvolution) as err:
+    except (chartio.ChartFileError, ParseError, FileNotFoundError, dirac.InvalidInput) as err:
         print(f"input error: {err}", file=sys.stderr)
         return 2, None
     except ValueError as err:

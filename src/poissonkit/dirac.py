@@ -23,6 +23,7 @@ from .poisson import PoissonChart, jacobiator
 
 __all__ = [
     "AlignedSubmanifold",
+    "InvalidInput",
     "InvalidInvolution",
     "LinearInvolution",
     "DiracVerdict",
@@ -50,7 +51,7 @@ class AlignedSubmanifold:
     def __post_init__(self):
         xs, ys = self.x_indices, self.y_indices
         if sorted(xs + ys) != list(range(self.chart.dim)):
-            raise ValueError("x_indices and y_indices must partition the coordinates")
+            raise InvalidInput("x_indices and y_indices must partition the coordinates")
         object.__setattr__(self, "x_indices", tuple(xs))
         object.__setattr__(self, "y_indices", tuple(ys))
 
@@ -59,8 +60,12 @@ class AlignedSubmanifold:
         return tuple(self.chart.coords[i] for i in self.x_indices)
 
 
-class InvalidInvolution(ValueError):
-    """The matrix is not a square involution of the chart's dimension (bad input, not a failed check)."""
+class InvalidInput(ValueError):
+    """An argument of the wrong shape or form: bad input, not a failed check."""
+
+
+class InvalidInvolution(InvalidInput):
+    """The matrix is not a square involution of the chart's dimension."""
 
 
 @dataclass(frozen=True)
@@ -286,14 +291,14 @@ def affine_lie_poisson_dirac(g, l_basis, m_basis, mu) -> AffineVerdict:
     lv = _as_vectors(g, l_basis)
     mv = _as_vectors(g, m_basis)
     if len(lv) + len(mv) != g.dim:
-        raise ValueError("l and m have the wrong total dimension")
+        raise InvalidInput("l and m have the wrong total dimension")
     basis_mat = linalg.transpose(lv + mv)  # columns are the basis vectors
     if linalg.rank(basis_mat) != g.dim:
-        raise ValueError("l_basis and m_basis do not form a basis of g")
+        raise InvalidInput("l_basis and m_basis do not form a basis of g")
     inv = linalg.inverse(basis_mat)
     mu = [Scalar.coerce(c) for c in mu]
     if len(mu) != g.dim:
-        raise ValueError("mu has the wrong length")
+        raise InvalidInput("mu has the wrong length")
 
     k = len(lv)
 
@@ -409,7 +414,7 @@ def leaf_slice_obstruction(chart: PoissonChart, t_indices: Sequence[int], t0: Se
     xs = [i for i in range(chart.dim) if i not in ts]
     t0 = [Scalar.coerce(v) for v in t0]
     if len(t0) != len(ts):
-        raise ValueError("t0 must list one value per t-coordinate")
+        raise InvalidInput("t0 must list one value per t-coordinate")
 
     for (i, j) in chart.pi.comps:
         if i in ts or j in ts:

@@ -45,7 +45,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .exactalg import Scalar
-from .liealg import LieAlgebraData, LinearAlgMap, RootInfo
+from .liealg import LieAlgebraData, LinearAlgMap
 
 __all__ = [
     "DynamicalRFamily",
@@ -111,22 +111,38 @@ class DynamicalRFamily:
         t = math.tanh(x)
         return 1.0 - t * t
 
-    def pairings(self, lam: Sequence[float]) -> list[float]:
-        """<alpha, lambda> = 2 lambda(h_alpha) for every positive root."""
-        lam = list(lam)
+    @functools.cached_property
+    def _roots(self) -> tuple[np.ndarray, tuple[float, ...], tuple[np.ndarray, np.ndarray]]:
+        """Per positive root: the rows h_coords as a float matrix, d as floats, and
+        the (row, column) indices of every (e_a, f_a) entry followed by every
+        (f_a, e_a) entry.  The arrays are read-only, as every caller shares them."""
+        roots = self.algebra.root_data.roots
+        h = np.array([[float(c) for c in info.h_coords] for info in roots]).reshape(len(roots), self.rank)
+        e = [info.e_index for info in roots]
+        f = [info.f_index for info in roots]
+        index = (np.array(e + f), np.array(f + e))
+        for a in (h, *index):
+            a.setflags(write=False)
+        return h, tuple(float(info.d) for info in roots), index
+
+    def pairings(self, lam: Sequence[float]) -> np.ndarray:
+        """<alpha, lambda> = 2 lambda(h_alpha) for every positive root, as one array."""
         if len(lam) != self.rank:
             raise ValueError(f"lambda must have length {self.rank}")
-        return [
-            2.0 * float(sum(c * l for c, l in zip(info.h_coords, lam)))
-            for info in self.algebra.root_data.roots
-        ]
+        # summed in coordinate order rather than by matmul, whose BLAS kernel may
+        # round differently, so the lambda that pass the sampling margin stay put
+        return 2.0 * (self._roots[0] * np.asarray(lam, dtype=float)).sum(axis=1)
 
-    def guard(self, lam: Sequence[float]) -> None:
-        for value, info in zip(self.pairings(lam), self.algebra.root_data.roots):
-            if abs(value) < SINGULAR_GUARD:
-                raise NearSingular(
-                    f"<alpha, lambda> = {value:.2e} for root {info.pair}; guard is {SINGULAR_GUARD}"
-                )
+    def guard(self, lam: Sequence[float]) -> list[float]:
+        """``pairings(lam)`` as floats, raising NearSingular if one is within the guard of 0."""
+        values = self.pairings(lam).tolist()
+        if min(map(abs, values)) < SINGULAR_GUARD:
+            k = next(k for k, value in enumerate(values) if abs(value) < SINGULAR_GUARD)
+            raise NearSingular(
+                f"<alpha, lambda> = {values[k]:.2e} for root {self.algebra.root_data.roots[k].pair};"
+                f" guard is {SINGULAR_GUARD}"
+            )
+        return values
 
 
 def trig_family(g: LieAlgebraData) -> DynamicalRFamily:
@@ -206,29 +222,24 @@ def _ad_defect(C: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 def _root_matrix(
-    family: DynamicalRFamily, lam: Sequence[float], coefficient: Callable[[float, RootInfo], float]
+    family: DynamicalRFamily, lam: Sequence[float], g: Callable[[float], float], factor: Sequence[float]
 ) -> np.ndarray:
-    """The antisymmetric matrix with entry coefficient(<alpha, lambda>, root) at (e_a, f_a)."""
-    family.guard(lam)
-    g = family.algebra
-    out = np.zeros((g.dim, g.dim))
-    for value, info in zip(family.pairings(lam), g.root_data.roots):
-        c = coefficient(value, info)
-        out[info.e_index, info.f_index] = c
-        out[info.f_index, info.e_index] = -c
+    """The antisymmetric matrix with entry factor_a * g(<alpha, lambda>/2) at (e_a, f_a)."""
+    c = [fa * g(0.5 * value) for fa, value in zip(factor, family.guard(lam))]
+    out = np.zeros((family.algebra.dim, family.algebra.dim))
+    out[family._roots[2]] = c + [-x for x in c]
     return out
 
 
 def eval_r(family: DynamicalRFamily, lam: Sequence[float]) -> np.ndarray:
     """r(lambda) as an antisymmetric dim x dim matrix."""
-    return _root_matrix(family, lam, lambda value, info: float(info.d) * family._g(0.5 * value))
+    return _root_matrix(family, lam, family._g, family._roots[1])
 
 
 def r_derivative(family: DynamicalRFamily, lam: Sequence[float], m: int) -> np.ndarray:
     """Analytic dr/dlambda_m as an antisymmetric dim x dim matrix."""
-    return _root_matrix(
-        family, lam, lambda value, info: float(info.d) * family._g_prime(0.5 * value) * info.h_coords[m]
-    )
+    h, d, _ = family._roots
+    return _root_matrix(family, lam, family._g_prime, [da * ha for da, ha in zip(d, h[:, m].tolist())])
 
 
 def cdybe_residual(family: DynamicalRFamily, lam: Sequence[float]) -> np.ndarray:
@@ -243,7 +254,7 @@ def _sample_lambda(family: DynamicalRFamily, seed: int, index: int, margin: floa
     rng = np.random.default_rng([seed, index])
     for _ in range(1000):
         lam = rng.uniform(-2.0, 2.0, size=family.rank)
-        if all(abs(v) >= margin for v in family.pairings(lam)):
+        if np.all(np.abs(family.pairings(lam)) >= margin):
             return lam
     raise RuntimeError("could not sample lambda away from the singular set")
 

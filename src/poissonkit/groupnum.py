@@ -2,8 +2,13 @@
 
 Groups are represented by numpy matrices; elements of product groups such as
 the double SL(n) x SL(n) are stacked arrays of shape (2, n, n), on which
-matmul, inverse and determinant broadcast.  Bivectors at a group point are
-finite lists of wedge pairs of tangent matrices, with no preferred basis.
+matmul, inverse and determinant broadcast.  A bivector at a group point is a
+finite sum of wedge pairs u_a ^ v_a of tangent matrices, with no preferred
+basis; its legs are stored as two stacked arrays u, v of shape
+(m, *base.shape), so the sharp map, entry brackets, involution pushforwards
+and projections act on all wedge pairs in one array operation.  Maps applied
+to legs (``map_legs``, ``InvolutionSpec.push``, the ``phi`` of
+``pi_q_formula``) therefore broadcast over leading axes.
 
 Translation conventions: the right-invariant field of X is X^R(g) = X g, the
 left-invariant field is X^L(g) = g X, and the coboundary Poisson-Lie tensor
@@ -25,13 +30,15 @@ rejected binding is kept accessible for the negative test.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 import scipy.linalg
 
-from .liealg import LieAlgebraData, sl_chevalley, standard_r_matrix, su_compact_basis
+from .liealg import LieAlgebraData, _sl_basis, sl_chevalley, standard_r_matrix, su_compact_basis
 
 __all__ = [
     "TOL_LINALG",
@@ -46,8 +53,6 @@ __all__ = [
     "dual_group",
     "cocycle_lambda",
     "pl_bivector",
-    "entry_bracket",
-    "involution_pushforward",
     "xplus",
     "pi_q_projection",
     "pi_q_formula",
@@ -87,10 +92,16 @@ def _transpose(v: np.ndarray) -> np.ndarray:
     return np.swapaxes(v, -1, -2)
 
 
+def _flat(x: np.ndarray) -> np.ndarray:
+    """Each leg of a stack of shape (m, *shape) flattened: an (m, prod(shape)) array."""
+    return x.reshape(x.shape[0], math.prod(x.shape[1:]))
+
+
 def _vec(x: np.ndarray) -> np.ndarray:
-    """Realified flattening, uniform for real and complex arrays."""
-    x = np.asarray(x)
-    return np.concatenate([np.real(x).ravel(), np.imag(x).ravel()])
+    """Realified flattening of each leg of a stack of shape (m, *shape): an
+    (m, 2 * prod(shape)) array, uniform for real and complex stacks."""
+    flat = _flat(np.asarray(x))
+    return np.concatenate([np.real(flat), np.imag(flat)], axis=1)
 
 
 @dataclass
@@ -128,41 +139,74 @@ class MatrixGroup:
             total = total + c * b
         return total
 
-    def r_wedges(self) -> list[tuple[np.ndarray, np.ndarray, float]]:
-        return [(self.basis[i], self.basis[j], c) for i, j, c in self.r_terms]
+    @functools.cached_property
+    def r_legs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The r-terms as stacks: left legs, right legs and coefficients."""
+        i, j, c = (np.array(col) for col in zip(*self.r_terms))
+        stack = np.stack(self.basis)
+        return stack[i], stack[j], c.reshape(-1, *(1,) * self.basis[0].ndim)
 
 
 class TangentBivector:
-    """A bivector at a group point, stored as wedge pairs of tangent matrices."""
+    """A bivector sum_a u_a ^ v_a at a group point.
+
+    The legs are stored stacked: ``u`` and ``v`` have shape (m, *base.shape),
+    with u[a] ^ v[a] the a-th wedge pair.  ``pairs`` lists them one by one.
+    """
 
     def __init__(self, base: np.ndarray, pairs: Sequence[tuple[np.ndarray, np.ndarray]]):
-        self.base = np.asarray(base)
-        self.pairs = [(np.asarray(u), np.asarray(v)) for u, v in pairs]
+        base = np.asarray(base)
+        pairs = list(pairs)
+        if pairs:
+            u, v = (np.stack(legs) for legs in zip(*pairs))
+        else:
+            u = v = np.zeros((0, *base.shape), dtype=base.dtype)
+        self._set(base, u, v)
+
+    @classmethod
+    def from_legs(cls, base: np.ndarray, u: np.ndarray, v: np.ndarray) -> "TangentBivector":
+        """The bivector sum_a u[a] ^ v[a] from two leg stacks of one shape."""
+        out = cls.__new__(cls)
+        out._set(np.asarray(base), np.asarray(u), np.asarray(v))
+        return out
+
+    def _set(self, base: np.ndarray, u: np.ndarray, v: np.ndarray) -> None:
+        if u.shape != v.shape or u.shape[1:] != base.shape:
+            raise ValueError(f"leg stacks {u.shape} and {v.shape} do not match base shape {base.shape}")
+        self.base, self.u, self.v = base, u, v
+
+    @property
+    def pairs(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        return list(zip(self.u, self.v))
 
     def entry_bracket(self, idx1: tuple, idx2: tuple):
         """{A_idx1, A_idx2} = sum_a u_a[idx1] v_a[idx2] - u_a[idx2] v_a[idx1]."""
-        total = 0.0
-        for u, v in self.pairs:
-            total = total + u[idx1] * v[idx2] - u[idx2] * v[idx1]
-        return total
+        u1, u2 = self.u[(slice(None), *idx1)], self.u[(slice(None), *idx2)]
+        v1, v2 = self.v[(slice(None), *idx1)], self.v[(slice(None), *idx2)]
+        return u1 @ v2 - u2 @ v1
+
+    def bracket_matrix(self, entries: Sequence[tuple] | None = None) -> np.ndarray:
+        """Brackets {A_p, A_q} of all matrix entries (flat order), or of the
+        listed entries only: U^T V - V^T U on the flattened leg stacks."""
+        u, v = _flat(self.u), _flat(self.v)
+        if entries is not None:
+            flat = [np.ravel_multi_index(idx, self.base.shape) for idx in entries]
+            u, v = u[:, flat], v[:, flat]
+        x = u.T @ v
+        return x - x.T  # = U^T V - V^T U, and exactly antisymmetric
 
     def map_legs(self, fn: Callable[[np.ndarray], np.ndarray], base: np.ndarray | None = None) -> "TangentBivector":
-        return TangentBivector(self.base if base is None else base, [(fn(u), fn(v)) for u, v in self.pairs])
+        """Apply ``fn`` to both leg stacks; ``fn`` must broadcast over the leading axis."""
+        return TangentBivector.from_legs(self.base if base is None else base, fn(self.u), fn(self.v))
 
     def sharp_matrix(self) -> np.ndarray:
-        """Realified matrix of the sharp map; its column space is the image."""
-        size = _vec(self.base).shape[0]
-        m = np.zeros((size, size))
-        for u, v in self.pairs:
-            uu, vv = _vec(u), _vec(v)
-            m += np.outer(uu, vv) - np.outer(vv, uu)
-        return m
+        """Realified matrix of the sharp map, U^T V - V^T U on the realified leg
+        stacks; its column space is the image."""
+        x = _vec(self.u).T @ _vec(self.v)
+        return x - x.T  # = U^T V - V^T U, and exactly antisymmetric
 
     def max_abs(self) -> float:
-        best = 0.0
-        for u, v in self.pairs:
-            best = max(best, float(np.max(np.abs(u))), float(np.max(np.abs(v))))
-        return best
+        return float(max(np.max(np.abs(self.u), initial=0.0), np.max(np.abs(self.v), initial=0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +278,7 @@ def dual_group(n: int) -> MatrixGroup:
     system whose residual is checked at TOL_LINALG by the callers' tests.
     """
     _check_n(n)
-    sl_basis = [m.real.copy() for m in sl_chevalley(n).numeric_matrices()]
+    sl_basis = [np.array([[float(c.re) for c in row] for row in m]) for m in _sl_basis(n)[1]]
     diag_basis = [_pair(m, m) for m in sl_basis]
 
     gstar_basis: list[np.ndarray] = []
@@ -311,20 +355,19 @@ def cocycle_lambda(group: MatrixGroup, g: np.ndarray) -> np.ndarray:
     return lam
 
 
+def _interleave(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """Stack [first[0], second[0], first[1], second[1], ...] along axis 0."""
+    return np.stack([first, second], axis=1).reshape(-1, *first.shape[1:])
+
+
 def pl_bivector(group: MatrixGroup, g: np.ndarray) -> TangentBivector:
-    """pi(g) = r_{g*} (Ad_g r - r): wedge pairs of tangent matrices at g."""
-    pairs = []
-    for a, b, c in group.r_wedges():
-        ad_a = group.ad(g, a)
-        ad_b = group.ad(g, b)
-        pairs.append((c * (ad_a @ g), ad_b @ g))
-        pairs.append((-c * (a @ g), b @ g))
-    return TangentBivector(g, pairs)
-
-
-def entry_bracket(pi: TangentBivector, idx1: tuple, idx2: tuple):
-    """Bracket of two matrix-entry functions read off a bivector."""
-    return pi.entry_bracket(idx1, idx2)
+    """pi(g) = r_{g*} (Ad_g r - r): wedge pairs of tangent matrices at g,
+    (c Ad_g(a) g, Ad_g(b) g) and (-c a g, b g) for each r-term c a ^ b."""
+    a, b, c = group.r_legs
+    g_inv = np.linalg.inv(g)
+    u = _interleave(c * (g @ a @ g_inv @ g), -c * (a @ g))
+    v = _interleave(g @ b @ g_inv @ g, b @ g)
+    return TangentBivector.from_legs(g, u, v)
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +380,8 @@ class InvolutionSpec:
     """An entrywise-linear group involution and its differential.
 
     kind 'transpose' is g -> g^T on a single matrix group; 'pair-swap' is
-    (B, C) -> (C^T, B^T) on a pair group."""
+    (B, C) -> (C^T, B^T) on a pair group.  Both broadcast over leading axes,
+    so a stack of points or tangent vectors maps in one call."""
 
     kind: str
 
@@ -345,7 +389,7 @@ class InvolutionSpec:
         if self.kind == "transpose":
             return _transpose(g)
         if self.kind == "pair-swap":
-            return np.stack([g[1].T, g[0].T])
+            return _transpose(g[..., ::-1, :, :])
         raise ValueError(f"unsupported involution kind {self.kind!r}")
 
     def push(self, v: np.ndarray) -> np.ndarray:
@@ -356,14 +400,9 @@ class InvolutionSpec:
         return float(np.max(np.abs(self.apply(g) - g)))
 
 
-def involution_pushforward(spec: InvolutionSpec, g: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Pushforward of a tangent vector at g to one at Phi(g)."""
-    del g  # entrywise-linear involutions have a base-independent differential
-    return spec.push(v)
-
-
 def xplus(spec: InvolutionSpec, g: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """v+ = (v + Phi_* v) / 2 at a fixed point of the involution."""
+    """v+ = (v + Phi_* v) / 2 at a fixed point of the involution; v may be a
+    stack of tangent vectors."""
     res = spec.fixed_residual(g)
     if res > TOL_MEMBER:
         raise ValueError(f"point is not fixed by the involution (residual {res:.2e})")
@@ -394,9 +433,10 @@ def pi_q_formula(
 ) -> TangentBivector:
     """Direct fixed-locus tensor for a coboundary group; see module docstring.
 
-    ``swap_arrows`` rebinds X^L <-> X^R; it is the experimentally rejected
-    reading of the formula and exists only so tests can demonstrate that it
-    disagrees with the projection route.
+    ``phi`` maps a stack of algebra elements, so it must broadcast over the
+    leading axis.  ``swap_arrows`` rebinds X^L <-> X^R; it is the
+    experimentally rejected reading of the formula and exists only so tests
+    can demonstrate that it disagrees with the projection route.
     """
 
     def left(x):
@@ -405,12 +445,11 @@ def pi_q_formula(
     def right(x):
         return g @ x if swap_arrows else x @ g
 
-    pairs = []
-    for e, f, c in group.r_wedges():
-        pe, pf = phi(e), phi(f)
-        pairs.append((0.25 * c * (left(e) + right(pe)), left(f) + right(pf)))
-        pairs.append((-0.25 * c * (right(e) + left(pe)), right(f) + left(pf)))
-    return TangentBivector(g, pairs)
+    e, f, c = group.r_legs
+    pe, pf = phi(e), phi(f)
+    u = _interleave(0.25 * c * (left(e) + right(pe)), -0.25 * c * (right(e) + left(pe)))
+    v = _interleave(left(f) + right(pf), right(f) + left(pf))
+    return TangentBivector.from_legs(g, u, v)
 
 
 # ---------------------------------------------------------------------------
@@ -439,14 +478,14 @@ def dual_tangency_residual(pi: TangentBivector) -> float:
     b, c = pi.base[0], pi.base[1]
     half = pi.base.size
     image = _column_basis(pi.sharp_matrix(), 1e-10)
-    res = 0.0
-    for col in image.T:
-        leg = col[:half].reshape(pi.base.shape)
-        beta, gamma = leg[0], leg[1]
-        res = max(res, float(np.max(np.abs(np.tril(beta, -1)))))
-        res = max(res, float(np.max(np.abs(np.triu(gamma, 1)))))
-        res = max(res, float(np.max(np.abs(np.diag(beta) * np.diag(c) + np.diag(b) * np.diag(gamma)))))
-    return res
+    legs = image[:half].T.reshape(-1, *pi.base.shape)
+    beta, gamma = legs[:, 0], legs[:, 1]
+    diag = np.diagonal(beta, axis1=1, axis2=2) * np.diag(c) + np.diag(b) * np.diagonal(gamma, axis1=1, axis2=2)
+    return float(max(
+        np.max(np.abs(np.tril(beta, -1)), initial=0.0),
+        np.max(np.abs(np.triu(gamma, 1)), initial=0.0),
+        np.max(np.abs(diag), initial=0.0),
+    ))
 
 
 def _numeric_rank(mat: np.ndarray, thresh: float) -> int:
@@ -469,17 +508,13 @@ def _plus_eigenspace(spec: InvolutionSpec, template: np.ndarray, thresh: float) 
     For real templates the imaginary half of the realified space is phantom
     (the probes there push to zero), so it never enters the eigenspace.
     """
-    size = _vec(template).shape[0]
     half = template.size
-    is_complex = np.iscomplexobj(template)
-    p = np.zeros((size, size))
-    for k in range(size):
-        probe = np.zeros(size)
-        probe[k] = 1.0
-        re = probe[:half].reshape(template.shape)
-        im = probe[half:].reshape(template.shape)
-        v = re + 1j * im if is_complex else re
-        p[:, k] = _vec(spec.push(v))
+    size = 2 * half
+    probes = np.eye(size)  # row k is the k-th realified unit vector
+    re = probes[:, :half].reshape(size, *template.shape)
+    im = probes[:, half:].reshape(size, *template.shape)
+    v = re + 1j * im if np.iscomplexobj(template) else re
+    p = _vec(spec.push(v)).T  # column k: the pushed k-th probe
     _, s, vt = np.linalg.svd(p - np.eye(size))
     return vt[s <= thresh].T
 
@@ -608,21 +643,14 @@ def stokes_report(n: int = 3, samples: int = 20, seed: int = 1, tol: float = 1e-
         rank_ok = rank_ok and rank_relation_holds(psi, pi)
 
         x, y, z = (float(point[idx]) for idx in CHART_N3)
-        brackets = (
-            float(pi_q.entry_bracket(CHART_N3[0], CHART_N3[1])),
-            float(pi_q.entry_bracket(CHART_N3[1], CHART_N3[2])),
-            float(pi_q.entry_bracket(CHART_N3[2], CHART_N3[0])),
-        )
+        chart_brackets = pi_q.bracket_matrix(CHART_N3)  # {v, w} for v, w in (x, y, z)
+        brackets = tuple(float(chart_brackets[p, q]) for p, q in ((0, 1), (1, 2), (2, 0)))
         collected.append((brackets, _dubrovin_rhs(x, y, z)))
 
         # Markoff polynomial m = x^2 + y^2 + z^2 - xyz is constant along
         # Hamiltonian directions: {m, w} = sum_v dm/dv {v, w}
-        grad = (2 * x - y * z, 2 * y - x * z, 2 * z - x * y)
-        for w in range(3):
-            deriv = 0.0
-            for v in range(3):
-                deriv += grad[v] * float(pi_q.entry_bracket(CHART_N3[v], CHART_N3[w]))
-            max_markoff = max(max_markoff, abs(deriv))
+        grad = np.array([2 * x - y * z, 2 * y - x * z, 2 * z - x * y])
+        max_markoff = max(max_markoff, float(np.max(np.abs(grad @ chart_brackets))))
 
     # calibrate kappa once, at the most informative sampled component
     kappa = None
@@ -647,17 +675,14 @@ def stokes_report(n: int = 3, samples: int = 20, seed: int = 1, tol: float = 1e-
         b, c = point[0], point[1]
         image = b @ c.T
 
-        def df(leg: np.ndarray) -> np.ndarray:
-            return leg[0] @ c.T + b @ leg[1].T
+        def df(legs: np.ndarray) -> np.ndarray:
+            return legs[:, 0] @ c.T + b @ _transpose(legs[:, 1])
 
-        pushed = TangentBivector(image, [(df(u), df(v)) for u, v in pi.pairs])
+        pushed = pi.map_legs(df, base=image)
         x, y, z = image[0, 1], image[0, 2], image[1, 2]
         target = _dubrovin_rhs(x, y, z)
-        brackets = (
-            pushed.entry_bracket((0, 1), (0, 2)),
-            pushed.entry_bracket((0, 2), (1, 2)),
-            pushed.entry_bracket((1, 2), (0, 1)),
-        )
+        image_brackets = pushed.bracket_matrix(((0, 1), (0, 2), (1, 2)))
+        brackets = (image_brackets[0, 1], image_brackets[1, 2], image_brackets[2, 0])
         for lhs, rhs in zip(brackets, target):
             max_push = max(max_push, abs(float(lhs) - 2.0 * kappa * float(rhs)))
 
@@ -710,14 +735,8 @@ def _sample_fixed_point(group: MatrixGroup, rng: np.random.Generator, scale: flo
 
 def _bracket_difference(a: TangentBivector, b: TangentBivector) -> float:
     """Largest entrywise-bracket difference over all entry pairs."""
-    shape = a.base.shape
-    idxs = list(np.ndindex(*shape))
-    best = 0.0
-    for p in range(len(idxs)):
-        for q in range(p + 1, len(idxs)):
-            diff = abs(complex(a.entry_bracket(idxs[p], idxs[q])) - complex(b.entry_bracket(idxs[p], idxs[q])))
-            best = max(best, float(diff))
-    return best
+    diff = np.abs(a.bracket_matrix() - b.bracket_matrix())
+    return float(np.max(diff[np.triu_indices(a.base.size, 1)], initial=0.0))
 
 
 def crosscheck_report(kind: str, samples: int = 10, seed: int = 2, tol: float = TOL_CROSS, n: int = 3) -> CrossRouteReport:
@@ -750,8 +769,7 @@ def crosscheck_report(kind: str, samples: int = 10, seed: int = 2, tol: float = 
         rank_ok = rank_ok and rank_relation_holds(spec, pi)
 
         # projected legs must lie in the +1 eigenspace
-        for u, v in projected.pairs:
-            for leg in (u, v):
-                max_plus = max(max_plus, float(np.max(np.abs(spec.push(leg) - leg))))
+        legs = np.concatenate([projected.u, projected.v])
+        max_plus = max(max_plus, float(np.max(np.abs(spec.push(legs) - legs), initial=0.0)))
 
     return CrossRouteReport(group.name, samples, seed, tol, max_diff, max_plus, rank_ok)

@@ -169,6 +169,13 @@ def test_sample_count_below_one_is_a_usage_error(argv, capsys):
     (["dirac", "fixed-locus", "so3.chart", "--matrix=-1,0;0,-1"], "dimension does not match"),
     (["dirac", "fixed-locus", "so3.chart", "--matrix=1,0,0;0,1;0,0,1"], "must be square"),
     (["dirac", "fixed-locus", "so3.chart", "--matrix=1,1,0;0,1,0;0,0,1"], "not an involution"),
+    (["group", "crosscheck", "--n", "1"], "--n: must be between 2 and 6, got 1"),
+    (["group", "bruhat", "--n", "7"], "--n: must be between 2 and 6, got 7"),
+    (["dirac", "slice", "slice_family.chart", "--t", "t", "--t0", "0,1"], "t0 must list one value"),
+    (["dirac", "affine-lie", "--algebra", "so3", "--l", "x3", "--m", "x1,x2", "--mu", "0,0"], "mu has the wrong"),
+    (["dirac", "aligned", "product22.chart", "--x", "x1,x1"], "must partition the coordinates"),
+    (["dirac", "affine-lie", "--algebra", "so3", "--l", "x3", "--m", "x1", "--mu", "0,0,1"], "wrong total dimension"),
+    (["dirac", "affine-lie", "--algebra", "so3", "--l", "x1", "--m", "x1,x2", "--mu", "0,0,1"], "do not form a basis"),
 ])
 def test_bad_input_is_a_usage_error(argv, needle, capsys):
     # each of these used to exit 1, as if a verification had failed, or to pass having checked nothing

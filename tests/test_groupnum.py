@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poissonkit.groupnum import (
     InvolutionSpec,
@@ -12,8 +14,6 @@ from poissonkit.groupnum import (
     dual_group,
     dual_group_bivector,
     dual_tangency_residual,
-    entry_bracket,
-    involution_pushforward,
     matrix_exp,
     pair_trace,
     pi_q_formula,
@@ -119,9 +119,9 @@ def test_entry_bracket_antisymmetry():
     group = sl_group(3)
     g = matrix_exp(group.random_algebra_element(np.random.default_rng(3)))
     pi = pl_bivector(group, g)
-    assert entry_bracket(pi, (0, 0), (0, 0)) == 0
-    a = entry_bracket(pi, (0, 1), (2, 0))
-    b = entry_bracket(pi, (2, 0), (0, 1))
+    assert pi.entry_bracket((0, 0), (0, 0)) == 0
+    a = pi.entry_bracket((0, 1), (2, 0))
+    b = pi.entry_bracket((2, 0), (0, 1))
     assert abs(a + b) < 1e-15
 
 
@@ -131,8 +131,7 @@ def test_entry_bracket_antisymmetry():
 def test_transpose_pushforward():
     spec = InvolutionSpec("transpose")
     v = np.arange(9.0).reshape(3, 3)
-    g = np.eye(3)
-    assert np.array_equal(involution_pushforward(spec, g, v), v.T)
+    assert np.array_equal(spec.push(v), v.T)
     assert np.max(np.abs(spec.push(spec.push(v)) - v)) < 1e-12
 
 
@@ -309,3 +308,219 @@ def test_rank_relation_on_so3_style_degenerate():
     g = np.eye(3)
     pi = TangentBivector(g, [])
     assert rank_relation_holds(spec, pi)
+
+
+# -- stacked legs against the per-pair formulas ---------------------------------------------
+
+
+def _ref_vec(x):
+    x = np.asarray(x)
+    return np.concatenate([np.real(x).ravel(), np.imag(x).ravel()])
+
+
+def _ref_sharp(pi):
+    size = 2 * pi.base.size
+    m = np.zeros((size, size))
+    for u, v in pi.pairs:
+        uu, vv = _ref_vec(u), _ref_vec(v)
+        m += np.outer(uu, vv) - np.outer(vv, uu)
+    return m
+
+
+def _ref_entry_bracket(pi, idx1, idx2):
+    total = 0.0
+    for u, v in pi.pairs:
+        total = total + u[idx1] * v[idx2] - u[idx2] * v[idx1]
+    return total
+
+
+def _ref_bracket_difference(a, b):
+    idxs = list(np.ndindex(*a.base.shape))
+    best = 0.0
+    for p in range(len(idxs)):
+        for q in range(p + 1, len(idxs)):
+            lhs = complex(_ref_entry_bracket(a, idxs[p], idxs[q]))
+            best = max(best, abs(lhs - complex(_ref_entry_bracket(b, idxs[p], idxs[q]))))
+    return best
+
+
+def _ref_push(spec, v):
+    """Per-leg push: g^T, or (B, C) -> (C^T, B^T) on one pair."""
+    if spec.kind == "transpose":
+        return v.T
+    return np.stack([v[1].T, v[0].T])
+
+
+def _ref_plus_projector(spec, template, thresh=1e-8):
+    """Projector onto the +1 eigenspace, with the pushforward matrix built probe by probe."""
+    size = 2 * template.size
+    half = template.size
+    p = np.zeros((size, size))
+    for k in range(size):
+        probe = np.zeros(size)
+        probe[k] = 1.0
+        re = probe[:half].reshape(template.shape)
+        im = probe[half:].reshape(template.shape)
+        v = re + 1j * im if np.iscomplexobj(template) else re
+        p[:, k] = _ref_vec(_ref_push(spec, v))
+    _, s, vt = np.linalg.svd(p - np.eye(size))
+    basis = vt[s <= thresh].T
+    return basis @ basis.T
+
+
+def _ref_tangency(pi):
+    b, c = pi.base[0], pi.base[1]
+    half = pi.base.size
+    u, s, _ = np.linalg.svd(_ref_sharp(pi), full_matrices=False)
+    res = 0.0
+    for col in u[:, s > 1e-10].T:
+        leg = col[:half].reshape(pi.base.shape)
+        beta, gamma = leg[0], leg[1]
+        res = max(res, float(np.max(np.abs(np.tril(beta, -1)))))
+        res = max(res, float(np.max(np.abs(np.triu(gamma, 1)))))
+        res = max(res, float(np.max(np.abs(np.diag(beta) * np.diag(c) + np.diag(b) * np.diag(gamma)))))
+    return res
+
+
+def _random_bivector(rng, base, m):
+    shape = (m, *base.shape)
+    u = rng.normal(size=shape)
+    v = rng.normal(size=shape)
+    if np.iscomplexobj(base):
+        u = u + 1j * rng.normal(size=shape)
+        v = v + 1j * rng.normal(size=shape)
+    return TangentBivector(base, list(zip(u, v)))
+
+
+def _stacked_cases():
+    """(name, bivector) on SL(3), SU(3) and the pair group: random legs and pl_bivector."""
+    from poissonkit.groupnum import _sample_dual_point
+
+    rng = np.random.default_rng(51)
+    sl3, su3 = sl_group(3), su_group(3)
+    points = {
+        "SL(3)": (sl3, matrix_exp(sl3.random_algebra_element(rng))),
+        "SU(3)": (su3, matrix_exp(su3.random_algebra_element(rng))),
+        "pair": (dual_group(3), _sample_dual_point(3, rng)),
+    }
+    for name, (group, g) in points.items():
+        yield f"{name} random", _random_bivector(rng, g, 7)
+        yield f"{name} pl", pl_bivector(group, g)
+
+
+def test_stacked_sharp_and_brackets_match_per_pair_formulas():
+    for name, pi in _stacked_cases():
+        scale = max(1.0, pi.max_abs()) ** 2
+        assert np.max(np.abs(pi.sharp_matrix() - _ref_sharp(pi))) <= 1e-14 * scale, name
+        idxs = list(np.ndindex(*pi.base.shape))
+        full = pi.bracket_matrix()
+        for p, i1 in enumerate(idxs):
+            for q, i2 in enumerate(idxs):
+                ref = _ref_entry_bracket(pi, i1, i2)
+                assert abs(pi.entry_bracket(i1, i2) - ref) <= 1e-14 * scale, (name, i1, i2)
+                assert abs(full[p, q] - ref) <= 1e-14 * scale, (name, i1, i2)
+
+
+def test_stacked_bracket_difference_matches_double_loop():
+    cases = list(_stacked_cases())
+    for (name_a, a), (name_b, b) in zip(cases[::2], cases[1::2]):
+        scale = max(1.0, a.max_abs(), b.max_abs()) ** 2
+        assert abs(_bracket_difference(a, b) - _ref_bracket_difference(a, b)) <= 1e-14 * scale, name_a
+        assert _bracket_difference(a, a) == 0.0
+
+
+def test_stacked_push_matches_per_leg_push():
+    rng = np.random.default_rng(52)
+    for kind, shape in (("transpose", (3, 3)), ("pair-swap", (2, 3, 3))):
+        spec = InvolutionSpec(kind)
+        legs = rng.normal(size=(5, *shape)) + 1j * rng.normal(size=(5, *shape))
+        assert np.array_equal(spec.push(legs), np.stack([_ref_push(spec, leg) for leg in legs])), kind
+        assert np.array_equal(spec.push(legs[0]), _ref_push(spec, legs[0])), kind
+        nested = legs.reshape(5, 1, *shape)
+        assert np.array_equal(spec.push(nested)[:, 0], spec.push(legs)), kind
+
+
+def test_plus_eigenspace_matches_per_probe_loop():
+    from poissonkit.groupnum import _plus_eigenspace
+
+    templates = (
+        ("transpose", np.eye(3)),
+        ("transpose", np.eye(3, dtype=complex)),
+        ("pair-swap", np.stack([np.eye(3), np.eye(3)])),
+    )
+    for kind, template in templates:
+        spec = InvolutionSpec(kind)
+        basis = _plus_eigenspace(spec, template, 1e-8)
+        ref = _ref_plus_projector(spec, template)
+        assert np.max(np.abs(basis @ basis.T - ref)) <= 1e-14, (kind, template.dtype)
+        assert basis.shape[1] == round(np.trace(ref))
+
+
+def test_dual_tangency_matches_per_column_loop():
+    from poissonkit.groupnum import _sample_dual_point
+
+    group = dual_group(3)
+    rng = np.random.default_rng(53)
+    point = _sample_dual_point(3, rng)
+    tangent = dual_group_bivector(group, point)
+    off = _random_bivector(rng, point, 3)  # generic legs leave T G*
+    for pi in (tangent, off):
+        assert abs(dual_tangency_residual(pi) - _ref_tangency(pi)) <= 1e-14
+    assert dual_tangency_residual(off) > 1e-3
+    # only the strictly upper part of gamma leaves G*
+    e01 = np.zeros((3, 3))
+    e01[0, 1] = 1.0
+    upper_gamma = TangentBivector(point, [(np.stack([np.zeros((3, 3)), e01]), np.stack([np.eye(3), np.zeros((3, 3))]))])
+    assert abs(dual_tangency_residual(upper_gamma) - _ref_tangency(upper_gamma)) <= 1e-14
+    assert dual_tangency_residual(upper_gamma) > 0.5
+
+
+def test_empty_bivector():
+    spec = InvolutionSpec("pair-swap")
+    point = np.stack([np.eye(3), np.eye(3)])
+    pi = TangentBivector(point, [])
+    assert pi.u.shape == pi.v.shape == (0, 2, 3, 3)
+    assert pi.pairs == []
+    assert np.array_equal(pi.sharp_matrix(), np.zeros((36, 36)))
+    assert np.array_equal(pi.bracket_matrix(), np.zeros((18, 18)))
+    assert pi.entry_bracket((0, 0, 1), (1, 1, 0)) == 0
+    assert pi.max_abs() == 0.0
+    assert pi_q_projection(spec, pi).u.shape == (0, 2, 3, 3)
+    assert dual_tangency_residual(pi) == 0.0
+    assert _bracket_difference(pi, pi) == 0.0
+    assert rank_relation_holds(spec, pi)
+
+
+def test_leg_stacks_must_match_the_base():
+    with pytest.raises(ValueError):
+        TangentBivector.from_legs(np.eye(3), np.zeros((2, 3, 3)), np.zeros((1, 3, 3)))
+    with pytest.raises(ValueError):
+        TangentBivector.from_legs(np.eye(3), np.zeros((2, 2, 2)), np.zeros((2, 2, 2)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(0, 5),
+    shape=st.sampled_from([(3, 3), (2, 3, 3)]),
+    complex_legs=st.booleans(),
+    a=st.floats(-4.0, 4.0),
+)
+def test_sharp_matrix_antisymmetric_and_bilinear(seed, m, shape, complex_legs, a):
+    rng = np.random.default_rng(seed)
+    base = np.zeros(shape, dtype=complex if complex_legs else float)
+
+    def legs():
+        out = rng.normal(size=(m, *shape))
+        return out + 1j * rng.normal(size=(m, *shape)) if complex_legs else out
+
+    u1, u2, v1, v2 = legs(), legs(), legs(), legs()
+
+    def sharp(u, v):
+        return TangentBivector.from_legs(base, u, v).sharp_matrix()
+
+    s = sharp(u1, v1)
+    assert np.array_equal(s, -s.T)
+    assert np.max(np.abs(sharp(u1 + a * u2, v1) - sharp(u1, v1) - a * sharp(u2, v1)), initial=0.0) <= 1e-12
+    assert np.max(np.abs(sharp(u1, v1 + a * v2) - sharp(u1, v1) - a * sharp(u1, v2)), initial=0.0) <= 1e-12
+    assert np.max(np.abs(sharp(v1, u1) + s), initial=0.0) <= 1e-12
