@@ -519,9 +519,10 @@ def _plus_eigenspace(spec: InvolutionSpec, template: np.ndarray, thresh: float) 
     return vt[s <= thresh].T
 
 
-def rank_relation_holds(spec: InvolutionSpec, pi: TangentBivector, thresh: float = TOL_CROSS) -> bool:
-    """rank pi_Q^# == dim( im pi^# intersect T_x Q ), by SVD at the threshold."""
-    projected = pi_q_projection(spec, pi)
+def rank_relation_holds(spec: InvolutionSpec, pi: TangentBivector, projected: TangentBivector,
+                        thresh: float = TOL_CROSS) -> bool:
+    """rank pi_Q^# == dim( im pi^# intersect T_x Q ), by SVD at the threshold;
+    ``projected`` is ``pi_q_projection(spec, pi)``, which every caller already holds."""
     m_ambient = pi.sharp_matrix()
     m_induced = projected.sharp_matrix()
     rank_induced = _numeric_rank(m_induced, thresh)
@@ -640,7 +641,7 @@ def stokes_report(n: int = 3, samples: int = 20, seed: int = 1, tol: float = 1e-
         pi = dual_group_bivector(group, point)
         max_tangency = max(max_tangency, dual_tangency_residual(pi))
         pi_q = pi_q_projection(psi, pi)
-        rank_ok = rank_ok and rank_relation_holds(psi, pi)
+        rank_ok = rank_ok and rank_relation_holds(psi, pi, pi_q)
 
         x, y, z = (float(point[idx]) for idx in CHART_N3)
         chart_brackets = pi_q.bracket_matrix(CHART_N3)  # {v, w} for v, w in (x, y, z)
@@ -766,7 +767,7 @@ def crosscheck_report(kind: str, samples: int = 10, seed: int = 2, tol: float = 
         projected = pi_q_projection(spec, pi)
         direct = pi_q_formula(group, g, phi)
         max_diff = max(max_diff, _bracket_difference(projected, direct))
-        rank_ok = rank_ok and rank_relation_holds(spec, pi)
+        rank_ok = rank_ok and rank_relation_holds(spec, pi, projected)
 
         # projected legs must lie in the +1 eigenspace
         legs = np.concatenate([projected.u, projected.v])

@@ -12,11 +12,17 @@ here shares code with the superfield contraction in ``exactalg.schouten``.
 
 The Lie-algebra oracle expands wedge monomials recursively through the graded
 Leibniz rule instead of the pair-sum formula used by ``liealg.alg_schouten``.
+
+The seeded generators at the end draw the oracles' random inputs, for
+``poissonkit oracle`` and the tests alike, from a ``random.Random``.
 """
 
 from __future__ import annotations
 
-from .exactalg import SCALAR_ONE, Poly, PolyMultiVec, wedge
+import itertools
+
+from .exactalg import SCALAR_ONE, Poly, PolyMultiVec, Scalar, wedge
+from .liealg import AlgElement, LieAlgebraData
 
 # -- chart-level oracle -------------------------------------------------------
 
@@ -123,8 +129,6 @@ def alg_schouten_oracle(a, b):
     bottoming out at the structure-constant bracket, with graded antisymmetry
     used to reduce the first argument.
     """
-    from .liealg import AlgElement
-
     g = a.algebra
     if b.algebra is not g:
         raise ValueError("parent algebra mismatch")
@@ -158,3 +162,36 @@ def alg_schouten_oracle(a, b):
         for ib, cb in b.comps.items():
             total = total + bracket_mono(ia, ib) * (ca * cb)
     return total
+
+
+# -- seeded random inputs -----------------------------------------------------
+
+
+def rand_scalar(rng, with_i: bool = True) -> Scalar:
+    """A Gaussian integer, real part in -3..3; the imaginary part is drawn only
+    when ``with_i``, and then is in -1..1 with probability 0.3, else 0."""
+    im = rng.randint(-1, 1) if (with_i and rng.random() < 0.3) else 0
+    return Scalar(rng.randint(-3, 3), im)
+
+
+def rand_poly(rng, dim: int, max_deg: int = 2, max_terms: int = 3, with_i: bool = True) -> Poly:
+    """Up to ``max_terms`` monomials of degree at most ``max_deg``."""
+    terms = {}
+    for _ in range(rng.randint(0, max_terms)):
+        exps = [0] * dim
+        for _ in range(rng.randint(0, max_deg)):
+            exps[rng.randrange(dim)] += 1
+        terms[tuple(exps)] = rand_scalar(rng, with_i)
+    return Poly(dim, terms)
+
+
+def rand_multivec(rng, dim: int, degree: int, density: float = 0.7, with_i: bool = True) -> PolyMultiVec:
+    """Each wedge component a ``rand_poly``, kept with probability ``density``."""
+    slots = itertools.combinations(range(dim), degree)
+    return PolyMultiVec(dim, degree, {i: rand_poly(rng, dim, with_i=with_i) for i in slots if rng.random() < density})
+
+
+def rand_alg_element(rng, g: LieAlgebraData, degree: int, density: float) -> AlgElement:
+    """Each wedge component a real ``rand_scalar``, kept with probability ``density``."""
+    slots = itertools.combinations(range(g.dim), degree)
+    return AlgElement(g, degree, {i: rand_scalar(rng, with_i=False) for i in slots if rng.random() < density})

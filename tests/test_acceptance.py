@@ -8,7 +8,7 @@ import time
 
 import numpy as np
 
-from conftest import make_rng, rand_multivec
+from conftest import make_rng
 from poissonkit.chartio import parse_chart_file
 from poissonkit.cli import run_command
 from poissonkit.dirac import (
@@ -29,6 +29,7 @@ from poissonkit.groupnum import (
     crosscheck_report,
     dual_group,
     dual_group_bivector,
+    pi_q_projection,
     pl_bivector,
     rank_relation_holds,
     stokes_report,
@@ -49,7 +50,7 @@ from poissonkit.liealg import (
     transpose_antimorphism,
     validate_lie,
 )
-from poissonkit.oracle import schouten_oracle
+from poissonkit.oracle import rand_multivec, schouten_oracle
 from poissonkit.poisson import PoissonChart, hamiltonian_vf, jacobiator, relative_modular
 
 
@@ -208,12 +209,13 @@ def test_c10_rank_relation_at_sampled_fixed_points():
         rng = np.random.default_rng([1, k])
         b = _sample_unipotent(3, rng)
         pi = dual_group_bivector(group, np.stack([b, b.T]))
-        ok = ok and rank_relation_holds(psi, pi, thresh=1e-8)
+        ok = ok and rank_relation_holds(psi, pi, pi_q_projection(psi, pi), thresh=1e-8)
     # criterion 8 points: transpose-fixed points of SL(3, R) and SU(3)
     spec = InvolutionSpec("transpose")
     for grp in (sl_group(3), su_group(3)):
         for k in range(10):
             g = _sample_fixed_point(grp, np.random.default_rng([2, k]))
-            ok = ok and rank_relation_holds(spec, pl_bivector(grp, g), thresh=1e-8)
+            pi = pl_bivector(grp, g)
+            ok = ok and rank_relation_holds(spec, pi, pi_q_projection(spec, pi), thresh=1e-8)
     elapsed = time.perf_counter() - t0
     _report(10, ok, f"rank pi_Q^# == dim(im pi^# meet T_xQ) at 40 sampled points, {elapsed:.2f}s")

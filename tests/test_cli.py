@@ -1,7 +1,10 @@
 """Command-line surface: exit codes, file formats, report determinism."""
 
+import argparse
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -15,7 +18,7 @@ from poissonkit.chartio import (
     parse_chart_file,
     parse_chart_text,
 )
-from poissonkit.cli import run_command
+from poissonkit.cli import _build_parser, run_command
 from poissonkit.liealg import builtin_algebra, lie_poisson_chart, validate_lie
 
 
@@ -176,11 +179,31 @@ def test_sample_count_below_one_is_a_usage_error(argv, capsys):
     (["dirac", "aligned", "product22.chart", "--x", "x1,x1"], "must partition the coordinates"),
     (["dirac", "affine-lie", "--algebra", "so3", "--l", "x3", "--m", "x1", "--mu", "0,0,1"], "wrong total dimension"),
     (["dirac", "affine-lie", "--algebra", "so3", "--l", "x1", "--m", "x1,x2", "--mu", "0,0,1"], "do not form a basis"),
+    (["dynr", "cdybe", "--algebra", "sl3", "--samples", "1"], "--samples: must be at least 2, got 1"),
 ])
 def test_bad_input_is_a_usage_error(argv, needle, capsys):
     # each of these used to exit 1, as if a verification had failed, or to pass having checked nothing
     assert run_command(argv) == (2, None)
     assert needle in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["check", "jacobi"], 1),
+    (["check", "casimir", "--f", "x"], 1),
+    (["check", "bracket", "--f", "x", "--g", "y"], 0),
+    (["dirac", "slice", "--t", "z", "--t0", "0"], 1),
+    (["modular", "vf"], 2),
+    (["modular", "vf", "--skip-jacobi"], 0),
+    (["dirac", "aligned", "--x", "x,y"], 2),
+    (["dirac", "aligned", "--x", "x,y", "--skip-jacobi"], 1),
+    (["dirac", "fixed-locus", "--matrix=1,0,0;0,1,0;0,0,1"], 2),
+])
+def test_load_time_jacobi_check(argv, code, tmp_path):
+    # check * and dirac slice read charts that need not be Poisson; the commands that take
+    # --skip-jacobi reject a non-Poisson chart at load time (exit 2) unless given it
+    chart = tmp_path / "nonpoisson.chart"
+    chart.write_text("dim 3\ncoords x y z\nbracket x y = z\nbracket y z = y\n")
+    assert run_command([*argv[:2], str(chart), *argv[2:]])[0] == code
 
 
 def test_non_poisson_involution_is_a_verification_failure():
@@ -206,3 +229,62 @@ def test_module_invocation(module):
     assert done.returncode == 0, done.stderr
     assert "pass=True" in done.stdout.splitlines()
     assert run("lie", "frobnicate").returncode == 2
+
+
+# -- the README's CLI block, pinned --------------------------------------------------
+
+
+def _readme_commands():
+    """Argument vectors of the example lines in README's CLI block."""
+    block = (Path(__file__).resolve().parents[1] / "README.md").read_text().split("## CLI")[1].split("```")[1]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("poissonkit ") and "<" not in line]
+
+
+def _leaf_commands(parser, prefix=()):
+    """'command sub' of every leaf parser, each asserted to carry a handler."""
+    subparsers = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subparsers:
+        assert callable(parser.get_default("handler")), prefix
+        return [" ".join(prefix)]
+    return [leaf for name, p in subparsers[0].choices.items() for leaf in _leaf_commands(p, (*prefix, name))]
+
+
+# exact commands: the full porcelain stdout; numeric ones: the porcelain keys
+PINNED = {
+    "check jacobi": "chart=dubrovin3.chart\njacobiator=0\npass=True\n",
+    "check casimir": "chart=dubrovin3.chart\nf=x^2+y^2+z^2-x*y*z\npass=True\n",
+    "check bracket": "bracket=x*y - 2*z\npass=True\n",
+    "dirac aligned": "chart=product22.chart\ninduced=dim 2; coords x1 x2; bracket x1 x2 = 1\npass=True\n",
+    "dirac fixed-locus": "fixed_dim=1\ninduced=dim 1; coords z1\npass=True\n",
+    "dirac affine-lie": "algebra=so3\ninduced=dim 1; coords l1\npass=True\n",
+    "dirac slice": "degree_bound=1\nX_t=(x2) d/dx2\npass=True\n",
+    "dirac transverse": "algebra=sl2\ntransverse=dim 1; coords l1\npass=True\n",
+    "modular vf": "modular_vf=0\npass=True\n",
+    "modular relative": (
+        "nu_r=(1) d/dx\npr_nu_P=(1) d/dx\nnu_Q=0\nrelation nu_r = pr nu_P - nu_Q=True\npass=True\n"
+    ),
+    "lie validate": "algebra=sl3\ndim=8\npass=True\n",
+    "lie bialgebra": "algebra=su3\ncoboundary=True\nsymmetric=True\ndouble_dim=16\nchi=True\npass=True\n",
+    "oracle schouten": "pairs=100\nmismatches=0\nseed=0\npass=True\n",
+    "oracle alg": "algebra=sl3\npairs=100\nmismatches=0\nseed=0\npass=True\n",
+    "group stokes": ["kappa", "kappa_two_defect", "max_dubrovin_residual", "max_pushforward_residual",
+                     "max_tangency_residual", "max_markoff_defect", "rank_relation_ok", "seed", "pass"],
+    "group crosscheck": ["group", "max_route_difference", "max_plus_residual", "rank_relation_ok", "seed", "pass"],
+    "group bruhat": ["group", "max_route_difference", "max_plus_residual", "rank_relation_ok", "seed", "pass"],
+    "dynr cdybe": ["algebra", "family", "spread", "invariance_defect", "derivative_defect", "tol", "seed", "pass"],
+}
+
+
+@pytest.mark.parametrize("leaf", sorted(PINNED))
+def test_readme_commands_porcelain_output(leaf, capsys):
+    readme = _readme_commands()
+    # the README block names each leaf command of the parser once, and nothing else
+    assert sorted(" ".join(argv[:2]) for argv in readme) == sorted(_leaf_commands(_build_parser())) == sorted(PINNED)
+    (argv,) = [argv for argv in readme if " ".join(argv[:2]) == leaf]
+    code, _ = run_command(["--porcelain", *argv])
+    out = capsys.readouterr().out
+    assert code == 0
+    if isinstance(PINNED[leaf], str):
+        assert out == PINNED[leaf]
+    else:
+        assert [line.split("=", 1)[0] for line in out.splitlines()] == PINNED[leaf]

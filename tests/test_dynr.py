@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import make_rng, rand_scalar
+from conftest import make_rng
 from poissonkit.dynr import (
     NearSingular,
     _ad_defect,
@@ -33,6 +33,7 @@ from poissonkit.liealg import (
     transpose_antimorphism,
 )
 from poissonkit import linalg
+from poissonkit.oracle import rand_alg_element
 
 
 def _upper_entries(t):
@@ -165,14 +166,6 @@ def test_rational_residual_matches_exact_route(n, points):
         assert _max_gap(total, cdybe_residual(fam, lam_f)) < 1e-12
 
 
-def _rand_elem(rng, g, degree, density):
-    comps = {}
-    for idxs in itertools.combinations(range(g.dim), degree):
-        if rng.random() < density:
-            comps[idxs] = rand_scalar(rng, with_i=False)
-    return AlgElement(g, degree, comps)
-
-
 def _parity(perm):
     inversions = sum(1 for a, b in itertools.combinations(perm, 2) if a > b)
     return -1 if inversions % 2 else 1
@@ -195,9 +188,9 @@ def test_einsum_brackets_match_alg_schouten(name):
     rng = make_rng(45)
     density = 0.6 if g.dim < 5 else 0.2
     for _ in range(5):
-        r = _rand_elem(rng, g, 2, density)
+        r = rand_alg_element(rng, g, 2, density)
         assert _max_gap(alg_schouten(r, r), rr_bracket(C, _dense(r))) < 1e-12
-        t = _rand_elem(rng, g, 3, density / 2)
+        t = rand_alg_element(rng, g, 3, density / 2)
         defects = _ad_defect(C, _dense(t))
         for b in range(g.dim):
             assert _max_gap(alg_schouten(AlgElement.basis(g, b), t), defects[b]) < 1e-12

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_rng, rand_multivec, rand_poly
+from conftest import make_rng
 from poissonkit.exactalg import (
     ParseError,
     Poly,
@@ -19,6 +19,7 @@ from poissonkit.exactalg import (
     schouten,
     wedge,
 )
+from poissonkit.oracle import rand_multivec, rand_poly
 
 
 # -- scalars -----------------------------------------------------------------

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from poissonkit import groupnum
 from poissonkit.groupnum import (
+    TOL_MEMBER,
     InvolutionSpec,
     TangentBivector,
     adjoint_coordinate_matrix,
@@ -214,6 +216,19 @@ def test_two_routes_agree_sl3_su3():
         assert rep.max_route_difference <= 1e-8
 
 
+def test_crosscheck_flags_legs_off_the_plus_eigenspace(monkeypatch):
+    # a projection that leaves the v legs as they are; on SU(3) the two routes still agree and the
+    # rank relation holds, so only the +1 eigenspace check, run on both stacks, fails the report
+    def u_only(spec, pi):
+        return TangentBivector.from_legs(pi.base, xplus(spec, pi.base, pi.u), pi.v)
+
+    monkeypatch.setattr(groupnum, "pi_q_projection", u_only)
+    for kind in ("sl", "su"):
+        rep = crosscheck_report(kind, samples=3, seed=2, tol=1e-8, n=3)
+        assert rep.max_plus_residual > TOL_MEMBER
+        assert not rep.ok
+
+
 def test_su3_specialized_formula():
     # with phi X = -X, phi Y = Y the direct formula collapses to
     # 1/4 sum d_a (X^L - X^R) ^ (Y^L + Y^R); check it against the
@@ -307,7 +322,7 @@ def test_rank_relation_on_so3_style_degenerate():
     spec = InvolutionSpec("transpose")
     g = np.eye(3)
     pi = TangentBivector(g, [])
-    assert rank_relation_holds(spec, pi)
+    assert rank_relation_holds(spec, pi, pi_q_projection(spec, pi))
 
 
 # -- stacked legs against the per-pair formulas ---------------------------------------------
@@ -488,7 +503,7 @@ def test_empty_bivector():
     assert pi_q_projection(spec, pi).u.shape == (0, 2, 3, 3)
     assert dual_tangency_residual(pi) == 0.0
     assert _bracket_difference(pi, pi) == 0.0
-    assert rank_relation_holds(spec, pi)
+    assert rank_relation_holds(spec, pi, pi_q_projection(spec, pi))
 
 
 def test_leg_stacks_must_match_the_base():

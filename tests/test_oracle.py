@@ -1,9 +1,13 @@
 """Cross-checks of the fast bracket paths against the brute-force oracles."""
 
-from conftest import make_rng, rand_multivec, rand_scalar
+import pytest
+
+from conftest import make_rng
+from poissonkit import oracle
+from poissonkit.cli import run_command
 from poissonkit.exactalg import schouten
-from poissonkit.liealg import AlgElement, alg_schouten, sl_chevalley
-from poissonkit.oracle import alg_schouten_oracle, schouten_oracle
+from poissonkit.liealg import alg_schouten, sl_chevalley
+from poissonkit.oracle import alg_schouten_oracle, rand_alg_element, rand_multivec, schouten_oracle
 
 
 def test_schouten_oracle_dim3_100_pairs():
@@ -22,20 +26,30 @@ def test_schouten_oracle_dim4_including_trivectors():
         assert (schouten(a, b) - schouten_oracle(a, b)).is_zero()
 
 
-def _rand_alg_elem(rng, g, degree, density):
-    import itertools
-
-    comps = {}
-    for idxs in itertools.combinations(range(g.dim), degree):
-        if rng.random() < density:
-            comps[idxs] = rand_scalar(rng, with_i=False)
-    return AlgElement(g, degree, comps)
-
-
 def test_alg_schouten_oracle_sl2_sl3():
     rng = make_rng(44)
     for g, density in ((sl_chevalley(2), 0.6), (sl_chevalley(3), 0.15)):
         for _ in range(100):
-            a = _rand_alg_elem(rng, g, rng.randint(0, 2), density)
-            b = _rand_alg_elem(rng, g, rng.randint(0, 2), density)
+            a = rand_alg_element(rng, g, rng.randint(0, 2), density)
+            b = rand_alg_element(rng, g, rng.randint(0, 2), density)
             assert (alg_schouten(a, b) - alg_schouten_oracle(a, b)).is_zero()
+
+
+@pytest.mark.parametrize("argv, generator, next_draw", [
+    (["oracle", "schouten", "--dim", "3"], "rand_multivec", 0.38223256097056324),
+    (["oracle", "alg", "--algebra", "sl3"], "rand_alg_element", 0.14228347384241602),
+])
+def test_cli_oracle_streams_are_pinned(argv, generator, next_draw, monkeypatch):
+    # at a fixed seed `poissonkit oracle` draws the same inputs on every commit: real coefficients with no
+    # draw for an imaginary part, and the CLI's densities; the next draw of its generator pins the stream
+    rngs = []
+    real = getattr(oracle, generator)
+
+    def spy(rng, *args, **kwargs):
+        rngs.append(rng)
+        return real(rng, *args, **kwargs)
+
+    monkeypatch.setattr(oracle, generator, spy)
+    assert run_command([*argv, "--pairs", "20", "--seed", "0"])[0] == 0
+    assert len(rngs) == 40
+    assert rngs[-1].random() == next_draw

@@ -2,11 +2,11 @@
 
 import pytest
 
-from conftest import make_rng, rand_multivec, rand_poly
+from conftest import make_rng
 from poissonkit.dirac import AlignedSubmanifold
 from poissonkit.exactalg import Poly, PolyMultiVec, Scalar, schouten
 from poissonkit.liealg import builtin_algebra, lie_poisson_chart
-from poissonkit.oracle import schouten_oracle
+from poissonkit.oracle import rand_multivec, rand_poly, schouten_oracle
 from poissonkit.poisson import (
     PoissonChart,
     UnsupportedDensity,
