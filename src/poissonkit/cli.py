@@ -276,7 +276,8 @@ def _oracle_schouten(args) -> Report:
         b = oracle.rand_multivec(rng, args.dim, rng.randint(0, 2), with_i=False)
         if not (schouten(a, b) - oracle.schouten_oracle(a, b)).is_zero():
             mismatches += 1
-    return Report(_name(args), mismatches == 0, {"pairs": args.pairs, "mismatches": mismatches}, seed=args.seed)
+    values = {"dim": args.dim, "pairs": args.pairs, "mismatches": mismatches}
+    return Report(_name(args), mismatches == 0, values, seed=args.seed)
 
 
 def _oracle_alg(args) -> Report:

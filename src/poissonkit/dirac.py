@@ -418,7 +418,7 @@ def leaf_slice_obstruction(chart: PoissonChart, t_indices: Sequence[int], t0: Se
 
     for (i, j) in chart.pi.comps:
         if i in ts or j in ts:
-            raise ValueError("family bivector must have components along the slice only")
+            raise InvalidInput("family bivector must have components along the slice only")
 
     def freeze(poly: Poly) -> Poly:
         # substitute t = t0, then restrict to the x-chart

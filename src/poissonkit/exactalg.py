@@ -1,10 +1,17 @@
 """Exact multivariate polynomial arithmetic over the Gaussian rationals,
 and antisymmetric multivector fields on coordinate charts.
 
-Scalars are elements of Q(i), stored as a pair of ``Fraction`` parts; no
-floating point enters any operation in this module.  A polynomial is a sparse
-map from exponent tuples to scalars, a k-vector field is a sparse map from
-strictly increasing index k-tuples to polynomial components.
+Scalars are elements of Q(i), stored as a pair of parts in canonical form:
+an ``int`` when the part is integral, else a ``Fraction`` with denominator
+> 1.  No floating point enters any operation in this module.  A polynomial is
+a sparse map from exponent tuples to nonzero scalars, a k-vector field is a
+sparse map from strictly increasing index k-tuples to nonzero polynomial
+components.
+
+The public constructors ``Poly(...)`` and ``PolyMultiVec(...)`` validate
+their input.  Internal operations whose results hold the invariants by
+construction (``+``, ``-``, negation, ``*``, ``diff``, ``wedge``,
+``schouten``) build them with the trusted ``_poly``/``_mv`` instead.
 
 Schouten bracket convention
 ---------------------------
@@ -37,12 +44,15 @@ with the classical pair-sum formula
         = sum_{i,j} (-1)^(i+j) [U_i, V_j] ^ U_1..^..U_p ^ V_1..^..V_q,
 
 together with [A, f] = (-1)^(p-1) i_df A, which is what the independent
-oracle in ``schouten_oracle`` computes.
+oracle in ``schouten_oracle`` computes.  ``schouten`` evaluates both
+contractions term by term over (index tuple, exponent tuple, coefficient)
+triples, without the ``wedge`` and ``Poly`` products the oracle uses.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping, Sequence, Union
 
 __all__ = [
@@ -65,17 +75,20 @@ ScalarLike = Union["Scalar", Fraction, int]
 class Scalar:
     """An exact Gaussian rational re + im*i.
 
-    Arithmetic short-circuits on a zero operand, and multiplication of two
-    real scalars skips the imaginary cross terms; most products in the
-    Lie-algebra builds have a zero operand, and every built-in algebra has
-    real structure constants.
+    Each part is kept in canonical form: an ``int`` when it is integral, else
+    a ``Fraction`` with denominator > 1, so arithmetic on the integral
+    coefficients that dominate the charts runs on ints.  Arithmetic
+    short-circuits on a zero operand, and multiplication of two real scalars
+    skips the imaginary cross terms; most products in the Lie-algebra builds
+    have a zero operand, and every built-in algebra has real structure
+    constants.
     """
 
     __slots__ = ("re", "im")
 
     def __init__(self, re: Union[Fraction, int, str] = 0, im: Union[Fraction, int, str] = 0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        object.__setattr__(self, "re", _part(re))
+        object.__setattr__(self, "im", _part(im))
 
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
@@ -96,8 +109,8 @@ class Scalar:
         if not self.re and not self.im:
             return other
         if not self.im and not other.im:
-            return _from_parts(self.re + other.re, self.im)
-        return _from_parts(self.re + other.re, self.im + other.im)
+            return _from_parts(_canon(self.re + other.re), 0)
+        return _from_parts(_canon(self.re + other.re), _canon(self.im + other.im))
 
     __radd__ = __add__
 
@@ -112,8 +125,8 @@ class Scalar:
         if not other.re and not other.im:
             return self
         if not self.im and not other.im:
-            return _from_parts(self.re - other.re, self.im)
-        return _from_parts(self.re - other.re, self.im - other.im)
+            return _from_parts(_canon(self.re - other.re), 0)
+        return _from_parts(_canon(self.re - other.re), _canon(self.im - other.im))
 
     def __rsub__(self, other: ScalarLike) -> "Scalar":
         return Scalar.coerce(other) - self
@@ -128,20 +141,20 @@ class Scalar:
         if not other.re and not other.im:
             return other
         if not self.im and not other.im:
-            return _from_parts(self.re * other.re, self.im)
+            return _from_parts(_canon(self.re * other.re), 0)
         return _from_parts(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
+            _canon(self.re * other.re - self.im * other.im),
+            _canon(self.re * other.im + self.im * other.re),
         )
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: ScalarLike) -> "Scalar":
         other = Scalar.coerce(other)
-        norm = other.re * other.re + other.im * other.im
-        if norm == 0:
+        norm = Fraction(other.re * other.re + other.im * other.im)
+        if not norm:
             raise ZeroDivisionError("division by zero Scalar")
-        return self * _from_parts(other.re / norm, -other.im / norm)
+        return self * _from_parts(_canon(other.re / norm), _canon(-other.im / norm))
 
     def __rtruediv__(self, other: ScalarLike) -> "Scalar":
         return Scalar.coerce(other) / self
@@ -207,8 +220,22 @@ _set_re = Scalar.re.__set__
 _set_im = Scalar.im.__set__
 
 
-def _from_parts(re: Fraction, im: Fraction) -> Scalar:
-    """A Scalar from parts that are already Fractions, without coercion."""
+def _canon(q: Union[int, Fraction]) -> Union[int, Fraction]:
+    """The canonical form of a part: an int when q is integral, else q."""
+    if type(q) is int:
+        return q
+    return q.numerator if q.denominator == 1 else q
+
+
+def _part(value) -> Union[int, Fraction]:
+    """A canonical part from any exact rational input (int, Fraction, str)."""
+    if type(value) is int:
+        return value
+    return _canon(Fraction(value))
+
+
+def _from_parts(re: Union[int, Fraction], im: Union[int, Fraction]) -> Scalar:
+    """A Scalar from parts already in canonical form, without coercion."""
     out = _new_scalar(Scalar)
     _set_re(out, re)
     _set_im(out, im)
@@ -279,17 +306,13 @@ class Poly:
         self._check(other)
         out = dict(self.terms)
         for exps, coeff in other.terms.items():
-            acc = out.get(exps, SCALAR_ZERO) + coeff
-            if acc.is_zero():
-                out.pop(exps, None)
-            else:
-                out[exps] = acc
-        return Poly(self.nvars, out)
+            _accumulate(out, exps, coeff)
+        return _poly(self.nvars, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return _poly(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "Poly":
         return self + (-Poly._coerce(other, self.nvars))
@@ -303,13 +326,8 @@ class Poly:
         out: dict[tuple, Scalar] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                acc = out.get(exps, SCALAR_ZERO) + c1 * c2
-                if acc.is_zero():
-                    out.pop(exps, None)
-                else:
-                    out[exps] = acc
-        return Poly(self.nvars, out)
+                _accumulate(out, tuple(map(add, e1, e2)), c1 * c2)
+        return _poly(self.nvars, out)
 
     __rmul__ = __mul__
 
@@ -346,20 +364,13 @@ class Poly:
     def diff(self, var: int) -> "Poly":
         if not 0 <= var < self.nvars:
             raise ValueError(f"variable index {var} out of range")
+        # lowering the exponent of var is injective on the terms that contain it
         out: dict[tuple, Scalar] = {}
         for exps, coeff in self.terms.items():
             k = exps[var]
-            if k == 0:
-                continue
-            e = list(exps)
-            e[var] = k - 1
-            key = tuple(e)
-            acc = out.get(key, SCALAR_ZERO) + coeff * k
-            if acc.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = acc
-        return Poly(self.nvars, out)
+            if k:
+                out[exps[:var] + (k - 1,) + exps[var + 1 :]] = coeff if k == 1 else coeff * k
+        return _poly(self.nvars, out)
 
     def eval(self, point: Sequence[ScalarLike]) -> Scalar:
         if len(point) != self.nvars:
@@ -453,6 +464,37 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({self.nvars}, {self})"
+
+
+_new_poly = object.__new__
+_set_nvars = Poly.nvars.__set__
+_set_terms = Poly.terms.__set__
+
+
+def _poly(nvars: int, terms: dict[tuple, Scalar]) -> Poly:
+    """A Poly on terms that already hold its invariants, without checks.
+
+    Internal operations use it where the invariants hold by construction:
+    every exponent tuple has length nvars and every coefficient is a nonzero
+    Scalar.  ``Poly(...)`` validates its input.
+    """
+    out = _new_poly(Poly)
+    _set_nvars(out, nvars)
+    _set_terms(out, terms)
+    return out
+
+
+def _accumulate(out: dict, key, value) -> None:
+    """out[key] += value, dropping the key when the sum vanishes."""
+    acc = out.get(key)
+    if acc is None:
+        out[key] = value
+    else:
+        acc = acc + value
+        if acc:
+            out[key] = acc
+        else:
+            del out[key]
 
 
 # ---------------------------------------------------------------------------
@@ -720,10 +762,14 @@ class PolyMultiVec:
 
     @staticmethod
     def from_terms(dim: int, degree: int, items: Iterable[tuple[Sequence[int], Poly]]) -> "PolyMultiVec":
-        total = PolyMultiVec.zero(dim, degree)
+        """Sum of poly * d_{i1} ^ ... ^ d_{ik} over (index sequence, poly) items."""
+        out: dict[tuple, Poly] = {}
         for idxs, poly in items:
-            total = total + PolyMultiVec.monomial(dim, idxs, poly)
-        return total
+            sp = sort_with_parity(idxs)
+            if sp is not None:
+                key, sign = sp
+                _accumulate(out, key, poly if sign == 1 else -poly)
+        return PolyMultiVec(dim, degree, out)
 
     # -- linear structure ----------------------------------------------------
 
@@ -741,15 +787,11 @@ class PolyMultiVec:
             raise ValueError("cannot add multivectors of different degree")
         out = dict(self.comps)
         for idxs, poly in other.comps.items():
-            acc = out.get(idxs, Poly.zero(self.dim)) + poly
-            if acc.is_zero():
-                out.pop(idxs, None)
-            else:
-                out[idxs] = acc
-        return PolyMultiVec(self.dim, self.degree, out)
+            _accumulate(out, idxs, poly)
+        return _mv(self.dim, self.degree, out)
 
     def __neg__(self) -> "PolyMultiVec":
-        return PolyMultiVec(self.dim, self.degree, {k: -p for k, p in self.comps.items()})
+        return _mv(self.dim, self.degree, {k: -p for k, p in self.comps.items()})
 
     def __sub__(self, other: "PolyMultiVec") -> "PolyMultiVec":
         return self + (-other)
@@ -792,18 +834,8 @@ class PolyMultiVec:
     def diff(self, var: int) -> "PolyMultiVec":
         if not 0 <= var < self.dim:
             raise ValueError(f"variable index {var} out of range")
-        return PolyMultiVec(self.dim, self.degree, {k: p.diff(var) for k, p in self.comps.items()})
-
-    def xi_diff(self, l: int) -> "PolyMultiVec":
-        """Left odd derivative d/dxi_l, lowering the degree by one."""
-        out: dict[tuple, Poly] = {}
-        for idxs, poly in self.comps.items():
-            if l not in idxs:
-                continue
-            pos = idxs.index(l)
-            key = idxs[:pos] + idxs[pos + 1 :]
-            out[key] = poly if pos % 2 == 0 else -poly
-        return PolyMultiVec(self.dim, max(self.degree - 1, 0), out)
+        derivs = ((k, p.diff(var)) for k, p in self.comps.items())
+        return _mv(self.dim, self.degree, {k: d for k, d in derivs if d})
 
     def eval(self, point: Sequence[ScalarLike]) -> dict[tuple, Scalar]:
         """Exact evaluation of every component at a point."""
@@ -824,10 +856,30 @@ class PolyMultiVec:
     __repr__ = __str__
 
 
+_new_mv = object.__new__
+_set_dim = PolyMultiVec.dim.__set__
+_set_degree = PolyMultiVec.degree.__set__
+_set_comps = PolyMultiVec.comps.__set__
+
+
+def _mv(dim: int, degree: int, comps: dict[tuple, Poly]) -> PolyMultiVec:
+    """A PolyMultiVec on components that already hold its invariants, without checks.
+
+    Internal operations use it where the invariants hold by construction:
+    every key is a strictly increasing tuple of ``degree`` indices below dim,
+    and every component is a nonzero Poly on dim variables.
+    ``PolyMultiVec(...)`` validates its input.
+    """
+    out = _new_mv(PolyMultiVec)
+    _set_dim(out, dim)
+    _set_degree(out, degree)
+    _set_comps(out, comps)
+    return out
+
+
 def wedge(a: PolyMultiVec, b: PolyMultiVec) -> PolyMultiVec:
     """Exterior product of multivector fields on a common chart."""
     a._check(b)
-    degree = a.degree + b.degree
     out: dict[tuple, Poly] = {}
     for ia, pa in a.comps.items():
         for ib, pb in b.comps.items():
@@ -836,48 +888,57 @@ def wedge(a: PolyMultiVec, b: PolyMultiVec) -> PolyMultiVec:
                 continue
             key, sign = sp
             term = pa * pb
-            if sign < 0:
-                term = -term
-            acc = out.get(key, Poly.zero(a.dim)) + term
-            if acc.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = acc
-    return PolyMultiVec(a.dim, degree, out)
+            _accumulate(out, key, term if sign == 1 else -term)
+    return _mv(a.dim, a.degree + b.degree, out)
 
 
-def _hook(a: PolyMultiVec, b: PolyMultiVec) -> PolyMultiVec:
-    """The contraction A o B = sum_l (d^R A / dxi_l)(dB/dx_l)."""
-    degree = max(a.degree - 1, 0) + b.degree
-    total = PolyMultiVec.zero(a.dim, degree)
-    touched = set()
-    for idxs in a.comps:
-        touched.update(idxs)
-    for l in touched:
-        da = a.xi_diff(l)
-        db = b.diff(l)
-        if da.is_zero() or db.is_zero():
-            continue
-        total = total + wedge(da, db)
-    if a.degree % 2 == 0 and not total.is_zero():  # right derivative: (-1)^(p-1)
-        total = -total
-    return total
+def _hook(a: PolyMultiVec, b: PolyMultiVec, out: dict[tuple, dict[tuple, Scalar]], sign: int) -> None:
+    """Add sign * (A o B), A o B = sum_l (d^R A / dxi_l)(dB/dx_l), into ``out``.
+
+    ``out`` maps an index tuple to the {exponent tuple: coefficient} terms of
+    its component.  The work runs term by term: the left odd derivative of
+    xi_I by xi_l, l at position pos of I, is (-1)^pos xi_{I minus l}; the
+    right derivative is (-1)^(p-1) times the left one; dB/dx_l is formed once
+    per l.
+    """
+    if a.degree % 2 == 0:  # right derivative: (-1)^(p-1)
+        sign = -sign
+    db: dict[int, list] = {}  # l -> [(J, terms of dB_J/dx_l)]
+    for ib, pb in b.comps.items():
+        by_var: dict[int, list] = {}
+        for exps, coeff in pb.terms.items():
+            for l, k in enumerate(exps):
+                if k:
+                    lowered = exps[:l] + (k - 1,) + exps[l + 1 :]
+                    by_var.setdefault(l, []).append((lowered, coeff if k == 1 else coeff * k))
+        for l, terms in by_var.items():
+            db.setdefault(l, []).append((ib, terms))
+    for ia, pa in a.comps.items():
+        terms_a = pa.terms.items()
+        for pos, l in enumerate(ia):
+            rest = ia[:pos] + ia[pos + 1 :]
+            sign_l = -sign if pos % 2 else sign  # left derivative: (-1)^pos
+            for ib, terms_b in db.get(l, ()):
+                sp = sort_with_parity(rest + ib)
+                if sp is None:
+                    continue
+                key, parity = sp
+                comp = out.setdefault(key, {})
+                negate = parity != sign_l
+                for ea, ca in terms_a:
+                    for eb, cb in terms_b:
+                        prod = ca * cb
+                        _accumulate(comp, tuple(map(add, ea, eb)), -prod if negate else prod)
 
 
 def schouten(a: PolyMultiVec, b: PolyMultiVec) -> PolyMultiVec:
     """Schouten-Nijenhuis bracket; see the module docstring for the convention."""
     a._check(b)
     p, q = a.degree, b.degree
-    degree = max(p + q - 1, 0)
-    sign_ba = -1 if ((p - 1) * (q - 1)) % 2 == 0 else 1
-    first = _hook(a, b)
-    second = _hook(b, a)
-    total = PolyMultiVec.zero(a.dim, degree)
-    if not first.is_zero():
-        total = total + first
-    if not second.is_zero():
-        total = total + (second if sign_ba == 1 else -second)
-    return total
+    out: dict[tuple, dict[tuple, Scalar]] = {}
+    _hook(a, b, out, 1)
+    _hook(b, a, out, -1 if ((p - 1) * (q - 1)) % 2 == 0 else 1)
+    return _mv(a.dim, max(p + q - 1, 0), {k: _poly(a.dim, terms) for k, terms in out.items() if terms})
 
 
 def eval_multivec(a: PolyMultiVec, point: Sequence[ScalarLike]) -> dict[tuple, Scalar]:

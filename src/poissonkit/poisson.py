@@ -85,13 +85,15 @@ def sharp(chart: PoissonChart, covector: Sequence[Poly]) -> PolyMultiVec:
     """pi^#(alpha) for a covector with polynomial components."""
     if len(covector) != chart.dim:
         raise ValueError("covector has wrong length")
-    total = PolyMultiVec.zero(chart.dim, 1)
+    # pi = sum p_ij d_i ^ d_j gives pi^#(alpha) = sum p_ij (alpha_i d_j - alpha_j d_i)
+    zero = Poly.zero(chart.dim)
+    out: dict[tuple, Poly] = {}
     for (i, j), poly in chart.pi.comps.items():
-        ci = poly * covector[i]
-        cj = poly * covector[j]
-        total = total + PolyMultiVec.monomial(chart.dim, (j,), ci)
-        total = total - PolyMultiVec.monomial(chart.dim, (i,), cj)
-    return total
+        if covector[i]:
+            out[(j,)] = out.get((j,), zero) + poly * covector[i]
+        if covector[j]:
+            out[(i,)] = out.get((i,), zero) - poly * covector[j]
+    return PolyMultiVec(chart.dim, 1, out)
 
 
 def hamiltonian_vf(chart: PoissonChart, f: Poly) -> PolyMultiVec:

@@ -180,9 +180,12 @@ def test_sample_count_below_one_is_a_usage_error(argv, capsys):
     (["dirac", "affine-lie", "--algebra", "so3", "--l", "x3", "--m", "x1", "--mu", "0,0,1"], "wrong total dimension"),
     (["dirac", "affine-lie", "--algebra", "so3", "--l", "x1", "--m", "x1,x2", "--mu", "0,0,1"], "do not form a basis"),
     (["dynr", "cdybe", "--algebra", "sl3", "--samples", "1"], "--samples: must be at least 2, got 1"),
+    (["dirac", "slice", "nonfamily.chart", "--t", "z", "--t0", "0"], "components along the slice only"),
 ])
-def test_bad_input_is_a_usage_error(argv, needle, capsys):
+def test_bad_input_is_a_usage_error(argv, needle, capsys, tmp_path, monkeypatch):
     # each of these used to exit 1, as if a verification had failed, or to pass having checked nothing
+    monkeypatch.chdir(tmp_path)  # the named charts resolve among the fixtures; nonfamily.chart is written here
+    (tmp_path / "nonfamily.chart").write_text("dim 3\ncoords x y z\nbracket x y = z\nbracket y z = y\n")
     assert run_command(argv) == (2, None)
     assert needle in capsys.readouterr().err
 
@@ -191,18 +194,19 @@ def test_bad_input_is_a_usage_error(argv, needle, capsys):
     (["check", "jacobi"], 1),
     (["check", "casimir", "--f", "x"], 1),
     (["check", "bracket", "--f", "x", "--g", "y"], 0),
-    (["dirac", "slice", "--t", "z", "--t0", "0"], 1),
+    (["dirac", "slice", "--t", "w", "--t0", "0"], 1),
     (["modular", "vf"], 2),
     (["modular", "vf", "--skip-jacobi"], 0),
     (["dirac", "aligned", "--x", "x,y"], 2),
     (["dirac", "aligned", "--x", "x,y", "--skip-jacobi"], 1),
-    (["dirac", "fixed-locus", "--matrix=1,0,0;0,1,0;0,0,1"], 2),
+    (["dirac", "fixed-locus", "--matrix=1,0,0,0;0,1,0,0;0,0,1,0;0,0,0,1"], 2),
 ])
 def test_load_time_jacobi_check(argv, code, tmp_path):
     # check * and dirac slice read charts that need not be Poisson; the commands that take
-    # --skip-jacobi reject a non-Poisson chart at load time (exit 2) unless given it
+    # --skip-jacobi reject a non-Poisson chart at load time (exit 2) unless given it.  The bracket
+    # is a family along the slice t = w, so dirac slice gets as far as its own check at t0
     chart = tmp_path / "nonpoisson.chart"
-    chart.write_text("dim 3\ncoords x y z\nbracket x y = z\nbracket y z = y\n")
+    chart.write_text("dim 4\ncoords x y z w\nbracket x y = z\nbracket y z = y\n")
     assert run_command([*argv[:2], str(chart), *argv[2:]])[0] == code
 
 
@@ -265,7 +269,7 @@ PINNED = {
     ),
     "lie validate": "algebra=sl3\ndim=8\npass=True\n",
     "lie bialgebra": "algebra=su3\ncoboundary=True\nsymmetric=True\ndouble_dim=16\nchi=True\npass=True\n",
-    "oracle schouten": "pairs=100\nmismatches=0\nseed=0\npass=True\n",
+    "oracle schouten": "dim=3\npairs=100\nmismatches=0\nseed=0\npass=True\n",
     "oracle alg": "algebra=sl3\npairs=100\nmismatches=0\nseed=0\npass=True\n",
     "group stokes": ["kappa", "kappa_two_defect", "max_dubrovin_residual", "max_pushforward_residual",
                      "max_tangency_residual", "max_markoff_defect", "rank_relation_ok", "seed", "pass"],

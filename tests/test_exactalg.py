@@ -19,7 +19,7 @@ from poissonkit.exactalg import (
     schouten,
     wedge,
 )
-from poissonkit.oracle import rand_multivec, rand_poly
+from poissonkit.oracle import rand_multivec, rand_poly, schouten_oracle
 
 
 # -- scalars -----------------------------------------------------------------
@@ -52,7 +52,7 @@ operands = st.one_of(scalars, st.integers(-6, 6), fractions_)
 
 
 def _parts(x):
-    return (x.re, x.im) if isinstance(x, Scalar) else (Fraction(x), Fraction(0))
+    return (Fraction(x.re), Fraction(x.im)) if isinstance(x, Scalar) else (Fraction(x), Fraction(0))
 
 
 @settings(max_examples=200, deadline=None)
@@ -61,14 +61,41 @@ def test_scalar_arithmetic_matches_gaussian_formula(pair):
     # the fast paths (zero operand, real operands) must agree with plain Q(i)
     x, y = pair
     (a, b), (c, d) = _parts(x), _parts(y)
-    for result, expected in (
+    results = [
         (x + y, (a + c, b + d)),
         (x - y, (a - c, b - d)),
         (x * y, (a * c - b * d, a * d + b * c)),
-    ):
+    ]
+    norm = c * c + d * d
+    if norm:
+        results.append((x / y, ((a * c + b * d) / norm, (b * c - a * d) / norm)))
+    for base, (re, im) in ((x, (a, b)), (y, (c, d))):
+        if not isinstance(base, Scalar):
+            continue
+        power = (Fraction(1), Fraction(0))
+        for n in range(4):
+            results.append((base**n, power))
+            size = power[0] * power[0] + power[1] * power[1]
+            if n and size:
+                results.append((base**-n, (power[0] / size, -power[1] / size)))
+            power = (power[0] * re - power[1] * im, power[0] * im + power[1] * re)
+    for result, expected in results:
         assert isinstance(result, Scalar)
-        assert (type(result.re), type(result.im)) == (Fraction, Fraction)
+        assert _canonical(result.re) and _canonical(result.im)
         assert (result.re, result.im) == expected
+
+
+def _canonical(part):
+    """An int when integral, else a Fraction with denominator > 1; never a float."""
+    return type(part) is int or (type(part) is Fraction and part.denominator > 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(fractions_, fractions_)
+def test_scalar_constructor_normalises(re, im):
+    for value in (Scalar(re, im), Scalar(str(re), str(im)), -Scalar(re, im)):
+        assert _canonical(value.re) and _canonical(value.im)
+    assert (Scalar(re, im).re, Scalar(re, im).im) == (re, im)
 
 
 def _equal_forms(x):
@@ -98,6 +125,32 @@ def test_scalar_str_round_trip():
               Scalar(1, 2), Scalar(Fraction(-1, 2), Fraction(-5, 3))]
     for v in values:
         assert parse_scalar(str(v)) == v
+
+
+# -- public constructors -----------------------------------------------------
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Poly(2, {(1,): 1}),  # exponent tuple of the wrong length
+    lambda: Poly(2, {(1, 0, 0): 1}),
+    lambda: PolyMultiVec(3, 2, {(0,): Poly.const(3, 1)}),  # index tuple of the wrong length
+    lambda: PolyMultiVec(3, 1, {(3,): Poly.const(3, 1)}),  # index out of range
+    lambda: PolyMultiVec(3, 1, {(-1,): Poly.const(3, 1)}),
+    lambda: PolyMultiVec(3, 2, {(1, 0): Poly.const(3, 1)}),  # not increasing
+    lambda: PolyMultiVec(3, 2, {(1, 1): Poly.const(3, 1)}),
+    lambda: PolyMultiVec(3, 1, {(0,): Poly.const(2, 1)}),  # component on the wrong chart
+    lambda: PolyMultiVec(3, -1),
+])
+def test_public_constructors_reject_malformed_keys(build):
+    with pytest.raises(ValueError):
+        build()
+
+
+def test_public_constructors_drop_zeros_and_coerce():
+    p = Poly(2, {(1, 0): 0, (0, 1): Fraction(4, 2), (0, 0): Scalar(0)})
+    assert p.terms == {(0, 1): Scalar(2)} and type(p.terms[(0, 1)].re) is int
+    mv = PolyMultiVec(2, 1, {(0,): Poly.zero(2), (1,): p})
+    assert mv.comps == {(1,): p}
 
 
 # -- parser ------------------------------------------------------------------
@@ -191,6 +244,13 @@ def test_wedge_bilinearity_example():
     assert out.comps == {(0, 1): x * y, (0, 2): x}
 
 
+def test_from_terms_sorts_with_parity_and_collects():
+    x, y = Poly.var(3, 0), Poly.var(3, 1)
+    out = PolyMultiVec.from_terms(3, 2, [((1, 0), x), ((0, 1), y), ((2, 2), x), ((2, 1), y), ((1, 2), y)])
+    assert out.comps == {(0, 1): y - x}
+    assert PolyMultiVec.from_terms(3, 1, [((0,), x), ((0,), -x)]).is_zero()
+
+
 def test_wedge_graded_commutative(rng):
     for _ in range(100):
         p, q = rng.randint(0, 2), rng.randint(0, 2)
@@ -259,6 +319,53 @@ def test_schouten_graded_leibniz(rng):
         tail = wedge(b, schouten(a, c))
         rhs = rhs + (tail if ((p - 1) * q) % 2 == 0 else -tail)
         assert (lhs - rhs).is_zero()
+
+
+# hypothesis draws a seed; the seeded generators draw the chart dimension, the degrees (at most
+# the dimension, so that few draws are zero by construction) and Gaussian-integer coefficients
+seeds = st.integers(0, 2**32 - 1)
+
+
+def _rand_args(seed, max_dim, degrees):
+    rng = make_rng(seed)
+    dim = rng.randint(1, max_dim)
+    return dim, [rand_multivec(rng, dim, rng.randint(0, min(d, dim)), with_i=True) for d in degrees]
+
+
+@settings(max_examples=100, deadline=None)
+@given(seeds)
+def test_schouten_matches_oracle_property(seed):
+    _, (a, b) = _rand_args(seed, 5, (3, 3))
+    assert schouten(a, b) == schouten_oracle(a, b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seeds)
+def test_schouten_graded_antisymmetry_property(seed):
+    _, (a, b) = _rand_args(seed, 5, (3, 3))
+    p, q = a.degree, b.degree
+    ba = schouten(b, a)
+    assert schouten(a, b) == (ba if ((p - 1) * (q - 1)) % 2 else -ba)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds)
+def test_schouten_graded_leibniz_property(seed):
+    # [A, B^C] = [A,B]^C + (-1)^((p-1) q) B^[A,C]
+    _, (a, b, c) = _rand_args(seed, 4, (2, 2, 2))
+    p, q = a.degree, b.degree
+    tail = wedge(b, schouten(a, c))
+    assert schouten(a, wedge(b, c)) == wedge(schouten(a, b), c) + (tail if ((p - 1) * q) % 2 == 0 else -tail)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds)
+def test_schouten_vector_field_on_function_property(seed):
+    # [X, f] = X(f) = sum_l X^l df/dx_l
+    dim, (x,) = _rand_args(seed, 5, (1,))
+    f = rand_poly(make_rng(seed + 1), dim, max_deg=3, max_terms=4)
+    xf = sum((x.component((l,)) * f.diff(l) for l in range(dim)), Poly.zero(dim))
+    assert schouten(x, PolyMultiVec.function(f)) == PolyMultiVec.function(xf)
 
 
 # -- diff and evaluation -----------------------------------------------------

@@ -17,6 +17,7 @@ from poissonkit.poisson import (
     jacobiator,
     modular_vf,
     relative_modular,
+    sharp,
 )
 
 
@@ -144,6 +145,19 @@ def test_hamiltonian_defines_bracket(rng):
         for (i,), comp in xf.comps.items():
             directional = directional + comp * g.diff(i)
         assert directional == bracket(chart, f, g)
+
+
+def test_sharp_matches_componentwise_formula(rng):
+    # pi^#(alpha)^k = sum_i alpha_i pi^{ik}; covectors with zero entries, as modular_vf passes
+    for _ in range(40):
+        dim = rng.randint(2, 5)
+        chart = PoissonChart(dim, tuple(f"x{j}" for j in range(dim)), rand_multivec(rng, dim, 2))
+        alpha = [rand_poly(rng, dim) if rng.random() < 0.5 else Poly.zero(dim) for _ in range(dim)]
+        expected = PolyMultiVec.from_terms(dim, 1, [
+            ((k,), sum((alpha[i] * chart.pi.component((i, k)) for i in range(dim)), Poly.zero(dim)))
+            for k in range(dim)
+        ])
+        assert sharp(chart, alpha) == expected
 
 
 def test_markoff_casimir():
