@@ -56,8 +56,9 @@ print("su3 symmetric bialgebra:", symmetric_bialgebra_check(k, r_hat, transpose_
 # element of the third wedge power -- here checked at seeded sample points.
 for fam in (trig_family(g), rational_family(g)):
     rep = residual_scan(fam, samples=10, seed=0, tol=1e-7)
-    print(f"\n{fam.kind} family: spread {rep.spread:.2e}, "
-          f"invariance {rep.invariance_defect:.2e}, gradient {rep.derivative_defect:.2e}")
+    v = rep.values
+    print(f"\n{fam.kind} family: spread {v['spread']:.2e}, "
+          f"invariance {v['invariance_defect']:.2e}, gradient {v['derivative_defect']:.2e}")
 
 # For sl(2) the residual has a closed form: with c = coth(lambda(h_alpha)),
 # c' + c^2 = 1, so the residual is exactly e ^ f ^ h.
@@ -69,4 +70,4 @@ print(f"\nsl2 trig residual: {float(res[e, f, h]):.12f} * e12^f12^h1")
 # Replacing coth by tanh breaks constancy at rank >= 2 (at rank 1 the two
 # functions satisfy the same differential equation, so sl2 cannot tell).
 bad = residual_scan(corrupted_family(g), samples=6, seed=0, tol=1e-7)
-print("tanh corruption on sl3 fails:", not bad.ok, f"(spread {bad.spread:.2e})")
+print("tanh corruption on sl3 fails:", not bad.ok, f"(spread {bad.values['spread']:.2e})")

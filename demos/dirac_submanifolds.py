@@ -63,7 +63,7 @@ print("affine, l not closed:", affine_lie_poisson_dirac(so3, ["x1", "x2"], ["x3"
 fam = PoissonChart(3, ("x1", "x2", "t"), PolyMultiVec(3, 2, {(0, 1): Poly.const(3, 1) + Poly.var(3, 2)}))
 for d in (1, 0):
     rep = leaf_slice_obstruction(fam, (2,), [0], d)
-    print(f"slice obstruction, degree {d}:", "solvable" if rep.solvable else "unsolvable at this bound")
+    print(f"slice obstruction, degree {d}:", "solvable" if rep.ok else "unsolvable at this bound")
 
 # The relative modular field on Q = {y = 0} for pi = y dx^dy, computed from
 # its definition, equals pr nu_P - nu_Q exactly.

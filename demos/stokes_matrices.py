@@ -54,7 +54,7 @@ print(f"{{z, x}} = {zx:+.6f}   target 2(zx - 2y) = {2 * (z * x - 2 * y):+.6f}")
 # pushforward along (B, C) -> B C^T, Markoff conservation, rank relation.
 rep = stokes_report(3, samples=20, seed=1, tol=1e-8)
 print("\nstokes report:")
-for line in rep.lines():
+for line in rep.lines(True, "group stokes"):
     print(" ", line)
 
 # The same fixed-locus machinery on the group side: the induced tensor on
@@ -62,5 +62,6 @@ for line in rep.lines():
 # computed by leg projection and by the direct invariant-field formula.
 for kind in ("sl", "su"):
     rep = crosscheck_report(kind, samples=10, seed=2)
-    print(f"\n{rep.group}: two-route difference {rep.max_route_difference:.2e}, "
-          f"rank relation {rep.rank_relation_ok}")
+    v = rep.values
+    print(f"\n{v['group']}: two-route difference {v['max_route_difference']:.2e}, "
+          f"rank relation {v['rank_relation_ok']}")

@@ -31,6 +31,7 @@ from .dirac import AlignedSubmanifold
 from .exactalg import ParseError, Poly, PolyMultiVec, parse_poly, parse_scalar, print_poly
 from .liealg import BUILTIN_ALGEBRAS, LieAlgebraData, builtin_algebra, validate_lie
 from .poisson import PoissonChart, jacobiator
+from .report import InvalidInput
 
 __all__ = [
     "ChartFileError",
@@ -44,7 +45,7 @@ __all__ = [
 ]
 
 
-class ChartFileError(ValueError):
+class ChartFileError(InvalidInput):
     """A structured-text parse error carrying a line number."""
 
     def __init__(self, message: str, line: int):

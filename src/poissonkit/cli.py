@@ -11,35 +11,12 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-from dataclasses import dataclass, field
 
 from . import chartio, dirac, dynr, groupnum, liealg, oracle, poisson
-from .exactalg import ParseError, parse_poly, parse_scalar, print_poly, schouten
+from .exactalg import parse_poly, parse_scalar, print_poly, schouten
+from .report import InvalidInput, Report
 
-__all__ = ["Report", "run_command", "main"]
-
-
-@dataclass
-class Report:
-    command: str
-    passed: bool
-    values: dict = field(default_factory=dict)
-    witness: str | None = None
-    seed: int | None = None
-
-    def lines(self, porcelain: bool) -> list[str]:
-        items = dict(self.values)
-        if self.seed is not None:
-            items["seed"] = self.seed
-        if self.witness is not None:
-            items["witness"] = self.witness
-        items["pass"] = self.passed
-        if porcelain:
-            return [f"{k}={v}" for k, v in items.items()]
-        width = max(len(str(k)) for k in items)
-        out = [f"[{self.command}]"]
-        out += [f"  {k:<{width}}  {v}" for k, v in items.items()]
-        return out
+__all__ = ["run_command", "main"]
 
 
 class _UsageError(Exception):
@@ -71,10 +48,6 @@ def _int_in_range(low: int, high: int | None = None):
 _sample_count = _int_in_range(1)  # --samples, --pairs, --dim
 _degree = _int_in_range(0)
 _group_n = _int_in_range(2, groupnum.N_CAP)  # group crosscheck|bruhat --n
-
-
-def _name(args) -> str:
-    return f"{args.command} {args.sub}"
 
 
 def _split_csv(text: str) -> list[str]:
@@ -114,6 +87,12 @@ def _vector_field(mv, names) -> str:
     return " + ".join(f"({print_poly(p, names)}) d/d{names[i[0]]}" for i, p in sorted(mv.comps.items())) or "0"
 
 
+def _jacobiator_component(item, names) -> str:
+    """A Jacobiator component (index triple, polynomial) as '(x,y,z): p'."""
+    key, poly = item
+    return f"({','.join(names[i] for i in key)}): {print_poly(poly, names)}"
+
+
 def _reductive_split(args):
     """The algebra, l and m bases and mu of ``dirac affine-lie|transverse``."""
     g = chartio.load_algebra(args.algebra)
@@ -127,61 +106,50 @@ def _check_jacobi(args) -> Report:
     chart, _ = _load_chart(args)
     jac = poisson.jacobiator(chart)
     ok = jac.is_zero()
-    report = Report(_name(args), ok, {"chart": args.chart, "jacobiator": "0" if ok else "nonzero"})
-    if not ok:
-        key, witness = sorted(jac.comps.items())[0]
-        names = ",".join(chart.coords[i] for i in key)
-        report.witness = f"({names}): {print_poly(witness, chart.coords)}"
-    return report
+    witness = None if ok else _jacobiator_component(sorted(jac.comps.items())[0], chart.coords)
+    return Report(ok, {"chart": args.chart, "jacobiator": "0" if ok else "nonzero"}, witness=witness)
 
 
 def _check_casimir(args) -> Report:
     chart, _ = _load_chart(args)
     verdict = poisson.is_casimir(chart, parse_poly(args.f, chart.coords))
-    report = Report(_name(args), verdict.ok, {"chart": args.chart, "f": args.f})
-    if not verdict.ok:
-        report.witness = f"X_f({chart.coords[verdict.witness_index]}) = {print_poly(verdict.witness, chart.coords)}"
-    return report
+    witness = None if verdict.ok else f"{verdict.reason} = {print_poly(verdict.witness[1], chart.coords)}"
+    return Report(verdict.ok, {"chart": args.chart, "f": args.f}, witness=witness)
 
 
 def _check_bracket(args) -> Report:
     chart, _ = _load_chart(args)
     f = parse_poly(args.f, chart.coords)
     g = parse_poly(args.g, chart.coords)
-    return Report(_name(args), True, {"bracket": print_poly(poisson.bracket(chart, f, g), chart.coords)})
+    return Report(True, {"bracket": print_poly(poisson.bracket(chart, f, g), chart.coords)})
 
 
 def _dirac_aligned(args) -> Report:
     _, sub = _load_chart(args, need_sub=True)
     verdict = dirac.check_aligned_dirac(sub)
-    report = Report(_name(args), verdict.ok, {"chart": args.chart})
     if verdict.ok:
-        report.values["induced"] = _one_line(dirac.induced_poisson(sub))
-    else:
-        report.witness = f"{verdict.reason}: {print_poly(verdict.witness, sub.chart.coords)}"
-    return report
+        return Report(True, {"chart": args.chart, "induced": _one_line(dirac.induced_poisson(sub))})
+    witness = f"{verdict.reason}: {print_poly(verdict.witness[1], sub.chart.coords)}"
+    return Report(False, {"chart": args.chart}, witness=witness)
 
 
 def _dirac_fixed_locus(args) -> Report:
     chart, _ = _load_chart(args)
     rows = [[parse_scalar(v) for v in row.split(",")] for row in args.matrix.split(";")]
     sub, induced = dirac.fixed_locus_symbolic(chart, dirac.LinearInvolution.from_rows(rows))
-    return Report(_name(args), True, {"fixed_dim": len(sub.x_indices), "induced": _one_line(induced)})
+    return Report(True, {"fixed_dim": len(sub.x_indices), "induced": _one_line(induced)})
 
 
 def _dirac_affine_lie(args) -> Report:
     verdict = dirac.affine_lie_poisson_dirac(*_reductive_split(args))
-    report = Report(_name(args), verdict.ok, {"algebra": args.algebra})
     if verdict.ok:
-        report.values["induced"] = _one_line(verdict.induced)
-    else:
-        report.witness = verdict.reason
-    return report
+        return Report(True, {"algebra": args.algebra, "induced": _one_line(verdict.values["induced"])})
+    return Report(False, {"algebra": args.algebra}, witness=verdict.reason)
 
 
 def _dirac_transverse(args) -> Report:
     chart = dirac.transverse_from_reductive(*_reductive_split(args))
-    return Report(_name(args), True, {"algebra": args.algebra, "transverse": _one_line(chart)})
+    return Report(True, {"algebra": args.algebra, "transverse": _one_line(chart)})
 
 
 def _dirac_slice(args) -> Report:
@@ -189,26 +157,27 @@ def _dirac_slice(args) -> Report:
     ts = _coord_indices(chart, args.t, "--t")
     t0 = [parse_scalar(v) for v in _split_csv(args.t0)]
     obstruction = dirac.leaf_slice_obstruction(chart, ts, t0, args.degree)
-    report = Report(_name(args), obstruction.solvable, {"degree_bound": args.degree})
-    if obstruction.solvable:
-        xs = [c for i, c in enumerate(chart.coords) if i not in ts]
-        for t, w in zip(ts, obstruction.witnesses):
-            report.values[f"X_{chart.coords[t]}"] = _vector_field(w, xs)
-    else:
-        report.values["status"] = f"unsolvable up to degree {args.degree} (not a proof of non-existence)"
-    return report
+    xs = [c for i, c in enumerate(chart.coords) if i not in ts]
+    values = {"degree_bound": args.degree}
+    if obstruction.ok:
+        for t, w in zip(ts, obstruction.witness):
+            values[f"X_{chart.coords[t]}"] = _vector_field(w, xs)
+        return Report(True, values)
+    if obstruction.witness is not None:  # the slice bivector at t0 is not Poisson
+        return Report(False, values, witness=_jacobiator_component(obstruction.witness, xs))
+    return Report(False, {**values, "status": obstruction.reason})
 
 
 def _modular_vf(args) -> Report:
     chart, _ = _load_chart(args)
-    return Report(_name(args), True, {"modular_vf": _vector_field(poisson.modular_vf(chart), chart.coords)})
+    return Report(True, {"modular_vf": _vector_field(poisson.modular_vf(chart), chart.coords)})
 
 
 def _modular_relative(args) -> Report:
     chart, sub = _load_chart(args, need_sub=True)
     rel = poisson.relative_modular(chart, sub)
     names = rel.chart_q.coords
-    return Report(_name(args), rel.relation_holds, {
+    return Report(rel.relation_holds, {
         "nu_r": _vector_field(rel.nu_r, names),
         "pr_nu_P": _vector_field(rel.pr_nu_p, names),
         "nu_Q": _vector_field(rel.nu_q, names),
@@ -219,8 +188,7 @@ def _modular_relative(args) -> Report:
 def _lie_validate(args) -> Report:
     g = chartio.load_algebra(args.algebra)
     verdict = liealg.validate_lie(g)
-    return Report(_name(args), verdict.ok, {"algebra": args.algebra, "dim": g.dim},
-                  witness=None if verdict.ok else verdict.reason)
+    return Report(verdict.ok, {"algebra": args.algebra, "dim": g.dim}, witness=None if verdict.ok else verdict.reason)
 
 
 def _lie_bialgebra(args) -> Report:
@@ -235,7 +203,7 @@ def _lie_bialgebra(args) -> Report:
     double = liealg.drinfeld_double(g, r)
     chi = liealg.chi_check(double, phi)
     ok = bool(cob and sym and chi)
-    return Report(_name(args), ok, {
+    return Report(ok, {
         "algebra": args.algebra,
         "coboundary": cob.ok,
         "symmetric": sym.ok,
@@ -245,27 +213,16 @@ def _lie_bialgebra(args) -> Report:
 
 
 def _group_report(args) -> Report:
-    """``group stokes|crosscheck|bruhat``: the groupnum report's lines, less its pass line."""
+    """``group stokes|crosscheck|bruhat``: the groupnum report as it is."""
     if args.sub == "stokes":
-        rep = groupnum.stokes_report(args.n, args.samples, args.seed, args.tol)
-    else:
-        kind = "sl" if args.sub == "crosscheck" else "su"
-        rep = groupnum.crosscheck_report(kind, args.samples, args.seed, args.tol, args.n)
-    values = dict(item.split("=", 1) for item in rep.lines()[:-1])
-    return Report(_name(args), rep.ok, values, seed=args.seed)
+        return groupnum.stokes_report(args.n, args.samples, args.seed, args.tol)
+    kind = "sl" if args.sub == "crosscheck" else "su"
+    return groupnum.crosscheck_report(kind, args.samples, args.seed, args.tol, args.n)
 
 
 def _dynr_cdybe(args) -> Report:
     family = dynr.DynamicalRFamily(chartio.load_algebra(args.algebra), args.family)
-    rep = dynr.residual_scan(family, args.samples, args.seed, args.tol)
-    return Report(_name(args), rep.ok, {
-        "algebra": args.algebra,
-        "family": args.family,
-        "spread": repr(rep.spread),
-        "invariance_defect": repr(rep.invariance_defect),
-        "derivative_defect": repr(rep.derivative_defect),
-        "tol": repr(args.tol),
-    }, seed=args.seed)
+    return dynr.residual_scan(family, args.samples, args.seed, args.tol)
 
 
 def _oracle_schouten(args) -> Report:
@@ -277,7 +234,7 @@ def _oracle_schouten(args) -> Report:
         if not (schouten(a, b) - oracle.schouten_oracle(a, b)).is_zero():
             mismatches += 1
     values = {"dim": args.dim, "pairs": args.pairs, "mismatches": mismatches}
-    return Report(_name(args), mismatches == 0, values, seed=args.seed)
+    return Report(mismatches == 0, values, seed=args.seed)
 
 
 def _oracle_alg(args) -> Report:
@@ -291,7 +248,7 @@ def _oracle_alg(args) -> Report:
         if not (liealg.alg_schouten(a, b) - oracle.alg_schouten_oracle(a, b)).is_zero():
             mismatches += 1
     values = {"algebra": args.algebra, "pairs": args.pairs, "mismatches": mismatches}
-    return Report(_name(args), mismatches == 0, values, seed=args.seed)
+    return Report(mismatches == 0, values, seed=args.seed)
 
 
 # -- the command tree ----------------------------------------------------------
@@ -398,15 +355,15 @@ def run_command(argv: list[str]) -> tuple[int, Report | None]:
     except _UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 2, None
-    except (chartio.ChartFileError, ParseError, FileNotFoundError, dirac.InvalidInput) as err:
+    except (InvalidInput, FileNotFoundError) as err:
         print(f"input error: {err}", file=sys.stderr)
         return 2, None
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1, None
-    for line in report.lines(args.porcelain):
+    for line in report.lines(args.porcelain, f"{args.command} {args.sub}"):
         print(line)
-    return (0 if report.passed else 1), report
+    return (0 if report.ok else 1), report
 
 
 def main() -> None:

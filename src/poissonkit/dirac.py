@@ -20,15 +20,11 @@ from typing import Sequence
 from . import linalg
 from .exactalg import Poly, PolyMultiVec, Scalar, schouten, wedge
 from .poisson import PoissonChart, jacobiator
+from .report import InvalidInput, Report
 
 __all__ = [
     "AlignedSubmanifold",
-    "InvalidInput",
-    "InvalidInvolution",
     "LinearInvolution",
-    "DiracVerdict",
-    "AffineVerdict",
-    "SliceReport",
     "check_aligned_dirac",
     "induced_poisson",
     "fixed_locus_symbolic",
@@ -60,14 +56,6 @@ class AlignedSubmanifold:
         return tuple(self.chart.coords[i] for i in self.x_indices)
 
 
-class InvalidInput(ValueError):
-    """An argument of the wrong shape or form: bad input, not a failed check."""
-
-
-class InvalidInvolution(InvalidInput):
-    """The matrix is not a square involution of the chart's dimension."""
-
-
 @dataclass(frozen=True)
 class LinearInvolution:
     """An exact matrix S with S^2 = I acting on chart coordinates."""
@@ -83,9 +71,9 @@ class LinearInvolution:
         m = [list(row) for row in self.matrix]
         n = len(m)
         if any(len(row) != n for row in m):
-            raise InvalidInvolution("involution matrix must be square")
+            raise InvalidInput("involution matrix must be square")
         if not linalg.mat_eq(linalg.mat_mul(m, m), linalg.identity(n)):
-            raise InvalidInvolution("matrix is not an involution (S^2 != I)")
+            raise InvalidInput("matrix is not an involution (S^2 != I)")
 
     @property
     def dim(self) -> int:
@@ -95,19 +83,9 @@ class LinearInvolution:
         return [list(row) for row in self.matrix]
 
 
-@dataclass(frozen=True)
-class DiracVerdict:
-    ok: bool
-    reason: str = ""
-    witness_pair: tuple[int, int] | None = None
-    witness: Poly | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def check_aligned_dirac(q: AlignedSubmanifold) -> DiracVerdict:
-    """Decide the aligned criterion; on failure report the offending symbol.
+def check_aligned_dirac(q: AlignedSubmanifold) -> Report:
+    """Decide the aligned criterion; on failure the witness is the offending
+    symbol as ((i, j), polynomial on the chart).
 
     The chart is required to be Poisson; a nonzero Jacobiator is an error,
     not a failed verdict.
@@ -120,15 +98,15 @@ def check_aligned_dirac(q: AlignedSubmanifold) -> DiracVerdict:
         for j in ys:
             lam = chart.pi.component((i, j)).set_vars_zero(ys)
             if not lam.is_zero():
-                return DiracVerdict(False, f"lambda_({i},{j}) = {{x_{i}, y_{j}}} nonzero on Q", (i, j), lam)
+                return Report(False, reason=f"lambda_({i},{j}) = {{x_{i}, y_{j}}} nonzero on Q", witness=((i, j), lam))
     for a, i in enumerate(q.x_indices):
         for j in q.x_indices[a + 1 :]:
             phi = chart.pi.component((i, j))
             for l in ys:
                 dphi = phi.diff(l).set_vars_zero(ys)
                 if not dphi.is_zero():
-                    return DiracVerdict(False, f"d phi_({i},{j}) / d y_{l} nonzero on Q", (i, j), dphi)
-    return DiracVerdict(True)
+                    return Report(False, reason=f"d phi_({i},{j}) / d y_{l} nonzero on Q", witness=((i, j), dphi))
+    return Report(True)
 
 
 def induced_poisson(q: AlignedSubmanifold) -> PoissonChart:
@@ -172,10 +150,6 @@ def pushforward_linear(mv: PolyMultiVec, a: linalg.Matrix) -> PolyMultiVec:
     return out
 
 
-def _involution_pushforward_chart(chart: PoissonChart, s: LinearInvolution) -> PolyMultiVec:
-    return pushforward_linear(chart.pi, s.rows())
-
-
 def fixed_locus_symbolic(chart: PoissonChart, s: LinearInvolution) -> tuple[AlignedSubmanifold, PoissonChart]:
     """Induced Poisson structure on the fixed locus of a linear Poisson involution.
 
@@ -184,8 +158,8 @@ def fixed_locus_symbolic(chart: PoissonChart, s: LinearInvolution) -> tuple[Alig
     aligned submanifold together with its induced chart.
     """
     if s.dim != chart.dim:
-        raise InvalidInvolution("involution dimension does not match the chart")
-    pushed = _involution_pushforward_chart(chart, s)
+        raise InvalidInput("involution dimension does not match the chart")
+    pushed = pushforward_linear(chart.pi, s.rows())
     residual = pushed - chart.pi
     if not residual.is_zero():
         raise ValueError(f"S is not a Poisson involution; S_* pi - pi = {residual}")
@@ -254,16 +228,6 @@ def fixed_locus_projection(chart: PoissonChart, s: LinearInvolution) -> PoissonC
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AffineVerdict:
-    ok: bool
-    reason: str = ""
-    induced: PoissonChart | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
 def _as_vectors(g, elems) -> list[list[Scalar]]:
     out = []
     for e in elems:
@@ -280,11 +244,12 @@ def _as_vectors(g, elems) -> list[list[Scalar]]:
     return out
 
 
-def affine_lie_poisson_dirac(g, l_basis, m_basis, mu) -> AffineVerdict:
+def affine_lie_poisson_dirac(g, l_basis, m_basis, mu) -> Report:
     """Decide whether mu + m-perp is a Dirac submanifold of g* (constant V_Q).
 
     Checks, in order: l is a subalgebra, [l, m] stays in m, and mu kills
-    [l, m].  On success the induced structure is the Lie-Poisson chart of l*.
+    [l, m].  On success ``values["induced"]`` is the induced structure, the
+    Lie-Poisson chart of l*.
     """
     from .liealg import LieAlgebraData, lie_poisson_chart
 
@@ -305,45 +270,33 @@ def affine_lie_poisson_dirac(g, l_basis, m_basis, mu) -> AffineVerdict:
     def coords(vec: list[Scalar]) -> list[Scalar]:
         return linalg.mat_vec(inv, vec)
 
-    def brk(u: list[Scalar], v: list[Scalar]) -> list[Scalar]:
-        out = [Scalar(0)] * g.dim
-        for i, ci in enumerate(u):
-            if ci.is_zero():
-                continue
-            for j, cj in enumerate(v):
-                if cj.is_zero():
-                    continue
-                for kk, c in g.bracket_basis(i, j).comps.items():
-                    out[kk[0]] = out[kk[0]] + ci * cj * c
-        return out
-
     # (i) l is a subalgebra, recording its structure constants on the fly
     l_struct = {}
     for a in range(k):
         for b in range(a + 1, k):
-            w = coords(brk(lv[a], lv[b]))
+            w = coords(g.bracket_vectors(lv[a], lv[b]))
             if any(not c.is_zero() for c in w[k:]):
-                return AffineVerdict(False, f"l is not a subalgebra: [l_{a}, l_{b}] leaves l")
+                return Report(False, reason=f"l is not a subalgebra: [l_{a}, l_{b}] leaves l")
             l_struct[(a, b)] = w[:k]
     # (ii) [l, m] contained in m
     for a in range(k):
         for b in range(len(mv)):
-            w = coords(brk(lv[a], mv[b]))
+            w = coords(g.bracket_vectors(lv[a], mv[b]))
             if any(not c.is_zero() for c in w[:k]):
-                return AffineVerdict(False, f"[l, m] not contained in m: [l_{a}, m_{b}] has an l-part")
+                return Report(False, reason=f"[l, m] not contained in m: [l_{a}, m_{b}] has an l-part")
     # (iii) mu vanishes on [l, m]
     for a in range(k):
         for b in range(len(mv)):
-            w = brk(lv[a], mv[b])
+            w = g.bracket_vectors(lv[a], mv[b])
             pairing = sum((mu[i] * w[i] for i in range(g.dim)), Scalar(0))
             if not pairing.is_zero():
-                return AffineVerdict(False, f"ad*-condition fails: <mu, [l_{a}, m_{b}]> = {pairing}")
+                return Report(False, reason=f"ad*-condition fails: <mu, [l_{a}, m_{b}]> = {pairing}")
 
     sub = LieAlgebraData.from_brackets(
         [f"l{a+1}" for a in range(k)],
         {pair: {c: coeff for c, coeff in enumerate(w) if not coeff.is_zero()} for pair, w in l_struct.items()},
     )
-    return AffineVerdict(True, induced=lie_poisson_chart(sub))
+    return Report(True, {"induced": lie_poisson_chart(sub)})
 
 
 def transverse_from_reductive(g, l_basis, m_basis, mu) -> PoissonChart:
@@ -354,36 +307,23 @@ def transverse_from_reductive(g, l_basis, m_basis, mu) -> PoissonChart:
     """
     lv = _as_vectors(g, l_basis)
     mu_s = [Scalar.coerce(c) for c in mu]
+    if len(mu_s) != g.dim:
+        raise InvalidInput("mu has the wrong length")
     # isotropy: <mu, [l_a, X]> = 0 for every basis element X of g
     for a, u in enumerate(lv):
-        for j in range(g.dim):
-            total = Scalar(0)
-            for i, ci in enumerate(u):
-                if ci.is_zero():
-                    continue
-                for kk, c in g.bracket_basis(i, j).comps.items():
-                    total = total + ci * c * mu_s[kk[0]]
-            if not total.is_zero():
+        for x in _as_vectors(g, range(g.dim)):
+            w = g.bracket_vectors(u, x)
+            if not sum((m * c for m, c in zip(mu_s, w)), Scalar(0)).is_zero():
                 raise ValueError(f"l is not contained in the isotropy algebra of mu (element {a})")
     verdict = affine_lie_poisson_dirac(g, l_basis, m_basis, mu)
     if not verdict:
         raise ValueError(f"reductive decomposition fails: {verdict.reason}")
-    return verdict.induced
+    return verdict.values["induced"]
 
 
 # ---------------------------------------------------------------------------
 # leaf-slice obstruction (degree-bounded coboundary solve)
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SliceReport:
-    solvable: bool
-    degree_bound: int
-    witnesses: list[PolyMultiVec] | None
-
-    def __bool__(self) -> bool:
-        return self.solvable
 
 
 def _monomials_up_to(nvars: int, degree: int) -> list[tuple]:
@@ -401,13 +341,16 @@ def _monomials_up_to(nvars: int, degree: int) -> list[tuple]:
     return sorted(out, key=lambda e: (sum(e), e))
 
 
-def leaf_slice_obstruction(chart: PoissonChart, t_indices: Sequence[int], t0: Sequence, degree_bound: int) -> SliceReport:
+def leaf_slice_obstruction(chart: PoissonChart, t_indices: Sequence[int], t0: Sequence, degree_bound: int) -> Report:
     """Solve d pi/d t_i at t0 = -[X_i, pi_0] for polynomial fields X_i on the slice.
 
     ``chart`` holds a bivector family on coordinates (x, t) whose components
-    involve only x-directions; a zero ambient Jacobiator at t = t0 is checked
-    first.  The X_i are sought with coefficients of total degree at most
-    ``degree_bound``; an unsolvable report at one bound is not a proof of
+    involve only x-directions.  The slice bivector pi_0 at t = t0 must be
+    Poisson: if not, the report fails with the first nonzero component of its
+    Jacobiator as witness, (index triple, polynomial on the slice).  The X_i
+    are sought with coefficients of total degree at most ``degree_bound``; on
+    success the witness is the tuple of solved fields X_i, on the slice
+    coordinates.  An unsolvable report at one bound is not a proof of
     non-existence at higher bounds.
     """
     ts = list(t_indices)
@@ -436,8 +379,9 @@ def leaf_slice_obstruction(chart: PoissonChart, t_indices: Sequence[int], t0: Se
         tuple(xs.index(i) for i in idxs): freeze(poly) for idxs, poly in chart.pi.comps.items()
     })
     slice_chart = PoissonChart(nx, tuple(chart.coords[i] for i in xs), pi0)
-    if not jacobiator(slice_chart).is_zero():
-        raise ValueError("slice bivector at t0 is not Poisson")
+    jac = jacobiator(slice_chart)
+    if not jac.is_zero():
+        return Report(False, reason="slice bivector at t0 is not Poisson", witness=sorted(jac.comps.items())[0])
 
     monos = _monomials_up_to(nx, degree_bound)
     unknowns = [(m, j) for m in monos for j in range(nx)]
@@ -470,10 +414,10 @@ def leaf_slice_obstruction(chart: PoissonChart, t_indices: Sequence[int], t0: Se
         b_vec = [rhs.get(kk, Scalar(0)) for kk in keys]
         sol = linalg.solve(a_mat, b_vec)
         if sol is None:
-            return SliceReport(False, degree_bound, None)
+            return Report(False, reason=f"unsolvable up to degree {degree_bound} (not a proof of non-existence)")
         field = PolyMultiVec.zero(nx, 1)
         for (m, j), coeff in zip(unknowns, sol):
             if not coeff.is_zero():
                 field = field + PolyMultiVec.monomial(nx, (j,), Poly(nx, {m: coeff}))
         witnesses.append(field)
-    return SliceReport(True, degree_bound, witnesses)
+    return Report(True, witness=tuple(witnesses))

@@ -46,6 +46,7 @@ import numpy as np
 
 from .exactalg import Scalar
 from .liealg import LieAlgebraData, LinearAlgMap
+from .report import Report
 
 __all__ = [
     "DynamicalRFamily",
@@ -60,8 +61,6 @@ __all__ = [
     "cdybe_residual",
     "residual_scan",
     "equivariance_check",
-    "ScanReport",
-    "EquivarianceReport",
 ]
 
 SINGULAR_GUARD = 1e-3
@@ -259,26 +258,7 @@ def _sample_lambda(family: DynamicalRFamily, seed: int, index: int, margin: floa
     raise RuntimeError("could not sample lambda away from the singular set")
 
 
-@dataclass(frozen=True)
-class ScanReport:
-    kind: str
-    algebra: str
-    samples: int
-    seed: int
-    spread: float
-    invariance_defect: float
-    derivative_defect: float
-    tol: float
-
-    @property
-    def ok(self) -> bool:
-        return max(self.spread, self.invariance_defect, self.derivative_defect) <= self.tol
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def residual_scan(family: DynamicalRFamily, samples: int = 10, seed: int = 0, tol: float = 1e-7) -> ScanReport:
+def residual_scan(family: DynamicalRFamily, samples: int = 10, seed: int = 0, tol: float = 1e-7) -> Report:
     """Constancy, ad-invariance, and gradient checks over seeded sample points.
 
     * spread: largest componentwise deviation of the residual across samples;
@@ -286,6 +266,8 @@ def residual_scan(family: DynamicalRFamily, samples: int = 10, seed: int = 0, to
       basis elements;
     * derivative defect: analytic dr/dlambda vs a central finite difference
       with step 1e-5.
+
+    The report passes iff all three are at most ``tol``.
     """
     g = family.algebra
     C = family.structure
@@ -305,23 +287,15 @@ def residual_scan(family: DynamicalRFamily, samples: int = 10, seed: int = 0, to
             first = res
         spread = max(spread, _max_upper(res - first, 3))
         invariance = max(invariance, _max_upper(_ad_defect(C, res), 3))
-    return ScanReport(family.kind, g.name, samples, seed, spread, invariance, deriv_defect, tol)
-
-
-@dataclass(frozen=True)
-class EquivarianceReport:
-    algebra: str
-    samples: int
-    seed: int
-    defect: float
-    tol: float
-
-    @property
-    def ok(self) -> bool:
-        return self.defect <= self.tol
-
-    def __bool__(self) -> bool:
-        return self.ok
+    values = {
+        "algebra": g.name,
+        "family": family.kind,
+        "spread": spread,
+        "invariance_defect": invariance,
+        "derivative_defect": deriv_defect,
+        "tol": tol,
+    }
+    return Report(max(spread, invariance, deriv_defect) <= tol, values, seed=seed, samples=samples)
 
 
 def equivariance_check(
@@ -330,8 +304,9 @@ def equivariance_check(
     samples: int = 10,
     seed: int = 0,
     tol: float = 1e-10,
-) -> EquivarianceReport:
-    """max over samples of || (Lambda^2 s) r(lambda) + r(s_h* lambda) ||.
+) -> Report:
+    """max over samples of || (Lambda^2 s) r(lambda) + r(s_h* lambda) ||, as
+    ``values["defect"]``; the report passes iff it is at most ``tol``.
 
     s must preserve the Cartan; for the root-swapping anti-morphism the
     induced map on h* is the identity and the condition reduces to
@@ -350,4 +325,5 @@ def equivariance_check(
         lam = _sample_lambda(family, seed, idx)
         moved = s_h.T @ lam  # (s_h)* lambda in coordinates
         defect = max(defect, _max_upper(S @ eval_r(family, lam) @ S.T + eval_r(family, moved), 2))
-    return EquivarianceReport(g.name, samples, seed, defect, tol)
+    values = {"algebra": g.name, "defect": defect, "tol": tol}
+    return Report(defect <= tol, values, seed=seed, samples=samples)

@@ -55,6 +55,8 @@ from fractions import Fraction
 from operator import add
 from typing import Iterable, Mapping, Sequence, Union
 
+from .report import InvalidInput
+
 __all__ = [
     "Scalar",
     "Poly",
@@ -502,7 +504,7 @@ def _accumulate(out: dict, key, value) -> None:
 # ---------------------------------------------------------------------------
 
 
-class ParseError(ValueError):
+class ParseError(InvalidInput):
     """Syntax or name error in a polynomial expression, with position."""
 
     def __init__(self, message: str, pos: int):

@@ -39,6 +39,7 @@ import numpy as np
 import scipy.linalg
 
 from .liealg import LieAlgebraData, _sl_basis, sl_chevalley, standard_r_matrix, su_compact_basis
+from .report import Report
 
 __all__ = [
     "TOL_LINALG",
@@ -61,8 +62,6 @@ __all__ = [
     "rank_relation_holds",
     "stokes_report",
     "crosscheck_report",
-    "StokesReport",
-    "CrossRouteReport",
 ]
 
 TOL_LINALG = 1e-12  # pure linear-algebra identities
@@ -502,21 +501,25 @@ def _column_basis(mat: np.ndarray, thresh: float) -> np.ndarray:
     return u[:, s > thresh]
 
 
-def _plus_eigenspace(spec: InvolutionSpec, template: np.ndarray, thresh: float) -> np.ndarray:
-    """Orthonormal basis of the +1 eigenspace of the realified differential.
+@functools.lru_cache(maxsize=None)
+def _plus_eigenspace(spec: InvolutionSpec, shape: tuple[int, ...], dtype: np.dtype, thresh: float) -> np.ndarray:
+    """Orthonormal basis of the +1 eigenspace of the realified differential at
+    points of this shape and dtype; cached, so read-only.
 
-    For real templates the imaginary half of the realified space is phantom
+    For real points the imaginary half of the realified space is phantom
     (the probes there push to zero), so it never enters the eigenspace.
     """
-    half = template.size
+    half = math.prod(shape)
     size = 2 * half
     probes = np.eye(size)  # row k is the k-th realified unit vector
-    re = probes[:, :half].reshape(size, *template.shape)
-    im = probes[:, half:].reshape(size, *template.shape)
-    v = re + 1j * im if np.iscomplexobj(template) else re
+    re = probes[:, :half].reshape(size, *shape)
+    im = probes[:, half:].reshape(size, *shape)
+    v = re + 1j * im if np.issubdtype(dtype, np.complexfloating) else re
     p = _vec(spec.push(v)).T  # column k: the pushed k-th probe
     _, s, vt = np.linalg.svd(p - np.eye(size))
-    return vt[s <= thresh].T
+    basis = vt[s <= thresh].T
+    basis.setflags(write=False)  # cached, so shared by every caller
+    return basis
 
 
 def rank_relation_holds(spec: InvolutionSpec, pi: TangentBivector, projected: TangentBivector,
@@ -528,7 +531,7 @@ def rank_relation_holds(spec: InvolutionSpec, pi: TangentBivector, projected: Ta
     rank_induced = _numeric_rank(m_induced, thresh)
 
     image = _column_basis(m_ambient, thresh)
-    plus = _plus_eigenspace(spec, pi.base, thresh)
+    plus = _plus_eigenspace(spec, pi.base.shape, pi.base.dtype, thresh)
     if image.shape[1] == 0 or plus.shape[1] == 0:
         dim_int = 0
     else:
@@ -566,47 +569,6 @@ def _sample_dual_point(n: int, rng: np.random.Generator, scale: float = 0.5) -> 
     return np.stack([matrix_exp(up), matrix_exp(low)])
 
 
-@dataclass(frozen=True)
-class StokesReport:
-    n: int
-    samples: int
-    seed: int
-    tol: float
-    kappa: float
-    max_dubrovin_residual: float
-    kappa_two_defect: float
-    max_pushforward_residual: float
-    max_tangency_residual: float
-    max_markoff_defect: float
-    rank_relation_ok: bool
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.max_dubrovin_residual <= self.tol
-            and self.kappa_two_defect <= self.tol
-            and self.max_pushforward_residual <= self.tol
-            and self.max_tangency_residual <= TOL_CROSS
-            and self.max_markoff_defect <= 1e-7
-            and self.rank_relation_ok
-        )
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-    def lines(self) -> list[str]:
-        return [
-            f"kappa={self.kappa!r}",
-            f"kappa_two_defect={self.kappa_two_defect!r}",
-            f"max_dubrovin_residual={self.max_dubrovin_residual!r}",
-            f"max_pushforward_residual={self.max_pushforward_residual!r}",
-            f"max_tangency_residual={self.max_tangency_residual!r}",
-            f"max_markoff_defect={self.max_markoff_defect!r}",
-            f"rank_relation_ok={self.rank_relation_ok}",
-            f"pass={self.ok}",
-        ]
-
-
 CHART_N3 = ((0, 0, 1), (0, 0, 2), (0, 1, 2))  # x = B_12, y = B_13, z = B_23
 
 
@@ -614,7 +576,7 @@ def _dubrovin_rhs(x: float, y: float, z: float) -> tuple[float, float, float]:
     return (x * y - 2 * z, y * z - 2 * x, z * x - 2 * y)
 
 
-def stokes_report(n: int = 3, samples: int = 20, seed: int = 1, tol: float = 1e-8) -> StokesReport:
+def stokes_report(n: int = 3, samples: int = 20, seed: int = 1, tol: float = 1e-8) -> Report:
     """Reproduce the Stokes-matrix Poisson structure from the dual group.
 
     Samples points (B, B^T) with B unipotent upper-triangular, projects the
@@ -624,6 +586,10 @@ def stokes_report(n: int = 3, samples: int = 20, seed: int = 1, tol: float = 1e-
     (xy - 2z, yz - 2x, zx - 2y); |kappa| must come out 2.  Independently,
     the tensor at generic dual points is pushed along (B, C) -> B C^T and
     compared against 2 kappa times the same target at the image.
+
+    The report passes iff the Dubrovin residual, the kappa-two defect and the
+    pushforward residual are at most ``tol``, the tangency residual at most
+    TOL_CROSS, the Markoff defect at most 1e-7, and the rank relation holds.
     """
     if n != 3:
         raise ValueError("the Dubrovin chart readout is specific to n = 3")
@@ -687,41 +653,24 @@ def stokes_report(n: int = 3, samples: int = 20, seed: int = 1, tol: float = 1e-
         for lhs, rhs in zip(brackets, target):
             max_push = max(max_push, abs(float(lhs) - 2.0 * kappa * float(rhs)))
 
-    return StokesReport(
-        n, samples, seed, tol, kappa, max_resid, kappa_two_defect, max_push,
-        max_tangency, max_markoff, rank_ok,
+    ok = (
+        max_resid <= tol
+        and kappa_two_defect <= tol
+        and max_push <= tol
+        and max_tangency <= TOL_CROSS
+        and max_markoff <= 1e-7
+        and rank_ok
     )
-
-
-@dataclass(frozen=True)
-class CrossRouteReport:
-    group: str
-    samples: int
-    seed: int
-    tol: float
-    max_route_difference: float
-    max_plus_residual: float
-    rank_relation_ok: bool
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.max_route_difference <= self.tol
-            and self.max_plus_residual <= TOL_MEMBER
-            and self.rank_relation_ok
-        )
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-    def lines(self) -> list[str]:
-        return [
-            f"group={self.group}",
-            f"max_route_difference={self.max_route_difference!r}",
-            f"max_plus_residual={self.max_plus_residual!r}",
-            f"rank_relation_ok={self.rank_relation_ok}",
-            f"pass={self.ok}",
-        ]
+    values = {
+        "kappa": kappa,
+        "kappa_two_defect": kappa_two_defect,
+        "max_dubrovin_residual": max_resid,
+        "max_pushforward_residual": max_push,
+        "max_tangency_residual": max_tangency,
+        "max_markoff_defect": max_markoff,
+        "rank_relation_ok": rank_ok,
+    }
+    return Report(ok, values, seed=seed, samples=samples)
 
 
 def _sample_fixed_point(group: MatrixGroup, rng: np.random.Generator, scale: float = 0.5) -> np.ndarray:
@@ -740,11 +689,14 @@ def _bracket_difference(a: TangentBivector, b: TangentBivector) -> float:
     return float(np.max(diff[np.triu_indices(a.base.size, 1)], initial=0.0))
 
 
-def crosscheck_report(kind: str, samples: int = 10, seed: int = 2, tol: float = TOL_CROSS, n: int = 3) -> CrossRouteReport:
+def crosscheck_report(kind: str, samples: int = 10, seed: int = 2, tol: float = TOL_CROSS, n: int = 3) -> Report:
     """Two-route agreement at transpose-fixed points.
 
     kind 'sl' uses SL(n, R) and the split r-matrix; kind 'su' uses SU(n) and
-    the compact one (the Bruhat-type fixed locus of symmetric unitaries).
+    the compact one (the Bruhat-type fixed locus of symmetric unitaries).  The
+    report passes iff the route difference is at most ``tol``, the projected
+    legs leave the +1 eigenspace by at most TOL_MEMBER, and the rank relation
+    holds.
     """
     if kind == "sl":
         group = sl_group(n, real=True)
@@ -773,4 +725,11 @@ def crosscheck_report(kind: str, samples: int = 10, seed: int = 2, tol: float = 
         legs = np.concatenate([projected.u, projected.v])
         max_plus = max(max_plus, float(np.max(np.abs(spec.push(legs) - legs), initial=0.0)))
 
-    return CrossRouteReport(group.name, samples, seed, tol, max_diff, max_plus, rank_ok)
+    ok = max_diff <= tol and max_plus <= TOL_MEMBER and rank_ok
+    values = {
+        "group": group.name,
+        "max_route_difference": max_diff,
+        "max_plus_residual": max_plus,
+        "rank_relation_ok": rank_ok,
+    }
+    return Report(ok, values, seed=seed, samples=samples)

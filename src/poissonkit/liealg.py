@@ -29,6 +29,7 @@ import numpy as np
 
 from . import linalg
 from .exactalg import Poly, PolyMultiVec, SCALAR_I, SCALAR_ONE, SCALAR_ZERO, Scalar, sort_with_parity
+from .report import Report
 
 __all__ = [
     "LieAlgebraData",
@@ -36,8 +37,6 @@ __all__ = [
     "LinearAlgMap",
     "RootInfo",
     "RootData",
-    "LieVerdict",
-    "CheckReport",
     "DrinfeldDouble",
     "validate_lie",
     "sl_chevalley",
@@ -275,26 +274,18 @@ class AlgElement:
     __repr__ = __str__
 
 
-@dataclass(frozen=True)
-class LieVerdict:
-    ok: bool
-    reason: str = ""
-    witness: tuple | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def validate_lie(g: LieAlgebraData) -> LieVerdict:
-    """Exact antisymmetry and Jacobi check; returns the first violation."""
+def validate_lie(g: LieAlgebraData) -> Report:
+    """Exact antisymmetry and Jacobi check; on failure the witness is the index
+    tuple of the first violation."""
     for (i, j), entry in g.table.items():
         if i == j and any(not c.is_zero() for c in entry.values()):
-            return LieVerdict(False, f"[x_{i}, x_{i}] != 0", (i, i))
+            return Report(False, reason=f"[x_{i}, x_{i}] != 0", witness=(i, i))
         mirror = g.table.get((j, i), {})
         keys = set(entry) | set(mirror)
         for k in keys:
             if entry.get(k, SCALAR_ZERO) != -mirror.get(k, SCALAR_ZERO):
-                return LieVerdict(False, f"antisymmetry fails: c_({i},{j})^{k} != -c_({j},{i})^{k}", (i, j, k))
+                reason = f"antisymmetry fails: c_({i},{j})^{k} != -c_({j},{i})^{k}"
+                return Report(False, reason=reason, witness=(i, j, k))
     def iterated(i: int, j: int, k: int, acc: dict[int, Scalar]) -> None:
         # acc += [[x_i, x_j], x_k], via table lookups only
         for m, c in g.table.get((i, j), {}).items():
@@ -309,8 +300,8 @@ def validate_lie(g: LieAlgebraData) -> LieVerdict:
                 iterated(j, k, i, acc)
                 iterated(k, i, j, acc)
                 if any(not c.is_zero() for c in acc.values()):
-                    return LieVerdict(False, "Jacobi identity fails", (i, j, k))
-    return LieVerdict(True)
+                    return Report(False, reason="Jacobi identity fails", witness=(i, j, k))
+    return Report(True)
 
 
 # ---------------------------------------------------------------------------
@@ -418,11 +409,7 @@ def su_compact_basis(n: int) -> tuple[LieAlgebraData, AlgElement]:
         for coeff in entry.values():
             if coeff.im != 0:
                 raise AssertionError("compact real form produced a non-real constant")
-    roots = []
-    for r, info in enumerate(sl_roots.roots):
-        roots.append(RootInfo(info.pair, r, nroots + r, info.d, info.h_coords))
-    root_data = RootData(tuple(roots), tuple(range(2 * nroots, 2 * nroots + n - 1)))
-    g = LieAlgebraData.from_brackets(labels, brackets, mats, root_data, name=f"su{n}")
+    g = LieAlgebraData.from_brackets(labels, brackets, mats, sl_roots, name=f"su{n}")
 
     r_hat = AlgElement(g, 2, {(info.e_index, info.f_index): Scalar(info.d / 2) for info in g.root_data.roots})
     return g, r_hat
@@ -596,20 +583,12 @@ def cobracket(g: LieAlgebraData, r: AlgElement, x: AlgElement) -> AlgElement:
     return alg_schouten(x, r)
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    ok: bool
-    failures: tuple[str, ...] = ()
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-    @property
-    def reason(self) -> str:
-        return "; ".join(self.failures)
+def _failures_report(failures: list[str]) -> Report:
+    """Passes iff there are no failures; else they are the witness, and the reason their "; "-join."""
+    return Report(not failures, reason="; ".join(failures), witness=tuple(failures) if failures else None)
 
 
-def coboundary_check(g: LieAlgebraData, r: AlgElement) -> CheckReport:
+def coboundary_check(g: LieAlgebraData, r: AlgElement) -> Report:
     """Verify that [r, r] is ad-invariant: [x_b, [r, r]] = 0 for all b."""
     if r.algebra is not g:
         raise ValueError("r does not live in g")
@@ -621,7 +600,7 @@ def coboundary_check(g: LieAlgebraData, r: AlgElement) -> CheckReport:
         defect = ad_action(g, b, cyb)
         if not defect.is_zero():
             failures.append(f"[{g.labels[b]}, [r, r]] = {defect}")
-    return CheckReport(not failures, tuple(failures))
+    return _failures_report(failures)
 
 
 def _antimorphism_failures(g: LieAlgebraData, phi: LinearAlgMap, i: int) -> list[int]:
@@ -636,9 +615,9 @@ def _antimorphism_failures(g: LieAlgebraData, phi: LinearAlgMap, i: int) -> list
     return failures
 
 
-def symmetric_bialgebra_check(g: LieAlgebraData, r: AlgElement, phi: LinearAlgMap) -> CheckReport:
+def symmetric_bialgebra_check(g: LieAlgebraData, r: AlgElement, phi: LinearAlgMap) -> Report:
     """phi is an involutive anti-morphism with phi r = -r, over a coboundary r."""
-    failures = list(coboundary_check(g, r).failures)
+    failures = list(coboundary_check(g, r).witness or ())
     if phi.source is not g or phi.target is not g:
         raise ValueError("phi must be an endomorphism of g")
     if not phi.is_involution():
@@ -648,7 +627,7 @@ def symmetric_bialgebra_check(g: LieAlgebraData, r: AlgElement, phi: LinearAlgMa
             failures.append(f"anti-morphism fails on ({g.labels[i]}, {g.labels[j]})")
     if not (phi.apply(r) + r).is_zero():
         failures.append("phi r != -r")
-    return CheckReport(not failures, tuple(failures))
+    return _failures_report(failures)
 
 
 # ---------------------------------------------------------------------------
@@ -767,7 +746,7 @@ def chi_map(double: DrinfeldDouble, phi: LinearAlgMap) -> LinearAlgMap:
     return LinearAlgMap(double.sigma, double.sigma, tuple(tuple(row) for row in mat))
 
 
-def chi_check(double: DrinfeldDouble, phi: LinearAlgMap) -> CheckReport:
+def chi_check(double: DrinfeldDouble, phi: LinearAlgMap) -> Report:
     """chi is an involutive anti-morphism of the double that flips the pairing."""
     sigma = double.sigma
     chi = chi_map(double, phi)
@@ -785,7 +764,7 @@ def chi_check(double: DrinfeldDouble, phi: LinearAlgMap) -> CheckReport:
             rhs = double._pair_supports([(i, SCALAR_ONE)], {j: SCALAR_ONE})
             if lhs + rhs:
                 failures.append(f"pairing flip fails on ({sigma.labels[i]}, {sigma.labels[j]})")
-    return CheckReport(not failures, tuple(failures))
+    return _failures_report(failures)
 
 
 def lie_poisson_chart(g: LieAlgebraData):

@@ -14,7 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .exactalg import Poly, PolyMultiVec, parse_poly, print_poly, schouten
+from .exactalg import Poly, PolyMultiVec, parse_poly, schouten
+from .report import Report
 
 __all__ = [
     "PoissonChart",
@@ -24,7 +25,6 @@ __all__ = [
     "hamiltonian_vf",
     "sharp",
     "is_casimir",
-    "CasimirVerdict",
     "modular_vf",
     "relative_modular",
     "RelativeModularReport",
@@ -72,9 +72,6 @@ class PoissonChart:
     def parse(self, text: str) -> Poly:
         return parse_poly(text, self.coords)
 
-    def show(self, poly: Poly) -> str:
-        return print_poly(poly, self.coords)
-
 
 def jacobiator(chart: PoissonChart) -> PolyMultiVec:
     """[pi, pi]; the chart is Poisson iff this degree-3 field vanishes."""
@@ -113,23 +110,14 @@ def bracket(chart: PoissonChart, f: Poly, g: Poly) -> Poly:
     return total
 
 
-@dataclass(frozen=True)
-class CasimirVerdict:
-    ok: bool
-    witness_index: int | None = None
-    witness: Poly | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def is_casimir(chart: PoissonChart, f: Poly) -> CasimirVerdict:
-    """True iff X_f vanishes identically; else the first nonzero component."""
+def is_casimir(chart: PoissonChart, f: Poly) -> Report:
+    """Passes iff X_f vanishes identically.  Otherwise the witness is the first
+    nonzero component as (index, polynomial) and the reason names it, X_f(<coord>)."""
     xf = hamiltonian_vf(chart, f)
     if xf.is_zero():
-        return CasimirVerdict(True)
+        return Report(True)
     (idx,), poly = sorted(xf.comps.items())[0]
-    return CasimirVerdict(False, idx, poly)
+    return Report(False, reason=f"X_f({chart.coords[idx]})", witness=(idx, poly))
 
 
 def _divergence(chart: PoissonChart, vf: PolyMultiVec) -> Poly:

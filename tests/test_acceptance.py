@@ -100,7 +100,7 @@ def test_c04_dirac_criterion_examples():
     chart = PoissonChart(4, ("x1", "x2", "x3", "x4"), pi)
     ok = check_aligned_dirac(AlignedSubmanifold(chart, (0, 1), (2, 3))).ok
     bad = check_aligned_dirac(AlignedSubmanifold(chart, (0, 3), (1, 2)))
-    ok = ok and (not bad.ok) and bad.witness == Poly.const(4, 1)
+    ok = ok and (not bad.ok) and bad.witness[1] == Poly.const(4, 1)
     e1 = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -157,13 +157,13 @@ def test_c07_stokes_flagship():
     elapsed = time.perf_counter() - t0
     ok = (
         rep.ok
-        and abs(abs(rep.kappa) - 2.0) <= 1e-8
-        and rep.max_dubrovin_residual <= 1e-8
-        and rep.max_pushforward_residual <= 1e-8
+        and abs(abs(rep.values["kappa"]) - 2.0) <= 1e-8
+        and rep.values["max_dubrovin_residual"] <= 1e-8
+        and rep.values["max_pushforward_residual"] <= 1e-8
     )
     _report(7, ok and elapsed < 30.0,
-            f"kappa={rep.kappa:.12f}, dubrovin={rep.max_dubrovin_residual:.2e}, "
-            f"pushforward={rep.max_pushforward_residual:.2e}, {elapsed:.2f}s")
+            f"kappa={rep.values['kappa']:.12f}, dubrovin={rep.values['max_dubrovin_residual']:.2e}, "
+            f"pushforward={rep.values['max_pushforward_residual']:.2e}, {elapsed:.2f}s")
 
 
 def test_c08_two_route_agreement():
@@ -173,8 +173,8 @@ def test_c08_two_route_agreement():
     elapsed = time.perf_counter() - t0
     ok = sl.ok and su.ok
     _report(8, ok and elapsed < 30.0,
-            f"SL(3,R) diff={sl.max_route_difference:.2e}, "
-            f"SU(3) diff={su.max_route_difference:.2e}, {elapsed:.2f}s")
+            f"SL(3,R) diff={sl.values['max_route_difference']:.2e}, "
+            f"SU(3) diff={su.values['max_route_difference']:.2e}, {elapsed:.2f}s")
 
 
 def test_c09_cdybe():
@@ -185,10 +185,10 @@ def test_c09_cdybe():
         g = sl_chevalley(n)
         for fam in (trig_family(g), rational_family(g)):
             rep = residual_scan(fam, samples=10, seed=5, tol=1e-7)
-            good = (rep.spread <= 1e-7 and rep.invariance_defect <= 1e-7
-                    and rep.derivative_defect <= 1e-7)
+            good = (rep.values["spread"] <= 1e-7 and rep.values["invariance_defect"] <= 1e-7
+                    and rep.values["derivative_defect"] <= 1e-7)
             ok = ok and good
-            detail.append(f"sl{n}/{fam.kind}:{rep.spread:.1e}")
+            detail.append(f"sl{n}/{fam.kind}:{rep.values['spread']:.1e}")
     g3 = sl_chevalley(3)
     neg = residual_scan(corrupted_family(g3), samples=6, seed=5, tol=1e-7)
     ok = ok and not neg.ok

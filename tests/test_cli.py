@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, file formats, report determinism."""
 
 import argparse
+import re
 import shlex
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import pytest
 
 from conftest import subprocess_env
 
+import poissonkit
 from poissonkit.chartio import (
     ChartFileError,
     emit_chart,
@@ -81,7 +83,7 @@ def test_algebra_fixture_files_validate():
 
 def test_exit_zero_on_pass():
     code, report = run_command(["check", "jacobi", "dubrovin3.chart"])
-    assert code == 0 and report.passed
+    assert code == 0 and report.ok
 
 
 def test_exit_zero_markoff_casimir():
@@ -91,7 +93,7 @@ def test_exit_zero_markoff_casimir():
 
 def test_exit_one_on_verification_failure():
     code, report = run_command(["check", "casimir", "dubrovin3.chart", "--f", "x"])
-    assert code == 1 and not report.passed
+    assert code == 1 and not report.ok
     code, _ = run_command(["dirac", "aligned", "product22_bad.chart"])
     assert code == 1
 
@@ -181,6 +183,7 @@ def test_sample_count_below_one_is_a_usage_error(argv, capsys):
     (["dirac", "affine-lie", "--algebra", "so3", "--l", "x1", "--m", "x1,x2", "--mu", "0,0,1"], "do not form a basis"),
     (["dynr", "cdybe", "--algebra", "sl3", "--samples", "1"], "--samples: must be at least 2, got 1"),
     (["dirac", "slice", "nonfamily.chart", "--t", "z", "--t0", "0"], "components along the slice only"),
+    (["dirac", "transverse", "--algebra", "sl2", "--l", "h1", "--m", "e12,f12", "--mu", "1"], "mu has the wrong"),
 ])
 def test_bad_input_is_a_usage_error(argv, needle, capsys, tmp_path, monkeypatch):
     # each of these used to exit 1, as if a verification had failed, or to pass having checked nothing
@@ -208,6 +211,16 @@ def test_load_time_jacobi_check(argv, code, tmp_path):
     chart = tmp_path / "nonpoisson.chart"
     chart.write_text("dim 4\ncoords x y z w\nbracket x y = z\nbracket y z = y\n")
     assert run_command([*argv[:2], str(chart), *argv[2:]])[0] == code
+
+
+def test_dirac_slice_reports_a_non_poisson_slice(capsys, tmp_path):
+    # a slice bivector that is not Poisson at t0 fails with check jacobi's witness, not an error
+    chart = tmp_path / "nonpoisson.chart"
+    chart.write_text("dim 4\ncoords x y z w\nbracket x y = z\nbracket y z = y\n")
+    code, report = run_command(["--porcelain", "dirac", "slice", str(chart), "--t", "w", "--t0", "0"])
+    assert code == 1 and not report.ok
+    out = capsys.readouterr()
+    assert out.out.splitlines()[-2:] == ["witness=(x,y,z): 2*z", "pass=False"] and out.err == ""
 
 
 def test_non_poisson_involution_is_a_verification_failure():
@@ -251,6 +264,15 @@ def _leaf_commands(parser, prefix=()):
         assert callable(parser.get_default("handler")), prefix
         return [" ".join(prefix)]
     return [leaf for name, p in subparsers[0].choices.items() for leaf in _leaf_commands(p, (*prefix, name))]
+
+
+def test_readme_layout_names_every_module():
+    # a module cannot ship without its row in README's Layout table
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("## Layout")[1].split("\n## ")[0]
+    listed = re.findall(r"^\| `poissonkit\.(\w+)` \|", table, flags=re.MULTILINE)
+    modules = [p.stem for p in Path(poissonkit.__file__).parent.glob("*.py") if p.stem not in ("__init__", "__main__")]
+    assert sorted(listed) == sorted(modules)
 
 
 # exact commands: the full porcelain stdout; numeric ones: the porcelain keys

@@ -45,8 +45,7 @@ def test_aligned_fail_isotropic_complement():
     sub = aligned(product_chart(), (0, 3))
     verdict = check_aligned_dirac(sub)
     assert not verdict.ok
-    assert verdict.witness_pair == (0, 1)
-    assert verdict.witness == Poly.const(4, 1)
+    assert verdict.witness == ((0, 1), Poly.const(4, 1))
 
 
 def test_aligned_so3_axis():
@@ -234,7 +233,7 @@ def test_affine_so3_axis_passes():
     g = builtin_algebra("so3")
     verdict = affine_lie_poisson_dirac(g, ["x3"], ["x1", "x2"], [0, 0, 1])
     assert verdict.ok
-    assert verdict.induced.dim == 1 and verdict.induced.pi.is_zero()
+    assert verdict.values["induced"].dim == 1 and verdict.values["induced"].pi.is_zero()
 
 
 def test_affine_so3_not_subalgebra():
@@ -249,7 +248,7 @@ def test_affine_sl2_cartan():
     mu = [0, 0, 1]  # the h-coordinate covector
     verdict = affine_lie_poisson_dirac(g, ["h1"], ["e12", "f12"], mu)
     assert verdict.ok
-    assert verdict.induced.dim == 1
+    assert verdict.values["induced"].dim == 1
 
 
 def test_affine_ad_condition_fails():
@@ -303,14 +302,14 @@ def test_slice_t_independent_gives_zero():
     pi = PolyMultiVec(3, 2, {(0, 1): Poly.var(3, 0)})
     chart = PoissonChart(3, ("x1", "x2", "t"), pi)
     rep = leaf_slice_obstruction(chart, (2,), [0], 1)
-    assert rep.solvable
-    assert all(w.is_zero() for w in rep.witnesses)
+    assert rep.ok
+    assert all(w.is_zero() for w in rep.witness)
 
 
 def test_slice_solvable_at_degree_one():
     rep = leaf_slice_obstruction(slice_chart(), (2,), [0], 1)
-    assert rep.solvable
-    (w,) = rep.witnesses
+    assert rep.ok
+    (w,) = rep.witness
     assert not w.is_zero()
     # defining property, re-checked through the Schouten bracket:
     # d pi/dt|_0 + [X, pi_0] = 0 exactly
@@ -321,12 +320,14 @@ def test_slice_solvable_at_degree_one():
 
 def test_slice_unsolvable_at_degree_zero():
     rep = leaf_slice_obstruction(slice_chart(), (2,), [0], 0)
-    assert not rep.solvable
-    assert rep.witnesses is None
+    assert not rep.ok
+    assert rep.witness is None
 
 
 def test_slice_rejects_non_poisson_slice():
     pi = PolyMultiVec(4, 2, {(0, 1): Poly.var(4, 2), (1, 2): Poly.var(4, 1)})
     chart = PoissonChart(4, ("x1", "x2", "x3", "t"), pi)
-    with pytest.raises(ValueError):
-        leaf_slice_obstruction(chart, (3,), [0], 1)
+    # a failed report, not an error: the witness is the first Jacobiator component of the slice
+    rep = leaf_slice_obstruction(chart, (3,), [0], 1)
+    assert not rep.ok and rep.reason == "slice bivector at t0 is not Poisson"
+    assert rep.witness == ((0, 1, 2), Poly.var(3, 2) + Poly.var(3, 2))

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import make_rng
+from conftest import assert_pass_rule, make_rng
 from poissonkit.dynr import (
     NearSingular,
     _ad_defect,
@@ -202,7 +202,7 @@ def test_einsum_brackets_match_alg_schouten(name):
 def test_scan_sl2_trig_tight():
     rep = residual_scan(trig_family(sl_chevalley(2)), samples=10, seed=5, tol=1e-8)
     assert rep.ok
-    assert rep.spread <= 1e-8
+    assert rep.values["spread"] <= 1e-8
 
 
 def test_scan_sl3_both_families():
@@ -215,7 +215,7 @@ def test_scan_sl3_both_families():
 def test_scan_negative_control_sl3():
     rep = residual_scan(corrupted_family(sl_chevalley(3)), samples=6, seed=5, tol=1e-7)
     assert not rep.ok
-    assert rep.spread > 1e-3
+    assert rep.values["spread"] > 1e-3
 
 
 def test_scan_deterministic():
@@ -224,12 +224,28 @@ def test_scan_deterministic():
     assert rep1 == rep2
 
 
+@pytest.mark.parametrize("make_family", [trig_family, corrupted_family])
+def test_residual_scan_pass_rule(make_family):
+    # tol bounds all three defects; the trig family's largest is the derivative defect,
+    # the corrupted family's the spread
+    family = make_family(sl_chevalley(3))
+    bounded = ("spread", "invariance_defect", "derivative_defect")
+    assert_pass_rule(lambda tol: residual_scan(family, samples=3, seed=4, tol=tol), bounded, 4, 3)
+
+
+def test_equivariance_pass_rule():
+    # the identity is not an anti-morphism, so its defect is nonzero
+    g = sl_chevalley(2)
+    ident = LinearAlgMap(g, g, tuple(tuple(row) for row in linalg.identity(g.dim)))
+    assert_pass_rule(lambda tol: equivariance_check(trig_family(g), ident, 2, 3, tol), ("defect",), 3, 2)
+
+
 def test_report_values_are_python_floats():
     g = sl_chevalley(2)
     rep = residual_scan(trig_family(g), samples=3, seed=1)
-    assert all(type(v) is float for v in (rep.spread, rep.invariance_defect, rep.derivative_defect))
+    assert all(type(rep.values[k]) is float for k in ("spread", "invariance_defect", "derivative_defect"))
     eq = equivariance_check(trig_family(g), transpose_antimorphism(g), samples=2, seed=1)
-    assert type(eq.defect) is float
+    assert type(eq.values["defect"]) is float
 
 
 def test_gradient_check_explicit():
@@ -254,7 +270,7 @@ def test_equivariance_sl2_sl3():
         s = transpose_antimorphism(g)
         rep = equivariance_check(trig_family(g), s, samples=8, seed=3)
         assert rep.ok
-        assert rep.defect <= 1e-10
+        assert rep.values["defect"] <= 1e-10
 
 
 def test_equivariance_negative_control_identity():
@@ -262,7 +278,7 @@ def test_equivariance_negative_control_identity():
     ident = LinearAlgMap(g, g, tuple(tuple(row) for row in linalg.identity(g.dim)))
     rep = equivariance_check(trig_family(g), ident, samples=4, seed=3)
     assert not rep.ok
-    assert rep.defect > 0.1
+    assert rep.values["defect"] > 0.1
 
 
 def test_equivariance_rejects_a_map_that_leaves_the_cartan():

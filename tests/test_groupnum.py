@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import assert_pass_rule
 from poissonkit import groupnum
 from poissonkit.groupnum import (
     TOL_MEMBER,
@@ -213,7 +214,7 @@ def test_two_routes_agree_sl3_su3():
     for rep_kind in ("sl", "su"):
         rep = crosscheck_report(rep_kind, samples=10, seed=2, tol=1e-8, n=3)
         assert rep.ok, rep
-        assert rep.max_route_difference <= 1e-8
+        assert rep.values["max_route_difference"] <= 1e-8
 
 
 def test_crosscheck_flags_legs_off_the_plus_eigenspace(monkeypatch):
@@ -225,7 +226,7 @@ def test_crosscheck_flags_legs_off_the_plus_eigenspace(monkeypatch):
     monkeypatch.setattr(groupnum, "pi_q_projection", u_only)
     for kind in ("sl", "su"):
         rep = crosscheck_report(kind, samples=3, seed=2, tol=1e-8, n=3)
-        assert rep.max_plus_residual > TOL_MEMBER
+        assert rep.values["max_plus_residual"] > TOL_MEMBER
         assert not rep.ok
 
 
@@ -298,18 +299,31 @@ def test_dual_tangency_random_points():
 def test_stokes_report_passes():
     rep = stokes_report(3, samples=20, seed=1, tol=1e-8)
     assert rep.ok
-    assert abs(abs(rep.kappa) - 2.0) <= 1e-8
-    assert rep.max_dubrovin_residual <= 1e-8
-    assert rep.max_pushforward_residual <= 1e-8
-    assert rep.max_markoff_defect <= 1e-7
-    assert rep.rank_relation_ok
+    assert abs(abs(rep.values["kappa"]) - 2.0) <= 1e-8
+    assert rep.values["max_dubrovin_residual"] <= 1e-8
+    assert rep.values["max_pushforward_residual"] <= 1e-8
+    assert rep.values["max_markoff_defect"] <= 1e-7
+    assert rep.values["rank_relation_ok"]
 
 
 def test_stokes_deterministic_bitwise():
     rep1 = stokes_report(3, samples=6, seed=7, tol=1e-8)
     rep2 = stokes_report(3, samples=6, seed=7, tol=1e-8)
     assert rep1 == rep2
-    assert rep1.lines() == rep2.lines()
+    assert rep1.lines(True, "group stokes") == rep2.lines(True, "group stokes")
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_stokes_pass_rule(seed):
+    # tol bounds the Dubrovin residual, the kappa-two defect and the pushforward residual
+    bounded = ("max_dubrovin_residual", "kappa_two_defect", "max_pushforward_residual")
+    assert_pass_rule(lambda tol: stokes_report(3, samples=3, seed=seed, tol=tol), bounded, seed, 3)
+
+
+@pytest.mark.parametrize("kind", ["sl", "su"])
+def test_crosscheck_pass_rule(kind):
+    # tol bounds the route difference only; the +1 eigenspace residual has TOL_MEMBER
+    assert_pass_rule(lambda tol: crosscheck_report(kind, 3, 2, tol, n=3), ("max_route_difference",), 2, 3)
 
 
 def test_stokes_requires_n3_chart():
@@ -465,7 +479,7 @@ def test_plus_eigenspace_matches_per_probe_loop():
     )
     for kind, template in templates:
         spec = InvolutionSpec(kind)
-        basis = _plus_eigenspace(spec, template, 1e-8)
+        basis = _plus_eigenspace(spec, template.shape, template.dtype, 1e-8)
         ref = _ref_plus_projector(spec, template)
         assert np.max(np.abs(basis @ basis.T - ref)) <= 1e-14, (kind, template.dtype)
         assert basis.shape[1] == round(np.trace(ref))

@@ -26,6 +26,7 @@ from poissonkit.liealg import (
     validate_lie,
 )
 from poissonkit.poisson import is_casimir, jacobiator
+from poissonkit.report import Report
 
 
 # -- validation -----------------------------------------------------------------
@@ -208,7 +209,7 @@ def test_symmetric_fails_for_identity_map():
     ident = LinearAlgMap(g, g, tuple(tuple(row) for row in linalg.identity(g.dim)))
     rep = symmetric_bialgebra_check(g, standard_r_matrix(g), ident)
     assert not rep.ok
-    assert any("anti-morphism" in msg for msg in rep.failures)
+    assert any("anti-morphism" in msg for msg in rep.witness)
 
 
 def test_phi_fixes_cartan_pointwise():
@@ -396,7 +397,7 @@ def test_chi_check_negative_controls_match_dense_sweep():
     failures = {}
     for name, rows in (("identity", ident), ("twice", linalg.mat_scale(ident, 2))):
         phi = LinearAlgMap(g, g, tuple(tuple(row) for row in rows))
-        failures[name] = chi_check(dd, phi).failures
+        failures[name] = chi_check(dd, phi).witness
         assert failures[name] == _dense_chi_failures(dd, phi)
     # the identity is an involutive morphism: only the anti-morphism identity fails
     assert failures["identity"] and all("anti-morphism" in msg for msg in failures["identity"])
@@ -468,7 +469,7 @@ def test_double_pairing_sweep_catches_a_tampered_mixed_bracket(monkeypatch):
     with pytest.raises(AssertionError):
         drinfeld_double(g, r)
     # with the Jacobi sweep out of the way, the pairing sweep alone must catch it
-    monkeypatch.setattr(liealg, "validate_lie", lambda alg: liealg.LieVerdict(True))
+    monkeypatch.setattr(liealg, "validate_lie", lambda alg: Report(True))
     with pytest.raises(AssertionError, match="pairing is not invariant"):
         drinfeld_double(g, r)
     monkeypatch.setattr(LieAlgebraData, "from_brackets", staticmethod(build))
