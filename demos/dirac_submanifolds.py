@@ -16,7 +16,6 @@ from poissonkit.dirac import (
     check_aligned_dirac,
     fixed_locus_projection,
     fixed_locus_symbolic,
-    induced_poisson,
     leaf_slice_obstruction,
 )
 from poissonkit.exactalg import Poly, PolyMultiVec
@@ -30,8 +29,9 @@ pi = PolyMultiVec(4, 2, {(0, 1): Poly.const(4, 1), (2, 3): Poly.const(4, 1)})
 chart = PoissonChart(4, ("x1", "x2", "x3", "x4"), pi)
 
 good = AlignedSubmanifold(chart, (0, 1), (2, 3))
-print("symplectic complement:", check_aligned_dirac(good).ok)
-print(emit_chart(induced_poisson(good)))
+verdict = check_aligned_dirac(good)
+print("symplectic complement:", verdict.ok)
+print(emit_chart(verdict.values["induced"]))
 
 bad = AlignedSubmanifold(chart, (0, 3), (1, 2))
 verdict = check_aligned_dirac(bad)
@@ -47,9 +47,9 @@ print("\nso(3) axis passes:", check_aligned_dirac(axis).ok)
 # so(3)*: computed once by an exact eigenbasis change of coordinates, and
 # once by projecting every wedge leg with (1 + S_*)/2.  The routes agree.
 s = LinearInvolution.from_rows([[-1, 0, 0], [0, -1, 0], [0, 0, 1]])
-sub, induced = fixed_locus_symbolic(so3_chart, s)
+fixed = fixed_locus_symbolic(so3_chart, s).values
 projected = fixed_locus_projection(so3_chart, s)
-print("fixed locus dim:", len(sub.x_indices), "| routes agree:", projected.pi == induced.pi)
+print("fixed locus dim:", len(fixed["submanifold"].x_indices), "| routes agree:", projected.pi == fixed["induced"].pi)
 
 # Affine subspaces mu + m-perp of a Lie-Poisson dual: the criterion is a
 # reductive decomposition plus an ad* condition on mu.

@@ -72,14 +72,10 @@ def _coord_index(token: str, coords: list[str], lineno: int) -> int:
     return idx
 
 
-def parse_chart_text(text: str, check_jacobi: bool = True) -> tuple[PoissonChart, AlignedSubmanifold | None]:
-    dim: int | None = None
-    coords: list[str] | None = None
-    entries: dict[tuple[int, int], Poly] = {}
-    volume: Poly | None = None
-    sub_names: list[str] | None = None
-    sub_line = 0
-
+def _header(text: str, names_key: str, noun: str) -> tuple[int, list[str], list[tuple[int, str, str]]]:
+    """The ``dim`` line and the names line (``coords`` or ``labels``) of either format, read
+    wherever they stand, and the other lines as (line number, directive, rest of the line)."""
+    dim, names, names_line, body = None, None, 1, []
     for lineno, line in _logical_lines(text):
         head, _, rest = line.partition(" ")
         rest = rest.strip()
@@ -88,13 +84,30 @@ def parse_chart_text(text: str, check_jacobi: bool = True) -> tuple[PoissonChart
                 dim = int(rest)
             except ValueError:
                 raise ChartFileError(f"bad dimension {rest!r}", lineno) from None
-        elif head == "coords":
-            coords = rest.split()
-            if dim is not None and len(coords) != dim:
-                raise ChartFileError(f"expected {dim} coordinate names, got {len(coords)}", lineno)
-        elif head == "bracket":
-            if coords is None:
-                raise ChartFileError("bracket before coords", lineno)
+        elif head == names_key:
+            names, names_line = rest.split(), lineno
+            if len(set(names)) != len(names):
+                raise ChartFileError(f"repeated name in {names_key}", lineno)
+            if "i" in names:  # polynomials over these names read i as the imaginary unit
+                raise ChartFileError("name 'i' collides with the imaginary unit", lineno)
+        else:
+            body.append((lineno, head, rest))
+    if dim is None or names is None:
+        raise ChartFileError(f"file must declare dim and {names_key}", 1)
+    if len(names) != dim:
+        raise ChartFileError(f"expected {dim} {noun}, got {len(names)}", names_line)
+    return dim, names, body
+
+
+def parse_chart_text(text: str, check_jacobi: bool = True) -> tuple[PoissonChart, AlignedSubmanifold | None]:
+    dim, coords, body = _header(text, "coords", "coordinate names")
+    entries: dict[tuple[int, int], Poly] = {}
+    volume: Poly | None = None
+    sub_names: list[str] | None = None
+    sub_line = 0
+
+    for lineno, head, rest in body:
+        if head == "bracket":
             lhs, _, expr = rest.partition("=")
             tokens = lhs.split()
             if len(tokens) != 2 or not expr.strip():
@@ -114,13 +127,13 @@ def parse_chart_text(text: str, check_jacobi: bool = True) -> tuple[PoissonChart
                 raise ChartFileError(f"bracket ({coords[i]}, {coords[j]}) declared twice", lineno)
             entries[(i, j)] = poly if sign == 1 else -poly
         elif head == "volume":
-            if coords is None:
-                raise ChartFileError("volume before coords", lineno)
-            _, _, expr = line.partition("=")
+            _, _, expr = rest.partition("=")
             try:
                 volume = parse_poly(expr.strip(), coords)
             except ParseError as err:
                 raise ChartFileError(f"bad volume density: {err}", lineno) from None
+            if volume.is_zero():
+                raise ChartFileError("volume density must not be identically zero", lineno)
         elif head == "submanifold":
             lhs, _, names = rest.partition("=")
             if lhs.strip() != "x":
@@ -130,8 +143,6 @@ def parse_chart_text(text: str, check_jacobi: bool = True) -> tuple[PoissonChart
         else:
             raise ChartFileError(f"unknown directive {head!r}", lineno)
 
-    if dim is None or coords is None:
-        raise ChartFileError("file must declare dim and coords", 1)
     pi = PolyMultiVec(dim, 2, {k: p for k, p in entries.items() if not p.is_zero()})
     chart = PoissonChart(dim, tuple(coords), pi, volume)
 
@@ -175,21 +186,10 @@ def emit_chart(chart: PoissonChart, sub: AlignedSubmanifold | None = None) -> st
 
 
 def parse_algebra_text(text: str, name: str = "") -> LieAlgebraData:
-    dim: int | None = None
-    labels: list[str] | None = None
+    _, labels, body = _header(text, "labels", "labels")
     brackets: dict[tuple[int, int], dict[int, object]] = {}
-    for lineno, line in _logical_lines(text):
-        head, _, rest = line.partition(" ")
-        rest = rest.strip()
-        if head == "dim":
-            dim = int(rest)
-        elif head == "labels":
-            labels = rest.split()
-            if dim is not None and len(labels) != dim:
-                raise ChartFileError(f"expected {dim} labels, got {len(labels)}", lineno)
-        elif head == "c":
-            if labels is None:
-                raise ChartFileError("structure constant before labels", lineno)
+    for lineno, head, rest in body:
+        if head == "c":
             lhs, _, value = rest.partition("=")
             tokens = lhs.split()
             if len(tokens) != 3 or not value.strip():
@@ -210,8 +210,6 @@ def parse_algebra_text(text: str, name: str = "") -> LieAlgebraData:
             if k in entry:
                 raise ChartFileError("structure constant declared twice", lineno)
             entry[k] = coeff if sign == 1 else -coeff
-    if dim is None or labels is None:
-        raise ChartFileError("file must declare dim and labels", 1)
     g = LieAlgebraData.from_brackets(labels, brackets, name=name)
     verdict = validate_lie(g)
     if not verdict:

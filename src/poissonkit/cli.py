@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommand tree: check | dirac | modular | lie | group | dynr | oracle.
-Exit codes: 0 on pass, 1 on a verification failure, 2 on usage or parse
-errors.  ``--porcelain`` switches to machine-readable ``key=value`` lines;
-reports are deterministic for fixed inputs and seeds.
+Exit codes: 0 on pass, 1 on a verification failure (a report ending
+``pass=False``), 2 on usage or input errors.  ``--porcelain`` switches to
+machine-readable ``key=value`` lines; reports are deterministic for fixed
+inputs and seeds.
 """
 
 from __future__ import annotations
@@ -33,15 +34,13 @@ def _int_in_range(low: int, high: int | None = None):
     outside that range a command would check nothing or reject its input."""
 
     def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        value = int(text)  # argparse reports a ValueError as "invalid <__name__> value: 'text'"
         if value < low or (high is not None and value > high):
             bound = f"at least {low}" if high is None else f"between {low} and {high}"
             raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
         return value
 
+    parse.__name__ = "int"
     return parse
 
 
@@ -63,10 +62,10 @@ def _coord_indices(chart, text: str, flag: str) -> list[int]:
     return [chart.coords.index(n) for n in names]
 
 
-def _load_chart(args, need_sub: bool = False):
-    """The chart ``args.chart`` and its aligned submanifold.  Only commands that take
-    ``--skip-jacobi`` run the load-time Jacobi check: ``check *`` and ``dirac slice`` do not."""
-    chart, sub = chartio.parse_chart_file(args.chart, check_jacobi=not getattr(args, "skip_jacobi", True))
+def _load_chart(args, need_sub: bool = False, check_jacobi: bool = True):
+    """The chart ``args.chart`` and its aligned submanifold, a non-Poisson chart rejected
+    unless ``check_jacobi`` is off (``check *`` and ``dirac slice`` read any chart)."""
+    chart, sub = chartio.parse_chart_file(args.chart, check_jacobi)
     x_override = getattr(args, "x", None)
     if x_override:
         xs = tuple(_coord_indices(chart, x_override, "--x"))
@@ -87,38 +86,42 @@ def _vector_field(mv, names) -> str:
     return " + ".join(f"({print_poly(p, names)}) d/d{names[i[0]]}" for i, p in sorted(mv.comps.items())) or "0"
 
 
-def _jacobiator_component(item, names) -> str:
-    """A Jacobiator component (index triple, polynomial) as '(x,y,z): p'."""
+def _component(item, names) -> str:
+    """A multivector component (index tuple, polynomial) as '(x,y,z): p'."""
     key, poly = item
     return f"({','.join(names[i] for i in key)}): {print_poly(poly, names)}"
 
 
-def _reductive_split(args):
-    """The algebra, l and m bases and mu of ``dirac affine-lie|transverse``."""
+def _reductive_split(args, check, key: str) -> Report:
+    """``dirac affine-lie|transverse``: ``check`` on the algebra, l and m bases and mu, with
+    the induced chart under ``key`` on success and the reason as witness on failure."""
     g = chartio.load_algebra(args.algebra)
-    return g, _split_csv(args.l), _split_csv(args.m), [parse_scalar(v) for v in _split_csv(args.mu)]
+    verdict = check(g, _split_csv(args.l), _split_csv(args.m), [parse_scalar(v) for v in _split_csv(args.mu)])
+    if verdict.ok:
+        return Report(True, {"algebra": args.algebra, key: _one_line(verdict.values["induced"])})
+    return Report(False, {"algebra": args.algebra}, witness=verdict.reason)
 
 
 # -- handlers, one per leaf command ------------------------------------------
 
 
 def _check_jacobi(args) -> Report:
-    chart, _ = _load_chart(args)
+    chart, _ = _load_chart(args, check_jacobi=False)
     jac = poisson.jacobiator(chart)
     ok = jac.is_zero()
-    witness = None if ok else _jacobiator_component(sorted(jac.comps.items())[0], chart.coords)
+    witness = None if ok else _component(sorted(jac.comps.items())[0], chart.coords)
     return Report(ok, {"chart": args.chart, "jacobiator": "0" if ok else "nonzero"}, witness=witness)
 
 
 def _check_casimir(args) -> Report:
-    chart, _ = _load_chart(args)
+    chart, _ = _load_chart(args, check_jacobi=False)
     verdict = poisson.is_casimir(chart, parse_poly(args.f, chart.coords))
     witness = None if verdict.ok else f"{verdict.reason} = {print_poly(verdict.witness[1], chart.coords)}"
     return Report(verdict.ok, {"chart": args.chart, "f": args.f}, witness=witness)
 
 
 def _check_bracket(args) -> Report:
-    chart, _ = _load_chart(args)
+    chart, _ = _load_chart(args, check_jacobi=False)
     f = parse_poly(args.f, chart.coords)
     g = parse_poly(args.g, chart.coords)
     return Report(True, {"bracket": print_poly(poisson.bracket(chart, f, g), chart.coords)})
@@ -128,7 +131,7 @@ def _dirac_aligned(args) -> Report:
     _, sub = _load_chart(args, need_sub=True)
     verdict = dirac.check_aligned_dirac(sub)
     if verdict.ok:
-        return Report(True, {"chart": args.chart, "induced": _one_line(dirac.induced_poisson(sub))})
+        return Report(True, {"chart": args.chart, "induced": _one_line(verdict.values["induced"])})
     witness = f"{verdict.reason}: {print_poly(verdict.witness[1], sub.chart.coords)}"
     return Report(False, {"chart": args.chart}, witness=witness)
 
@@ -136,24 +139,23 @@ def _dirac_aligned(args) -> Report:
 def _dirac_fixed_locus(args) -> Report:
     chart, _ = _load_chart(args)
     rows = [[parse_scalar(v) for v in row.split(",")] for row in args.matrix.split(";")]
-    sub, induced = dirac.fixed_locus_symbolic(chart, dirac.LinearInvolution.from_rows(rows))
-    return Report(True, {"fixed_dim": len(sub.x_indices), "induced": _one_line(induced)})
+    verdict = dirac.fixed_locus_symbolic(chart, dirac.LinearInvolution.from_rows(rows))
+    if not verdict.ok:  # S_* pi - pi; the chart itself passed the load-time Jacobi check
+        return Report(False, witness=_component(verdict.witness, chart.coords))
+    fixed_dim = len(verdict.values["submanifold"].x_indices)
+    return Report(True, {"fixed_dim": fixed_dim, "induced": _one_line(verdict.values["induced"])})
 
 
 def _dirac_affine_lie(args) -> Report:
-    verdict = dirac.affine_lie_poisson_dirac(*_reductive_split(args))
-    if verdict.ok:
-        return Report(True, {"algebra": args.algebra, "induced": _one_line(verdict.values["induced"])})
-    return Report(False, {"algebra": args.algebra}, witness=verdict.reason)
+    return _reductive_split(args, dirac.affine_lie_poisson_dirac, "induced")
 
 
 def _dirac_transverse(args) -> Report:
-    chart = dirac.transverse_from_reductive(*_reductive_split(args))
-    return Report(True, {"algebra": args.algebra, "transverse": _one_line(chart)})
+    return _reductive_split(args, dirac.transverse_from_reductive, "transverse")
 
 
 def _dirac_slice(args) -> Report:
-    chart, _ = _load_chart(args)
+    chart, _ = _load_chart(args, check_jacobi=False)
     ts = _coord_indices(chart, args.t, "--t")
     t0 = [parse_scalar(v) for v in _split_csv(args.t0)]
     obstruction = dirac.leaf_slice_obstruction(chart, ts, t0, args.degree)
@@ -164,7 +166,7 @@ def _dirac_slice(args) -> Report:
             values[f"X_{chart.coords[t]}"] = _vector_field(w, xs)
         return Report(True, values)
     if obstruction.witness is not None:  # the slice bivector at t0 is not Poisson
-        return Report(False, values, witness=_jacobiator_component(obstruction.witness, xs))
+        return Report(False, values, witness=_component(obstruction.witness, xs))
     return Report(False, {**values, "status": obstruction.reason})
 
 
@@ -263,8 +265,6 @@ def _build_parser() -> _Parser:
     # arguments shared by several leaves, declared once
     chart_file = argparse.ArgumentParser(add_help=False)
     chart_file.add_argument("chart")
-    skip_jacobi = argparse.ArgumentParser(add_help=False)
-    skip_jacobi.add_argument("--skip-jacobi", action="store_true", help="trust the file to be Poisson")
     x_override = argparse.ArgumentParser(add_help=False)
     x_override.add_argument("--x", help="comma-separated Q coordinates (overrides the file)")
     split = argparse.ArgumentParser(add_help=False)
@@ -290,9 +290,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--g", required=True)
 
     dsub = group("dirac", "Dirac-submanifold criteria")
-    leaf(dsub, "aligned", _dirac_aligned, "aligned criterion for Q = {y = 0}", chart_file, x_override, skip_jacobi)
-    p = leaf(dsub, "fixed-locus", _dirac_fixed_locus, "fixed locus of a linear Poisson involution",
-             chart_file, skip_jacobi)
+    leaf(dsub, "aligned", _dirac_aligned, "aligned criterion for Q = {y = 0}", chart_file, x_override)
+    p = leaf(dsub, "fixed-locus", _dirac_fixed_locus, "fixed locus of a linear Poisson involution", chart_file)
     p.add_argument("--matrix", required=True, help="rows 'a,b;c,d' of an exact involution")
     leaf(dsub, "affine-lie", _dirac_affine_lie, "affine subspace of a Lie-Poisson dual", split)
     p = leaf(dsub, "slice", _dirac_slice, "leaf-slice coboundary obstruction", chart_file)
@@ -302,9 +301,9 @@ def _build_parser() -> _Parser:
     leaf(dsub, "transverse", _dirac_transverse, "transverse structure via a reductive split", split)
 
     msub = group("modular", "modular vector fields")
-    leaf(msub, "vf", _modular_vf, "modular vector field of a chart", chart_file, skip_jacobi)
+    leaf(msub, "vf", _modular_vf, "modular vector field of a chart", chart_file)
     leaf(msub, "relative", _modular_relative, "relative modular field of an aligned submanifold",
-         chart_file, x_override, skip_jacobi)
+         chart_file, x_override)
 
     lsub = group("lie", "Lie-algebra checks")
     p = leaf(lsub, "validate", _lie_validate, "antisymmetry + Jacobi for an algebra")
@@ -358,9 +357,6 @@ def run_command(argv: list[str]) -> tuple[int, Report | None]:
     except (InvalidInput, FileNotFoundError) as err:
         print(f"input error: {err}", file=sys.stderr)
         return 2, None
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1, None
     for line in report.lines(args.porcelain, f"{args.command} {args.sub}"):
         print(line)
     return (0 if report.ok else 1), report

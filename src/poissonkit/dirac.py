@@ -13,7 +13,7 @@ coordinates to their (+1, -1) eigenbasis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -26,7 +26,6 @@ __all__ = [
     "AlignedSubmanifold",
     "LinearInvolution",
     "check_aligned_dirac",
-    "induced_poisson",
     "fixed_locus_symbolic",
     "fixed_locus_projection",
     "pushforward_linear",
@@ -87,12 +86,14 @@ def check_aligned_dirac(q: AlignedSubmanifold) -> Report:
     """Decide the aligned criterion; on failure the witness is the offending
     symbol as ((i, j), polynomial on the chart).
 
-    The chart is required to be Poisson; a nonzero Jacobiator is an error,
-    not a failed verdict.
+    A chart that is not Poisson fails first, with the first nonzero component
+    of its Jacobiator, (index triple, polynomial), as witness.  On success
+    ``values["induced"]`` is the induced chart (Q, pi_Q), pi_Q = phi_ij(x, 0).
     """
     chart = q.chart
-    if not jacobiator(chart).is_zero():
-        raise ValueError("chart is not Poisson (nonzero Jacobiator)")
+    jac = jacobiator(chart)
+    if not jac.is_zero():
+        return Report(False, reason="chart is not Poisson", witness=sorted(jac.comps.items())[0])
     ys = list(q.y_indices)
     for i in q.x_indices:
         for j in ys:
@@ -106,28 +107,19 @@ def check_aligned_dirac(q: AlignedSubmanifold) -> Report:
                 dphi = phi.diff(l).set_vars_zero(ys)
                 if not dphi.is_zero():
                     return Report(False, reason=f"d phi_({i},{j}) / d y_{l} nonzero on Q", witness=((i, j), dphi))
-    return Report(True)
-
-
-def induced_poisson(q: AlignedSubmanifold) -> PoissonChart:
-    """The induced chart (Q, pi_Q) with pi_Q = phi_ij(x, 0)."""
-    verdict = check_aligned_dirac(q)
-    if not verdict:
-        raise ValueError(f"aligned Dirac criterion fails: {verdict.reason}")
     xs = list(q.x_indices)
-    ys = list(q.y_indices)
     comps = {}
     for a, i in enumerate(xs):
         for b in range(a + 1, len(xs)):
             j = xs[b]
-            poly = q.chart.pi.component((i, j)).set_vars_zero(ys).restrict(xs)
+            poly = chart.pi.component((i, j)).set_vars_zero(ys).restrict(xs)
             if not poly.is_zero():
                 comps[(a, b)] = poly
     pi_q = PolyMultiVec(len(xs), 2, comps)
     chart_q = PoissonChart(len(xs), q.x_names, pi_q)
     if not jacobiator(chart_q).is_zero():
         raise AssertionError("induced structure failed the Jacobi identity; this is a bug")
-    return chart_q
+    return Report(True, {"induced": chart_q})
 
 
 def pushforward_linear(mv: PolyMultiVec, a: linalg.Matrix) -> PolyMultiVec:
@@ -150,19 +142,21 @@ def pushforward_linear(mv: PolyMultiVec, a: linalg.Matrix) -> PolyMultiVec:
     return out
 
 
-def fixed_locus_symbolic(chart: PoissonChart, s: LinearInvolution) -> tuple[AlignedSubmanifold, PoissonChart]:
-    """Induced Poisson structure on the fixed locus of a linear Poisson involution.
+def fixed_locus_symbolic(chart: PoissonChart, s: LinearInvolution) -> Report:
+    """Induced Poisson structure on the fixed locus of a linear involution.
 
-    Changes coordinates to the (+1, -1) eigenbasis of S (exact, since the
-    eigenvalues are known), forms Q = {minus-block = 0}, and returns the
-    aligned submanifold together with its induced chart.
+    Fails if S is not Poisson, with the first nonzero component of
+    S_* pi - pi, ((i, j), polynomial), as witness.  Otherwise changes
+    coordinates to the (+1, -1) eigenbasis of S (exact, since the eigenvalues
+    are known), forms Q = {minus-block = 0}, and returns the report of
+    ``check_aligned_dirac`` on it with the aligned submanifold added as
+    ``values["submanifold"]``.
     """
     if s.dim != chart.dim:
         raise InvalidInput("involution dimension does not match the chart")
-    pushed = pushforward_linear(chart.pi, s.rows())
-    residual = pushed - chart.pi
+    residual = pushforward_linear(chart.pi, s.rows()) - chart.pi
     if not residual.is_zero():
-        raise ValueError(f"S is not a Poisson involution; S_* pi - pi = {residual}")
+        return Report(False, reason="S is not a Poisson involution", witness=sorted(residual.comps.items())[0])
 
     srows = s.rows()
     n = chart.dim
@@ -178,7 +172,8 @@ def fixed_locus_symbolic(chart: PoissonChart, s: LinearInvolution) -> tuple[Alig
     names = tuple(f"z{k+1}" for k in range(n))
     chart_z = PoissonChart(n, names, pi_z)
     sub = AlignedSubmanifold(chart_z, tuple(range(len(plus))), tuple(range(len(plus), n)))
-    return sub, induced_poisson(sub)
+    verdict = check_aligned_dirac(sub)
+    return replace(verdict, values={"submanifold": sub, **verdict.values})
 
 
 def fixed_locus_projection(chart: PoissonChart, s: LinearInvolution) -> PoissonChart:
@@ -187,9 +182,12 @@ def fixed_locus_projection(chart: PoissonChart, s: LinearInvolution) -> PoissonC
     Works in the eigen-chart of S, decomposes pi into wedge terms, replaces
     each leg X by (X + S_* X)/2, restricts to the fixed block and drops the
     complement.  Route-agreement with ``fixed_locus_symbolic`` is part of the
-    verification suite.
+    verification suite.  S must be a Poisson involution of a Poisson chart.
     """
-    sub, _ = fixed_locus_symbolic(chart, s)
+    verdict = fixed_locus_symbolic(chart, s)
+    if not verdict:
+        raise ValueError(verdict.reason)
+    sub = verdict.values["submanifold"]
     chart_z = sub.chart
     n = chart_z.dim
     xs = list(sub.x_indices)
@@ -236,6 +234,8 @@ def _as_vectors(g, elems) -> list[list[Scalar]]:
             v[e] = Scalar(1)
             out.append(v)
         elif isinstance(e, str):
+            if e not in g.labels:
+                raise InvalidInput(f"unknown label {e!r}; the algebra has {', '.join(g.labels)}")
             v = [Scalar(0)] * g.dim
             v[g.labels.index(e)] = Scalar(1)
             out.append(v)
@@ -299,11 +299,12 @@ def affine_lie_poisson_dirac(g, l_basis, m_basis, mu) -> Report:
     return Report(True, {"induced": lie_poisson_chart(sub)})
 
 
-def transverse_from_reductive(g, l_basis, m_basis, mu) -> PoissonChart:
+def transverse_from_reductive(g, l_basis, m_basis, mu) -> Report:
     """Transverse Poisson structure at mu through a reductive split.
 
-    Requires l to sit inside the isotropy algebra of mu (ad*_l mu = 0); the
-    returned chart is the Lie-Poisson structure on l*.
+    Fails unless l sits inside the isotropy algebra of mu (ad*_l mu = 0) and
+    ``affine_lie_poisson_dirac`` passes on the split; the reason says which.
+    On success ``values["induced"]`` is the Lie-Poisson structure on l*.
     """
     lv = _as_vectors(g, l_basis)
     mu_s = [Scalar.coerce(c) for c in mu]
@@ -314,11 +315,8 @@ def transverse_from_reductive(g, l_basis, m_basis, mu) -> PoissonChart:
         for x in _as_vectors(g, range(g.dim)):
             w = g.bracket_vectors(u, x)
             if not sum((m * c for m, c in zip(mu_s, w)), Scalar(0)).is_zero():
-                raise ValueError(f"l is not contained in the isotropy algebra of mu (element {a})")
-    verdict = affine_lie_poisson_dirac(g, l_basis, m_basis, mu)
-    if not verdict:
-        raise ValueError(f"reductive decomposition fails: {verdict.reason}")
-    return verdict.values["induced"]
+                return Report(False, reason=f"l is not contained in the isotropy algebra of mu (element {a})")
+    return affine_lie_poisson_dirac(g, l_basis, m_basis, mu)
 
 
 # ---------------------------------------------------------------------------
@@ -354,6 +352,8 @@ def leaf_slice_obstruction(chart: PoissonChart, t_indices: Sequence[int], t0: Se
     non-existence at higher bounds.
     """
     ts = list(t_indices)
+    if len(set(ts)) != len(ts):
+        raise InvalidInput("t coordinates must be distinct")
     xs = [i for i in range(chart.dim) if i not in ts]
     t0 = [Scalar.coerce(v) for v in t0]
     if len(t0) != len(ts):

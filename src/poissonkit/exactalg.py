@@ -531,6 +531,8 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
                     m += 1
                 if m == j + 1:
                     raise ParseError("malformed rational literal", j)
+                if int(text[j + 1 : m]) == 0:
+                    raise ParseError("zero denominator", k)
                 tokens.append(("number", text[k:m], k))
                 k = m
             else:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .exactalg import Poly, PolyMultiVec, parse_poly, schouten
-from .report import Report
+from .report import InvalidInput, Report
 
 __all__ = [
     "PoissonChart",
@@ -32,8 +32,8 @@ __all__ = [
 ]
 
 
-class UnsupportedDensity(ValueError):
-    """Raised when a divergence is not polynomial for the given density."""
+class UnsupportedDensity(InvalidInput):
+    """A divergence that is not polynomial for the density: bad input, as nothing can be checked."""
 
 
 @dataclass(frozen=True)
@@ -164,19 +164,22 @@ def relative_modular(chart: PoissonChart, submanifold) -> RelativeModularReport:
     nu_r(f) is the y-divergence of X_f restricted to Q.  The ambient modular
     field uses the y-constant extension of the restricted density, so that
     the volume splits as rho(x, 0) dx ^ dy; the report then checks the exact
-    identity nu_r = pr_* nu_P - nu_Q.
+    identity nu_r = pr_* nu_P - nu_Q.  A submanifold that fails the aligned
+    criterion, or a density that vanishes on Q, raises ``InvalidInput``.
     """
-    from .dirac import check_aligned_dirac, induced_poisson
+    from .dirac import check_aligned_dirac
 
     verdict = check_aligned_dirac(submanifold)
     if not verdict:
-        raise ValueError(f"submanifold fails the aligned Dirac criterion: {verdict.reason}")
+        raise InvalidInput(f"submanifold fails the aligned Dirac criterion: {verdict.reason}")
 
     xs = list(submanifold.x_indices)
     ys = list(submanifold.y_indices)
     dim = chart.dim
 
     rho0 = chart.rho.set_vars_zero(ys)
+    if rho0.is_zero():
+        raise InvalidInput("volume density vanishes on the submanifold")
     flat_chart = PoissonChart(dim, chart.coords, chart.pi, rho0)
 
     # nu_r: y-divergence of Hamiltonian fields of the x-coordinates, on Q
@@ -198,8 +201,8 @@ def relative_modular(chart: PoissonChart, submanifold) -> RelativeModularReport:
     pr_nu_p = PolyMultiVec.from_terms(len(xs), 1, pr_items)
 
     # nu_Q: modular field of the induced chart with the restricted density
-    chart_q = induced_poisson(submanifold)
-    chart_q = PoissonChart(chart_q.dim, chart_q.coords, chart_q.pi, rho0.restrict(xs))
+    induced = verdict.values["induced"]
+    chart_q = PoissonChart(induced.dim, induced.coords, induced.pi, rho0.restrict(xs))
     nu_q = modular_vf(chart_q)
 
     holds = (pr_nu_p - nu_q) == nu_r

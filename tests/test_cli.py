@@ -8,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import subprocess_env
 
@@ -162,6 +164,22 @@ def test_sample_count_below_one_is_a_usage_error(argv, capsys):
         assert "--samples" in capsys.readouterr().err
 
 
+# charts and algebras that are bad input, written into the working directory of the tests that use them
+BAD_FILES = {
+    "nonfamily.chart": "dim 3\ncoords x y z\nbracket x y = z\nbracket y z = y\n",
+    "nonpoisson.chart": "dim 4\ncoords x y z w\nbracket x y = z\nbracket y z = y\n",
+    "nondirac.chart": "dim 2\ncoords x y\nbracket x y = x\nsubmanifold x = x\n",
+    "imaginary.chart": "dim 2\ncoords x i\nbracket x i = 1\n",
+    "repeated.chart": "dim 2\ncoords x x\n",
+    "zerovolume.chart": "dim 2\ncoords x y\nbracket x y = 1\nvolume = 0\n",
+    "volume_x.chart": "dim 2\ncoords x y\nbracket x y = y\nvolume = x\nsubmanifold x = x\n",
+    "volume_y.chart": "dim 2\ncoords x y\nbracket x y = y\nvolume = y\nsubmanifold x = x\n",
+    "zerodenominator.chart": "dim 2\ncoords x y\nbracket x y = 1/0\n",
+    "dimx.alg": "dim x\nlabels a b\n",
+    "zerodenominator.alg": "dim 2\nlabels a b\nc a b a = 1/0\n",
+}
+
+
 @pytest.mark.parametrize("argv, needle", [
     (["dirac", "aligned", "product22.chart", "--x", "q"], "unknown coordinate 'q' in --x"),
     (["modular", "relative", "relmod2.chart", "--x", "q"], "unknown coordinate 'q' in --x"),
@@ -184,11 +202,31 @@ def test_sample_count_below_one_is_a_usage_error(argv, capsys):
     (["dynr", "cdybe", "--algebra", "sl3", "--samples", "1"], "--samples: must be at least 2, got 1"),
     (["dirac", "slice", "nonfamily.chart", "--t", "z", "--t0", "0"], "components along the slice only"),
     (["dirac", "transverse", "--algebra", "sl2", "--l", "h1", "--m", "e12,f12", "--mu", "1"], "mu has the wrong"),
+    (["modular", "relative", "nondirac.chart"], "submanifold fails the aligned Dirac criterion: lambda_(0,1)"),
+    (["check", "jacobi", "imaginary.chart"], "line 2: name 'i' collides with the imaginary unit"),
+    (["check", "jacobi", "repeated.chart"], "line 2: repeated name in coords"),
+    (["check", "jacobi", "zerovolume.chart"], "line 4: volume density must not be identically zero"),
+    (["lie", "validate", "dimx.alg"], "line 1: bad dimension 'x'"),
+    (["modular", "vf", "volume_x.chart"], "rho does not divide"),
+    (["modular", "relative", "volume_x.chart"], "rho does not divide"),
+    (["dirac", "transverse", "--algebra", "so3", "--l", "x9", "--m", "x1,x2", "--mu", "0,0,1"], "unknown label 'x9'"),
+    (["dirac", "affine-lie", "--algebra", "so3", "--l", "x3", "--m", "x9", "--mu", "0,0,1"], "unknown label 'x9'"),
+    (["check", "casimir", "dubrovin3.chart", "--f", "x + 1/0"], "zero denominator (at position 4)"),
+    (["dirac", "slice", "slice_family.chart", "--t", "t", "--t0", "1/0"], "zero denominator"),
+    (["dirac", "transverse", "--algebra", "so3", "--l", "x3", "--m", "x1,x2", "--mu", "0,0,1/0"], "zero denominator"),
+    (["dirac", "fixed-locus", "so3.chart", "--matrix=1/0,0,0;0,1,0;0,0,1"], "zero denominator"),
+    (["check", "jacobi", "zerodenominator.chart"], "line 3: bad polynomial: zero denominator"),
+    (["lie", "validate", "zerodenominator.alg"], "line 3: bad scalar: zero denominator"),
+    (["dirac", "slice", "slice_family.chart", "--t", "t,t", "--t0", "0,0"], "t coordinates must be distinct"),
+    (["modular", "relative", "volume_y.chart"], "volume density vanishes on the submanifold"),
+    (["oracle", "schouten", "--pairs", "x"], "--pairs: invalid int value: 'x'"),
 ])
 def test_bad_input_is_a_usage_error(argv, needle, capsys, tmp_path, monkeypatch):
-    # each of these used to exit 1, as if a verification had failed, or to pass having checked nothing
-    monkeypatch.chdir(tmp_path)  # the named charts resolve among the fixtures; nonfamily.chart is written here
-    (tmp_path / "nonfamily.chart").write_text("dim 3\ncoords x y z\nbracket x y = z\nbracket y z = y\n")
+    # each of these used to exit 1, as if a verification had failed, to pass having checked nothing,
+    # or to raise out of run_command
+    monkeypatch.chdir(tmp_path)  # the named charts resolve among the fixtures; BAD_FILES are written here
+    for name, text in BAD_FILES.items():
+        (tmp_path / name).write_text(text)
     assert run_command(argv) == (2, None)
     assert needle in capsys.readouterr().err
 
@@ -199,32 +237,51 @@ def test_bad_input_is_a_usage_error(argv, needle, capsys, tmp_path, monkeypatch)
     (["check", "bracket", "--f", "x", "--g", "y"], 0),
     (["dirac", "slice", "--t", "w", "--t0", "0"], 1),
     (["modular", "vf"], 2),
-    (["modular", "vf", "--skip-jacobi"], 0),
+    (["modular", "vf", "--skip-jacobi"], 2),
     (["dirac", "aligned", "--x", "x,y"], 2),
-    (["dirac", "aligned", "--x", "x,y", "--skip-jacobi"], 1),
+    (["dirac", "aligned", "--x", "x,y", "--skip-jacobi"], 2),
     (["dirac", "fixed-locus", "--matrix=1,0,0,0;0,1,0,0;0,0,1,0;0,0,0,1"], 2),
 ])
 def test_load_time_jacobi_check(argv, code, tmp_path):
-    # check * and dirac slice read charts that need not be Poisson; the commands that take
-    # --skip-jacobi reject a non-Poisson chart at load time (exit 2) unless given it.  The bracket
-    # is a family along the slice t = w, so dirac slice gets as far as its own check at t0
+    # check * and dirac slice read charts that need not be Poisson; dirac aligned|fixed-locus and
+    # modular * reject a non-Poisson chart at load time (exit 2), and --skip-jacobi is no option.
+    # The bracket is a family along the slice t = w, so dirac slice gets as far as its own check at t0
     chart = tmp_path / "nonpoisson.chart"
-    chart.write_text("dim 4\ncoords x y z w\nbracket x y = z\nbracket y z = y\n")
+    chart.write_text(BAD_FILES["nonpoisson.chart"])
     assert run_command([*argv[:2], str(chart), *argv[2:]])[0] == code
 
 
 def test_dirac_slice_reports_a_non_poisson_slice(capsys, tmp_path):
     # a slice bivector that is not Poisson at t0 fails with check jacobi's witness, not an error
     chart = tmp_path / "nonpoisson.chart"
-    chart.write_text("dim 4\ncoords x y z w\nbracket x y = z\nbracket y z = y\n")
+    chart.write_text(BAD_FILES["nonpoisson.chart"])
     code, report = run_command(["--porcelain", "dirac", "slice", str(chart), "--t", "w", "--t0", "0"])
     assert code == 1 and not report.ok
     out = capsys.readouterr()
     assert out.out.splitlines()[-2:] == ["witness=(x,y,z): 2*z", "pass=False"] and out.err == ""
 
 
-def test_non_poisson_involution_is_a_verification_failure():
-    assert run_command(["dirac", "fixed-locus", "so3.chart", "--matrix=1,0,0;0,1,0;0,0,-1"]) == (1, None)
+def test_non_poisson_involution_is_a_verification_failure(capsys):
+    code, report = run_command(["--porcelain", "dirac", "fixed-locus", "so3.chart", "--matrix=1,0,0;0,1,0;0,0,-1"])
+    assert code == 1 and not report.ok
+    # the first component of S_* pi - pi, in check jacobi's form
+    assert capsys.readouterr().out == "witness=(x1,x2): -2*x3\npass=False\n"
+
+
+@pytest.mark.parametrize("argv, witness", [
+    (["dirac", "fixed-locus", "so3.chart", "--matrix=0,1,0;1,0,0;0,0,1"], "(x1,x2): -2*x3"),
+    (["dirac", "transverse", "--algebra", "so3", "--l", "x1,x2", "--m", "x3", "--mu", "0,0,0"],
+     "l is not a subalgebra: [l_0, l_1] leaves l"),
+    (["dirac", "transverse", "--algebra", "so3", "--l", "x3", "--m", "x1,x2", "--mu", "1,0,0"],
+     "l is not contained in the isotropy algebra of mu (element 0)"),
+])
+def test_failed_check_prints_a_report(argv, witness, capsys):
+    # these exited 1 with only an error line, and no report, witness or pass= line (so did
+    # diag(1, 1, -1), above); the transverse witnesses are what dirac affine-lie prints on the same split
+    code, report = run_command(["--porcelain", *argv])
+    out = capsys.readouterr()
+    assert code == 1 and not report.ok and out.err == ""
+    assert out.out.splitlines()[-2:] == [f"witness={witness}", "pass=False"]
 
 
 def test_dynr_porcelain_values_are_plain_floats(capsys):
@@ -314,3 +371,76 @@ def test_readme_commands_porcelain_output(leaf, capsys):
         assert out == PINNED[leaf]
     else:
         assert [line.split("=", 1)[0] for line in out.splitlines()] == PINNED[leaf]
+
+
+# -- the exit-code contract, fuzzed ----------------------------------------------------
+
+# values per argparse dest, good and bad mixed; an optional flag may also be left out
+FUZZ_POOLS = {
+    "chart": ["dubrovin3.chart", "so3.chart", "product22.chart", "product22_bad.chart", "relmod2.chart",
+              "slice_family.chart", "missing.chart",
+              *(name for name in BAD_FILES if name.endswith(".chart"))],
+    "algebra": ["sl2", "su2", "so3", "missing.alg", "dimx.alg", "zerodenominator.alg"],
+    "samples": ["0", "1", "2", "3", "x"],
+    "pairs": ["0", "1", "2", "3", "x"],
+    "dim": ["0", "1", "3"],
+    "n": ["1", "3", "4", "7"],
+    "tol": ["1e-8", "-1", "nan"],
+    "seed": ["0", "1"],
+    "degree": ["-1", "0", "1"],
+    "family": ["trig", "tanh-corrupted"],
+    "f": ["x", "1/0", "x +* y", "q"],
+    "g": ["y", "q"],
+    "x": ["x", "x1,x2", "x1,x1", "q"],
+    "t": ["t", "t,t", "w", "q"],
+    "t0": ["0", "0,0", "1/0"],
+    "mu": ["0,0,1", "1,0,0", "0", "0,0,1/0"],
+    "matrix": ["-1,0,0;0,-1,0;0,0,1", "1,0,0;0,1,0;0,0,-1", "1,0;0,1", "1,1,0;0,1,0;0,0,1", "1/0,0,0;0,1,0;0,0,1"],
+    "l": ["x3", "h1", "x1,x2", "x9"],
+    "m": ["x1,x2", "e12,f12", "x3", "x9"],
+}
+
+
+def _leaf_parser(parser, leaf):
+    for name in leaf.split():
+        parser = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices[name]
+    return parser
+
+
+def _draw_argv(data, parser):
+    """An argv for one leaf of the parser's own command tree, its values drawn from FUZZ_POOLS."""
+    leaf = data.draw(st.sampled_from(_leaf_commands(parser)))
+    argv = [*(["--porcelain"] if data.draw(st.booleans()) else []), *leaf.split()]
+    for action in _leaf_parser(parser, leaf)._actions:
+        if action.dest not in FUZZ_POOLS:
+            continue
+        value = data.draw(st.sampled_from(FUZZ_POOLS[action.dest]))
+        if not action.option_strings:
+            argv.append(value)
+        elif action.required or data.draw(st.booleans()):
+            argv.append(f"{action.option_strings[0]}={value}")
+    return argv
+
+
+def test_exit_code_contract(capsys, tmp_path, monkeypatch):
+    # README: 0 passes, 1 always prints a failed report, 2 is bad input with one error line;
+    # anything raised out of run_command is a bug
+    monkeypatch.chdir(tmp_path)
+    for name, text in BAD_FILES.items():
+        (tmp_path / name).write_text(text)
+    parser = _build_parser()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def check(data):
+        argv = _draw_argv(data, parser)
+        code, report = run_command(argv)
+        out, err = capsys.readouterr()
+        if code == 2:
+            assert report is None and out == "" and err.startswith(("usage error: ", "input error: ")), argv
+            return
+        last = out.splitlines()[-1]
+        verdict = last if "--porcelain" in argv else "=".join(last.split())
+        assert (code, report.ok, verdict) in ((0, True, "pass=True"), (1, False, "pass=False")), argv
+
+    check()

@@ -11,7 +11,6 @@ from poissonkit.dirac import (
     check_aligned_dirac,
     fixed_locus_projection,
     fixed_locus_symbolic,
-    induced_poisson,
     leaf_slice_obstruction,
     pushforward_linear,
     transverse_from_reductive,
@@ -37,7 +36,7 @@ def aligned(chart, xs):
 def test_aligned_pass_symplectic_complement():
     sub = aligned(product_chart(), (0, 1))
     assert check_aligned_dirac(sub).ok
-    assert induced_poisson(sub).pi.comps == {(0, 1): Poly.const(2, 1)}
+    assert check_aligned_dirac(sub).values["induced"].pi.comps == {(0, 1): Poly.const(2, 1)}
 
 
 def test_aligned_fail_isotropic_complement():
@@ -52,7 +51,7 @@ def test_aligned_so3_axis():
     chart = lie_poisson_chart(builtin_algebra("so3"))
     sub = aligned(chart, (2,))
     assert check_aligned_dirac(sub).ok
-    ind = induced_poisson(sub)
+    ind = check_aligned_dirac(sub).values["induced"]
     assert ind.dim == 1 and ind.pi.is_zero()
 
 
@@ -60,17 +59,18 @@ def test_aligned_whole_chart_and_point():
     chart = product_chart()
     whole = aligned(chart, (0, 1, 2, 3))
     assert check_aligned_dirac(whole).ok
-    assert induced_poisson(whole).pi == chart.pi
+    assert check_aligned_dirac(whole).values["induced"].pi == chart.pi
     point = aligned(chart, ())
     assert check_aligned_dirac(point).ok
-    assert induced_poisson(point).dim == 0
+    assert check_aligned_dirac(point).values["induced"].dim == 0
 
 
 def test_aligned_rejects_non_poisson_chart():
     pi = PolyMultiVec(3, 2, {(0, 1): Poly.var(3, 2), (1, 2): Poly.var(3, 1)})
     chart = PoissonChart(3, ("x1", "x2", "x3"), pi)
-    with pytest.raises(ValueError):
-        check_aligned_dirac(aligned(chart, (0, 1)))
+    verdict = check_aligned_dirac(aligned(chart, (0, 1)))
+    assert not verdict.ok and "not Poisson" in verdict.reason
+    assert verdict.witness == ((0, 1, 2), Poly.var(3, 2) + Poly.var(3, 2))
 
 
 def test_aligned_dphi_condition():
@@ -93,7 +93,7 @@ def test_induced_always_poisson():
     for chart, xs in cases:
         sub = aligned(chart, xs)
         if check_aligned_dirac(sub).ok:
-            assert jacobiator(induced_poisson(sub)).is_zero()
+            assert jacobiator(check_aligned_dirac(sub).values["induced"]).is_zero()
 
 
 # -- rank relation (exact) -------------------------------------------------------
@@ -120,7 +120,7 @@ def test_rank_relation_exact_points():
     rng = make_rng(55)
     for chart, xs in cases:
         sub = aligned(chart, xs)
-        ind = induced_poisson(sub)
+        ind = check_aligned_dirac(sub).values["induced"]
         for _ in range(12):
             point = [Scalar(rng.randint(-3, 3)) for _ in range(chart.dim)]
             for y in sub.y_indices:  # points of Q
@@ -148,10 +148,17 @@ def test_involution_validation():
         LinearInvolution.from_rows([[1, 1], [0, 1]])
 
 
+def fixed_locus(chart, s):
+    """(aligned submanifold, induced chart) of a passing ``fixed_locus_symbolic``."""
+    verdict = fixed_locus_symbolic(chart, s)
+    assert verdict.ok, verdict.reason
+    return verdict.values["submanifold"], verdict.values["induced"]
+
+
 def test_fixed_locus_identity():
     chart = product_chart()
     s = LinearInvolution.from_rows(linalg.identity(4))
-    sub, ind = fixed_locus_symbolic(chart, s)
+    sub, ind = fixed_locus(chart, s)
     assert len(sub.x_indices) == 4
     # the eigen-chart of the identity is a permutation of the original
     assert not ind.pi.is_zero()
@@ -163,7 +170,7 @@ def test_fixed_locus_plane_reflection():
     # x-axis, one-dimensional, so the induced structure vanishes
     chart = PoissonChart(2, ("x", "y"), PolyMultiVec.monomial(2, (0, 1), Poly.var(2, 1)))
     s = LinearInvolution.from_rows([[1, 0], [0, -1]])
-    sub, ind = fixed_locus_symbolic(chart, s)
+    sub, ind = fixed_locus(chart, s)
     assert len(sub.x_indices) == 1
     assert ind.pi.is_zero()
 
@@ -173,8 +180,9 @@ def test_fixed_locus_rejects_anti_poisson_reflection():
     # structure: S_* pi = -pi, so the invariance precondition fails
     chart = PoissonChart(2, ("x", "y"), PolyMultiVec.monomial(2, (0, 1), Poly.const(2, 1)))
     s = LinearInvolution.from_rows([[1, 0], [0, -1]])
-    with pytest.raises(ValueError, match="not a Poisson involution"):
-        fixed_locus_symbolic(chart, s)
+    verdict = fixed_locus_symbolic(chart, s)
+    assert not verdict.ok and "not a Poisson involution" in verdict.reason
+    assert verdict.witness == ((0, 1), Poly.const(2, -2))  # S_* pi - pi = -2 d1^d2
 
 
 def test_fixed_locus_so3():
@@ -182,7 +190,7 @@ def test_fixed_locus_so3():
     s = LinearInvolution.from_rows([[-1, 0, 0], [0, -1, 0], [0, 0, 1]])
     pushed = pushforward_linear(chart.pi, s.rows())
     assert pushed == chart.pi  # S_* pi = pi, termwise
-    sub, ind = fixed_locus_symbolic(chart, s)
+    sub, ind = fixed_locus(chart, s)
     assert len(sub.x_indices) == 1
     assert ind.pi.is_zero()
 
@@ -190,8 +198,9 @@ def test_fixed_locus_so3():
 def test_fixed_locus_rejects_non_invariant():
     chart = lie_poisson_chart(builtin_algebra("so3"))
     s = LinearInvolution.from_rows([[-1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    with pytest.raises(ValueError):
-        fixed_locus_symbolic(chart, s)
+    verdict = fixed_locus_symbolic(chart, s)
+    assert not verdict.ok and "not a Poisson involution" in verdict.reason
+    assert verdict.witness == ((0, 1), Poly.var(3, 2) * Poly.const(3, -2))  # {x1, x2} = x3 flips sign
 
 
 def test_fixed_locus_two_routes_agree():
@@ -204,12 +213,10 @@ def test_fixed_locus_two_routes_agree():
             [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])),
     ]
     for chart, s in charts:
-        try:
-            sub, ind = fixed_locus_symbolic(chart, s)
-        except ValueError:
+        verdict = fixed_locus_symbolic(chart, s)
+        if not verdict.ok:
             continue
-        proj = fixed_locus_projection(chart, s)
-        assert proj.pi == ind.pi
+        assert fixed_locus_projection(chart, s).pi == verdict.values["induced"].pi
 
 
 def test_fixed_locus_rotated_eigenbasis():
@@ -219,7 +226,7 @@ def test_fixed_locus_rotated_eigenbasis():
     pi = PolyMultiVec(3, 2, {(0, 2): Poly.const(3, 1), (1, 2): Poly.const(3, 1)})
     chart = PoissonChart(3, ("x1", "x2", "x3"), pi)
     s = LinearInvolution.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
-    sub, ind = fixed_locus_symbolic(chart, s)
+    sub, ind = fixed_locus(chart, s)
     assert len(sub.x_indices) == 2
     assert jacobiator(ind).is_zero()
     proj = fixed_locus_projection(chart, s)
@@ -267,26 +274,27 @@ def test_affine_rejects_non_basis():
 
 def test_transverse_so3():
     g = builtin_algebra("so3")
-    chart = transverse_from_reductive(g, ["x3"], ["x1", "x2"], [0, 0, 1])
+    chart = transverse_from_reductive(g, ["x3"], ["x1", "x2"], [0, 0, 1]).values["induced"]
     assert chart.dim == 1 and chart.pi.is_zero()
 
 
 def test_transverse_abelian_full():
     g = abelian(3)
-    chart = transverse_from_reductive(g, [0, 1, 2], [], [1, 2, 3])
+    chart = transverse_from_reductive(g, [0, 1, 2], [], [1, 2, 3]).values["induced"]
     assert chart.dim == 3 and chart.pi.is_zero()
 
 
 def test_transverse_sl2():
     g = builtin_algebra("sl2")
-    chart = transverse_from_reductive(g, ["h1"], ["e12", "f12"], [0, 0, 1])
+    chart = transverse_from_reductive(g, ["h1"], ["e12", "f12"], [0, 0, 1]).values["induced"]
     assert chart.dim == 1
 
 
 def test_transverse_rejects_non_isotropy():
     g = builtin_algebra("so3")
-    with pytest.raises(ValueError):
-        transverse_from_reductive(g, ["x3"], ["x1", "x2"], [1, 0, 0])
+    verdict = transverse_from_reductive(g, ["x3"], ["x1", "x2"], [1, 0, 0])
+    assert not verdict.ok
+    assert verdict.reason == "l is not contained in the isotropy algebra of mu (element 0)"
 
 
 # -- leaf-slice obstruction --------------------------------------------------------
