@@ -24,9 +24,16 @@ class _UsageError(Exception):
     pass
 
 
+class _HelpShown(Exception):
+    pass
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # exit code 2 without argparse's sys.exit noise
         raise _UsageError(message)
+
+    def exit(self, status=0, message=None):  # reached only from -h/--help, after the help is printed
+        raise _HelpShown()
 
 
 def _int_in_range(low: int, high: int | None = None):
@@ -157,6 +164,8 @@ def _dirac_transverse(args) -> Report:
 def _dirac_slice(args) -> Report:
     chart, _ = _load_chart(args, check_jacobi=False)
     ts = _coord_indices(chart, args.t, "--t")
+    if not ts:  # no slice parameter: the obstruction would be checked over no fields
+        raise InvalidInput("--t must name at least one coordinate")
     t0 = [parse_scalar(v) for v in _split_csv(args.t0)]
     obstruction = dirac.leaf_slice_obstruction(chart, ts, t0, args.degree)
     xs = [c for i, c in enumerate(chart.coords) if i not in ts]
@@ -347,10 +356,13 @@ def _build_parser() -> _Parser:
 
 
 def run_command(argv: list[str]) -> tuple[int, Report | None]:
-    """Execute a CLI invocation; returns (exit code, report)."""
+    """Execute a CLI invocation; returns (exit code, report), and (0, None) after
+    printing the help for -h/--help."""
     try:
         args = _build_parser().parse_args(argv)
         report = args.handler(args)
+    except _HelpShown:
+        return 0, None
     except _UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 2, None

@@ -32,6 +32,10 @@ structure constants are the real tensor C[i, j, k] = c_ij^k.  With
 M_kbd = sum_ac C_ac^k R_ab R_cd, [r, r]_ijk = 2 (M_ijk + M_jki + M_kij), which
 the test suite checks against ``liealg.alg_schouten``.  Reported statistics
 range over strictly increasing index tuples.
+
+Batching.  ``pairings``, ``eval_r``, ``r_derivative`` and ``cdybe_residual``
+also take a stack of lambda, shape (..., rank), and return one result per
+lambda; ``residual_scan`` runs its samples through them in blocks.
 """
 
 from __future__ import annotations
@@ -65,6 +69,17 @@ __all__ = [
 
 SINGULAR_GUARD = 1e-3
 
+# Samples per block of residual_scan: one round of stacked calls replaces this
+# many rounds of small ones, and holding one block at a time keeps memory flat
+# in the sample count (a block at sl4, dim 15, holds about 8 MB).
+BLOCK = 64
+
+
+def _tanh(x: np.ndarray) -> np.ndarray:
+    """math.tanh entrywise.  np.tanh rounds differently in the last bit, and the
+    derivative check's central difference magnifies that by 1 / (2 step)."""
+    return np.frompyfunc(math.tanh, 1, 1)(x).astype(float)
+
 
 class NearSingular(ValueError):
     """lambda is within the guard distance of a singular hyperplane."""
@@ -94,52 +109,57 @@ class DynamicalRFamily:
         C.setflags(write=False)
         return C
 
-    def _g(self, x: float) -> float:
+    def _g(self, x: np.ndarray) -> np.ndarray:
         if self.kind == "trig":
-            return 1.0 / math.tanh(x)
+            return 1.0 / _tanh(x)
         if self.kind == "rational":
             return 1.0 / x
-        return math.tanh(x)  # deliberately wrong family for negative controls
+        return _tanh(x)  # deliberately wrong family for negative controls
 
-    def _g_prime(self, x: float) -> float:
+    def _g_prime(self, x: np.ndarray) -> np.ndarray:
         if self.kind == "trig":
-            c = 1.0 / math.tanh(x)
+            c = 1.0 / _tanh(x)
             return 1.0 - c * c
         if self.kind == "rational":
             return -1.0 / (x * x)
-        t = math.tanh(x)
+        t = _tanh(x)
         return 1.0 - t * t
 
     @functools.cached_property
-    def _roots(self) -> tuple[np.ndarray, tuple[float, ...], tuple[np.ndarray, np.ndarray]]:
-        """Per positive root: the rows h_coords as a float matrix, d as floats, and
-        the (row, column) indices of every (e_a, f_a) entry followed by every
+    def _roots(self) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
+        """Per positive root: the rows h_coords as a float matrix, d as a float array,
+        and the (row, column) indices of every (e_a, f_a) entry followed by every
         (f_a, e_a) entry.  The arrays are read-only, as every caller shares them."""
         roots = self.algebra.root_data.roots
         h = np.array([[float(c) for c in info.h_coords] for info in roots]).reshape(len(roots), self.rank)
+        d = np.array([float(info.d) for info in roots])
         e = [info.e_index for info in roots]
         f = [info.f_index for info in roots]
         index = (np.array(e + f), np.array(f + e))
-        for a in (h, *index):
+        for a in (h, d, *index):
             a.setflags(write=False)
-        return h, tuple(float(info.d) for info in roots), index
+        return h, d, index
 
-    def pairings(self, lam: Sequence[float]) -> np.ndarray:
-        """<alpha, lambda> = 2 lambda(h_alpha) for every positive root, as one array."""
-        if len(lam) != self.rank:
+    def pairings(self, lam: Sequence[float] | np.ndarray) -> np.ndarray:
+        """<alpha, lambda> = 2 lambda(h_alpha) for every positive root, as an array
+        of shape (..., roots) for lambda of shape (..., rank)."""
+        lam = np.asarray(lam, dtype=float)
+        if lam.shape[-1:] != (self.rank,):
             raise ValueError(f"lambda must have length {self.rank}")
         # summed in coordinate order rather than by matmul, whose BLAS kernel may
         # round differently, so the lambda that pass the sampling margin stay put
-        return 2.0 * (self._roots[0] * np.asarray(lam, dtype=float)).sum(axis=1)
+        return 2.0 * (self._roots[0] * lam[..., None, :]).sum(axis=-1)
 
-    def guard(self, lam: Sequence[float]) -> list[float]:
-        """``pairings(lam)`` as floats, raising NearSingular if one is within the guard of 0."""
-        values = self.pairings(lam).tolist()
-        if min(map(abs, values)) < SINGULAR_GUARD:
-            k = next(k for k, value in enumerate(values) if abs(value) < SINGULAR_GUARD)
+    def guard(self, lam: Sequence[float] | np.ndarray) -> np.ndarray:
+        """``pairings(lam)``, raising NearSingular if one is within the guard of 0;
+        for a stack of lambda, the first such in C order (lambda by lambda, root by root)."""
+        values = self.pairings(lam)
+        near = np.ravel(np.abs(values) < SINGULAR_GUARD)
+        if near.any():
+            first = near.argmax()
+            root = self.algebra.root_data.roots[first % values.shape[-1]]
             raise NearSingular(
-                f"<alpha, lambda> = {values[k]:.2e} for root {self.algebra.root_data.roots[k].pair};"
-                f" guard is {SINGULAR_GUARD}"
+                f"<alpha, lambda> = {np.ravel(values)[first]:.2e} for root {root.pair}; guard is {SINGULAR_GUARD}"
             )
         return values
 
@@ -186,22 +206,24 @@ def _max_upper(t: np.ndarray, degree: int) -> float:
 
 
 def _m_tensor(C: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """M_kbd = sum_ac C_ac^k R_ab R_cd, so that [r, r] = sum_kbd M_kbd x_k ^ x_b ^ x_d."""
-    return np.einsum("cbk,cd->kbd", np.einsum("ack,ab->cbk", C, R), R)
+    """M_kbd = sum_ac C_ac^k R_ab R_cd, so that [r, r] = sum_kbd M_kbd x_k ^ x_b ^ x_d;
+    batched over the leading axes of R."""
+    return np.einsum("...cbk,...cd->...kbd", np.einsum("ack,...ab->...cbk", C, R, optimize=True), R, optimize=True)
 
 
 def _cyclic(n: np.ndarray) -> np.ndarray:
-    """The antisymmetric trivector with entry n_ijk + n_jki + n_kij at i < j < k.
+    """The antisymmetric trivector with entry n_ijk + n_jki + n_kij at i < j < k,
+    batched over the leading axes of n.
 
     For n antisymmetric in its last two indices this is the trivector
     (1/2) sum_abc n_abc x_a ^ x_b ^ x_c.
     """
-    i, j, k = _increasing(n.shape[0], 3)
-    values = n[i, j, k] + n[j, k, i] + n[k, i, j]
+    i, j, k = _increasing(n.shape[-1], 3)
+    values = n[..., i, j, k] + n[..., j, k, i] + n[..., k, i, j]
     t = np.zeros_like(n)
     for p, q, s in ((i, j, k), (j, k, i), (k, i, j)):
-        t[p, q, s] = values
-        t[q, p, s] = -values
+        t[..., p, q, s] = values
+        t[..., q, p, s] = -values
     return t
 
 
@@ -220,32 +242,48 @@ def _ad_defect(C: np.ndarray, t: np.ndarray) -> np.ndarray:
     return first + first.transpose(0, 2, 3, 1) + first.transpose(0, 3, 1, 2)
 
 
+def _max_ad_defect(C: np.ndarray, t: np.ndarray) -> float:
+    """Largest |entry| of ``_ad_defect(C, t)`` on strictly increasing triples,
+    over a stack of trivectors t.  One b at a time, with R_jkl = sum_i C_bi^l t_ijk
+    the entry at i < j < k is R_jki + R_ijk + R_kij, so the dim^4 tensor (0.4 MB
+    a sample at dim 15) is never built."""
+    i, j, k = _increasing(t.shape[-1], 3)
+    worst = 0.0
+    for cb in C:
+        r = np.tensordot(t, cb, axes=([-3], [0]))
+        worst = max(worst, float(np.max(np.abs(r[..., j, k, i] + r[..., i, j, k] + r[..., k, i, j]), initial=0.0)))
+    return worst
+
+
 def _root_matrix(
-    family: DynamicalRFamily, lam: Sequence[float], g: Callable[[float], float], factor: Sequence[float]
+    family: DynamicalRFamily, lam: Sequence[float] | np.ndarray, g: Callable[[np.ndarray], np.ndarray],
+    factor: np.ndarray,
 ) -> np.ndarray:
-    """The antisymmetric matrix with entry factor_a * g(<alpha, lambda>/2) at (e_a, f_a)."""
-    c = [fa * g(0.5 * value) for fa, value in zip(factor, family.guard(lam))]
-    out = np.zeros((family.algebra.dim, family.algebra.dim))
-    out[family._roots[2]] = c + [-x for x in c]
+    """The antisymmetric matrix with entry factor_a * g(<alpha, lambda>/2) at (e_a, f_a),
+    one per lambda of a stack."""
+    c = factor * g(0.5 * family.guard(lam))
+    out = np.zeros((*c.shape[:-1], family.algebra.dim, family.algebra.dim))
+    out[(Ellipsis, *family._roots[2])] = np.concatenate([c, -c], axis=-1)
     return out
 
 
-def eval_r(family: DynamicalRFamily, lam: Sequence[float]) -> np.ndarray:
-    """r(lambda) as an antisymmetric dim x dim matrix."""
+def eval_r(family: DynamicalRFamily, lam: Sequence[float] | np.ndarray) -> np.ndarray:
+    """r(lambda) as an antisymmetric dim x dim matrix (one per lambda of a stack)."""
     return _root_matrix(family, lam, family._g, family._roots[1])
 
 
-def r_derivative(family: DynamicalRFamily, lam: Sequence[float], m: int) -> np.ndarray:
-    """Analytic dr/dlambda_m as an antisymmetric dim x dim matrix."""
+def r_derivative(family: DynamicalRFamily, lam: Sequence[float] | np.ndarray, m: int) -> np.ndarray:
+    """Analytic dr/dlambda_m as an antisymmetric dim x dim matrix (one per lambda of a stack)."""
     h, d, _ = family._roots
-    return _root_matrix(family, lam, family._g_prime, [da * ha for da, ha in zip(d, h[:, m].tolist())])
+    return _root_matrix(family, lam, family._g_prime, d * h[:, m])
 
 
-def cdybe_residual(family: DynamicalRFamily, lam: Sequence[float]) -> np.ndarray:
-    """sum_m h_m ^ dr/dlambda_m + (1/2)[r, r], as an antisymmetric dim^3 tensor."""
+def cdybe_residual(family: DynamicalRFamily, lam: Sequence[float] | np.ndarray) -> np.ndarray:
+    """sum_m h_m ^ dr/dlambda_m + (1/2)[r, r], as an antisymmetric dim^3 tensor
+    (one per lambda of a stack)."""
     n = _m_tensor(family.structure, eval_r(family, lam))
     for m, h in enumerate(family.algebra.root_data.cartan):
-        n[h] += r_derivative(family, lam, m)  # h_m ^ dr/dlambda_m
+        n[..., h, :, :] += r_derivative(family, lam, m)  # h_m ^ dr/dlambda_m
     return _cyclic(n)
 
 
@@ -253,7 +291,7 @@ def _sample_lambda(family: DynamicalRFamily, seed: int, index: int, margin: floa
     rng = np.random.default_rng([seed, index])
     for _ in range(1000):
         lam = rng.uniform(-2.0, 2.0, size=family.rank)
-        if np.all(np.abs(family.pairings(lam)) >= margin):
+        if (np.abs(family.pairings(lam)) >= margin).all():
             return lam
     raise RuntimeError("could not sample lambda away from the singular set")
 
@@ -272,21 +310,28 @@ def residual_scan(family: DynamicalRFamily, samples: int = 10, seed: int = 0, to
     g = family.algebra
     C = family.structure
     step = 1e-5
+    # per sample: lambda, then lambda +- step along each coordinate, in the order
+    # a per-sample loop evaluates r at them, so a NearSingular is the first one's
+    shifts = np.concatenate([np.zeros((1, family.rank)), np.repeat(np.eye(family.rank), 2, axis=0) * step])
+    shifts[2::2] *= -1.0
+
+    def block(ks: range, first: np.ndarray | None):
+        """The first sample's residual (this block's when first is None) and the block's
+        spread, invariance and derivative defects."""
+        lam = np.stack([_sample_lambda(family, seed, idx) for idx in ks])
+        r = eval_r(family, lam[:, None, :] + shifts)
+        res = cdybe_residual(family, lam)
+        fd = (r[:, 1::2] - r[:, 2::2]) * (1.0 / (2 * step))
+        analytic = np.stack([r_derivative(family, lam, m) for m in range(family.rank)], axis=1)
+        if first is None:
+            first = res[0].copy()
+        return first, _max_upper(res - first, 3), _max_ad_defect(C, res), _max_upper(fd - analytic, 2)
+
     first = None
     spread = invariance = deriv_defect = 0.0
-    for idx in range(samples):
-        lam = _sample_lambda(family, seed, idx)
-        res = cdybe_residual(family, lam)
-        for m in range(family.rank):
-            lp, lmn = lam.copy(), lam.copy()
-            lp[m] += step
-            lmn[m] -= step
-            fd = (eval_r(family, lp) - eval_r(family, lmn)) * (1.0 / (2 * step))
-            deriv_defect = max(deriv_defect, _max_upper(fd - r_derivative(family, lam, m), 2))
-        if first is None:
-            first = res
-        spread = max(spread, _max_upper(res - first, 3))
-        invariance = max(invariance, _max_upper(_ad_defect(C, res), 3))
+    for start in range(0, samples, BLOCK):
+        first, s, inv, d = block(range(start, min(start + BLOCK, samples)), first)
+        spread, invariance, deriv_defect = max(spread, s), max(invariance, inv), max(deriv_defect, d)
     values = {
         "algebra": g.name,
         "family": family.kind,

@@ -8,7 +8,10 @@ basis; its legs are stored as two stacked arrays u, v of shape
 (m, *base.shape), so the sharp map, entry brackets, involution pushforwards
 and projections act on all wedge pairs in one array operation.  Maps applied
 to legs (``map_legs``, ``InvolutionSpec.push``, the ``phi`` of
-``pi_q_formula``) therefore broadcast over leading axes.
+``pi_q_formula``) therefore broadcast over leading axes.  The functions of a
+point also take a stack of points (batch, *point shape) and return one
+result per point, which lets the reports run their samples in blocks; a
+check on a stack raises for its first failing point.
 
 Translation conventions: the right-invariant field of X is X^R(g) = X g, the
 left-invariant field is X^L(g) = g X, and the coboundary Poisson-Lie tensor
@@ -32,8 +35,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -78,29 +81,56 @@ TOL_CROSS = 1e-8  # cross-route bracket comparisons
 DOUBLE_R_SCALE = 4.0
 
 
+# Samples per block of the reports: one round of stacked calls replaces this
+# many rounds of small ones, and holding one block at a time keeps memory flat
+# in the sample count (a Stokes block holds about 1 MB).
+BLOCK = 64
+
+
 def matrix_exp(x: np.ndarray) -> np.ndarray:
-    """Matrix exponential (scaling-and-squaring via scipy), batched over
-    leading axes."""
-    x = np.asarray(x)
-    if x.ndim == 2:
-        return scipy.linalg.expm(x)
-    return np.stack([scipy.linalg.expm(m) for m in x])
+    """Matrix exponential (scaling-and-squaring via scipy), batched over leading axes."""
+    return scipy.linalg.expm(np.asarray(x))
 
 
 def _transpose(v: np.ndarray) -> np.ndarray:
     return np.swapaxes(v, -1, -2)
 
 
-def _flat(x: np.ndarray) -> np.ndarray:
-    """Each leg of a stack of shape (m, *shape) flattened: an (m, prod(shape)) array."""
-    return x.reshape(x.shape[0], math.prod(x.shape[1:]))
+def _flat(x: np.ndarray, lead: int = 1) -> np.ndarray:
+    """x with every axis after the first ``lead`` flattened into one."""
+    return x.reshape(*x.shape[:lead], math.prod(x.shape[lead:]))
 
 
-def _vec(x: np.ndarray) -> np.ndarray:
-    """Realified flattening of each leg of a stack of shape (m, *shape): an
-    (m, 2 * prod(shape)) array, uniform for real and complex stacks."""
-    flat = _flat(np.asarray(x))
-    return np.concatenate([np.real(flat), np.imag(flat)], axis=1)
+def _vec(x: np.ndarray, lead: int = 1) -> np.ndarray:
+    """Realified flattening of each leg of a stack of shape (*lead axes, *shape):
+    a (*lead axes, 2 * prod(shape)) array, uniform for real and complex stacks."""
+    flat = _flat(np.asarray(x), lead)
+    return np.concatenate([np.real(flat), np.imag(flat)], axis=-1)
+
+
+def _max_over(x: np.ndarray, ndim: int) -> np.ndarray:
+    """Largest |entry| over the last ``ndim`` axes: one value per point of a stack."""
+    return np.max(np.abs(x), axis=tuple(range(-ndim, 0)), initial=0.0)
+
+
+def _first_failure(residual: np.ndarray, bound) -> float | None:
+    """The residual of the first point whose residual exceeds its bound, or None."""
+    over = np.ravel(residual > bound)
+    return float(np.ravel(residual)[over.argmax()]) if over.any() else None
+
+
+def _blocks(samples: int, run: Callable[[range], object]) -> Iterator:
+    """``run(ks)`` on consecutive blocks ks of the sample indices, in order.  A
+    block that raises runs again one sample at a time, so the error raised is
+    the first failing sample's, as in a per-sample loop."""
+    for start in range(0, samples, BLOCK):
+        ks = range(start, min(start + BLOCK, samples))
+        try:
+            yield run(ks)
+        except (ValueError, AssertionError):
+            for k in ks:
+                run(range(k, k + 1))
+            raise
 
 
 @dataclass
@@ -112,31 +142,18 @@ class MatrixGroup:
     algebra: LieAlgebraData | None
     basis: list[np.ndarray]
     r_terms: list[tuple[int, int, float]]
-    membership: Callable[[np.ndarray], float]
-    _coord_pinv: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        stacked = np.stack([b.reshape(-1) for b in self.basis], axis=1)
-        self._coord_pinv = np.linalg.pinv(stacked)
+    membership: Callable[[np.ndarray], np.ndarray]  # residual per point of a stack
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
-    def coords(self, x: np.ndarray) -> np.ndarray:
-        """Coefficients of x in the Lie-algebra basis (least squares, exact
-        for elements of the span)."""
-        return self._coord_pinv @ np.asarray(x).reshape(-1)
-
-    def ad(self, g: np.ndarray, x: np.ndarray) -> np.ndarray:
-        return g @ x @ np.linalg.inv(g)
+    def combine(self, coeffs: np.ndarray) -> np.ndarray:
+        """sum_i coeffs[..., i] basis[i], in basis order; one element per row of coeffs."""
+        return sum(np.multiply.outer(coeffs[..., i], b) for i, b in enumerate(self.basis))
 
     def random_algebra_element(self, rng: np.random.Generator, scale: float = 0.5) -> np.ndarray:
-        coeffs = rng.normal(0.0, scale, size=self.dim)
-        total = np.zeros_like(self.basis[0])
-        for c, b in zip(coeffs, self.basis):
-            total = total + c * b
-        return total
+        return self.combine(rng.normal(0.0, scale, size=self.dim))
 
     @functools.cached_property
     def r_legs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -147,10 +164,12 @@ class MatrixGroup:
 
 
 class TangentBivector:
-    """A bivector sum_a u_a ^ v_a at a group point.
+    """A bivector sum_a u_a ^ v_a at a group point, or one at each point of a stack.
 
     The legs are stored stacked: ``u`` and ``v`` have shape (m, *base.shape),
-    with u[a] ^ v[a] the a-th wedge pair.  ``pairs`` lists them one by one.
+    with u[a] ^ v[a] the a-th wedge pair, and ``pairs`` lists them one by one.
+    On a stack of points (``batch_ndim`` 1) they have shape (batch, m, *point
+    shape), and the array methods return one result per point.
     """
 
     def __init__(self, base: np.ndarray, pairs: Sequence[tuple[np.ndarray, np.ndarray]]):
@@ -160,19 +179,24 @@ class TangentBivector:
             u, v = (np.stack(legs) for legs in zip(*pairs))
         else:
             u = v = np.zeros((0, *base.shape), dtype=base.dtype)
-        self._set(base, u, v)
+        self._set(base, u, v, 0)
 
     @classmethod
-    def from_legs(cls, base: np.ndarray, u: np.ndarray, v: np.ndarray) -> "TangentBivector":
-        """The bivector sum_a u[a] ^ v[a] from two leg stacks of one shape."""
+    def from_legs(cls, base: np.ndarray, u: np.ndarray, v: np.ndarray, batch_ndim: int = 0) -> "TangentBivector":
+        """The bivector sum_a u[a] ^ v[a] from two leg stacks of one shape; with
+        ``batch_ndim`` 1, one such bivector per point of the stack ``base``."""
         out = cls.__new__(cls)
-        out._set(np.asarray(base), np.asarray(u), np.asarray(v))
+        out._set(np.asarray(base), np.asarray(u), np.asarray(v), batch_ndim)
         return out
 
-    def _set(self, base: np.ndarray, u: np.ndarray, v: np.ndarray) -> None:
-        if u.shape != v.shape or u.shape[1:] != base.shape:
+    def _set(self, base: np.ndarray, u: np.ndarray, v: np.ndarray, batch_ndim: int) -> None:
+        if u.shape != v.shape or u.shape[:batch_ndim] + u.shape[batch_ndim + 1:] != base.shape:
             raise ValueError(f"leg stacks {u.shape} and {v.shape} do not match base shape {base.shape}")
-        self.base, self.u, self.v = base, u, v
+        self.base, self.u, self.v, self.batch_ndim = base, u, v, batch_ndim
+
+    @property
+    def point_shape(self) -> tuple[int, ...]:
+        return self.base.shape[self.batch_ndim:]
 
     @property
     def pairs(self) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -187,25 +211,43 @@ class TangentBivector:
     def bracket_matrix(self, entries: Sequence[tuple] | None = None) -> np.ndarray:
         """Brackets {A_p, A_q} of all matrix entries (flat order), or of the
         listed entries only: U^T V - V^T U on the flattened leg stacks."""
-        u, v = _flat(self.u), _flat(self.v)
+        lead = self.batch_ndim + 1
+        u, v = _flat(self.u, lead), _flat(self.v, lead)
         if entries is not None:
-            flat = [np.ravel_multi_index(idx, self.base.shape) for idx in entries]
-            u, v = u[:, flat], v[:, flat]
-        x = u.T @ v
-        return x - x.T  # = U^T V - V^T U, and exactly antisymmetric
+            flat = [np.ravel_multi_index(idx, self.point_shape) for idx in entries]
+            u, v = u[..., flat], v[..., flat]
+        x = _transpose(u) @ v
+        return x - _transpose(x)  # = U^T V - V^T U, and exactly antisymmetric
 
     def map_legs(self, fn: Callable[[np.ndarray], np.ndarray], base: np.ndarray | None = None) -> "TangentBivector":
-        """Apply ``fn`` to both leg stacks; ``fn`` must broadcast over the leading axis."""
-        return TangentBivector.from_legs(self.base if base is None else base, fn(self.u), fn(self.v))
+        """Apply ``fn`` to both leg stacks; ``fn`` must broadcast over the leading axes."""
+        return TangentBivector.from_legs(self.base if base is None else base, fn(self.u), fn(self.v), self.batch_ndim)
 
     def sharp_matrix(self) -> np.ndarray:
         """Realified matrix of the sharp map, U^T V - V^T U on the realified leg
         stacks; its column space is the image."""
-        x = _vec(self.u).T @ _vec(self.v)
-        return x - x.T  # = U^T V - V^T U, and exactly antisymmetric
+        x = self._compact_sharp()
+        pad = 0 if np.iscomplexobj(self.u) else x.shape[-1]
+        return np.pad(x, [(0, 0)] * (x.ndim - 2) + [(0, pad)] * 2)
 
-    def max_abs(self) -> float:
-        return float(max(np.max(np.abs(self.u), initial=0.0), np.max(np.abs(self.v), initial=0.0)))
+    def _compact_sharp(self) -> np.ndarray:
+        """``sharp_matrix()`` less the all-zero rows and columns of the imaginary
+        half for real legs: ranks, images and residuals are read from it."""
+        lead = self.batch_ndim + 1
+        u, v = (_vec(x, lead) if np.iscomplexobj(x) else _flat(x, lead) for x in (self.u, self.v))
+        x = _transpose(u) @ v
+        return x - _transpose(x)  # = U^T V - V^T U, and exactly antisymmetric
+
+    @functools.cached_property
+    def _sharp_svd(self) -> tuple[np.ndarray, np.ndarray]:
+        """Left singular vectors and singular values of ``_compact_sharp()``: one SVD
+        serves the tangency residual and the rank relation, each at its threshold."""
+        u, s, _ = np.linalg.svd(self._compact_sharp(), full_matrices=False)
+        return u, s
+
+    def max_abs(self) -> float | np.ndarray:
+        ndim = self.u.ndim - self.batch_ndim
+        return np.maximum(_max_over(self.u, ndim), _max_over(self.v, ndim))
 
 
 # ---------------------------------------------------------------------------
@@ -213,13 +255,13 @@ class TangentBivector:
 # ---------------------------------------------------------------------------
 
 
-def _membership_sl(g: np.ndarray) -> float:
-    return float(abs(np.linalg.det(g) - 1.0))
+def _membership_sl(g: np.ndarray) -> np.ndarray:
+    return np.abs(np.linalg.det(g) - 1.0)
 
 
-def _membership_su(g: np.ndarray) -> float:
-    unitarity = float(np.max(np.abs(g @ g.conj().T - np.eye(g.shape[0]))))
-    return max(unitarity, float(abs(np.linalg.det(g) - 1.0)))
+def _membership_su(g: np.ndarray) -> np.ndarray:
+    unitarity = _max_over(g @ _transpose(g.conj()) - np.eye(g.shape[-1]), 2)
+    return np.maximum(unitarity, np.abs(np.linalg.det(g) - 1.0))
 
 
 N_CAP = 6  # dual-basis solves are O(dim^3); keep the check suite quick
@@ -255,15 +297,12 @@ def _pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.stack([a, b])
 
 
-def _membership_dual(g: np.ndarray) -> float:
+def _membership_dual(g: np.ndarray) -> np.ndarray:
     """(B, C) with B upper-, C lower-triangular, diag B diag C = 1, det = 1."""
-    b, c = g[0], g[1]
-    n = b.shape[0]
-    res = float(np.max(np.abs(np.tril(b, -1))))
-    res = max(res, float(np.max(np.abs(np.triu(c, 1)))))
-    res = max(res, float(np.max(np.abs(np.diag(b) * np.diag(c) - 1.0))))
-    res = max(res, float(abs(np.linalg.det(b) - 1.0)))
-    return res
+    b, c = g[..., 0, :, :], g[..., 1, :, :]
+    diag = np.diagonal(b, axis1=-2, axis2=-1) * np.diagonal(c, axis1=-2, axis2=-1) - 1.0
+    return np.maximum.reduce([_max_over(np.tril(b, -1), 2), _max_over(np.triu(c, 1), 2), _max_over(diag, 1),
+                              np.abs(np.linalg.det(b) - 1.0)])
 
 
 def dual_group(n: int) -> MatrixGroup:
@@ -280,40 +319,22 @@ def dual_group(n: int) -> MatrixGroup:
     sl_basis = [np.array([[float(c.re) for c in row] for row in m]) for m in _sl_basis(n)[1]]
     diag_basis = [_pair(m, m) for m in sl_basis]
 
-    gstar_basis: list[np.ndarray] = []
+    unit = np.eye(n * n).reshape(n * n, n, n)  # unit[n a + b] = E_ab
     zero = np.zeros((n, n))
-    for a in range(n):
-        for b in range(a + 1, n):
-            e = np.zeros((n, n))
-            e[a, b] = 1.0
-            gstar_basis.append(_pair(e, zero))
-    for a in range(n):
-        for b in range(a + 1, n):
-            e = np.zeros((n, n))
-            e[b, a] = 1.0
-            gstar_basis.append(_pair(zero, e))
-    for m in range(n - 1):
-        h = np.zeros((n, n))
-        h[m, m] = 1.0
-        h[m + 1, m + 1] = -1.0
-        gstar_basis.append(_pair(h, -h))
+    upper = [n * a + b for a in range(n) for b in range(a + 1, n)]
+    gstar_basis = [_pair(unit[k], zero) for k in upper] + [_pair(zero, unit[k].T) for k in upper]
+    gstar_basis += [_pair(h, -h) for h in (unit[(n + 1) * m] - unit[(n + 1) * (m + 1)] for m in range(n - 1))]
 
     dim = len(sl_basis)
     assert len(gstar_basis) == dim
 
     gram = np.array([[pair_trace(x, d) for d in diag_basis] for x in gstar_basis])
     dual_vectors = np.linalg.solve(gram.T, np.eye(dim))  # column i: coeffs of xi^i
-    xi_basis = []
-    for i in range(dim):
-        total = np.zeros((2, n, n))
-        for a in range(dim):
-            total += dual_vectors[a, i] * gstar_basis[a]
-        xi_basis.append(total)
+    xi_basis = [sum(dual_vectors[a, i] * gstar_basis[a] for a in range(dim)) for i in range(dim)]
 
     basis = diag_basis + xi_basis
     r_terms = [(i, dim + i, DOUBLE_R_SCALE) for i in range(dim)]
     group = MatrixGroup(f"B+*B-({n})", None, basis, r_terms, _membership_dual)
-    group.diag_dim = dim
     group.xi_basis = xi_basis
     group.diag_basis = diag_basis
     return group
@@ -330,9 +351,11 @@ def pair_trace(x: np.ndarray, y: np.ndarray) -> float:
 
 
 def adjoint_coordinate_matrix(group: MatrixGroup, g: np.ndarray) -> np.ndarray:
-    """Matrix of Ad_g in the algebra basis (column j: coords of Ad_g basis_j)."""
-    cols = [group.coords(group.ad(g, b)) for b in group.basis]
-    return np.stack(cols, axis=1)
+    """Matrix of Ad_g in the algebra basis (column j: the coefficients of
+    g basis_j g^-1, by least squares, exact for elements of the span)."""
+    g_inv = np.linalg.inv(g)
+    flat = np.stack([b.reshape(-1) for b in group.basis], axis=1)
+    return np.linalg.pinv(flat) @ np.stack([(g @ b @ g_inv).reshape(-1) for b in group.basis], axis=1)
 
 
 def cocycle_lambda(group: MatrixGroup, g: np.ndarray) -> np.ndarray:
@@ -354,19 +377,21 @@ def cocycle_lambda(group: MatrixGroup, g: np.ndarray) -> np.ndarray:
     return lam
 
 
-def _interleave(first: np.ndarray, second: np.ndarray) -> np.ndarray:
-    """Stack [first[0], second[0], first[1], second[1], ...] along axis 0."""
-    return np.stack([first, second], axis=1).reshape(-1, *first.shape[1:])
+def _interleave(first: np.ndarray, second: np.ndarray, axis: int) -> np.ndarray:
+    """Interleave [first[0], second[0], first[1], second[1], ...] along ``axis``."""
+    shape = first.shape
+    return np.stack([first, second], axis=axis + 1).reshape(*shape[:axis], 2 * shape[axis], *shape[axis + 1:])
 
 
 def pl_bivector(group: MatrixGroup, g: np.ndarray) -> TangentBivector:
     """pi(g) = r_{g*} (Ad_g r - r): wedge pairs of tangent matrices at g,
     (c Ad_g(a) g, Ad_g(b) g) and (-c a g, b g) for each r-term c a ^ b."""
     a, b, c = group.r_legs
-    g_inv = np.linalg.inv(g)
-    u = _interleave(c * (g @ a @ g_inv @ g), -c * (a @ g))
-    v = _interleave(g @ b @ g_inv @ g, b @ g)
-    return TangentBivector.from_legs(g, u, v)
+    lead = g.ndim - a.ndim + 1  # 1 for a stack of points
+    gx, gx_inv = (np.expand_dims(x, lead) for x in (g, np.linalg.inv(g)))  # broadcast over the r-terms
+    u = _interleave(c * (gx @ a @ gx_inv @ gx), -c * (a @ gx), lead)
+    v = _interleave(gx @ b @ gx_inv @ gx, b @ gx, lead)
+    return TangentBivector.from_legs(g, u, v, lead)
 
 
 # ---------------------------------------------------------------------------
@@ -395,30 +420,26 @@ class InvolutionSpec:
         """The differential; entrywise-linear maps are their own differential."""
         return self.apply(v)
 
-    def fixed_residual(self, g: np.ndarray) -> float:
-        return float(np.max(np.abs(self.apply(g) - g)))
+    def fixed_residual(self, g: np.ndarray) -> np.ndarray:
+        """max |Phi(g) - g|, one value per point of a stack."""
+        return _max_over(self.apply(g) - g, 2 if self.kind == "transpose" else 3)
 
 
 def xplus(spec: InvolutionSpec, g: np.ndarray, v: np.ndarray) -> np.ndarray:
     """v+ = (v + Phi_* v) / 2 at a fixed point of the involution; v may be a
-    stack of tangent vectors."""
-    res = spec.fixed_residual(g)
-    if res > TOL_MEMBER:
+    stack of tangent vectors, and g a stack of points."""
+    res = _first_failure(spec.fixed_residual(g), TOL_MEMBER)
+    if res is not None:
         raise ValueError(f"point is not fixed by the involution (residual {res:.2e})")
     return 0.5 * (v + spec.push(v))
 
 
-def invariance_residual(spec: InvolutionSpec, pi: TangentBivector) -> float:
-    """|| Phi_* pi - pi || via the realified sharp matrices."""
-    pushed = pi.map_legs(spec.push)
-    return float(np.max(np.abs(pushed.sharp_matrix() - pi.sharp_matrix())))
-
-
 def pi_q_projection(spec: InvolutionSpec, pi: TangentBivector) -> TangentBivector:
-    """Project every wedge leg with (1 + Phi_*)/2; requires Phi_* pi = pi."""
-    res = invariance_residual(spec, pi)
-    scale = max(1.0, pi.max_abs()) ** 2
-    if res > TOL_MEMBER * scale:
+    """Project every wedge leg with (1 + Phi_*)/2; requires Phi_* pi = pi, with
+    || Phi_* pi - pi || of the sharp matrices at each point's scale max(1, |pi|)^2."""
+    invariance = _max_over(pi.map_legs(spec.push)._compact_sharp() - pi._compact_sharp(), 2)
+    res = _first_failure(invariance, TOL_MEMBER * np.maximum(1.0, pi.max_abs()) ** 2)
+    if res is not None:
         raise ValueError(f"bivector is not involution-invariant (residual {res:.2e})")
     g = pi.base
     return pi.map_legs(lambda v: xplus(spec, g, v))
@@ -437,18 +458,20 @@ def pi_q_formula(
     experimentally rejected reading of the formula and exists only so tests
     can demonstrate that it disagrees with the projection route.
     """
+    e, f, c = group.r_legs
+    lead = g.ndim - e.ndim + 1  # 1 for a stack of points
+    gx = np.expand_dims(g, lead)  # broadcast over the r-terms
 
     def left(x):
-        return x @ g if swap_arrows else g @ x
+        return x @ gx if swap_arrows else gx @ x
 
     def right(x):
-        return g @ x if swap_arrows else x @ g
+        return gx @ x if swap_arrows else x @ gx
 
-    e, f, c = group.r_legs
     pe, pf = phi(e), phi(f)
-    u = _interleave(0.25 * c * (left(e) + right(pe)), -0.25 * c * (right(e) + left(pe)))
-    v = _interleave(left(f) + right(pf), right(f) + left(pf))
-    return TangentBivector.from_legs(g, u, v)
+    u = _interleave(0.25 * c * (left(e) + right(pe)), -0.25 * c * (right(e) + left(pe)), lead)
+    v = _interleave(left(f) + right(pf), right(f) + left(pf), lead)
+    return TangentBivector.from_legs(g, u, v, lead)
 
 
 # ---------------------------------------------------------------------------
@@ -458,13 +481,13 @@ def pi_q_formula(
 
 def dual_group_bivector(group: MatrixGroup, point: np.ndarray) -> TangentBivector:
     """pi_D at a point of G* inside the double, with membership enforced."""
-    res = group.membership(point)
-    if res > TOL_MEMBER:
+    res = _first_failure(group.membership(point), TOL_MEMBER)
+    if res is not None:
         raise ValueError(f"point is not in {group.name} (residual {res:.2e})")
     return pl_bivector(group, point)
 
 
-def dual_tangency_residual(pi: TangentBivector) -> float:
+def dual_tangency_residual(pi: TangentBivector) -> float | np.ndarray:
     """How far the sharp image of a bivector at (B, C) leaves T(B,C) G*.
 
     Individual wedge legs of the stored decomposition need not be tangent;
@@ -474,31 +497,25 @@ def dual_tangency_residual(pi: TangentBivector) -> float:
     upper part of gamma, and the diagonal relation
     beta_ii C_ii + B_ii gamma_ii = 0.
     """
-    b, c = pi.base[0], pi.base[1]
-    half = pi.base.size
-    image = _column_basis(pi.sharp_matrix(), 1e-10)
-    legs = image[:half].T.reshape(-1, *pi.base.shape)
-    beta, gamma = legs[:, 0], legs[:, 1]
-    diag = np.diagonal(beta, axis1=1, axis2=2) * np.diag(c) + np.diag(b) * np.diagonal(gamma, axis1=1, axis2=2)
-    return float(max(
-        np.max(np.abs(np.tril(beta, -1)), initial=0.0),
-        np.max(np.abs(np.triu(gamma, 1)), initial=0.0),
-        np.max(np.abs(diag), initial=0.0),
-    ))
+    b, c = (np.diagonal(pi.base[..., None, k, :, :], axis1=-2, axis2=-1) for k in (0, 1))
+    image = _image_basis(pi, 1e-10)
+    legs = _transpose(image[..., :math.prod(pi.point_shape), :]).reshape(*image.shape[:-2], image.shape[-1], *pi.point_shape)
+    beta, gamma = legs[..., 0, :, :], legs[..., 1, :, :]
+    diag = np.diagonal(beta, axis1=-2, axis2=-1) * c + b * np.diagonal(gamma, axis1=-2, axis2=-1)
+    return np.maximum.reduce([_max_over(np.tril(beta, -1), 3), _max_over(np.triu(gamma, 1), 3), _max_over(diag, 2)])
 
 
-def _numeric_rank(mat: np.ndarray, thresh: float) -> int:
-    if mat.size == 0:
-        return 0
-    svals = np.linalg.svd(mat, compute_uv=False)
-    return int(np.sum(svals > thresh))
+def _image_basis(pi: TangentBivector, thresh: float) -> np.ndarray:
+    """Orthonormal columns spanning the image of pi^# (singular values above thresh)
+    at each point, padded with zero columns to the largest rank in the stack."""
+    u, s = pi._sharp_svd
+    keep = s > thresh
+    return (u * keep[..., None, :])[..., :np.max(np.sum(keep, axis=-1), initial=0)]
 
 
-def _column_basis(mat: np.ndarray, thresh: float) -> np.ndarray:
-    if mat.size == 0:
-        return np.zeros((mat.shape[0], 0))
-    u, s, _ = np.linalg.svd(mat, full_matrices=False)
-    return u[:, s > thresh]
+def _rank(mat: np.ndarray, thresh: float) -> np.ndarray:
+    """Numeric rank of each matrix of a stack: its singular values above thresh."""
+    return np.sum(np.linalg.svd(mat, compute_uv=False) > thresh, axis=-1)
 
 
 @functools.lru_cache(maxsize=None)
@@ -509,12 +526,9 @@ def _plus_eigenspace(spec: InvolutionSpec, shape: tuple[int, ...], dtype: np.dty
     For real points the imaginary half of the realified space is phantom
     (the probes there push to zero), so it never enters the eigenspace.
     """
-    half = math.prod(shape)
-    size = 2 * half
-    probes = np.eye(size)  # row k is the k-th realified unit vector
-    re = probes[:, :half].reshape(size, *shape)
-    im = probes[:, half:].reshape(size, *shape)
-    v = re + 1j * im if np.issubdtype(dtype, np.complexfloating) else re
+    size = 2 * math.prod(shape)
+    probes = np.eye(size).reshape(size, 2, *shape)  # probes[k]: real and imaginary part of the k-th unit vector
+    v = probes[:, 0] + 1j * probes[:, 1] if np.issubdtype(dtype, np.complexfloating) else probes[:, 0]
     p = _vec(spec.push(v)).T  # column k: the pushed k-th probe
     _, s, vt = np.linalg.svd(p - np.eye(size))
     basis = vt[s <= thresh].T
@@ -523,21 +537,15 @@ def _plus_eigenspace(spec: InvolutionSpec, shape: tuple[int, ...], dtype: np.dty
 
 
 def rank_relation_holds(spec: InvolutionSpec, pi: TangentBivector, projected: TangentBivector,
-                        thresh: float = TOL_CROSS) -> bool:
-    """rank pi_Q^# == dim( im pi^# intersect T_x Q ), by SVD at the threshold;
+                        thresh: float = TOL_CROSS) -> bool | np.ndarray:
+    """rank pi_Q^# == dim( im pi^# intersect T_x Q ), by SVD at the threshold, per point;
     ``projected`` is ``pi_q_projection(spec, pi)``, which every caller already holds."""
-    m_ambient = pi.sharp_matrix()
-    m_induced = projected.sharp_matrix()
-    rank_induced = _numeric_rank(m_induced, thresh)
-
-    image = _column_basis(m_ambient, thresh)
-    plus = _plus_eigenspace(spec, pi.base.shape, pi.base.dtype, thresh)
-    if image.shape[1] == 0 or plus.shape[1] == 0:
-        dim_int = 0
-    else:
-        joint = np.concatenate([image, plus], axis=1)
-        dim_int = image.shape[1] + plus.shape[1] - _numeric_rank(joint, thresh)
-    return rank_induced == dim_int
+    image = _image_basis(pi, thresh)
+    # for real points the imaginary half of the +1 eigenspace basis is zero, as is the image's
+    plus = _plus_eigenspace(spec, pi.point_shape, pi.base.dtype, thresh)[:image.shape[-2]]
+    joint = np.concatenate([image, np.broadcast_to(plus, (*image.shape[:-1], plus.shape[1]))], axis=-1)
+    dim_int = np.sum(pi._sharp_svd[1] > thresh, axis=-1) + plus.shape[1] - _rank(joint, thresh)
+    return _rank(projected._compact_sharp(), thresh) == dim_int
 
 
 # ---------------------------------------------------------------------------
@@ -545,35 +553,42 @@ def rank_relation_holds(spec: InvolutionSpec, pi: TangentBivector, projected: Ta
 # ---------------------------------------------------------------------------
 
 
+def _unipotent_points(n: int, rngs: Sequence[np.random.Generator], scale: float = 0.5) -> np.ndarray:
+    """Unipotent upper-triangular points, one per generator, which draws the
+    strictly upper entries of the exponent row by row."""
+    a, b = np.triu_indices(n, 1)
+    x = np.zeros((len(rngs), n, n))
+    x[:, a, b] = [rng.normal(0.0, scale, size=len(a)) for rng in rngs]
+    return matrix_exp(x)
+
+
 def _sample_unipotent(n: int, rng: np.random.Generator, scale: float = 0.5) -> np.ndarray:
-    x = np.zeros((n, n))
-    for a in range(n):
-        for b in range(a + 1, n):
-            x[a, b] = rng.normal(0.0, scale)
+    return _unipotent_points(n, [rng], scale)[0]
+
+
+def _dual_points(n: int, rngs: Sequence[np.random.Generator], scale: float = 0.5) -> np.ndarray:
+    """Generic points of G*, one per generator: exponentials of opposite-diagonal
+    upper/lower-triangular pairs (X+, X-), drawn as the pairs (X+_ab, X-_ba),
+    then the diagonal."""
+    a, b = np.triu_indices(n, 1)
+    draws = np.array([rng.normal(0.0, scale, size=2 * len(a) + n) for rng in rngs])
+    d = draws[:, 2 * len(a):] - draws[:, 2 * len(a):].mean(axis=1, keepdims=True)
+    x = np.zeros((len(rngs), 2, n, n))
+    x[:, 0, a, b], x[:, 1, b, a] = draws[:, 0:2 * len(a):2], draws[:, 1:2 * len(a):2]
+    x[:, 0, range(n), range(n)], x[:, 1, range(n), range(n)] = d, -d
     return matrix_exp(x)
 
 
 def _sample_dual_point(n: int, rng: np.random.Generator, scale: float = 0.5) -> np.ndarray:
-    """A generic point of G*: exponentials of opposite-diagonal triangular
-    algebra elements."""
-    up = np.zeros((n, n))
-    low = np.zeros((n, n))
-    for a in range(n):
-        for b in range(a + 1, n):
-            up[a, b] = rng.normal(0.0, scale)
-            low[b, a] = rng.normal(0.0, scale)
-    d = rng.normal(0.0, scale, size=n)
-    d -= d.mean()
-    up += np.diag(d)
-    low -= np.diag(d)
-    return np.stack([matrix_exp(up), matrix_exp(low)])
+    return _dual_points(n, [rng], scale)[0]
 
 
 CHART_N3 = ((0, 0, 1), (0, 0, 2), (0, 1, 2))  # x = B_12, y = B_13, z = B_23
+CYCLIC = (Ellipsis, (0, 1, 2), (1, 2, 0))  # reads the brackets {x, y}, {y, z}, {z, x}
 
 
-def _dubrovin_rhs(x: float, y: float, z: float) -> tuple[float, float, float]:
-    return (x * y - 2 * z, y * z - 2 * x, z * x - 2 * y)
+def _dubrovin_rhs(x, y, z) -> np.ndarray:
+    return np.stack([x * y - 2 * z, y * z - 2 * x, z * x - 2 * y], axis=-1)
 
 
 def stokes_report(n: int = 3, samples: int = 20, seed: int = 1, tol: float = 1e-8) -> Report:
@@ -596,62 +611,46 @@ def stokes_report(n: int = 3, samples: int = 20, seed: int = 1, tol: float = 1e-
     group = dual_group(n)
     psi = InvolutionSpec("pair-swap")
 
-    collected = []
-    max_tangency = 0.0
-    max_markoff = 0.0
-    rank_ok = True
-    for k in range(samples):
-        rng = np.random.default_rng([seed, k])
-        b = _sample_unipotent(n, rng)
-        point = np.stack([b, b.T])
+    def fixed_block(ks: range):
+        b = _unipotent_points(n, [np.random.default_rng([seed, k]) for k in ks])
+        point = np.stack([b, _transpose(b)], axis=1)
         pi = dual_group_bivector(group, point)
-        max_tangency = max(max_tangency, dual_tangency_residual(pi))
+        tangency = float(np.max(dual_tangency_residual(pi)))
         pi_q = pi_q_projection(psi, pi)
-        rank_ok = rank_ok and rank_relation_holds(psi, pi, pi_q)
-
-        x, y, z = (float(point[idx]) for idx in CHART_N3)
+        rank_ok = bool(np.all(rank_relation_holds(psi, pi, pi_q)))
+        x, y, z = (point[(Ellipsis, *idx)] for idx in CHART_N3)
         chart_brackets = pi_q.bracket_matrix(CHART_N3)  # {v, w} for v, w in (x, y, z)
-        brackets = tuple(float(chart_brackets[p, q]) for p, q in ((0, 1), (1, 2), (2, 0)))
-        collected.append((brackets, _dubrovin_rhs(x, y, z)))
-
         # Markoff polynomial m = x^2 + y^2 + z^2 - xyz is constant along
         # Hamiltonian directions: {m, w} = sum_v dm/dv {v, w}
-        grad = np.array([2 * x - y * z, 2 * y - x * z, 2 * z - x * y])
-        max_markoff = max(max_markoff, float(np.max(np.abs(grad @ chart_brackets))))
+        grad = np.stack([2 * x - y * z, 2 * y - x * z, 2 * z - x * y], axis=-1)
+        markoff = float(np.max(np.abs(grad[:, None, :] @ chart_brackets)))
+        return chart_brackets[CYCLIC], _dubrovin_rhs(x, y, z), tangency, markoff, rank_ok
 
-    # calibrate kappa once, at the most informative sampled component
-    kappa = None
-    for brackets, target in collected:
-        pick = int(np.argmax(np.abs(target)))
-        if abs(target[pick]) > 1e-6:
-            kappa = brackets[pick] / target[pick]
-            break
-    if kappa is None:
+    brackets, targets, tangency, markoff, ranks = zip(*_blocks(samples, fixed_block))
+    brackets, targets = np.concatenate(brackets), np.concatenate(targets)  # 6 floats a sample, for the fit
+    max_tangency, max_markoff, rank_ok = max(tangency), max(markoff), all(ranks)
+
+    # calibrate kappa once, at the most informative component of the first usable sample
+    picked = np.arange(samples), np.argmax(np.abs(targets), axis=1)
+    usable = np.flatnonzero(np.abs(targets[picked]) > 1e-6)
+    if not usable.size:
         raise RuntimeError("no sample produced a usable calibration point")
-    max_resid = 0.0
-    for brackets, target in collected:
-        for lhs, rhs in zip(brackets, target):
-            max_resid = max(max_resid, abs(lhs - kappa * rhs))
+    kappa = float(brackets[picked][usable[0]] / targets[picked][usable[0]])
+    max_resid = float(np.max(np.abs(brackets - kappa * targets)))
     kappa_two_defect = abs(abs(kappa) - 2.0)
 
-    max_push = 0.0
-    for k in range(samples):
-        rng = np.random.default_rng([seed, samples + k])
-        point = _sample_dual_point(n, rng)
+    def push_block(ks: range) -> float:
+        point = _dual_points(n, [np.random.default_rng([seed, samples + k]) for k in ks])
         pi = dual_group_bivector(group, point)
-        b, c = point[0], point[1]
-        image = b @ c.T
+        b, c = point[:, None, 0], point[:, None, 1]  # broadcast over the wedge pairs
+        pushed = pi.map_legs(lambda legs: legs[:, :, 0] @ _transpose(c) + b @ _transpose(legs[:, :, 1]),
+                             base=point[:, 0] @ _transpose(point[:, 1]))
+        image = pushed.base
+        target = _dubrovin_rhs(image[:, 0, 1], image[:, 0, 2], image[:, 1, 2])
+        brackets = pushed.bracket_matrix(((0, 1), (0, 2), (1, 2)))[CYCLIC]
+        return float(np.max(np.abs(brackets - 2.0 * kappa * target)))
 
-        def df(legs: np.ndarray) -> np.ndarray:
-            return legs[:, 0] @ c.T + b @ _transpose(legs[:, 1])
-
-        pushed = pi.map_legs(df, base=image)
-        x, y, z = image[0, 1], image[0, 2], image[1, 2]
-        target = _dubrovin_rhs(x, y, z)
-        image_brackets = pushed.bracket_matrix(((0, 1), (0, 2), (1, 2)))
-        brackets = (image_brackets[0, 1], image_brackets[1, 2], image_brackets[2, 0])
-        for lhs, rhs in zip(brackets, target):
-            max_push = max(max_push, abs(float(lhs) - 2.0 * kappa * float(rhs)))
+    max_push = max(_blocks(samples, push_block))
 
     ok = (
         max_resid <= tol
@@ -673,20 +672,24 @@ def stokes_report(n: int = 3, samples: int = 20, seed: int = 1, tol: float = 1e-
     return Report(ok, values, seed=seed, samples=samples)
 
 
-def _sample_fixed_point(group: MatrixGroup, rng: np.random.Generator, scale: float = 0.5) -> np.ndarray:
-    """A transpose-fixed group point: exp of a symmetric algebra element.
+def _fixed_points(group: MatrixGroup, coeffs: np.ndarray) -> np.ndarray:
+    """Transpose-fixed group points exp((x + x^T)/2), x = ``group.combine(coeffs)``.
 
     Both sl(n) and su(n) are stable under transposition, so the symmetrized
     element stays in the algebra and its exponential is a fixed group point.
     """
-    x = group.random_algebra_element(rng, scale)
+    x = group.combine(coeffs)
     return matrix_exp(0.5 * (x + _transpose(x)))
 
 
-def _bracket_difference(a: TangentBivector, b: TangentBivector) -> float:
-    """Largest entrywise-bracket difference over all entry pairs."""
+def _sample_fixed_point(group: MatrixGroup, rng: np.random.Generator, scale: float = 0.5) -> np.ndarray:
+    return _fixed_points(group, rng.normal(0.0, scale, size=group.dim))
+
+
+def _bracket_difference(a: TangentBivector, b: TangentBivector) -> float | np.ndarray:
+    """Largest entrywise-bracket difference over all entry pairs, per point."""
     diff = np.abs(a.bracket_matrix() - b.bracket_matrix())
-    return float(np.max(diff[np.triu_indices(a.base.size, 1)], initial=0.0))
+    return np.max(diff[(Ellipsis, *np.triu_indices(diff.shape[-1], 1))], axis=-1, initial=0.0)
 
 
 def crosscheck_report(kind: str, samples: int = 10, seed: int = 2, tol: float = TOL_CROSS, n: int = 3) -> Report:
@@ -707,24 +710,21 @@ def crosscheck_report(kind: str, samples: int = 10, seed: int = 2, tol: float = 
     phi = _transpose  # the algebra anti-morphism in both realizations
     spec = InvolutionSpec("transpose")
 
-    max_diff = 0.0
-    max_plus = 0.0
-    rank_ok = True
-    for k in range(samples):
-        rng = np.random.default_rng([seed, k])
-        g = _sample_fixed_point(group, rng)
-        if group.membership(g) > TOL_MEMBER:
+    def block(ks: range):
+        g = _fixed_points(group, np.array([np.random.default_rng([seed, k]).normal(0.0, 0.5, size=group.dim)
+                                           for k in ks]))
+        if np.any(group.membership(g) > TOL_MEMBER):
             raise AssertionError("sampled point failed group membership")
         pi = pl_bivector(group, g)
         projected = pi_q_projection(spec, pi)
         direct = pi_q_formula(group, g, phi)
-        max_diff = max(max_diff, _bracket_difference(projected, direct))
-        rank_ok = rank_ok and rank_relation_holds(spec, pi, projected)
+        legs = np.concatenate([projected.u, projected.v], axis=1)  # must lie in the +1 eigenspace
+        return (float(np.max(_bracket_difference(projected, direct))),
+                float(np.max(np.abs(spec.push(legs) - legs), initial=0.0)),
+                bool(np.all(rank_relation_holds(spec, pi, projected))))
 
-        # projected legs must lie in the +1 eigenspace
-        legs = np.concatenate([projected.u, projected.v])
-        max_plus = max(max_plus, float(np.max(np.abs(spec.push(legs) - legs), initial=0.0)))
-
+    diffs, pluses, ranks = zip(*_blocks(samples, block))
+    max_diff, max_plus, rank_ok = max(diffs), max(pluses), all(ranks)
     ok = max_diff <= tol and max_plus <= TOL_MEMBER and rank_ok
     values = {
         "group": group.name,

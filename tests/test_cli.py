@@ -106,6 +106,14 @@ def test_exit_two_on_usage_and_parse_errors():
     assert run_command(["check", "casimir", "dubrovin3.chart", "--f", "x +* y"])[0] == 2
 
 
+@pytest.mark.parametrize("argv", [["-h"], ["check", "jacobi", "-h"], ["--porcelain", "group", "stokes", "--help"]])
+def test_help_exits_zero_without_a_report(argv, capsys):
+    # the help used to leave run_command as argparse's SystemExit(0)
+    assert run_command(argv) == (0, None)
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: poissonkit") and err == ""
+
+
 def test_group_stokes_cli():
     code, report = run_command([
         "group", "stokes", "--n", "3", "--samples", "5", "--seed", "1", "--tol", "1e-8",
@@ -220,6 +228,7 @@ BAD_FILES = {
     (["dirac", "slice", "slice_family.chart", "--t", "t,t", "--t0", "0,0"], "t coordinates must be distinct"),
     (["modular", "relative", "volume_y.chart"], "volume density vanishes on the submanifold"),
     (["oracle", "schouten", "--pairs", "x"], "--pairs: invalid int value: 'x'"),
+    (["dirac", "slice", "slice_family.chart", "--t", "", "--t0", ""], "--t must name at least one coordinate"),
 ])
 def test_bad_input_is_a_usage_error(argv, needle, capsys, tmp_path, monkeypatch):
     # each of these used to exit 1, as if a verification had failed, to pass having checked nothing,
@@ -392,12 +401,13 @@ FUZZ_POOLS = {
     "f": ["x", "1/0", "x +* y", "q"],
     "g": ["y", "q"],
     "x": ["x", "x1,x2", "x1,x1", "q"],
-    "t": ["t", "t,t", "w", "q"],
+    "t": ["t", "t,t", "w", "q", ""],
     "t0": ["0", "0,0", "1/0"],
     "mu": ["0,0,1", "1,0,0", "0", "0,0,1/0"],
     "matrix": ["-1,0,0;0,-1,0;0,0,1", "1,0,0;0,1,0;0,0,-1", "1,0;0,1", "1,1,0;0,1,0;0,0,1", "1/0,0,0;0,1,0;0,0,1"],
     "l": ["x3", "h1", "x1,x2", "x9"],
     "m": ["x1,x2", "e12,f12", "x3", "x9"],
+    "help": ["-h", "--help"],  # a flag: drawn as is
 }
 
 
@@ -418,7 +428,7 @@ def _draw_argv(data, parser):
         if not action.option_strings:
             argv.append(value)
         elif action.required or data.draw(st.booleans()):
-            argv.append(f"{action.option_strings[0]}={value}")
+            argv.append(value if action.nargs == 0 else f"{action.option_strings[0]}={value}")
     return argv
 
 
@@ -438,6 +448,9 @@ def test_exit_code_contract(capsys, tmp_path, monkeypatch):
         out, err = capsys.readouterr()
         if code == 2:
             assert report is None and out == "" and err.startswith(("usage error: ", "input error: ")), argv
+            return
+        if report is None:  # -h/--help: the help, and no verdict
+            assert code == 0 and out.startswith("usage:") and err == "", argv
             return
         last = out.splitlines()[-1]
         verdict = last if "--porcelain" in argv else "=".join(last.split())

@@ -220,8 +220,9 @@ def test_two_routes_agree_sl3_su3():
 def test_crosscheck_flags_legs_off_the_plus_eigenspace(monkeypatch):
     # a projection that leaves the v legs as they are; on SU(3) the two routes still agree and the
     # rank relation holds, so only the +1 eigenspace check, run on both stacks, fails the report
+    # (the report hands it a block of samples, so it keeps the bivector's batch axis)
     def u_only(spec, pi):
-        return TangentBivector.from_legs(pi.base, xplus(spec, pi.base, pi.u), pi.v)
+        return TangentBivector.from_legs(pi.base, xplus(spec, pi.base, pi.u), pi.v, pi.batch_ndim)
 
     monkeypatch.setattr(groupnum, "pi_q_projection", u_only)
     for kind in ("sl", "su"):

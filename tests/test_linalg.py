@@ -1,4 +1,4 @@
-"""Exact elimination: solve with one or many right-hand sides."""
+"""Exact elimination: solve with one or many right-hand sides, rref and inverse."""
 
 from fractions import Fraction
 
@@ -14,23 +14,30 @@ def _column(b, p):
 
 
 small = st.integers(-2, 2).map(Scalar)
+# Gaussian rationals with small parts, zero often enough that rank-deficient matrices are common
+gaussian = st.builds(lambda p, q, im: Scalar(Fraction(p, q), im),
+                     st.integers(-2, 2), st.sampled_from([1, 2, 3]), st.sampled_from([0, 0, 1, -1, Fraction(1, 2)]))
+
+
+def matrices(entries, nrows, ncols):
+    return st.lists(st.lists(entries, min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows)
 
 
 @st.composite
-def systems(draw):
-    """A small integer A (often rank deficient) and a matrix B of right-hand sides."""
+def systems(draw, entries=small):
+    """A small A (often rank deficient) and a matrix B of right-hand sides."""
     nrows = draw(st.integers(1, 4))
     ncols = draw(st.integers(1, 4))
     nrhs = draw(st.integers(1, 4))
-    a = draw(st.lists(st.lists(small, min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows))
+    a = draw(matrices(entries, nrows, ncols))
     # mix columns in the span of A (consistent) with arbitrary ones
     b = [[None] * nrhs for _ in range(nrows)]
     for p in range(nrhs):
         if draw(st.booleans()):
-            x = draw(st.lists(small, min_size=ncols, max_size=ncols))
+            x = draw(st.lists(entries, min_size=ncols, max_size=ncols))
             col = linalg.mat_vec(a, x)
         else:
-            col = draw(st.lists(small, min_size=nrows, max_size=nrows))
+            col = draw(st.lists(entries, min_size=nrows, max_size=nrows))
         for i in range(nrows):
             b[i][p] = col[i]
     return a, b
@@ -39,6 +46,16 @@ def systems(draw):
 @settings(max_examples=150, deadline=None)
 @given(systems())
 def test_matrix_rhs_agrees_with_column_by_column(system):
+    _check_matrix_rhs(system)
+
+
+@settings(max_examples=50, deadline=None)
+@given(systems(gaussian))
+def test_gaussian_rational_matrix_rhs_agrees_with_column_by_column(system):
+    _check_matrix_rhs(system)
+
+
+def _check_matrix_rhs(system):
     a, b = system
     nrhs = len(b[0])
     columns = [linalg.solve(a, _column(b, p)) for p in range(nrhs)]
@@ -66,3 +83,28 @@ def test_vector_rhs_keeps_its_shape():
     a = linalg.mat([[2, 0], [0, 4]])
     assert linalg.solve(a, [1, 1]) == [Scalar(Fraction(1, 2)), Scalar(Fraction(1, 4))]
     assert linalg.solve(a, [[1], [1]]) == [[Scalar(Fraction(1, 2))], [Scalar(Fraction(1, 4))]]
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: matrices(gaussian, n, n)))
+def test_inverse_is_exact_exactly_when_invertible(a):
+    n = len(a)
+    inv = linalg.inverse(a)
+    assert (inv is None) == (linalg.rank(a) < n)
+    if inv is not None:
+        assert linalg.mat_mul(inv, a) == linalg.identity(n)
+        assert linalg.mat_mul(a, inv) == linalg.identity(n)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.tuples(st.integers(1, 4), st.integers(1, 4)).flatmap(lambda shape: matrices(gaussian, *shape)))
+def test_rref_is_idempotent_and_keeps_rank_and_row_space(a):
+    r, pivots = linalg.rref(a)
+    assert linalg.rref(r) == (r, pivots)
+    rank = len(pivots)
+    assert rank == linalg.rank(a) == linalg.rank(r)
+    # the rows of R lie in the row space of A and span a space of the same dimension
+    assert linalg.rank(a + r) == rank
+    assert all(row == [Scalar(0)] * len(row) for row in r[rank:])
+    for i, col in enumerate(pivots):
+        assert [row[col] for row in r] == [Scalar(int(k == i)) for k in range(len(r))]
