@@ -96,7 +96,7 @@ def _transpose(v: np.ndarray) -> np.ndarray:
     return np.swapaxes(v, -1, -2)
 
 
-def _flat(x: np.ndarray, lead: int = 1) -> np.ndarray:
+def _flat(x: np.ndarray, lead: int) -> np.ndarray:
     """x with every axis after the first ``lead`` flattened into one."""
     return x.reshape(*x.shape[:lead], math.prod(x.shape[lead:]))
 

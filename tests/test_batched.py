@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from poissonkit import dynr, groupnum
-from poissonkit.groupnum import TOL_CROSS, TOL_MEMBER, InvolutionSpec, TangentBivector, matrix_exp
+from poissonkit.groupnum import TOL_CROSS, TOL_MEMBER, InvolutionSpec, TangentBivector
 from poissonkit.liealg import sl_chevalley
 from poissonkit.report import Report
 
@@ -241,50 +241,58 @@ def _hits(g, bad, point_ndim):
     return np.all(g == bad, axis=tuple(range(-point_ndim, 0)))
 
 
-def test_non_fixed_point_raises_as_the_loop_does(monkeypatch):
-    # samples 9 and 10 (the third block of four) are sheared off the symmetric locus, each by its own
-    # amount; the batched report must fail on sample 9 with the loop's error and residual
-    _set_block(monkeypatch, SMALL_BLOCK)
-    group = groupnum.sl_group(3)
-    bad = {}
-    for k, t in ((9, 0.3), (10, 0.7)):
-        x = group.random_algebra_element(np.random.default_rng([2, k]))
-        shear = np.eye(3)
-        shear[0, 1] = t
-        bad[k] = (0.5 * (x + x.T), shear)
+def _corrupt_exp(monkeypatch, corrupt):
+    """groupnum.matrix_exp with corrupt[generator] applied to the exponential of each listed
+    generator, in a single call and in a stacked one alike."""
     original = groupnum.matrix_exp
 
-    def sheared_exp(x):
+    def exp(x):
         out = original(x)
-        for generator, shear in bad.values():
-            out = np.where(_hits(x, generator, 2)[..., None, None], out @ shear, out)
+        for generator, fn in corrupt:
+            out = np.where(_hits(x, generator, 2)[..., None, None], fn(out), out)
         return out
 
-    monkeypatch.setattr(groupnum, "matrix_exp", sheared_exp)
+    monkeypatch.setattr(groupnum, "matrix_exp", exp)
+
+
+def test_non_fixed_point_raises_as_the_loop_does(monkeypatch):
+    # in the third block of four, sample 9 is sheared off the symmetric locus (an error in the
+    # projection) and sample 10 scaled off SL(3) (an error at the earlier membership check);
+    # the loop fails at sample 9, and so must the blocks
+    _set_block(monkeypatch, SMALL_BLOCK)
+    group = groupnum.sl_group(3)
+    shear = np.eye(3)
+    shear[0, 1] = 0.3
+    generators = []
+    for k in (9, 10):
+        x = group.random_algebra_element(np.random.default_rng([2, k]))
+        generators.append(0.5 * (x + x.T))
+    _corrupt_exp(monkeypatch, [(generators[0], lambda g: g @ shear), (generators[1], lambda g: 1.01 * g)])
     loop = _raised(lambda: _ref_crosscheck("sl", 12, 2))
     assert loop[0] is ValueError
     assert _raised(lambda: groupnum.crosscheck_report("sl", 12, 2)) == loop
-    # the sheared points still pass membership, so sample 9's error is the loop's first
-    assert _raised(lambda: _ref_crosscheck("sl", 10, 2)) == loop
+    assert _raised(lambda: _ref_crosscheck("sl", 10, 2)) == loop  # sample 9's error
 
 
 def test_non_invariant_bivector_raises_as_the_loop_does(monkeypatch):
-    # the B legs at samples 9 and 10 are rescaled, which breaks invariance under (B, C) -> (C^T, B^T)
+    # in the third block of four, the B legs of sample 9 are rescaled, which breaks invariance under
+    # (B, C) -> (C^T, B^T), and sample 10's point is scaled off G* (an error at the earlier
+    # membership check); the loop fails at sample 9, and so must the blocks
     _set_block(monkeypatch, SMALL_BLOCK)
-    bad = {}
-    for k, scale in ((9, 1.5), (10, 3.0)):
-        b = _ref_unipotent(3, np.random.default_rng([1, k]))
-        bad[k] = (np.stack([b, b.T]), np.array([scale, 1.0])[:, None, None])
+    b = _ref_unipotent(3, np.random.default_rng([1, 9]))
+    bad_point, factor = np.stack([b, b.T]), np.array([1.5, 1.0])[:, None, None]
     original = groupnum.pl_bivector
 
     def rescaled(group, g):
         pi = original(group, g)
-        u = pi.u
-        for point, factor in bad.values():
-            u = np.where(_hits(g, point, 3)[..., None, None, None, None], u * factor, u)
+        u = np.where(_hits(g, bad_point, 3)[..., None, None, None, None], pi.u * factor, pi.u)
         return TangentBivector.from_legs(pi.base, u, pi.v, pi.batch_ndim)
 
     monkeypatch.setattr(groupnum, "pl_bivector", rescaled)
+    rng = np.random.default_rng([1, 10])
+    generator = np.zeros((3, 3))
+    generator[np.triu_indices(3, 1)] = rng.normal(0.0, 0.5, size=3)
+    _corrupt_exp(monkeypatch, [(generator, lambda g: 1.01 * g)])
     loop = _raised(lambda: _ref_stokes(12, 1))
     assert loop[0] is ValueError and "not involution-invariant" in loop[1]
     assert _raised(lambda: groupnum.stokes_report(3, 12, 1)) == loop
@@ -322,6 +330,41 @@ def test_stacked_checks_report_the_first_failing_point():
     scaled[3] *= 1.02
     loop = _raised(lambda: [groupnum.dual_group_bivector(group, p) for p in scaled])
     assert _raised(lambda: groupnum.dual_group_bivector(group, scaled)) == loop
+
+
+def test_membership_failure_raises_as_the_loop_does(monkeypatch):
+    # only sample 10, the third point of its block, leaves SL(3)
+    _set_block(monkeypatch, SMALL_BLOCK)
+    x = groupnum.sl_group(3).random_algebra_element(np.random.default_rng([2, 10]))
+    _corrupt_exp(monkeypatch, [(0.5 * (x + x.T), lambda g: 1.01 * g)])
+    loop = _raised(lambda: _ref_crosscheck("sl", 12, 2))
+    assert loop[0] is AssertionError
+    assert _raised(lambda: groupnum.crosscheck_report("sl", 12, 2)) == loop
+
+
+def test_stacked_verdicts_are_per_point():
+    spec = InvolutionSpec("transpose")
+    group = groupnum.sl_group(3)
+    g = np.stack([groupnum._sample_fixed_point(group, np.random.default_rng([7, k])) for k in range(3)])
+    pi = groupnum.pl_bivector(group, g)
+    # point 1 alone keeps its unprojected u legs, which breaks its rank relation
+    u = groupnum.pi_q_projection(spec, pi).u.copy()
+    u[1] = pi.u[1]
+    broken = TangentBivector.from_legs(g, u, groupnum.pi_q_projection(spec, pi).v, 1)
+    loop = [groupnum.rank_relation_holds(spec, groupnum.pl_bivector(group, p), TangentBivector.from_legs(p, pu, pv))
+            for p, pu, pv in zip(g, broken.u, broken.v)]
+    assert loop == [True, False, True]
+    assert list(groupnum.rank_relation_holds(spec, pi, broken)) == loop
+    # point 1's invariance residual passes against its own scale max(1, |pi|)^2, not against point 0's
+    sym1 = np.array([[1.0, 2, 0], [2, 0, 1], [0, 1, -1]])
+    sym2 = np.array([[0.0, 0, 1], [0, 2, 0], [1, 0, -2]])
+    anti = np.array([[0.0, 1, 0], [-1, 0, 0], [0, 0, 0]])
+    u = np.stack([[sym1], [100 * sym1 + 1e-8 * anti]])
+    v = np.stack([[sym2], [100 * sym2]])
+    base = np.stack([np.eye(3)] * 2)
+    loop = [groupnum.pi_q_projection(spec, TangentBivector.from_legs(p, pu, pv)) for p, pu, pv in zip(base, u, v)]
+    stacked = groupnum.pi_q_projection(spec, TangentBivector.from_legs(base, u, v, 1))
+    assert np.array_equal(stacked.u, np.stack([p.u for p in loop]))
 
 
 # -- memory stays flat in the sample count ----------------------------------------------------
