@@ -83,7 +83,7 @@ DOUBLE_R_SCALE = 4.0
 
 # Samples per block of the reports: one round of stacked calls replaces this
 # many rounds of small ones, and holding one block at a time keeps memory flat
-# in the sample count (a Stokes block holds about 1 MB).
+# in the sample count (a Stokes block peaks at about 1.5 MB).
 BLOCK = 64
 
 
@@ -169,7 +169,7 @@ class TangentBivector:
     The legs are stored stacked: ``u`` and ``v`` have shape (m, *base.shape),
     with u[a] ^ v[a] the a-th wedge pair, and ``pairs`` lists them one by one.
     On a stack of points (``batch_ndim`` 1) they have shape (batch, m, *point
-    shape), and the array methods return one result per point.
+    shape), and every method but ``pairs`` returns one result per point.
     """
 
     def __init__(self, base: np.ndarray, pairs: Sequence[tuple[np.ndarray, np.ndarray]]):
@@ -204,9 +204,9 @@ class TangentBivector:
 
     def entry_bracket(self, idx1: tuple, idx2: tuple):
         """{A_idx1, A_idx2} = sum_a u_a[idx1] v_a[idx2] - u_a[idx2] v_a[idx1]."""
-        u1, u2 = self.u[(slice(None), *idx1)], self.u[(slice(None), *idx2)]
-        v1, v2 = self.v[(slice(None), *idx1)], self.v[(slice(None), *idx2)]
-        return u1 @ v2 - u2 @ v1
+        u1, u2 = self.u[(Ellipsis, *idx1)], self.u[(Ellipsis, *idx2)]
+        v1, v2 = self.v[(Ellipsis, *idx1)], self.v[(Ellipsis, *idx2)]
+        return np.sum(u1 * v2 - u2 * v1, axis=-1)
 
     def bracket_matrix(self, entries: Sequence[tuple] | None = None) -> np.ndarray:
         """Brackets {A_p, A_q} of all matrix entries (flat order), or of the

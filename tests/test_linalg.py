@@ -49,7 +49,7 @@ def test_matrix_rhs_agrees_with_column_by_column(system):
     _check_matrix_rhs(system)
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=30, deadline=None)
 @given(systems(gaussian))
 def test_gaussian_rational_matrix_rhs_agrees_with_column_by_column(system):
     _check_matrix_rhs(system)
@@ -85,7 +85,7 @@ def test_vector_rhs_keeps_its_shape():
     assert linalg.solve(a, [[1], [1]]) == [[Scalar(Fraction(1, 2))], [Scalar(Fraction(1, 4))]]
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=30, deadline=None)
 @given(st.integers(1, 4).flatmap(lambda n: matrices(gaussian, n, n)))
 def test_inverse_is_exact_exactly_when_invertible(a):
     n = len(a)
@@ -96,7 +96,7 @@ def test_inverse_is_exact_exactly_when_invertible(a):
         assert linalg.mat_mul(a, inv) == linalg.identity(n)
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=30, deadline=None)
 @given(st.tuples(st.integers(1, 4), st.integers(1, 4)).flatmap(lambda shape: matrices(gaussian, *shape)))
 def test_rref_is_idempotent_and_keeps_rank_and_row_space(a):
     r, pivots = linalg.rref(a)
