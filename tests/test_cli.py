@@ -443,7 +443,7 @@ def test_exit_code_contract(capsys, tmp_path, monkeypatch):
         (tmp_path / name).write_text(text)
     parser = _build_parser()
 
-    @settings(max_examples=130, deadline=None)  # so that about 100 argvs carry no -h/--help
+    @settings(max_examples=100, deadline=None)
     @given(st.data())
     def check(data):
         argv = _draw_argv(data, parser)
