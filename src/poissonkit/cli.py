@@ -10,6 +10,7 @@ inputs and seeds.
 from __future__ import annotations
 
 import argparse
+import math
 import random
 import sys
 
@@ -51,6 +52,16 @@ def _int_in_range(low: int, high: int | None = None):
     return parse
 
 
+def _tolerance(text: str) -> float:
+    """argparse type for --tol: a finite float of at least 0.  Every residual is at
+    most inf, and none is at most nan or a negative value, so those check nothing."""
+    value = float(text)  # argparse reports a ValueError as "invalid float value: 'text'"
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and at least 0, got {text}")
+    return value
+
+
+_tolerance.__name__ = "float"
 _sample_count = _int_in_range(1)  # --samples, --pairs, --dim
 _degree = _int_in_range(0)
 _group_n = _int_in_range(2, groupnum.N_CAP)  # group crosscheck|bruhat --n
@@ -333,7 +344,7 @@ def _build_parser() -> _Parser:
             p.add_argument("--n", type=_group_n, default=3)
         p.add_argument("--samples", type=_sample_count, default=20 if name == "stokes" else 10)
         p.add_argument("--seed", type=int, default=1)
-        p.add_argument("--tol", type=float, default=1e-8)
+        p.add_argument("--tol", type=_tolerance, default=1e-8)
 
     p = leaf(group("dynr", "dynamical r-matrix checks"), "cdybe", _dynr_cdybe,
              "residual constancy, invariance, gradient check")
@@ -341,7 +352,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--family", default="trig", choices=["trig", "rational", "tanh-corrupted"])
     p.add_argument("--samples", type=_int_in_range(2), default=10)  # a spread over one sample is 0
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-7)
+    p.add_argument("--tol", type=_tolerance, default=1e-7)
 
     osub = group("oracle", "brute-force cross-checks")
     p = leaf(osub, "schouten", _oracle_schouten, "chart bracket vs monomial-expansion oracle")

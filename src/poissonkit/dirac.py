@@ -82,6 +82,18 @@ class LinearInvolution:
         return [list(row) for row in self.matrix]
 
 
+def _induced_chart(pi: PolyMultiVec, q: AlignedSubmanifold) -> PoissonChart:
+    """Q with the x-x components of the bivector pi at y = 0, in the coordinates of Q."""
+    xs, ys = list(q.x_indices), list(q.y_indices)
+    comps = {}
+    for a, i in enumerate(xs):
+        for b in range(a + 1, len(xs)):
+            poly = pi.component((i, xs[b])).set_vars_zero(ys).restrict(xs)
+            if not poly.is_zero():
+                comps[(a, b)] = poly
+    return PoissonChart(len(xs), q.x_names, PolyMultiVec(len(xs), 2, comps))
+
+
 def check_aligned_dirac(q: AlignedSubmanifold) -> Report:
     """Decide the aligned criterion; on failure the witness is the offending
     symbol as ((i, j), polynomial on the chart).
@@ -107,16 +119,7 @@ def check_aligned_dirac(q: AlignedSubmanifold) -> Report:
                 dphi = phi.diff(l).set_vars_zero(ys)
                 if not dphi.is_zero():
                     return Report(False, reason=f"d phi_({i},{j}) / d y_{l} nonzero on Q", witness=((i, j), dphi))
-    xs = list(q.x_indices)
-    comps = {}
-    for a, i in enumerate(xs):
-        for b in range(a + 1, len(xs)):
-            j = xs[b]
-            poly = chart.pi.component((i, j)).set_vars_zero(ys).restrict(xs)
-            if not poly.is_zero():
-                comps[(a, b)] = poly
-    pi_q = PolyMultiVec(len(xs), 2, comps)
-    chart_q = PoissonChart(len(xs), q.x_names, pi_q)
+    chart_q = _induced_chart(chart.pi, q)
     if not jacobiator(chart_q).is_zero():
         raise AssertionError("induced structure failed the Jacobi identity; this is a bug")
     return Report(True, {"induced": chart_q})
@@ -190,8 +193,6 @@ def fixed_locus_projection(chart: PoissonChart, s: LinearInvolution) -> PoissonC
     sub = verdict.values["submanifold"]
     chart_z = sub.chart
     n = chart_z.dim
-    xs = list(sub.x_indices)
-    ys = list(sub.y_indices)
     signs = [1 if i in sub.x_indices else -1 for i in range(n)]
 
     half = Scalar(Fraction(1, 2))
@@ -210,15 +211,7 @@ def fixed_locus_projection(chart: PoissonChart, s: LinearInvolution) -> PoissonC
         left = PolyMultiVec.from_terms(n, 1, [((i,), poly)])
         right = PolyMultiVec.basis(n, j)
         total = total + wedge(leg_plus(left), leg_plus(right))
-    comps = {}
-    for a, i in enumerate(xs):
-        for b in range(a + 1, len(xs)):
-            j = xs[b]
-            poly = total.component((i, j)).set_vars_zero(ys).restrict(xs)
-            if not poly.is_zero():
-                comps[(a, b)] = poly
-    pi_q = PolyMultiVec(len(xs), 2, comps)
-    return PoissonChart(len(xs), sub.x_names, pi_q)
+    return _induced_chart(total, sub)
 
 
 # ---------------------------------------------------------------------------
@@ -229,15 +222,13 @@ def fixed_locus_projection(chart: PoissonChart, s: LinearInvolution) -> PoissonC
 def _as_vectors(g, elems) -> list[list[Scalar]]:
     out = []
     for e in elems:
+        if isinstance(e, str):
+            if e not in g.labels:
+                raise InvalidInput(f"unknown label {e!r}; the algebra has {', '.join(g.labels)}")
+            e = g.labels.index(e)
         if isinstance(e, int):
             v = [Scalar(0)] * g.dim
             v[e] = Scalar(1)
-            out.append(v)
-        elif isinstance(e, str):
-            if e not in g.labels:
-                raise InvalidInput(f"unknown label {e!r}; the algebra has {', '.join(g.labels)}")
-            v = [Scalar(0)] * g.dim
-            v[g.labels.index(e)] = Scalar(1)
             out.append(v)
         else:
             out.append([Scalar.coerce(c) for c in e])

@@ -35,7 +35,8 @@ range over strictly increasing index tuples.
 
 Batching.  ``pairings``, ``eval_r``, ``r_derivative`` and ``cdybe_residual``
 also take a stack of lambda, shape (..., rank), and return one result per
-lambda; ``residual_scan`` runs its samples through them in blocks.
+lambda; ``residual_scan`` and ``equivariance_check`` run their samples through
+them in blocks, by ``report.sample_blocks``.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ import numpy as np
 
 from .exactalg import Scalar
 from .liealg import LieAlgebraData, LinearAlgMap
-from .report import Report
+from .report import Report, sample_blocks, sample_rngs
 
 __all__ = [
     "DynamicalRFamily",
@@ -68,11 +69,6 @@ __all__ = [
 ]
 
 SINGULAR_GUARD = 1e-3
-
-# Samples per block of residual_scan: one round of stacked calls replaces this
-# many rounds of small ones, and holding one block at a time keeps memory flat
-# in the sample count (a block at sl4, dim 15, holds about 8 MB).
-BLOCK = 64
 
 
 def _tanh(x: np.ndarray) -> np.ndarray:
@@ -287,11 +283,12 @@ def cdybe_residual(family: DynamicalRFamily, lam: Sequence[float] | np.ndarray) 
     return _cyclic(n)
 
 
-def _sample_lambda(family: DynamicalRFamily, seed: int, index: int, margin: float = 0.5) -> np.ndarray:
-    rng = np.random.default_rng([seed, index])
+def _sample_lambda(family: DynamicalRFamily, seed: int, index: int) -> np.ndarray:
+    """Sample ``index``: a lambda whose every root pairing is at least 0.5 from 0."""
+    (rng,) = sample_rngs(seed, [index])
     for _ in range(1000):
         lam = rng.uniform(-2.0, 2.0, size=family.rank)
-        if (np.abs(family.pairings(lam)) >= margin).all():
+        if (np.abs(family.pairings(lam)) >= 0.5).all():
             return lam
     raise RuntimeError("could not sample lambda away from the singular set")
 
@@ -311,13 +308,15 @@ def residual_scan(family: DynamicalRFamily, samples: int = 10, seed: int = 0, to
     C = family.structure
     step = 1e-5
     # per sample: lambda, then lambda +- step along each coordinate, in the order
-    # a per-sample loop evaluates r at them, so a NearSingular is the first one's
+    # a per-sample loop evaluates r at them, so a sample raises the loop's NearSingular
     shifts = np.concatenate([np.zeros((1, family.rank)), np.repeat(np.eye(family.rank), 2, axis=0) * step])
     shifts[2::2] *= -1.0
 
-    def block(ks: range, first: np.ndarray | None):
-        """The first sample's residual (this block's when first is None) and the block's
-        spread, invariance and derivative defects."""
+    first = None  # sample 0's residual, which the spread is measured against
+
+    def block(ks: range) -> tuple[float, float, float]:
+        """The block's spread, invariance and derivative defects."""
+        nonlocal first
         lam = np.stack([_sample_lambda(family, seed, idx) for idx in ks])
         r = eval_r(family, lam[:, None, :] + shifts)
         res = cdybe_residual(family, lam)
@@ -325,13 +324,9 @@ def residual_scan(family: DynamicalRFamily, samples: int = 10, seed: int = 0, to
         analytic = np.stack([r_derivative(family, lam, m) for m in range(family.rank)], axis=1)
         if first is None:
             first = res[0].copy()
-        return first, _max_upper(res - first, 3), _max_ad_defect(C, res), _max_upper(fd - analytic, 2)
+        return _max_upper(res - first, 3), _max_ad_defect(C, res), _max_upper(fd - analytic, 2)
 
-    first = None
-    spread = invariance = deriv_defect = 0.0
-    for start in range(0, samples, BLOCK):
-        first, s, inv, d = block(range(start, min(start + BLOCK, samples)), first)
-        spread, invariance, deriv_defect = max(spread, s), max(invariance, inv), max(deriv_defect, d)
+    spread, invariance, deriv_defect = map(max, zip(*sample_blocks(range(samples), block)))
     values = {
         "algebra": g.name,
         "family": family.kind,
@@ -365,10 +360,12 @@ def equivariance_check(
     if np.any(np.delete(S[:, cartan], cartan, axis=0)):
         raise ValueError("s does not preserve the Cartan subalgebra")
     s_h = S[np.ix_(cartan, cartan)]  # restriction of s to the Cartan, on lambda-coordinates
-    defect = 0.0
-    for idx in range(samples):
-        lam = _sample_lambda(family, seed, idx)
-        moved = s_h.T @ lam  # (s_h)* lambda in coordinates
-        defect = max(defect, _max_upper(S @ eval_r(family, lam) @ S.T + eval_r(family, moved), 2))
+
+    def block(ks: range) -> float:
+        lam = np.stack([_sample_lambda(family, seed, idx) for idx in ks])
+        moved = lam @ s_h  # (s_h)* lambda in coordinates, one row per sample
+        return _max_upper(S @ eval_r(family, lam) @ S.T + eval_r(family, moved), 2)
+
+    defect = max(sample_blocks(range(samples), block))
     values = {"algebra": g.name, "defect": defect, "tol": tol}
     return Report(defect <= tol, values, seed=seed, samples=samples)

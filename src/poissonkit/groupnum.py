@@ -36,16 +36,15 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 import scipy.linalg
 
 from .liealg import LieAlgebraData, _sl_basis, sl_chevalley, standard_r_matrix, su_compact_basis
-from .report import Report
+from .report import Report, sample_blocks, sample_rngs
 
 __all__ = [
-    "TOL_LINALG",
     "TOL_MEMBER",
     "TOL_CROSS",
     "MatrixGroup",
@@ -67,7 +66,6 @@ __all__ = [
     "crosscheck_report",
 ]
 
-TOL_LINALG = 1e-12  # pure linear-algebra identities
 TOL_MEMBER = 1e-9  # group membership and invariance residuals
 TOL_CROSS = 1e-8  # cross-route bracket comparisons
 
@@ -80,11 +78,7 @@ TOL_CROSS = 1e-8  # cross-route bracket comparisons
 # agreement, rank relations) is invariant under this scalar.
 DOUBLE_R_SCALE = 4.0
 
-
-# Samples per block of the reports: one round of stacked calls replaces this
-# many rounds of small ones, and holding one block at a time keeps memory flat
-# in the sample count (a Stokes block peaks at about 1.5 MB).
-BLOCK = 64
+SAMPLE_SCALE = 0.5  # standard deviation of the normal draws behind every sampled point
 
 
 def matrix_exp(x: np.ndarray) -> np.ndarray:
@@ -119,20 +113,6 @@ def _first_failure(residual: np.ndarray, bound) -> float | None:
     return float(np.ravel(residual)[over.argmax()]) if over.any() else None
 
 
-def _blocks(samples: int, run: Callable[[range], object]) -> Iterator:
-    """``run(ks)`` on consecutive blocks ks of the sample indices, in order.  A
-    block that raises runs again one sample at a time, so the error raised is
-    the first failing sample's, as in a per-sample loop."""
-    for start in range(0, samples, BLOCK):
-        ks = range(start, min(start + BLOCK, samples))
-        try:
-            yield run(ks)
-        except (ValueError, AssertionError):
-            for k in ks:
-                run(range(k, k + 1))
-            raise
-
-
 @dataclass
 class MatrixGroup:
     """A matrix group together with a basis of its Lie algebra and an
@@ -152,8 +132,8 @@ class MatrixGroup:
         """sum_i coeffs[..., i] basis[i], in basis order; one element per row of coeffs."""
         return sum(np.multiply.outer(coeffs[..., i], b) for i, b in enumerate(self.basis))
 
-    def random_algebra_element(self, rng: np.random.Generator, scale: float = 0.5) -> np.ndarray:
-        return self.combine(rng.normal(0.0, scale, size=self.dim))
+    def random_algebra_element(self, rng: np.random.Generator) -> np.ndarray:
+        return self.combine(rng.normal(0.0, SAMPLE_SCALE, size=self.dim))
 
     @functools.cached_property
     def r_legs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -272,16 +252,14 @@ def _check_n(n: int) -> None:
         raise ValueError(f"n must be between 2 and {N_CAP}")
 
 
-def sl_group(n: int, real: bool = True) -> MatrixGroup:
-    """SL(n) with the standard r-matrix sum of e_a ^ f_a over positive roots."""
+def sl_group(n: int) -> MatrixGroup:
+    """SL(n, R) with the standard r-matrix sum of e_a ^ f_a over positive roots."""
     _check_n(n)
     alg = sl_chevalley(n)
-    mats = alg.numeric_matrices()
-    if real:
-        mats = [m.real.copy() for m in mats]
+    mats = [m.real.copy() for m in alg.numeric_matrices()]
     r = standard_r_matrix(alg)
     terms = [(idxs[0], idxs[1], float(c.re)) for idxs, c in r.comps.items()]
-    return MatrixGroup(f"SL({n},{'R' if real else 'C'})", alg, mats, terms, _membership_sl)
+    return MatrixGroup(f"SL({n},R)", alg, mats, terms, _membership_sl)
 
 
 def su_group(n: int) -> MatrixGroup:
@@ -291,10 +269,6 @@ def su_group(n: int) -> MatrixGroup:
     mats = alg.numeric_matrices()
     terms = [(idxs[0], idxs[1], float(c.re)) for idxs, c in r_hat.comps.items()]
     return MatrixGroup(f"SU({n})", alg, mats, terms, _membership_su)
-
-
-def _pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.stack([a, b])
 
 
 def _membership_dual(g: np.ndarray) -> np.ndarray:
@@ -313,17 +287,17 @@ def dual_group(n: int) -> MatrixGroup:
     triangular matrices with opposite diagonals.  The r-matrix of the double
     is sum_i D_i ^ xi^i over a basis D_i of the diagonal and its dual basis
     xi^i of the dual; the dual basis comes from an exactly solvable linear
-    system whose residual is checked at TOL_LINALG by the callers' tests.
+    system whose residual the tests check.
     """
     _check_n(n)
     sl_basis = [np.array([[float(c.re) for c in row] for row in m]) for m in _sl_basis(n)[1]]
-    diag_basis = [_pair(m, m) for m in sl_basis]
+    diag_basis = [np.stack([m, m]) for m in sl_basis]
 
     unit = np.eye(n * n).reshape(n * n, n, n)  # unit[n a + b] = E_ab
     zero = np.zeros((n, n))
     upper = [n * a + b for a in range(n) for b in range(a + 1, n)]
-    gstar_basis = [_pair(unit[k], zero) for k in upper] + [_pair(zero, unit[k].T) for k in upper]
-    gstar_basis += [_pair(h, -h) for h in (unit[(n + 1) * m] - unit[(n + 1) * (m + 1)] for m in range(n - 1))]
+    gstar_basis = [np.stack([unit[k], zero]) for k in upper] + [np.stack([zero, unit[k].T]) for k in upper]
+    gstar_basis += [np.stack([h, -h]) for h in (unit[(n + 1) * m] - unit[(n + 1) * (m + 1)] for m in range(n - 1))]
 
     dim = len(sl_basis)
     assert len(gstar_basis) == dim
@@ -513,9 +487,9 @@ def _image_basis(pi: TangentBivector, thresh: float) -> np.ndarray:
     return (u * keep[..., None, :])[..., :np.max(np.sum(keep, axis=-1), initial=0)]
 
 
-def _rank(mat: np.ndarray, thresh: float) -> np.ndarray:
-    """Numeric rank of each matrix of a stack: its singular values above thresh."""
-    return np.sum(np.linalg.svd(mat, compute_uv=False) > thresh, axis=-1)
+def _rank(mat: np.ndarray) -> np.ndarray:
+    """Numeric rank of each matrix of a stack: its singular values above TOL_CROSS."""
+    return np.sum(np.linalg.svd(mat, compute_uv=False) > TOL_CROSS, axis=-1)
 
 
 @functools.lru_cache(maxsize=None)
@@ -536,16 +510,15 @@ def _plus_eigenspace(spec: InvolutionSpec, shape: tuple[int, ...], dtype: np.dty
     return basis
 
 
-def rank_relation_holds(spec: InvolutionSpec, pi: TangentBivector, projected: TangentBivector,
-                        thresh: float = TOL_CROSS) -> bool | np.ndarray:
-    """rank pi_Q^# == dim( im pi^# intersect T_x Q ), by SVD at the threshold, per point;
+def rank_relation_holds(spec: InvolutionSpec, pi: TangentBivector, projected: TangentBivector) -> bool | np.ndarray:
+    """rank pi_Q^# == dim( im pi^# intersect T_x Q ), by SVD at TOL_CROSS, per point;
     ``projected`` is ``pi_q_projection(spec, pi)``, which every caller already holds."""
-    image = _image_basis(pi, thresh)
+    image = _image_basis(pi, TOL_CROSS)
     # for real points the imaginary half of the +1 eigenspace basis is zero, as is the image's
-    plus = _plus_eigenspace(spec, pi.point_shape, pi.base.dtype, thresh)[:image.shape[-2]]
+    plus = _plus_eigenspace(spec, pi.point_shape, pi.base.dtype, TOL_CROSS)[:image.shape[-2]]
     joint = np.concatenate([image, np.broadcast_to(plus, (*image.shape[:-1], plus.shape[1]))], axis=-1)
-    dim_int = np.sum(pi._sharp_svd[1] > thresh, axis=-1) + plus.shape[1] - _rank(joint, thresh)
-    return _rank(projected._compact_sharp(), thresh) == dim_int
+    dim_int = np.sum(pi._sharp_svd[1] > TOL_CROSS, axis=-1) + plus.shape[1] - _rank(joint)
+    return _rank(projected._compact_sharp()) == dim_int
 
 
 # ---------------------------------------------------------------------------
@@ -553,25 +526,21 @@ def rank_relation_holds(spec: InvolutionSpec, pi: TangentBivector, projected: Ta
 # ---------------------------------------------------------------------------
 
 
-def _unipotent_points(n: int, rngs: Sequence[np.random.Generator], scale: float = 0.5) -> np.ndarray:
+def _unipotent_points(n: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
     """Unipotent upper-triangular points, one per generator, which draws the
     strictly upper entries of the exponent row by row."""
     a, b = np.triu_indices(n, 1)
     x = np.zeros((len(rngs), n, n))
-    x[:, a, b] = [rng.normal(0.0, scale, size=len(a)) for rng in rngs]
+    x[:, a, b] = [rng.normal(0.0, SAMPLE_SCALE, size=len(a)) for rng in rngs]
     return matrix_exp(x)
 
 
-def _sample_unipotent(n: int, rng: np.random.Generator, scale: float = 0.5) -> np.ndarray:
-    return _unipotent_points(n, [rng], scale)[0]
-
-
-def _dual_points(n: int, rngs: Sequence[np.random.Generator], scale: float = 0.5) -> np.ndarray:
+def _dual_points(n: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
     """Generic points of G*, one per generator: exponentials of opposite-diagonal
     upper/lower-triangular pairs (X+, X-), drawn as the pairs (X+_ab, X-_ba),
     then the diagonal."""
     a, b = np.triu_indices(n, 1)
-    draws = np.array([rng.normal(0.0, scale, size=2 * len(a) + n) for rng in rngs])
+    draws = np.array([rng.normal(0.0, SAMPLE_SCALE, size=2 * len(a) + n) for rng in rngs])
     d = draws[:, 2 * len(a):] - draws[:, 2 * len(a):].mean(axis=1, keepdims=True)
     x = np.zeros((len(rngs), 2, n, n))
     x[:, 0, a, b], x[:, 1, b, a] = draws[:, 0:2 * len(a):2], draws[:, 1:2 * len(a):2]
@@ -579,8 +548,8 @@ def _dual_points(n: int, rngs: Sequence[np.random.Generator], scale: float = 0.5
     return matrix_exp(x)
 
 
-def _sample_dual_point(n: int, rng: np.random.Generator, scale: float = 0.5) -> np.ndarray:
-    return _dual_points(n, [rng], scale)[0]
+def _sample_dual_point(n: int, rng: np.random.Generator) -> np.ndarray:
+    return _dual_points(n, [rng])[0]
 
 
 CHART_N3 = ((0, 0, 1), (0, 0, 2), (0, 1, 2))  # x = B_12, y = B_13, z = B_23
@@ -612,7 +581,7 @@ def stokes_report(n: int = 3, samples: int = 20, seed: int = 1, tol: float = 1e-
     psi = InvolutionSpec("pair-swap")
 
     def fixed_block(ks: range):
-        b = _unipotent_points(n, [np.random.default_rng([seed, k]) for k in ks])
+        b = _unipotent_points(n, sample_rngs(seed, ks))
         point = np.stack([b, _transpose(b)], axis=1)
         pi = dual_group_bivector(group, point)
         tangency = float(np.max(dual_tangency_residual(pi)))
@@ -626,7 +595,7 @@ def stokes_report(n: int = 3, samples: int = 20, seed: int = 1, tol: float = 1e-
         markoff = float(np.max(np.abs(grad[:, None, :] @ chart_brackets)))
         return chart_brackets[CYCLIC], _dubrovin_rhs(x, y, z), tangency, markoff, rank_ok
 
-    brackets, targets, tangency, markoff, ranks = zip(*_blocks(samples, fixed_block))
+    brackets, targets, tangency, markoff, ranks = zip(*sample_blocks(range(samples), fixed_block))
     brackets, targets = np.concatenate(brackets), np.concatenate(targets)  # 6 floats a sample, for the fit
     max_tangency, max_markoff, rank_ok = max(tangency), max(markoff), all(ranks)
 
@@ -640,7 +609,7 @@ def stokes_report(n: int = 3, samples: int = 20, seed: int = 1, tol: float = 1e-
     kappa_two_defect = abs(abs(kappa) - 2.0)
 
     def push_block(ks: range) -> float:
-        point = _dual_points(n, [np.random.default_rng([seed, samples + k]) for k in ks])
+        point = _dual_points(n, sample_rngs(seed, ks))
         pi = dual_group_bivector(group, point)
         b, c = point[:, None, 0], point[:, None, 1]  # broadcast over the wedge pairs
         pushed = pi.map_legs(lambda legs: legs[:, :, 0] @ _transpose(c) + b @ _transpose(legs[:, :, 1]),
@@ -650,7 +619,7 @@ def stokes_report(n: int = 3, samples: int = 20, seed: int = 1, tol: float = 1e-
         brackets = pushed.bracket_matrix(((0, 1), (0, 2), (1, 2)))[CYCLIC]
         return float(np.max(np.abs(brackets - 2.0 * kappa * target)))
 
-    max_push = max(_blocks(samples, push_block))
+    max_push = max(sample_blocks(range(samples, 2 * samples), push_block))
 
     ok = (
         max_resid <= tol
@@ -672,18 +641,19 @@ def stokes_report(n: int = 3, samples: int = 20, seed: int = 1, tol: float = 1e-
     return Report(ok, values, seed=seed, samples=samples)
 
 
-def _fixed_points(group: MatrixGroup, coeffs: np.ndarray) -> np.ndarray:
-    """Transpose-fixed group points exp((x + x^T)/2), x = ``group.combine(coeffs)``.
+def _fixed_points(group: MatrixGroup, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+    """Transpose-fixed group points exp((x + x^T)/2), one per generator, which draws
+    the coefficients of x in the algebra basis.
 
     Both sl(n) and su(n) are stable under transposition, so the symmetrized
     element stays in the algebra and its exponential is a fixed group point.
     """
-    x = group.combine(coeffs)
+    x = group.combine(np.array([rng.normal(0.0, SAMPLE_SCALE, size=group.dim) for rng in rngs]))
     return matrix_exp(0.5 * (x + _transpose(x)))
 
 
-def _sample_fixed_point(group: MatrixGroup, rng: np.random.Generator, scale: float = 0.5) -> np.ndarray:
-    return _fixed_points(group, rng.normal(0.0, scale, size=group.dim))
+def _sample_fixed_point(group: MatrixGroup, rng: np.random.Generator) -> np.ndarray:
+    return _fixed_points(group, [rng])[0]
 
 
 def _bracket_difference(a: TangentBivector, b: TangentBivector) -> float | np.ndarray:
@@ -702,7 +672,7 @@ def crosscheck_report(kind: str, samples: int = 10, seed: int = 2, tol: float = 
     holds.
     """
     if kind == "sl":
-        group = sl_group(n, real=True)
+        group = sl_group(n)
     elif kind == "su":
         group = su_group(n)
     else:
@@ -711,8 +681,7 @@ def crosscheck_report(kind: str, samples: int = 10, seed: int = 2, tol: float = 
     spec = InvolutionSpec("transpose")
 
     def block(ks: range):
-        g = _fixed_points(group, np.array([np.random.default_rng([seed, k]).normal(0.0, 0.5, size=group.dim)
-                                           for k in ks]))
+        g = _fixed_points(group, sample_rngs(seed, ks))
         if np.any(group.membership(g) > TOL_MEMBER):
             raise AssertionError("sampled point failed group membership")
         pi = pl_bivector(group, g)
@@ -723,7 +692,7 @@ def crosscheck_report(kind: str, samples: int = 10, seed: int = 2, tol: float = 
                 float(np.max(np.abs(spec.push(legs) - legs), initial=0.0)),
                 bool(np.all(rank_relation_holds(spec, pi, projected))))
 
-    diffs, pluses, ranks = zip(*_blocks(samples, block))
+    diffs, pluses, ranks = zip(*sample_blocks(range(samples), block))
     max_diff, max_plus, rank_ok = max(diffs), max(pluses), all(ranks)
     ok = max_diff <= tol and max_plus <= TOL_MEMBER and rank_ok
     values = {

@@ -1,10 +1,11 @@
 """The block-batched numeric reports against per-sample loops.
 
-``stokes_report``, ``crosscheck_report`` and ``residual_scan`` run their
-samples in blocks of stacked array operations.  The loops below are the
-per-sample versions they replaced, one point or one lambda at a time, with
-the rank relation and the tangency residual read from the full realified
-sharp matrix and the samples drawn entry by entry.  Every bool and str of a
+``stokes_report``, ``crosscheck_report``, ``residual_scan`` and
+``equivariance_check`` run their samples in blocks of stacked array
+operations.  The loops below are the per-sample versions they replaced, one
+point or one lambda at a time, with the rank relation and the tangency
+residual read from the full realified sharp matrix and the samples drawn
+entry by entry.  Every bool and str of a
 report must agree exactly, every float to 1e-12 * max(1, |value|), and a
 failing sample must raise what the loop raises.
 """
@@ -14,9 +15,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from poissonkit import dynr, groupnum
+from poissonkit import dynr, groupnum, report
 from poissonkit.groupnum import TOL_CROSS, TOL_MEMBER, InvolutionSpec, TangentBivector
-from poissonkit.liealg import sl_chevalley
+from poissonkit.liealg import LinearAlgMap, sl_chevalley, transpose_antimorphism
 from poissonkit.report import Report
 
 # -- the per-sample loops ------------------------------------------------------------------
@@ -133,7 +134,7 @@ def _ref_stokes(samples, seed, tol=1e-8):
 
 
 def _ref_crosscheck(kind, samples, seed, tol=TOL_CROSS, n=3):
-    group = groupnum.sl_group(n, real=True) if kind == "sl" else groupnum.su_group(n)
+    group = groupnum.sl_group(n) if kind == "sl" else groupnum.su_group(n)
     spec = InvolutionSpec("transpose")
     max_diff = max_plus = 0.0
     rank_ok = True
@@ -176,6 +177,19 @@ def _ref_residual_scan(family, samples, seed, tol=1e-7):
     return Report(max(spread, invariance, deriv_defect) <= tol, values, seed=seed, samples=samples)
 
 
+def _ref_equivariance(family, s, samples, seed, tol=1e-10):
+    S = np.array([[float(c.re) for c in row] for row in s.matrix])
+    cartan = list(family.algebra.root_data.cartan)
+    s_h = S[np.ix_(cartan, cartan)]
+    defect = 0.0
+    for idx in range(samples):
+        lam = dynr._sample_lambda(family, seed, idx)
+        rotated = S @ dynr.eval_r(family, lam) @ S.T
+        defect = max(defect, dynr._max_upper(rotated + dynr.eval_r(family, s_h.T @ lam), 2))
+    return Report(defect <= tol, {"algebra": family.algebra.name, "defect": defect, "tol": tol},
+                  seed=seed, samples=samples)
+
+
 def _assert_agree(batched, loop):
     assert (batched.ok, batched.seed, batched.samples) == (loop.ok, loop.seed, loop.samples)
     assert list(batched.values) == list(loop.values)
@@ -193,13 +207,12 @@ def _assert_agree(batched, loop):
 SMALL_BLOCK = 4  # a small block, so that block boundaries are crossed at few samples
 # (block, samples, seed): one sample, one block, one block and one sample, three blocks; then three
 # blocks at another seed, and the shipped block size crossed once
-CASES = [(SMALL_BLOCK, samples, 1) for samples in (1, 4, 5, 12)] + [(SMALL_BLOCK, 12, 2), (None, groupnum.BLOCK + 1, 3)]
+CASES = [(SMALL_BLOCK, samples, 1) for samples in (1, 4, 5, 12)] + [(SMALL_BLOCK, 12, 2), (None, report.BLOCK + 1, 3)]
 
 
 def _set_block(monkeypatch, block):
     if block is not None:
-        monkeypatch.setattr(groupnum, "BLOCK", block)
-        monkeypatch.setattr(dynr, "BLOCK", block)
+        monkeypatch.setattr(report, "BLOCK", block)
 
 
 @pytest.mark.parametrize("block, samples, seed", CASES)
@@ -221,6 +234,14 @@ def test_residual_scan_matches_the_per_sample_loop(kind, block, samples, seed, m
     _set_block(monkeypatch, block)
     family = dynr.DynamicalRFamily(sl_chevalley(3), kind)
     _assert_agree(dynr.residual_scan(family, samples, seed), _ref_residual_scan(family, samples, seed))
+
+
+@pytest.mark.parametrize("block, samples, seed", CASES)
+def test_equivariance_matches_the_per_sample_loop(block, samples, seed, monkeypatch):
+    _set_block(monkeypatch, block)
+    g = sl_chevalley(3)
+    family, s = dynr.trig_family(g), transpose_antimorphism(g)
+    _assert_agree(dynr.equivariance_check(family, s, samples, seed), _ref_equivariance(family, s, samples, seed))
 
 
 def test_crosscheck_matches_the_per_sample_loop_at_n4(monkeypatch):
@@ -313,6 +334,25 @@ def test_near_singular_lambda_raises_as_the_loop_does(monkeypatch):
     assert _raised(lambda: dynr.residual_scan(family, 12, 0)) == loop
 
 
+def test_near_singular_moved_lambda_raises_as_the_loop_does(monkeypatch):
+    # s acts on the Cartan as (l1, l2) -> (l1 + l2, l2).  Sample 9 passes the guard, but its image
+    # does not; sample 10 fails at lambda itself.  The loop meets sample 9's image first.
+    _set_block(monkeypatch, SMALL_BLOCK)
+    g = sl_chevalley(3)
+    family = dynr.trig_family(g)
+    c0, c1 = g.root_data.cartan
+    rows = [list(row) for row in transpose_antimorphism(g).matrix]
+    rows[c1][c0] = rows[c1][c1]
+    s = LinearAlgMap(g, g, tuple(map(tuple, rows)))
+    special = {9: np.array([1.0, -0.5 + 1e-4]), 10: np.array([0.7, 1e-4])}
+    original = dynr._sample_lambda
+    monkeypatch.setattr(dynr, "_sample_lambda",
+                        lambda fam, seed, idx: special[idx].copy() if idx in special else original(fam, seed, idx))
+    loop = _raised(lambda: _ref_equivariance(family, s, 12, 0))
+    assert loop[0] is dynr.NearSingular and "root (0, 2)" in loop[1]
+    assert _raised(lambda: dynr.equivariance_check(family, s, 12, 0)) == loop
+
+
 def test_stacked_checks_report_the_first_failing_point():
     # at the function level: a stack with two failing points reports the first one's residual
     spec = InvolutionSpec("transpose")
@@ -376,19 +416,19 @@ def test_stacked_verdicts_are_per_point():
 SL4_TRIG = dynr.trig_family(sl_chevalley(4))
 
 
-@pytest.mark.parametrize("module, run", [
-    (groupnum, lambda samples: groupnum.stokes_report(3, samples, 5)),
-    (groupnum, lambda samples: groupnum.crosscheck_report("su", samples, 5)),
-    (dynr, lambda samples: dynr.residual_scan(SL4_TRIG, samples, 5)),  # the largest residual tensors
+@pytest.mark.parametrize("run", [
+    lambda samples: groupnum.stokes_report(3, samples, 5),
+    lambda samples: groupnum.crosscheck_report("su", samples, 5),
+    lambda samples: dynr.residual_scan(SL4_TRIG, samples, 5),  # the largest residual tensors
 ], ids=["stokes", "crosscheck-su", "residual-scan-sl4"])
-def test_peak_memory_does_not_grow_with_the_sample_count(module, run, monkeypatch):
-    monkeypatch.setattr(module, "BLOCK", 8)  # an eighth of the shipped size keeps the test quick
+def test_peak_memory_does_not_grow_with_the_sample_count(run, monkeypatch):
+    monkeypatch.setattr(report, "BLOCK", 8)  # an eighth of the shipped size keeps the test quick
     run(2)  # builds and caches first, so both measurements see only the sampling
     peaks = []
     for blocks in (1, 4):
         tracemalloc.start()
         try:
-            run(blocks * module.BLOCK)
+            run(blocks * report.BLOCK)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()

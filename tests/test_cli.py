@@ -229,6 +229,12 @@ BAD_FILES = {
     (["modular", "relative", "volume_y.chart"], "volume density vanishes on the submanifold"),
     (["oracle", "schouten", "--pairs", "x"], "--pairs: invalid int value: 'x'"),
     (["dirac", "slice", "slice_family.chart", "--t", "", "--t0", ""], "--t must name at least one coordinate"),
+    (["dynr", "cdybe", "--algebra", "sl3", "--family", "tanh-corrupted", "--samples", "5", "--tol", "inf"],
+     "--tol: must be finite and at least 0, got inf"),
+    (["dynr", "cdybe", "--algebra", "sl3", "--tol", "nan"], "--tol: must be finite and at least 0, got nan"),
+    (["group", "stokes", "--tol", "-1"], "--tol: must be finite and at least 0, got -1"),
+    (["group", "crosscheck", "--tol=-inf"], "--tol: must be finite and at least 0, got -inf"),
+    (["group", "bruhat", "--tol", "x"], "--tol: invalid float value: 'x'"),
 ])
 def test_bad_input_is_a_usage_error(argv, needle, capsys, tmp_path, monkeypatch):
     # each of these used to exit 1, as if a verification had failed, to pass having checked nothing,
@@ -394,7 +400,7 @@ FUZZ_POOLS = {
     "pairs": ["0", "1", "2", "3", "x"],
     "dim": ["0", "1", "3"],
     "n": ["1", "3", "4", "7"],
-    "tol": ["1e-8", "-1", "nan"],
+    "tol": ["1e-8", "-1", "nan", "inf"],
     "seed": ["0", "1"],
     "degree": ["-1", "0", "1"],
     "family": ["trig", "tanh-corrupted"],

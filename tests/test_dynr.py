@@ -281,6 +281,15 @@ def test_equivariance_negative_control_identity():
     assert rep.values["defect"] > 0.1
 
 
+def test_no_samples_is_no_pass():
+    # over no samples there is nothing to check: both raise, as the groupnum reports do
+    g = sl_chevalley(2)
+    with pytest.raises(ValueError):
+        residual_scan(trig_family(g), samples=0)
+    with pytest.raises(ValueError):
+        equivariance_check(trig_family(g), transpose_antimorphism(g), samples=0)
+
+
 def test_equivariance_rejects_a_map_that_leaves_the_cartan():
     g = sl_chevalley(2)
     rows = [list(row) for row in linalg.identity(g.dim)]

@@ -358,6 +358,17 @@ def test_schouten_graded_leibniz_property(seed):
     assert schouten(a, wedge(b, c)) == wedge(schouten(a, b), c) + (tail if ((p - 1) * q) % 2 == 0 else -tail)
 
 
+@settings(max_examples=40, deadline=None)
+@given(seeds)
+def test_schouten_graded_jacobi_property(seed):
+    # [A, [B, C]] = [[A, B], C] + (-1)^((p-1)(q-1)) [B, [A, C]]
+    _, (a, b, c) = _rand_args(seed, 3, (2, 2, 2))
+    p, q = a.degree, b.degree
+    tail = schouten(b, schouten(a, c))
+    rhs = schouten(schouten(a, b), c) + (tail if ((p - 1) * (q - 1)) % 2 == 0 else -tail)
+    assert schouten(a, schouten(b, c)) == rhs
+
+
 @settings(max_examples=60, deadline=None)
 @given(seeds)
 def test_schouten_vector_field_on_function_property(seed):
