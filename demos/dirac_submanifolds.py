@@ -69,4 +69,4 @@ for d in (1, 0):
 # its definition, equals pr nu_P - nu_Q exactly.
 rel_chart = PoissonChart(2, ("x", "y"), PolyMultiVec.monomial(2, (0, 1), Poly.var(2, 1)))
 rep = relative_modular(rel_chart, AlignedSubmanifold(rel_chart, (0,), (1,)))
-print("\nrelative modular:", rep.nu_r, "= pr nu_P - nu_Q:", rep.relation_holds)
+print("\nrelative modular:", rep.values["nu_r"], "= pr nu_P - nu_Q:", rep.ok)

@@ -5,7 +5,6 @@ from .exactalg import (
     Poly,
     PolyMultiVec,
     Scalar,
-    eval_multivec,
     parse_poly,
     parse_scalar,
     print_poly,
@@ -20,7 +19,6 @@ __all__ = [
     "PolyMultiVec",
     "Scalar",
     "PoissonChart",
-    "eval_multivec",
     "parse_poly",
     "parse_scalar",
     "print_poly",

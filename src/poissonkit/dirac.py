@@ -13,7 +13,7 @@ coordinates to their (+1, -1) eigenbasis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -37,18 +37,30 @@ __all__ = [
 
 @dataclass(frozen=True)
 class AlignedSubmanifold:
-    """Q = {y = 0} inside a chart, with V_Q = span of the d/dy's."""
+    """Q = {y = 0} inside a chart, with V_Q = span of the d/dy's.
+
+    ``zero_y`` substitutes y = 0 and stays on the chart; ``to_q`` substitutes
+    y = 0 onto Q's coordinates, the x's in the order of ``x_indices``.  Both
+    are image lists for ``Poly.compose``.
+    """
 
     chart: PoissonChart
     x_indices: tuple[int, ...]
     y_indices: tuple[int, ...]
+    zero_y: tuple[Poly, ...] = field(init=False, repr=False)
+    to_q: tuple[Poly, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        xs, ys = self.x_indices, self.y_indices
-        if sorted(xs + ys) != list(range(self.chart.dim)):
+        xs, ys = tuple(self.x_indices), tuple(self.y_indices)
+        n, k = self.chart.dim, len(xs)
+        if sorted(xs + ys) != list(range(n)):
             raise InvalidInput("x_indices and y_indices must partition the coordinates")
-        object.__setattr__(self, "x_indices", tuple(xs))
-        object.__setattr__(self, "y_indices", tuple(ys))
+        object.__setattr__(self, "x_indices", xs)
+        object.__setattr__(self, "y_indices", ys)
+        zero_y = [Poly.var(n, i) if i in xs else Poly.zero(n) for i in range(n)]
+        to_q = [Poly.var(k, xs.index(i)) if i in xs else Poly.zero(k) for i in range(n)]
+        object.__setattr__(self, "zero_y", tuple(zero_y))
+        object.__setattr__(self, "to_q", tuple(to_q))
 
     @property
     def x_names(self) -> tuple[str, ...]:
@@ -84,14 +96,7 @@ class LinearInvolution:
 
 def _induced_chart(pi: PolyMultiVec, q: AlignedSubmanifold) -> PoissonChart:
     """Q with the x-x components of the bivector pi at y = 0, in the coordinates of Q."""
-    xs, ys = list(q.x_indices), list(q.y_indices)
-    comps = {}
-    for a, i in enumerate(xs):
-        for b in range(a + 1, len(xs)):
-            poly = pi.component((i, xs[b])).set_vars_zero(ys).restrict(xs)
-            if not poly.is_zero():
-                comps[(a, b)] = poly
-    return PoissonChart(len(xs), q.x_names, PolyMultiVec(len(xs), 2, comps))
+    return PoissonChart(len(q.x_indices), q.x_names, pi.project(q.x_indices, q.to_q))
 
 
 def check_aligned_dirac(q: AlignedSubmanifold) -> Report:
@@ -106,17 +111,17 @@ def check_aligned_dirac(q: AlignedSubmanifold) -> Report:
     jac = jacobiator(chart)
     if not jac.is_zero():
         return Report(False, reason="chart is not Poisson", witness=sorted(jac.comps.items())[0])
-    ys = list(q.y_indices)
+    ys = q.y_indices
     for i in q.x_indices:
         for j in ys:
-            lam = chart.pi.component((i, j)).set_vars_zero(ys)
+            lam = chart.pi.component((i, j)).compose(q.zero_y)
             if not lam.is_zero():
                 return Report(False, reason=f"lambda_({i},{j}) = {{x_{i}, y_{j}}} nonzero on Q", witness=((i, j), lam))
     for a, i in enumerate(q.x_indices):
         for j in q.x_indices[a + 1 :]:
             phi = chart.pi.component((i, j))
             for l in ys:
-                dphi = phi.diff(l).set_vars_zero(ys)
+                dphi = phi.diff(l).compose(q.zero_y)
                 if not dphi.is_zero():
                     return Report(False, reason=f"d phi_({i},{j}) / d y_{l} nonzero on Q", witness=((i, j), dphi))
     chart_q = _induced_chart(chart.pi, q)
@@ -131,9 +136,11 @@ def pushforward_linear(mv: PolyMultiVec, a: linalg.Matrix) -> PolyMultiVec:
     a_inv = linalg.inverse(a)
     if a_inv is None:
         raise ValueError("pushforward matrix is singular")
+    # x_i <- sum_j (A^-1)_ij x_j
+    inv_images = [sum((Poly.var(n, j) * c for j, c in enumerate(row)), Poly.zero(n)) for row in a_inv]
     out = PolyMultiVec.zero(n, mv.degree)
     for idxs, poly in mv.comps.items():
-        moved = poly.compose_linear(a_inv)
+        moved = poly.compose(inv_images)
         # transform the wedge d_{i1}^...^d_{ik} by rows of A
         acc = None
         for i in idxs:
@@ -196,12 +203,12 @@ def fixed_locus_projection(chart: PoissonChart, s: LinearInvolution) -> PoissonC
     signs = [1 if i in sub.x_indices else -1 for i in range(n)]
 
     half = Scalar(Fraction(1, 2))
-    flip = [[Scalar.coerce(signs[r] if r == c else 0) for c in range(n)] for r in range(n)]
+    flip = [Poly.var(n, i) if signs[i] == 1 else -Poly.var(n, i) for i in range(n)]
 
     def leg_plus(leg: PolyMultiVec) -> PolyMultiVec:
         out = PolyMultiVec.zero(n, 1)
         for (i,), poly in leg.comps.items():
-            flipped = poly.compose_linear(flip)
+            flipped = poly.compose(flip)
             pushed = flipped if signs[i] == 1 else -flipped
             out = out + PolyMultiVec.from_terms(n, 1, [((i,), (poly + pushed) * half)])
         return out
@@ -354,21 +361,10 @@ def leaf_slice_obstruction(chart: PoissonChart, t_indices: Sequence[int], t0: Se
         if i in ts or j in ts:
             raise InvalidInput("family bivector must have components along the slice only")
 
-    def freeze(poly: Poly) -> Poly:
-        # substitute t = t0, then restrict to the x-chart
-        out = Poly.zero(len(xs))
-        for exps, coeff in poly.terms.items():
-            factor = coeff
-            for pos, ti in enumerate(ts):
-                factor = factor * t0[pos] ** exps[ti]
-            key = tuple(exps[i] for i in xs)
-            out = out + Poly(len(xs), {key: factor})
-        return out
-
     nx = len(xs)
-    pi0 = PolyMultiVec(nx, 2, {
-        tuple(xs.index(i) for i in idxs): freeze(poly) for idxs, poly in chart.pi.comps.items()
-    })
+    # t = t0, onto the x-chart
+    frozen = [Poly.const(nx, t0[ts.index(i)]) if i in ts else Poly.var(nx, xs.index(i)) for i in range(chart.dim)]
+    pi0 = chart.pi.project(xs, frozen)
     slice_chart = PoissonChart(nx, tuple(chart.coords[i] for i in xs), pi0)
     jac = jacobiator(slice_chart)
     if not jac.is_zero():
@@ -395,11 +391,8 @@ def leaf_slice_obstruction(chart: PoissonChart, t_indices: Sequence[int], t0: Se
         row_keys.update(col)
 
     witnesses = []
-    for pos, ti in enumerate(ts):
-        rhs_mv = PolyMultiVec(nx, 2, {
-            tuple(xs.index(i) for i in idxs): freeze(poly.diff(ti)) for idxs, poly in chart.pi.comps.items()
-        })
-        rhs = bivec_rows(-rhs_mv)
+    for ti in ts:
+        rhs = bivec_rows(-chart.pi.diff(ti).project(xs, frozen))
         keys = sorted(row_keys | set(rhs))
         a_mat = [[col.get(kk, Scalar(0)) for col in columns] for kk in keys]
         b_vec = [rhs.get(kk, Scalar(0)) for kk in keys]

@@ -67,7 +67,6 @@ __all__ = [
     "print_poly",
     "wedge",
     "schouten",
-    "eval_multivec",
     "sort_with_parity",
 ]
 
@@ -374,60 +373,30 @@ class Poly:
                 out[exps[:var] + (k - 1,) + exps[var + 1 :]] = coeff if k == 1 else coeff * k
         return _poly(self.nvars, out)
 
-    def eval(self, point: Sequence[ScalarLike]) -> Scalar:
-        if len(point) != self.nvars:
-            raise ValueError(f"point length {len(point)} != nvars {self.nvars}")
-        pt = [Scalar.coerce(v) for v in point]
-        total = SCALAR_ZERO
-        for exps, coeff in self.terms.items():
-            term = coeff
-            for v, e in zip(pt, exps):
-                if e:
-                    term = term * v**e
-            total = total + term
-        return total
+    def compose(self, images: Sequence["Poly"]) -> "Poly":
+        """Substitute x_i <- images[i] (exact).
 
-    def set_vars_zero(self, idxs: Iterable[int]) -> "Poly":
-        """Substitute 0 for the given variables (same ambient chart)."""
-        idxset = set(idxs)
-        out: dict[tuple, Scalar] = {}
-        for exps, coeff in self.terms.items():
-            if any(exps[j] for j in idxset):
-                continue
-            out[exps] = coeff
-        return Poly(self.nvars, out)
-
-    def restrict(self, keep: Sequence[int]) -> "Poly":
-        """Project onto the sub-chart spanned by ``keep`` (in that order).
-
-        All other variables must be absent from the support.
+        The images live on one chart, and so does the result; a polynomial on
+        no variables takes no images and stays on the chart of no variables.
         """
-        keep = list(keep)
-        dropped = set(range(self.nvars)) - set(keep)
+        if len(images) != self.nvars:
+            raise ValueError(f"{len(images)} images for {self.nvars} variables")
+        nvars = images[0].nvars if images else 0
+        if any(img.nvars != nvars for img in images):
+            raise ValueError("images on different charts")
         out: dict[tuple, Scalar] = {}
         for exps, coeff in self.terms.items():
-            if any(exps[j] for j in dropped):
-                raise ValueError("polynomial depends on a dropped variable")
-            out[tuple(exps[j] for j in keep)] = coeff
-        return Poly(len(keep), out)
+            term = _poly(nvars, {(0,) * nvars: coeff})
+            for img, e in zip(images, exps):
+                for _ in range(e):
+                    term = term * img
+            for key, c in term.terms.items():
+                _accumulate(out, key, c)
+        return _poly(nvars, out)
 
-    def compose_linear(self, mat: Sequence[Sequence[ScalarLike]]) -> "Poly":
-        """Substitute x_i <- sum_j mat[i][j] * x_j (exact)."""
-        n = self.nvars
-        if len(mat) != n or any(len(row) != n for row in mat):
-            raise ValueError("matrix shape must be nvars x nvars")
-        images = [
-            Poly(n, {tuple(int(k == j) for k in range(n)): Scalar.coerce(mat[i][j]) for j in range(n)})
-            for i in range(n)
-        ]
-        total = Poly.zero(n)
-        for exps, coeff in self.terms.items():
-            term = Poly.const(n, coeff)
-            for i, e in enumerate(exps):
-                if e:
-                    term = term * images[i] ** e
-            total = total + term
-        return total
+    def eval(self, point: Sequence[ScalarLike]) -> Scalar:
+        """The exact value at a point: composition onto the chart of no variables."""
+        return self.compose([Poly.const(0, v) for v in point]).constant_value()
 
     def divide_exact(self, q: "Poly") -> "Poly | None":
         """Return self / q when the division is exact, else None."""
@@ -833,6 +802,16 @@ class PolyMultiVec:
         poly = self.comps.get(key, Poly.zero(self.dim))
         return poly if sign == 1 else -poly
 
+    def project(self, keep: Sequence[int], images: Sequence[Poly]) -> "PolyMultiVec":
+        """The components along the coordinates ``keep``, re-indexed onto them in
+        that order, with the sign a reordering implies, and each composed with
+        ``images``, which live on the chart of len(keep) coordinates."""
+        pos = {i: a for a, i in enumerate(keep)}
+        return PolyMultiVec.from_terms(len(keep), self.degree, [
+            ([pos[i] for i in idxs], poly.compose(images))
+            for idxs, poly in self.comps.items() if all(i in pos for i in idxs)
+        ])
+
     # -- calculus ------------------------------------------------------------
 
     def diff(self, var: int) -> "PolyMultiVec":
@@ -944,7 +923,3 @@ def schouten(a: PolyMultiVec, b: PolyMultiVec) -> PolyMultiVec:
     _hook(b, a, out, -1 if ((p - 1) * (q - 1)) % 2 == 0 else 1)
     return _mv(a.dim, max(p + q - 1, 0), {k: _poly(a.dim, terms) for k, terms in out.items() if terms})
 
-
-def eval_multivec(a: PolyMultiVec, point: Sequence[ScalarLike]) -> dict[tuple, Scalar]:
-    """Exact evaluation of a multivector field at a chart point."""
-    return a.eval(point)

@@ -244,6 +244,11 @@ def _membership_su(g: np.ndarray) -> np.ndarray:
     return np.maximum(unitarity, np.abs(np.linalg.det(g) - 1.0))
 
 
+def _complex_matrices(mats: Sequence[Sequence[Sequence]]) -> list[np.ndarray]:
+    """Exact matrices of Scalars as complex arrays."""
+    return [np.array([[c.to_complex() for c in row] for row in m], dtype=complex) for m in mats]
+
+
 N_CAP = 6  # dual-basis solves are O(dim^3); keep the check suite quick
 
 
@@ -256,7 +261,7 @@ def sl_group(n: int) -> MatrixGroup:
     """SL(n, R) with the standard r-matrix sum of e_a ^ f_a over positive roots."""
     _check_n(n)
     alg = sl_chevalley(n)
-    mats = [m.real.copy() for m in alg.numeric_matrices()]
+    mats = [m.real.copy() for m in _complex_matrices(alg.matrices)]
     r = standard_r_matrix(alg)
     terms = [(idxs[0], idxs[1], float(c.re)) for idxs, c in r.comps.items()]
     return MatrixGroup(f"SL({n},R)", alg, mats, terms, _membership_sl)
@@ -266,7 +271,7 @@ def su_group(n: int) -> MatrixGroup:
     """SU(n) with the compact r-matrix sum of d_a/2 X_a ^ Y_a."""
     _check_n(n)
     alg, r_hat = su_compact_basis(n)
-    mats = alg.numeric_matrices()
+    mats = _complex_matrices(alg.matrices)
     terms = [(idxs[0], idxs[1], float(c.re)) for idxs, c in r_hat.comps.items()]
     return MatrixGroup(f"SU({n})", alg, mats, terms, _membership_su)
 
@@ -290,7 +295,7 @@ def dual_group(n: int) -> MatrixGroup:
     system whose residual the tests check.
     """
     _check_n(n)
-    sl_basis = [np.array([[float(c.re) for c in row] for row in m]) for m in _sl_basis(n)[1]]
+    sl_basis = [m.real.copy() for m in _complex_matrices(_sl_basis(n)[1])]
     diag_basis = [np.stack([m, m]) for m in sl_basis]
 
     unit = np.eye(n * n).reshape(n * n, n, n)  # unit[n a + b] = E_ab

@@ -25,8 +25,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from . import linalg
 from .exactalg import Poly, PolyMultiVec, SCALAR_I, SCALAR_ONE, SCALAR_ZERO, Scalar, sort_with_parity
 from .report import Report
@@ -146,14 +144,6 @@ class LieAlgebraData:
                 for k, c in self.table.get((i, j), {}).items():
                     out[k] = out.get(k, SCALAR_ZERO) + cij * c
         return {k: c for k, c in out.items() if c}
-
-    def numeric_matrices(self) -> list[np.ndarray]:
-        if self.matrices is None:
-            raise ValueError(f"algebra {self.name or '?'} carries no matrix realization")
-        return [
-            np.array([[c.to_complex() for c in row] for row in m], dtype=complex)
-            for m in self.matrices
-        ]
 
     def label_index(self, label: str) -> int:
         return self.labels.index(label)

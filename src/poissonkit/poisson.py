@@ -11,7 +11,7 @@ rho = 1 always qualify.  A non-dividing density raises ``UnsupportedDensity``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from .exactalg import Poly, PolyMultiVec, parse_poly, schouten
@@ -27,7 +27,6 @@ __all__ = [
     "is_casimir",
     "modular_vf",
     "relative_modular",
-    "RelativeModularReport",
     "contract_forms",
 ]
 
@@ -145,26 +144,16 @@ def modular_vf(chart: PoissonChart) -> PolyMultiVec:
     return PolyMultiVec.from_terms(chart.dim, 1, [((j,), p) for j, p in comps.items()])
 
 
-@dataclass(frozen=True)
-class RelativeModularReport:
-    nu_r: PolyMultiVec
-    pr_nu_p: PolyMultiVec
-    nu_q: PolyMultiVec
-    relation_holds: bool
-    chart_q: PoissonChart = field(repr=False, default=None)  # type: ignore[assignment]
-
-    def __bool__(self) -> bool:
-        return self.relation_holds
-
-
-def relative_modular(chart: PoissonChart, submanifold) -> RelativeModularReport:
+def relative_modular(chart: PoissonChart, submanifold) -> Report:
     """Relative modular field of an aligned Dirac submanifold Q = {y = 0}.
 
     nu_r is computed from its definition: for f(x) extended constantly in y,
     nu_r(f) is the y-divergence of X_f restricted to Q.  The ambient modular
     field uses the y-constant extension of the restricted density, so that
     the volume splits as rho(x, 0) dx ^ dy; the report then checks the exact
-    identity nu_r = pr_* nu_P - nu_Q.  A submanifold that fails the aligned
+    identity nu_r = pr_* nu_P - nu_Q.  Its ``values`` are ``nu_r``,
+    ``pr_nu_P`` and ``nu_Q``, vector fields on Q, and ``chart_q``, the induced
+    chart with the restricted density.  A submanifold that fails the aligned
     criterion, or a density that vanishes on Q, raises ``InvalidInput``.
     """
     from .dirac import check_aligned_dirac
@@ -173,11 +162,12 @@ def relative_modular(chart: PoissonChart, submanifold) -> RelativeModularReport:
     if not verdict:
         raise InvalidInput(f"submanifold fails the aligned Dirac criterion: {verdict.reason}")
 
-    xs = list(submanifold.x_indices)
-    ys = list(submanifold.y_indices)
+    xs = submanifold.x_indices
+    ys = submanifold.y_indices
+    to_q = submanifold.to_q
     dim = chart.dim
 
-    rho0 = chart.rho.set_vars_zero(ys)
+    rho0 = chart.rho.compose(submanifold.zero_y)
     if rho0.is_zero():
         raise InvalidInput("volume density vanishes on the submanifold")
     flat_chart = PoissonChart(dim, chart.coords, chart.pi, rho0)
@@ -189,24 +179,20 @@ def relative_modular(chart: PoissonChart, submanifold) -> RelativeModularReport:
         div_y = Poly.zero(dim)
         for l in ys:
             div_y = div_y + xf.component((l,)).diff(l)
-        value = div_y.set_vars_zero(ys).restrict(xs)
-        nu_r_items.append(((pos,), value))
+        nu_r_items.append(((pos,), div_y.compose(to_q)))
     nu_r = PolyMultiVec.from_terms(len(xs), 1, nu_r_items)
 
     # pr_* nu_P: x-components of the ambient modular field, restricted to Q
-    nu_p = modular_vf(flat_chart)
-    pr_items = []
-    for pos, i in enumerate(xs):
-        pr_items.append(((pos,), nu_p.component((i,)).set_vars_zero(ys).restrict(xs)))
-    pr_nu_p = PolyMultiVec.from_terms(len(xs), 1, pr_items)
+    pr_nu_p = modular_vf(flat_chart).project(xs, to_q)
 
     # nu_Q: modular field of the induced chart with the restricted density
     induced = verdict.values["induced"]
-    chart_q = PoissonChart(induced.dim, induced.coords, induced.pi, rho0.restrict(xs))
+    chart_q = PoissonChart(induced.dim, induced.coords, induced.pi, chart.rho.compose(to_q))
     nu_q = modular_vf(chart_q)
 
     holds = (pr_nu_p - nu_q) == nu_r
-    return RelativeModularReport(nu_r, pr_nu_p, nu_q, holds, chart_q)
+    return Report(holds, {"nu_r": nu_r, "pr_nu_P": pr_nu_p, "nu_Q": nu_q, "chart_q": chart_q},
+                  reason="" if holds else "nu_r != pr_* nu_P - nu_Q")
 
 
 def contract_forms(mv: PolyMultiVec, functions: Sequence[Poly]) -> Poly:

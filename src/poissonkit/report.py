@@ -8,9 +8,10 @@ it.  This module imports nothing from the package, so every layer can use it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable
+from typing import TYPE_CHECKING, Any, Callable, Iterable
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["InvalidInput", "Report", "BLOCK", "sample_rngs", "sample_blocks"]
 
@@ -60,6 +61,8 @@ class Report:
 
 def sample_rngs(seed: int, ks: Iterable[int]) -> list[np.random.Generator]:
     """The generator ``default_rng([seed, k])`` of each sample k, the same in every block."""
+    import numpy as np  # here, so that the exact half of the package loads no numpy
+
     return [np.random.default_rng([seed, k]) for k in ks]
 
 
@@ -67,7 +70,9 @@ def sample_blocks(indices: range, run: Callable[[range], Any]) -> list:
     """``run(ks)`` on consecutive blocks ks of ``indices``, ``BLOCK`` samples at a
     time and in order, one result per block.  A block that raises runs again one
     sample at a time, so the error raised is the first failing sample's, as in a
-    per-sample loop."""
+    per-sample loop.  No samples is bad input: over them nothing would be checked."""
+    if not indices:
+        raise InvalidInput("a sampled check needs at least one sample")
     results = []
     for start in range(0, len(indices), BLOCK):
         ks = indices[start:start + BLOCK]

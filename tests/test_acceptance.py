@@ -118,11 +118,11 @@ def test_c05_relative_modular_identity():
     chart, sub = parse_chart_file("relmod2.chart")
     rep = relative_modular(chart, sub)
     ok = (
-        rep.relation_holds
-        and rep.nu_r.comps == {(0,): Poly.const(1, 1)}
-        and rep.pr_nu_p.comps == {(0,): Poly.const(1, 1)}
-        and rep.nu_q.is_zero()
-        and (rep.pr_nu_p - rep.nu_q) == rep.nu_r
+        rep.ok
+        and rep.values["nu_r"].comps == {(0,): Poly.const(1, 1)}
+        and rep.values["pr_nu_P"].comps == {(0,): Poly.const(1, 1)}
+        and rep.values["nu_Q"].is_zero()
+        and (rep.values["pr_nu_P"] - rep.values["nu_Q"]) == rep.values["nu_r"]
     )
     _report(5, ok, "nu_r = pr nu_P - nu_Q holds exactly on the y dx^dy fixture")
 

@@ -153,6 +153,13 @@ def test_modular_relative_cli():
     assert report.values["nu_r"] == "(1) d/dx"
 
 
+def test_aligned_keeps_the_order_of_x():
+    # Q's coordinates follow --x, so swapping them flips the sign of the induced bracket
+    code, report = run_command(["dirac", "aligned", "product22.chart", "--x", "x2,x1"])
+    assert code == 0
+    assert report.values["induced"] == "dim 2; coords x2 x1; bracket x2 x1 = -1"
+
+
 def test_lie_bialgebra_cli():
     code, report = run_command(["lie", "bialgebra", "--algebra", "su2"])
     assert code == 0
@@ -235,6 +242,9 @@ BAD_FILES = {
     (["group", "stokes", "--tol", "-1"], "--tol: must be finite and at least 0, got -1"),
     (["group", "crosscheck", "--tol=-inf"], "--tol: must be finite and at least 0, got -inf"),
     (["group", "bruhat", "--tol", "x"], "--tol: invalid float value: 'x'"),
+    (["group", "stokes", "--seed", "-1"], "--seed: must be at least 0, got -1"),
+    (["dynr", "cdybe", "--algebra", "sl2", "--seed=-1"], "--seed: must be at least 0, got -1"),
+    (["oracle", "schouten", "--seed", "-1"], "--seed: must be at least 0, got -1"),
 ])
 def test_bad_input_is_a_usage_error(argv, needle, capsys, tmp_path, monkeypatch):
     # each of these used to exit 1, as if a verification had failed, to pass having checked nothing,
@@ -320,6 +330,14 @@ def test_module_invocation(module):
     assert run("lie", "frobnicate").returncode == 2
 
 
+def test_exact_half_loads_no_numpy():
+    code = ("import sys, poissonkit, poissonkit.chartio, poissonkit.dirac, poissonkit.liealg; "
+            "print(sorted({'numpy', 'scipy'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=subprocess_env(), timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
 # -- the README's CLI block, pinned --------------------------------------------------
 
 
@@ -401,12 +419,12 @@ FUZZ_POOLS = {
     "dim": ["0", "1", "3"],
     "n": ["1", "3", "4", "7"],
     "tol": ["1e-8", "-1", "nan", "inf"],
-    "seed": ["0", "1"],
+    "seed": ["0", "1", "-1", "4294967296"],
     "degree": ["-1", "0", "1"],
     "family": ["trig", "tanh-corrupted"],
     "f": ["x", "1/0", "x +* y", "q"],
     "g": ["y", "q"],
-    "x": ["x", "x1,x2", "x1,x1", "q"],
+    "x": ["x", "x1,x2", "x2,x1", "x1,x1", "q"],
     "t": ["t", "t,t", "w", "q", ""],
     "t0": ["0", "0,0", "1/0"],
     "mu": ["0,0,1", "1,0,0", "0", "0,0,1/0"],

@@ -23,6 +23,7 @@ from poissonkit.dynr import (
     trig_family,
 )
 from poissonkit.exactalg import Scalar
+from poissonkit.groupnum import crosscheck_report, stokes_report
 from poissonkit.liealg import (
     AlgElement,
     LieAlgebraData,
@@ -34,6 +35,7 @@ from poissonkit.liealg import (
 )
 from poissonkit import linalg
 from poissonkit.oracle import rand_alg_element
+from poissonkit.report import InvalidInput
 
 
 def _upper_entries(t):
@@ -282,12 +284,16 @@ def test_equivariance_negative_control_identity():
 
 
 def test_no_samples_is_no_pass():
-    # over no samples there is nothing to check: both raise, as the groupnum reports do
+    # over no samples there is nothing to check: all four sampled checks reject it as bad input
     g = sl_chevalley(2)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidInput):
         residual_scan(trig_family(g), samples=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidInput):
         equivariance_check(trig_family(g), transpose_antimorphism(g), samples=0)
+    with pytest.raises(InvalidInput):
+        stokes_report(3, 0)
+    with pytest.raises(InvalidInput):
+        crosscheck_report("sl", 0)
 
 
 def test_equivariance_rejects_a_map_that_leaves_the_cartan():

@@ -98,6 +98,18 @@ def r_compose_linear(a: dict, mat, n: int) -> dict:
     return total
 
 
+def r_compose(a: dict, images: list, m: int) -> dict:
+    """Substitute x_i <- images[i], reference polynomials on m variables, one factor at a time."""
+    total = {}
+    for e, c in a.items():
+        term = {(0,) * m: c}
+        for i, k in enumerate(e):
+            for _ in range(k):
+                term = r_mul(term, images[i])
+        total = r_add(total, term)
+    return total
+
+
 def to_scalar(c) -> Scalar:
     return Scalar(c[0], c[1])
 
@@ -162,8 +174,17 @@ def test_eval_matches_reference(args, data):
 def test_compose_linear_matches_reference(args, data):
     n, p, _ = args
     mat = [data.draw(st.lists(real_or_imaginary, min_size=n, max_size=n)) for _ in range(n)]
-    out = p.compose_linear([[to_scalar(c) for c in row] for row in mat])
-    assert ref(out) == r_compose_linear(ref(p), mat, n)
+    images = [Poly(n, {tuple(int(k == j) for k in range(n)): to_scalar(row[j]) for j in range(n)}) for row in mat]
+    assert ref(p.compose(images)) == r_compose_linear(ref(p), mat, n)
+
+
+@settings(max_examples=30, deadline=None)
+@given(poly_pairs(), st.integers(0, 3), st.data())
+def test_compose_matches_reference(args, m, data):
+    # nonlinear images onto a chart of m variables, m = 0 being evaluation
+    n, p, _ = args
+    images = [data.draw(polys(m)) for _ in range(n)]
+    assert ref(p.compose(images)) == r_compose(ref(p), [ref(img) for img in images], m)
 
 
 @settings(max_examples=40, deadline=None)
