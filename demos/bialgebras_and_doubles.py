@@ -6,13 +6,7 @@ numerically at seeded sample points.
 Run as: python demos/bialgebras_and_doubles.py
 """
 
-from poissonkit.dynr import (
-    cdybe_residual,
-    corrupted_family,
-    rational_family,
-    residual_scan,
-    trig_family,
-)
+from poissonkit.dynr import DynamicalRFamily, cdybe_residual, residual_scan
 from poissonkit.liealg import (
     chi_check,
     coboundary_check,
@@ -54,7 +48,7 @@ print("su3 symmetric bialgebra:", symmetric_bialgebra_check(k, r_hat, transpose_
 # coth, its rational degeneration 1/x.  The compatibility residual
 # sum h_m ^ dr/dlambda_m + (1/2)[r, r] must be a constant, ad-invariant
 # element of the third wedge power -- here checked at seeded sample points.
-for fam in (trig_family(g), rational_family(g)):
+for fam in (DynamicalRFamily(g, "trig"), DynamicalRFamily(g, "rational")):
     rep = residual_scan(fam, samples=10, seed=0, tol=1e-7)
     v = rep.values
     print(f"\n{fam.kind} family: spread {v['spread']:.2e}, "
@@ -63,11 +57,11 @@ for fam in (trig_family(g), rational_family(g)):
 # For sl(2) the residual has a closed form: with c = coth(lambda(h_alpha)),
 # c' + c^2 = 1, so the residual is exactly e ^ f ^ h.
 g2 = sl_chevalley(2)
-res = cdybe_residual(trig_family(g2), [0.8])  # a dense antisymmetric dim^3 array
+res = cdybe_residual(DynamicalRFamily(g2, "trig"), [0.8])  # a dense antisymmetric dim^3 array
 e, f, h = (g2.label_index(k) for k in ("e12", "f12", "h1"))
 print(f"\nsl2 trig residual: {float(res[e, f, h]):.12f} * e12^f12^h1")
 
 # Replacing coth by tanh breaks constancy at rank >= 2 (at rank 1 the two
 # functions satisfy the same differential equation, so sl2 cannot tell).
-bad = residual_scan(corrupted_family(g), samples=6, seed=0, tol=1e-7)
+bad = residual_scan(DynamicalRFamily(g, "tanh-corrupted"), samples=6, seed=0, tol=1e-7)
 print("tanh corruption on sl3 fails:", not bad.ok, f"(spread {bad.values['spread']:.2e})")

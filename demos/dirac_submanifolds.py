@@ -68,5 +68,5 @@ for d in (1, 0):
 # The relative modular field on Q = {y = 0} for pi = y dx^dy, computed from
 # its definition, equals pr nu_P - nu_Q exactly.
 rel_chart = PoissonChart(2, ("x", "y"), PolyMultiVec.monomial(2, (0, 1), Poly.var(2, 1)))
-rep = relative_modular(rel_chart, AlignedSubmanifold(rel_chart, (0,), (1,)))
+rep = relative_modular(AlignedSubmanifold(rel_chart, (0,), (1,)))
 print("\nrelative modular:", rep.values["nu_r"], "= pr nu_P - nu_Q:", rep.ok)

@@ -43,9 +43,8 @@ psi = InvolutionSpec("pair-swap")
 pi_q = pi_q_projection(psi, pi)
 
 x, y, z = b[0, 1], b[0, 2], b[1, 2]
-xy = pi_q.entry_bracket((0, 0, 1), (0, 0, 2))
-yz = pi_q.entry_bracket((0, 0, 2), (0, 1, 2))
-zx = pi_q.entry_bracket((0, 1, 2), (0, 0, 1))
+brackets = pi_q.bracket_matrix([(0, 0, 1), (0, 0, 2), (0, 1, 2)])  # {v, w} for v, w in (x, y, z)
+xy, yz, zx = brackets[0, 1], brackets[1, 2], brackets[2, 0]
 print(f"{{x, y}} = {xy:+.6f}   target 2(xy - 2z) = {2 * (x * y - 2 * z):+.6f}")
 print(f"{{y, z}} = {yz:+.6f}   target 2(yz - 2x) = {2 * (y * z - 2 * x):+.6f}")
 print(f"{{z, x}} = {zx:+.6f}   target 2(zx - 2y) = {2 * (z * x - 2 * y):+.6f}")

@@ -85,8 +85,10 @@ def _load_chart(args, need_sub: bool = False, check_jacobi: bool = True):
     unless ``check_jacobi`` is off (``check *`` and ``dirac slice`` read any chart)."""
     chart, sub = chartio.parse_chart_file(args.chart, check_jacobi)
     x_override = getattr(args, "x", None)
-    if x_override:
+    if x_override is not None:
         xs = tuple(_coord_indices(chart, x_override, "--x"))
+        if not xs:  # Q would be a point, and the criterion would check nothing
+            raise InvalidInput("--x must name at least one coordinate")
         ys = tuple(i for i in range(chart.dim) if i not in xs)
         sub = dirac.AlignedSubmanifold(chart, xs, ys)
     if need_sub and sub is None:
@@ -196,8 +198,8 @@ def _modular_vf(args) -> Report:
 
 
 def _modular_relative(args) -> Report:
-    chart, sub = _load_chart(args, need_sub=True)
-    rel = poisson.relative_modular(chart, sub)
+    _, sub = _load_chart(args, need_sub=True)
+    rel = poisson.relative_modular(sub)
     names = rel.values["chart_q"].coords
     return Report(rel.ok, {
         "nu_r": _vector_field(rel.values["nu_r"], names),

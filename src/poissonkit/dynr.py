@@ -56,9 +56,6 @@ from .report import Report, sample_blocks, sample_rngs
 __all__ = [
     "DynamicalRFamily",
     "NearSingular",
-    "trig_family",
-    "rational_family",
-    "corrupted_family",
     "structure_tensor",
     "rr_bracket",
     "eval_r",
@@ -83,7 +80,9 @@ class NearSingular(ValueError):
 
 @dataclass(frozen=True)
 class DynamicalRFamily:
-    """A coefficient family c_a(lambda) = d_a * g(<alpha, lambda>/2)."""
+    """A coefficient family c_a(lambda) = d_a * g(<alpha, lambda>/2): kind 'trig'
+    (g = coth), 'rational' (g(x) = 1/x) or 'tanh-corrupted' (coth replaced by
+    tanh, a negative control)."""
 
     algebra: LieAlgebraData
     kind: str
@@ -158,19 +157,6 @@ class DynamicalRFamily:
                 f"<alpha, lambda> = {np.ravel(values)[first]:.2e} for root {root.pair}; guard is {SINGULAR_GUARD}"
             )
         return values
-
-
-def trig_family(g: LieAlgebraData) -> DynamicalRFamily:
-    return DynamicalRFamily(g, "trig")
-
-
-def rational_family(g: LieAlgebraData) -> DynamicalRFamily:
-    return DynamicalRFamily(g, "rational")
-
-
-def corrupted_family(g: LieAlgebraData) -> DynamicalRFamily:
-    """coth replaced by tanh; used as a negative control."""
-    return DynamicalRFamily(g, "tanh-corrupted")
 
 
 def _real(c: Scalar, what: str) -> float:

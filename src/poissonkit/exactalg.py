@@ -168,8 +168,9 @@ class Scalar:
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            if n:  # no square after the last bit
+                base = base * base
         return out
 
     def is_zero(self) -> bool:
@@ -340,8 +341,9 @@ class Poly:
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            if n:  # no square after the last bit
+                base = base * base
         return out
 
     def __eq__(self, other) -> bool:

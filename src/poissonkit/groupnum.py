@@ -7,11 +7,11 @@ finite sum of wedge pairs u_a ^ v_a of tangent matrices, with no preferred
 basis; its legs are stored as two stacked arrays u, v of shape
 (m, *base.shape), so the sharp map, entry brackets, involution pushforwards
 and projections act on all wedge pairs in one array operation.  Maps applied
-to legs (``map_legs``, ``InvolutionSpec.push``, the ``phi`` of
-``pi_q_formula``) therefore broadcast over leading axes.  The functions of a
-point also take a stack of points (batch, *point shape) and return one
-result per point, which lets the reports run their samples in blocks; a
-check on a stack raises for its first failing point.
+to legs (``map_legs``, ``InvolutionSpec.apply``) therefore broadcast over
+leading axes.  The functions of a point also take a stack of points (batch,
+*point shape) and return one result per point, which lets the reports run
+their samples in blocks; a check on a stack raises for its first failing
+point.
 
 Translation conventions: the right-invariant field of X is X^R(g) = X g, the
 left-invariant field is X^L(g) = g X, and the coboundary Poisson-Lie tensor
@@ -102,6 +102,12 @@ def _vec(x: np.ndarray, lead: int = 1) -> np.ndarray:
     return np.concatenate([np.real(flat), np.imag(flat)], axis=-1)
 
 
+def _wedge_matrix(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """U^T V - V^T U for flattened leg stacks of shape (..., m, size), exactly antisymmetric."""
+    x = _transpose(u) @ v
+    return x - _transpose(x)
+
+
 def _max_over(x: np.ndarray, ndim: int) -> np.ndarray:
     """Largest |entry| over the last ``ndim`` axes: one value per point of a stack."""
     return np.max(np.abs(x), axis=tuple(range(-ndim, 0)), initial=0.0)
@@ -132,9 +138,6 @@ class MatrixGroup:
         """sum_i coeffs[..., i] basis[i], in basis order; one element per row of coeffs."""
         return sum(np.multiply.outer(coeffs[..., i], b) for i, b in enumerate(self.basis))
 
-    def random_algebra_element(self, rng: np.random.Generator) -> np.ndarray:
-        return self.combine(rng.normal(0.0, SAMPLE_SCALE, size=self.dim))
-
     @functools.cached_property
     def r_legs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The r-terms as stacks: left legs, right legs and coefficients."""
@@ -147,29 +150,13 @@ class TangentBivector:
     """A bivector sum_a u_a ^ v_a at a group point, or one at each point of a stack.
 
     The legs are stored stacked: ``u`` and ``v`` have shape (m, *base.shape),
-    with u[a] ^ v[a] the a-th wedge pair, and ``pairs`` lists them one by one.
-    On a stack of points (``batch_ndim`` 1) they have shape (batch, m, *point
-    shape), and every method but ``pairs`` returns one result per point.
+    with u[a] ^ v[a] the a-th wedge pair.  With ``batch_ndim`` 1, ``base`` is a
+    stack of points, the legs have shape (batch, m, *point shape), and every
+    method returns one result per point.
     """
 
-    def __init__(self, base: np.ndarray, pairs: Sequence[tuple[np.ndarray, np.ndarray]]):
-        base = np.asarray(base)
-        pairs = list(pairs)
-        if pairs:
-            u, v = (np.stack(legs) for legs in zip(*pairs))
-        else:
-            u = v = np.zeros((0, *base.shape), dtype=base.dtype)
-        self._set(base, u, v, 0)
-
-    @classmethod
-    def from_legs(cls, base: np.ndarray, u: np.ndarray, v: np.ndarray, batch_ndim: int = 0) -> "TangentBivector":
-        """The bivector sum_a u[a] ^ v[a] from two leg stacks of one shape; with
-        ``batch_ndim`` 1, one such bivector per point of the stack ``base``."""
-        out = cls.__new__(cls)
-        out._set(np.asarray(base), np.asarray(u), np.asarray(v), batch_ndim)
-        return out
-
-    def _set(self, base: np.ndarray, u: np.ndarray, v: np.ndarray, batch_ndim: int) -> None:
+    def __init__(self, base: np.ndarray, u: np.ndarray, v: np.ndarray, batch_ndim: int = 0):
+        base, u, v = np.asarray(base), np.asarray(u), np.asarray(v)
         if u.shape != v.shape or u.shape[:batch_ndim] + u.shape[batch_ndim + 1:] != base.shape:
             raise ValueError(f"leg stacks {u.shape} and {v.shape} do not match base shape {base.shape}")
         self.base, self.u, self.v, self.batch_ndim = base, u, v, batch_ndim
@@ -178,30 +165,19 @@ class TangentBivector:
     def point_shape(self) -> tuple[int, ...]:
         return self.base.shape[self.batch_ndim:]
 
-    @property
-    def pairs(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        return list(zip(self.u, self.v))
-
-    def entry_bracket(self, idx1: tuple, idx2: tuple):
-        """{A_idx1, A_idx2} = sum_a u_a[idx1] v_a[idx2] - u_a[idx2] v_a[idx1]."""
-        u1, u2 = self.u[(Ellipsis, *idx1)], self.u[(Ellipsis, *idx2)]
-        v1, v2 = self.v[(Ellipsis, *idx1)], self.v[(Ellipsis, *idx2)]
-        return np.sum(u1 * v2 - u2 * v1, axis=-1)
-
     def bracket_matrix(self, entries: Sequence[tuple] | None = None) -> np.ndarray:
         """Brackets {A_p, A_q} of all matrix entries (flat order), or of the
-        listed entries only: U^T V - V^T U on the flattened leg stacks."""
+        listed entries only, in their order: U^T V - V^T U on the flattened leg stacks."""
         lead = self.batch_ndim + 1
         u, v = _flat(self.u, lead), _flat(self.v, lead)
         if entries is not None:
             flat = [np.ravel_multi_index(idx, self.point_shape) for idx in entries]
             u, v = u[..., flat], v[..., flat]
-        x = _transpose(u) @ v
-        return x - _transpose(x)  # = U^T V - V^T U, and exactly antisymmetric
+        return _wedge_matrix(u, v)
 
     def map_legs(self, fn: Callable[[np.ndarray], np.ndarray], base: np.ndarray | None = None) -> "TangentBivector":
         """Apply ``fn`` to both leg stacks; ``fn`` must broadcast over the leading axes."""
-        return TangentBivector.from_legs(self.base if base is None else base, fn(self.u), fn(self.v), self.batch_ndim)
+        return TangentBivector(self.base if base is None else base, fn(self.u), fn(self.v), self.batch_ndim)
 
     def sharp_matrix(self) -> np.ndarray:
         """Realified matrix of the sharp map, U^T V - V^T U on the realified leg
@@ -215,8 +191,7 @@ class TangentBivector:
         half for real legs: ranks, images and residuals are read from it."""
         lead = self.batch_ndim + 1
         u, v = (_vec(x, lead) if np.iscomplexobj(x) else _flat(x, lead) for x in (self.u, self.v))
-        x = _transpose(u) @ v
-        return x - _transpose(x)  # = U^T V - V^T U, and exactly antisymmetric
+        return _wedge_matrix(u, v)
 
     @functools.cached_property
     def _sharp_svd(self) -> tuple[np.ndarray, np.ndarray]:
@@ -291,12 +266,13 @@ def dual_group(n: int) -> MatrixGroup:
     the diagonal is sl(n), and the dual sits as pairs (X+, X-) of upper/lower
     triangular matrices with opposite diagonals.  The r-matrix of the double
     is sum_i D_i ^ xi^i over a basis D_i of the diagonal and its dual basis
-    xi^i of the dual; the dual basis comes from an exactly solvable linear
-    system whose residual the tests check.
+    xi^i of the dual, the first and second halves of ``basis``; the dual
+    basis comes from an exactly solvable linear system whose residual the
+    tests check.
     """
     _check_n(n)
     sl_basis = [m.real.copy() for m in _complex_matrices(_sl_basis(n)[1])]
-    diag_basis = [np.stack([m, m]) for m in sl_basis]
+    diagonal = [np.stack([m, m]) for m in sl_basis]
 
     unit = np.eye(n * n).reshape(n * n, n, n)  # unit[n a + b] = E_ab
     zero = np.zeros((n, n))
@@ -307,16 +283,12 @@ def dual_group(n: int) -> MatrixGroup:
     dim = len(sl_basis)
     assert len(gstar_basis) == dim
 
-    gram = np.array([[pair_trace(x, d) for d in diag_basis] for x in gstar_basis])
+    gram = np.array([[pair_trace(x, d) for d in diagonal] for x in gstar_basis])
     dual_vectors = np.linalg.solve(gram.T, np.eye(dim))  # column i: coeffs of xi^i
-    xi_basis = [sum(dual_vectors[a, i] * gstar_basis[a] for a in range(dim)) for i in range(dim)]
+    xis = [sum(dual_vectors[a, i] * gstar_basis[a] for a in range(dim)) for i in range(dim)]
 
-    basis = diag_basis + xi_basis
     r_terms = [(i, dim + i, DOUBLE_R_SCALE) for i in range(dim)]
-    group = MatrixGroup(f"B+*B-({n})", None, basis, r_terms, _membership_dual)
-    group.xi_basis = xi_basis
-    group.diag_basis = diag_basis
-    return group
+    return MatrixGroup(f"B+*B-({n})", None, diagonal + xis, r_terms, _membership_dual)
 
 
 def pair_trace(x: np.ndarray, y: np.ndarray) -> float:
@@ -370,7 +342,7 @@ def pl_bivector(group: MatrixGroup, g: np.ndarray) -> TangentBivector:
     gx, gx_inv = (np.expand_dims(x, lead) for x in (g, np.linalg.inv(g)))  # broadcast over the r-terms
     u = _interleave(c * (gx @ a @ gx_inv @ gx), -c * (a @ gx), lead)
     v = _interleave(gx @ b @ gx_inv @ gx, b @ gx, lead)
-    return TangentBivector.from_legs(g, u, v, lead)
+    return TangentBivector(g, u, v, lead)
 
 
 # ---------------------------------------------------------------------------
@@ -380,11 +352,11 @@ def pl_bivector(group: MatrixGroup, g: np.ndarray) -> TangentBivector:
 
 @dataclass(frozen=True)
 class InvolutionSpec:
-    """An entrywise-linear group involution and its differential.
+    """An entrywise-linear group involution, which is its own differential.
 
     kind 'transpose' is g -> g^T on a single matrix group; 'pair-swap' is
-    (B, C) -> (C^T, B^T) on a pair group.  Both broadcast over leading axes,
-    so a stack of points or tangent vectors maps in one call."""
+    (B, C) -> (C^T, B^T) on a pair group.  ``apply`` maps points and tangent
+    vectors alike and broadcasts over leading axes, so a stack maps in one call."""
 
     kind: str
 
@@ -394,10 +366,6 @@ class InvolutionSpec:
         if self.kind == "pair-swap":
             return _transpose(g[..., ::-1, :, :])
         raise ValueError(f"unsupported involution kind {self.kind!r}")
-
-    def push(self, v: np.ndarray) -> np.ndarray:
-        """The differential; entrywise-linear maps are their own differential."""
-        return self.apply(v)
 
     def fixed_residual(self, g: np.ndarray) -> np.ndarray:
         """max |Phi(g) - g|, one value per point of a stack."""
@@ -410,13 +378,13 @@ def xplus(spec: InvolutionSpec, g: np.ndarray, v: np.ndarray) -> np.ndarray:
     res = _first_failure(spec.fixed_residual(g), TOL_MEMBER)
     if res is not None:
         raise ValueError(f"point is not fixed by the involution (residual {res:.2e})")
-    return 0.5 * (v + spec.push(v))
+    return 0.5 * (v + spec.apply(v))
 
 
 def pi_q_projection(spec: InvolutionSpec, pi: TangentBivector) -> TangentBivector:
     """Project every wedge leg with (1 + Phi_*)/2; requires Phi_* pi = pi, with
     || Phi_* pi - pi || of the sharp matrices at each point's scale max(1, |pi|)^2."""
-    invariance = _max_over(pi.map_legs(spec.push)._compact_sharp() - pi._compact_sharp(), 2)
+    invariance = _max_over(pi.map_legs(spec.apply)._compact_sharp() - pi._compact_sharp(), 2)
     res = _first_failure(invariance, TOL_MEMBER * np.maximum(1.0, pi.max_abs()) ** 2)
     if res is not None:
         raise ValueError(f"bivector is not involution-invariant (residual {res:.2e})")
@@ -424,18 +392,13 @@ def pi_q_projection(spec: InvolutionSpec, pi: TangentBivector) -> TangentBivecto
     return pi.map_legs(lambda v: xplus(spec, g, v))
 
 
-def pi_q_formula(
-    group: MatrixGroup,
-    g: np.ndarray,
-    phi: Callable[[np.ndarray], np.ndarray],
-    swap_arrows: bool = False,
-) -> TangentBivector:
+def pi_q_formula(group: MatrixGroup, g: np.ndarray, swap_arrows: bool = False) -> TangentBivector:
     """Direct fixed-locus tensor for a coboundary group; see module docstring.
 
-    ``phi`` maps a stack of algebra elements, so it must broadcast over the
-    leading axis.  ``swap_arrows`` rebinds X^L <-> X^R; it is the
-    experimentally rejected reading of the formula and exists only so tests
-    can demonstrate that it disagrees with the projection route.
+    phi is transposition, the algebra anti-morphism of both sl(n) and su(n).
+    ``swap_arrows`` rebinds X^L <-> X^R; it is the experimentally rejected
+    reading of the formula and exists only so tests can demonstrate that it
+    disagrees with the projection route.
     """
     e, f, c = group.r_legs
     lead = g.ndim - e.ndim + 1  # 1 for a stack of points
@@ -447,10 +410,10 @@ def pi_q_formula(
     def right(x):
         return gx @ x if swap_arrows else x @ gx
 
-    pe, pf = phi(e), phi(f)
+    pe, pf = _transpose(e), _transpose(f)
     u = _interleave(0.25 * c * (left(e) + right(pe)), -0.25 * c * (right(e) + left(pe)), lead)
     v = _interleave(left(f) + right(pf), right(f) + left(pf), lead)
-    return TangentBivector.from_legs(g, u, v, lead)
+    return TangentBivector(g, u, v, lead)
 
 
 # ---------------------------------------------------------------------------
@@ -508,7 +471,7 @@ def _plus_eigenspace(spec: InvolutionSpec, shape: tuple[int, ...], dtype: np.dty
     size = 2 * math.prod(shape)
     probes = np.eye(size).reshape(size, 2, *shape)  # probes[k]: real and imaginary part of the k-th unit vector
     v = probes[:, 0] + 1j * probes[:, 1] if np.issubdtype(dtype, np.complexfloating) else probes[:, 0]
-    p = _vec(spec.push(v)).T  # column k: the pushed k-th probe
+    p = _vec(spec.apply(v)).T  # column k: the pushed k-th probe
     _, s, vt = np.linalg.svd(p - np.eye(size))
     basis = vt[s <= thresh].T
     basis.setflags(write=False)  # cached, so shared by every caller
@@ -551,10 +514,6 @@ def _dual_points(n: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
     x[:, 0, a, b], x[:, 1, b, a] = draws[:, 0:2 * len(a):2], draws[:, 1:2 * len(a):2]
     x[:, 0, range(n), range(n)], x[:, 1, range(n), range(n)] = d, -d
     return matrix_exp(x)
-
-
-def _sample_dual_point(n: int, rng: np.random.Generator) -> np.ndarray:
-    return _dual_points(n, [rng])[0]
 
 
 CHART_N3 = ((0, 0, 1), (0, 0, 2), (0, 1, 2))  # x = B_12, y = B_13, z = B_23
@@ -657,10 +616,6 @@ def _fixed_points(group: MatrixGroup, rngs: Sequence[np.random.Generator]) -> np
     return matrix_exp(0.5 * (x + _transpose(x)))
 
 
-def _sample_fixed_point(group: MatrixGroup, rng: np.random.Generator) -> np.ndarray:
-    return _fixed_points(group, [rng])[0]
-
-
 def _bracket_difference(a: TangentBivector, b: TangentBivector) -> float | np.ndarray:
     """Largest entrywise-bracket difference over all entry pairs, per point."""
     diff = np.abs(a.bracket_matrix() - b.bracket_matrix())
@@ -682,7 +637,6 @@ def crosscheck_report(kind: str, samples: int = 10, seed: int = 2, tol: float = 
         group = su_group(n)
     else:
         raise ValueError("kind must be 'sl' or 'su'")
-    phi = _transpose  # the algebra anti-morphism in both realizations
     spec = InvolutionSpec("transpose")
 
     def block(ks: range):
@@ -691,10 +645,10 @@ def crosscheck_report(kind: str, samples: int = 10, seed: int = 2, tol: float = 
             raise AssertionError("sampled point failed group membership")
         pi = pl_bivector(group, g)
         projected = pi_q_projection(spec, pi)
-        direct = pi_q_formula(group, g, phi)
+        direct = pi_q_formula(group, g)
         legs = np.concatenate([projected.u, projected.v], axis=1)  # must lie in the +1 eigenspace
         return (float(np.max(_bracket_difference(projected, direct))),
-                float(np.max(np.abs(spec.push(legs) - legs), initial=0.0)),
+                float(np.max(np.abs(spec.apply(legs) - legs), initial=0.0)),
                 bool(np.all(rank_relation_holds(spec, pi, projected))))
 
     diffs, pluses, ranks = zip(*sample_blocks(range(samples), block))

@@ -144,8 +144,9 @@ def modular_vf(chart: PoissonChart) -> PolyMultiVec:
     return PolyMultiVec.from_terms(chart.dim, 1, [((j,), p) for j, p in comps.items()])
 
 
-def relative_modular(chart: PoissonChart, submanifold) -> Report:
-    """Relative modular field of an aligned Dirac submanifold Q = {y = 0}.
+def relative_modular(submanifold) -> Report:
+    """Relative modular field of an aligned Dirac submanifold Q = {y = 0} of
+    the chart ``submanifold.chart``.
 
     nu_r is computed from its definition: for f(x) extended constantly in y,
     nu_r(f) is the y-divergence of X_f restricted to Q.  The ambient modular
@@ -162,6 +163,7 @@ def relative_modular(chart: PoissonChart, submanifold) -> Report:
     if not verdict:
         raise InvalidInput(f"submanifold fails the aligned Dirac criterion: {verdict.reason}")
 
+    chart = submanifold.chart
     xs = submanifold.x_indices
     ys = submanifold.y_indices
     to_q = submanifold.to_q

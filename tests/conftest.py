@@ -1,6 +1,6 @@
 """The seeded random source for the property tests (the generators it feeds
-are in ``poissonkit.oracle``), and the environment for tests that start a
-Python subprocess."""
+are in ``poissonkit.oracle``), the environment for tests that start a
+Python subprocess, and random Lie algebra elements for the group tests."""
 
 import math
 import os
@@ -41,3 +41,11 @@ def make_rng(seed):
 @pytest.fixture
 def rng():
     return make_rng(20240811)
+
+
+def algebra_element(group, rng):
+    """A random element of the group's Lie algebra, drawn as the numeric reports
+    draw their sampled points: normal coefficients in the basis."""
+    from poissonkit.groupnum import SAMPLE_SCALE
+
+    return group.combine(rng.normal(0.0, SAMPLE_SCALE, size=group.dim))

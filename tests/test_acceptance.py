@@ -16,13 +16,7 @@ from poissonkit.dirac import (
     affine_lie_poisson_dirac,
     check_aligned_dirac,
 )
-from poissonkit.dynr import (
-    corrupted_family,
-    equivariance_check,
-    rational_family,
-    residual_scan,
-    trig_family,
-)
+from poissonkit.dynr import DynamicalRFamily, equivariance_check, residual_scan
 from poissonkit.exactalg import Poly, PolyMultiVec, schouten
 from poissonkit.groupnum import (
     InvolutionSpec,
@@ -35,7 +29,7 @@ from poissonkit.groupnum import (
     stokes_report,
     su_group,
     sl_group,
-    _sample_fixed_point,
+    _fixed_points,
     _unipotent_points,
 )
 from poissonkit.liealg import (
@@ -116,7 +110,7 @@ def test_c04_dirac_criterion_examples():
 
 def test_c05_relative_modular_identity():
     chart, sub = parse_chart_file("relmod2.chart")
-    rep = relative_modular(chart, sub)
+    rep = relative_modular(sub)
     ok = (
         rep.ok
         and rep.values["nu_r"].comps == {(0,): Poly.const(1, 1)}
@@ -183,16 +177,16 @@ def test_c09_cdybe():
     detail = []
     for n in (2, 3):
         g = sl_chevalley(n)
-        for fam in (trig_family(g), rational_family(g)):
+        for fam in (DynamicalRFamily(g, "trig"), DynamicalRFamily(g, "rational")):
             rep = residual_scan(fam, samples=10, seed=5, tol=1e-7)
             good = (rep.values["spread"] <= 1e-7 and rep.values["invariance_defect"] <= 1e-7
                     and rep.values["derivative_defect"] <= 1e-7)
             ok = ok and good
             detail.append(f"sl{n}/{fam.kind}:{rep.values['spread']:.1e}")
     g3 = sl_chevalley(3)
-    neg = residual_scan(corrupted_family(g3), samples=6, seed=5, tol=1e-7)
+    neg = residual_scan(DynamicalRFamily(g3, "tanh-corrupted"), samples=6, seed=5, tol=1e-7)
     ok = ok and not neg.ok
-    eq = equivariance_check(trig_family(g3), transpose_antimorphism(g3))
+    eq = equivariance_check(DynamicalRFamily(g3, "trig"), transpose_antimorphism(g3))
     ok = ok and eq.ok
     elapsed = time.perf_counter() - t0
     _report(9, ok and elapsed < 10.0,
@@ -214,7 +208,7 @@ def test_c10_rank_relation_at_sampled_fixed_points():
     spec = InvolutionSpec("transpose")
     for grp in (sl_group(3), su_group(3)):
         for k in range(10):
-            g = _sample_fixed_point(grp, np.random.default_rng([2, k]))
+            g = _fixed_points(grp, [np.random.default_rng([2, k])])[0]
             pi = pl_bivector(grp, g)
             ok = ok and rank_relation_holds(spec, pi, pi_q_projection(spec, pi))
     elapsed = time.perf_counter() - t0

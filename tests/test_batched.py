@@ -15,6 +15,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import algebra_element
 from poissonkit import dynr, groupnum, report
 from poissonkit.groupnum import TOL_CROSS, TOL_MEMBER, InvolutionSpec, TangentBivector
 from poissonkit.liealg import LinearAlgMap, sl_chevalley, transpose_antimorphism
@@ -144,11 +145,11 @@ def _ref_crosscheck(kind, samples, seed, tol=TOL_CROSS, n=3):
             raise AssertionError("sampled point failed group membership")
         pi = groupnum.pl_bivector(group, g)
         projected = groupnum.pi_q_projection(spec, pi)
-        direct = groupnum.pi_q_formula(group, g, lambda m: np.swapaxes(m, -1, -2))
+        direct = groupnum.pi_q_formula(group, g)
         max_diff = max(max_diff, float(groupnum._bracket_difference(projected, direct)))
         rank_ok = rank_ok and _ref_rank_relation(spec, pi, projected)
         legs = np.concatenate([projected.u, projected.v])
-        max_plus = max(max_plus, float(np.max(np.abs(spec.push(legs) - legs), initial=0.0)))
+        max_plus = max(max_plus, float(np.max(np.abs(spec.apply(legs) - legs), initial=0.0)))
     values = {"group": group.name, "max_route_difference": max_diff, "max_plus_residual": max_plus,
               "rank_relation_ok": rank_ok}
     return Report(max_diff <= tol and max_plus <= TOL_MEMBER and rank_ok, values, seed=seed, samples=samples)
@@ -240,7 +241,7 @@ def test_residual_scan_matches_the_per_sample_loop(kind, block, samples, seed, m
 def test_equivariance_matches_the_per_sample_loop(block, samples, seed, monkeypatch):
     _set_block(monkeypatch, block)
     g = sl_chevalley(3)
-    family, s = dynr.trig_family(g), transpose_antimorphism(g)
+    family, s = dynr.DynamicalRFamily(g, "trig"), transpose_antimorphism(g)
     _assert_agree(dynr.equivariance_check(family, s, samples, seed), _ref_equivariance(family, s, samples, seed))
 
 
@@ -287,7 +288,7 @@ def test_non_fixed_point_raises_as_the_loop_does(monkeypatch):
     shear[0, 1] = 0.3
     generators = []
     for k in (9, 10):
-        x = group.random_algebra_element(np.random.default_rng([2, k]))
+        x = algebra_element(group, np.random.default_rng([2, k]))
         generators.append(0.5 * (x + x.T))
     _corrupt_exp(monkeypatch, [(generators[0], lambda g: g @ shear), (generators[1], lambda g: 1.01 * g)])
     loop = _raised(lambda: _ref_crosscheck("sl", 12, 2))
@@ -308,7 +309,7 @@ def test_non_invariant_bivector_raises_as_the_loop_does(monkeypatch):
     def rescaled(group, g):
         pi = original(group, g)
         u = np.where(_hits(g, bad_point, 3)[..., None, None, None, None], pi.u * factor, pi.u)
-        return TangentBivector.from_legs(pi.base, u, pi.v, pi.batch_ndim)
+        return TangentBivector(pi.base, u, pi.v, pi.batch_ndim)
 
     monkeypatch.setattr(groupnum, "pl_bivector", rescaled)
     rng = np.random.default_rng([1, 10])
@@ -324,7 +325,7 @@ def test_near_singular_lambda_raises_as_the_loop_does(monkeypatch):
     # sample 9 passes the guard, but its backward difference lambda - step e_0 does not;
     # sample 10 fails at lambda itself.  The loop meets sample 9's difference first.
     _set_block(monkeypatch, SMALL_BLOCK)
-    family = dynr.trig_family(sl_chevalley(3))
+    family = dynr.DynamicalRFamily(sl_chevalley(3), "trig")
     special = {9: np.array([0.5 * (dynr.SINGULAR_GUARD + 5e-6), 0.8]), 10: np.array([0.7, 1e-4])}
     original = dynr._sample_lambda
     monkeypatch.setattr(dynr, "_sample_lambda",
@@ -339,7 +340,7 @@ def test_near_singular_moved_lambda_raises_as_the_loop_does(monkeypatch):
     # does not; sample 10 fails at lambda itself.  The loop meets sample 9's image first.
     _set_block(monkeypatch, SMALL_BLOCK)
     g = sl_chevalley(3)
-    family = dynr.trig_family(g)
+    family = dynr.DynamicalRFamily(g, "trig")
     c0, c1 = g.root_data.cartan
     rows = [list(row) for row in transpose_antimorphism(g).matrix]
     rows[c1][c0] = rows[c1][c1]
@@ -360,8 +361,8 @@ def test_stacked_checks_report_the_first_failing_point():
     points[2, 0, 1] = 0.25
     points[4, 0, 1] = 0.5
     legs = np.zeros((5, 1, 3, 3))
-    pi = TangentBivector.from_legs(points, legs, legs, 1)
-    loop = _raised(lambda: [groupnum.pi_q_projection(spec, TangentBivector(p, [(np.zeros((3, 3)),) * 2]))
+    pi = TangentBivector(points, legs, legs, 1)
+    loop = _raised(lambda: [groupnum.pi_q_projection(spec, TangentBivector(p, legs[0], legs[0]))
                             for p in points])
     assert "not fixed" in loop[1]
     assert _raised(lambda: groupnum.pi_q_projection(spec, pi)) == loop
@@ -376,7 +377,7 @@ def test_stacked_checks_report_the_first_failing_point():
 def test_membership_failure_raises_as_the_loop_does(monkeypatch):
     # only sample 10, the third point of its block, leaves SL(3)
     _set_block(monkeypatch, SMALL_BLOCK)
-    x = groupnum.sl_group(3).random_algebra_element(np.random.default_rng([2, 10]))
+    x = algebra_element(groupnum.sl_group(3), np.random.default_rng([2, 10]))
     _corrupt_exp(monkeypatch, [(0.5 * (x + x.T), lambda g: 1.01 * g)])
     loop = _raised(lambda: _ref_crosscheck("sl", 12, 2))
     assert loop[0] is AssertionError
@@ -386,18 +387,18 @@ def test_membership_failure_raises_as_the_loop_does(monkeypatch):
 def test_stacked_verdicts_are_per_point():
     spec = InvolutionSpec("transpose")
     group = groupnum.sl_group(3)
-    g = np.stack([groupnum._sample_fixed_point(group, np.random.default_rng([7, k])) for k in range(3)])
+    g = np.stack([groupnum._fixed_points(group, [np.random.default_rng([7, k])])[0] for k in range(3)])
     pi = groupnum.pl_bivector(group, g)
     # point 1 alone keeps its unprojected u legs, which breaks its rank relation
     u = groupnum.pi_q_projection(spec, pi).u.copy()
     u[1] = pi.u[1]
-    broken = TangentBivector.from_legs(g, u, groupnum.pi_q_projection(spec, pi).v, 1)
-    loop = [groupnum.rank_relation_holds(spec, groupnum.pl_bivector(group, p), TangentBivector.from_legs(p, pu, pv))
+    broken = TangentBivector(g, u, groupnum.pi_q_projection(spec, pi).v, 1)
+    loop = [groupnum.rank_relation_holds(spec, groupnum.pl_bivector(group, p), TangentBivector(p, pu, pv))
             for p, pu, pv in zip(g, broken.u, broken.v)]
     assert loop == [True, False, True]
     assert list(groupnum.rank_relation_holds(spec, pi, broken)) == loop
-    single = [groupnum.pl_bivector(group, p).entry_bracket((0, 1), (1, 2)) for p in g]
-    assert np.max(np.abs(pi.entry_bracket((0, 1), (1, 2)) - single)) <= 1e-14
+    single = [groupnum.pl_bivector(group, p).bracket_matrix([(0, 1), (1, 2)])[0, 1] for p in g]
+    assert np.max(np.abs(pi.bracket_matrix([(0, 1), (1, 2)])[:, 0, 1] - single)) <= 1e-14
     # point 1's invariance residual passes against its own scale max(1, |pi|)^2, not against point 0's
     sym1 = np.array([[1.0, 2, 0], [2, 0, 1], [0, 1, -1]])
     sym2 = np.array([[0.0, 0, 1], [0, 2, 0], [1, 0, -2]])
@@ -405,15 +406,15 @@ def test_stacked_verdicts_are_per_point():
     u = np.stack([[sym1], [100 * sym1 + 1e-8 * anti]])
     v = np.stack([[sym2], [100 * sym2]])
     base = np.stack([np.eye(3)] * 2)
-    loop = [groupnum.pi_q_projection(spec, TangentBivector.from_legs(p, pu, pv)) for p, pu, pv in zip(base, u, v)]
-    stacked = groupnum.pi_q_projection(spec, TangentBivector.from_legs(base, u, v, 1))
+    loop = [groupnum.pi_q_projection(spec, TangentBivector(p, pu, pv)) for p, pu, pv in zip(base, u, v)]
+    stacked = groupnum.pi_q_projection(spec, TangentBivector(base, u, v, 1))
     assert np.array_equal(stacked.u, np.stack([p.u for p in loop]))
 
 
 # -- memory stays flat in the sample count ----------------------------------------------------
 
 
-SL4_TRIG = dynr.trig_family(sl_chevalley(4))
+SL4_TRIG = dynr.DynamicalRFamily(sl_chevalley(4), "trig")
 
 
 @pytest.mark.parametrize("run", [

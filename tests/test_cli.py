@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, file formats, report determinism."""
 
 import argparse
+import importlib
 import re
 import shlex
 import subprocess
@@ -245,6 +246,8 @@ BAD_FILES = {
     (["group", "stokes", "--seed", "-1"], "--seed: must be at least 0, got -1"),
     (["dynr", "cdybe", "--algebra", "sl2", "--seed=-1"], "--seed: must be at least 0, got -1"),
     (["oracle", "schouten", "--seed", "-1"], "--seed: must be at least 0, got -1"),
+    (["dirac", "aligned", "product22.chart", "--x="], "--x must name at least one coordinate"),
+    (["modular", "relative", "relmod2.chart", "--x", ""], "--x must name at least one coordinate"),
 ])
 def test_bad_input_is_a_usage_error(argv, needle, capsys, tmp_path, monkeypatch):
     # each of these used to exit 1, as if a verification had failed, to pass having checked nothing,
@@ -365,6 +368,28 @@ def test_readme_layout_names_every_module():
     assert sorted(listed) == sorted(modules)
 
 
+def test_readme_dotted_names_resolve():
+    # a backticked name `head.attr...` whose head is a poissonkit module or a public class
+    # must resolve, so README cannot go on naming what was renamed or deleted
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    stems = [p.stem for p in Path(poissonkit.__file__).parent.glob("*.py") if p.stem not in ("__init__", "__main__")]
+    modules = {stem: importlib.import_module(f"poissonkit.{stem}") for stem in stems}
+    heads = {"poissonkit": poissonkit, **modules}
+    heads.update((name, obj) for m in modules.values() for name in getattr(m, "__all__", ())
+                 if isinstance(obj := getattr(m, name), type))
+    checked = []
+    for span in re.findall(r"`([^`\n]+)`", readme):
+        dotted = re.match(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+", span)
+        if dotted and dotted[0].split(".")[0] in heads:
+            head, *attrs = dotted[0].split(".")
+            obj = heads[head]
+            for attr in attrs:
+                assert hasattr(obj, attr), f"README names `{dotted[0]}`, which does not resolve"
+                obj = getattr(obj, attr)
+            checked.append(dotted[0])
+    assert "report.sample_blocks" in checked and "liealg.AlgElement" in checked
+
+
 # exact commands: the full porcelain stdout; numeric ones: the porcelain keys
 PINNED = {
     "check jacobi": "chart=dubrovin3.chart\njacobiator=0\npass=True\n",
@@ -424,7 +449,7 @@ FUZZ_POOLS = {
     "family": ["trig", "tanh-corrupted"],
     "f": ["x", "1/0", "x +* y", "q"],
     "g": ["y", "q"],
-    "x": ["x", "x1,x2", "x2,x1", "x1,x1", "q"],
+    "x": ["x", "x1,x2", "x2,x1", "x1,x1", "q", ""],
     "t": ["t", "t,t", "w", "q", ""],
     "t0": ["0", "0,0", "1/0"],
     "mu": ["0,0,1", "1,0,0", "0", "0,0,1/0"],

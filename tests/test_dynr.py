@@ -9,18 +9,16 @@ import pytest
 
 from conftest import assert_pass_rule, make_rng
 from poissonkit.dynr import (
+    DynamicalRFamily,
     NearSingular,
     _ad_defect,
     cdybe_residual,
-    corrupted_family,
     equivariance_check,
     eval_r,
     r_derivative,
-    rational_family,
     residual_scan,
     rr_bracket,
     structure_tensor,
-    trig_family,
 )
 from poissonkit.exactalg import Scalar
 from poissonkit.groupnum import crosscheck_report, stokes_report
@@ -53,7 +51,7 @@ def _max_gap(elem, t):
 
 def test_eval_r_sl2_trig_value():
     g = sl_chevalley(2)
-    fam = trig_family(g)
+    fam = DynamicalRFamily(g, "trig")
     lam = [0.7]
     r = eval_r(fam, lam)
     e, f = g.label_index("e12"), g.label_index("f12")
@@ -63,7 +61,7 @@ def test_eval_r_sl2_trig_value():
 
 def test_eval_r_antisymmetric_storage():
     g = sl_chevalley(2)
-    r = eval_r(trig_family(g), [0.9])
+    r = eval_r(DynamicalRFamily(g, "trig"), [0.9])
     e, f = g.label_index("e12"), g.label_index("f12")
     assert r.shape == (g.dim, g.dim)
     assert r[f, e] == -r[e, f]
@@ -72,7 +70,7 @@ def test_eval_r_antisymmetric_storage():
 
 def test_rational_homogeneity():
     g = sl_chevalley(3)
-    fam = rational_family(g)
+    fam = DynamicalRFamily(g, "rational")
     lam = np.array([0.8, -1.3])
     c = 2.5
     r1 = eval_r(fam, c * lam)
@@ -83,7 +81,7 @@ def test_rational_homogeneity():
 def test_singular_guard():
     g = sl_chevalley(2)
     with pytest.raises(NearSingular):
-        eval_r(trig_family(g), [1e-5])
+        eval_r(DynamicalRFamily(g, "trig"), [1e-5])
 
 
 def test_structure_tensor_rejects_non_real_constants():
@@ -97,7 +95,7 @@ def test_structure_tensor_rejects_non_real_constants():
 
 def test_residual_constant_two_points_sl2():
     g = sl_chevalley(2)
-    fam = trig_family(g)
+    fam = DynamicalRFamily(g, "trig")
     r1 = cdybe_residual(fam, [0.6])
     r2 = cdybe_residual(fam, [-1.4])
     assert np.max(np.abs(r1 - r2)) < 1e-12
@@ -110,7 +108,7 @@ def test_residual_ad_invariance_sl2():
     # [x_b, res] written out slot by slot, without the cyclic shortcut of the scan
     g = sl_chevalley(2)
     C = structure_tensor(g)
-    res = cdybe_residual(trig_family(g), [0.8])
+    res = cdybe_residual(DynamicalRFamily(g, "trig"), [0.8])
     defect = (np.einsum("bil,ijk->bljk", C, res) + np.einsum("bij,lik->bljk", C, res)
               + np.einsum("bik,lji->bljk", C, res))
     assert np.max(np.abs(defect)) < 1e-12
@@ -119,13 +117,13 @@ def test_residual_ad_invariance_sl2():
 
 def test_rational_residual_vanishes_sl2():
     g = sl_chevalley(2)
-    res = cdybe_residual(rational_family(g), [0.75])
+    res = cdybe_residual(DynamicalRFamily(g, "rational"), [0.75])
     assert np.max(np.abs(res)) < 1e-12
 
 
 def test_residual_storage_is_antisymmetric():
     g = sl_chevalley(3)
-    res = cdybe_residual(trig_family(g), [0.9, 0.7])
+    res = cdybe_residual(DynamicalRFamily(g, "trig"), [0.9, 0.7])
     assert res.shape == (g.dim,) * 3
     for axes in ((1, 0, 2), (0, 2, 1), (2, 1, 0)):
         assert np.array_equal(res, -res.transpose(axes))
@@ -158,7 +156,7 @@ def _exact_rational_residual(g, lam):
 ])
 def test_rational_residual_matches_exact_route(n, points):
     g = sl_chevalley(n)
-    fam = rational_family(g)
+    fam = DynamicalRFamily(g, "rational")
     C = structure_tensor(g)
     for lam in points:
         half, total = _exact_rational_residual(g, lam)
@@ -202,35 +200,35 @@ def test_einsum_brackets_match_alg_schouten(name):
 
 
 def test_scan_sl2_trig_tight():
-    rep = residual_scan(trig_family(sl_chevalley(2)), samples=10, seed=5, tol=1e-8)
+    rep = residual_scan(DynamicalRFamily(sl_chevalley(2), "trig"), samples=10, seed=5, tol=1e-8)
     assert rep.ok
     assert rep.values["spread"] <= 1e-8
 
 
 def test_scan_sl3_both_families():
     g = sl_chevalley(3)
-    for fam in (trig_family(g), rational_family(g)):
+    for fam in (DynamicalRFamily(g, "trig"), DynamicalRFamily(g, "rational")):
         rep = residual_scan(fam, samples=10, seed=5, tol=1e-7)
         assert rep.ok, (fam.kind, rep)
 
 
 def test_scan_negative_control_sl3():
-    rep = residual_scan(corrupted_family(sl_chevalley(3)), samples=6, seed=5, tol=1e-7)
+    rep = residual_scan(DynamicalRFamily(sl_chevalley(3), "tanh-corrupted"), samples=6, seed=5, tol=1e-7)
     assert not rep.ok
     assert rep.values["spread"] > 1e-3
 
 
 def test_scan_deterministic():
-    rep1 = residual_scan(trig_family(sl_chevalley(3)), samples=6, seed=9, tol=1e-7)
-    rep2 = residual_scan(trig_family(sl_chevalley(3)), samples=6, seed=9, tol=1e-7)
+    rep1 = residual_scan(DynamicalRFamily(sl_chevalley(3), "trig"), samples=6, seed=9, tol=1e-7)
+    rep2 = residual_scan(DynamicalRFamily(sl_chevalley(3), "trig"), samples=6, seed=9, tol=1e-7)
     assert rep1 == rep2
 
 
-@pytest.mark.parametrize("make_family", [trig_family, corrupted_family])
-def test_residual_scan_pass_rule(make_family):
+@pytest.mark.parametrize("kind", ["trig", "tanh-corrupted"], ids=["trig_family", "corrupted_family"])
+def test_residual_scan_pass_rule(kind):
     # tol bounds all three defects; the trig family's largest is the derivative defect,
     # the corrupted family's the spread
-    family = make_family(sl_chevalley(3))
+    family = DynamicalRFamily(sl_chevalley(3), kind)
     bounded = ("spread", "invariance_defect", "derivative_defect")
     assert_pass_rule(lambda tol: residual_scan(family, samples=3, seed=4, tol=tol), bounded, 4, 3)
 
@@ -239,20 +237,20 @@ def test_equivariance_pass_rule():
     # the identity is not an anti-morphism, so its defect is nonzero
     g = sl_chevalley(2)
     ident = LinearAlgMap(g, g, tuple(tuple(row) for row in linalg.identity(g.dim)))
-    assert_pass_rule(lambda tol: equivariance_check(trig_family(g), ident, 2, 3, tol), ("defect",), 3, 2)
+    assert_pass_rule(lambda tol: equivariance_check(DynamicalRFamily(g, "trig"), ident, 2, 3, tol), ("defect",), 3, 2)
 
 
 def test_report_values_are_python_floats():
     g = sl_chevalley(2)
-    rep = residual_scan(trig_family(g), samples=3, seed=1)
+    rep = residual_scan(DynamicalRFamily(g, "trig"), samples=3, seed=1)
     assert all(type(rep.values[k]) is float for k in ("spread", "invariance_defect", "derivative_defect"))
-    eq = equivariance_check(trig_family(g), transpose_antimorphism(g), samples=2, seed=1)
+    eq = equivariance_check(DynamicalRFamily(g, "trig"), transpose_antimorphism(g), samples=2, seed=1)
     assert type(eq.values["defect"]) is float
 
 
 def test_gradient_check_explicit():
     g = sl_chevalley(3)
-    fam = trig_family(g)
+    fam = DynamicalRFamily(g, "trig")
     lam = np.array([1.1, -0.9])
     step = 1e-5
     for m in range(2):
@@ -270,7 +268,7 @@ def test_equivariance_sl2_sl3():
     for n in (2, 3):
         g = sl_chevalley(n)
         s = transpose_antimorphism(g)
-        rep = equivariance_check(trig_family(g), s, samples=8, seed=3)
+        rep = equivariance_check(DynamicalRFamily(g, "trig"), s, samples=8, seed=3)
         assert rep.ok
         assert rep.values["defect"] <= 1e-10
 
@@ -278,7 +276,7 @@ def test_equivariance_sl2_sl3():
 def test_equivariance_negative_control_identity():
     g = sl_chevalley(2)
     ident = LinearAlgMap(g, g, tuple(tuple(row) for row in linalg.identity(g.dim)))
-    rep = equivariance_check(trig_family(g), ident, samples=4, seed=3)
+    rep = equivariance_check(DynamicalRFamily(g, "trig"), ident, samples=4, seed=3)
     assert not rep.ok
     assert rep.values["defect"] > 0.1
 
@@ -287,9 +285,9 @@ def test_no_samples_is_no_pass():
     # over no samples there is nothing to check: all four sampled checks reject it as bad input
     g = sl_chevalley(2)
     with pytest.raises(InvalidInput):
-        residual_scan(trig_family(g), samples=0)
+        residual_scan(DynamicalRFamily(g, "trig"), samples=0)
     with pytest.raises(InvalidInput):
-        equivariance_check(trig_family(g), transpose_antimorphism(g), samples=0)
+        equivariance_check(DynamicalRFamily(g, "trig"), transpose_antimorphism(g), samples=0)
     with pytest.raises(InvalidInput):
         stokes_report(3, 0)
     with pytest.raises(InvalidInput):
@@ -302,4 +300,4 @@ def test_equivariance_rejects_a_map_that_leaves_the_cartan():
     rows[g.label_index("e12")][g.label_index("h1")] = Scalar(1)  # h -> h + e
     s = LinearAlgMap(g, g, tuple(map(tuple, rows)))
     with pytest.raises(ValueError, match="Cartan"):
-        equivariance_check(trig_family(g), s, samples=2)
+        equivariance_check(DynamicalRFamily(g, "trig"), s, samples=2)

@@ -217,6 +217,18 @@ def test_poly_divide_exact():
     assert (p + 1).divide_exact(x + y) is None
 
 
+def test_power_takes_no_square_after_the_last_bit(monkeypatch):
+    # square-and-multiply: one product per bit of the exponent and one square between bits
+    for cls, base in ((Poly, Poly.var(2, 0) + Poly.var(2, 1)), (Scalar, Scalar(1, 2))):
+        products = []
+        mul = cls.__mul__
+        monkeypatch.setattr(cls, "__mul__", lambda a, b, mul=mul: products.append(1) or mul(a, b))
+        for n, count, value in ((1, 1, base), (4, 3, mul(mul(base, base), mul(base, base)))):
+            products.clear()
+            assert base**n == value
+            assert len(products) == count, (cls.__name__, n)
+
+
 def test_poly_compose_linear():
     x, y = Poly.var(2, 0), Poly.var(2, 1)
     p = x * y

@@ -19,6 +19,7 @@ from poissonkit.poisson import (
     relative_modular,
     sharp,
 )
+from poissonkit.report import InvalidInput
 
 
 def dubrovin_chart():
@@ -239,7 +240,7 @@ def _aligned(chart, xs):
 def test_relative_modular_linear_fixture():
     # pi = y dx^dy on R^2, Q = {y = 0}: nu_r = d/dx, pr nu_P = d/dx, nu_Q = 0
     chart = PoissonChart(2, ("x", "y"), PolyMultiVec.monomial(2, (0, 1), Poly.var(2, 1)))
-    rep = relative_modular(chart, _aligned(chart, (0,)))
+    rep = relative_modular(_aligned(chart, (0,)))
     assert rep.values["nu_r"].comps == {(0,): Poly.const(1, 1)}
     assert rep.values["pr_nu_P"].comps == {(0,): Poly.const(1, 1)}
     assert rep.values["nu_Q"].is_zero()
@@ -250,7 +251,7 @@ def test_relative_modular_block_chart():
     # pi = d1^d2 + y1 y2 d3^d4, Q = {y = 0}: everything vanishes on Q
     pi = PolyMultiVec(4, 2, {(0, 1): Poly.const(4, 1), (2, 3): Poly.var(4, 2) * Poly.var(4, 3)})
     chart = PoissonChart(4, ("x1", "x2", "y1", "y2"), pi)
-    rep = relative_modular(chart, _aligned(chart, (0, 1)))
+    rep = relative_modular(_aligned(chart, (0, 1)))
     assert rep.values["nu_r"].is_zero() and rep.values["pr_nu_P"].is_zero() and rep.values["nu_Q"].is_zero()
     assert rep.ok
 
@@ -258,21 +259,21 @@ def test_relative_modular_block_chart():
 def test_relative_modular_constant_blocks():
     pi = PolyMultiVec(4, 2, {(0, 1): Poly.const(4, 1), (2, 3): Poly.const(4, 1)})
     chart = PoissonChart(4, ("x1", "x2", "y1", "y2"), pi)
-    rep = relative_modular(chart, _aligned(chart, (0, 1)))
+    rep = relative_modular(_aligned(chart, (0, 1)))
     assert rep.values["nu_r"].is_zero() and rep.values["pr_nu_P"].is_zero() and rep.values["nu_Q"].is_zero()
     assert rep.ok
 
 
 def test_relative_modular_is_poisson_for_induced():
     chart = PoissonChart(2, ("x", "y"), PolyMultiVec.monomial(2, (0, 1), Poly.var(2, 1)))
-    rep = relative_modular(chart, _aligned(chart, (0,)))
+    rep = relative_modular(_aligned(chart, (0,)))
     assert schouten(rep.values["nu_r"], rep.values["chart_q"].pi).is_zero()
 
 
 def test_relative_modular_extension_independent():
     # recompute nu_r(x) with the extension f = x + x y^2 (df|_Q still kills V_Q)
     chart = PoissonChart(2, ("x", "y"), PolyMultiVec.monomial(2, (0, 1), Poly.var(2, 1)))
-    rep = relative_modular(chart, _aligned(chart, (0,)))
+    rep = relative_modular(_aligned(chart, (0,)))
     x, y = Poly.var(2, 0), Poly.var(2, 1)
     alt = hamiltonian_vf(chart, x + x * y**2)
     div_y = alt.component((1,)).diff(1).compose([Poly.var(1, 0), Poly.zero(1)])
@@ -283,4 +284,14 @@ def test_relative_modular_rejects_non_dirac():
     pi = PolyMultiVec(2, 2, {(0, 1): Poly.const(2, 1)})
     chart = PoissonChart(2, ("x", "y"), pi)
     with pytest.raises(ValueError):
-        relative_modular(chart, _aligned(chart, (0,)))
+        relative_modular(_aligned(chart, (0,)))
+
+
+def test_relative_modular_checks_the_chart_it_computes_on():
+    # Q = {y = 0} is Dirac for a = y dx^dy but not for b = dx^dy; the check and the
+    # fields both read the submanifold's own chart, so Q in b is rejected
+    a = PoissonChart(2, ("x", "y"), PolyMultiVec.monomial(2, (0, 1), Poly.var(2, 1)))
+    b = PoissonChart(2, ("x", "y"), PolyMultiVec.monomial(2, (0, 1), Poly.const(2, 1)))
+    assert relative_modular(AlignedSubmanifold(a, (0,), (1,))).ok
+    with pytest.raises(InvalidInput):
+        relative_modular(AlignedSubmanifold(b, (0,), (1,)))
