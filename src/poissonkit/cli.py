@@ -116,7 +116,10 @@ def _reductive_split(args, check, key: str) -> Report:
     """``dirac affine-lie|transverse``: ``check`` on the algebra, l and m bases and mu, with
     the induced chart under ``key`` on success and the reason as witness on failure."""
     g = chartio.load_algebra(args.algebra)
-    verdict = check(g, _split_csv(args.l), _split_csv(args.m), [parse_scalar(v) for v in _split_csv(args.mu)])
+    ls = _split_csv(args.l)
+    if not ls:  # Q would be a point, and the criterion would check nothing
+        raise InvalidInput("--l must name at least one basis label")
+    verdict = check(g, ls, _split_csv(args.m), [parse_scalar(v) for v in _split_csv(args.mu)])
     if verdict.ok:
         return Report(True, {"algebra": args.algebra, key: _one_line(verdict.values["induced"])})
     return Report(False, {"algebra": args.algebra}, witness=verdict.reason)

@@ -46,7 +46,10 @@ with the classical pair-sum formula
 together with [A, f] = (-1)^(p-1) i_df A, which is what the independent
 oracle in ``schouten_oracle`` computes.  ``schouten`` evaluates both
 contractions term by term over (index tuple, exponent tuple, coefficient)
-triples, without the ``wedge`` and ``Poly`` products the oracle uses.
+triples, without the ``wedge`` and ``Poly`` products the oracle uses.  It
+sums the raw real and imaginary parts of the products and builds each output
+``Scalar`` once, in canonical form.  ``schouten(a, a)`` on one object runs
+one contraction: [A, A] = 2 (A o A) for even p and 0 for odd p.
 """
 
 from __future__ import annotations
@@ -877,51 +880,75 @@ def wedge(a: PolyMultiVec, b: PolyMultiVec) -> PolyMultiVec:
     return _mv(a.dim, a.degree + b.degree, out)
 
 
-def _hook(a: PolyMultiVec, b: PolyMultiVec, out: dict[tuple, dict[tuple, Scalar]], sign: int) -> None:
-    """Add sign * (A o B), A o B = sum_l (d^R A / dxi_l)(dB/dx_l), into ``out``.
+def _hook(a: PolyMultiVec, b: PolyMultiVec, out: dict, factor: int, parities: dict) -> None:
+    """Add factor * (A o B), A o B = sum_l (d^R A / dxi_l)(dB/dx_l), into ``out``.
 
-    ``out`` maps an index tuple to the {exponent tuple: coefficient} terms of
-    its component.  The work runs term by term: the left odd derivative of
-    xi_I by xi_l, l at position pos of I, is (-1)^pos xi_{I minus l}; the
-    right derivative is (-1)^(p-1) times the left one; dB/dx_l is formed once
-    per l.
+    ``out`` maps an index tuple to {exponent tuple: [re, im]}, the running
+    raw parts of its component's coefficients; ``schouten`` builds the
+    Scalars once at the end.  The work runs term by term: the left odd
+    derivative of xi_I by xi_l, l at position pos of I, is (-1)^pos
+    xi_{I minus l}; the right derivative is (-1)^(p-1) times the left one;
+    dB/dx_l is formed once per l.  ``parities`` caches ``sort_with_parity``
+    of each concatenated index tuple (() when an index repeats).
     """
     if a.degree % 2 == 0:  # right derivative: (-1)^(p-1)
-        sign = -sign
-    db: dict[int, list] = {}  # l -> [(J, terms of dB_J/dx_l)]
+        factor = -factor
+    db: dict[int, list] = {}  # l -> [(J, [(exps, re, im) of dB_J/dx_l])]
     for ib, pb in b.comps.items():
         by_var: dict[int, list] = {}
         for exps, coeff in pb.terms.items():
+            re, im = coeff.re, coeff.im
             for l, k in enumerate(exps):
                 if k:
                     lowered = exps[:l] + (k - 1,) + exps[l + 1 :]
-                    by_var.setdefault(l, []).append((lowered, coeff if k == 1 else coeff * k))
+                    by_var.setdefault(l, []).append((lowered, re * k, im * k))
         for l, terms in by_var.items():
             db.setdefault(l, []).append((ib, terms))
     for ia, pa in a.comps.items():
-        terms_a = pa.terms.items()
+        # the terms of A_I times +factor and -factor, so the sign is picked, not multiplied
+        plus = [(e, c.re * factor, c.im * factor) for e, c in pa.terms.items()]
+        minus = [(e, -re, -im) for e, re, im in plus]
         for pos, l in enumerate(ia):
             rest = ia[:pos] + ia[pos + 1 :]
-            sign_l = -sign if pos % 2 else sign  # left derivative: (-1)^pos
             for ib, terms_b in db.get(l, ()):
-                sp = sort_with_parity(rest + ib)
+                cat = rest + ib
+                sp = parities.get(cat)
                 if sp is None:
+                    sp = parities[cat] = sort_with_parity(cat) or ()
+                if not sp:
                     continue
                 key, parity = sp
                 comp = out.setdefault(key, {})
-                negate = parity != sign_l
-                for ea, ca in terms_a:
-                    for eb, cb in terms_b:
-                        prod = ca * cb
-                        _accumulate(comp, tuple(map(add, ea, eb)), -prod if negate else prod)
+                # left derivative (-1)^pos, times the parity of the sort
+                terms_a = plus if (parity == 1) == (pos % 2 == 0) else minus
+                for ea, ar, ai in terms_a:
+                    for eb, br, bi in terms_b:
+                        re, im = ar * br - ai * bi, ar * bi + ai * br
+                        e = tuple(map(add, ea, eb))
+                        acc = comp.get(e)
+                        if acc is None:
+                            comp[e] = [re, im]
+                        else:
+                            acc[0] += re
+                            acc[1] += im
 
 
 def schouten(a: PolyMultiVec, b: PolyMultiVec) -> PolyMultiVec:
     """Schouten-Nijenhuis bracket; see the module docstring for the convention."""
     a._check(b)
     p, q = a.degree, b.degree
-    out: dict[tuple, dict[tuple, Scalar]] = {}
-    _hook(a, b, out, 1)
-    _hook(b, a, out, -1 if ((p - 1) * (q - 1)) % 2 == 0 else 1)
-    return _mv(a.dim, max(p + q - 1, 0), {k: _poly(a.dim, terms) for k, terms in out.items() if terms})
-
+    out: dict[tuple, dict[tuple, list]] = {}
+    parities: dict[tuple, tuple] = {}
+    if a is b:
+        # [A, A] = A o A - (-1)^((p-1)^2) A o A: 2 (A o A) for even p, 0 for odd p
+        if p % 2 == 0:
+            _hook(a, a, out, 2, parities)
+    else:
+        _hook(a, b, out, 1, parities)
+        _hook(b, a, out, -1 if ((p - 1) * (q - 1)) % 2 == 0 else 1, parities)
+    comps = {}
+    for key, terms in out.items():
+        poly = {e: _from_parts(_canon(re), _canon(im)) for e, (re, im) in terms.items() if re or im}
+        if poly:
+            comps[key] = _poly(a.dim, poly)
+    return _mv(a.dim, max(p + q - 1, 0), comps)

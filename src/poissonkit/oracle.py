@@ -35,12 +35,12 @@ def _vf_bracket(u: list[tuple[Poly, int]], v: list[tuple[Poly, int]], dim: int) 
     acc: dict[int, Poly] = {}
     for fu, a in u:
         for fv, b in v:
-            da = fu * fv.diff(a)  # coefficient pushed onto d_b
-            if not da.is_zero():
-                acc[b] = acc.get(b, Poly.zero(dim)) + da
-            db = fv * fu.diff(b)
-            if not db.is_zero():
-                acc[a] = acc.get(a, Poly.zero(dim)) - db
+            da = fv.diff(a)  # fu * da is pushed onto d_b
+            if da:
+                acc[b] = acc.get(b, Poly.zero(dim)) + fu * da
+            db = fu.diff(b)
+            if db:
+                acc[a] = acc.get(a, Poly.zero(dim)) - fv * db
     return [(p, j) for j, p in acc.items() if not p.is_zero()]
 
 

@@ -248,6 +248,10 @@ BAD_FILES = {
     (["oracle", "schouten", "--seed", "-1"], "--seed: must be at least 0, got -1"),
     (["dirac", "aligned", "product22.chart", "--x="], "--x must name at least one coordinate"),
     (["modular", "relative", "relmod2.chart", "--x", ""], "--x must name at least one coordinate"),
+    (["dirac", "affine-lie", "--algebra", "so3", "--l", "", "--m", "x1,x2,x3", "--mu", "0,0,1"],
+     "--l must name at least one basis label"),
+    (["dirac", "transverse", "--algebra", "sl2", "--l", "", "--m", "h1,e12,f12", "--mu", "0,0,1"],
+     "--l must name at least one basis label"),
 ])
 def test_bad_input_is_a_usage_error(argv, needle, capsys, tmp_path, monkeypatch):
     # each of these used to exit 1, as if a verification had failed, to pass having checked nothing,
@@ -454,7 +458,7 @@ FUZZ_POOLS = {
     "t0": ["0", "0,0", "1/0"],
     "mu": ["0,0,1", "1,0,0", "0", "0,0,1/0"],
     "matrix": ["-1,0,0;0,-1,0;0,0,1", "1,0,0;0,1,0;0,0,-1", "1,0;0,1", "1,1,0;0,1,0;0,0,1", "1/0,0,0;0,1,0;0,0,1"],
-    "l": ["x3", "h1", "x1,x2", "x9"],
+    "l": ["x3", "h1", "x1,x2", "x9", ""],
     "m": ["x1,x2", "e12,f12", "x3", "x9"],
     "help": ["-h", "--help"],
 }

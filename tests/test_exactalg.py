@@ -347,7 +347,24 @@ def _rand_args(seed, max_dim, degrees):
 @given(seeds)
 def test_schouten_matches_oracle_property(seed):
     _, (a, b) = _rand_args(seed, 5, (3, 3))
-    assert schouten(a, b) == schouten_oracle(a, b)
+    # a scale by 1/2 + i/3 runs the kernel's Fraction path, which Gaussian-integer draws never reach
+    for x in (a, a * Scalar(Fraction(1, 2), Fraction(1, 3))):
+        out = schouten(x, b)
+        assert out == schouten_oracle(x, b)
+        assert all(_canonical(c.re) and _canonical(c.im) for poly in out.comps.values() for c in poly.terms.values())
+
+
+@settings(max_examples=100, deadline=None)
+@given(seeds)
+def test_schouten_self_bracket_property(seed):
+    # schouten(a, a) is one contraction, 2 (A o A) for even degree and 0 for odd degree; an equal
+    # but distinct copy takes the two-contraction path, and the oracle shares no code with either
+    _, (a,) = _rand_args(seed, 5, (3,))
+    copy = PolyMultiVec(a.dim, a.degree, a.comps)
+    out = schouten(a, a)
+    assert out == schouten(a, copy) == schouten_oracle(a, a)
+    if a.degree % 2:
+        assert out.is_zero()
 
 
 @settings(max_examples=100, deadline=None)
