@@ -14,7 +14,7 @@ import math
 import random
 import sys
 
-from . import chartio, dirac, dynr, groupnum, liealg, oracle, poisson
+from . import chartio, dirac, dynr, groupnum, liealg, linalg, oracle, poisson
 from .exactalg import parse_poly, parse_scalar, print_poly, schouten
 from .report import InvalidInput, Report
 
@@ -162,7 +162,10 @@ def _dirac_aligned(args) -> Report:
 def _dirac_fixed_locus(args) -> Report:
     chart, _ = _load_chart(args)
     rows = [[parse_scalar(v) for v in row.split(",")] for row in args.matrix.split(";")]
-    verdict = dirac.fixed_locus_symbolic(chart, dirac.LinearInvolution.from_rows(rows))
+    s = dirac.LinearInvolution.from_rows(rows)
+    if linalg.mat_eq(s.rows(), linalg.mat_scale(linalg.identity(chart.dim), -1)):
+        raise InvalidInput("--matrix fixes only the origin (-I): the fixed locus would be a point")
+    verdict = dirac.fixed_locus_symbolic(chart, s)
     if not verdict.ok:  # S_* pi - pi; the chart itself passed the load-time Jacobi check
         return Report(False, witness=_component(verdict.witness, chart.coords))
     fixed_dim = len(verdict.values["submanifold"].x_indices)

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.linalg
+import numpy.random  # noqa: F401  numpy 2 loads it lazily; here it is paid at import, not inside a command
 
 from .liealg import LieAlgebraData, _sl_basis, sl_chevalley, standard_r_matrix, su_compact_basis
 from .report import Report, sample_blocks, sample_rngs
@@ -81,9 +81,44 @@ DOUBLE_R_SCALE = 4.0
 SAMPLE_SCALE = 0.5  # standard deviation of the normal draws behind every sampled point
 
 
+# The [13/13] Pade approximant of exp, and the 1-norm up to which its backward error stays
+# below the unit roundoff (Higham 2005).  The coefficients b_0..b_13 are divided by b_0, so
+# that V has constant term I and the exponential of 0 comes out exactly I.  Row 0 holds
+# the even coefficients (those of V), row 1 the odd ones (those of U).
+PADE13 = np.array([64764752532480000, 32382376266240000, 7771770303897600, 1187353796428800,
+                   129060195264000, 10559470521600, 670442572800, 33522128640, 1323241920,
+                   40840800, 960960, 16380, 182, 1]).reshape(7, 2).T / 64764752532480000
+THETA13 = 5.371920351148152
+
+
 def matrix_exp(x: np.ndarray) -> np.ndarray:
-    """Matrix exponential (scaling-and-squaring via scipy), batched over leading axes."""
-    return scipy.linalg.expm(np.asarray(x))
+    """Matrix exponential, batched over leading axes: Pade-13 scaling and squaring
+    (N. J. Higham, "The scaling and squaring method for the matrix exponential
+    revisited", SIAM J. Matrix Anal. Appl. 26 (2005)).
+
+    Each matrix A is scaled by its own 2^-s, s = max(0, ceil(log2(|A|_1 / theta_13))),
+    r = (V - U)^-1 (V + U) is the approximant at A / 2^s, and r is squared s times.
+    """
+    x = np.asarray(x)
+    n = x.shape[-1]
+    a = x.reshape(-1, n, n)
+    mantissa, exponent = np.frexp(np.abs(a).sum(axis=-2).max(axis=-1, initial=0.0) / THETA13)
+    s = np.maximum(0, exponent - (mantissa == 0.5))  # ceil(log2), exact at powers of two
+    a = a / np.ldexp(1.0, s)[:, None, None]
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    powers = np.stack([np.broadcast_to(np.eye(n), a.shape), a2, a4, a6])
+    # V = c_0 I + c_2 A^2 + c_4 A^4 + c_6 A^6 + A^6 (c_8 A^2 + c_10 A^4 + c_12 A^6), and U / A
+    # alike from the odd coefficients, in one stacked evaluation
+    low, high = np.tensordot(PADE13[:, :4], powers, axes=1), np.tensordot(PADE13[:, 4:], powers[1:], axes=1)
+    v, u_over_a = low + a6 @ high
+    u = a @ u_over_a
+    r = np.linalg.solve(v - u, v + u)
+    for i in range(s.max(initial=0)):
+        still = s > i
+        r[still] = r[still] @ r[still]
+    return r.reshape(x.shape)
 
 
 def _transpose(v: np.ndarray) -> np.ndarray:

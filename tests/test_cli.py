@@ -252,6 +252,10 @@ BAD_FILES = {
      "--l must name at least one basis label"),
     (["dirac", "transverse", "--algebra", "sl2", "--l", "", "--m", "h1,e12,f12", "--mu", "0,0,1"],
      "--l must name at least one basis label"),
+    (["dirac", "fixed-locus", "product22.chart", "--matrix=-1,0,0,0;0,-1,0,0;0,0,-1,0;0,0,0,-1"],
+     "--matrix fixes only the origin (-I): the fixed locus would be a point"),
+    (["dirac", "fixed-locus", "so3.chart", "--matrix=-1,0,0;0,-1,0;0,0,-1"],
+     "--matrix fixes only the origin (-I): the fixed locus would be a point"),
 ])
 def test_bad_input_is_a_usage_error(argv, needle, capsys, tmp_path, monkeypatch):
     # each of these used to exit 1, as if a verification had failed, to pass having checked nothing,
@@ -343,6 +347,24 @@ def test_exact_half_loads_no_numpy():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=subprocess_env(), timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_numeric_commands_load_no_module():
+    # numpy 2 imports numpy.random lazily, so a command drawing the first sample would pay that import
+    # inside its time-to-verdict; importing the CLI loads all that a numeric command needs, and no scipy
+    argvs = [["group", "crosscheck", "--samples", "2"], ["group", "stokes", "--samples", "2"],
+             ["dynr", "cdybe", "--algebra", "sl2", "--samples", "2"]]
+    code = "\n".join([
+        "import contextlib, io, sys, poissonkit.cli",
+        "assert 'scipy' not in sys.modules",
+        "before = set(sys.modules)",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        f"    codes = [poissonkit.cli.run_command(argv)[0] for argv in {argvs!r}]",
+        "print(codes, sorted(set(sys.modules) - before))",
+    ])
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=subprocess_env(), timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[0, 0, 0] []"
 
 
 # -- the README's CLI block, pinned --------------------------------------------------
@@ -457,7 +479,8 @@ FUZZ_POOLS = {
     "t": ["t", "t,t", "w", "q", ""],
     "t0": ["0", "0,0", "1/0"],
     "mu": ["0,0,1", "1,0,0", "0", "0,0,1/0"],
-    "matrix": ["-1,0,0;0,-1,0;0,0,1", "1,0,0;0,1,0;0,0,-1", "1,0;0,1", "1,1,0;0,1,0;0,0,1", "1/0,0,0;0,1,0;0,0,1"],
+    "matrix": ["-1,0,0;0,-1,0;0,0,1", "1,0,0;0,1,0;0,0,-1", "1,0;0,1", "1,1,0;0,1,0;0,0,1", "1/0,0,0;0,1,0;0,0,1",
+               "-1,0,0;0,-1,0;0,0,-1"],
     "l": ["x3", "h1", "x1,x2", "x9", ""],
     "m": ["x1,x2", "e12,f12", "x3", "x9"],
     "help": ["-h", "--help"],
