@@ -1,14 +1,16 @@
 """Independent brute-force implementations used to cross-check the fast paths.
 
-The chart-level oracle expands both arguments into monomial wedge terms and
-applies the classical pair-sum formula for decomposable multivector fields,
+The chart-level oracle brackets the arguments one pair of components at a
+time.  Each component A_I d_I is decomposable, so it applies the classical
+pair-sum formula for decomposable multivector fields,
 
     [U_1^...^U_p, V_1^...^V_q]
         = sum_{i,j} (-1)^(i+j) [U_i, V_j] ^ U_1..^..U_p ^ V_1..^..V_q,
 
-with the polynomial coefficient of each monomial absorbed into its first
-wedge factor and [.,.] the coordinate Lie bracket of vector fields.  Nothing
-here shares code with the superfield contraction in ``exactalg.schouten``.
+with the polynomial A_I in the first wedge factor and [.,.] the coordinate
+Lie bracket of vector fields.  A function argument goes through
+[A, f] = (-1)^(p-1) i_df A and graded antisymmetry instead.  Nothing here
+shares code with the superfield contraction in ``exactalg.schouten``.
 
 The Lie-algebra oracle expands wedge monomials recursively through the graded
 Leibniz rule instead of the pair-sum formula used by ``liealg.alg_schouten``.
@@ -20,99 +22,94 @@ The seeded generators at the end draw the oracles' random inputs, for
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator
 
 from .exactalg import SCALAR_ONE, Poly, PolyMultiVec, Scalar, wedge
 from .liealg import AlgElement, LieAlgebraData
 
 # -- chart-level oracle -------------------------------------------------------
 
-# A decomposable term is a list of vector-field factors, each a list of
-# (coefficient Poly, direction index) pairs; plus a leading function factor.
+# A vector field is a list of (coefficient Poly, direction index) pairs.
 
 
-def _vf_bracket(u: list[tuple[Poly, int]], v: list[tuple[Poly, int]], dim: int) -> list[tuple[Poly, int]]:
+def _vf_bracket(u: list[tuple[Poly, int]], v: list[tuple[Poly, int]]) -> list[tuple[Poly, int]]:
     """Coordinate Lie bracket of two polynomial vector fields."""
     acc: dict[int, Poly] = {}
     for fu, a in u:
         for fv, b in v:
             da = fv.diff(a)  # fu * da is pushed onto d_b
             if da:
-                acc[b] = acc.get(b, Poly.zero(dim)) + fu * da
+                acc[b] = acc[b] + fu * da if b in acc else fu * da
             db = fu.diff(b)
             if db:
-                acc[a] = acc.get(a, Poly.zero(dim)) - fv * db
-    return [(p, j) for j, p in acc.items() if not p.is_zero()]
+                acc[a] = acc[a] - fv * db if a in acc else -(fv * db)
+    return [(p, j) for j, p in acc.items() if p]
 
 
-def _vf_to_mv(field: list[tuple[Poly, int]], dim: int) -> PolyMultiVec:
-    total = PolyMultiVec.zero(dim, 1)
-    for poly, j in field:
-        total = total + PolyMultiVec.monomial(dim, (j,), poly)
-    return total
-
-
-def _interior(coeff: Poly, idxs: tuple, func: Poly, dim: int) -> PolyMultiVec:
-    """[coeff * d_I, func] = (-1)^(p-1) i_dfunc (coeff * d_I), p = len(I)."""
+def _interior(coeff: Poly, idxs: tuple, func: Poly) -> Iterator[tuple[tuple, Poly]]:
+    """[coeff * d_I, func] = (-1)^(p-1) i_dfunc (coeff * d_I), p = len(I), as (index tuple, Poly) items."""
     p = len(idxs)
-    total = PolyMultiVec.zero(dim, max(p - 1, 0))
     for m, j in enumerate(idxs):
         deriv = coeff * func.diff(j)
-        if deriv.is_zero():
-            continue
-        rest = idxs[:m] + idxs[m + 1 :]
-        term = PolyMultiVec.monomial(dim, rest, deriv)
-        total = total + (term if (p - 1 - m) % 2 == 0 else -term)
-    return total
+        if deriv:
+            yield idxs[:m] + idxs[m + 1 :], deriv if (p - 1 - m) % 2 == 0 else -deriv
 
 
-def _term_bracket(ca: Poly, ia: tuple, cb: Poly, ib: tuple, dim: int) -> PolyMultiVec:
-    p, q = len(ia), len(ib)
-    if p == 0 and q == 0:
-        return PolyMultiVec.zero(dim, 0)
-    if q == 0:
-        return _interior(ca, ia, cb, dim)
-    if p == 0:
-        # graded antisymmetry off the q=0 rule
-        res = _interior(cb, ib, ca, dim)
-        sign = -1 if ((p - 1) * (q - 1)) % 2 == 0 else 1
-        return res if sign == 1 else -res
-    factors_a: list[list[tuple[Poly, int]]] = [[(ca, ia[0])]] + [
-        [(Poly.const(dim, 1), j)] for j in ia[1:]
-    ]
-    factors_b: list[list[tuple[Poly, int]]] = [[(cb, ib[0])]] + [
-        [(Poly.const(dim, 1), j)] for j in ib[1:]
-    ]
-    total = PolyMultiVec.zero(dim, p + q - 1)
-    for i in range(p):
-        for j in range(q):
-            lie = _vf_bracket(factors_a[i], factors_b[j], dim)
+def _pair_sum(ca: Poly, ia: tuple, cb: Poly, ib: tuple, basis: list, one: Poly) -> Iterator[tuple[tuple, Poly]]:
+    """[ca * d_ia, cb * d_ib] by the pair-sum formula, as (index tuple, Poly) items.
+
+    The factors are U = (ca d_ia[0], d_ia[1], ...) and V likewise.  Every
+    factor but the first is a constant field ``one * d_k`` whose multivector is
+    ``basis[k]``; a first factor's multivector is built when a nonzero
+    [U_i, V_j] first needs it in its wedge.
+    """
+    dim = ca.nvars
+    us = [[(ca, ia[0])]] + [[(one, k)] for k in ia[1:]]
+    vs = [[(cb, ib[0])]] + [[(one, k)] for k in ib[1:]]
+    fields_a = [None] + [basis[k] for k in ia[1:]]
+    fields_b = [None] + [basis[k] for k in ib[1:]]
+    for i, u in enumerate(us):
+        for j, v in enumerate(vs):
+            lie = _vf_bracket(u, v)
             if not lie:
                 continue
-            term = _vf_to_mv(lie, dim)
-            for k in range(p):
+            if i and fields_a[0] is None:
+                fields_a[0] = PolyMultiVec.monomial(dim, ia[:1], ca)
+            if j and fields_b[0] is None:
+                fields_b[0] = PolyMultiVec.monomial(dim, ib[:1], cb)
+            term = PolyMultiVec.from_terms(dim, 1, [((k,), f) for f, k in lie])
+            for k, field in enumerate(fields_a):
                 if k != i:
-                    term = wedge(term, _vf_to_mv(factors_a[k], dim))
-            for k in range(q):
+                    term = wedge(term, field)
+            for k, field in enumerate(fields_b):
                 if k != j:
-                    term = wedge(term, _vf_to_mv(factors_b[k], dim))
-            sign = -1 if (i + j) % 2 else 1  # (-1)^(i+j) with 1-based i, j
-            total = total + (term if sign == 1 else -term)
-    return total
+                    term = wedge(term, field)
+            odd = (i + j) % 2  # (-1)^(i+j), the same with 1-based i, j
+            yield from ((key, -poly if odd else poly) for key, poly in term.comps.items())
 
 
 def schouten_oracle(a: PolyMultiVec, b: PolyMultiVec) -> PolyMultiVec:
-    """Brute-force Schouten bracket by full monomial expansion."""
+    """Brute-force Schouten bracket, one pair-sum formula per pair of components."""
     a._check(b)
-    dim = a.dim
-    total = PolyMultiVec.zero(dim, max(a.degree + b.degree - 1, 0))
-    for ia, pa in a.comps.items():
-        for ea, cfa in pa.terms.items():
-            mono_a = Poly(dim, {ea: cfa})
-            for ib, pb in b.comps.items():
-                for eb, cfb in pb.terms.items():
-                    mono_b = Poly(dim, {eb: cfb})
-                    total = total + _term_bracket(mono_a, ia, mono_b, ib, dim)
-    return total
+    dim, p, q = a.dim, a.degree, b.degree
+    items: list[tuple[tuple, Poly]] = []
+    if q == 0:
+        for ia, ca in a.comps.items():
+            for cb in b.comps.values():
+                items.extend(_interior(ca, ia, cb))
+    elif p == 0:
+        # graded antisymmetry off the q=0 rule: [f, B] = -(-1)^((p-1)(q-1)) [B, f]
+        flip = ((p - 1) * (q - 1)) % 2 == 0
+        for ib, cb in b.comps.items():
+            for ca in a.comps.values():
+                items.extend(_interior(cb, ib, -ca if flip else ca))
+    else:
+        basis = [PolyMultiVec.basis(dim, k) for k in range(dim)]
+        one = Poly.const(dim, 1)
+        for ia, ca in a.comps.items():
+            for ib, cb in b.comps.items():
+                items.extend(_pair_sum(ca, ia, cb, ib, basis, one))
+    return PolyMultiVec.from_terms(dim, max(p + q - 1, 0), items)
 
 
 # -- Lie-algebra oracle -------------------------------------------------------

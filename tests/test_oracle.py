@@ -1,13 +1,19 @@
-"""Cross-checks of the fast bracket paths against the brute-force oracles."""
+"""Cross-checks of the fast bracket paths against the brute-force oracles,
+the oracle's own algebraic laws, and a static check of its independence."""
+
+import ast
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_rng
 from poissonkit import oracle
 from poissonkit.cli import run_command
-from poissonkit.exactalg import schouten
+from poissonkit.exactalg import PolyMultiVec, schouten, wedge
 from poissonkit.liealg import alg_schouten, sl_chevalley
-from poissonkit.oracle import alg_schouten_oracle, rand_alg_element, rand_multivec, schouten_oracle
+from poissonkit.oracle import alg_schouten_oracle, rand_alg_element, rand_multivec, rand_poly, schouten_oracle
 
 
 def test_schouten_oracle_dim3_100_pairs():
@@ -53,3 +59,76 @@ def test_cli_oracle_streams_are_pinned(argv, generator, next_draw, monkeypatch):
     assert run_command([*argv, "--pairs", "20", "--seed", "0"])[0] == 0
     assert len(rngs) == 40
     assert rngs[-1].random() == next_draw
+
+
+def test_oracle_imports_no_kernel():
+    # the oracle is a second route only while it shares no code with the kernels it checks
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    allowed = {"exactalg": {"SCALAR_ONE", "Poly", "PolyMultiVec", "Scalar", "wedge"},
+               "liealg": {"AlgElement", "LieAlgebraData"}}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            assert node.module in allowed, node.module
+            assert {alias.name for alias in node.names} <= allowed[node.module], node.module
+        elif isinstance(node, ast.Import):
+            assert not any(alias.name.startswith("poissonkit") for alias in node.names)
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.update((node.name, node.asname))
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.arg):
+            names.add(node.arg)
+    assert not names & {"schouten", "alg_schouten", "_hook"}
+
+
+# hypothesis draws a seed; the seeded generators draw a chart of dimension 3 or 4, degrees 0-3
+# and Gaussian-integer coefficients, with about a third of the components redrawn with up to
+# 6 terms of degree up to 3.  The laws below check the oracle against itself, not the kernel.
+seeds = st.integers(0, 2**32 - 1)
+
+
+def _oracle_args(seed, count):
+    rng = make_rng(seed)
+    dim = rng.randint(3, 4)
+    degrees = [rng.randint(0, 3) for _ in range(count - 1)]
+    out = []
+    for degree in [degrees[0], *degrees]:  # the first two share a degree, so they can be added
+        mv = rand_multivec(rng, dim, degree)
+        big = {i: rand_poly(rng, dim, max_deg=3, max_terms=6) for i in mv.comps if rng.random() < 0.35}
+        out.append(PolyMultiVec(dim, degree, {**mv.comps, **big}))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds)
+def test_schouten_oracle_additive_property(seed):
+    a1, a2, b = _oracle_args(seed, 3)
+    assert schouten_oracle(a1 + a2, b) == schouten_oracle(a1, b) + schouten_oracle(a2, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds)
+def test_schouten_oracle_graded_antisymmetry_property(seed):
+    # [A, B] = -(-1)^((p-1)(q-1)) [B, A]
+    a, _, b = _oracle_args(seed, 3)
+    p, q = a.degree, b.degree
+    ba = schouten_oracle(b, a)
+    assert schouten_oracle(a, b) == (ba if ((p - 1) * (q - 1)) % 2 else -ba)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seeds)
+def test_schouten_oracle_graded_leibniz_property(seed):
+    # [A, B^C] = [A,B]^C + (-1)^((p-1) q) B^[A,C]; with C a function it ties the pair-sum
+    # formula to the interior rule, whose signs the two laws above cannot see apart
+    a, _, b, c = _oracle_args(seed, 4)
+    p, q = a.degree, b.degree
+    tail = wedge(b, schouten_oracle(a, c))
+    rhs = wedge(schouten_oracle(a, b), c) + (tail if ((p - 1) * q) % 2 == 0 else -tail)
+    assert schouten_oracle(a, wedge(b, c)) == rhs
