@@ -28,7 +28,7 @@ import importlib.resources
 from pathlib import Path
 
 from .dirac import AlignedSubmanifold
-from .exactalg import ParseError, Poly, PolyMultiVec, parse_poly, parse_scalar, print_poly
+from .exactalg import ParseError, Poly, PolyMultiVec, PolyParser, parse_scalar, print_poly
 from .liealg import BUILTIN_ALGEBRAS, LieAlgebraData, builtin_algebra, validate_lie
 from .poisson import PoissonChart, jacobiator
 from .report import InvalidInput
@@ -101,6 +101,7 @@ def _header(text: str, names_key: str, noun: str) -> tuple[int, list[str], list[
 
 def parse_chart_text(text: str, check_jacobi: bool = True) -> tuple[PoissonChart, AlignedSubmanifold | None]:
     dim, coords, body = _header(text, "coords", "coordinate names")
+    parser = PolyParser(coords)  # one name table for every line
     entries: dict[tuple[int, int], Poly] = {}
     volume: Poly | None = None
     sub_names: list[str] | None = None
@@ -117,7 +118,7 @@ def parse_chart_text(text: str, check_jacobi: bool = True) -> tuple[PoissonChart
             if i == j:
                 raise ChartFileError("bracket of a coordinate with itself", lineno)
             try:
-                poly = parse_poly(expr.strip(), coords)
+                poly = parser.parse(expr.strip())
             except ParseError as err:
                 raise ChartFileError(f"bad polynomial: {err}", lineno) from None
             sign = 1
@@ -129,7 +130,7 @@ def parse_chart_text(text: str, check_jacobi: bool = True) -> tuple[PoissonChart
         elif head == "volume":
             _, _, expr = rest.partition("=")
             try:
-                volume = parse_poly(expr.strip(), coords)
+                volume = parser.parse(expr.strip())
             except ParseError as err:
                 raise ChartFileError(f"bad volume density: {err}", lineno) from None
             if volume.is_zero():

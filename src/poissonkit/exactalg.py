@@ -50,10 +50,20 @@ triples, without the ``wedge`` and ``Poly`` products the oracle uses.  It
 sums the raw real and imaginary parts of the products and builds each output
 ``Scalar`` once, in canonical form.  ``schouten(a, a)`` on one object runs
 one contraction: [A, A] = 2 (A o A) for even p and 0 for odd p.
+
+Expressions
+-----------
+``parse_poly`` and ``PolyParser`` read sums of products of powers, with
+unary minus and parentheses, over declared coordinate names and ``i``, the
+imaginary unit.  A number literal is ``n`` or ``n/d`` in the ASCII digits
+0-9, with d not zero; any other digit is a ``ParseError``.  An exponent is
+an integer literal.  ``print_poly`` writes the canonical form that
+``parse_poly`` reads back.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from operator import add
 from typing import Iterable, Mapping, Sequence, Union
@@ -66,6 +76,7 @@ __all__ = [
     "PolyMultiVec",
     "ParseError",
     "parse_poly",
+    "PolyParser",
     "parse_scalar",
     "print_poly",
     "wedge",
@@ -486,129 +497,141 @@ class ParseError(InvalidInput):
         self.pos = pos
 
 
+# one token after optional white space: an ASCII number literal, integral (group 1) or with a
+# denominator (group 2, empty when malformed); a word (group 3), which is a name when it starts with
+# a letter or '_'; an operator (group 4); or any other character (group 5).  White space at the end
+# matches nothing.
+_TOKEN = re.compile(r"\s*(?:([0-9]+)(?:/([0-9]*))?|(\w+)|([-+*^()])|(\S))")
+
+
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
-    k = 0
-    n = len(text)
-    while k < n:
-        ch = text[k]
-        if ch.isspace():
-            k += 1
-            continue
-        if ch.isdigit():
-            j = k
-            while j < n and text[j].isdigit():
-                j += 1
-            if j < n and text[j] == "/":
-                m = j + 1
-                while m < n and text[m].isdigit():
-                    m += 1
-                if m == j + 1:
-                    raise ParseError("malformed rational literal", j)
-                if int(text[j + 1 : m]) == 0:
-                    raise ParseError("zero denominator", k)
-                tokens.append(("number", text[k:m], k))
-                k = m
-            else:
-                tokens.append(("number", text[k:j], k))
-                k = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = k
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("name", text[k:j], k))
-            k = j
-            continue
-        if ch in "+-*^()":
-            tokens.append((ch, ch, k))
-            k += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", k)
-    tokens.append(("end", "", n))
+    for m in _TOKEN.finditer(text):
+        kind = m.lastindex
+        k = m.start(1 if kind == 2 else kind)
+        if kind == 1:
+            tokens.append(("number", m[1], k))
+        elif kind == 2:
+            if not m[2]:
+                raise ParseError("malformed rational literal", m.start(2) - 1)
+            if not int(m[2]):
+                raise ParseError("zero denominator", k)
+            tokens.append(("number", text[k : m.end()], k))
+        elif kind == 3 and (m[3][0].isalpha() or m[3][0] == "_"):
+            tokens.append(("name", m[3], k))
+        elif kind == 4:
+            tokens.append((m[4], m[4], k))
+        else:  # any other character, or a word that starts with a digit other than 0-9
+            raise ParseError(f"unexpected character {text[k]!r}", k)
+    tokens.append(("end", "", len(text)))
     return tokens
 
 
-class _Parser:
-    def __init__(self, text: str, var_names: Sequence[str]):
+def _number(text: str) -> Scalar:
+    """The value of a number token: ASCII digits, with an optional nonzero denominator."""
+    if "/" in text:
+        return _from_parts(_canon(Fraction(text)), 0)
+    return _from_parts(int(text), 0)
+
+
+class PolyParser:
+    """Reads expressions over one list of coordinate names into exact Polys.
+
+    The name table is built once, in the constructor, and serves every
+    expression read over the same names, such as the lines of one chart.  A
+    term is read into one coefficient and one exponent list; only a
+    parenthesised factor is a ``Poly`` multiplied in.  The terms of a sum are
+    accumulated into one dict and built into a ``Poly`` once.
+    """
+
+    def __init__(self, var_names: Sequence[str]):
         if "i" in var_names:
             raise ValueError("coordinate name 'i' collides with the imaginary unit")
-        self.tokens = _tokenize(text)
-        self.pos = 0
         self.vars = {name: j for j, name in enumerate(var_names)}
         self.nvars = len(var_names)
 
-    def peek(self):
-        return self.tokens[self.pos]
+    def parse(self, text: str) -> Poly:
+        self.tokens = _tokenize(text)
+        self.pos = 0
+        out = self.expr()
+        kind, tok, pos = self.tokens[self.pos]
+        if kind != "end":
+            raise ParseError(f"unexpected {tok!r}", pos)
+        return out
 
-    def take(self, kind=None):
+    def take(self, kind):
         tok = self.tokens[self.pos]
-        if kind is not None and tok[0] != kind:
+        if tok[0] != kind:
             raise ParseError(f"expected {kind}, found {tok[1]!r}" if tok[0] != "end" else f"expected {kind}, found end of input", tok[2])
         self.pos += 1
         return tok
 
-    def parse(self) -> Poly:
-        out = self.expr()
-        tok = self.peek()
-        if tok[0] != "end":
-            raise ParseError(f"unexpected {tok[1]!r}", tok[2])
-        return out
-
     def expr(self) -> Poly:
-        out = self.term()
-        while self.peek()[0] in ("+", "-"):
-            op = self.take()[0]
-            rhs = self.term()
-            out = out + rhs if op == "+" else out - rhs
-        return out
+        out: dict[tuple, Scalar] = {}
+        negate = False
+        while True:
+            coeff, exps, factor = self.term()
+            if coeff:
+                if negate:
+                    coeff = -coeff
+                if factor is None:
+                    _accumulate(out, exps, coeff)
+                else:
+                    for e, c in factor.terms.items():
+                        _accumulate(out, tuple(map(add, e, exps)), c * coeff)
+            kind = self.tokens[self.pos][0]
+            if kind != "+" and kind != "-":
+                return _poly(self.nvars, out)
+            negate = kind == "-"
+            self.pos += 1
 
-    def term(self) -> Poly:
-        out = self.unary()
-        while self.peek()[0] == "*":
-            self.take()
-            out = out * self.unary()
-        return out
-
-    def unary(self) -> Poly:
-        if self.peek()[0] == "-":
-            self.take()
-            return -self.unary()
-        return self.power()
-
-    def power(self) -> Poly:
-        out = self.atom()
-        while self.peek()[0] == "^":
-            self.take()
-            tok = self.take("number")
-            if "/" in tok[1]:
-                raise ParseError("exponent must be a nonnegative integer", tok[2])
-            out = out ** int(tok[1])
-        return out
-
-    def atom(self) -> Poly:
-        kind, text, pos = self.peek()
-        if kind == "number":
-            self.take()
-            return Poly.const(self.nvars, Fraction(text))
-        if kind == "name":
-            self.take()
-            if text == "i":
-                return Poly.const(self.nvars, SCALAR_I)
-            if text not in self.vars:
-                raise ParseError(f"unknown identifier {text!r}", pos)
-            return Poly.var(self.nvars, self.vars[text])
-        if kind == "(":
-            self.take()
-            out = self.expr()
-            self.take(")")
-            return out
-        raise ParseError(f"unexpected {text!r}" if kind != "end" else "unexpected end of input", pos)
+    def term(self) -> tuple[Scalar, tuple, Poly | None]:
+        """A product of powers, each with its unary minus signs, as (coefficient, exponent
+        tuple, product of the parenthesised factors or None)."""
+        tokens = self.tokens
+        coeff = SCALAR_ONE
+        exps = [0] * self.nvars
+        factor = None
+        negate = False
+        while True:
+            kind, text, pos = tokens[self.pos]
+            while kind == "-":
+                negate = not negate
+                self.pos += 1
+                kind, text, pos = tokens[self.pos]
+            self.pos += 1
+            if kind == "(":
+                sub = self.expr()
+                self.take(")")
+            elif kind == "name":
+                j = self.vars.get(text)
+                if j is None and text != "i":
+                    raise ParseError(f"unknown identifier {text!r}", pos)
+            elif kind != "number":
+                raise ParseError(f"unexpected {text!r}" if kind != "end" else "unexpected end of input", pos)
+            k = 1  # (a^m)^n = a^(m n)
+            while tokens[self.pos][0] == "^":
+                self.pos += 1
+                tok = self.take("number")
+                if "/" in tok[1]:
+                    raise ParseError("exponent must be a nonnegative integer", tok[2])
+                k *= int(tok[1])
+            if kind == "(":
+                sub = sub if k == 1 else sub**k
+                factor = sub if factor is None else factor * sub
+            elif kind == "name" and j is not None:
+                exps[j] += k
+            else:
+                value = SCALAR_I if kind == "name" else _number(text)
+                coeff = coeff * (value if k == 1 else value**k)
+            if tokens[self.pos][0] != "*":
+                return (-coeff if negate else coeff), tuple(exps), factor
+            self.pos += 1
 
 
 def parse_poly(text: str, var_names: Sequence[str]) -> Poly:
     """Parse an expression over the declared coordinates into an exact Poly."""
-    return _Parser(text, var_names).parse()
+    return PolyParser(var_names).parse(text)
 
 
 def parse_scalar(text: str) -> Scalar:

@@ -54,7 +54,6 @@ __all__ = [
     "sl_group",
     "su_group",
     "dual_group",
-    "cocycle_lambda",
     "pl_bivector",
     "xplus",
     "pi_q_projection",
@@ -334,33 +333,6 @@ def pair_trace(x: np.ndarray, y: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 # Poisson-Lie bivectors
 # ---------------------------------------------------------------------------
-
-
-def adjoint_coordinate_matrix(group: MatrixGroup, g: np.ndarray) -> np.ndarray:
-    """Matrix of Ad_g in the algebra basis (column j: the coefficients of
-    g basis_j g^-1, by least squares, exact for elements of the span)."""
-    g_inv = np.linalg.inv(g)
-    flat = np.stack([b.reshape(-1) for b in group.basis], axis=1)
-    return np.linalg.pinv(flat) @ np.stack([(g @ b @ g_inv).reshape(-1) for b in group.basis], axis=1)
-
-
-def cocycle_lambda(group: MatrixGroup, g: np.ndarray) -> np.ndarray:
-    """lambda(g) = Ad_g r - r as an antisymmetric coefficient matrix.
-
-    A bivector sum of c e_i ^ e_j is stored as the matrix with (i, j) entry c
-    and (j, i) entry -c; the cocycle identity then reads
-    lambda(gh) = lambda(g) + A(g) lambda(h) A(g)^T with A the adjoint matrix.
-    """
-    dim = group.dim
-    l0 = np.zeros((dim, dim), dtype=complex)
-    for i, j, c in group.r_terms:
-        l0[i, j] += c
-        l0[j, i] -= c
-    a = adjoint_coordinate_matrix(group, g)
-    lam = a @ l0 @ a.T - l0
-    if np.max(np.abs(lam.imag)) < 1e-12:
-        lam = lam.real
-    return lam
 
 
 def _interleave(first: np.ndarray, second: np.ndarray, axis: int) -> np.ndarray:

@@ -527,10 +527,6 @@ class LinearAlgMap:
         m = self.rows()
         return linalg.mat_eq(linalg.mat_mul(m, m), linalg.identity(self.source.dim))
 
-    def dual(self) -> "LinearAlgMap":
-        """The dual map on coefficient vectors of the dual basis (transpose)."""
-        return LinearAlgMap(self.target, self.source, tuple(zip(*self.matrix)))
-
 
 # ---------------------------------------------------------------------------
 # algebraic Schouten bracket and r-matrix checks

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .exactalg import Poly, PolyMultiVec, parse_poly, schouten
+from .exactalg import Poly, PolyMultiVec, PolyParser, parse_poly, schouten
 from .report import InvalidInput, Report
 
 __all__ = [
@@ -60,11 +60,12 @@ class PoissonChart:
     def from_brackets(coords: Sequence[str], entries: dict[tuple[int, int], str | Poly], rho: Poly | None = None) -> "PoissonChart":
         """Build a chart from {x_i, x_j} strings or polynomials, i < j."""
         dim = len(coords)
+        parser = PolyParser(coords)
         comps = {}
         for (i, j), val in entries.items():
             if not 0 <= i < j < dim:
                 raise ValueError(f"bracket pair ({i}, {j}) must satisfy 0 <= i < j < dim")
-            poly = parse_poly(val, coords) if isinstance(val, str) else val
+            poly = parser.parse(val) if isinstance(val, str) else val
             comps[(i, j)] = poly
         return PoissonChart(dim, tuple(coords), PolyMultiVec(dim, 2, comps), rho)
 
@@ -119,29 +120,30 @@ def is_casimir(chart: PoissonChart, f: Poly) -> Report:
     return Report(False, reason=f"X_f({chart.coords[idx]})", witness=(idx, poly))
 
 
-def _divergence(chart: PoissonChart, vf: PolyMultiVec) -> Poly:
-    """div(X) = (1/rho) sum_i d(rho X^i)/dx_i, exact or UnsupportedDensity."""
-    total = Poly.zero(chart.dim)
-    for (i,), poly in vf.comps.items():
-        total = total + (chart.rho * poly).diff(i)
-    if chart.rho == Poly.const(chart.dim, 1):
-        return total
-    quot = total.divide_exact(chart.rho)
-    if quot is None:
-        raise UnsupportedDensity("rho does not divide the divergence numerator exactly")
-    return quot
-
-
 def modular_vf(chart: PoissonChart) -> PolyMultiVec:
     """The modular vector field nu, nu(f) = div(X_f), for the chart's volume.
 
-    The density must not vanish on the region of interest; that is the
-    caller's responsibility.
+    nu_a = div(X_{x_a}) = (1/rho) sum_b d_b(rho pi^ab), where pi^ab = p_ab
+    for a < b and -p_ba for a > b.  So one sweep over the components p_ab
+    (a < b) of pi gives every numerator: with q = rho p_ab, it adds d_b q to
+    the numerator of nu_a and subtracts d_a q from that of nu_b.  Then each
+    numerator is divided by rho once, exactly, or ``UnsupportedDensity`` is
+    raised.  The density must not vanish on the region of interest; that is
+    the caller's responsibility.
     """
-    comps = {}
-    for j in range(chart.dim):
-        comps[j] = _divergence(chart, hamiltonian_vf(chart, Poly.var(chart.dim, j)))
-    return PolyMultiVec.from_terms(chart.dim, 1, [((j,), p) for j, p in comps.items()])
+    dim, rho = chart.dim, chart.rho
+    unit = rho == Poly.const(dim, 1)
+    nums = [Poly.zero(dim)] * dim
+    for (a, b), poly in chart.pi.comps.items():
+        q = poly if unit else rho * poly
+        nums[a] = nums[a] + q.diff(b)
+        nums[b] = nums[b] - q.diff(a)
+    if not unit:
+        for a, num in enumerate(nums):
+            nums[a] = num.divide_exact(rho)
+            if nums[a] is None:
+                raise UnsupportedDensity("rho does not divide the divergence numerator exactly")
+    return PolyMultiVec.from_terms(dim, 1, [((a,), num) for a, num in enumerate(nums)])
 
 
 def relative_modular(submanifold) -> Report:

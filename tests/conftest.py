@@ -1,12 +1,15 @@
 """The seeded random source for the property tests (the generators it feeds
 are in ``poissonkit.oracle``), the environment for tests that start a
-Python subprocess, and random Lie algebra elements for the group tests."""
+Python subprocess, random Lie algebra elements for the group tests, and the
+adjoint matrix and r-matrix cocycle of a matrix group, which only the tests
+use."""
 
 import math
 import os
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import poissonkit
@@ -49,3 +52,30 @@ def algebra_element(group, rng):
     from poissonkit.groupnum import SAMPLE_SCALE
 
     return group.combine(rng.normal(0.0, SAMPLE_SCALE, size=group.dim))
+
+
+def adjoint_coordinate_matrix(group, g: np.ndarray) -> np.ndarray:
+    """Matrix of Ad_g in the algebra basis (column j: the coefficients of
+    g basis_j g^-1, by least squares, exact for elements of the span)."""
+    g_inv = np.linalg.inv(g)
+    flat = np.stack([b.reshape(-1) for b in group.basis], axis=1)
+    return np.linalg.pinv(flat) @ np.stack([(g @ b @ g_inv).reshape(-1) for b in group.basis], axis=1)
+
+
+def cocycle_lambda(group, g: np.ndarray) -> np.ndarray:
+    """lambda(g) = Ad_g r - r as an antisymmetric coefficient matrix.
+
+    A bivector sum of c e_i ^ e_j is stored as the matrix with (i, j) entry c
+    and (j, i) entry -c; the cocycle identity then reads
+    lambda(gh) = lambda(g) + A(g) lambda(h) A(g)^T with A the adjoint matrix.
+    """
+    dim = group.dim
+    l0 = np.zeros((dim, dim), dtype=complex)
+    for i, j, c in group.r_terms:
+        l0[i, j] += c
+        l0[j, i] -= c
+    a = adjoint_coordinate_matrix(group, g)
+    lam = a @ l0 @ a.T - l0
+    if np.max(np.abs(lam.imag)) < 1e-12:
+        lam = lam.real
+    return lam

@@ -191,6 +191,7 @@ BAD_FILES = {
     "volume_x.chart": "dim 2\ncoords x y\nbracket x y = y\nvolume = x\nsubmanifold x = x\n",
     "volume_y.chart": "dim 2\ncoords x y\nbracket x y = y\nvolume = y\nsubmanifold x = x\n",
     "zerodenominator.chart": "dim 2\ncoords x y\nbracket x y = 1/0\n",
+    "superscript.chart": "dim 3\ncoords x y z\nbracket x y = ²*z\n",
     "dimx.alg": "dim x\nlabels a b\n",
     "zerodenominator.alg": "dim 2\nlabels a b\nc a b a = 1/0\n",
 }
@@ -256,6 +257,10 @@ BAD_FILES = {
      "--matrix fixes only the origin (-I): the fixed locus would be a point"),
     (["dirac", "fixed-locus", "so3.chart", "--matrix=-1,0,0;0,-1,0;0,0,-1"],
      "--matrix fixes only the origin (-I): the fixed locus would be a point"),
+    (["check", "casimir", "dubrovin3.chart", "--f", "x^²"], "unexpected character '²' (at position 2)"),
+    (["check", "casimir", "dubrovin3.chart", "--f", "1/²"], "malformed rational literal (at position 1)"),
+    (["check", "jacobi", "superscript.chart"], "line 3: bad polynomial: unexpected character '²' (at position 0)"),
+    (["dirac", "fixed-locus", "so3.chart", "--matrix=²,0,0;0,1,0;0,0,1"], "unexpected character '²' (at position 0)"),
 ])
 def test_bad_input_is_a_usage_error(argv, needle, capsys, tmp_path, monkeypatch):
     # each of these used to exit 1, as if a verification had failed, to pass having checked nothing,
@@ -473,7 +478,7 @@ FUZZ_POOLS = {
     "seed": ["0", "1", "-1", "4294967296"],
     "degree": ["-1", "0", "1"],
     "family": ["trig", "tanh-corrupted"],
-    "f": ["x", "1/0", "x +* y", "q"],
+    "f": ["x", "1/0", "x +* y", "q", "x^²"],
     "g": ["y", "q"],
     "x": ["x", "x1,x2", "x2,x1", "x1,x1", "q", ""],
     "t": ["t", "t,t", "w", "q", ""],

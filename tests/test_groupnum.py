@@ -6,14 +6,12 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import algebra_element, assert_pass_rule
+from conftest import adjoint_coordinate_matrix, algebra_element, assert_pass_rule, cocycle_lambda
 from poissonkit import groupnum
 from poissonkit.groupnum import (
     TOL_MEMBER,
     InvolutionSpec,
     TangentBivector,
-    adjoint_coordinate_matrix,
-    cocycle_lambda,
     crosscheck_report,
     dual_group,
     dual_group_bivector,

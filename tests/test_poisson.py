@@ -1,12 +1,15 @@
 """Charts, brackets, Casimirs, and (relative) modular vector fields."""
 
+from fractions import Fraction
+
 import pytest
 
 from conftest import make_rng
+from poissonkit.chartio import parse_chart_text
 from poissonkit.dirac import AlignedSubmanifold
 from poissonkit.exactalg import Poly, PolyMultiVec, Scalar, schouten
 from poissonkit.liealg import builtin_algebra, lie_poisson_chart
-from poissonkit.oracle import rand_multivec, rand_poly, schouten_oracle
+from poissonkit.oracle import rand_multivec, rand_poly, rand_scalar, schouten_oracle
 from poissonkit.poisson import (
     PoissonChart,
     UnsupportedDensity,
@@ -227,6 +230,68 @@ def test_modular_unsupported_density():
     chart = PoissonChart(2, ("x1", "x2"), pi, Poly.var(2, 0))
     with pytest.raises(UnsupportedDensity):
         modular_vf(chart)
+
+
+def ref_modular_vf(chart):
+    """The per-coordinate route: nu_j = div(X_{x_j}) = (1/rho) sum_i d(rho X^i)/dx_i for each j."""
+    comps = {}
+    for j in range(chart.dim):
+        total = Poly.zero(chart.dim)
+        for (i,), poly in hamiltonian_vf(chart, Poly.var(chart.dim, j)).comps.items():
+            total = total + (chart.rho * poly).diff(i)
+        if chart.rho != Poly.const(chart.dim, 1):
+            total = total.divide_exact(chart.rho)
+            if total is None:
+                raise UnsupportedDensity("rho does not divide the divergence numerator exactly")
+        comps[(j,)] = total
+    return PolyMultiVec(chart.dim, 1, comps)
+
+
+def _log_canonical(rng, dim):
+    """pi = sum c_ab y_a y_b d_a^d_b with random Gaussian-integer c_ab: a monomial density divides its numerators."""
+    y = [Poly.var(dim, a) for a in range(dim)]
+    comps = {(a, b): y[a] * y[b] * rand_scalar(rng) for a in range(dim) for b in range(a + 1, dim) if rng.random() < 0.8}
+    return PolyMultiVec(dim, 2, comps)
+
+
+def test_modular_sweep_matches_per_coordinate_route():
+    # rho = 1, a constant rho and a monomial rho; pi random (modular_vf does not need it Poisson)
+    rng = make_rng(1616)
+    for _ in range(40):
+        dim = rng.randint(1, 5)
+        names = tuple(f"x{a}" for a in range(dim))
+        pi = rand_multivec(rng, dim, 2)
+        for rho in (None, Poly.const(dim, rand_scalar(rng) or 1), Poly.const(dim, Scalar(Fraction(3, 7), 2))):
+            chart = PoissonChart(dim, names, pi, rho)
+            assert modular_vf(chart) == ref_modular_vf(chart)
+        logcan = _log_canonical(rng, dim)
+        exps = tuple(rng.randint(0, 3) for _ in range(dim))
+        rho = Poly(dim, {exps: rand_scalar(rng) or 1})
+        chart = PoissonChart(dim, names, logcan, rho)
+        assert modular_vf(chart) == ref_modular_vf(chart)
+
+
+def test_modular_sweep_raises_where_the_per_coordinate_route_raises():
+    # rho = x does not divide d_y(x y) - ...: both routes raise, with the same message
+    chart, _ = parse_chart_text("dim 2\ncoords x y\nbracket x y = y\nvolume = x\nsubmanifold x = x\n")
+    for route in (modular_vf, ref_modular_vf):
+        with pytest.raises(UnsupportedDensity, match="^rho does not divide the divergence numerator exactly$"):
+            route(chart)
+    rng = make_rng(1617)
+    raised = 0
+    for _ in range(40):
+        dim = rng.randint(2, 4)
+        chart = PoissonChart(dim, tuple(f"x{a}" for a in range(dim)), rand_multivec(rng, dim, 2),
+                             Poly.var(dim, rng.randrange(dim)) + rand_scalar(rng))
+        try:
+            expected = ref_modular_vf(chart)
+        except UnsupportedDensity:
+            raised += 1
+            with pytest.raises(UnsupportedDensity):
+                modular_vf(chart)
+        else:
+            assert modular_vf(chart) == expected
+    assert 0 < raised < 40
 
 
 # -- relative modular field ------------------------------------------------------
