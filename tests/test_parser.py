@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poissonkit import chartio, exactalg
+from conftest import make_rng
+from poissonkit.chartio import parse_chart_text
 from poissonkit.exactalg import SCALAR_I, ParseError, Poly, PolyParser, Scalar, parse_poly, print_poly
 
 NAMES = ["x", "y", "z"]
@@ -251,9 +252,7 @@ def test_print_parse_round_trip_property(args):
 def test_chart_parse_multiplies_no_polys_and_builds_one_name_table(monkeypatch):
     # a seeded dim-14 log-canonical chart: every line is c*y_a*y_b, read without a Poly product,
     # and all of its lines share one name table
-    import random
-
-    rng = random.Random(14)
+    rng = make_rng(14)
     dim = 14
     names = [f"y{a + 1}" for a in range(dim)]
     lines = [f"dim {dim}", "coords " + " ".join(names)]
@@ -264,9 +263,9 @@ def test_chart_parse_multiplies_no_polys_and_builds_one_name_table(monkeypatch):
     mul, init = Poly.__mul__, PolyParser.__init__
     monkeypatch.setattr(Poly, "__mul__", lambda a, b: products.append(1) or mul(a, b))
     monkeypatch.setattr(PolyParser, "__init__", lambda self, names: tables.append(1) or init(self, names))
-    chart, _ = chartio.parse_chart_text(text)
+    chart, _ = parse_chart_text(text)
     assert len(chart.pi.comps) == dim * (dim - 1) // 2
     assert (len(products), len(tables)) == (0, 1)
     # the regression guard sees a product where one is made
-    exactalg.parse_poly("(y1 + 1)*(y2 - 1)", names)
+    parse_poly("(y1 + 1)*(y2 - 1)", names)
     assert (len(products), len(tables)) == (1, 2)
