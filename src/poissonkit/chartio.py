@@ -166,7 +166,7 @@ def parse_chart_text(text: str, check_jacobi: bool = True) -> tuple[PoissonChart
 
 def parse_chart_file(path: str | Path, check_jacobi: bool = True) -> tuple[PoissonChart, AlignedSubmanifold | None]:
     """Load a chart file from a path or a bundled fixture name."""
-    return parse_chart_text(fixture_path(path).read_text(), check_jacobi)
+    return parse_chart_text(_read_text(path), check_jacobi)
 
 
 def emit_chart(chart: PoissonChart, sub: AlignedSubmanifold | None = None) -> str:
@@ -223,8 +223,7 @@ def load_algebra(name_or_path: str | Path) -> LieAlgebraData:
     name = str(name_or_path)
     if name in BUILTIN_ALGEBRAS:
         return builtin_algebra(name)
-    path = fixture_path(name_or_path)
-    return parse_algebra_text(path.read_text(), name=Path(name).stem)
+    return parse_algebra_text(_read_text(name_or_path), name=Path(name).stem)
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +244,15 @@ def fixture_path(name: str | Path) -> Path:
     if candidate.exists():
         return candidate
     raise FileNotFoundError(f"no such file or bundled fixture: {name}")
+
+
+def _read_text(name: str | Path) -> str:
+    """The text of a path or bundled fixture; a directory, an unreadable file or bytes that are not UTF-8 are bad input."""
+    path = fixture_path(name)
+    try:
+        return path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as err:
+        raise InvalidInput(f"cannot read {name}: {err.strerror if isinstance(err, OSError) else err}") from None
 
 
 def list_fixtures() -> list[str]:

@@ -19,7 +19,7 @@ from typing import Sequence
 
 from . import linalg
 from .exactalg import Poly, PolyMultiVec, Scalar, schouten, wedge
-from .poisson import PoissonChart, jacobiator
+from .poisson import PoissonChart, bracket, jacobiator
 from .report import InvalidInput, Report
 
 __all__ = [
@@ -28,7 +28,6 @@ __all__ = [
     "check_aligned_dirac",
     "fixed_locus_symbolic",
     "fixed_locus_projection",
-    "pushforward_linear",
     "affine_lie_poisson_dirac",
     "transverse_from_reductive",
     "leaf_slice_obstruction",
@@ -130,26 +129,13 @@ def check_aligned_dirac(q: AlignedSubmanifold) -> Report:
     return Report(True, {"induced": chart_q})
 
 
-def pushforward_linear(mv: PolyMultiVec, a: linalg.Matrix) -> PolyMultiVec:
-    """Pushforward of a multivector field along the invertible map x -> A x."""
-    n = mv.dim
-    a_inv = linalg.inverse(a)
-    if a_inv is None:
-        raise ValueError("pushforward matrix is singular")
-    # x_i <- sum_j (A^-1)_ij x_j
-    inv_images = [sum((Poly.var(n, j) * c for j, c in enumerate(row)), Poly.zero(n)) for row in a_inv]
-    out = PolyMultiVec.zero(n, mv.degree)
-    for idxs, poly in mv.comps.items():
-        moved = poly.compose(inv_images)
-        # transform the wedge d_{i1}^...^d_{ik} by rows of A
-        acc = None
-        for i in idxs:
-            leg = PolyMultiVec.from_terms(n, 1, [((r,), Poly.const(n, a[r][i])) for r in range(n)])
-            acc = leg if acc is None else wedge(acc, leg)
-        if acc is None:
-            acc = PolyMultiVec.function(Poly.const(n, 1))
-        out = out + acc * moved
-    return out
+def _pushforward(chart: PoissonChart, a: linalg.Matrix, a_inv: linalg.Matrix) -> PolyMultiVec:
+    """A_* pi along x -> A x: (A_* pi)_ij = {(A x)_i, (A x)_j} o A^-1.  The caller
+    passes A^-1, as it holds it already: an involution S is its own inverse, so
+    S_* pi is ``_pushforward(chart, S, S)``, and the eigenbasis change built P."""
+    n = chart.dim
+    ax, back = ([sum((Poly.var(n, j) * c for j, c in enumerate(row)), Poly.zero(n)) for row in m] for m in (a, a_inv))
+    return PolyMultiVec(n, 2, {(i, j): bracket(chart, ax[i], ax[j]).compose(back) for i in range(n) for j in range(i + 1, n)})
 
 
 def fixed_locus_symbolic(chart: PoissonChart, s: LinearInvolution) -> Report:
@@ -164,11 +150,11 @@ def fixed_locus_symbolic(chart: PoissonChart, s: LinearInvolution) -> Report:
     """
     if s.dim != chart.dim:
         raise InvalidInput("involution dimension does not match the chart")
-    residual = pushforward_linear(chart.pi, s.rows()) - chart.pi
+    srows = s.rows()
+    residual = _pushforward(chart, srows, srows) - chart.pi
     if not residual.is_zero():
         return Report(False, reason="S is not a Poisson involution", witness=sorted(residual.comps.items())[0])
 
-    srows = s.rows()
     n = chart.dim
     plus = linalg.nullspace(linalg.mat_sub(srows, linalg.identity(n)))
     minus = linalg.nullspace(linalg.mat_add(srows, linalg.identity(n)))
@@ -176,8 +162,7 @@ def fixed_locus_symbolic(chart: PoissonChart, s: LinearInvolution) -> Report:
         raise AssertionError("eigenspaces of an involution must span")
     # columns of P are the eigenbasis; the map z -> x = P z straightens S
     p_mat = [[plus[j][i] for j in range(len(plus))] + [minus[j][i] for j in range(len(minus))] for i in range(n)]
-    p_inv = linalg.inverse(p_mat)
-    pi_z = pushforward_linear(chart.pi, p_inv)
+    pi_z = _pushforward(chart, linalg.inverse(p_mat), p_mat)
 
     names = tuple(f"z{k+1}" for k in range(n))
     chart_z = PoissonChart(n, names, pi_z)
@@ -255,10 +240,9 @@ def affine_lie_poisson_dirac(g, l_basis, m_basis, mu) -> Report:
     mv = _as_vectors(g, m_basis)
     if len(lv) + len(mv) != g.dim:
         raise InvalidInput("l and m have the wrong total dimension")
-    basis_mat = linalg.transpose(lv + mv)  # columns are the basis vectors
-    if linalg.rank(basis_mat) != g.dim:
+    inv = linalg.inverse(linalg.transpose(lv + mv))  # the columns are the basis vectors
+    if inv is None:
         raise InvalidInput("l_basis and m_basis do not form a basis of g")
-    inv = linalg.inverse(basis_mat)
     mu = [Scalar.coerce(c) for c in mu]
     if len(mu) != g.dim:
         raise InvalidInput("mu has the wrong length")

@@ -129,11 +129,11 @@ def _flat(x: np.ndarray, lead: int) -> np.ndarray:
     return x.reshape(*x.shape[:lead], math.prod(x.shape[lead:]))
 
 
-def _vec(x: np.ndarray, lead: int = 1) -> np.ndarray:
-    """Realified flattening of each leg of a stack of shape (*lead axes, *shape):
-    a (*lead axes, 2 * prod(shape)) array, uniform for real and complex stacks."""
+def _real_flat(x: np.ndarray, lead: int = 1) -> np.ndarray:
+    """x flattened as by ``_flat``; a complex x is realified, its real parts
+    followed by its imaginary parts, and a real x stays prod(shape) long."""
     flat = _flat(np.asarray(x), lead)
-    return np.concatenate([np.real(flat), np.imag(flat)], axis=-1)
+    return np.concatenate([flat.real, flat.imag], axis=-1) if np.iscomplexobj(flat) else flat
 
 
 def _wedge_matrix(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -214,24 +214,16 @@ class TangentBivector:
         return TangentBivector(self.base if base is None else base, fn(self.u), fn(self.v), self.batch_ndim)
 
     def sharp_matrix(self) -> np.ndarray:
-        """Realified matrix of the sharp map, U^T V - V^T U on the realified leg
-        stacks; its column space is the image."""
-        x = self._compact_sharp()
-        pad = 0 if np.iscomplexobj(self.u) else x.shape[-1]
-        return np.pad(x, [(0, 0)] * (x.ndim - 2) + [(0, pad)] * 2)
-
-    def _compact_sharp(self) -> np.ndarray:
-        """``sharp_matrix()`` less the all-zero rows and columns of the imaginary
-        half for real legs: ranks, images and residuals are read from it."""
+        """Matrix of the sharp map, U^T V - V^T U on the leg stacks flattened by
+        ``_real_flat``; its column space is the image."""
         lead = self.batch_ndim + 1
-        u, v = (_vec(x, lead) if np.iscomplexobj(x) else _flat(x, lead) for x in (self.u, self.v))
-        return _wedge_matrix(u, v)
+        return _wedge_matrix(_real_flat(self.u, lead), _real_flat(self.v, lead))
 
     @functools.cached_property
     def _sharp_svd(self) -> tuple[np.ndarray, np.ndarray]:
-        """Left singular vectors and singular values of ``_compact_sharp()``: one SVD
+        """Left singular vectors and singular values of ``sharp_matrix()``: one SVD
         serves the tangency residual and the rank relation, each at its threshold."""
-        u, s, _ = np.linalg.svd(self._compact_sharp(), full_matrices=False)
+        u, s, _ = np.linalg.svd(self.sharp_matrix(), full_matrices=False)
         return u, s
 
     def max_abs(self) -> float | np.ndarray:
@@ -342,13 +334,16 @@ def _interleave(first: np.ndarray, second: np.ndarray, axis: int) -> np.ndarray:
 
 
 def pl_bivector(group: MatrixGroup, g: np.ndarray) -> TangentBivector:
-    """pi(g) = r_{g*} (Ad_g r - r): wedge pairs of tangent matrices at g,
-    (c Ad_g(a) g, Ad_g(b) g) and (-c a g, b g) for each r-term c a ^ b."""
+    """pi(g) = r^L(g) - r^R(g), the left- less the right-invariant extension of r.
+
+    This is r_{g*} (Ad_g r - r), as r_{g*} Ad_g X = g X g^-1 g = g X: for each
+    r-term c a ^ b the wedge pairs at g are (c g a, g b) and (-c a g, b g).
+    """
     a, b, c = group.r_legs
     lead = g.ndim - a.ndim + 1  # 1 for a stack of points
-    gx, gx_inv = (np.expand_dims(x, lead) for x in (g, np.linalg.inv(g)))  # broadcast over the r-terms
-    u = _interleave(c * (gx @ a @ gx_inv @ gx), -c * (a @ gx), lead)
-    v = _interleave(gx @ b @ gx_inv @ gx, b @ gx, lead)
+    gx = np.expand_dims(g, lead)  # broadcast over the r-terms
+    u = _interleave(c * (gx @ a), -c * (a @ gx), lead)
+    v = _interleave(gx @ b, b @ gx, lead)
     return TangentBivector(g, u, v, lead)
 
 
@@ -391,7 +386,7 @@ def xplus(spec: InvolutionSpec, g: np.ndarray, v: np.ndarray) -> np.ndarray:
 def pi_q_projection(spec: InvolutionSpec, pi: TangentBivector) -> TangentBivector:
     """Project every wedge leg with (1 + Phi_*)/2; requires Phi_* pi = pi, with
     || Phi_* pi - pi || of the sharp matrices at each point's scale max(1, |pi|)^2."""
-    invariance = _max_over(pi.map_legs(spec.apply)._compact_sharp() - pi._compact_sharp(), 2)
+    invariance = _max_over(pi.map_legs(spec.apply).sharp_matrix() - pi.sharp_matrix(), 2)
     res = _first_failure(invariance, TOL_MEMBER * np.maximum(1.0, pi.max_abs()) ** 2)
     if res is not None:
         raise ValueError(f"bivector is not involution-invariant (residual {res:.2e})")
@@ -469,17 +464,15 @@ def _rank(mat: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def _plus_eigenspace(spec: InvolutionSpec, shape: tuple[int, ...], dtype: np.dtype, thresh: float) -> np.ndarray:
-    """Orthonormal basis of the +1 eigenspace of the realified differential at
-    points of this shape and dtype; cached, so read-only.
-
-    For real points the imaginary half of the realified space is phantom
-    (the probes there push to zero), so it never enters the eigenspace.
+    """Orthonormal basis of the +1 eigenspace of the differential at points of
+    this shape and dtype, in the coordinates of ``sharp_matrix()``: the
+    flattened entries for real points, the realified ones for complex points.
+    Cached, so read-only.
     """
-    size = 2 * math.prod(shape)
-    probes = np.eye(size).reshape(size, 2, *shape)  # probes[k]: real and imaginary part of the k-th unit vector
-    v = probes[:, 0] + 1j * probes[:, 1] if np.issubdtype(dtype, np.complexfloating) else probes[:, 0]
-    p = _vec(spec.apply(v)).T  # column k: the pushed k-th probe
-    _, s, vt = np.linalg.svd(p - np.eye(size))
+    units = np.eye(math.prod(shape)).reshape(-1, *shape)
+    probes = np.concatenate([units, 1j * units]) if np.issubdtype(dtype, np.complexfloating) else units
+    p = _real_flat(spec.apply(probes)).T  # column k: the pushed k-th unit vector of the realified space
+    _, s, vt = np.linalg.svd(p - np.eye(len(p)))
     basis = vt[s <= thresh].T
     basis.setflags(write=False)  # cached, so shared by every caller
     return basis
@@ -489,11 +482,10 @@ def rank_relation_holds(spec: InvolutionSpec, pi: TangentBivector, projected: Ta
     """rank pi_Q^# == dim( im pi^# intersect T_x Q ), by SVD at TOL_CROSS, per point;
     ``projected`` is ``pi_q_projection(spec, pi)``, which every caller already holds."""
     image = _image_basis(pi, TOL_CROSS)
-    # for real points the imaginary half of the +1 eigenspace basis is zero, as is the image's
-    plus = _plus_eigenspace(spec, pi.point_shape, pi.base.dtype, TOL_CROSS)[:image.shape[-2]]
+    plus = _plus_eigenspace(spec, pi.point_shape, pi.base.dtype, TOL_CROSS)
     joint = np.concatenate([image, np.broadcast_to(plus, (*image.shape[:-1], plus.shape[1]))], axis=-1)
     dim_int = np.sum(pi._sharp_svd[1] > TOL_CROSS, axis=-1) + plus.shape[1] - _rank(joint)
-    return _rank(projected._compact_sharp()) == dim_int
+    return _rank(projected.sharp_matrix()) == dim_int
 
 
 # ---------------------------------------------------------------------------

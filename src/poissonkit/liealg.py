@@ -309,35 +309,34 @@ def _mat_bracket(x: linalg.Matrix, y: linalg.Matrix) -> linalg.Matrix:
     return linalg.mat_sub(linalg.mat_mul(x, y), linalg.mat_mul(y, x))
 
 
-def _expand_table(labels, matrices: list[linalg.Matrix]) -> dict:
-    """Structure constants by expanding commutators in the given matrix basis.
+def _coordinates(matrices: list[linalg.Matrix], targets: list[linalg.Matrix]) -> linalg.Matrix:
+    """X with B X = V: column p holds the coordinates of targets[p] in the basis ``matrices``.
 
     One elimination solves B X = V, where the columns of B are the flattened
-    basis matrices and the columns of V the flattened commutators
-    [m_i, m_j], i < j.  A commutator outside the span of the basis, or a
-    nonzero residual B X - V (summed over the nonzero entries of B), is a
-    construction bug and raises.
+    basis matrices and the columns of V the flattened targets.  A target
+    outside the span of the basis, or a nonzero residual B X - V (summed over
+    the nonzero entries of B), is a construction bug and raises.
     """
-    dim = len(matrices)
     n = len(matrices[0])
     basis_cols = [[m[r][c] for m in matrices] for r in range(n) for c in range(n)]
-    pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
-    comms = [_mat_bracket(matrices[i], matrices[j]) for i, j in pairs]
-    rhs = [[comm[r][c] for comm in comms] for r in range(n) for c in range(n)]
+    rhs = [[t[r][c] for t in targets] for r in range(n) for c in range(n)]
     coords = linalg.solve(basis_cols, rhs)
     if coords is None:
-        raise AssertionError("commutator left the span of the basis")
+        raise AssertionError("a matrix left the span of the basis")
     for b_row, v_row in zip(basis_cols, rhs):
         support = [(k, b) for k, b in enumerate(b_row) if not b.is_zero()]
         for p, v in enumerate(v_row):
             if sum((b * coords[k][p] for k, b in support), SCALAR_ZERO) != v:
                 raise AssertionError("inconsistent expansion")
-    brackets = {}
-    for p, pair in enumerate(pairs):
-        entry = {k: row[p] for k, row in enumerate(coords) if not row[p].is_zero()}
-        if entry:
-            brackets[pair] = entry
-    return brackets
+    return coords
+
+
+def _expand_table(labels, matrices: list[linalg.Matrix]) -> dict:
+    """Structure constants by expanding the commutators [m_i, m_j], i < j, in the given matrix basis."""
+    pairs = [(i, j) for i in range(len(matrices)) for j in range(i + 1, len(matrices))]
+    coords = _coordinates(matrices, [_mat_bracket(matrices[i], matrices[j]) for i, j in pairs])
+    entries = ({k: row[p] for k, row in enumerate(coords) if not row[p].is_zero()} for p in range(len(pairs)))
+    return {pair: entry for pair, entry in zip(pairs, entries) if entry}
 
 
 def _sl_basis(n: int) -> tuple[list[str], list[linalg.Matrix], RootData]:
@@ -445,26 +444,16 @@ def standard_r_matrix(g: LieAlgebraData) -> AlgElement:
 
 
 def transpose_antimorphism(g: LieAlgebraData) -> "LinearAlgMap":
-    """The involutive anti-morphism swapping e_a with f_a and fixing the Cartan.
+    """phi(X) = X^T, expanded in the algebra's matrix basis.
 
-    For the compact basis it sends X_a to -X_a and fixes Y_a and t_m; in both
-    realizations it is the matrix transpose.
+    Transposition reverses products, so it is an involutive anti-morphism of
+    every matrix Lie algebra closed under it.  On the Chevalley basis of sl(n)
+    it swaps e_a with f_a and fixes the Cartan; on the compact basis of su(n)
+    it sends X_a to -X_a and fixes Y_a and t_m.
     """
-    if g.root_data is None:
-        raise ValueError("algebra carries no root data")
-    mat = linalg.zeros(g.dim, g.dim)
-    for i in range(g.dim):
-        mat[i][i] = SCALAR_ONE
-    if g.name.startswith("su"):
-        for info in g.root_data.roots:
-            mat[info.e_index][info.e_index] = -SCALAR_ONE
-    else:
-        for info in g.root_data.roots:
-            mat[info.e_index][info.e_index] = SCALAR_ZERO
-            mat[info.f_index][info.f_index] = SCALAR_ZERO
-            mat[info.e_index][info.f_index] = SCALAR_ONE
-            mat[info.f_index][info.e_index] = SCALAR_ONE
-    return LinearAlgMap(g, g, tuple(tuple(row) for row in mat))
+    if g.matrices is None:
+        raise ValueError("algebra carries no matrix basis")
+    return LinearAlgMap.from_rows(g, g, _coordinates(g.matrices, [linalg.transpose(m) for m in g.matrices]))
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 are in ``poissonkit.oracle``), the environment for tests that start a
 Python subprocess, random Lie algebra elements for the group tests, and the
 adjoint matrix and r-matrix cocycle of a matrix group, which only the tests
-use."""
+use, and the leg-by-leg pushforward of an exact multivector along a linear map,
+the reference for the bracket-form pushforward of ``poissonkit.dirac``."""
 
 import math
 import os
@@ -13,6 +14,8 @@ import numpy as np
 import pytest
 
 import poissonkit
+from poissonkit import linalg
+from poissonkit.exactalg import Poly, PolyMultiVec, wedge
 
 
 def subprocess_env():
@@ -79,3 +82,27 @@ def cocycle_lambda(group, g: np.ndarray) -> np.ndarray:
     if np.max(np.abs(lam.imag)) < 1e-12:
         lam = lam.real
     return lam
+
+
+def pushforward_linear(mv: PolyMultiVec, a) -> PolyMultiVec:
+    """Pushforward of a multivector field along the invertible map x -> A x,
+    each wedge leg d_i carried to the column A d_i and each component composed
+    with A^-1."""
+    n = mv.dim
+    a_inv = linalg.inverse(a)
+    if a_inv is None:
+        raise ValueError("pushforward matrix is singular")
+    # x_i <- sum_j (A^-1)_ij x_j
+    inv_images = [sum((Poly.var(n, j) * c for j, c in enumerate(row)), Poly.zero(n)) for row in a_inv]
+    out = PolyMultiVec.zero(n, mv.degree)
+    for idxs, poly in mv.comps.items():
+        moved = poly.compose(inv_images)
+        # transform the wedge d_{i1}^...^d_{ik} by rows of A
+        acc = None
+        for i in idxs:
+            leg = PolyMultiVec.from_terms(n, 1, [((r,), Poly.const(n, a[r][i])) for r in range(n)])
+            acc = leg if acc is None else wedge(acc, leg)
+        if acc is None:
+            acc = PolyMultiVec.function(Poly.const(n, 1))
+        out = out + acc * moved
+    return out

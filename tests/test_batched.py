@@ -4,7 +4,7 @@
 ``equivariance_check`` run their samples in blocks of stacked array
 operations.  The loops below are the per-sample versions they replaced, one
 point or one lambda at a time, with the rank relation and the tangency
-residual read from the full realified sharp matrix and the samples drawn
+residual read from the whole sharp matrix and the samples drawn
 entry by entry.  Every bool and str of a
 report must agree exactly, every float to 1e-12 * max(1, |value|), and a
 failing sample must raise what the loop raises.

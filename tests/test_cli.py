@@ -195,6 +195,18 @@ BAD_FILES = {
     "dimx.alg": "dim x\nlabels a b\n",
     "zerodenominator.alg": "dim 2\nlabels a b\nc a b a = 1/0\n",
 }
+# files that are not UTF-8 text, written as bytes
+BAD_BYTES = {
+    "latin1.chart": b"dim 2\ncoords x y\nbracket x y = \xff\n",
+    "latin1.alg": b"dim 2\nlabels a b\nc a b a = \xff\n",
+}
+
+
+def _write_bad_files(directory):
+    for name, text in BAD_FILES.items():
+        (directory / name).write_text(text)
+    for name, data in BAD_BYTES.items():
+        (directory / name).write_bytes(data)
 
 
 @pytest.mark.parametrize("argv, needle", [
@@ -261,13 +273,17 @@ BAD_FILES = {
     (["check", "casimir", "dubrovin3.chart", "--f", "1/²"], "malformed rational literal (at position 1)"),
     (["check", "jacobi", "superscript.chart"], "line 3: bad polynomial: unexpected character '²' (at position 0)"),
     (["dirac", "fixed-locus", "so3.chart", "--matrix=²,0,0;0,1,0;0,0,1"], "unexpected character '²' (at position 0)"),
+    (["check", "jacobi", "."], "cannot read .: Is a directory"),
+    (["lie", "validate", "."], "cannot read .: Is a directory"),
+    (["dirac", "affine-lie", "--algebra", ".", "--l", "a", "--m", "b", "--mu", "0,0"], "cannot read .: Is a directory"),
+    (["check", "jacobi", "latin1.chart"], "cannot read latin1.chart: 'utf-8' codec can't decode byte 0xff in position 31"),
+    (["lie", "validate", "latin1.alg"], "cannot read latin1.alg: 'utf-8' codec can't decode byte 0xff in position 27"),
 ])
 def test_bad_input_is_a_usage_error(argv, needle, capsys, tmp_path, monkeypatch):
     # each of these used to exit 1, as if a verification had failed, to pass having checked nothing,
     # or to raise out of run_command
     monkeypatch.chdir(tmp_path)  # the named charts resolve among the fixtures; BAD_FILES are written here
-    for name, text in BAD_FILES.items():
-        (tmp_path / name).write_text(text)
+    _write_bad_files(tmp_path)
     assert run_command(argv) == (2, None)
     assert needle in capsys.readouterr().err
 
@@ -468,8 +484,8 @@ def test_readme_commands_porcelain_output(leaf, capsys):
 FUZZ_POOLS = {
     "chart": ["dubrovin3.chart", "so3.chart", "product22.chart", "product22_bad.chart", "relmod2.chart",
               "slice_family.chart", "missing.chart",
-              *(name for name in BAD_FILES if name.endswith(".chart"))],
-    "algebra": ["sl2", "su2", "so3", "missing.alg", "dimx.alg", "zerodenominator.alg"],
+              *(name for name in BAD_FILES if name.endswith(".chart")), ".", "latin1.chart"],
+    "algebra": ["sl2", "su2", "so3", "missing.alg", "dimx.alg", "zerodenominator.alg", ".", "latin1.alg"],
     "samples": ["0", "1", "2", "3", "x"],
     "pairs": ["0", "1", "2", "3", "x"],
     "dim": ["0", "1", "3"],
@@ -520,8 +536,7 @@ def test_exit_code_contract(capsys, tmp_path, monkeypatch):
     # README: 0 passes, 1 always prints a failed report, 2 is bad input with one error line;
     # anything raised out of run_command is a bug
     monkeypatch.chdir(tmp_path)
-    for name, text in BAD_FILES.items():
-        (tmp_path / name).write_text(text)
+    _write_bad_files(tmp_path)
     parser = _build_parser()
 
     @settings(max_examples=100, deadline=None)
@@ -539,5 +554,11 @@ def test_exit_code_contract(capsys, tmp_path, monkeypatch):
         last = out.splitlines()[-1]
         verdict = last if "--porcelain" in argv else "=".join(last.split())
         assert (code, report.ok, verdict) in ((0, True, "pass=True"), (1, False, "pass=False")), argv
+        if code == 0:  # no pass that checks nothing
+            assert report.samples is None or report.samples >= 1, argv
+            if "oracle" in argv:
+                assert report.values["pairs"] >= 1, argv
+            if "fixed-locus" in argv:
+                assert report.values["fixed_dim"] >= 1, argv
 
     check()

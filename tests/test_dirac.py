@@ -1,9 +1,14 @@
 """Aligned Dirac criterion, fixed loci, affine Lie-Poisson subspaces, slices."""
 
-import pytest
+from fractions import Fraction
 
-from conftest import make_rng
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import make_rng, pushforward_linear
 from poissonkit import linalg
+from poissonkit.cli import run_command
 from poissonkit.dirac import (
     AlignedSubmanifold,
     LinearInvolution,
@@ -12,11 +17,12 @@ from poissonkit.dirac import (
     fixed_locus_projection,
     fixed_locus_symbolic,
     leaf_slice_obstruction,
-    pushforward_linear,
     transverse_from_reductive,
 )
 from poissonkit.exactalg import Poly, PolyMultiVec, Scalar, schouten
 from poissonkit.liealg import abelian, builtin_algebra, lie_poisson_chart
+from poissonkit.dirac import _pushforward
+from poissonkit.oracle import rand_multivec
 from poissonkit.poisson import PoissonChart, jacobiator
 
 
@@ -231,6 +237,83 @@ def test_fixed_locus_rotated_eigenbasis():
     assert jacobiator(ind).is_zero()
     proj = fixed_locus_projection(chart, s)
     assert proj.pi == ind.pi
+
+
+def _random_involution(rng, dim):
+    """An exact involution: diagonal blocks +-1, [[0, s], [s, 0]] with s = +-1, and
+    [[1, a], [0, -1]] or its transpose with a rational, conjugated by a random permutation."""
+    m = [[Scalar(0)] * dim for _ in range(dim)]
+    i = 0
+    while i < dim:
+        kind = rng.choice(("sign", "swap", "shear", "shear_t") if i + 1 < dim else ("sign",))
+        if kind == "sign":
+            m[i][i] = Scalar(rng.choice((1, -1)))
+            i += 1
+            continue
+        a, s = Fraction(rng.randint(-5, 5), rng.randint(1, 4)), rng.choice((1, -1))
+        block = {"swap": [[0, s], [s, 0]], "shear": [[1, a], [0, -1]], "shear_t": [[1, 0], [a, -1]]}[kind]
+        for r in range(2):
+            for c in range(2):
+                m[i + r][i + c] = Scalar(block[r][c])
+        i += 2
+    perm = list(range(dim))
+    rng.shuffle(perm)
+    return LinearInvolution.from_rows([[m[perm[r]][perm[c]] for c in range(dim)] for r in range(dim)]).rows()
+
+
+def _random_invertible(rng, dim):
+    """A rational unit-lower times unit-upper triangular matrix: invertible, and generic."""
+    def entry():
+        return Scalar(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+    lower = [[Scalar(1) if r == c else entry() if r > c else Scalar(0) for c in range(dim)] for r in range(dim)]
+    upper = [[Scalar(1) if r == c else entry() if r < c else Scalar(0) for c in range(dim)] for r in range(dim)]
+    return linalg.mat_mul(lower, upper)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.integers(2, 4), seed=st.integers(0, 2**32 - 1))
+def test_pushforward_matches_leg_wedge_reference(dim, seed):
+    # {(A x)_i, (A x)_j} o A^-1 against the leg-by-leg wedge of the columns of A, on random
+    # Gaussian-rational bivectors: along involutions, passed as their own inverse as
+    # fixed_locus_symbolic passes them, and along generic invertible maps
+    rng = make_rng(seed)
+    pi = rand_multivec(rng, dim, 2)
+    chart = PoissonChart(dim, tuple(f"x{k + 1}" for k in range(dim)), pi)
+    s = _random_involution(rng, dim)
+    assert _pushforward(chart, s, s) == pushforward_linear(pi, s)
+    a = _random_invertible(rng, dim)
+    assert _pushforward(chart, a, linalg.inverse(a)) == pushforward_linear(pi, a)
+
+
+def _counted(monkeypatch, module, names):
+    """Count the calls of module.<name> for each name, including calls from inside the module."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        def counting(*args, _name=name, _fn=getattr(module, name), **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counting)
+    return counts
+
+
+def test_fixed_locus_runs_three_eliminations_and_one_inverse(monkeypatch, capsys):
+    # the two eigenspaces take one elimination each and P^-1 the third; S is its own inverse,
+    # and P is already held, so neither is inverted
+    counts = _counted(monkeypatch, linalg, ("rref", "inverse"))
+    assert run_command(["dirac", "fixed-locus", "so3.chart", "--matrix=-1,0,0;0,-1,0;0,0,1"])[0] == 0
+    assert "fixed_dim" in capsys.readouterr().out
+    assert counts == {"rref": 3, "inverse": 1}
+
+
+def test_affine_lie_runs_one_elimination(monkeypatch, capsys):
+    # the inverse of the basis matrix also decides that the vectors form a basis
+    counts = _counted(monkeypatch, linalg, ("rref",))
+    assert run_command(["dirac", "affine-lie", "--algebra", "so3", "--l", "x3", "--m", "x1,x2", "--mu", "0,0,1"])[0] == 0
+    assert counts == {"rref": 1}
+    counts["rref"] = 0
+    assert run_command(["dirac", "affine-lie", "--algebra", "so3", "--l", "x1", "--m", "x1,x2", "--mu", "0,0,1"])[0] == 2
+    assert "do not form a basis" in capsys.readouterr().err
+    assert counts == {"rref": 1}
 
 
 # -- affine subspaces of Lie-Poisson duals ----------------------------------------

@@ -158,6 +158,53 @@ def test_pl_multiplicativity():
         assert worst <= 1e-9, group.name
 
 
+def _ref_pl_bivector_ad(group, g):
+    """pi(g) = r_{g*} (Ad_g r - r) at one point, term by term in the Ad form: the wedge pairs
+    (c Ad_g(a) g, Ad_g(b) g) and (-c a g, b g), with Ad_g(x) = g x g^-1, for each r-term c a ^ b."""
+    g_inv = np.linalg.inv(g)
+    u, v = [], []
+    for i, j, c in group.r_terms:
+        a, b = group.basis[i], group.basis[j]
+        u += [c * (g @ a @ g_inv @ g), -c * (a @ g)]
+        v += [g @ b @ g_inv @ g, b @ g]
+    return TangentBivector(g, np.stack(u), np.stack(v))
+
+
+def _pl_cases():
+    """(name, group, stack of 4 points): generic points of SL(n) and SU(n), n = 2..4, and of G*, n = 3, 4."""
+    for n in (2, 3, 4):
+        for group in (sl_group(n), su_group(n)):
+            rngs = [np.random.default_rng([61, n, k]) for k in range(4)]
+            yield group.name, group, matrix_exp(np.stack([algebra_element(group, rng) for rng in rngs]))
+    for n in (3, 4):
+        yield f"dual {n}", dual_group(n), _dual_points(n, [np.random.default_rng([62, n, k]) for k in range(4)])
+
+
+def test_pl_bivector_matches_ad_form():
+    # g a is the tangent vector r_{g*} Ad_g a = g a g^-1 g, so the two leg sets span one bivector
+    for name, group, points in _pl_cases():
+        stacked = pl_bivector(group, points)
+        for k, g in enumerate(points):
+            ref = _ref_pl_bivector_ad(group, g)
+            scale = max(1.0, ref.max_abs()) ** 2
+            for pi in (pl_bivector(group, g), TangentBivector(g, stacked.u[k], stacked.v[k])):
+                assert np.max(np.abs(pi.sharp_matrix() - ref.sharp_matrix())) <= 1e-13 * scale, (name, k)
+                assert np.max(np.abs(pi.bracket_matrix() - ref.bracket_matrix())) <= 1e-13 * scale, (name, k)
+
+
+def test_pl_bivector_inverts_nothing(monkeypatch):
+    def no_inverse(*_):
+        raise AssertionError("pl_bivector inverted a matrix")
+
+    cases = list(_pl_cases())
+    monkeypatch.setattr(np.linalg, "inv", no_inverse)
+    for name, group, points in cases:
+        assert pl_bivector(group, points).u.shape[:2] == (4, 2 * len(group.r_terms)), name
+        pl_bivector(group, points[0])
+    with pytest.raises(AssertionError):  # the guard sees an inverse where one is taken
+        _ref_pl_bivector_ad(sl_group(2), np.eye(2))
+
+
 def test_entry_bracket_antisymmetry():
     group = sl_group(3)
     g = matrix_exp(algebra_element(group, np.random.default_rng(3)))
@@ -388,11 +435,17 @@ def _ref_vec(x):
     return np.concatenate([np.real(x).ravel(), np.imag(x).ravel()])
 
 
+def _ref_leg(x, complex_legs):
+    """A leg as a vector of the tangent space: realified for complex legs, flattened for real ones."""
+    return _ref_vec(x) if complex_legs else np.asarray(x).ravel()
+
+
 def _ref_sharp(pi):
-    size = 2 * pi.base.size
+    complex_legs = np.iscomplexobj(pi.u)
+    size = (2 if complex_legs else 1) * pi.base.size
     m = np.zeros((size, size))
     for u, v in zip(pi.u, pi.v):
-        uu, vv = _ref_vec(u), _ref_vec(v)
+        uu, vv = _ref_leg(u, complex_legs), _ref_leg(v, complex_legs)
         m += np.outer(uu, vv) - np.outer(vv, uu)
     return m
 
@@ -423,16 +476,17 @@ def _ref_push(spec, v):
 
 def _ref_plus_projector(spec, template, thresh=1e-8):
     """Projector onto the +1 eigenspace, with the pushforward matrix built probe by probe."""
-    size = 2 * template.size
+    complex_legs = np.iscomplexobj(template)
     half = template.size
+    size = (2 if complex_legs else 1) * half
     p = np.zeros((size, size))
     for k in range(size):
-        probe = np.zeros(size)
+        probe = np.zeros(2 * half)
         probe[k] = 1.0
         re = probe[:half].reshape(template.shape)
         im = probe[half:].reshape(template.shape)
-        v = re + 1j * im if np.iscomplexobj(template) else re
-        p[:, k] = _ref_vec(_ref_push(spec, v))
+        v = re + 1j * im if complex_legs else re
+        p[:, k] = _ref_leg(_ref_push(spec, v), complex_legs)
     _, s, vt = np.linalg.svd(p - np.eye(size))
     basis = vt[s <= thresh].T
     return basis @ basis.T
@@ -546,7 +600,7 @@ def test_empty_bivector():
     point = np.stack([np.eye(3), np.eye(3)])
     pi = TangentBivector(point, np.zeros((0, 2, 3, 3)), np.zeros((0, 2, 3, 3)))
     assert pi.u.shape == pi.v.shape == (0, 2, 3, 3)
-    assert np.array_equal(pi.sharp_matrix(), np.zeros((36, 36)))
+    assert np.array_equal(pi.sharp_matrix(), np.zeros((18, 18)))
     assert np.array_equal(pi.bracket_matrix(), np.zeros((18, 18)))
     assert np.array_equal(pi.bracket_matrix([(0, 0, 1), (1, 1, 0)]), np.zeros((2, 2)))
     assert pi.max_abs() == 0.0

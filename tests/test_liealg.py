@@ -221,6 +221,32 @@ def test_phi_fixes_cartan_pointwise():
             assert all(c.is_zero() for i, c in enumerate(col) if i != h_idx)
 
 
+def _ref_phi_table(g, compact):
+    """The transpose anti-morphism coded per basis: on the Chevalley basis it swaps e_a with
+    f_a and fixes the Cartan; on the compact basis it sends X_a to -X_a and fixes Y_a and t_m."""
+    mat = [[Scalar(1) if i == j else Scalar(0) for j in range(g.dim)] for i in range(g.dim)]
+    for info in g.root_data.roots:
+        if compact:
+            mat[info.e_index][info.e_index] = Scalar(-1)
+        else:
+            mat[info.e_index][info.e_index] = mat[info.f_index][info.f_index] = Scalar(0)
+            mat[info.e_index][info.f_index] = mat[info.f_index][info.e_index] = Scalar(1)
+    return tuple(tuple(row) for row in mat)
+
+
+def test_transpose_antimorphism_matches_basis_table():
+    cases = [(sl_chevalley(n), False) for n in (2, 3, 4)] + [(su_compact_basis(n)[0], True) for n in (2, 3)]
+    for g, compact in cases:
+        phi = transpose_antimorphism(g)
+        assert phi.matrix == _ref_phi_table(g, compact), g.name
+        assert phi.is_involution(), g.name
+
+
+def test_transpose_antimorphism_needs_a_matrix_basis():
+    with pytest.raises(ValueError, match="no matrix basis"):
+        transpose_antimorphism(so3())
+
+
 # -- Drinfeld double --------------------------------------------------------------------
 
 
