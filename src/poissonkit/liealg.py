@@ -17,6 +17,15 @@ Hamiltonian vector field of its linear function on g* intertwines the two
 Drinfeld doubles use the mixed bracket [X, xi] = ad*_X xi - ad*_xi X with
 coadjoints defined by <ad*_X xi, Y> = -<xi, [X, Y]>; the exact Jacobi sweep
 and the invariance of the canonical pairing pin this convention.
+
+The kernels visit only nonzero entries.  ``validate_lie`` sums each
+Jacobiator in one sweep over the nonzero products c_ab^m c_mc^l, adding the
+raw real and imaginary parts (int or ``Fraction``) and building no
+intermediate ``Scalar``.  The matrix builds form commutators and the
+expansion residual on the nonzero matrix entries.  The public constructor
+``AlgElement(...)`` validates its input; ``+``, ``-``, ``*``, ``wedge``,
+``from_terms`` and ``alg_schouten``, whose results hold the invariants by
+construction, build them with the trusted ``_alg`` instead.
 """
 
 from __future__ import annotations
@@ -40,7 +49,6 @@ __all__ = [
     "sl_chevalley",
     "su_compact_basis",
     "so3",
-    "abelian",
     "builtin_algebra",
     "BUILTIN_ALGEBRAS",
     "lie_poisson_chart",
@@ -192,12 +200,15 @@ class AlgElement:
         """Sum of coefficient * wedge(idxs) over (idxs, coefficient) in any index order."""
         out: dict[tuple, Scalar] = {}
         for idxs, coeff in items:
+            if len(idxs) != degree:
+                raise ValueError("index tuple length != degree")
             sp = sort_with_parity(idxs)
             if sp is None:
                 continue
             key, sign = sp
+            # starting from SCALAR_ZERO makes every sum a Scalar, or raises TypeError
             out[key] = out.get(key, SCALAR_ZERO) + (coeff if sign == 1 else -coeff)
-        return AlgElement(algebra, degree, out)
+        return _alg(algebra, degree, out)
 
     def _check(self, other: "AlgElement") -> None:
         if self.algebra is not other.algebra:
@@ -214,16 +225,18 @@ class AlgElement:
         out = dict(self.comps)
         for idxs, coeff in other.comps.items():
             out[idxs] = out.get(idxs, SCALAR_ZERO) + coeff
-        return AlgElement(self.algebra, self.degree, out)  # drops the cancelled entries
+        return _alg(self.algebra, self.degree, out)
 
     def __neg__(self) -> "AlgElement":
-        return AlgElement(self.algebra, self.degree, {k: -c for k, c in self.comps.items()})
+        return _alg(self.algebra, self.degree, {k: -c for k, c in self.comps.items()})
 
     def __sub__(self, other: "AlgElement") -> "AlgElement":
         return self + (-other)
 
     def __mul__(self, coeff: Scalar | int) -> "AlgElement":
-        return AlgElement(self.algebra, self.degree, {k: c * coeff for k, c in self.comps.items()})
+        if not isinstance(coeff, (Scalar, int, Fraction)):
+            return NotImplemented
+        return _alg(self.algebra, self.degree, {k: c * coeff for k, c in self.comps.items()})
 
     __rmul__ = __mul__
 
@@ -241,7 +254,8 @@ class AlgElement:
         return self.algebra is other.algebra and self.comps == other.comps
 
     def __hash__(self):
-        return hash((id(self.algebra), self.degree, frozenset(self.comps)))
+        # no degree: a zero equals the zero of every degree, and the keys fix a nonzero one's
+        return hash((id(self.algebra), frozenset(self.comps)))
 
     def component(self, idxs: Sequence[int]) -> Scalar:
         sp = sort_with_parity(idxs)
@@ -264,9 +278,29 @@ class AlgElement:
     __repr__ = __str__
 
 
+_new_alg = object.__new__
+_set_algebra = AlgElement.algebra.__set__
+_set_degree = AlgElement.degree.__set__
+_set_comps = AlgElement.comps.__set__
+
+
+def _alg(algebra: LieAlgebraData, degree: int, comps: dict[tuple, Scalar]) -> AlgElement:
+    """An AlgElement on Scalar coefficients over strictly increasing ``degree``-tuples, without checks.
+
+    Internal operations use it where those invariants hold by construction;
+    it still drops the zero coefficients (cancelled sums, products with zero).
+    ``AlgElement(...)`` validates its input.
+    """
+    out = _new_alg(AlgElement)
+    _set_algebra(out, algebra)
+    _set_degree(out, degree)
+    _set_comps(out, {k: c for k, c in comps.items() if c})
+    return out
+
+
 def validate_lie(g: LieAlgebraData) -> Report:
     """Exact antisymmetry and Jacobi check; on failure the witness is the index
-    tuple of the first violation."""
+    tuple of the first violation (for Jacobi, the smallest failing i < j < k)."""
     for (i, j), entry in g.table.items():
         if i == j and any(not c.is_zero() for c in entry.values()):
             return Report(False, reason=f"[x_{i}, x_{i}] != 0", witness=(i, i))
@@ -276,21 +310,28 @@ def validate_lie(g: LieAlgebraData) -> Report:
             if entry.get(k, SCALAR_ZERO) != -mirror.get(k, SCALAR_ZERO):
                 reason = f"antisymmetry fails: c_({i},{j})^{k} != -c_({j},{i})^{k}"
                 return Report(False, reason=reason, witness=(i, j, k))
-    def iterated(i: int, j: int, k: int, acc: dict[int, Scalar]) -> None:
-        # acc += [[x_i, x_j], x_k], via table lookups only
-        for m, c in g.table.get((i, j), {}).items():
-            for l, c2 in g.table.get((m, k), {}).items():
-                acc[l] = acc.get(l, SCALAR_ZERO) + c * c2
-
-    for i in range(g.dim):
-        for j in range(i + 1, g.dim):
-            for k in range(j + 1, g.dim):
-                acc: dict[int, Scalar] = {}
-                iterated(i, j, k, acc)
-                iterated(j, k, i, acc)
-                iterated(k, i, j, acc)
-                if any(not c.is_zero() for c in acc.values()):
-                    return Report(False, reason="Jacobi identity fails", witness=(i, j, k))
+    # The Jacobiator of i < j < k is the sum of [[x_a, x_b], x_c] over the cyclic
+    # rotations (a, b, c) of (i, j, k); one sweep adds each product c_ab^m c_mc^l,
+    # in raw parts, to the sorted triple of which (a, b, c) is a cyclic rotation.
+    rows: dict[int, list] = {}  # m -> [(c, [(l, re, im) of c_mc^l])]
+    for (m, c), entry in g.table.items():
+        rows.setdefault(m, []).append((c, [(l, v.re, v.im) for l, v in entry.items()]))
+    jacobiators: dict[tuple, dict[int, list]] = {}
+    for (a, b), entry in g.table.items():
+        for m, v in entry.items():
+            vr, vi = v.re, v.im
+            for c, terms in rows.get(m, ()):
+                # a cyclic rotation of its sorted triple; a repeated index never is
+                if (a < b) + (b < c) + (c < a) != 2:
+                    continue
+                acc = jacobiators.setdefault(tuple(sorted((a, b, c))), {})
+                for l, wr, wi in terms:
+                    part = acc.setdefault(l, [0, 0])
+                    part[0] += vr * wr - vi * wi
+                    part[1] += vr * wi + vi * wr
+    failing = [t for t, acc in jacobiators.items() if any(re or im for re, im in acc.values())]
+    if failing:
+        return Report(False, reason="Jacobi identity fails", witness=min(failing))
     return Report(True)
 
 
@@ -305,37 +346,56 @@ def _elementary(n: int, a: int, b: int) -> linalg.Matrix:
     return m
 
 
-def _mat_bracket(x: linalg.Matrix, y: linalg.Matrix) -> linalg.Matrix:
-    return linalg.mat_sub(linalg.mat_mul(x, y), linalg.mat_mul(y, x))
+def _entries(m: linalg.Matrix) -> list[tuple[int, int, Scalar]]:
+    """The nonzero entries (row, column, value) of a matrix."""
+    return [(r, c, v) for r, row in enumerate(m) for c, v in enumerate(row) if v]
 
 
-def _coordinates(matrices: list[linalg.Matrix], targets: list[linalg.Matrix]) -> linalg.Matrix:
+def _bracket_entries(xs: list, ys: list) -> dict[tuple[int, int], Scalar]:
+    """XY - YX as {(row, column): nonzero}, from the nonzero entries of X and Y (see ``_entries``)."""
+    out: dict[tuple[int, int], Scalar] = {}
+    for r, k, a in xs:
+        for s, c, b in ys:
+            if k == s:  # (XY)_rc += x_rk y_kc
+                out[(r, c)] = out.get((r, c), SCALAR_ZERO) + a * b
+            if c == r:  # (YX)_sk += y_sr x_rk
+                out[(s, k)] = out.get((s, k), SCALAR_ZERO) - b * a
+    return {rc: v for rc, v in out.items() if v}
+
+
+def _coordinates(matrices: list[linalg.Matrix], targets: list[dict]) -> linalg.Matrix:
     """X with B X = V: column p holds the coordinates of targets[p] in the basis ``matrices``.
 
-    One elimination solves B X = V, where the columns of B are the flattened
-    basis matrices and the columns of V the flattened targets.  A target
-    outside the span of the basis, or a nonzero residual B X - V (summed over
-    the nonzero entries of B), is a construction bug and raises.
+    Each target is given by its nonzero entries {(row, column): value}.  One
+    elimination solves B X = V, where the columns of B are the flattened basis
+    matrices and the columns of V the flattened targets.  A target outside the
+    span of the basis, or a nonzero residual B X - V (formed on the nonzero
+    entries of the basis matrices and of X), is a construction bug and raises.
     """
     n = len(matrices[0])
     basis_cols = [[m[r][c] for m in matrices] for r in range(n) for c in range(n)]
-    rhs = [[t[r][c] for t in targets] for r in range(n) for c in range(n)]
+    rhs = [[t.get((r, c), SCALAR_ZERO) for t in targets] for r in range(n) for c in range(n)]
     coords = linalg.solve(basis_cols, rhs)
     if coords is None:
         raise AssertionError("a matrix left the span of the basis")
-    for b_row, v_row in zip(basis_cols, rhs):
-        support = [(k, b) for k, b in enumerate(b_row) if not b.is_zero()]
-        for p, v in enumerate(v_row):
-            if sum((b * coords[k][p] for k, b in support), SCALAR_ZERO) != v:
-                raise AssertionError("inconsistent expansion")
+    basis = [_entries(m) for m in matrices]
+    for target, column in zip(targets, zip(*coords)):
+        image: dict[tuple[int, int], Scalar] = {}
+        for k, x in enumerate(column):
+            if x:
+                for r, c, b in basis[k]:
+                    image[(r, c)] = image.get((r, c), SCALAR_ZERO) + b * x
+        if {rc: v for rc, v in image.items() if v} != target:
+            raise AssertionError("inconsistent expansion")
     return coords
 
 
-def _expand_table(labels, matrices: list[linalg.Matrix]) -> dict:
+def _expand_table(matrices: list[linalg.Matrix]) -> dict:
     """Structure constants by expanding the commutators [m_i, m_j], i < j, in the given matrix basis."""
+    basis = [_entries(m) for m in matrices]
     pairs = [(i, j) for i in range(len(matrices)) for j in range(i + 1, len(matrices))]
-    coords = _coordinates(matrices, [_mat_bracket(matrices[i], matrices[j]) for i, j in pairs])
-    entries = ({k: row[p] for k, row in enumerate(coords) if not row[p].is_zero()} for p in range(len(pairs)))
+    coords = _coordinates(matrices, [_bracket_entries(basis[i], basis[j]) for i, j in pairs])
+    entries = ({k: row[p] for k, row in enumerate(coords) if row[p]} for p in range(len(pairs)))
     return {pair: entry for pair, entry in zip(pairs, entries) if entry}
 
 
@@ -367,7 +427,7 @@ def sl_chevalley(n: int) -> LieAlgebraData:
     d_a = (e_a, f_a) = 1 throughout.
     """
     labels, mats, root_data = _sl_basis(n)
-    return LieAlgebraData.from_brackets(labels, _expand_table(labels, mats), mats, root_data, name=f"sl{n}")
+    return LieAlgebraData.from_brackets(labels, _expand_table(mats), mats, root_data, name=f"sl{n}")
 
 
 def su_compact_basis(n: int) -> tuple[LieAlgebraData, AlgElement]:
@@ -393,7 +453,7 @@ def su_compact_basis(n: int) -> tuple[LieAlgebraData, AlgElement]:
         mats.append(linalg.mat_scale(sl_mats[2 * nroots + m], SCALAR_I))
         labels.append(f"t{m+1}")
 
-    brackets = _expand_table(labels, mats)
+    brackets = _expand_table(mats)
     for entry in brackets.values():
         for coeff in entry.values():
             if coeff.im != 0:
@@ -411,10 +471,6 @@ def so3() -> LieAlgebraData:
         {(0, 1): {2: SCALAR_ONE}, (1, 2): {0: SCALAR_ONE}, (0, 2): {1: -SCALAR_ONE}},
         name="so3",
     )
-
-
-def abelian(dim: int) -> LieAlgebraData:
-    return LieAlgebraData.from_brackets([f"a{k+1}" for k in range(dim)], {}, name=f"abelian{dim}")
 
 
 def builtin_algebra(name: str) -> LieAlgebraData:
@@ -453,7 +509,8 @@ def transpose_antimorphism(g: LieAlgebraData) -> "LinearAlgMap":
     """
     if g.matrices is None:
         raise ValueError("algebra carries no matrix basis")
-    return LinearAlgMap.from_rows(g, g, _coordinates(g.matrices, [linalg.transpose(m) for m in g.matrices]))
+    transposes = [{(c, r): v for r, c, v in _entries(m)} for m in g.matrices]
+    return LinearAlgMap.from_rows(g, g, _coordinates(g.matrices, transposes))
 
 
 # ---------------------------------------------------------------------------
@@ -484,14 +541,8 @@ class LinearAlgMap:
     def rows(self) -> linalg.Matrix:
         return [list(row) for row in self.matrix]
 
-    def apply_vector(self, coeffs: Sequence[Scalar]) -> list[Scalar]:
-        out = [SCALAR_ZERO] * self.target.dim
-        for i, c in self._apply_support(_support(coeffs)).items():
-            out[i] = c
-        return out
-
     def _apply_support(self, coeffs) -> dict[int, Scalar]:
-        """``apply_vector`` on (index, coefficient) pairs, as {index: nonzero}."""
+        """The image of the vector with nonzero entries (index, coefficient) ``coeffs``, as {index: nonzero}."""
         out: dict[int, Scalar] = {}
         for j, cj in coeffs:
             for i, mij in self._column_support[j]:
@@ -545,7 +596,7 @@ def alg_schouten(a: AlgElement, b: AlgElement) -> AlgElement:
                         key, s2 = sp
                         coeff = cab * c
                         out[key] = out.get(key, SCALAR_ZERO) + (coeff if sign * s2 > 0 else -coeff)
-    return AlgElement(g, max(a.degree + b.degree - 1, 0), out)
+    return _alg(g, max(a.degree + b.degree - 1, 0), out)
 
 
 def ad_action(g: LieAlgebraData, basis_index: int, elem: AlgElement) -> AlgElement:
@@ -651,42 +702,21 @@ def drinfeld_double(g: LieAlgebraData, r: AlgElement) -> DrinfeldDouble:
     n = g.dim
     labels = list(g.labels) + [f"{name}*" for name in g.labels]
 
-    # gamma[k][(i, j)]: the X_i ^ X_j coefficient of delta(x_k), i < j
-    gamma = []
-    for k in range(n):
-        gamma.append(cobracket(g, r, AlgElement.basis(g, k)))
-
-    brackets: dict[tuple[int, int], dict[int, Scalar]] = {}
-
-    def put(i: int, j: int, entry: dict[int, Scalar]) -> None:
-        entry = {k: c for k, c in entry.items() if not c.is_zero()}
-        if entry:
-            brackets[(i, j)] = entry
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            put(i, j, dict(g.table.get((i, j), {})))
-    for i in range(n):
-        for j in range(i + 1, n):
-            entry: dict[int, Scalar] = {}
-            for k in range(n):
-                c = gamma[k].component((i, j))
-                if c:
-                    entry[n + k] = c
-            put(n + i, n + j, entry)
-    for i in range(n):
-        for j in range(n):
-            # [X_i, xi^j] = -sum_k c_ik^j xi^k + sum_m gamma_i^{jm} X_m
-            entry = {}
-            for k in range(n):
-                c = g.structure_constant(i, k, j)
-                if not c.is_zero():
-                    entry[n + k] = entry.get(n + k, SCALAR_ZERO) - c
-            for m in range(n):
-                c = gamma[i].component((j, m))
-                if c:
-                    entry[m] = entry.get(m, SCALAR_ZERO) + c
-            put(i, n + j, entry)
+    # gamma[k][(i, j)]: the X_i ^ X_j coefficient of delta(x_k), i < j, read from its comps once
+    gamma = [cobracket(g, r, AlgElement.basis(g, k)).comps for k in range(n)]
+    # from_brackets drops the zero coefficients and the empty entries
+    brackets = {(i, j): entry for (i, j), entry in g.table.items() if i < j}
+    for k, delta in enumerate(gamma):
+        for (i, j), c in delta.items():
+            brackets.setdefault((n + i, n + j), {})[n + k] = c
+    # [X_i, xi^j] = -sum_k c_ik^j xi^k + sum_m gamma_i^{jm} X_m
+    for (i, k), entry in g.table.items():
+        for j, c in entry.items():
+            brackets.setdefault((i, n + j), {})[n + k] = -c
+    for i, delta in enumerate(gamma):
+        for (a, b), c in delta.items():
+            brackets.setdefault((i, n + a), {})[b] = c
+            brackets.setdefault((i, n + b), {})[a] = -c
 
     sigma = LieAlgebraData.from_brackets(labels, brackets, name=f"double({g.name or 'g'})")
     verdict = validate_lie(sigma)
@@ -728,17 +758,23 @@ def chi_check(double: DrinfeldDouble, phi: LinearAlgMap) -> Report:
     failures = []
     if not chi.is_involution():
         failures.append("chi^2 != id")
-    dim = sigma.dim
     images = chi._column_support
-    image_maps = [dict(col) for col in images]
-    for i in range(dim):
+    dual = double.dual_index
+    # <chi x_i, chi x_j> = sum_a (chi x_i)_a (chi x_j)_dual(a), so besides j = dual(i),
+    # where <x_i, x_j> = 1, only a j whose image reaches some dual(a) can fail
+    reached: dict[int, list] = {}  # row b -> [(j, (chi x_j)_b)]
+    for j, image in enumerate(images):
+        for b, v in image:
+            reached.setdefault(b, []).append((j, v))
+    for i in range(sigma.dim):
         for j in _antimorphism_failures(sigma, chi, i):
             failures.append(f"chi anti-morphism fails on ({sigma.labels[i]}, {sigma.labels[j]})")
-        for j in range(dim):
-            lhs = double._pair_supports(images[i], image_maps[j])
-            rhs = double._pair_supports([(i, SCALAR_ONE)], {j: SCALAR_ONE})
-            if lhs + rhs:
-                failures.append(f"pairing flip fails on ({sigma.labels[i]}, {sigma.labels[j]})")
+        flip = {dual(i): SCALAR_ONE}  # <chi x_i, chi x_j> + <x_i, x_j>, by j
+        for a, ua in images[i]:
+            for j, vb in reached.get(dual(a), ()):
+                flip[j] = flip.get(j, SCALAR_ZERO) + ua * vb
+        for j in sorted(j for j, c in flip.items() if c):
+            failures.append(f"pairing flip fails on ({sigma.labels[i]}, {sigma.labels[j]})")
     return _failures_report(failures)
 
 

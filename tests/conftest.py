@@ -3,7 +3,12 @@ are in ``poissonkit.oracle``), the environment for tests that start a
 Python subprocess, random Lie algebra elements for the group tests, and the
 adjoint matrix and r-matrix cocycle of a matrix group, which only the tests
 use, and the leg-by-leg pushforward of an exact multivector along a linear map,
-the reference for the bracket-form pushforward of ``poissonkit.dirac``."""
+the reference for the bracket-form pushforward of ``poissonkit.dirac``.
+
+For ``poissonkit.liealg``: the abelian algebra and the dense image of a
+coefficient vector, which only the tests use, and two reference routes, the
+triple-by-triple Jacobi check that ``validate_lie``'s sparse sweep must agree
+with and the dense pairing-flip sweep of ``chi_check``."""
 
 import math
 import os
@@ -15,7 +20,9 @@ import pytest
 
 import poissonkit
 from poissonkit import linalg
-from poissonkit.exactalg import Poly, PolyMultiVec, wedge
+from poissonkit.exactalg import SCALAR_ONE, SCALAR_ZERO, Poly, PolyMultiVec, wedge
+from poissonkit.liealg import LieAlgebraData
+from poissonkit.report import Report
 
 
 def subprocess_env():
@@ -106,3 +113,59 @@ def pushforward_linear(mv: PolyMultiVec, a) -> PolyMultiVec:
             acc = PolyMultiVec.function(Poly.const(n, 1))
         out = out + acc * moved
     return out
+
+
+def abelian(dim: int) -> LieAlgebraData:
+    return LieAlgebraData.from_brackets([f"a{k+1}" for k in range(dim)], {}, name=f"abelian{dim}")
+
+
+def apply_vector(phi, coeffs):
+    """The image phi(u) of a coefficient vector, as a dense coefficient vector."""
+    out = [SCALAR_ZERO] * phi.target.dim
+    for i, c in phi._apply_support([(j, c) for j, c in enumerate(coeffs) if c]).items():
+        out[i] = c
+    return out
+
+
+def validate_lie_reference(g: LieAlgebraData) -> Report:
+    """``validate_lie`` triple by triple: the antisymmetry pass, then for each
+    i < j < k the sum of [[x_a, x_b], x_c] over the cyclic rotations (a, b, c),
+    by table lookups; the witness is the first failing triple."""
+    for (i, j), entry in g.table.items():
+        if i == j and any(not c.is_zero() for c in entry.values()):
+            return Report(False, reason=f"[x_{i}, x_{i}] != 0", witness=(i, i))
+        mirror = g.table.get((j, i), {})
+        for k in set(entry) | set(mirror):
+            if entry.get(k, SCALAR_ZERO) != -mirror.get(k, SCALAR_ZERO):
+                reason = f"antisymmetry fails: c_({i},{j})^{k} != -c_({j},{i})^{k}"
+                return Report(False, reason=reason, witness=(i, j, k))
+
+    def iterated(i, j, k, acc):
+        for m, c in g.table.get((i, j), {}).items():
+            for l, c2 in g.table.get((m, k), {}).items():
+                acc[l] = acc.get(l, SCALAR_ZERO) + c * c2
+
+    for i in range(g.dim):
+        for j in range(i + 1, g.dim):
+            for k in range(j + 1, g.dim):
+                acc = {}
+                iterated(i, j, k, acc)
+                iterated(j, k, i, acc)
+                iterated(k, i, j, acc)
+                if any(not c.is_zero() for c in acc.values()):
+                    return Report(False, reason="Jacobi identity fails", witness=(i, j, k))
+    return Report(True)
+
+
+def dense_pairing_flip_failures(double, chi):
+    """The pairs (i, j) of basis indices of the double, over all (2n)^2, where
+    <chi x_i, chi x_j> != -<x_i, x_j>, from full coefficient vectors."""
+    n, dim = double.n, double.sigma.dim
+
+    def pairing(u, v):
+        return sum((u[a] * v[n + a] + u[n + a] * v[a] for a in range(n)), SCALAR_ZERO)
+
+    basis = [[SCALAR_ONE if a == i else SCALAR_ZERO for a in range(dim)] for i in range(dim)]
+    images = [[chi.matrix[a][j] for a in range(dim)] for j in range(dim)]
+    return [(i, j) for i in range(dim) for j in range(dim)
+            if pairing(images[i], images[j]) + pairing(basis[i], basis[j])]

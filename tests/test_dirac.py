@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_rng, pushforward_linear
+from conftest import abelian, make_rng, pushforward_linear
 from poissonkit import linalg
 from poissonkit.cli import run_command
 from poissonkit.dirac import (
@@ -20,7 +20,7 @@ from poissonkit.dirac import (
     transverse_from_reductive,
 )
 from poissonkit.exactalg import Poly, PolyMultiVec, Scalar, schouten
-from poissonkit.liealg import abelian, builtin_algebra, lie_poisson_chart
+from poissonkit.liealg import builtin_algebra, lie_poisson_chart
 from poissonkit.dirac import _pushforward
 from poissonkit.oracle import rand_multivec
 from poissonkit.poisson import PoissonChart, jacobiator

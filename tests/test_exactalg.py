@@ -1,12 +1,15 @@
 """Exact scalar/polynomial arithmetic, the parser, and the Schouten layer."""
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_rng
+from poissonkit import exactalg, liealg, linalg
 from poissonkit.exactalg import (
     ParseError,
     Poly,
@@ -457,3 +460,32 @@ def test_eval_point_length_mismatch():
     mv = PolyMultiVec.basis(3, 0)
     with pytest.raises(ValueError):
         mv.eval([Scalar(0)])
+
+
+# -- the exact kernels stay exact --------------------------------------------------------
+
+
+@pytest.mark.parametrize("module", [exactalg, liealg, linalg], ids=lambda m: m.__name__)
+def test_exact_kernels_use_no_floats(module):
+    # no float or complex literal, no float() call and no math import; only the
+    # conversion Scalar.to_complex, the handoff to the numeric half, is exempt
+    tree = ast.parse(Path(module.__file__).read_text())
+    exempt = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and node.name == "Scalar":
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and item.name == "to_complex":
+                    exempt.update(id(sub) for sub in ast.walk(item))
+    for node in ast.walk(tree):
+        if id(node) in exempt:
+            continue
+        if isinstance(node, ast.Constant):
+            assert type(node.value) not in (float, complex), (node.lineno, node.value)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            assert node.func.id not in ("float", "complex"), node.lineno
+        elif isinstance(node, ast.Import):
+            assert not {alias.name for alias in node.names} & {"math", "cmath"}, node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            assert node.module not in ("math", "cmath"), node.lineno
+    if module is exactalg:
+        assert exempt, "Scalar.to_complex not found"

@@ -2,14 +2,17 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import abelian, apply_vector, dense_pairing_flip_failures, validate_lie_reference
 from poissonkit.exactalg import Poly, Scalar
 from poissonkit.liealg import (
     AlgElement,
     LieAlgebraData,
-    abelian,
     ad_action,
     alg_schouten,
     chi_check,
@@ -48,14 +51,14 @@ def test_validate_antisymmetry_failure():
 def test_validate_jacobi_failure_perturbed_sl2():
     g = sl_chevalley(2)
     table = {pair: dict(entry) for pair, entry in g.table.items()}
-    e, h = g.label_index("e12"), g.label_index("h1")
+    e, f, h = g.label_index("e12"), g.label_index("f12"), g.label_index("h1")
     table[(h, e)][e] = Scalar(3)  # was 2
     table[(e, h)][e] = Scalar(-3)
     bad = LieAlgebraData(g.labels, table)
     verdict = validate_lie(bad)
     assert not verdict.ok
     assert "Jacobi" in verdict.reason
-    assert verdict.witness is not None
+    assert verdict.witness == (e, f, h)
 
 
 # -- Chevalley bases --------------------------------------------------------------
@@ -329,16 +332,16 @@ def test_chi_su_doubles():
 
 
 def _per_pair_expand(matrices):
-    """Reference route: one linalg.solve per bracket pair, then a dense residual."""
+    """Reference route: dense commutators, one linalg.solve per bracket pair, then a dense residual."""
     from poissonkit import linalg
-    from poissonkit.liealg import _mat_bracket
 
     dim, n = len(matrices), len(matrices[0])
     basis_cols = [[m[r][c] for m in matrices] for r in range(n) for c in range(n)]
     brackets = {}
     for i in range(dim):
         for j in range(i + 1, dim):
-            comm = _mat_bracket(matrices[i], matrices[j])
+            x, y = matrices[i], matrices[j]
+            comm = linalg.mat_sub(linalg.mat_mul(x, y), linalg.mat_mul(y, x))
             vec = [comm[r][c] for r in range(n) for c in range(n)]
             coords = linalg.solve(basis_cols, vec)
             assert coords is not None
@@ -360,7 +363,7 @@ def test_expand_table_matches_per_pair_solves():
     algebras = [sl_chevalley(n) for n in (2, 3, 4, 5)] + [su_compact_basis(n)[0] for n in (2, 3, 4)]
     for g in algebras:
         reference = _as_text(_per_pair_expand(g.matrices))
-        assert _as_text(_expand_table(g.labels, g.matrices)) == reference, g.name
+        assert _as_text(_expand_table(g.matrices)) == reference, g.name
         assert _as_text({(i, j): e for (i, j), e in g.table.items() if i < j}) == reference, g.name
 
 
@@ -371,7 +374,7 @@ def test_expand_table_rejects_a_basis_that_misses_commutators():
     e, f = g.label_index("e12"), g.label_index("f12")
     # span{e, f} does not contain [e, f] = h
     with pytest.raises(AssertionError, match="left the span"):
-        _expand_table(["e", "f"], [g.matrices[e], g.matrices[f]])
+        _expand_table([g.matrices[e], g.matrices[f]])
 
 
 def _dense_chi_failures(double, phi):
@@ -449,7 +452,7 @@ def test_sparse_vector_routines_match_dense_formulas():
     phi = LinearAlgMap(g, g, tuple(map(tuple, rows)))
     for _ in range(20):
         u, v = vec(n), vec(n)
-        assert phi.apply_vector(u) == linalg.mat_vec(rows, u)
+        assert apply_vector(phi, u) == linalg.mat_vec(rows, u)
         dense = [Scalar(0)] * n
         for i in range(n):
             for j in range(n):
@@ -500,3 +503,139 @@ def test_double_pairing_sweep_catches_a_tampered_mixed_bracket(monkeypatch):
         drinfeld_double(g, r)
     monkeypatch.setattr(LieAlgebraData, "from_brackets", staticmethod(build))
     assert drinfeld_double(g, r).sigma.dim == 6
+
+
+# -- sparse kernels against today's routes ---------------------------------------------
+
+_SL2 = sl_chevalley(2)
+_SL3 = sl_chevalley(3)
+_PERTURBED = {
+    "sl2": _SL2,
+    "sl3": _SL3,
+    "su2": su_compact_basis(2)[0],
+    "su3": su_compact_basis(3)[0],
+    "double(sl3)": drinfeld_double(_SL3, standard_r_matrix(_SL3)).sigma,
+}
+_DELTAS = [Scalar(1), Scalar(-2), Scalar(Fraction(1, 2)), Scalar(0, 1), Scalar(1, -1)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(name=st.sampled_from(sorted(_PERTURBED)), data=st.data())
+def test_sparse_jacobi_sweep_matches_the_triple_loop(name, data):
+    # one antisymmetric pair c_ij^k, c_ji^k moves by +-delta (mostly), or c_ij^k alone;
+    # a moved constant may become zero, and a pair that was absent appears
+    g = _PERTURBED[name]
+    i, j = sorted(data.draw(st.lists(st.integers(0, g.dim - 1), min_size=2, max_size=2, unique=True)))
+    k = data.draw(st.integers(0, g.dim - 1))
+    old = g.structure_constant(i, j, k)
+    delta = data.draw(st.sampled_from(_DELTAS + ([-old] if old else [])))
+    table = {pair: dict(entry) for pair, entry in g.table.items()}
+    table.setdefault((i, j), {})[k] = old + delta
+    if data.draw(st.integers(0, 4)):
+        table.setdefault((j, i), {})[k] = -(old + delta)
+    bad = LieAlgebraData(g.labels, table)
+    got, want = validate_lie(bad), validate_lie_reference(bad)
+    assert (got.ok, got.reason, got.witness) == (want.ok, want.reason, want.witness)
+
+
+def test_sparse_jacobi_sweep_passes_every_builtin_and_double():
+    for g in _PERTURBED.values():
+        assert validate_lie(g).ok and validate_lie_reference(g).ok, g.name
+
+
+@pytest.mark.parametrize("position", ["first", "middle", "last"])
+def test_coordinates_residual_catches_a_changed_coordinate(monkeypatch, position):
+    from poissonkit import linalg
+
+    solve = linalg.solve
+
+    def off_by_one(a, b):
+        x = solve(a, b)
+        row = {"first": 0, "middle": len(x) // 2, "last": len(x) - 1}[position]
+        col = {"first": 0, "middle": len(x[row]) // 2, "last": len(x[row]) - 1}[position]
+        x[row][col] = x[row][col] + 1
+        return x
+
+    monkeypatch.setattr(linalg, "solve", off_by_one)
+    with pytest.raises(AssertionError, match="inconsistent expansion"):
+        sl_chevalley(3)
+
+
+def _pairing_flip_pairs(double, phi):
+    labels = double.sigma.labels
+    prefix = "pairing flip fails on ("
+    report = chi_check(double, phi)
+    return [tuple(labels.index(x) for x in msg[len(prefix):-1].split(", "))
+            for msg in report.witness or () if msg.startswith(prefix)]
+
+
+def _phi_from_rows(g, rows):
+    from poissonkit.liealg import LinearAlgMap
+
+    return LinearAlgMap.from_rows(g, g, rows)
+
+
+def test_pairing_flip_failures_match_the_dense_sweep():
+    from poissonkit.liealg import chi_map
+
+    dd = drinfeld_double(_SL3, standard_r_matrix(_SL3))
+    n = _SL3.dim
+    ident = [[int(i == j) for j in range(n)] for i in range(n)]
+    cases = {"identity": ident, "twice": [[2 * v for v in row] for row in ident], "transpose": None}
+    for name, rows in cases.items():
+        phi = transpose_antimorphism(_SL3) if rows is None else _phi_from_rows(_SL3, rows)
+        assert _pairing_flip_pairs(dd, phi) == dense_pairing_flip_failures(dd, chi_map(dd, phi)), name
+    assert _pairing_flip_pairs(dd, _phi_from_rows(_SL3, cases["twice"]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(entries=st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(1, 2)]), min_size=9, max_size=9))
+def test_pairing_flip_failures_match_the_dense_sweep_for_any_phi(entries):
+    from poissonkit.liealg import chi_map
+
+    dd = drinfeld_double(_SL2, standard_r_matrix(_SL2))
+    phi = _phi_from_rows(_SL2, [entries[3 * i : 3 * i + 3] for i in range(3)])
+    assert _pairing_flip_pairs(dd, phi) == dense_pairing_flip_failures(dd, chi_map(dd, phi))
+
+
+_SU2 = su_compact_basis(2)[0]
+_COEFFS = [Scalar(0), Scalar(1), Scalar(-1), Scalar(2), Scalar(Fraction(-1, 2)), Scalar(0, 1), Scalar(1, 1)]
+
+
+def _elements(g, degrees=st.integers(0, 3)):
+    """AlgElements of g through the public constructor: one coefficient per
+    increasing index tuple drawn, zeros among them, so zero elements of every degree occur."""
+
+    def build(degree):
+        keys = list(combinations(range(g.dim), degree))
+        coeffs = st.lists(st.sampled_from(_COEFFS), min_size=len(keys), max_size=len(keys))
+        return coeffs.map(lambda cs: AlgElement(g, degree, dict(zip(keys, cs))))
+
+    return degrees.flatmap(build)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=_elements(_SL2), b=_elements(_SL2))
+def test_alg_element_equal_elements_hash_equal(a, b):
+    if a == b:
+        assert hash(a) == hash(b)
+    assert (a == b) == (a.comps == b.comps)
+
+
+def test_zeros_of_every_degree_are_one_set_member():
+    g = _SL2
+    zeros = {AlgElement.zero(g, d) for d in range(4)} | {AlgElement.basis(g, 0) - AlgElement.basis(g, 0)}
+    assert len(zeros) == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(g=st.sampled_from([_SL2, _SU2]), data=st.data())
+def test_internal_results_are_valid_alg_elements(g, data):
+    a = data.draw(_elements(g))
+    b = data.draw(_elements(g, st.just(a.degree)))
+    c = data.draw(st.sampled_from(_COEFFS + [0, 3, Fraction(2, 3)]))
+    results = [a.wedge(b), alg_schouten(a, b), a + b, a - b, -a, a + a, a - a, a * c, c * b]
+    results.append(AlgElement.from_terms(g, a.degree, [(idxs[::-1], coeff) for idxs, coeff in a.comps.items()]))
+    for x in results:
+        assert all(isinstance(coeff, Scalar) and coeff for coeff in x.comps.values())
+        assert AlgElement(g, x.degree, x.comps) == x
