@@ -310,9 +310,8 @@ def validate_lie(g: LieAlgebraData) -> Report:
             if entry.get(k, SCALAR_ZERO) != -mirror.get(k, SCALAR_ZERO):
                 reason = f"antisymmetry fails: c_({i},{j})^{k} != -c_({j},{i})^{k}"
                 return Report(False, reason=reason, witness=(i, j, k))
-    # The Jacobiator of i < j < k is the sum of [[x_a, x_b], x_c] over the cyclic
-    # rotations (a, b, c) of (i, j, k); one sweep adds each product c_ab^m c_mc^l,
-    # in raw parts, to the sorted triple of which (a, b, c) is a cyclic rotation.
+    # The Jacobiator of i < j < k sums [[x_a, x_b], x_c] over the cyclic rotations (a, b, c)
+    # of (i, j, k): one sweep adds each product c_ab^m c_mc^l, in raw parts, to its triple.
     rows: dict[int, list] = {}  # m -> [(c, [(l, re, im) of c_mc^l])]
     for (m, c), entry in g.table.items():
         rows.setdefault(m, []).append((c, [(l, v.re, v.im) for l, v in entry.items()]))
@@ -321,10 +320,15 @@ def validate_lie(g: LieAlgebraData) -> Report:
         for m, v in entry.items():
             vr, vi = v.re, v.im
             for c, terms in rows.get(m, ()):
-                # a cyclic rotation of its sorted triple; a repeated index never is
-                if (a < b) + (b < c) + (c < a) != 2:
+                if a < b < c:
+                    key = (a, b, c)
+                elif b < c < a:
+                    key = (b, c, a)
+                elif c < a < b:
+                    key = (c, a, b)
+                else:  # not a cyclic rotation of its sorted triple, or an index repeats
                     continue
-                acc = jacobiators.setdefault(tuple(sorted((a, b, c))), {})
+                acc = jacobiators.setdefault(key, {})
                 for l, wr, wi in terms:
                     part = acc.setdefault(l, [0, 0])
                     part[0] += vr * wr - vi * wi
@@ -634,7 +638,7 @@ def _antimorphism_failures(g: LieAlgebraData, phi: LinearAlgMap, i: int) -> list
     images = phi._column_support
     failures = []
     for j in range(i + 1, g.dim):
-        lhs = phi._apply_support(g._bracket_supports([(i, SCALAR_ONE)], [(j, SCALAR_ONE)]).items())
+        lhs = phi._apply_support(g.table.get((i, j), {}).items())  # [x_i, x_j] is a table entry
         rhs = g._bracket_supports(images[i], images[j])
         if lhs != {k: -c for k, c in rhs.items()}:
             failures.append(j)
@@ -678,12 +682,9 @@ class DrinfeldDouble:
 
     def pairing(self, u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
         """Canonical pairing <X + xi, Y + eta> = xi(Y) + eta(X)."""
-        return self._pair_supports(_support(u), dict(_support(v)))
-
-    def _pair_supports(self, u: list, v: dict) -> Scalar:
-        """``pairing`` on the nonzero entries of u, and of v as {index: coefficient}."""
+        v = dict(_support(v))
         total = SCALAR_ZERO
-        for a, ua in u:
+        for a, ua in _support(u):
             vb = v.get(self.dual_index(a))
             if vb is not None:
                 total = total + ua * vb
