@@ -6,9 +6,8 @@ use, and the leg-by-leg pushforward of an exact multivector along a linear map,
 the reference for the bracket-form pushforward of ``poissonkit.dirac``.
 
 For ``poissonkit.liealg``: the abelian algebra and the dense image of a
-coefficient vector, which only the tests use, and two reference routes, the
-triple-by-triple Jacobi check that ``validate_lie``'s sparse sweep must agree
-with and the dense pairing-flip sweep of ``chi_check``."""
+coefficient vector, which only the tests use, and the triple-by-triple Jacobi
+check that ``validate_lie``'s sparse sweep must agree with."""
 
 import math
 import os
@@ -20,7 +19,7 @@ import pytest
 
 import poissonkit
 from poissonkit import linalg
-from poissonkit.exactalg import SCALAR_ONE, SCALAR_ZERO, Poly, PolyMultiVec, wedge
+from poissonkit.exactalg import SCALAR_ZERO, Poly, PolyMultiVec, wedge
 from poissonkit.liealg import LieAlgebraData
 from poissonkit.report import Report
 
@@ -156,16 +155,3 @@ def validate_lie_reference(g: LieAlgebraData) -> Report:
                     return Report(False, reason="Jacobi identity fails", witness=(i, j, k))
     return Report(True)
 
-
-def dense_pairing_flip_failures(double, chi):
-    """The pairs (i, j) of basis indices of the double, over all (2n)^2, where
-    <chi x_i, chi x_j> != -<x_i, x_j>, from full coefficient vectors."""
-    n, dim = double.n, double.sigma.dim
-
-    def pairing(u, v):
-        return sum((u[a] * v[n + a] + u[n + a] * v[a] for a in range(n)), SCALAR_ZERO)
-
-    basis = [[SCALAR_ONE if a == i else SCALAR_ZERO for a in range(dim)] for i in range(dim)]
-    images = [[chi.matrix[a][j] for a in range(dim)] for j in range(dim)]
-    return [(i, j) for i in range(dim) for j in range(dim)
-            if pairing(images[i], images[j]) + pairing(basis[i], basis[j])]
