@@ -42,7 +42,9 @@ print("double dim:", dd.sigma.dim, "| chi conditions:", chi_check(dd, phi).ok)
 # t_m = i h_m with real rational constants, and the compact r-matrix.
 k, r_hat = su_compact_basis(3)
 print("\nsu3 validates:", validate_lie(k).ok)
-print("su3 symmetric bialgebra:", symmetric_bialgebra_check(k, r_hat, transpose_antimorphism(k)).ok)
+# symmetric_bialgebra_check checks only what phi adds; the r-matrix condition is coboundary_check's.
+phi_k = transpose_antimorphism(k)
+print("su3 symmetric bialgebra:", bool(coboundary_check(k, r_hat) and symmetric_bialgebra_check(k, r_hat, phi_k)))
 
 # Dynamical r-matrices over the dual Cartan: the trigonometric family uses
 # coth, its rational degeneration 1/x.  The compatibility residual

@@ -84,6 +84,8 @@ def _header(text: str, names_key: str, noun: str) -> tuple[int, list[str], list[
                 dim = int(rest)
             except ValueError:
                 raise ChartFileError(f"bad dimension {rest!r}", lineno) from None
+            if dim < 1:  # a space of no coordinates: every check would pass on nothing
+                raise ChartFileError(f"bad dimension {rest!r}: must be at least 1", lineno)
         elif head == names_key:
             names, names_line = rest.split(), lineno
             if len(set(names)) != len(names):
@@ -140,6 +142,8 @@ def parse_chart_text(text: str, check_jacobi: bool = True) -> tuple[PoissonChart
             if lhs.strip() != "x":
                 raise ChartFileError("expected 'submanifold x = <names>'", lineno)
             sub_names = names.split()
+            if not sub_names:  # Q would be a point, and the criterion would check nothing
+                raise ChartFileError("submanifold must name at least one coordinate", lineno)
             sub_line = lineno
         else:
             raise ChartFileError(f"unknown directive {head!r}", lineno)
@@ -213,8 +217,9 @@ def parse_algebra_text(text: str, name: str = "") -> LieAlgebraData:
             entry[k] = coeff if sign == 1 else -coeff
     g = LieAlgebraData.from_brackets(labels, brackets, name=name)
     verdict = validate_lie(g)
-    if not verdict:
-        raise ChartFileError(f"structure constants invalid: {verdict.reason}", 0)
+    if not verdict:  # the witness is an index tuple: for Jacobi, the smallest failing triple
+        where = ", ".join(labels[i] for i in verdict.witness)
+        raise ChartFileError(f"structure constants invalid: {verdict.reason} on ({where})", 0)
     return g
 
 

@@ -57,7 +57,6 @@ __all__ = [
     "DynamicalRFamily",
     "NearSingular",
     "structure_tensor",
-    "rr_bracket",
     "eval_r",
     "r_derivative",
     "cdybe_residual",
@@ -209,26 +208,11 @@ def _cyclic(n: np.ndarray) -> np.ndarray:
     return t
 
 
-def rr_bracket(C: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """[r, r] for the bivector with antisymmetric matrix R, as an antisymmetric dim^3 tensor."""
-    return 2.0 * _cyclic(_m_tensor(C, R))
-
-
-def _ad_defect(C: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """[x_b, t] for every basis element b, stacked on the first axis (t an antisymmetric trivector).
-
-    ad_{x_b} acts as a derivation; by the antisymmetry of t its second- and
-    third-slot terms are cyclic transposes of the first-slot term.
-    """
-    first = np.einsum("bil,ijk->bljk", C, t)
-    return first + first.transpose(0, 2, 3, 1) + first.transpose(0, 3, 1, 2)
-
-
 def _max_ad_defect(C: np.ndarray, t: np.ndarray) -> float:
-    """Largest |entry| of ``_ad_defect(C, t)`` on strictly increasing triples,
-    over a stack of trivectors t.  One b at a time, with R_jkl = sum_i C_bi^l t_ijk
-    the entry at i < j < k is R_jki + R_ijk + R_kij, so the dim^4 tensor (0.4 MB
-    a sample at dim 15) is never built."""
+    """Largest |coefficient| of [x_b, t] over every basis element b and strictly
+    increasing triple, over a stack of trivectors t.  One b at a time, with
+    R_jkl = sum_i C_bi^l t_ijk the coefficient at i < j < k is R_jki + R_ijk + R_kij,
+    so the dim^4 tensor of all [x_b, t] (0.4 MB a sample at dim 15) is never built."""
     i, j, k = _increasing(t.shape[-1], 3)
     worst = 0.0
     for cb in C:

@@ -1,9 +1,13 @@
 """Exact Lie-algebra infrastructure.
 
-Structure constants are stored exactly; every constructor is guarded by
-``validate_lie``.  Chevalley bases of sl(n) use elementary matrices, so the
-trace form gives (e_a, f_a) = 1 for every positive root; compact real forms
-su(n) are stored over real rational structure constants by construction.
+Structure constants are stored exactly.  The matrix constructors
+(``sl_chevalley``, ``su_compact_basis``) are guarded by the expansion
+residual in ``_coordinates``: every commutator must expand back exactly in
+the basis.  ``so3`` is written out by hand.  The test suite runs
+``validate_lie`` on all of them; algebra files and doubles run it when they
+are built.  Chevalley bases of sl(n) use elementary matrices, so the trace
+form gives (e_a, f_a) = 1 for every positive root; compact real forms su(n)
+are stored over real rational structure constants by construction.
 
 The algebraic Schouten bracket on wedge powers of g is the pair-sum formula
 
@@ -618,12 +622,17 @@ def _failures_report(failures: list[str]) -> Report:
     return Report(not failures, reason="; ".join(failures), witness=tuple(failures) if failures else None)
 
 
-def coboundary_check(g: LieAlgebraData, r: AlgElement) -> Report:
-    """Verify that [r, r] is ad-invariant: [x_b, [r, r]] = 0 for all b."""
+def _check_bivector(g: LieAlgebraData, r: AlgElement) -> None:
+    """Raise ValueError unless r is an element of Lambda^2 g (a zero of any degree counts)."""
     if r.algebra is not g:
         raise ValueError("r does not live in g")
     if r.degree != 2 and not r.is_zero():
         raise ValueError("r must be a bivector")
+
+
+def coboundary_check(g: LieAlgebraData, r: AlgElement) -> Report:
+    """Verify that [r, r] is ad-invariant: [x_b, [r, r]] = 0 for all b."""
+    _check_bivector(g, r)
     cyb = alg_schouten(r, r)
     failures = []
     for b in range(g.dim):
@@ -646,10 +655,15 @@ def _antimorphism_failures(g: LieAlgebraData, phi: LinearAlgMap, i: int) -> list
 
 
 def symmetric_bialgebra_check(g: LieAlgebraData, r: AlgElement, phi: LinearAlgMap) -> Report:
-    """phi is an involutive anti-morphism with phi r = -r, over a coboundary r."""
-    failures = list(coboundary_check(g, r).witness or ())
+    """phi is an involutive anti-morphism with phi r = -r.
+
+    It checks only what phi adds to the bialgebra: whether r is an r-matrix
+    is ``coboundary_check``'s question, which the caller asks once.
+    """
+    _check_bivector(g, r)
     if phi.source is not g or phi.target is not g:
         raise ValueError("phi must be an endomorphism of g")
+    failures = []
     if not phi.is_involution():
         failures.append("phi^2 != id")
     for i in range(g.dim):
@@ -694,12 +708,14 @@ class DrinfeldDouble:
 def drinfeld_double(g: LieAlgebraData, r: AlgElement) -> DrinfeldDouble:
     """The double sigma = g + g* of the coboundary bialgebra (g, delta = [., r]).
 
-    The construction must always produce a Lie algebra; a failed Jacobi sweep
-    aborts, since it can only signal a convention bug.
+    sigma is a Lie algebra exactly when delta is a Lie bialgebra, that is,
+    when [r, r] is ad-invariant (Drinfeld; Chari-Pressley, A Guide to Quantum
+    Groups, 2.1).  So the exhaustive Jacobi sweep of sigma is a second route
+    to ``coboundary_check``, and only a failed sweep runs that check, to tell
+    the two causes apart: an r that is not an r-matrix raises ValueError, and
+    an r-matrix whose double fails is a convention bug (AssertionError).
     """
-    report = coboundary_check(g, r)
-    if not report:
-        raise ValueError(f"r is not an r-matrix: {report.reason}")
+    _check_bivector(g, r)
     n = g.dim
     labels = list(g.labels) + [f"{name}*" for name in g.labels]
 
@@ -722,6 +738,9 @@ def drinfeld_double(g: LieAlgebraData, r: AlgElement) -> DrinfeldDouble:
     sigma = LieAlgebraData.from_brackets(labels, brackets, name=f"double({g.name or 'g'})")
     verdict = validate_lie(sigma)
     if not verdict:
+        report = coboundary_check(g, r)
+        if not report:
+            raise ValueError(f"r is not an r-matrix: {report.reason}")
         raise AssertionError(f"double failed validate_lie ({verdict.reason}); convention bug")
 
     r_sigma = AlgElement.from_terms(sigma, 2, [((i, n + i), SCALAR_ONE) for i in range(n)])

@@ -27,7 +27,6 @@ __all__ = [
     "is_casimir",
     "modular_vf",
     "relative_modular",
-    "contract_forms",
 ]
 
 
@@ -197,30 +196,3 @@ def relative_modular(submanifold) -> Report:
     holds = (pr_nu_p - nu_q) == nu_r
     return Report(holds, {"nu_r": nu_r, "pr_nu_P": pr_nu_p, "nu_Q": nu_q, "chart_q": chart_q},
                   reason="" if holds else "nu_r != pr_* nu_P - nu_Q")
-
-
-def contract_forms(mv: PolyMultiVec, functions: Sequence[Poly]) -> Poly:
-    """mv(df_1, ..., df_k): full contraction with exact differentials."""
-    k = mv.degree
-    if len(functions) != k:
-        raise ValueError("need exactly deg(mv) functions")
-    grads = [[f.diff(i) for i in range(mv.dim)] for f in functions]
-    total = Poly.zero(mv.dim)
-    for idxs, poly in mv.comps.items():
-        det = _det([[grads[a][idxs[b]] for b in range(k)] for a in range(k)], mv.dim)
-        total = total + poly * det
-    return total
-
-
-def _det(rows: list[list[Poly]], nvars: int) -> Poly:
-    n = len(rows)
-    if n == 0:
-        return Poly.const(nvars, 1)
-    if n == 1:
-        return rows[0][0]
-    total = Poly.zero(nvars)
-    for j in range(n):
-        minor = [row[:j] + row[j + 1 :] for row in rows[1:]]
-        term = rows[0][j] * _det(minor, nvars)
-        total = total + term if j % 2 == 0 else total - term
-    return total

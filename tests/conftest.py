@@ -1,13 +1,19 @@
 """The seeded random source for the property tests (the generators it feeds
 are in ``poissonkit.oracle``), the environment for tests that start a
-Python subprocess, random Lie algebra elements for the group tests, and the
-adjoint matrix and r-matrix cocycle of a matrix group, which only the tests
-use, and the leg-by-leg pushforward of an exact multivector along a linear map,
-the reference for the bracket-form pushforward of ``poissonkit.dirac``.
+Python subprocess, a call counter for a module's functions, random Lie
+algebra elements for the group tests, and the adjoint matrix and r-matrix
+cocycle of a matrix group, which only the tests use, and the leg-by-leg
+pushforward of an exact multivector along a linear map, the reference for
+the bracket-form pushforward of ``poissonkit.dirac``.
 
 For ``poissonkit.liealg``: the abelian algebra and the dense image of a
 coefficient vector, which only the tests use, and the triple-by-triple Jacobi
-check that ``validate_lie``'s sparse sweep must agree with."""
+check that ``validate_lie``'s sparse sweep must agree with.
+
+For ``poissonkit.dynr``: [r, r] and every [x_b, t] on dense arrays, the
+references for the exact ``alg_schouten`` and the scan's invariance defect.
+For ``poissonkit.poisson``: the full contraction of a multivector with
+exact differentials, by a cofactor expansion."""
 
 import math
 import os
@@ -18,7 +24,7 @@ import numpy as np
 import pytest
 
 import poissonkit
-from poissonkit import linalg
+from poissonkit import dynr, linalg
 from poissonkit.exactalg import SCALAR_ZERO, Poly, PolyMultiVec, wedge
 from poissonkit.liealg import LieAlgebraData
 from poissonkit.report import Report
@@ -44,6 +50,17 @@ def assert_pass_rule(check, bounded, seed, samples):
     t = max(rep.values[key] for key in bounded)
     assert check(t).ok
     assert not check(math.nextafter(t, 0.0)).ok
+
+
+def counted_calls(monkeypatch, module, names):
+    """Count the calls of module.<name> for each name, including calls from inside the module."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        def counting(*args, _name=name, _fn=getattr(module, name), **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counting)
+    return counts
 
 
 def make_rng(seed):
@@ -155,3 +172,44 @@ def validate_lie_reference(g: LieAlgebraData) -> Report:
                     return Report(False, reason="Jacobi identity fails", witness=(i, j, k))
     return Report(True)
 
+
+def rr_bracket(C: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """[r, r] for the bivector with antisymmetric matrix R, as an antisymmetric dim^3 tensor."""
+    return 2.0 * dynr._cyclic(dynr._m_tensor(C, R))
+
+
+def _ad_defect(C: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """[x_b, t] for every basis element b, stacked on the first axis (t an antisymmetric trivector).
+
+    ad_{x_b} acts as a derivation; by the antisymmetry of t its second- and
+    third-slot terms are cyclic transposes of the first-slot term.
+    """
+    first = np.einsum("bil,ijk->bljk", C, t)
+    return first + first.transpose(0, 2, 3, 1) + first.transpose(0, 3, 1, 2)
+
+
+def contract_forms(mv: PolyMultiVec, functions) -> Poly:
+    """mv(df_1, ..., df_k): full contraction with exact differentials."""
+    k = mv.degree
+    if len(functions) != k:
+        raise ValueError("need exactly deg(mv) functions")
+    grads = [[f.diff(i) for i in range(mv.dim)] for f in functions]
+    total = Poly.zero(mv.dim)
+    for idxs, poly in mv.comps.items():
+        det = _det([[grads[a][idxs[b]] for b in range(k)] for a in range(k)], mv.dim)
+        total = total + poly * det
+    return total
+
+
+def _det(rows: list[list[Poly]], nvars: int) -> Poly:
+    n = len(rows)
+    if n == 0:
+        return Poly.const(nvars, 1)
+    if n == 1:
+        return rows[0][0]
+    total = Poly.zero(nvars)
+    for j in range(n):
+        minor = [row[:j] + row[j + 1 :] for row in rows[1:]]
+        term = rows[0][j] * _det(minor, nvars)
+        total = total + term if j % 2 == 0 else total - term
+    return total

@@ -15,7 +15,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import algebra_element
+from conftest import _ad_defect, algebra_element
 from poissonkit import dynr, groupnum, report
 from poissonkit.groupnum import TOL_CROSS, TOL_MEMBER, InvolutionSpec, TangentBivector
 from poissonkit.liealg import LinearAlgMap, sl_chevalley, transpose_antimorphism
@@ -172,7 +172,7 @@ def _ref_residual_scan(family, samples, seed, tol=1e-7):
         if first is None:
             first = res
         spread = max(spread, dynr._max_upper(res - first, 3))
-        invariance = max(invariance, dynr._max_upper(dynr._ad_defect(C, res), 3))
+        invariance = max(invariance, dynr._max_upper(_ad_defect(C, res), 3))
     values = {"algebra": family.algebra.name, "family": family.kind, "spread": spread,
               "invariance_defect": invariance, "derivative_defect": deriv_defect, "tol": tol}
     return Report(max(spread, invariance, deriv_defect) <= tol, values, seed=seed, samples=samples)

@@ -18,13 +18,15 @@ import poissonkit
 from poissonkit.chartio import (
     ChartFileError,
     emit_chart,
+    fixture_path,
     list_fixtures,
     load_algebra,
+    parse_algebra_text,
     parse_chart_file,
     parse_chart_text,
 )
 from poissonkit.cli import _build_parser, run_command
-from poissonkit.liealg import builtin_algebra, lie_poisson_chart, validate_lie
+from poissonkit.liealg import LieAlgebraData, builtin_algebra, lie_poisson_chart, validate_lie
 
 
 # -- chart files -----------------------------------------------------------------
@@ -73,6 +75,20 @@ def test_parse_error_carries_line():
 def test_so3_fixture_matches_builtin():
     chart, _ = parse_chart_file("so3.chart")
     assert chart == lie_poisson_chart(builtin_algebra("so3"))
+
+
+def test_algebra_jacobi_error_names_the_failing_triple():
+    # the message names validate_lie's witness, the smallest failing triple, by its labels
+    sl3 = load_algebra("sl3.alg")
+    brackets = {(i, j): dict(entry) for (i, j), entry in sl3.table.items() if i < j}
+    e12, f12, h1 = (sl3.label_index(name) for name in ("e12", "f12", "h1"))
+    brackets[(e12, f12)][h1] = brackets[(e12, f12)][h1] * 2
+    verdict = validate_lie(LieAlgebraData.from_brackets(sl3.labels, brackets))
+    names = ", ".join(sl3.labels[i] for i in verdict.witness)
+    assert names == "e12, e13, f12"
+    with pytest.raises(ChartFileError) as err:
+        parse_algebra_text(BAD_FILES["nonjacobi.alg"])  # sl3.alg with c e12 f12 h1 = 2
+    assert str(err.value) == f"line 0: structure constants invalid: Jacobi identity fails on ({names})"
 
 
 def test_algebra_fixture_files_validate():
@@ -192,8 +208,12 @@ BAD_FILES = {
     "volume_y.chart": "dim 2\ncoords x y\nbracket x y = y\nvolume = y\nsubmanifold x = x\n",
     "zerodenominator.chart": "dim 2\ncoords x y\nbracket x y = 1/0\n",
     "superscript.chart": "dim 3\ncoords x y z\nbracket x y = ²*z\n",
+    "emptysub.chart": "dim 2\ncoords x y\nbracket x y = 1\nsubmanifold x =\n",
+    "dim0.chart": "dim 0\ncoords\n",
     "dimx.alg": "dim x\nlabels a b\n",
+    "dim0.alg": "dim 0\nlabels\n",
     "zerodenominator.alg": "dim 2\nlabels a b\nc a b a = 1/0\n",
+    "nonjacobi.alg": fixture_path("sl3.alg").read_text().replace("c e12 f12 h1 = 1", "c e12 f12 h1 = 2"),
 }
 # files that are not UTF-8 text, written as bytes
 BAD_BYTES = {
@@ -277,7 +297,13 @@ def _write_bad_files(directory):
     (["lie", "validate", "."], "cannot read .: Is a directory"),
     (["dirac", "affine-lie", "--algebra", ".", "--l", "a", "--m", "b", "--mu", "0,0"], "cannot read .: Is a directory"),
     (["check", "jacobi", "latin1.chart"], "cannot read latin1.chart: 'utf-8' codec can't decode byte 0xff in position 31"),
-    (["lie", "validate", "latin1.alg"], "cannot read latin1.alg: 'utf-8' codec can't decode byte 0xff in position 27"),
+    (["lie", "validate", "latin1.alg"], "cannot read latin1.alg: 'utf-8' codec can't decode byte 0xff in position 27"),    (["dirac", "aligned", "emptysub.chart"], "line 4: submanifold must name at least one coordinate"),
+    (["modular", "relative", "emptysub.chart"], "line 4: submanifold must name at least one coordinate"),
+    (["check", "jacobi", "dim0.chart"], "line 1: bad dimension '0': must be at least 1"),
+    (["check", "casimir", "dim0.chart", "--f", "1"], "line 1: bad dimension '0': must be at least 1"),
+    (["lie", "validate", "dim0.alg"], "line 1: bad dimension '0': must be at least 1"),
+    (["oracle", "alg", "--algebra", "dim0.alg"], "line 1: bad dimension '0': must be at least 1"),
+    (["lie", "validate", "nonjacobi.alg"], "structure constants invalid: Jacobi identity fails on (e12, e13, f12)"),
 ])
 def test_bad_input_is_a_usage_error(argv, needle, capsys, tmp_path, monkeypatch):
     # each of these used to exit 1, as if a verification had failed, to pass having checked nothing,
@@ -485,7 +511,8 @@ FUZZ_POOLS = {
     "chart": ["dubrovin3.chart", "so3.chart", "product22.chart", "product22_bad.chart", "relmod2.chart",
               "slice_family.chart", "missing.chart",
               *(name for name in BAD_FILES if name.endswith(".chart")), ".", "latin1.chart"],
-    "algebra": ["sl2", "su2", "so3", "missing.alg", "dimx.alg", "zerodenominator.alg", ".", "latin1.alg"],
+    "algebra": ["sl2", "su2", "so3", "missing.alg", *(name for name in BAD_FILES if name.endswith(".alg")), ".",
+                "latin1.alg"],
     "samples": ["0", "1", "2", "3", "x"],
     "pairs": ["0", "1", "2", "3", "x"],
     "dim": ["0", "1", "3"],

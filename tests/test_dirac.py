@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import abelian, make_rng, pushforward_linear
+from conftest import abelian, counted_calls, make_rng, pushforward_linear
 from poissonkit import linalg
 from poissonkit.cli import run_command
 from poissonkit.dirac import (
@@ -285,21 +285,10 @@ def test_pushforward_matches_leg_wedge_reference(dim, seed):
     assert _pushforward(chart, a, linalg.inverse(a)) == pushforward_linear(pi, a)
 
 
-def _counted(monkeypatch, module, names):
-    """Count the calls of module.<name> for each name, including calls from inside the module."""
-    counts = dict.fromkeys(names, 0)
-    for name in names:
-        def counting(*args, _name=name, _fn=getattr(module, name), **kwargs):
-            counts[_name] += 1
-            return _fn(*args, **kwargs)
-        monkeypatch.setattr(module, name, counting)
-    return counts
-
-
 def test_fixed_locus_runs_three_eliminations_and_one_inverse(monkeypatch, capsys):
     # the two eigenspaces take one elimination each and P^-1 the third; S is its own inverse,
     # and P is already held, so neither is inverted
-    counts = _counted(monkeypatch, linalg, ("rref", "inverse"))
+    counts = counted_calls(monkeypatch, linalg, ("rref", "inverse"))
     assert run_command(["dirac", "fixed-locus", "so3.chart", "--matrix=-1,0,0;0,-1,0;0,0,1"])[0] == 0
     assert "fixed_dim" in capsys.readouterr().out
     assert counts == {"rref": 3, "inverse": 1}
@@ -307,7 +296,7 @@ def test_fixed_locus_runs_three_eliminations_and_one_inverse(monkeypatch, capsys
 
 def test_affine_lie_runs_one_elimination(monkeypatch, capsys):
     # the inverse of the basis matrix also decides that the vectors form a basis
-    counts = _counted(monkeypatch, linalg, ("rref",))
+    counts = counted_calls(monkeypatch, linalg, ("rref",))
     assert run_command(["dirac", "affine-lie", "--algebra", "so3", "--l", "x3", "--m", "x1,x2", "--mu", "0,0,1"])[0] == 0
     assert counts == {"rref": 1}
     counts["rref"] = 0

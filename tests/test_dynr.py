@@ -7,17 +7,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import assert_pass_rule, make_rng
+from conftest import _ad_defect, assert_pass_rule, make_rng, rr_bracket
 from poissonkit.dynr import (
     DynamicalRFamily,
     NearSingular,
-    _ad_defect,
     cdybe_residual,
     equivariance_check,
     eval_r,
     r_derivative,
     residual_scan,
-    rr_bracket,
     structure_tensor,
 )
 from poissonkit.exactalg import Scalar

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import abelian, apply_vector, validate_lie_reference
+from conftest import abelian, apply_vector, counted_calls, validate_lie_reference
+from poissonkit import liealg
+from poissonkit.cli import run_command
 from poissonkit.exactalg import Poly, Scalar
 from poissonkit.liealg import (
     AlgElement,
@@ -299,6 +301,64 @@ def test_double_dual_block_jacobi():
                 table[(i - n, j - n)] = sub_entry
     dual = LieAlgebraData([f"{x}*" for x in g.labels], table)
     assert validate_lie(dual).ok
+
+
+# the double is a Lie algebra exactly when [r, r] is ad-invariant; on sl2, su2 and so3 every
+# r in Lambda^2 g is an r-matrix (Lambda^3 g is the invariant line), on sl3 most sparse r are not
+_R_ALGEBRAS = {name: (g, standard_r_matrix(g)) for name, g in (("sl2", sl_chevalley(2)), ("sl3", sl_chevalley(3)))}
+_R_ALGEBRAS.update(su2=su_compact_basis(2), so3=(so3(), None))  # (algebra, standard r); so3 has none
+_GAUSSIAN_INTEGERS = [Scalar(1), Scalar(-1), Scalar(2), Scalar(0, 1), Scalar(1, -1), Scalar(-3, 2)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(name=st.sampled_from(sorted(_R_ALGEBRAS)), kind=st.sampled_from(["zero", "standard", "sparse"]),
+       data=st.data())
+def test_double_raises_exactly_when_r_is_not_an_r_matrix(name, kind, data):
+    g, standard = _R_ALGEBRAS[name]
+    if kind == "zero":
+        r = AlgElement.zero(g, 2)
+    elif kind == "standard" and standard is not None:
+        r = standard * data.draw(st.sampled_from(_GAUSSIAN_INTEGERS))
+    else:
+        keys = data.draw(st.lists(st.sampled_from(list(combinations(range(g.dim), 2))), min_size=1, max_size=3,
+                                  unique=True))
+        r = AlgElement(g, 2, {key: data.draw(st.sampled_from(_GAUSSIAN_INTEGERS)) for key in keys})
+    cob = coboundary_check(g, r)
+    if cob.ok:
+        assert validate_lie(drinfeld_double(g, r).sigma).ok
+    else:
+        with pytest.raises(ValueError) as err:
+            drinfeld_double(g, r)
+        assert str(err.value) == f"r is not an r-matrix: {cob.reason}"
+
+
+def test_double_of_a_non_r_matrix_raises_value_error():
+    g = sl_chevalley(3)
+    r = AlgElement(g, 2, {(g.label_index("e12"), g.label_index("f12")): Scalar(1)})
+    cob = coboundary_check(g, r)
+    assert not cob.ok
+    with pytest.raises(ValueError) as err:
+        drinfeld_double(g, r)
+    assert str(err.value) == f"r is not an r-matrix: {cob.reason}"
+
+
+def test_double_rejects_r_that_is_not_a_bivector_of_g():
+    g = sl_chevalley(2)
+    with pytest.raises(ValueError, match="^r does not live in g$"):
+        drinfeld_double(g, standard_r_matrix(sl_chevalley(2)))
+    with pytest.raises(ValueError, match="^r must be a bivector$"):
+        drinfeld_double(g, AlgElement(g, 3, {(0, 1, 2): Scalar(1)}))
+
+
+@pytest.mark.parametrize("name", ["sl2", "sl3", "sl4", "su2", "su3"])
+def test_lie_bialgebra_checks_the_r_matrix_once(name, monkeypatch, capsys):
+    # the double's Jacobi sweep is the second route to the r-matrix condition, so only the handler
+    # runs coboundary_check; alg_schouten runs for [r, r], its dim ad-actions and the dim cobrackets
+    counts = counted_calls(monkeypatch, liealg, ("coboundary_check", "alg_schouten"))
+    code, report = run_command(["lie", "bialgebra", "--algebra", name])
+    assert code == 0 and "pass" in capsys.readouterr().out
+    dim = report.values["double_dim"] // 2
+    assert counts == {"coboundary_check": 1, "alg_schouten": 2 * dim + 1}
 
 
 # -- chi -----------------------------------------------------------------------------

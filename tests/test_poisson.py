@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import make_rng
+from conftest import contract_forms, make_rng
 from poissonkit.chartio import parse_chart_text
 from poissonkit.dirac import AlignedSubmanifold
 from poissonkit.exactalg import Poly, PolyMultiVec, Scalar, schouten
@@ -14,7 +14,6 @@ from poissonkit.poisson import (
     PoissonChart,
     UnsupportedDensity,
     bracket,
-    contract_forms,
     hamiltonian_vf,
     is_casimir,
     jacobiator,
