@@ -46,10 +46,11 @@ __all__ = [
 
 
 class ChartFileError(InvalidInput):
-    """A structured-text parse error carrying a line number."""
+    """A structured-text parse error carrying its line number, or None for an
+    error of the whole file, whose message then names no line."""
 
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
+    def __init__(self, message: str, line: int | None = None):
+        super().__init__(message if line is None else f"line {line}: {message}")
         self.line = line
 
 
@@ -157,7 +158,7 @@ def parse_chart_text(text: str, check_jacobi: bool = True) -> tuple[PoissonChart
             key, witness = sorted(jac.comps.items())[0]
             names = ", ".join(coords[i] for i in key)
             raise ChartFileError(
-                f"bracket is not Poisson: Jacobiator component ({names}) = {print_poly(witness, coords)}", 0
+                f"bracket is not Poisson: Jacobiator component ({names}) = {print_poly(witness, coords)}"
             )
 
     sub = None
@@ -219,7 +220,7 @@ def parse_algebra_text(text: str, name: str = "") -> LieAlgebraData:
     verdict = validate_lie(g)
     if not verdict:  # the witness is an index tuple: for Jacobi, the smallest failing triple
         where = ", ".join(labels[i] for i in verdict.witness)
-        raise ChartFileError(f"structure constants invalid: {verdict.reason} on ({where})", 0)
+        raise ChartFileError(f"structure constants invalid: {verdict.reason} on ({where})")
     return g
 
 

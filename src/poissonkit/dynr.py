@@ -35,8 +35,8 @@ range over strictly increasing index tuples.
 
 Batching.  ``pairings``, ``eval_r``, ``r_derivative`` and ``cdybe_residual``
 also take a stack of lambda, shape (..., rank), and return one result per
-lambda; ``residual_scan`` and ``equivariance_check`` run their samples through
-them in blocks, by ``report.sample_blocks``.
+lambda; ``residual_scan`` runs its samples through them in blocks, by
+``report.sample_blocks``.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .exactalg import Scalar
-from .liealg import LieAlgebraData, LinearAlgMap
+from .liealg import LieAlgebraData
 from .report import Report, sample_blocks, sample_rngs
 
 __all__ = [
@@ -61,7 +61,6 @@ __all__ = [
     "r_derivative",
     "cdybe_residual",
     "residual_scan",
-    "equivariance_check",
 ]
 
 SINGULAR_GUARD = 1e-3
@@ -306,36 +305,3 @@ def residual_scan(family: DynamicalRFamily, samples: int = 10, seed: int = 0, to
         "tol": tol,
     }
     return Report(max(spread, invariance, deriv_defect) <= tol, values, seed=seed, samples=samples)
-
-
-def equivariance_check(
-    family: DynamicalRFamily,
-    s: LinearAlgMap,
-    samples: int = 10,
-    seed: int = 0,
-    tol: float = 1e-10,
-) -> Report:
-    """max over samples of || (Lambda^2 s) r(lambda) + r(s_h* lambda) ||, as
-    ``values["defect"]``; the report passes iff it is at most ``tol``.
-
-    s must preserve the Cartan; for the root-swapping anti-morphism the
-    induced map on h* is the identity and the condition reduces to
-    s(r(lambda)) = -r(lambda).
-    """
-    g = family.algebra
-    if s.source is not g or s.target is not g:
-        raise ValueError("s must be an endomorphism of the family's algebra")
-    S = np.array([[_real(c, "entry of s") for c in row] for row in s.matrix])
-    cartan = list(g.root_data.cartan)
-    if np.any(np.delete(S[:, cartan], cartan, axis=0)):
-        raise ValueError("s does not preserve the Cartan subalgebra")
-    s_h = S[np.ix_(cartan, cartan)]  # restriction of s to the Cartan, on lambda-coordinates
-
-    def block(ks: range) -> float:
-        lam = np.stack([_sample_lambda(family, seed, idx) for idx in ks])
-        moved = lam @ s_h  # (s_h)* lambda in coordinates, one row per sample
-        return _max_upper(S @ eval_r(family, lam) @ S.T + eval_r(family, moved), 2)
-
-    defect = max(sample_blocks(range(samples), block))
-    values = {"algebra": g.name, "defect": defect, "tol": tol}
-    return Report(defect <= tol, values, seed=seed, samples=samples)

@@ -4,14 +4,18 @@ and antisymmetric multivector fields on coordinate charts.
 Scalars are elements of Q(i), stored as a pair of parts in canonical form:
 an ``int`` when the part is integral, else a ``Fraction`` with denominator
 > 1.  No floating point enters any operation in this module.  A polynomial is
-a sparse map from exponent tuples to nonzero scalars, a k-vector field is a
-sparse map from strictly increasing index k-tuples to nonzero polynomial
-components.
+a sparse map from exponent tuples to nonzero scalars.  A wedge element
+(``Wedge``) is a sparse map from strictly increasing index k-tuples to nonzero
+coefficients, and one class holds that storage and its arithmetic for both
+kinds the toolkit brackets: a k-vector field on a chart (``PolyMultiVec``,
+with ``Poly`` components) and an element of a wedge power of a Lie algebra
+(``liealg.AlgElement``, with ``Scalar`` coefficients).
 
-The public constructors ``Poly(...)`` and ``PolyMultiVec(...)`` validate
-their input.  Internal operations whose results hold the invariants by
-construction (``+``, ``-``, negation, ``*``, ``diff``, ``wedge``,
-``schouten``) build them with the trusted ``_poly``/``_mv`` instead.
+The public constructors ``Poly(...)`` and ``Wedge(...)``, through either
+subclass, validate their input.  Internal operations whose results hold the
+invariants by construction (``+``, ``-``, negation, ``*``, ``diff``,
+``wedge``, ``schouten``) build them with the trusted ``_poly`` and
+``Wedge._new`` instead.
 
 Schouten bracket convention
 ---------------------------
@@ -73,6 +77,7 @@ from .report import InvalidInput
 __all__ = [
     "Scalar",
     "Poly",
+    "Wedge",
     "PolyMultiVec",
     "ParseError",
     "parse_poly",
@@ -704,53 +709,211 @@ def sort_with_parity(idxs: Sequence[int]) -> tuple[tuple, int] | None:
     return tuple(idxs), sign
 
 
-class PolyMultiVec:
-    """Antisymmetric k-vector field with Poly components on increasing tuples.
+class Wedge:
+    """An element of a k-th wedge power: nonzero coefficients on strictly
+    increasing index k-tuples.
 
-    Degree 0 is a single polynomial stored on the empty tuple.  A zero
-    multivector may carry any nominal degree (including one exceeding the
-    chart dimension, as produced by brackets of high-degree arguments).
+    ``space`` fixes the basis the indices run over and the coefficient ring.
+    A subclass names both: it sets ``_ring``, the coefficient type, and
+    defines ``_dim(space)``, the number of basis elements, ``_const(space,
+    value)``, a constant coefficient, and ``_basis_name(j)`` for printing.  A
+    zero element may carry any nominal degree, including one above the
+    dimension, as brackets of high-degree arguments produce, and it equals the
+    zero of every degree.  Elements are immutable.
     """
 
-    __slots__ = ("dim", "degree", "comps")
+    __slots__ = ("space", "degree", "comps")
 
-    def __init__(self, dim: int, degree: int, comps: Mapping[tuple, Poly] | None = None):
+    def __init__(self, space, degree: int, comps: Mapping[tuple, object] | None = None):
         if degree < 0:
             raise ValueError("degree must be nonnegative")
-        clean: dict[tuple, Poly] = {}
+        dim = self._dim(space)
+        clean = {}
         if comps:
-            for idxs, poly in comps.items():
+            for idxs, coeff in comps.items():
+                self._check_coeff(space, coeff)
                 idxs = tuple(idxs)
                 if len(idxs) != degree:
                     raise ValueError(f"index tuple {idxs} has length != degree={degree}")
-                if any(not 0 <= j < dim for j in idxs):
-                    raise ValueError(f"index tuple {idxs} out of range for dim={dim}")
                 if list(idxs) != sorted(set(idxs)):
                     raise ValueError(f"index tuple {idxs} is not strictly increasing")
-                if poly.nvars != dim:
-                    raise ValueError("component polynomial on the wrong chart")
-                if not poly.is_zero():
-                    clean[idxs] = poly
-        object.__setattr__(self, "dim", dim)
+                if idxs and (idxs[0] < 0 or idxs[-1] >= dim):
+                    raise ValueError(f"index tuple {idxs} out of range for dim={dim}")
+                if coeff:
+                    clean[idxs] = coeff
+        object.__setattr__(self, "space", space)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "comps", clean)
 
     def __setattr__(self, name, value):
-        raise AttributeError("PolyMultiVec is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @classmethod
+    def _new(cls, space, degree: int, comps: dict) -> "Wedge":
+        """An element on components that already hold its invariants, without checks.
+
+        Internal operations use it where the invariants hold by construction:
+        every key is a strictly increasing tuple of ``degree`` indices below
+        the dimension of ``space``, and every coefficient is a nonzero element
+        of the ring on ``space``.  ``cls(...)`` validates its input.
+        """
+        out = _new_wedge(cls)
+        _set_space(out, space)
+        _set_degree(out, degree)
+        _set_comps(out, comps)
+        return out
+
+    @classmethod
+    def _check_coeff(cls, space, coeff) -> None:
+        if not isinstance(coeff, cls._ring):
+            raise TypeError(f"coefficients must be {cls._ring.__name__}s, got {type(coeff).__name__}")
+
+    def _check(self, other: "Wedge") -> None:
+        if self.space != other.space:
+            raise ValueError(f"{type(self).__name__} space mismatch: {self.space!r} vs {other.space!r}")
+
+    # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def zero(cls, space, degree: int) -> "Wedge":
+        return cls(space, degree)
+
+    @classmethod
+    def basis(cls, space, idx: int) -> "Wedge":
+        return cls(space, 1, {(idx,): cls._const(space, 1)})
+
+    @classmethod
+    def from_terms(cls, space, degree: int, items: Iterable[tuple[Sequence[int], object]]) -> "Wedge":
+        """Sum of coeff * e_{i1} ^ ... ^ e_{ik} over (index sequence, coeff) items in any index order."""
+        out: dict[tuple, object] = {}
+        for idxs, coeff in items:
+            if len(idxs) != degree:
+                raise ValueError(f"index tuple {tuple(idxs)} has length != degree={degree}")
+            sp = sort_with_parity(idxs)
+            if sp is not None:
+                key, sign = sp
+                _accumulate(out, key, coeff if sign == 1 else -coeff)
+        return cls(space, degree, out)
+
+    # -- linear structure and exterior product -------------------------------
+
+    def __add__(self, other: "Wedge") -> "Wedge":
+        self._check(other)
+        if self.degree != other.degree:
+            if not self.comps:
+                return other
+            if not other.comps:
+                return self
+            raise ValueError("cannot add wedge elements of different degree")
+        out = dict(self.comps)
+        for idxs, coeff in other.comps.items():
+            _accumulate(out, idxs, coeff)
+        return self._new(self.space, self.degree, out)
+
+    def __neg__(self) -> "Wedge":
+        return self._new(self.space, self.degree, {k: -c for k, c in self.comps.items()})
+
+    def __sub__(self, other: "Wedge") -> "Wedge":
+        return self + (-other)
+
+    def __mul__(self, factor) -> "Wedge":
+        """Multiplication by a coefficient or a constant; use ``wedge`` for products of elements."""
+        if not isinstance(factor, (self._ring, Scalar, Fraction, int)):
+            return NotImplemented
+        # the coefficient rings have no zero divisors, so only a zero factor makes zeros
+        comps = {k: c * factor for k, c in self.comps.items()} if factor else {}
+        return self._new(self.space, self.degree, comps)
+
+    __rmul__ = __mul__
+
+    def wedge(self, other: "Wedge") -> "Wedge":
+        """Exterior product of two elements on one space."""
+        self._check(other)
+        out: dict[tuple, object] = {}
+        for ia, ca in self.comps.items():
+            for ib, cb in other.comps.items():
+                sp = sort_with_parity(ia + ib)
+                if sp is None:
+                    continue
+                key, sign = sp
+                term = ca * cb
+                _accumulate(out, key, term if sign == 1 else -term)
+        return self._new(self.space, self.degree + other.degree, out)
+
+    def is_zero(self) -> bool:
+        return not self.comps
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.space == other.space and self.comps == other.comps
+
+    def __hash__(self):
+        # no degree: a zero equals the zero of every degree, and the keys fix a nonzero one's
+        return hash((self.space, frozenset(self.comps)))
+
+    def component(self, idxs: Sequence[int]):
+        """Coefficient on an arbitrary-order index tuple, with sign."""
+        sp = sort_with_parity(idxs)
+        coeff = None if sp is None else self.comps.get(sp[0])
+        if coeff is None:
+            return self._const(self.space, 0)
+        return coeff if sp[1] == 1 else -coeff
+
+    def __str__(self) -> str:
+        if not self.comps:
+            return "0"
+        chunks = []
+        for idxs in sorted(self.comps):
+            basis = "^".join(self._basis_name(j) for j in idxs) if idxs else "1"
+            chunks.append(f"({self.comps[idxs]})*{basis}")
+        return " + ".join(chunks)
+
+    __repr__ = __str__
+
+
+_new_wedge = object.__new__
+_set_space = Wedge.space.__set__
+_set_degree = Wedge.degree.__set__
+_set_comps = Wedge.comps.__set__
+
+wedge = Wedge.wedge
+
+
+class PolyMultiVec(Wedge):
+    """Antisymmetric k-vector field on a chart of ``dim`` coordinates, with
+    ``Poly`` components on dim variables; d_j is the field d/dx_(j+1).
+
+    Degree 0 is a single polynomial stored on the empty tuple.
+    """
+
+    __slots__ = ()
+    _ring = Poly
+    _const = staticmethod(Poly.const)
+
+    @property
+    def dim(self) -> int:
+        """The chart dimension: a read-only view of ``space``."""
+        return self.space
+
+    @staticmethod
+    def _dim(dim: int) -> int:
+        return dim
+
+    @classmethod
+    def _check_coeff(cls, dim: int, poly) -> None:
+        super()._check_coeff(dim, poly)
+        if poly.nvars != dim:
+            raise ValueError("component polynomial on the wrong chart")
+
+    def _basis_name(self, j: int) -> str:
+        return f"d{j+1}"
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def zero(dim: int, degree: int) -> "PolyMultiVec":
-        return PolyMultiVec(dim, degree)
-
-    @staticmethod
     def function(poly: Poly) -> "PolyMultiVec":
         return PolyMultiVec(poly.nvars, 0, {(): poly})
-
-    @staticmethod
-    def basis(dim: int, idx: int) -> "PolyMultiVec":
-        return PolyMultiVec(dim, 1, {(idx,): Poly.const(dim, 1)})
 
     @staticmethod
     def monomial(dim: int, idxs: Sequence[int], poly: Poly) -> "PolyMultiVec":
@@ -760,75 +923,6 @@ class PolyMultiVec:
             return PolyMultiVec.zero(dim, len(idxs))
         key, sign = sp
         return PolyMultiVec(dim, len(idxs), {key: poly if sign == 1 else -poly})
-
-    @staticmethod
-    def from_terms(dim: int, degree: int, items: Iterable[tuple[Sequence[int], Poly]]) -> "PolyMultiVec":
-        """Sum of poly * d_{i1} ^ ... ^ d_{ik} over (index sequence, poly) items."""
-        out: dict[tuple, Poly] = {}
-        for idxs, poly in items:
-            sp = sort_with_parity(idxs)
-            if sp is not None:
-                key, sign = sp
-                _accumulate(out, key, poly if sign == 1 else -poly)
-        return PolyMultiVec(dim, degree, out)
-
-    # -- linear structure ----------------------------------------------------
-
-    def _check(self, other: "PolyMultiVec") -> None:
-        if self.dim != other.dim:
-            raise ValueError(f"chart dimension mismatch: {self.dim} vs {other.dim}")
-
-    def __add__(self, other: "PolyMultiVec") -> "PolyMultiVec":
-        self._check(other)
-        if self.degree != other.degree:
-            if self.is_zero():
-                return other
-            if other.is_zero():
-                return self
-            raise ValueError("cannot add multivectors of different degree")
-        out = dict(self.comps)
-        for idxs, poly in other.comps.items():
-            _accumulate(out, idxs, poly)
-        return _mv(self.dim, self.degree, out)
-
-    def __neg__(self) -> "PolyMultiVec":
-        return _mv(self.dim, self.degree, {k: -p for k, p in self.comps.items()})
-
-    def __sub__(self, other: "PolyMultiVec") -> "PolyMultiVec":
-        return self + (-other)
-
-    def __mul__(self, factor) -> "PolyMultiVec":
-        """Multiplication by a function (Poly) or constant."""
-        if isinstance(factor, PolyMultiVec):
-            raise TypeError("use wedge() for multivector products")
-        factor = Poly._coerce(factor, self.dim)
-        return PolyMultiVec(self.dim, self.degree, {k: p * factor for k, p in self.comps.items()})
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PolyMultiVec):
-            return NotImplemented
-        if self.dim != other.dim:
-            return False
-        if self.comps == other.comps:
-            return True
-        return False
-
-    def __hash__(self):
-        return hash((self.dim, frozenset((k, hash(p)) for k, p in self.comps.items())))
-
-    def is_zero(self) -> bool:
-        return not self.comps
-
-    def component(self, idxs: Sequence[int]) -> Poly:
-        """Component on an arbitrary-order index tuple, with sign."""
-        sp = sort_with_parity(idxs)
-        if sp is None:
-            return Poly.zero(self.dim)
-        key, sign = sp
-        poly = self.comps.get(key, Poly.zero(self.dim))
-        return poly if sign == 1 else -poly
 
     def project(self, keep: Sequence[int], images: Sequence[Poly]) -> "PolyMultiVec":
         """The components along the coordinates ``keep``, re-indexed onto them in
@@ -846,7 +940,7 @@ class PolyMultiVec:
         if not 0 <= var < self.dim:
             raise ValueError(f"variable index {var} out of range")
         derivs = ((k, p.diff(var)) for k, p in self.comps.items())
-        return _mv(self.dim, self.degree, {k: d for k, d in derivs if d})
+        return self._new(self.space, self.degree, {k: d for k, d in derivs if d})
 
     def eval(self, point: Sequence[ScalarLike]) -> dict[tuple, Scalar]:
         """Exact evaluation of every component at a point."""
@@ -854,53 +948,6 @@ class PolyMultiVec:
             raise ValueError(f"point length {len(point)} != dim {self.dim}")
         values = ((k, p.eval(point)) for k, p in self.comps.items())
         return {k: v for k, v in values if not v.is_zero()}
-
-    def __str__(self) -> str:
-        if not self.comps:
-            return "0"
-        chunks = []
-        for idxs in sorted(self.comps):
-            basis = "^".join(f"d{j+1}" for j in idxs) if idxs else "1"
-            chunks.append(f"({self.comps[idxs]})*{basis}")
-        return " + ".join(chunks)
-
-    __repr__ = __str__
-
-
-_new_mv = object.__new__
-_set_dim = PolyMultiVec.dim.__set__
-_set_degree = PolyMultiVec.degree.__set__
-_set_comps = PolyMultiVec.comps.__set__
-
-
-def _mv(dim: int, degree: int, comps: dict[tuple, Poly]) -> PolyMultiVec:
-    """A PolyMultiVec on components that already hold its invariants, without checks.
-
-    Internal operations use it where the invariants hold by construction:
-    every key is a strictly increasing tuple of ``degree`` indices below dim,
-    and every component is a nonzero Poly on dim variables.
-    ``PolyMultiVec(...)`` validates its input.
-    """
-    out = _new_mv(PolyMultiVec)
-    _set_dim(out, dim)
-    _set_degree(out, degree)
-    _set_comps(out, comps)
-    return out
-
-
-def wedge(a: PolyMultiVec, b: PolyMultiVec) -> PolyMultiVec:
-    """Exterior product of multivector fields on a common chart."""
-    a._check(b)
-    out: dict[tuple, Poly] = {}
-    for ia, pa in a.comps.items():
-        for ib, pb in b.comps.items():
-            sp = sort_with_parity(ia + ib)
-            if sp is None:
-                continue
-            key, sign = sp
-            term = pa * pb
-            _accumulate(out, key, term if sign == 1 else -term)
-    return _mv(a.dim, a.degree + b.degree, out)
 
 
 def _hook(a: PolyMultiVec, b: PolyMultiVec, out: dict, factor: int, parities: dict) -> None:
@@ -974,4 +1021,4 @@ def schouten(a: PolyMultiVec, b: PolyMultiVec) -> PolyMultiVec:
         poly = {e: _from_parts(_canon(re), _canon(im)) for e, (re, im) in terms.items() if re or im}
         if poly:
             comps[key] = _poly(a.dim, poly)
-    return _mv(a.dim, max(p + q - 1, 0), comps)
+    return PolyMultiVec._new(a.dim, max(p + q - 1, 0), comps)

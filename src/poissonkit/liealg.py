@@ -26,10 +26,11 @@ The kernels visit only nonzero entries.  ``validate_lie`` sums each
 Jacobiator in one sweep over the nonzero products c_ab^m c_mc^l, adding the
 raw real and imaginary parts (int or ``Fraction``) and building no
 intermediate ``Scalar``.  The matrix builds form commutators and the
-expansion residual on the nonzero matrix entries.  The public constructor
-``AlgElement(...)`` validates its input; ``+``, ``-``, ``*``, ``wedge``,
-``from_terms`` and ``alg_schouten``, whose results hold the invariants by
-construction, build them with the trusted ``_alg`` instead.
+expansion residual on the nonzero matrix entries.  ``AlgElement`` is an
+``exactalg.Wedge`` on g with ``Scalar`` coefficients: its validating public
+constructor, its trusted ``_new`` and its arithmetic are the ones
+``PolyMultiVec`` uses.  ``alg_schouten`` sums the pair-sum terms in its own
+loop and builds its result with ``_new`` alone.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from . import linalg
-from .exactalg import Poly, PolyMultiVec, SCALAR_I, SCALAR_ONE, SCALAR_ZERO, Scalar, sort_with_parity
+from .exactalg import Poly, PolyMultiVec, SCALAR_I, SCALAR_ONE, SCALAR_ZERO, Scalar, Wedge, sort_with_parity
 from .report import Report
 
 __all__ = [
@@ -164,142 +165,32 @@ class LieAlgebraData:
         return f"LieAlgebraData({self.name or self.labels}, dim={self.dim})"
 
 
-class AlgElement:
-    """An element of the k-th wedge power of g, on increasing index tuples.
+class AlgElement(Wedge):
+    """An element of the k-th wedge power of g: ``Scalar`` coefficients on
+    increasing tuples of basis indices of ``algebra``.
 
-    Exact only: every coefficient is a ``Scalar``, and any other coefficient
-    type raises ``TypeError``.  Numeric wedge elements (``dynr``) are dense
-    numpy arrays instead.
+    Exact only: any other coefficient type raises ``TypeError``.  Numeric
+    wedge elements (``dynr``) are dense numpy arrays instead.
     """
 
-    __slots__ = ("algebra", "degree", "comps")
+    __slots__ = ()
+    _ring = Scalar
 
-    def __init__(self, algebra: LieAlgebraData, degree: int, comps: Mapping[tuple, Scalar] | None = None):
-        clean: dict[tuple, Scalar] = {}
-        if comps:
-            for idxs, coeff in comps.items():
-                if not isinstance(coeff, Scalar):
-                    raise TypeError(f"coefficients must be Scalars, got {type(coeff).__name__}")
-                idxs = tuple(idxs)
-                if len(idxs) != degree:
-                    raise ValueError("index tuple length != degree")
-                if list(idxs) != sorted(set(idxs)):
-                    raise ValueError(f"index tuple {idxs} not strictly increasing")
-                if coeff:
-                    clean[idxs] = coeff
-        self.algebra = algebra
-        self.degree = degree
-        self.comps = clean
+    @property
+    def algebra(self) -> LieAlgebraData:
+        """The Lie algebra g: a read-only view of ``space``."""
+        return self.space
 
     @staticmethod
-    def zero(algebra: LieAlgebraData, degree: int) -> "AlgElement":
-        return AlgElement(algebra, degree)
+    def _dim(algebra: LieAlgebraData) -> int:
+        return algebra.dim
 
     @staticmethod
-    def basis(algebra: LieAlgebraData, idx: int) -> "AlgElement":
-        return AlgElement(algebra, 1, {(idx,): SCALAR_ONE})
+    def _const(algebra: LieAlgebraData, value) -> Scalar:
+        return Scalar.coerce(value)
 
-    @staticmethod
-    def from_terms(algebra: LieAlgebraData, degree: int, items) -> "AlgElement":
-        """Sum of coefficient * wedge(idxs) over (idxs, coefficient) in any index order."""
-        out: dict[tuple, Scalar] = {}
-        for idxs, coeff in items:
-            if len(idxs) != degree:
-                raise ValueError("index tuple length != degree")
-            sp = sort_with_parity(idxs)
-            if sp is None:
-                continue
-            key, sign = sp
-            # starting from SCALAR_ZERO makes every sum a Scalar, or raises TypeError
-            out[key] = out.get(key, SCALAR_ZERO) + (coeff if sign == 1 else -coeff)
-        return _alg(algebra, degree, out)
-
-    def _check(self, other: "AlgElement") -> None:
-        if self.algebra is not other.algebra:
-            raise ValueError("parent algebra mismatch")
-
-    def __add__(self, other: "AlgElement") -> "AlgElement":
-        self._check(other)
-        if self.degree != other.degree:
-            if not self.comps:
-                return other
-            if not other.comps:
-                return self
-            raise ValueError("cannot add elements of different degree")
-        out = dict(self.comps)
-        for idxs, coeff in other.comps.items():
-            out[idxs] = out.get(idxs, SCALAR_ZERO) + coeff
-        return _alg(self.algebra, self.degree, out)
-
-    def __neg__(self) -> "AlgElement":
-        return _alg(self.algebra, self.degree, {k: -c for k, c in self.comps.items()})
-
-    def __sub__(self, other: "AlgElement") -> "AlgElement":
-        return self + (-other)
-
-    def __mul__(self, coeff: Scalar | int) -> "AlgElement":
-        if not isinstance(coeff, (Scalar, int, Fraction)):
-            return NotImplemented
-        return _alg(self.algebra, self.degree, {k: c * coeff for k, c in self.comps.items()})
-
-    __rmul__ = __mul__
-
-    def wedge(self, other: "AlgElement") -> "AlgElement":
-        self._check(other)
-        items = [(ia + ib, ca * cb) for ia, ca in self.comps.items() for ib, cb in other.comps.items()]
-        return AlgElement.from_terms(self.algebra, self.degree + other.degree, items)
-
-    def is_zero(self) -> bool:
-        return not self.comps
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, AlgElement):
-            return NotImplemented
-        return self.algebra is other.algebra and self.comps == other.comps
-
-    def __hash__(self):
-        # no degree: a zero equals the zero of every degree, and the keys fix a nonzero one's
-        return hash((id(self.algebra), frozenset(self.comps)))
-
-    def component(self, idxs: Sequence[int]) -> Scalar:
-        sp = sort_with_parity(idxs)
-        if sp is None:
-            return SCALAR_ZERO
-        key, sign = sp
-        c = self.comps.get(key, SCALAR_ZERO)
-        return c if sign == 1 or not c else -c
-
-    def __str__(self) -> str:
-        if not self.comps:
-            return "0"
-        labels = self.algebra.labels
-        chunks = []
-        for idxs in sorted(self.comps):
-            basis = "^".join(labels[i] for i in idxs) if idxs else "1"
-            chunks.append(f"({self.comps[idxs]})*{basis}")
-        return " + ".join(chunks)
-
-    __repr__ = __str__
-
-
-_new_alg = object.__new__
-_set_algebra = AlgElement.algebra.__set__
-_set_degree = AlgElement.degree.__set__
-_set_comps = AlgElement.comps.__set__
-
-
-def _alg(algebra: LieAlgebraData, degree: int, comps: dict[tuple, Scalar]) -> AlgElement:
-    """An AlgElement on Scalar coefficients over strictly increasing ``degree``-tuples, without checks.
-
-    Internal operations use it where those invariants hold by construction;
-    it still drops the zero coefficients (cancelled sums, products with zero).
-    ``AlgElement(...)`` validates its input.
-    """
-    out = _new_alg(AlgElement)
-    _set_algebra(out, algebra)
-    _set_degree(out, degree)
-    _set_comps(out, {k: c for k, c in comps.items() if c})
-    return out
+    def _basis_name(self, j: int) -> str:
+        return self.space.labels[j]
 
 
 def validate_lie(g: LieAlgebraData) -> Report:
@@ -604,7 +495,7 @@ def alg_schouten(a: AlgElement, b: AlgElement) -> AlgElement:
                         key, s2 = sp
                         coeff = cab * c
                         out[key] = out.get(key, SCALAR_ZERO) + (coeff if sign * s2 > 0 else -coeff)
-    return _alg(g, max(a.degree + b.degree - 1, 0), out)
+    return AlgElement._new(g, max(a.degree + b.degree - 1, 0), {k: c for k, c in out.items() if c})
 
 
 def ad_action(g: LieAlgebraData, basis_index: int, elem: AlgElement) -> AlgElement:
@@ -683,7 +574,6 @@ def symmetric_bialgebra_check(g: LieAlgebraData, r: AlgElement, phi: LinearAlgMa
 class DrinfeldDouble:
     sigma: LieAlgebraData
     base: LieAlgebraData
-    r: AlgElement = field(repr=False)
     r_sigma: AlgElement = field(repr=False)
 
     @property
@@ -693,16 +583,6 @@ class DrinfeldDouble:
     def dual_index(self, a: int) -> int:
         """The basis element of sigma paired with basis element a: X_i <-> xi^i."""
         return a + self.n if a < self.n else a - self.n
-
-    def pairing(self, u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
-        """Canonical pairing <X + xi, Y + eta> = xi(Y) + eta(X)."""
-        v = dict(_support(v))
-        total = SCALAR_ZERO
-        for a, ua in _support(u):
-            vb = v.get(self.dual_index(a))
-            if vb is not None:
-                total = total + ua * vb
-        return total
 
 
 def drinfeld_double(g: LieAlgebraData, r: AlgElement) -> DrinfeldDouble:
@@ -744,7 +624,7 @@ def drinfeld_double(g: LieAlgebraData, r: AlgElement) -> DrinfeldDouble:
         raise AssertionError(f"double failed validate_lie ({verdict.reason}); convention bug")
 
     r_sigma = AlgElement.from_terms(sigma, 2, [((i, n + i), SCALAR_ONE) for i in range(n)])
-    double = DrinfeldDouble(sigma, g, r, r_sigma)
+    double = DrinfeldDouble(sigma, g, r_sigma)
 
     # <[a, b], c> + <b, [a, c]> = 0 for all basis triples.  With
     # <x_m, x_c> = 1 exactly when m = dual(c), the identity reads

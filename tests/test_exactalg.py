@@ -1,6 +1,7 @@
 """Exact scalar/polynomial arithmetic, the parser, and the Schouten layer."""
 
 import ast
+import inspect
 from fractions import Fraction
 from pathlib import Path
 
@@ -21,7 +22,7 @@ from poissonkit.exactalg import (
     schouten,
     wedge,
 )
-from poissonkit.oracle import rand_multivec, rand_poly, schouten_oracle
+from poissonkit.oracle import rand_alg_element, rand_multivec, rand_poly, schouten_oracle
 
 
 # -- scalars -----------------------------------------------------------------
@@ -142,10 +143,22 @@ def test_scalar_str_round_trip():
     lambda: PolyMultiVec(3, 2, {(1, 1): Poly.const(3, 1)}),
     lambda: PolyMultiVec(3, 1, {(0,): Poly.const(2, 1)}),  # component on the wrong chart
     lambda: PolyMultiVec(3, -1),
+    lambda: liealg.AlgElement(liealg.sl_chevalley(2), 1, {(99,): Scalar(1)}),  # index out of range
+    lambda: liealg.AlgElement(liealg.sl_chevalley(2), 1, {(3,): Scalar(1)}),
+    lambda: liealg.AlgElement(liealg.sl_chevalley(2), -1),  # negative degree
 ])
 def test_public_constructors_reject_malformed_keys(build):
     with pytest.raises(ValueError):
         build()
+
+
+@pytest.mark.parametrize("elem", [PolyMultiVec.basis(3, 0), liealg.AlgElement.basis(liealg.so3(), 0)],
+                         ids=["PolyMultiVec", "AlgElement"])
+def test_wedge_elements_are_immutable(elem):
+    for name in ("space", "degree", "comps", "dim", "algebra", "other"):
+        with pytest.raises(AttributeError):
+            setattr(elem, name, 0)
+    assert elem.comps == {(0,): elem.component((0,))}
 
 
 def test_public_constructors_drop_zeros_and_coerce():
@@ -460,6 +473,60 @@ def test_eval_point_length_mismatch():
     mv = PolyMultiVec.basis(3, 0)
     with pytest.raises(ValueError):
         mv.eval([Scalar(0)])
+
+
+# -- one wedge class ----------------------------------------------------------------------
+
+# the storage and arithmetic of a wedge element, which only exactalg.Wedge defines
+_WEDGE_API = {"__init__", "__add__", "__neg__", "__mul__", "wedge", "from_terms", "component", "__eq__", "__hash__",
+              "__str__"}
+
+
+def test_wedge_storage_and_arithmetic_are_defined_once():
+    # the two wedge types name only their coefficient ring, their basis and their own operations
+    for cls in (PolyMultiVec, liealg.AlgElement):
+        assert cls.__bases__ == (exactalg.Wedge,), cls.__name__
+        assert not _WEDGE_API & set(vars(cls)), cls.__name__
+    assert _WEDGE_API <= set(vars(exactalg.Wedge))
+    assert exactalg.wedge is exactalg.Wedge.wedge
+
+
+_KERNELS = [exactalg.schouten, exactalg._hook, liealg.alg_schouten]
+
+
+@pytest.mark.parametrize("kernel", _KERNELS, ids=lambda f: f.__name__)
+def test_schouten_kernels_name_no_wedge_arithmetic(kernel):
+    # the kernels keep their own loops and build their results with Wedge._new only, so the
+    # oracles, which use the Wedge arithmetic, stay a second route
+    tree = ast.parse(inspect.getsource(kernel))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            assert node.attr not in _WEDGE_API | {"__sub__", "__rmul__", "zero", "basis"}, node.attr
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            assert node.func.id not in ("Wedge", "PolyMultiVec", "AlgElement", "wedge"), node.func.id
+
+
+def test_schouten_kernels_run_with_the_wedge_arithmetic_disabled(monkeypatch):
+    # the operators too: with every method of _WEDGE_API refusing, the kernels still give their results
+    rng = make_rng(11)
+    g = liealg.sl_chevalley(2)
+    charts = [(rand_multivec(rng, 3, p), rand_multivec(rng, 3, q)) for p, q in ((0, 1), (1, 1), (2, 1), (2, 2))]
+    algs = [(rand_alg_element(rng, g, p, 0.7), rand_alg_element(rng, g, q, 0.7)) for p, q in ((1, 1), (2, 1), (2, 2))]
+
+    def run():
+        out = [schouten(a, b) for a, b in charts] + [schouten(a, a) for a, _ in charts]
+        return out + [liealg.alg_schouten(a, b) for a, b in algs]
+
+    expected = run()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Schouten kernel used the Wedge arithmetic")
+
+    for name in _WEDGE_API | {"__sub__", "__rmul__"}:
+        monkeypatch.setattr(exactalg.Wedge, name, refuse)
+    got = run()
+    monkeypatch.undo()
+    assert got == expected
 
 
 # -- the exact kernels stay exact --------------------------------------------------------

@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import abelian, apply_vector, counted_calls, validate_lie_reference
+from conftest import abelian, apply_vector, counted_calls, double_pairing, validate_lie_reference
 from poissonkit import liealg
 from poissonkit.cli import run_command
-from poissonkit.exactalg import Poly, Scalar
+from poissonkit.exactalg import Poly, PolyMultiVec, Scalar, schouten
 from poissonkit.liealg import (
     AlgElement,
     LieAlgebraData,
@@ -280,8 +280,8 @@ def test_double_pairing_invariance_sweep():
     for i in range(dim):
         for j in range(dim):
             for k in range(dim):
-                lhs = dd.pairing(dd.sigma.bracket_vectors(basis[i], basis[j]), basis[k])
-                rhs = dd.pairing(basis[j], dd.sigma.bracket_vectors(basis[i], basis[k]))
+                lhs = double_pairing(dd, dd.sigma.bracket_vectors(basis[i], basis[j]), basis[k])
+                rhs = double_pairing(dd, basis[j], dd.sigma.bracket_vectors(basis[i], basis[k]))
                 assert (Scalar.coerce(lhs) + Scalar.coerce(rhs)).is_zero()
 
 
@@ -520,7 +520,7 @@ def test_sparse_vector_routines_match_dense_formulas():
                     dense[k] = dense[k] + u[i] * v[j] * g.structure_constant(i, j, k)
         assert g.bracket_vectors(u, v) == dense
         x, y = vec(dim), vec(dim)
-        assert dd.pairing(x, y) == sum((x[a] * y[n + a] + x[n + a] * y[a] for a in range(n)), Scalar(0))
+        assert double_pairing(dd, x, y) == sum((x[a] * y[n + a] + x[n + a] * y[a] for a in range(n)), Scalar(0))
 
 
 def test_sparse_supports_drop_cancelled_entries():
@@ -634,23 +634,31 @@ def test_chi_check_matches_the_dense_sweep_for_any_phi(entries):
 
 _SU2 = su_compact_basis(2)[0]
 _COEFFS = [Scalar(0), Scalar(1), Scalar(-1), Scalar(2), Scalar(Fraction(-1, 2)), Scalar(0, 1), Scalar(1, 1)]
+# the other wedge type: multivector fields on the chart of 3 coordinates, with polynomial components
+_CHART = 3
+_X = [Poly.var(_CHART, j) for j in range(_CHART)]
+_POLY_COEFFS = [Poly.const(_CHART, c) for c in _COEFFS] + [_X[0], _X[1] * Scalar(0, 1) - _X[2], _X[0] * _X[2] + 1]
 
 
 def _elements(g, degrees=st.integers(0, 3)):
-    """AlgElements of g through the public constructor: one coefficient per
-    increasing index tuple drawn, zeros among them, so zero elements of every degree occur."""
+    """Wedge elements through the public constructor: AlgElements of an algebra g, or
+    PolyMultiVecs on the chart of g coordinates.  One coefficient per increasing index
+    tuple drawn, zeros among them, so zero elements of every degree occur."""
+    chart = isinstance(g, int)
+    dim = g if chart else g.dim
 
     def build(degree):
-        keys = list(combinations(range(g.dim), degree))
-        coeffs = st.lists(st.sampled_from(_COEFFS), min_size=len(keys), max_size=len(keys))
-        return coeffs.map(lambda cs: AlgElement(g, degree, dict(zip(keys, cs))))
+        keys = list(combinations(range(dim), degree))
+        coeffs = st.lists(st.sampled_from(_POLY_COEFFS if chart else _COEFFS), min_size=len(keys), max_size=len(keys))
+        return coeffs.map(lambda cs: (PolyMultiVec if chart else AlgElement)(g, degree, dict(zip(keys, cs))))
 
     return degrees.flatmap(build)
 
 
 @settings(max_examples=200, deadline=None)
-@given(a=_elements(_SL2), b=_elements(_SL2))
-def test_alg_element_equal_elements_hash_equal(a, b):
+@given(g=st.sampled_from([_SL2, _CHART]), data=st.data())
+def test_alg_element_equal_elements_hash_equal(g, data):
+    a, b = data.draw(_elements(g)), data.draw(_elements(g))
     if a == b:
         assert hash(a) == hash(b)
     assert (a == b) == (a.comps == b.comps)
@@ -663,13 +671,20 @@ def test_zeros_of_every_degree_are_one_set_member():
 
 
 @settings(max_examples=150, deadline=None)
-@given(g=st.sampled_from([_SL2, _SU2]), data=st.data())
+@given(g=st.sampled_from([_SL2, _SU2, _CHART]), data=st.data())
 def test_internal_results_are_valid_alg_elements(g, data):
     a = data.draw(_elements(g))
     b = data.draw(_elements(g, st.just(a.degree)))
     c = data.draw(st.sampled_from(_COEFFS + [0, 3, Fraction(2, 3)]))
-    results = [a.wedge(b), alg_schouten(a, b), a + b, a - b, -a, a + a, a - a, a * c, c * b]
-    results.append(AlgElement.from_terms(g, a.degree, [(idxs[::-1], coeff) for idxs, coeff in a.comps.items()]))
+    bracket = schouten if g is _CHART else alg_schouten
+    results = [a.wedge(b), bracket(a, b), a + b, a - b, -a, a + a, a - a, a * c, c * b]
+    results.append(type(a).from_terms(g, a.degree, [(idxs[::-1], coeff) for idxs, coeff in a.comps.items()]))
+    if g is _CHART:
+        # the chart type's own operations: a polynomial factor, d/dx_j, and the projection onto
+        # the coordinates ``keep``, the others frozen at 1
+        keep = data.draw(st.permutations(range(_CHART)))[: data.draw(st.integers(1, _CHART))]
+        images = [Poly.var(len(keep), keep.index(i)) if i in keep else Poly.const(len(keep), 1) for i in range(_CHART)]
+        results += [bracket(a, a), a * _X[1], a.diff(data.draw(st.integers(0, _CHART - 1))), a.project(keep, images)]
     for x in results:
-        assert all(isinstance(coeff, Scalar) and coeff for coeff in x.comps.values())
-        assert AlgElement(g, x.degree, x.comps) == x
+        assert all(isinstance(coeff, type(x)._ring) and coeff for coeff in x.comps.values())
+        assert type(x)(x.space, x.degree, x.comps) == x
