@@ -12,7 +12,7 @@ entries (x, y, z) = (B_12, B_13, B_23) reproduces
 
     {x, y} = kappa (xy - 2z),  {y, z} = kappa (yz - 2x),  {z, x} = kappa (zx - 2y)
 
-for a single global constant kappa with |kappa| = 2, and pushing the tensor
+for a single global constant kappa = 2, and pushing the tensor
 along (B, C) -> B C^T gives exactly twice the induced structure at the
 image: the Poisson-map-up-to-multiplier-2 statement.
 
@@ -49,7 +49,7 @@ print(f"{{x, y}} = {xy:+.6f}   target 2(xy - 2z) = {2 * (x * y - 2 * z):+.6f}")
 print(f"{{y, z}} = {yz:+.6f}   target 2(yz - 2x) = {2 * (y * z - 2 * x):+.6f}")
 print(f"{{z, x}} = {zx:+.6f}   target 2(zx - 2y) = {2 * (z * x - 2 * y):+.6f}")
 
-# The full seeded report: bracket shape, fitted kappa, the multiplier-2
+# The full seeded report: bracket shape, predicted kappa, the multiplier-2
 # pushforward along (B, C) -> B C^T, Markoff conservation, rank relation.
 rep = stokes_report(3, samples=20, seed=1, tol=1e-8)
 print("\nstokes report:")

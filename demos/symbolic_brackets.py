@@ -36,6 +36,10 @@ chart = PoissonChart.from_brackets(
 )
 print("\nJacobiator of the Stokes chart:", jacobiator(chart))
 print("{x, y} =", print_poly(bracket(chart, chart.parse("x"), chart.parse("y")), coords))
+# At a point the bivector evaluates exactly: at (x, y, z) = (1, 2, 3),
+# {x, y} = xy - 2z = -4, {y, z} = yz - 2x = 4, {x, z} = -(zx - 2y) = 1.
+at_point = chart.pi.eval([1, 2, 3])
+print("pi at (1, 2, 3):", ", ".join(f"{idxs}: {value}" for idxs, value in sorted(at_point.items())))
 
 # The Markoff polynomial is a Casimir: its Hamiltonian vector field is zero.
 markoff = chart.parse("x^2 + y^2 + z^2 - x*y*z")

@@ -3,7 +3,9 @@ and antisymmetric multivector fields on coordinate charts.
 
 Scalars are elements of Q(i), stored as a pair of parts in canonical form:
 an ``int`` when the part is integral, else a ``Fraction`` with denominator
-> 1.  No floating point enters any operation in this module.  A polynomial is
+> 1.  No floating point enters any operation in this module: a float or
+complex operand raises ``TypeError`` (or makes the operators return
+``NotImplemented``) instead of being converted.  A polynomial is
 a sparse map from exponent tuples to nonzero scalars.  A wedge element
 (``Wedge``) is a sparse map from strictly increasing index k-tuples to nonzero
 coefficients, and one class holds that storage and its arithmetic for both
@@ -249,9 +251,12 @@ def _canon(q: Union[int, Fraction]) -> Union[int, Fraction]:
 
 
 def _part(value) -> Union[int, Fraction]:
-    """A canonical part from any exact rational input (int, Fraction, str)."""
+    """A canonical part from any exact rational input (int, Fraction, str); a
+    float or complex part raises TypeError rather than becoming its binary value."""
     if type(value) is int:
         return value
+    if isinstance(value, (float, complex)):
+        raise TypeError(f"a Scalar part must be exact (int, Fraction or str), not {type(value).__name__}")
     return _canon(Fraction(value))
 
 
@@ -317,13 +322,17 @@ class Poly:
             raise ValueError(f"variable-count mismatch: {self.nvars} vs {other.nvars}")
 
     @staticmethod
-    def _coerce(value, nvars: int) -> "Poly":
+    def _coerce(value, nvars: int) -> "Poly | None":
+        """value as a Poly; None unless it is a Poly, Scalar, Fraction or int, so that the
+        operators return NotImplemented and the other operand's reflection runs."""
         if isinstance(value, Poly):
             return value
-        return Poly.const(nvars, value)
+        return Poly.const(nvars, value) if isinstance(value, (Scalar, Fraction, int)) else None
 
     def __add__(self, other) -> "Poly":
         other = Poly._coerce(other, self.nvars)
+        if other is None:
+            return NotImplemented
         self._check(other)
         out = dict(self.terms)
         for exps, coeff in other.terms.items():
@@ -336,13 +345,17 @@ class Poly:
         return _poly(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "Poly":
-        return self + (-Poly._coerce(other, self.nvars))
+        other = Poly._coerce(other, self.nvars)
+        return NotImplemented if other is None else self + (-other)
 
     def __rsub__(self, other) -> "Poly":
-        return Poly._coerce(other, self.nvars) + (-self)
+        other = Poly._coerce(other, self.nvars)
+        return NotImplemented if other is None else other + (-self)
 
     def __mul__(self, other) -> "Poly":
         other = Poly._coerce(other, self.nvars)
+        if other is None:
+            return NotImplemented
         self._check(other)
         out: dict[tuple, Scalar] = {}
         for e1, c1 in self.terms.items():

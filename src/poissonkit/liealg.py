@@ -134,9 +134,6 @@ class LieAlgebraData:
             table[(j, i)] = {k: -c for k, c in clean.items()}
         return LieAlgebraData(labels, table, matrices, root_data, name)
 
-    def structure_constant(self, i: int, j: int, k: int) -> Scalar:
-        return self.table.get((i, j), {}).get(k, SCALAR_ZERO)
-
     def bracket_basis(self, i: int, j: int) -> "AlgElement":
         entry = self.table.get((i, j), {})
         return AlgElement(self, 1, {(k,): c for k, c in entry.items()})

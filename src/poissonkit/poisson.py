@@ -100,12 +100,12 @@ def hamiltonian_vf(chart: PoissonChart, f: Poly) -> PolyMultiVec:
 
 
 def bracket(chart: PoissonChart, f: Poly, g: Poly) -> Poly:
-    """{f, g} = pi(df, dg)."""
+    """{f, g} = X_f(g) = sum_j X_f^j d_j g."""
     if f.nvars != chart.dim or g.nvars != chart.dim:
         raise ValueError("variable-count mismatch with the chart")
     total = Poly.zero(chart.dim)
-    for (i, j), poly in chart.pi.comps.items():
-        total = total + poly * (f.diff(i) * g.diff(j) - f.diff(j) * g.diff(i))
+    for (j,), poly in hamiltonian_vf(chart, f).comps.items():
+        total = total + poly * g.diff(j)
     return total
 
 

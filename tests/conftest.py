@@ -1,22 +1,25 @@
 """The seeded random source for the property tests (the generators it feeds
 are in ``poissonkit.oracle``), the environment for tests that start a
 Python subprocess, a call counter for a module's functions, random Lie
-algebra elements for the group tests, and the adjoint matrix and r-matrix
-cocycle of a matrix group, which only the tests use, and the leg-by-leg
-pushforward of an exact multivector along a linear map, the reference for
-the bracket-form pushforward of ``poissonkit.dirac``.
+algebra elements for the group tests, the adjoint matrix and r-matrix
+cocycle of a matrix group and the fixed-locus formula with its invariant-field
+arrows swapped (the rejected binding), which only the tests use, and the
+leg-by-leg pushforward of an exact multivector along a linear map, the
+reference for the bracket-form pushforward of ``poissonkit.dirac``.
 
-For ``poissonkit.liealg``: the abelian algebra, the dense image of a
-coefficient vector and the canonical pairing of a Drinfeld double, which only
-the tests use, and the triple-by-triple Jacobi check that ``validate_lie``'s
-sparse sweep must agree with.
+For ``poissonkit.liealg``: the abelian algebra, a structure constant read
+from the table, the dense image of a coefficient vector and the canonical
+pairing of a Drinfeld double, which only the tests use, and the
+triple-by-triple Jacobi check that ``validate_lie``'s sparse sweep must agree
+with.
 
 For ``poissonkit.dynr``: [r, r] and every [x_b, t] on dense arrays, the
 references for the exact ``alg_schouten`` and the scan's invariance defect,
 and the sampled equivariance check of a family under an anti-morphism, which
 no command runs.
 For ``poissonkit.poisson``: the full contraction of a multivector with
-exact differentials, by a cofactor expansion."""
+exact differentials, by a cofactor expansion, and the bracket {f, g} summed
+pair by pair over the components of pi, the reference for ``bracket``."""
 
 import math
 import os
@@ -110,6 +113,19 @@ def cocycle_lambda(group, g: np.ndarray) -> np.ndarray:
     return lam
 
 
+def pi_q_formula_swapped(group, g: np.ndarray):
+    """``groupnum.pi_q_formula`` at one point with the invariant-field arrows
+    swapped, X^L(g) = Xg and X^R(g) = gX: the rejected reading of the formula."""
+    from poissonkit.groupnum import TangentBivector
+
+    u, v = [], []
+    for i, j, c in group.r_terms:
+        e, f = group.basis[i], group.basis[j]
+        u += [0.25 * c * (e @ g + g @ e.T), -0.25 * c * (g @ e + e.T @ g)]
+        v += [f @ g + g @ f.T, g @ f + f.T @ g]
+    return TangentBivector(g, np.stack(u), np.stack(v))
+
+
 def pushforward_linear(mv: PolyMultiVec, a) -> PolyMultiVec:
     """Pushforward of a multivector field along the invertible map x -> A x,
     each wedge leg d_i carried to the column A d_i and each component composed
@@ -136,6 +152,11 @@ def pushforward_linear(mv: PolyMultiVec, a) -> PolyMultiVec:
 
 def abelian(dim: int) -> LieAlgebraData:
     return LieAlgebraData.from_brackets([f"a{k+1}" for k in range(dim)], {}, name=f"abelian{dim}")
+
+
+def structure_constant(g: LieAlgebraData, i: int, j: int, k: int):
+    """c_ij^k, the coefficient of x_k in [x_i, x_j]."""
+    return g.table.get((i, j), {}).get(k, SCALAR_ZERO)
 
 
 def apply_vector(phi, coeffs):
@@ -254,4 +275,14 @@ def _det(rows: list[list[Poly]], nvars: int) -> Poly:
         minor = [row[:j] + row[j + 1 :] for row in rows[1:]]
         term = rows[0][j] * _det(minor, nvars)
         total = total + term if j % 2 == 0 else total - term
+    return total
+
+
+def bracket_by_pairs(chart, f: Poly, g: Poly) -> Poly:
+    """{f, g} = sum over the components p_ij of pi (i < j) of p_ij (d_i f d_j g - d_j f d_i g)."""
+    if f.nvars != chart.dim or g.nvars != chart.dim:
+        raise ValueError("variable-count mismatch with the chart")
+    total = Poly.zero(chart.dim)
+    for (i, j), poly in chart.pi.comps.items():
+        total = total + poly * (f.diff(i) * g.diff(j) - f.diff(j) * g.diff(i))
     return total

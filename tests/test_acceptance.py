@@ -151,7 +151,7 @@ def test_c07_stokes_flagship():
     elapsed = time.perf_counter() - t0
     ok = (
         rep.ok
-        and abs(abs(rep.values["kappa"]) - 2.0) <= 1e-8
+        and abs(rep.values["kappa"] - 2.0) <= 1e-8
         and rep.values["max_dubrovin_residual"] <= 1e-8
         and rep.values["max_pushforward_residual"] <= 1e-8
     )

@@ -85,31 +85,30 @@ def _ref_fixed_point(group, rng):
 
 def _ref_stokes(samples, seed, tol=1e-8):
     n = 3
+    kappa_predicted = 2.0  # {x, y} = 2 (xy - 2z), sign included
     group = groupnum.dual_group(n)
     psi = InvolutionSpec("pair-swap")
-    collected = []
-    max_tangency = max_markoff = 0.0
+    max_resid = max_tangency = max_markoff = largest = 0.0
+    kappa = None
     rank_ok = True
     for k in range(samples):
         b = _ref_unipotent(n, np.random.default_rng([seed, k]))
         point = np.stack([b, b.T])
-        pi = groupnum.dual_group_bivector(group, point)
+        if group.membership(point) > TOL_MEMBER:
+            raise AssertionError("sampled point failed group membership")
+        pi = groupnum.pl_bivector(group, point)
         max_tangency = max(max_tangency, _ref_tangency(pi))
         pi_q = groupnum.pi_q_projection(psi, pi)
         rank_ok = rank_ok and _ref_rank_relation(psi, pi, pi_q)
         x, y, z = (float(point[idx]) for idx in groupnum.CHART_N3)
         chart = pi_q.bracket_matrix(groupnum.CHART_N3)
-        brackets = tuple(float(chart[p, q]) for p, q in ((0, 1), (1, 2), (2, 0)))
-        collected.append((brackets, (x * y - 2 * z, y * z - 2 * x, z * x - 2 * y)))
+        for (p, q), rhs in zip(((0, 1), (1, 2), (2, 0)), (x * y - 2 * z, y * z - 2 * x, z * x - 2 * y)):
+            lhs = float(chart[p, q])
+            max_resid = max(max_resid, abs(lhs - kappa_predicted * rhs))
+            if abs(rhs) > largest:  # kappa is the measured ratio at the largest target
+                largest, kappa = abs(rhs), lhs / rhs
         grad = np.array([2 * x - y * z, 2 * y - x * z, 2 * z - x * y])
         max_markoff = max(max_markoff, float(np.max(np.abs(grad @ chart))))
-    kappa = None
-    for brackets, target in collected:
-        pick = int(np.argmax(np.abs(target)))
-        if abs(target[pick]) > 1e-6:
-            kappa = brackets[pick] / target[pick]
-            break
-    max_resid = max(abs(lhs - kappa * rhs) for brackets, target in collected for lhs, rhs in zip(brackets, target))
     max_push = 0.0
     for k in range(samples):
         point = _ref_dual_point(n, np.random.default_rng([seed, samples + k]))
@@ -119,8 +118,8 @@ def _ref_stokes(samples, seed, tol=1e-8):
         x, y, z = pushed.base[0, 1], pushed.base[0, 2], pushed.base[1, 2]
         image = pushed.bracket_matrix(((0, 1), (0, 2), (1, 2)))
         for lhs, rhs in zip((image[0, 1], image[1, 2], image[2, 0]), (x * y - 2 * z, y * z - 2 * x, z * x - 2 * y)):
-            max_push = max(max_push, abs(float(lhs) - 2.0 * kappa * float(rhs)))
-    kappa_two_defect = abs(abs(kappa) - 2.0)
+            max_push = max(max_push, abs(float(lhs) - 2.0 * kappa_predicted * float(rhs)))
+    kappa_two_defect = abs(kappa - kappa_predicted)
     ok = (max_resid <= tol and kappa_two_defect <= tol and max_push <= tol and max_tangency <= TOL_CROSS
           and max_markoff <= 1e-7 and rank_ok)
     return Report(ok, {
@@ -382,6 +381,19 @@ def test_membership_failure_raises_as_the_loop_does(monkeypatch):
     loop = _raised(lambda: _ref_crosscheck("sl", 12, 2))
     assert loop[0] is AssertionError
     assert _raised(lambda: groupnum.crosscheck_report("sl", 12, 2)) == loop
+
+
+def test_stokes_membership_failure_raises_as_the_loop_does(monkeypatch):
+    # only sample 10, the third point of its block, is scaled off G*; it stays fixed by the
+    # involution, so the shared sampling step's membership check is what fails
+    _set_block(monkeypatch, SMALL_BLOCK)
+    rng = np.random.default_rng([1, 10])
+    generator = np.zeros((3, 3))
+    generator[np.triu_indices(3, 1)] = rng.normal(0.0, 0.5, size=3)
+    _corrupt_exp(monkeypatch, [(generator, lambda g: 1.01 * g)])
+    loop = _raised(lambda: _ref_stokes(12, 1))
+    assert loop[0] is AssertionError
+    assert _raised(lambda: groupnum.stokes_report(3, 12, 1)) == loop
 
 
 def test_stacked_verdicts_are_per_point():

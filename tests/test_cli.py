@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, file formats, report determinism."""
 
 import argparse
+import ast
 import importlib
 import re
 import shlex
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from conftest import subprocess_env
 
 import poissonkit
+from poissonkit import groupnum
 from poissonkit.chartio import (
     ChartFileError,
     emit_chart,
@@ -138,7 +140,17 @@ def test_group_stokes_cli():
         "group", "stokes", "--n", "3", "--samples", "5", "--seed", "1", "--tol", "1e-8",
     ])
     assert code == 0
-    assert abs(abs(float(report.values["kappa"])) - 2.0) < 1e-8
+    assert abs(float(report.values["kappa"]) - 2.0) < 1e-8
+
+
+@pytest.mark.parametrize("scale, code", [(-4.0, 1), (2.0, 1), (4.0, 0)], ids=["sign-flipped", "halved", "stated"])
+def test_stokes_checks_the_predicted_kappa(scale, code, monkeypatch):
+    # kappa = +2 is predicted, not fitted: r with its sign flipped measures kappa = -2 and r at
+    # scale 2 measures kappa = 1, and each fails
+    monkeypatch.setattr(groupnum, "DOUBLE_R_SCALE", scale)
+    got, report = run_command(["group", "stokes", "--n", "3", "--samples", "20", "--seed", "1"])
+    assert got == code
+    assert report.values["kappa"] == pytest.approx(scale / 2, abs=1e-8)
 
 
 def test_porcelain_deterministic(capsys):
@@ -463,6 +475,38 @@ def test_readme_dotted_names_resolve():
                 obj = getattr(obj, attr)
             checked.append(dotted[0])
     assert "report.sample_blocks" in checked and "liealg.AlgElement" in checked
+
+
+def _names_in(tree):
+    """(name, line) of every identifier a module names: a variable, an attribute, or a
+    string that is an identifier (``__all__`` and the getattr tables)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
+            yield node.value, node.lineno
+
+
+def test_every_function_in_src_has_a_caller_outside_tests():
+    # code that only the tests call lives in tests/: every function or method defined in
+    # src/poissonkit, dunders exempt, is named in src/, demos/ or perfbench/ outside its own body
+    repo = Path(__file__).resolve().parents[1]
+    trees = {path: ast.parse(path.read_text(), str(path))
+             for root in ("src", "demos", "perfbench") for path in sorted((repo / root).rglob("*.py"))}
+    defined = [(node.name, path, node.lineno, node.end_lineno) for path, tree in trees.items()
+               if path.is_relative_to(repo / "src") for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and not (node.name.startswith("__") and node.name.endswith("__"))]
+    named = {}
+    for path, tree in trees.items():
+        for name, line in _names_in(tree):
+            named.setdefault(name, []).append((path, line))
+    uncalled = [f"{path.relative_to(repo)}:{start} {name}" for name, path, start, end in defined
+                if not any(where != path or not start <= line <= end for where, line in named.get(name, ()))]
+    assert len(defined) > 200
+    assert not uncalled, uncalled
 
 
 # exact commands: the full porcelain stdout; numeric ones: the porcelain keys

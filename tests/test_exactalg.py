@@ -556,3 +556,28 @@ def test_exact_kernels_use_no_floats(module):
             assert node.module not in ("math", "cmath"), node.lineno
     if module is exactalg:
         assert exempt, "Scalar.to_complex not found"
+
+
+def test_floats_are_refused_not_converted():
+    # Scalar(0.1) used to become 3602879701896397/36028797018963968, and Poly arithmetic
+    # converted a float operand the same way
+    x = Poly.var(2, 0)
+    refused = [lambda: Scalar(0.1), lambda: Scalar(1, 0.5), lambda: Scalar(0.5j), lambda: Scalar.coerce(0.5),
+               lambda: Scalar(1) / 0.5, lambda: Poly.const(2, 0.5), lambda: Poly(2, {(1, 0): 0.5}),
+               lambda: x + 0.1, lambda: 0.1 + x, lambda: x - 0.5, lambda: 0.5 - x, lambda: x * 0.5,
+               lambda: 0.5 * x, lambda: x + 1j, lambda: x * 1j]
+    for make in refused:
+        with pytest.raises(TypeError):
+            make()
+    for op in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__"):
+        for operand in (0.5, 1j, "x", None):
+            assert getattr(x, op)(operand) is NotImplemented, (op, operand)
+
+
+def test_poly_scales_a_multivector_from_either_side():
+    # Poly * PolyMultiVec used to raise "argument should be a string or a Rational instance"
+    x, y = Poly.var(2, 0), Poly.var(2, 1)
+    mv = PolyMultiVec(2, 1, {(0,): y, (1,): Poly.const(2, 1)})
+    assert x * mv == mv * x == PolyMultiVec(2, 1, {(0,): x * y, (1,): x})
+    with pytest.raises(ValueError):
+        Poly.var(3, 0) * mv  # a polynomial on another chart

@@ -6,7 +6,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import adjoint_coordinate_matrix, algebra_element, assert_pass_rule, cocycle_lambda
+from conftest import adjoint_coordinate_matrix, algebra_element, assert_pass_rule, cocycle_lambda, pi_q_formula_swapped
 from poissonkit import groupnum
 from poissonkit.groupnum import (
     TOL_MEMBER,
@@ -345,7 +345,7 @@ def test_swapped_arrow_binding_rejected():
     spec = InvolutionSpec("transpose")
     g = _fixed_points(group, [np.random.default_rng([33, 0])])[0]
     proj = pi_q_projection(spec, pl_bivector(group, g))
-    swapped = pi_q_formula(group, g, swap_arrows=True)
+    swapped = pi_q_formula_swapped(group, g)
     assert _bracket_difference(proj, swapped) > 1e-3
 
 
@@ -387,7 +387,7 @@ def test_dual_tangency_random_points():
 def test_stokes_report_passes():
     rep = stokes_report(3, samples=20, seed=1, tol=1e-8)
     assert rep.ok
-    assert abs(abs(rep.values["kappa"]) - 2.0) <= 1e-8
+    assert abs(rep.values["kappa"] - 2.0) <= 1e-8
     assert rep.values["max_dubrovin_residual"] <= 1e-8
     assert rep.values["max_pushforward_residual"] <= 1e-8
     assert rep.values["max_markoff_defect"] <= 1e-7

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import abelian, apply_vector, counted_calls, double_pairing, validate_lie_reference
+from conftest import abelian, apply_vector, counted_calls, double_pairing, structure_constant, validate_lie_reference
 from poissonkit import liealg
 from poissonkit.cli import run_command
 from poissonkit.exactalg import Poly, PolyMultiVec, Scalar, schouten
@@ -517,7 +517,7 @@ def test_sparse_vector_routines_match_dense_formulas():
         for i in range(n):
             for j in range(n):
                 for k in range(n):
-                    dense[k] = dense[k] + u[i] * v[j] * g.structure_constant(i, j, k)
+                    dense[k] = dense[k] + u[i] * v[j] * structure_constant(g, i, j, k)
         assert g.bracket_vectors(u, v) == dense
         x, y = vec(dim), vec(dim)
         assert double_pairing(dd, x, y) == sum((x[a] * y[n + a] + x[n + a] * y[a] for a in range(n)), Scalar(0))
@@ -587,7 +587,7 @@ def test_sparse_jacobi_sweep_matches_the_triple_loop(name, data):
     g = _PERTURBED[name]
     i, j = sorted(data.draw(st.lists(st.integers(0, g.dim - 1), min_size=2, max_size=2, unique=True)))
     k = data.draw(st.integers(0, g.dim - 1))
-    old = g.structure_constant(i, j, k)
+    old = structure_constant(g, i, j, k)
     delta = data.draw(st.sampled_from(_DELTAS + ([-old] if old else [])))
     table = {pair: dict(entry) for pair, entry in g.table.items()}
     table.setdefault((i, j), {})[k] = old + delta

@@ -3,8 +3,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import contract_forms, make_rng
+from conftest import bracket_by_pairs, contract_forms, make_rng
 from poissonkit.chartio import parse_chart_text
 from poissonkit.dirac import AlignedSubmanifold
 from poissonkit.exactalg import Poly, PolyMultiVec, Scalar, schouten
@@ -122,6 +124,33 @@ def test_bracket_variable_mismatch():
     chart = dubrovin_chart()
     with pytest.raises(ValueError):
         bracket(chart, Poly.var(2, 0), Poly.var(2, 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_bracket_matches_the_pair_formula(seed):
+    # {f, g} = X_f(g) against the sum over the components of pi, on random charts, not all
+    # Poisson, whose coefficients have imaginary and non-integral parts
+    rng = make_rng(seed)
+    dim = rng.randint(2, 4)
+
+    def scale():
+        return Scalar(Fraction(rng.randint(-5, 5), rng.randint(1, 6)), Fraction(rng.randint(-5, 5), rng.randint(1, 6)))
+
+    chart = PoissonChart(dim, tuple(f"x{k}" for k in range(dim)), rand_multivec(rng, dim, 2) * scale())
+    f, g = rand_poly(rng, dim) * scale(), rand_poly(rng, dim) * scale()
+    assert bracket(chart, f, g) == bracket_by_pairs(chart, f, g)
+
+
+@pytest.mark.parametrize("wrong", ["f", "g", "both"])
+def test_bracket_mismatch_is_the_pair_formula_error(wrong):
+    chart = dubrovin_chart()
+    f, g = (Poly.var(2, 0) if wrong in (name, "both") else Poly.var(3, 0) for name in "fg")
+    with pytest.raises(ValueError) as got:
+        bracket(chart, f, g)
+    with pytest.raises(ValueError) as want:
+        bracket_by_pairs(chart, f, g)
+    assert str(got.value) == str(want.value)
 
 
 # -- Hamiltonian fields and Casimirs --------------------------------------------
