@@ -51,11 +51,19 @@ with the classical pair-sum formula
 
 together with [A, f] = (-1)^(p-1) i_df A, which is what the independent
 oracle in ``schouten_oracle`` computes.  ``schouten`` evaluates both
-contractions term by term over (index tuple, exponent tuple, coefficient)
-triples, without the ``wedge`` and ``Poly`` products the oracle uses.  It
-sums the raw real and imaginary parts of the products and builds each output
-``Scalar`` once, in canonical form.  ``schouten(a, a)`` on one object runs
-one contraction: [A, A] = 2 (A o A) for even p and 0 for odd p.
+contractions term by term, without the ``wedge`` and ``Poly`` products the
+oracle uses, on packed exponent keys: each distinct exponent tuple of the
+inputs becomes one int once, whose field j holds the exponent of x_j.  The
+field width is one bit more than the largest input exponent needs, so a
+field of a product, at most twice that exponent, never carries into the
+next, however large the exponents; a negative exponent, which no
+polynomial has, raises ``ValueError``.  A monomial product is then one int
+addition, and d/dx_l subtracts one unit of field l.  ``schouten`` sums the
+raw real and imaginary parts of the products per (index tuple, packed key),
+reads each surviving key that is no input key back into an exponent tuple
+once, and builds each output ``Scalar`` once, in canonical form.
+``schouten(a, a)`` on one object runs one contraction: [A, A] = 2 (A o A)
+for even p and 0 for odd p.
 
 Expressions
 -----------
@@ -71,7 +79,8 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from operator import add
+from itertools import chain
+from operator import add, mul
 from typing import Iterable, Mapping, Sequence, Union
 
 from .report import InvalidInput
@@ -963,51 +972,74 @@ class PolyMultiVec(Wedge):
         return {k: v for k, v in values if not v.is_zero()}
 
 
-def _hook(a: PolyMultiVec, b: PolyMultiVec, out: dict, factor: int, parities: dict) -> None:
+def _packed_exponents(a: PolyMultiVec, b: PolyMultiVec) -> tuple[dict, list, int]:
+    """Each distinct exponent tuple of a and b packed once into one int, the
+    unit of each field, and the field width.
+
+    Field j of a packed key, ``width`` bits wide from bit j * width, holds the
+    exponent of x_j, and ``units[j]`` is 1 << (j * width).  The width is one
+    bit more than the largest input exponent needs, so a field of a product,
+    at most twice that exponent, never carries into the next field, however
+    large the exponents are.  A product of monomials is then one int
+    addition, and d/dx_l of a monomial whose x_l field is nonzero subtracts
+    ``units[l]`` without a borrow.  A negative exponent would borrow, so it
+    raises ``ValueError``.
+    """
+    exps = {e for f in (a, b) for poly in f.comps.values() for e in poly.terms}
+    if min(chain.from_iterable(exps), default=0) < 0:
+        raise ValueError("schouten takes polynomials, and an exponent is negative")
+    width = max(chain.from_iterable(exps), default=0).bit_length() + 1
+    units = [1 << s for s in range(0, width * a.dim, width)]
+    return {e: sum(map(mul, e, units)) for e in exps}, units, width
+
+
+def _hook(a: PolyMultiVec, b: PolyMultiVec, out: dict, factor: int, slots: dict, packed: dict, units: list) -> None:
     """Add factor * (A o B), A o B = sum_l (d^R A / dxi_l)(dB/dx_l), into ``out``.
 
-    ``out`` maps an index tuple to {exponent tuple: [re, im]}, the running
+    ``out`` maps an index tuple to {packed exponent key: [re, im]}, the running
     raw parts of its component's coefficients; ``schouten`` builds the
-    Scalars once at the end.  The work runs term by term: the left odd
+    Scalars once at the end.  ``packed`` holds the packed key of every
+    exponent tuple of A and B, and ``units`` the unit of each field (see
+    ``_packed_exponents``).  The work runs term by term: the left odd
     derivative of xi_I by xi_l, l at position pos of I, is (-1)^pos
     xi_{I minus l}; the right derivative is (-1)^(p-1) times the left one;
-    dB/dx_l is formed once per l.  ``parities`` caches ``sort_with_parity``
-    of each concatenated index tuple (() when an index repeats).
+    dB/dx_l is formed once per l.  ``slots`` maps each concatenated index
+    tuple (I minus l) + J to the ``out`` entry of its sorted form and whether
+    that sort is even, or to () when an index repeats.
     """
     if a.degree % 2 == 0:  # right derivative: (-1)^(p-1)
         factor = -factor
-    db: dict[int, list] = {}  # l -> [(J, [(exps, re, im) of dB_J/dx_l])]
+    db: dict[int, list] = {}  # l -> [(J, [(packed key, re, im) of dB_J/dx_l])]
     for ib, pb in b.comps.items():
         by_var: dict[int, list] = {}
         for exps, coeff in pb.terms.items():
-            re, im = coeff.re, coeff.im
+            key, re, im = packed[exps], coeff.re, coeff.im
             for l, k in enumerate(exps):
                 if k:
-                    lowered = exps[:l] + (k - 1,) + exps[l + 1 :]
-                    by_var.setdefault(l, []).append((lowered, re * k, im * k))
+                    by_var.setdefault(l, []).append((key - units[l], re * k, im * k))
         for l, terms in by_var.items():
             db.setdefault(l, []).append((ib, terms))
     for ia, pa in a.comps.items():
         # the terms of A_I times +factor and -factor, so the sign is picked, not multiplied
-        plus = [(e, c.re * factor, c.im * factor) for e, c in pa.terms.items()]
+        plus = [(packed[e], c.re * factor, c.im * factor) for e, c in pa.terms.items()]
         minus = [(e, -re, -im) for e, re, im in plus]
         for pos, l in enumerate(ia):
             rest = ia[:pos] + ia[pos + 1 :]
+            # left derivative (-1)^pos, times the parity of the sort
+            even, odd = (plus, minus) if pos % 2 == 0 else (minus, plus)
             for ib, terms_b in db.get(l, ()):
                 cat = rest + ib
-                sp = parities.get(cat)
-                if sp is None:
-                    sp = parities[cat] = sort_with_parity(cat) or ()
-                if not sp:
+                slot = slots.get(cat)
+                if slot is None:
+                    sp = sort_with_parity(cat)
+                    slot = slots[cat] = (out.setdefault(sp[0], {}), sp[1] == 1) if sp else ()
+                if not slot:
                     continue
-                key, parity = sp
-                comp = out.setdefault(key, {})
-                # left derivative (-1)^pos, times the parity of the sort
-                terms_a = plus if (parity == 1) == (pos % 2 == 0) else minus
-                for ea, ar, ai in terms_a:
+                comp, positive = slot
+                for ea, ar, ai in even if positive else odd:
                     for eb, br, bi in terms_b:
                         re, im = ar * br - ai * bi, ar * bi + ai * br
-                        e = tuple(map(add, ea, eb))
+                        e = ea + eb
                         acc = comp.get(e)
                         if acc is None:
                             comp[e] = [re, im]
@@ -1020,18 +1052,28 @@ def schouten(a: PolyMultiVec, b: PolyMultiVec) -> PolyMultiVec:
     """Schouten-Nijenhuis bracket; see the module docstring for the convention."""
     a._check(b)
     p, q = a.degree, b.degree
-    out: dict[tuple, dict[tuple, list]] = {}
-    parities: dict[tuple, tuple] = {}
+    out: dict[tuple, dict[int, list]] = {}
+    packed, units, width = _packed_exponents(a, b)
+    slots: dict[tuple, tuple] = {}
     if a is b:
         # [A, A] = A o A - (-1)^((p-1)^2) A o A: 2 (A o A) for even p, 0 for odd p
         if p % 2 == 0:
-            _hook(a, a, out, 2, parities)
+            _hook(a, a, out, 2, slots, packed, units)
     else:
-        _hook(a, b, out, 1, parities)
-        _hook(b, a, out, -1 if ((p - 1) * (q - 1)) % 2 == 0 else 1, parities)
+        _hook(a, b, out, 1, slots, packed, units)
+        _hook(b, a, out, -1 if ((p - 1) * (q - 1)) % 2 == 0 else 1, slots, packed, units)
+    # a surviving key that is no input key is read back field by field, once
+    mask, shifts = (1 << width) - 1, range(0, width * a.dim, width)
+    exps = dict(zip(packed.values(), packed))
     comps = {}
     for key, terms in out.items():
-        poly = {e: _from_parts(_canon(re), _canon(im)) for e, (re, im) in terms.items() if re or im}
+        poly = {}
+        for k, (re, im) in terms.items():
+            if re or im:
+                e = exps.get(k)
+                if e is None:
+                    e = exps[k] = tuple([(k >> s) & mask for s in shifts])
+                poly[e] = _from_parts(_canon(re), _canon(im))
         if poly:
             comps[key] = _poly(a.dim, poly)
     return PolyMultiVec._new(a.dim, max(p + q - 1, 0), comps)

@@ -605,8 +605,26 @@ def _draw_argv(data, parser):
     return argv
 
 
+def _assert_exit_code_contract(argv, code, report, out, err):
+    """README: 0 passes, 1 always prints a failed report, 2 is bad input with one error line."""
+    if code == 2:
+        assert report is None and out == "" and err.startswith(("usage error: ", "input error: ")), argv
+        return
+    if report is None:  # -h/--help: the help, and no verdict
+        assert code == 0 and out.startswith("usage:") and err == "", argv
+        return
+    last = out.splitlines()[-1]
+    verdict = last if "--porcelain" in argv else "=".join(last.split())
+    assert (code, report.ok, verdict) in ((0, True, "pass=True"), (1, False, "pass=False")), argv
+    if code == 0:  # no pass that checks nothing
+        assert report.samples is None or report.samples >= 1, argv
+        if "oracle" in argv:
+            assert report.values["pairs"] >= 1, argv
+        if "fixed-locus" in argv:
+            assert report.values["fixed_dim"] >= 1, argv
+
+
 def test_exit_code_contract(capsys, tmp_path, monkeypatch):
-    # README: 0 passes, 1 always prints a failed report, 2 is bad input with one error line;
     # anything raised out of run_command is a bug
     monkeypatch.chdir(tmp_path)
     _write_bad_files(tmp_path)
@@ -618,20 +636,62 @@ def test_exit_code_contract(capsys, tmp_path, monkeypatch):
         argv = _draw_argv(data, parser)
         code, report = run_command(argv)
         out, err = capsys.readouterr()
-        if code == 2:
-            assert report is None and out == "" and err.startswith(("usage error: ", "input error: ")), argv
-            return
-        if report is None:  # -h/--help: the help, and no verdict
-            assert code == 0 and out.startswith("usage:") and err == "", argv
-            return
-        last = out.splitlines()[-1]
-        verdict = last if "--porcelain" in argv else "=".join(last.split())
-        assert (code, report.ok, verdict) in ((0, True, "pass=True"), (1, False, "pass=False")), argv
-        if code == 0:  # no pass that checks nothing
-            assert report.samples is None or report.samples >= 1, argv
-            if "oracle" in argv:
-                assert report.values["pairs"] >= 1, argv
-            if "fixed-locus" in argv:
-                assert report.values["fixed_dim"] >= 1, argv
+        _assert_exit_code_contract(argv, code, report, out, err)
 
     check()
+
+
+# the cheapest valid value of each option that sets a command's cost; dynr cdybe compares samples
+CHEAPEST = {"samples": "1", "pairs": "1", ("dynr cdybe", "samples"): "2"}
+
+
+def _with_value(argv, action, value):
+    """argv with the value of one action replaced, or added when argv leaves it out."""
+    if not action.option_strings:  # the positional follows the two command words
+        return [*argv[:2], value, *argv[3:]]
+    if action.nargs == 0:
+        return [*argv, value]
+    opt, kept, skip = action.option_strings[0], [], False
+    for token in argv:
+        if skip:
+            skip = False
+        elif token == opt:
+            skip = True
+        elif not token.startswith(f"{opt}="):
+            kept.append(token)
+    return [*kept, f"{opt}={value}"]
+
+
+def _reach_rows():
+    """One argv per leaf, option of that leaf and FUZZ_POOLS value of the option: the README's
+    argv for the leaf, with that value and every cost option at its cheapest valid value."""
+    parser = _build_parser()
+    rows = []
+    for readme in _readme_commands():
+        leaf = " ".join(readme[:2])
+        actions = _leaf_parser(parser, leaf)._actions
+        base = readme
+        for action in actions:
+            cheap = CHEAPEST.get((leaf, action.dest), CHEAPEST.get(action.dest))
+            if cheap is not None:
+                base = _with_value(base, action, cheap)
+        rows += [pytest.param(_with_value(base, action, value), id=f"{leaf}-{action.dest}={value}")
+                 for action in actions for value in FUZZ_POOLS.get(action.dest, ())]
+    return rows
+
+
+@pytest.fixture(scope="module")
+def bad_files_dir(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("bad_files")
+    _write_bad_files(directory)
+    return directory
+
+
+@pytest.mark.parametrize("argv", _reach_rows())
+def test_every_pool_value_reaches_every_leaf(argv, bad_files_dir, capsys, monkeypatch):
+    # the random fuzz reaches a value of a small pool in few of its argvs; these rows reach each
+    # value in each leaf that takes it, by construction
+    monkeypatch.chdir(bad_files_dir)
+    code, report = run_command(argv)
+    out, err = capsys.readouterr()
+    _assert_exit_code_contract(argv, code, report, out, err)

@@ -383,6 +383,58 @@ def test_schouten_self_bracket_property(seed):
         assert out.is_zero()
 
 
+# exponents at the boundaries of the packed fields the kernel adds: sums of two of these cross 2^7,
+# 2^8, 2^9, 2^16 and 2^17, and 10^20 needs more than 64 bits, so a carry into the next field would
+# change the output
+BOUNDARY_EXPONENTS = (0, 1, 2, 127, 128, 255, 256, 2**15, 2**16 + 1, 10**20)
+boundary_coeffs = st.sampled_from([Scalar(1), Scalar(-3), Scalar(0, 1), Scalar(0, -2), Scalar(Fraction(1, 2)),
+                                   Scalar(Fraction(-2, 3), Fraction(5, 7))])
+
+
+@st.composite
+def boundary_fields(draw):
+    """Two fields on 1-40 coordinates whose indices and exponents share a few active coordinates,
+    so that the derivatives of one meet the other."""
+    dim = draw(st.integers(1, 40))
+    active = draw(st.lists(st.integers(0, dim - 1), min_size=1, max_size=3, unique=True))
+
+    def field():
+        degree = draw(st.integers(0, min(2, len(active))))
+        comps = {}
+        for _ in range(draw(st.integers(1, 3))):
+            idxs = tuple(sorted(draw(st.lists(st.sampled_from(active), min_size=degree, max_size=degree,
+                                              unique=True))))
+            terms = {}
+            for _ in range(draw(st.integers(1, 2))):
+                exps = [0] * dim
+                for j in active:
+                    exps[j] = draw(st.sampled_from(BOUNDARY_EXPONENTS))
+                terms[tuple(exps)] = draw(boundary_coeffs)
+            comps[idxs] = Poly(dim, terms)
+        return PolyMultiVec(dim, degree, comps)
+
+    return field(), field()
+
+
+@settings(max_examples=100, deadline=None)
+@given(boundary_fields())
+def test_schouten_matches_oracle_at_exponent_boundaries(fields):
+    a, b = fields
+    assert schouten(a, b) == schouten_oracle(a, b)
+    copy = PolyMultiVec(a.dim, a.degree, a.comps)
+    assert schouten(a, a) == schouten(a, copy) == schouten_oracle(a, a)
+
+
+def test_schouten_refuses_a_negative_exponent():
+    # Poly(...) takes any int exponent, but a negative field would borrow from its neighbour in the
+    # packed key and give a wrong bracket without an error
+    laurent = PolyMultiVec(2, 1, {(0,): Poly(2, {(-1, 1): Scalar(1)})})
+    field = PolyMultiVec(2, 1, {(1,): Poly.var(2, 0)})
+    for a, b in ((laurent, field), (field, laurent), (laurent, laurent)):
+        with pytest.raises(ValueError, match="negative"):
+            schouten(a, b)
+
+
 @settings(max_examples=100, deadline=None)
 @given(seeds)
 def test_schouten_graded_antisymmetry_property(seed):
@@ -491,7 +543,7 @@ def test_wedge_storage_and_arithmetic_are_defined_once():
     assert exactalg.wedge is exactalg.Wedge.wedge
 
 
-_KERNELS = [exactalg.schouten, exactalg._hook, liealg.alg_schouten]
+_KERNELS = [exactalg.schouten, exactalg._hook, exactalg._packed_exponents, liealg.alg_schouten]
 
 
 @pytest.mark.parametrize("kernel", _KERNELS, ids=lambda f: f.__name__)
