@@ -1062,7 +1062,7 @@ def schouten(a: PolyMultiVec, b: PolyMultiVec) -> PolyMultiVec:
     else:
         _hook(a, b, out, 1, slots, packed, units)
         _hook(b, a, out, -1 if ((p - 1) * (q - 1)) % 2 == 0 else 1, slots, packed, units)
-    # a surviving key that is no input key is read back field by field, once
+    # each surviving key is read back into an exponent tuple once; an input key reuses its tuple
     mask, shifts = (1 << width) - 1, range(0, width * a.dim, width)
     exps = dict(zip(packed.values(), packed))
     comps = {}
