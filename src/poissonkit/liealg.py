@@ -95,7 +95,8 @@ class RootData:
 
 
 class LieAlgebraData:
-    """Basis labels plus exact structure constants, with optional extras."""
+    """Basis labels plus exact structure constants, with optional extras.  The
+    table never changes after construction; ``oracle`` memoises on that."""
 
     def __init__(
         self,

@@ -8,12 +8,19 @@ pair-sum formula for decomposable multivector fields,
         = sum_{i,j} (-1)^(i+j) [U_i, V_j] ^ U_1..^..U_p ^ V_1..^..V_q,
 
 with the polynomial A_I in the first wedge factor and [.,.] the coordinate
-Lie bracket of vector fields.  A function argument goes through
-[A, f] = (-1)^(p-1) i_df A and graded antisymmetry instead.  Nothing here
-shares code with the superfield contraction in ``exactalg.schouten``.
+Lie bracket of vector fields.  The other factors are constant fields, which
+commute, so only the pairs (U_1, V_j) and (U_i, V_1) remain, and the mixed
+ones are written out: [a d_i, d_k] = -(d_k a) d_i, [d_k, b d_j] = (d_k b) d_j.
+A function argument goes through [A, f] = (-1)^(p-1) i_df A and graded
+antisymmetry instead.  Nothing here shares code with the superfield
+contraction in ``exactalg.schouten``, which never splits a component into
+its factors.
 
 The Lie-algebra oracle expands wedge monomials recursively through the graded
 Leibniz rule instead of the pair-sum formula used by ``liealg.alg_schouten``.
+A bracket of coefficient-one monomials depends only on the structure
+constants, so it is memoised for the life of its ``LieAlgebraData``, keyed by
+that object: an algebra with the same labels and another table has its own.
 
 The seeded generators at the end draw the oracles' random inputs, for
 ``poissonkit oracle`` and the tests alike, from a ``random.Random``.
@@ -22,28 +29,23 @@ The seeded generators at the end draw the oracles' random inputs, for
 from __future__ import annotations
 
 import itertools
+import weakref
 from collections.abc import Iterator
 
-from .exactalg import SCALAR_ONE, Poly, PolyMultiVec, Scalar, wedge
+from .exactalg import SCALAR_ONE, Poly, PolyMultiVec, Scalar
 from .liealg import AlgElement, LieAlgebraData
 
 # -- chart-level oracle -------------------------------------------------------
 
-# A vector field is a list of (coefficient Poly, direction index) pairs.
 
-
-def _vf_bracket(u: list[tuple[Poly, int]], v: list[tuple[Poly, int]]) -> list[tuple[Poly, int]]:
-    """Coordinate Lie bracket of two polynomial vector fields."""
-    acc: dict[int, Poly] = {}
-    for fu, a in u:
-        for fv, b in v:
-            da = fv.diff(a)  # fu * da is pushed onto d_b
-            if da:
-                acc[b] = acc[b] + fu * da if b in acc else fu * da
-            db = fu.diff(b)
-            if db:
-                acc[a] = acc[a] - fv * db if a in acc else -(fv * db)
-    return [(p, j) for j, p in acc.items() if p]
+def _vf_bracket(fa: Poly, a: int, fb: Poly, b: int) -> Iterator[tuple[int, Poly]]:
+    """[fa d_a, fb d_b] = fa (d_a fb) d_b - fb (d_b fa) d_a, as (direction, Poly) items."""
+    deriv = fb.diff(a)
+    if deriv:
+        yield b, fa * deriv
+    deriv = fa.diff(b)
+    if deriv:
+        yield a, -(fb * deriv)
 
 
 def _interior(coeff: Poly, idxs: tuple, func: Poly) -> Iterator[tuple[tuple, Poly]]:
@@ -55,37 +57,24 @@ def _interior(coeff: Poly, idxs: tuple, func: Poly) -> Iterator[tuple[tuple, Pol
             yield idxs[:m] + idxs[m + 1 :], deriv if (p - 1 - m) % 2 == 0 else -deriv
 
 
-def _pair_sum(ca: Poly, ia: tuple, cb: Poly, ib: tuple, basis: list, one: Poly) -> Iterator[tuple[tuple, Poly]]:
-    """[ca * d_ia, cb * d_ib] by the pair-sum formula, as (index tuple, Poly) items.
-
-    The factors are U = (ca d_ia[0], d_ia[1], ...) and V likewise.  Every
-    factor but the first is a constant field ``one * d_k`` whose multivector is
-    ``basis[k]``; a first factor's multivector is built when a nonzero
-    [U_i, V_j] first needs it in its wedge.
-    """
-    dim = ca.nvars
-    us = [[(ca, ia[0])]] + [[(one, k)] for k in ia[1:]]
-    vs = [[(cb, ib[0])]] + [[(one, k)] for k in ib[1:]]
-    fields_a = [None] + [basis[k] for k in ia[1:]]
-    fields_b = [None] + [basis[k] for k in ib[1:]]
-    for i, u in enumerate(us):
-        for j, v in enumerate(vs):
-            lie = _vf_bracket(u, v)
-            if not lie:
-                continue
-            if i and fields_a[0] is None:
-                fields_a[0] = PolyMultiVec.monomial(dim, ia[:1], ca)
-            if j and fields_b[0] is None:
-                fields_b[0] = PolyMultiVec.monomial(dim, ib[:1], cb)
-            term = PolyMultiVec.from_terms(dim, 1, [((k,), f) for f, k in lie])
-            for k, field in enumerate(fields_a):
-                if k != i:
-                    term = wedge(term, field)
-            for k, field in enumerate(fields_b):
-                if k != j:
-                    term = wedge(term, field)
-            odd = (i + j) % 2  # (-1)^(i+j), the same with 1-based i, j
-            yield from ((key, -poly if odd else poly) for key, poly in term.comps.items())
+def _pair_sum(ca: Poly, ia: tuple, cb: Poly, ib: tuple) -> Iterator[tuple[tuple, Poly]]:
+    """[ca * d_ia, cb * d_ib] by the pair-sum formula on U = (ca d_ia[0], d_ia[1], ...) and V
+    likewise, as (index tuple, Poly) items: the term of (i, j) is [U_i, V_j] ^ the other
+    factors, so it carries ca when U_0 is among them and cb when V_0 is."""
+    a, rest_a = ia[0], ia[1:]
+    b, rest_b = ib[0], ib[1:]
+    for k, f in _vf_bracket(ca, a, cb, b):
+        yield (k,) + rest_a + rest_b, f
+    for i in range(1, len(ia)):  # (-1)^i [d_k, cb d_b] = (-1)^i (d_k cb) d_b
+        deriv = cb.diff(ia[i])
+        if deriv:
+            term = deriv * ca
+            yield (b,) + ia[:i] + ia[i + 1 :] + rest_b, -term if i % 2 else term
+    for j in range(1, len(ib)):  # (-1)^j [ca d_a, d_k] = -(-1)^j (d_k ca) d_a
+        deriv = ca.diff(ib[j])
+        if deriv:
+            term = deriv * cb
+            yield (a,) + rest_a + ib[:j] + ib[j + 1 :], term if j % 2 else -term
 
 
 def schouten_oracle(a: PolyMultiVec, b: PolyMultiVec) -> PolyMultiVec:
@@ -104,15 +93,16 @@ def schouten_oracle(a: PolyMultiVec, b: PolyMultiVec) -> PolyMultiVec:
             for ca in a.comps.values():
                 items.extend(_interior(cb, ib, -ca if flip else ca))
     else:
-        basis = [PolyMultiVec.basis(dim, k) for k in range(dim)]
-        one = Poly.const(dim, 1)
         for ia, ca in a.comps.items():
             for ib, cb in b.comps.items():
-                items.extend(_pair_sum(ca, ia, cb, ib, basis, one))
+                items.extend(_pair_sum(ca, ia, cb, ib))
     return PolyMultiVec.from_terms(dim, max(p + q - 1, 0), items)
 
 
 # -- Lie-algebra oracle -------------------------------------------------------
+
+# algebra -> {(ia, ib): components of the bracket of the monomials}; an element would keep its key alive
+_MONO_BRACKETS: weakref.WeakKeyDictionary[LieAlgebraData, dict] = weakref.WeakKeyDictionary()
 
 
 def alg_schouten_oracle(a, b):
@@ -129,12 +119,18 @@ def alg_schouten_oracle(a, b):
     g = a.algebra
     if b.algebra is not g:
         raise ValueError("parent algebra mismatch")
+    memo = _MONO_BRACKETS.setdefault(g, {})
 
     def basis_mono(idxs):
-        return AlgElement(g, len(idxs), {tuple(idxs): SCALAR_ONE})
+        return AlgElement._new(g, len(idxs), {idxs: SCALAR_ONE})
 
     def bracket_mono(ia, ib):
         """Bracket of two coefficient-one basis wedge monomials."""
+        if (ia, ib) not in memo:
+            memo[ia, ib] = expand(ia, ib).comps
+        return AlgElement._new(g, max(len(ia) + len(ib) - 1, 0), memo[ia, ib])
+
+    def expand(ia, ib):
         p, q = len(ia), len(ib)
         if p == 0 or q == 0:
             return AlgElement.zero(g, max(p + q - 1, 0))
@@ -148,11 +144,7 @@ def alg_schouten_oracle(a, b):
         tail = bracket_mono(ia, ib[1:])  # degree p + q - 2
         out = head.wedge(basis_mono(ib[1:]))
         second = basis_mono(ib[:1]).wedge(tail)
-        if (p - 1) % 2:
-            out = out - second
-        else:
-            out = out + second
-        return out
+        return out - second if (p - 1) % 2 else out + second
 
     total = AlgElement.zero(g, max(a.degree + b.degree - 1, 0))
     for ia, ca in a.comps.items():

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from conftest import subprocess_env
 
 import poissonkit
-from poissonkit import groupnum
+from poissonkit import cli, groupnum, liealg
 from poissonkit.chartio import (
     ChartFileError,
     emit_chart,
@@ -178,6 +178,33 @@ def test_oracle_cli():
     assert code == 0 and report.values["mismatches"] == 0
 
 
+def _with_extra_component(kernel, wrong):
+    """``kernel`` with a unit added to the first component of every nonzero result; each such
+    result is appended to ``wrong``."""
+    def patched(a, b):
+        out = kernel(a, b)
+        if out.is_zero():
+            return out
+        wrong.append(out)
+        return out + type(out)(out.space, out.degree, {min(out.comps): out._const(out.space, 1)})
+    return patched
+
+
+@pytest.mark.parametrize("argv, module, name", [
+    (["oracle", "schouten", "--pairs", "25", "--seed", "1"], cli, "schouten"),
+    (["oracle", "alg", "--algebra", "sl3", "--pairs", "25", "--seed", "1"], liealg, "alg_schouten"),
+])
+def test_oracle_cli_catches_a_wrong_kernel(argv, module, name, monkeypatch):
+    # the kernel as the handler calls it, wrong on every nonzero bracket: each of those pairs is a
+    # mismatch, and the command fails; with the kernel as it is, none is
+    assert run_command(argv)[1].values["mismatches"] == 0
+    wrong = []
+    monkeypatch.setattr(module, name, _with_extra_component(getattr(module, name), wrong))
+    code, report = run_command(argv)
+    assert wrong and code == 1 and not report.ok
+    assert report.values["mismatches"] == len(wrong)
+
+
 def test_modular_relative_cli():
     code, report = run_command(["modular", "relative", "relmod2.chart"])
     assert code == 0
@@ -210,8 +237,11 @@ def test_sample_count_below_one_is_a_usage_error(argv, capsys):
         assert "--samples" in capsys.readouterr().err
 
 
-# charts and algebras that are bad input, written into the working directory of the tests that use them
+# charts and algebras that are bad input, alone or with one option value, written into the working
+# directory of the tests that use them
 BAD_FILES = {
+    # only even brackets, so -I preserves it and only the -I guard of `dirac fixed-locus` stops the pair
+    "even3.chart": "dim 3\ncoords x y z\nbracket x y = x*y\nbracket y z = y*z\nbracket x z = x*z\n",
     "nonfamily.chart": "dim 3\ncoords x y z\nbracket x y = z\nbracket y z = y\n",
     "nonpoisson.chart": "dim 4\ncoords x y z w\nbracket x y = z\nbracket y z = y\n",
     "nondirac.chart": "dim 2\ncoords x y\nbracket x y = x\nsubmanifold x = x\n",
@@ -643,6 +673,8 @@ def test_exit_code_contract(capsys, tmp_path, monkeypatch):
 
 # the cheapest valid value of each option that sets a command's cost; dynr cdybe compares samples
 CHEAPEST = {"samples": "1", "pairs": "1", ("dynr cdybe", "samples"): "2"}
+# options of a leaf whose values are bad input only together, such as even3.chart with -I
+PAIRED = {"dirac fixed-locus": ("chart", "matrix")}
 
 
 def _with_value(argv, action, value):
@@ -664,7 +696,8 @@ def _with_value(argv, action, value):
 
 def _reach_rows():
     """One argv per leaf, option of that leaf and FUZZ_POOLS value of the option: the README's
-    argv for the leaf, with that value and every cost option at its cheapest valid value."""
+    argv for the leaf, with that value and every cost option at its cheapest valid value.  For
+    the options PAIRED in a leaf, one argv per pair of their values as well."""
     parser = _build_parser()
     rows = []
     for readme in _readme_commands():
@@ -677,6 +710,11 @@ def _reach_rows():
                 base = _with_value(base, action, cheap)
         rows += [pytest.param(_with_value(base, action, value), id=f"{leaf}-{action.dest}={value}")
                  for action in actions for value in FUZZ_POOLS.get(action.dest, ())]
+        if leaf in PAIRED:
+            first, second = ({a.dest: a for a in actions}[dest] for dest in PAIRED[leaf])
+            rows += [pytest.param(_with_value(_with_value(base, first, u), second, v),
+                                  id=f"{leaf}-{first.dest}={u}+{second.dest}={v}")
+                     for u in FUZZ_POOLS[first.dest] for v in FUZZ_POOLS[second.dest]]
     return rows
 
 

@@ -2,6 +2,9 @@
 the oracle's own algebraic laws, and a static check of its independence."""
 
 import ast
+import gc
+import itertools
+import weakref
 from pathlib import Path
 
 import pytest
@@ -11,8 +14,8 @@ from hypothesis import strategies as st
 from conftest import make_rng
 from poissonkit import oracle
 from poissonkit.cli import run_command
-from poissonkit.exactalg import PolyMultiVec, schouten, wedge
-from poissonkit.liealg import alg_schouten, sl_chevalley
+from poissonkit.exactalg import PolyMultiVec, Scalar, schouten, wedge
+from poissonkit.liealg import AlgElement, LieAlgebraData, alg_schouten, sl_chevalley
 from poissonkit.oracle import alg_schouten_oracle, rand_alg_element, rand_multivec, rand_poly, schouten_oracle
 
 
@@ -41,6 +44,40 @@ def test_alg_schouten_oracle_sl2_sl3():
             assert (alg_schouten(a, b) - alg_schouten_oracle(a, b)).is_zero()
 
 
+def _monomials(g):
+    """The coefficient-one basis monomials of degree 0-2."""
+    return [AlgElement(g, d, {idxs: Scalar(1)}) for d in range(3) for idxs in itertools.combinations(range(g.dim), d)]
+
+
+@pytest.mark.parametrize("perturbed_first", [False, True])
+def test_alg_schouten_oracle_memo_is_per_algebra(perturbed_first):
+    # sl2 and a copy with [h, e] = 3e (as in test_validate_jacobi_failure_perturbed_sl2) share their
+    # labels, not their tables: each gets its own monomial brackets, whichever is bracketed first
+    g = sl_chevalley(2)
+    table = {pair: dict(entry) for pair, entry in g.table.items()}
+    e, h = g.label_index("e12"), g.label_index("h1")
+    table[(h, e)][e] = Scalar(3)
+    table[(e, h)][e] = Scalar(-3)
+    bad = LieAlgebraData(g.labels, table)
+    brackets = {}
+    for alg in ([bad, g] if perturbed_first else [g, bad]):
+        monos = _monomials(alg)
+        brackets[alg] = [alg_schouten_oracle(x, y) for x in monos for y in monos]
+        assert brackets[alg] == [alg_schouten(x, y) for x in monos for y in monos]
+    assert [str(x) for x in brackets[g]] != [str(x) for x in brackets[bad]]
+
+
+def test_alg_schouten_oracle_memo_does_not_keep_its_algebra():
+    g = sl_chevalley(2)
+    monos = _monomials(g)
+    for x in monos:
+        alg_schouten_oracle(x, monos[-1])
+    ref = weakref.ref(g)
+    del g, monos, x
+    gc.collect()
+    assert ref() is None
+
+
 @pytest.mark.parametrize("argv, generator, next_draw", [
     (["oracle", "schouten", "--dim", "3"], "rand_multivec", 0.38223256097056324),
     (["oracle", "alg", "--algebra", "sl3"], "rand_alg_element", 0.14228347384241602),
@@ -64,7 +101,7 @@ def test_cli_oracle_streams_are_pinned(argv, generator, next_draw, monkeypatch):
 def test_oracle_imports_no_kernel():
     # the oracle is a second route only while it shares no code with the kernels it checks
     tree = ast.parse(Path(oracle.__file__).read_text())
-    allowed = {"exactalg": {"SCALAR_ONE", "Poly", "PolyMultiVec", "Scalar", "wedge"},
+    allowed = {"exactalg": {"SCALAR_ONE", "Poly", "PolyMultiVec", "Scalar"},
                "liealg": {"AlgElement", "LieAlgebraData"}}
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.level:
@@ -84,7 +121,7 @@ def test_oracle_imports_no_kernel():
             names.add(node.name)
         elif isinstance(node, ast.arg):
             names.add(node.arg)
-    assert not names & {"schouten", "alg_schouten", "_hook"}
+    assert not names & {"schouten", "alg_schouten", "_hook", "_packed_exponents"}
 
 
 # hypothesis draws a seed; the seeded generators draw a chart of dimension 3 or 4, degrees 0-3
