@@ -19,7 +19,7 @@ from typing import Sequence
 
 from . import linalg
 from .exactalg import Poly, PolyMultiVec, Scalar, schouten, wedge
-from .poisson import PoissonChart, bracket, jacobiator
+from .poisson import PoissonChart, hamiltonian_vf, jacobiator
 from .report import InvalidInput, Report
 
 __all__ = [
@@ -132,10 +132,19 @@ def check_aligned_dirac(q: AlignedSubmanifold) -> Report:
 def _pushforward(chart: PoissonChart, a: linalg.Matrix, a_inv: linalg.Matrix) -> PolyMultiVec:
     """A_* pi along x -> A x: (A_* pi)_ij = {(A x)_i, (A x)_j} o A^-1.  The caller
     passes A^-1, as it holds it already: an involution S is its own inverse, so
-    S_* pi is ``_pushforward(chart, S, S)``, and the eigenbasis change built P."""
+    S_* pi is ``_pushforward(chart, S, S)``, and the eigenbasis change built P.
+    Each row field X_(Ax)_i is formed once and applied to every (A x)_j, j > i."""
     n = chart.dim
-    ax, back = ([sum((Poly.var(n, j) * c for j, c in enumerate(row)), Poly.zero(n)) for row in m] for m in (a, a_inv))
-    return PolyMultiVec(n, 2, {(i, j): bracket(chart, ax[i], ax[j]).compose(back) for i in range(n) for j in range(i + 1, n)})
+    # (A x)_i = sum_j a_ij x_j: row i is the linear form with coefficient a_ij on the exponent of x_j
+    units = [tuple(int(k == j) for k in range(n)) for j in range(n)]
+    ax, back = ([Poly(n, dict(zip(units, row))) for row in m] for m in (a, a_inv))
+    fns = [PolyMultiVec.function(p) for p in ax]
+    comps = {}
+    for i in range(n - 1):
+        xf = hamiltonian_vf(chart, ax[i])
+        for j in range(i + 1, n):
+            comps[(i, j)] = schouten(xf, fns[j]).component(()).compose(back)
+    return PolyMultiVec(n, 2, comps)
 
 
 def fixed_locus_symbolic(chart: PoissonChart, s: LinearInvolution) -> Report:

@@ -65,6 +65,12 @@ once, and builds each output ``Scalar`` once, in canonical form.
 ``schouten(a, a)`` on one object runs one contraction: [A, A] = 2 (A o A)
 for even p and 0 for odd p.
 
+``schouten`` is the one contraction kernel of the chart layer: [pi, pi] in
+``poisson.jacobiator``, L_X pi in ``dirac.leaf_slice_obstruction``, every
+Hamiltonian field X_f = -[pi, f] (``poisson.hamiltonian_vf``, read by
+``is_casimir``, ``relative_modular`` and ``dirac._pushforward``) and every
+bracket {f, g} = [X_f, g] (``poisson.bracket``, ``dirac._pushforward``).
+
 Expressions
 -----------
 ``parse_poly`` and ``PolyParser`` read sums of products of powers, with
@@ -1005,8 +1011,13 @@ def _hook(a: PolyMultiVec, b: PolyMultiVec, out: dict, factor: int, slots: dict,
     xi_{I minus l}; the right derivative is (-1)^(p-1) times the left one;
     dB/dx_l is formed once per l.  ``slots`` maps each concatenated index
     tuple (I minus l) + J to the ``out`` entry of its sorted form and whether
-    that sort is even, or to () when an index repeats.
+    that sort is even, or to () when an index repeats.  A function A has no
+    odd derivative and adds nothing, so B's derivatives are not formed.  A
+    component A_I adds nothing either when B depends on no x_l with l in I,
+    and its terms are not read.
     """
+    if not a.degree:
+        return
     if a.degree % 2 == 0:  # right derivative: (-1)^(p-1)
         factor = -factor
     db: dict[int, list] = {}  # l -> [(J, [(packed key, re, im) of dB_J/dx_l])]
@@ -1020,6 +1031,8 @@ def _hook(a: PolyMultiVec, b: PolyMultiVec, out: dict, factor: int, slots: dict,
         for l, terms in by_var.items():
             db.setdefault(l, []).append((ib, terms))
     for ia, pa in a.comps.items():
+        if db.keys().isdisjoint(ia):
+            continue
         # the terms of A_I times +factor and -factor, so the sign is picked, not multiplied
         plus = [(packed[e], c.re * factor, c.im * factor) for e, c in pa.terms.items()]
         minus = [(e, -re, -im) for e, re, im in plus]

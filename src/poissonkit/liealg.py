@@ -58,8 +58,6 @@ __all__ = [
     "BUILTIN_ALGEBRAS",
     "lie_poisson_chart",
     "alg_schouten",
-    "ad_action",
-    "cobracket",
     "coboundary_check",
     "symmetric_bialgebra_check",
     "drinfeld_double",
@@ -496,16 +494,6 @@ def alg_schouten(a: AlgElement, b: AlgElement) -> AlgElement:
     return AlgElement._new(g, max(a.degree + b.degree - 1, 0), {k: c for k, c in out.items() if c})
 
 
-def ad_action(g: LieAlgebraData, basis_index: int, elem: AlgElement) -> AlgElement:
-    """ad_{x_b} extended as a derivation of the wedge algebra."""
-    return alg_schouten(AlgElement.basis(g, basis_index), elem)
-
-
-def cobracket(g: LieAlgebraData, r: AlgElement, x: AlgElement) -> AlgElement:
-    """delta(x) = [x, r] for a coboundary structure."""
-    return alg_schouten(x, r)
-
-
 def _failures_report(failures: list[str]) -> Report:
     """Passes iff there are no failures; else they are the witness, and the reason their "; "-join."""
     return Report(not failures, reason="; ".join(failures), witness=tuple(failures) if failures else None)
@@ -525,7 +513,7 @@ def coboundary_check(g: LieAlgebraData, r: AlgElement) -> Report:
     cyb = alg_schouten(r, r)
     failures = []
     for b in range(g.dim):
-        defect = ad_action(g, b, cyb)
+        defect = alg_schouten(AlgElement.basis(g, b), cyb)
         if not defect.is_zero():
             failures.append(f"[{g.labels[b]}, [r, r]] = {defect}")
     return _failures_report(failures)
@@ -597,8 +585,8 @@ def drinfeld_double(g: LieAlgebraData, r: AlgElement) -> DrinfeldDouble:
     n = g.dim
     labels = list(g.labels) + [f"{name}*" for name in g.labels]
 
-    # gamma[k][(i, j)]: the X_i ^ X_j coefficient of delta(x_k), i < j, read from its comps once
-    gamma = [cobracket(g, r, AlgElement.basis(g, k)).comps for k in range(n)]
+    # gamma[k][(i, j)]: the X_i ^ X_j coefficient of delta(x_k) = [x_k, r], i < j, read from its comps once
+    gamma = [alg_schouten(AlgElement.basis(g, k), r).comps for k in range(n)]
     # from_brackets drops the zero coefficients and the empty entries
     brackets = {(i, j): entry for (i, j), entry in g.table.items() if i < j}
     for k, delta in enumerate(gamma):

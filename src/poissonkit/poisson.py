@@ -4,6 +4,9 @@ A chart is a dimension, a list of coordinate names, a degree-2 multivector pi
 claimed to be Poisson, and an optional polynomial volume density rho (the
 volume form being rho dx_1 ^ ... ^ dx_n).  Everything is exact.
 
+Brackets use ``exactalg.schouten``, the one contraction kernel: the Jacobiator
+is [pi, pi], X_f = pi^#(df) = -[pi, f], and {f, g} = [X_f, g] = X_f(g).
+
 Divergences are computed as div(X) = (1/rho) sum_i d(rho X^i)/dx_i, which
 stays polynomial exactly when rho divides every d(rho X^i)/dx_i; charts with
 rho = 1 always qualify.  A non-dividing density raises ``UnsupportedDensity``.
@@ -23,7 +26,6 @@ __all__ = [
     "jacobiator",
     "bracket",
     "hamiltonian_vf",
-    "sharp",
     "is_casimir",
     "modular_vf",
     "relative_modular",
@@ -77,36 +79,18 @@ def jacobiator(chart: PoissonChart) -> PolyMultiVec:
     return schouten(chart.pi, chart.pi)
 
 
-def sharp(chart: PoissonChart, covector: Sequence[Poly]) -> PolyMultiVec:
-    """pi^#(alpha) for a covector with polynomial components."""
-    if len(covector) != chart.dim:
-        raise ValueError("covector has wrong length")
-    # pi = sum p_ij d_i ^ d_j gives pi^#(alpha) = sum p_ij (alpha_i d_j - alpha_j d_i)
-    zero = Poly.zero(chart.dim)
-    out: dict[tuple, Poly] = {}
-    for (i, j), poly in chart.pi.comps.items():
-        if covector[i]:
-            out[(j,)] = out.get((j,), zero) + poly * covector[i]
-        if covector[j]:
-            out[(i,)] = out.get((i,), zero) - poly * covector[j]
-    return PolyMultiVec(chart.dim, 1, out)
-
-
 def hamiltonian_vf(chart: PoissonChart, f: Poly) -> PolyMultiVec:
-    """X_f with X_f(g) = {f, g}."""
+    """X_f with X_f(g) = {f, g}: X_f = pi^#(df) = -[pi, f], formed as [pi, -f]."""
     if f.nvars != chart.dim:
         raise ValueError("function lives on the wrong chart")
-    return sharp(chart, [f.diff(i) for i in range(chart.dim)])
+    return schouten(chart.pi, PolyMultiVec.function(-f))
 
 
 def bracket(chart: PoissonChart, f: Poly, g: Poly) -> Poly:
-    """{f, g} = X_f(g) = sum_j X_f^j d_j g."""
+    """{f, g} = [X_f, g] = X_f(g)."""
     if f.nvars != chart.dim or g.nvars != chart.dim:
         raise ValueError("variable-count mismatch with the chart")
-    total = Poly.zero(chart.dim)
-    for (j,), poly in hamiltonian_vf(chart, f).comps.items():
-        total = total + poly * g.diff(j)
-    return total
+    return schouten(hamiltonian_vf(chart, f), PolyMultiVec.function(g)).component(())
 
 
 def is_casimir(chart: PoissonChart, f: Poly) -> Report:

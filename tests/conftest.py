@@ -18,13 +18,16 @@ references for the exact ``alg_schouten`` and the scan's invariance defect,
 and the sampled equivariance check of a family under an anti-morphism, which
 no command runs.
 For ``poissonkit.poisson``: the full contraction of a multivector with
-exact differentials, by a cofactor expansion, and the bracket {f, g} summed
-pair by pair over the components of pi, the reference for ``bracket``."""
+exact differentials, by a cofactor expansion, the bracket {f, g} summed
+pair by pair over the components of pi, the reference for ``bracket``, and
+pi^# of a covector contracted component by component, the reference for
+``hamiltonian_vf``."""
 
 import math
 import os
 import random
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -33,6 +36,7 @@ import poissonkit
 from poissonkit import dynr, linalg, report
 from poissonkit.exactalg import SCALAR_ZERO, Poly, PolyMultiVec, wedge
 from poissonkit.liealg import LieAlgebraData
+from poissonkit.poisson import PoissonChart
 from poissonkit.report import Report
 
 
@@ -286,3 +290,18 @@ def bracket_by_pairs(chart, f: Poly, g: Poly) -> Poly:
     for (i, j), poly in chart.pi.comps.items():
         total = total + poly * (f.diff(i) * g.diff(j) - f.diff(j) * g.diff(i))
     return total
+
+
+def sharp(chart: PoissonChart, covector: Sequence[Poly]) -> PolyMultiVec:
+    """pi^#(alpha) for a covector with polynomial components."""
+    if len(covector) != chart.dim:
+        raise ValueError("covector has wrong length")
+    # pi = sum p_ij d_i ^ d_j gives pi^#(alpha) = sum p_ij (alpha_i d_j - alpha_j d_i)
+    zero = Poly.zero(chart.dim)
+    out: dict[tuple, Poly] = {}
+    for (i, j), poly in chart.pi.comps.items():
+        if covector[i]:
+            out[(j,)] = out.get((j,), zero) + poly * covector[i]
+        if covector[j]:
+            out[(i,)] = out.get((i,), zero) - poly * covector[j]
+    return PolyMultiVec(chart.dim, 1, out)

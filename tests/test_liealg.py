@@ -12,13 +12,12 @@ from conftest import abelian, apply_vector, counted_calls, double_pairing, struc
 from poissonkit import liealg
 from poissonkit.cli import run_command
 from poissonkit.exactalg import Poly, PolyMultiVec, Scalar, schouten
+from poissonkit.oracle import alg_schouten_oracle
 from poissonkit.liealg import (
     AlgElement,
     LieAlgebraData,
-    ad_action,
     alg_schouten,
     chi_check,
-    cobracket,
     coboundary_check,
     drinfeld_double,
     lie_poisson_chart,
@@ -172,13 +171,18 @@ def test_wedge_collects_repeated_terms():
 
 
 def test_cobracket_is_ad_of_r():
-    # definitional: delta(x) = [x, r] = ad_x r
-    g = sl_chevalley(2)
-    r = standard_r_matrix(g)
-    for k in range(g.dim):
-        delta = cobracket(g, r, AlgElement.basis(g, k))
-        assert delta == alg_schouten(AlgElement.basis(g, k), r)
-        assert delta == ad_action(g, k, r)
+    # delta(x_k) = [x_k, r] = ad_{x_k} r, as drinfeld_double forms it, against the independent
+    # oracle; the double's dual block [xi^i, xi^j] = sum_k delta(x_k)^{ij} xi^k reads it back
+    cases = [(g, standard_r_matrix(g)) for g in (sl_chevalley(2), sl_chevalley(3))] + [su_compact_basis(2)]
+    for g, r in cases:
+        n = g.dim
+        sigma = drinfeld_double(g, r).sigma
+        for k in range(n):
+            x = AlgElement.basis(g, k)
+            delta = alg_schouten(x, r)
+            assert delta == alg_schouten_oracle(x, r), (g.name, k)
+            dual = {(i, j): sigma.table.get((n + i, n + j), {}).get(n + k) for i, j in combinations(range(n), 2)}
+            assert {ij: c for ij, c in dual.items() if c} == delta.comps, (g.name, k)
 
 
 # -- r-matrix checks ------------------------------------------------------------------

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bracket_by_pairs, contract_forms, make_rng
+from conftest import bracket_by_pairs, contract_forms, make_rng, sharp
+from poissonkit import dirac, poisson
 from poissonkit.chartio import parse_chart_text
-from poissonkit.dirac import AlignedSubmanifold
+from poissonkit.dirac import AlignedSubmanifold, LinearInvolution, fixed_locus_symbolic
 from poissonkit.exactalg import Poly, PolyMultiVec, Scalar, schouten
 from poissonkit.liealg import builtin_algebra, lie_poisson_chart
 from poissonkit.oracle import rand_multivec, rand_poly, rand_scalar, schouten_oracle
@@ -21,7 +22,6 @@ from poissonkit.poisson import (
     jacobiator,
     modular_vf,
     relative_modular,
-    sharp,
 )
 from poissonkit.report import InvalidInput
 
@@ -126,20 +126,36 @@ def test_bracket_variable_mismatch():
         bracket(chart, Poly.var(2, 0), Poly.var(2, 1))
 
 
+def _scale(rng):
+    """A Gaussian rational whose parts may be non-integral."""
+    return Scalar(Fraction(rng.randint(-5, 5), rng.randint(1, 6)), Fraction(rng.randint(-5, 5), rng.randint(1, 6)))
+
+
+def _random_chart(rng):
+    """A chart of 2 to 4 coordinates whose random bivector, not Poisson in general, is scaled by ``_scale``."""
+    dim = rng.randint(2, 4)
+    return PoissonChart(dim, tuple(f"x{k}" for k in range(dim)), rand_multivec(rng, dim, 2) * _scale(rng))
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_bracket_matches_the_pair_formula(seed):
     # {f, g} = X_f(g) against the sum over the components of pi, on random charts, not all
     # Poisson, whose coefficients have imaginary and non-integral parts
     rng = make_rng(seed)
-    dim = rng.randint(2, 4)
-
-    def scale():
-        return Scalar(Fraction(rng.randint(-5, 5), rng.randint(1, 6)), Fraction(rng.randint(-5, 5), rng.randint(1, 6)))
-
-    chart = PoissonChart(dim, tuple(f"x{k}" for k in range(dim)), rand_multivec(rng, dim, 2) * scale())
-    f, g = rand_poly(rng, dim) * scale(), rand_poly(rng, dim) * scale()
+    chart = _random_chart(rng)
+    f, g = rand_poly(rng, chart.dim) * _scale(rng), rand_poly(rng, chart.dim) * _scale(rng)
     assert bracket(chart, f, g) == bracket_by_pairs(chart, f, g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_hamiltonian_vf_matches_sharp_of_df(seed):
+    # X_f = -[pi, f] against pi^#(df), contracted component by component, on the same random charts
+    rng = make_rng(seed)
+    chart = _random_chart(rng)
+    f = rand_poly(rng, chart.dim) * _scale(rng)
+    assert hamiltonian_vf(chart, f) == sharp(chart, [f.diff(i) for i in range(chart.dim)])
 
 
 @pytest.mark.parametrize("wrong", ["f", "g", "both"])
@@ -214,6 +230,38 @@ def test_casimir_failure_reports_witness():
     verdict = is_casimir(chart, chart.parse("x"))
     assert not verdict.ok
     assert verdict.witness is not None and not verdict.witness[1].is_zero()
+
+
+def test_chart_brackets_go_through_schouten(monkeypatch):
+    # one contraction kernel: Casimir checks, brackets, relative modular fields and the
+    # fixed-locus pushforwards all reach the schouten that poisson and dirac bind, and
+    # fixed_locus_symbolic forms each row field of its two pushforwards once
+    assert not hasattr(poisson, "sharp")
+    calls = []
+
+    def counting(a, b):
+        calls.append((a.degree, b.degree))
+        return schouten(a, b)
+
+    for module in (poisson, dirac):
+        monkeypatch.setattr(module, "schouten", counting)
+    chart = dubrovin_chart()
+    assert is_casimir(chart, chart.parse("x^2 + y^2 + z^2 - x*y*z")).ok and (2, 0) in calls
+    calls.clear()
+    assert bracket(chart, chart.parse("x"), chart.parse("y")) == chart.parse("x*y - 2*z") and (1, 0) in calls
+    calls.clear()
+    line = PoissonChart(2, ("x", "y"), PolyMultiVec.monomial(2, (0, 1), Poly.var(2, 1)))
+    assert relative_modular(_aligned(line, (0,))).ok and (2, 0) in calls
+    so3 = lie_poisson_chart(builtin_algebra("so3"))
+    # x2 d1^d2 + y2 d3^d4, whose two blocks the involution swaps
+    blocks = PoissonChart(4, ("x1", "x2", "y1", "y2"), PolyMultiVec(4, 2, {(0, 1): Poly.var(4, 1), (2, 3): Poly.var(4, 3)}))
+    cases = [(so3, [[-1, 0, 0], [0, -1, 0], [0, 0, 1]]), (blocks, [[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]])]
+    for ambient, rows in cases:
+        calls.clear()
+        assert fixed_locus_symbolic(ambient, LinearInvolution.from_rows(rows)).ok
+        # one field per row i < n - 1 of each pushforward; rebuilding a field per pair would form n(n - 1)
+        assert 0 < calls.count((2, 0)) <= 2 * (ambient.dim - 1), calls
+        assert (1, 0) in calls
 
 
 # -- modular vector fields -------------------------------------------------------
