@@ -259,8 +259,8 @@ def _oracle_schouten(args) -> Report:
     rng = random.Random(args.seed)
     mismatches = 0
     for _ in range(args.pairs):
-        a = oracle.rand_multivec(rng, args.dim, rng.randint(0, 2), with_i=False)
-        b = oracle.rand_multivec(rng, args.dim, rng.randint(0, 2), with_i=False)
+        a = oracle.rand_multivec(rng, args.dim, rng.randrange(0, 3), with_i=False)
+        b = oracle.rand_multivec(rng, args.dim, rng.randrange(0, 3), with_i=False)
         if schouten(a, b) != oracle.schouten_oracle(a, b):
             mismatches += 1
     values = {"dim": args.dim, "pairs": args.pairs, "mismatches": mismatches}
@@ -273,8 +273,8 @@ def _oracle_alg(args) -> Report:
     density = 0.5 if g.dim < 5 else 0.15
     mismatches = 0
     for _ in range(args.pairs):
-        a = oracle.rand_alg_element(rng, g, rng.randint(0, 2), density)
-        b = oracle.rand_alg_element(rng, g, rng.randint(0, 2), density)
+        a = oracle.rand_alg_element(rng, g, rng.randrange(0, 3), density)
+        b = oracle.rand_alg_element(rng, g, rng.randrange(0, 3), density)
         if liealg.alg_schouten(a, b) != oracle.alg_schouten_oracle(a, b):
             mismatches += 1
     values = {"algebra": args.algebra, "pairs": args.pairs, "mismatches": mismatches}

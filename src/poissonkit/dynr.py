@@ -36,7 +36,14 @@ range over strictly increasing index tuples.
 Batching.  ``pairings``, ``eval_r``, ``r_derivative`` and ``cdybe_residual``
 also take a stack of lambda, shape (..., rank), and return one result per
 lambda; ``residual_scan`` runs its samples through them in blocks, by
-``report.sample_blocks``.
+``report.sample_blocks``.  A block draws lambda candidates in rounds of
+LAMBDA_ROUND from each sample's own generator (``report.sample_rngs``) and
+checks a round of every sample still without a lambda in one ``pairings``
+call.  Each sample keeps its first accepted candidate, so the values, and the
+stream each generator is drawn from, are those of drawing one candidate at a
+time.  The block evaluates r(lambda) and every dr/dlambda_m once, r(lambda) in
+the same ``eval_r`` call as the finite-difference points, and forms the
+residual from them.
 """
 
 from __future__ import annotations
@@ -64,6 +71,10 @@ __all__ = [
 ]
 
 SINGULAR_GUARD = 1e-3
+# Each sample draws lambda until its every root pairing is at least 0.5 from 0, at most
+# MAX_LAMBDA_TRIES times, in rounds of LAMBDA_ROUND draws; the round divides the cap.
+MAX_LAMBDA_TRIES = 1000
+LAMBDA_ROUND = 8
 
 
 def _tanh(x: np.ndarray) -> np.ndarray:
@@ -211,12 +222,17 @@ def _max_ad_defect(C: np.ndarray, t: np.ndarray) -> float:
     """Largest |coefficient| of [x_b, t] over every basis element b and strictly
     increasing triple, over a stack of trivectors t.  One b at a time, with
     R_jkl = sum_i C_bi^l t_ijk the coefficient at i < j < k is R_jki + R_ijk + R_kij,
-    so the dim^4 tensor of all [x_b, t] (0.4 MB a sample at dim 15) is never built."""
-    i, j, k = _increasing(t.shape[-1], 3)
+    so the dim^4 tensor of all [x_b, t] (0.4 MB a sample at dim 15) is never built.
+    As t_ijk = t_jki, R is t read as a matrix with rows (j, k) and columns i, times
+    C_b: one matrix product per b, from one reshape of the stack."""
+    dim = t.shape[-1]
+    i, j, k = _increasing(dim, 3)
+    jki, ijk, kij = (np.ravel_multi_index(idx, (dim,) * 3) for idx in ((j, k, i), (i, j, k), (k, i, j)))
+    rows = t.reshape(-1, dim)  # row (j, k) of each trivector
     worst = 0.0
     for cb in C:
-        r = np.tensordot(t, cb, axes=([-3], [0]))
-        worst = max(worst, float(np.max(np.abs(r[..., j, k, i] + r[..., i, j, k] + r[..., k, i, j]), initial=0.0)))
+        r = (rows @ cb).reshape(-1, dim ** 3)
+        worst = max(worst, float(np.max(np.abs(r[:, jki] + r[:, ijk] + r[:, kij]), initial=0.0)))
     return worst
 
 
@@ -243,22 +259,40 @@ def r_derivative(family: DynamicalRFamily, lam: Sequence[float] | np.ndarray, m:
     return _root_matrix(family, lam, family._g_prime, d * h[:, m])
 
 
-def cdybe_residual(family: DynamicalRFamily, lam: Sequence[float] | np.ndarray) -> np.ndarray:
-    """sum_m h_m ^ dr/dlambda_m + (1/2)[r, r], as an antisymmetric dim^3 tensor
-    (one per lambda of a stack)."""
-    n = _m_tensor(family.structure, eval_r(family, lam))
+def _residual(family: DynamicalRFamily, r: np.ndarray, dr: np.ndarray) -> np.ndarray:
+    """sum_m h_m ^ dr[..., m, :, :] + (1/2)[r, r] from r(lambda) and every dr/dlambda_m
+    stacked on the third axis from the end, batched over the leading axes."""
+    n = _m_tensor(family.structure, r)
     for m, h in enumerate(family.algebra.root_data.cartan):
-        n[..., h, :, :] += r_derivative(family, lam, m)  # h_m ^ dr/dlambda_m
+        n[..., h, :, :] += dr[..., m, :, :]  # h_m ^ dr/dlambda_m
     return _cyclic(n)
 
 
-def _sample_lambda(family: DynamicalRFamily, seed: int, index: int) -> np.ndarray:
-    """Sample ``index``: a lambda whose every root pairing is at least 0.5 from 0."""
-    (rng,) = sample_rngs(seed, [index])
-    for _ in range(1000):
-        lam = rng.uniform(-2.0, 2.0, size=family.rank)
-        if (np.abs(family.pairings(lam)) >= 0.5).all():
-            return lam
+def cdybe_residual(family: DynamicalRFamily, lam: Sequence[float] | np.ndarray) -> np.ndarray:
+    """sum_m h_m ^ dr/dlambda_m + (1/2)[r, r], as an antisymmetric dim^3 tensor
+    (one per lambda of a stack)."""
+    r = eval_r(family, lam)
+    return _residual(family, r, np.stack([r_derivative(family, lam, m) for m in range(family.rank)], axis=-3))
+
+
+def _sample_lambdas(family: DynamicalRFamily, seed: int, ks: Sequence[int]) -> np.ndarray:
+    """The lambda of each sample k of ks, one row each: the first of the draws of
+    ``default_rng([seed, k])`` whose every root pairing is at least 0.5 from 0.
+
+    The draws come LAMBDA_ROUND at a time, which gives the same doubles in the same
+    order as one draw at a time; one ``pairings`` call checks a round of every sample
+    still without a lambda."""
+    rngs = sample_rngs(seed, ks)
+    out = np.empty((len(rngs), family.rank))
+    pending = np.arange(len(rngs))
+    for _ in range(MAX_LAMBDA_TRIES // LAMBDA_ROUND):
+        draws = np.stack([rngs[p].uniform(-2.0, 2.0, size=(LAMBDA_ROUND, family.rank)) for p in pending])
+        ok = (np.abs(family.pairings(draws)) >= 0.5).all(axis=-1)
+        found = ok.any(axis=-1)
+        out[pending[found]] = draws[found, ok[found].argmax(axis=-1)]
+        pending = pending[~found]
+        if not pending.size:
+            return out
     raise RuntimeError("could not sample lambda away from the singular set")
 
 
@@ -286,11 +320,11 @@ def residual_scan(family: DynamicalRFamily, samples: int = 10, seed: int = 0, to
     def block(ks: range) -> tuple[float, float, float]:
         """The block's spread, invariance and derivative defects."""
         nonlocal first
-        lam = np.stack([_sample_lambda(family, seed, idx) for idx in ks])
+        lam = _sample_lambdas(family, seed, ks)
         r = eval_r(family, lam[:, None, :] + shifts)
-        res = cdybe_residual(family, lam)
-        fd = (r[:, 1::2] - r[:, 2::2]) * (1.0 / (2 * step))
         analytic = np.stack([r_derivative(family, lam, m) for m in range(family.rank)], axis=1)
+        res = _residual(family, r[:, 0], analytic)
+        fd = (r[:, 1::2] - r[:, 2::2]) * (1.0 / (2 * step))
         if first is None:
             first = res[0].copy()
         return _max_upper(res - first, 3), _max_ad_defect(C, res), _max_upper(fd - analytic, 2)

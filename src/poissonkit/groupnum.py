@@ -46,7 +46,7 @@ from typing import Callable, Sequence
 import numpy as np
 import numpy.random  # noqa: F401  numpy 2 loads it lazily; here it is paid at import, not inside a command
 
-from .liealg import LieAlgebraData, _sl_basis, sl_chevalley, standard_r_matrix, su_compact_basis
+from .liealg import _sl_basis, _su_basis
 from .report import Report, sample_blocks, sample_rngs
 
 __all__ = [
@@ -165,7 +165,6 @@ class MatrixGroup:
     r-matrix decomposition r = sum of coeff * basis[i] ^ basis[j]."""
 
     name: str
-    algebra: LieAlgebraData | None
     basis: list[np.ndarray]
     r_terms: list[tuple[int, int, float]]
     membership: Callable[[np.ndarray], np.ndarray]  # residual per point of a stack
@@ -267,20 +266,17 @@ def _check_n(n: int) -> None:
 def sl_group(n: int) -> MatrixGroup:
     """SL(n, R) with the standard r-matrix sum of e_a ^ f_a over positive roots."""
     _check_n(n)
-    alg = sl_chevalley(n)
-    mats = [m.real.copy() for m in _complex_matrices(alg.matrices)]
-    r = standard_r_matrix(alg)
-    terms = [(idxs[0], idxs[1], float(c.re)) for idxs, c in r.comps.items()]
-    return MatrixGroup(f"SL({n},R)", alg, mats, terms, _membership_sl)
+    _, mats, root_data = _sl_basis(n)
+    terms = [(info.e_index, info.f_index, float(info.d)) for info in root_data.roots]
+    return MatrixGroup(f"SL({n},R)", [m.real.copy() for m in _complex_matrices(mats)], terms, _membership_sl)
 
 
 def su_group(n: int) -> MatrixGroup:
     """SU(n) with the compact r-matrix sum of d_a/2 X_a ^ Y_a."""
     _check_n(n)
-    alg, r_hat = su_compact_basis(n)
-    mats = _complex_matrices(alg.matrices)
-    terms = [(idxs[0], idxs[1], float(c.re)) for idxs, c in r_hat.comps.items()]
-    return MatrixGroup(f"SU({n})", alg, mats, terms, _membership_su)
+    _, mats, root_data = _su_basis(n)
+    terms = [(info.e_index, info.f_index, float(info.d / 2)) for info in root_data.roots]
+    return MatrixGroup(f"SU({n})", _complex_matrices(mats), terms, _membership_su)
 
 
 def _membership_dual(g: np.ndarray) -> np.ndarray:
@@ -320,7 +316,7 @@ def dual_group(n: int) -> MatrixGroup:
     xis = [sum(dual_vectors[a, i] * gstar_basis[a] for a in range(dim)) for i in range(dim)]
 
     r_terms = [(i, dim + i, DOUBLE_R_SCALE) for i in range(dim)]
-    return MatrixGroup(f"B+*B-({n})", None, diagonal + xis, r_terms, _membership_dual)
+    return MatrixGroup(f"B+*B-({n})", diagonal + xis, r_terms, _membership_dual)
 
 
 def pair_trace(x: np.ndarray, y: np.ndarray) -> float:

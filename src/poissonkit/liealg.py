@@ -325,12 +325,9 @@ def sl_chevalley(n: int) -> LieAlgebraData:
     return LieAlgebraData.from_brackets(labels, _expand_table(mats), mats, root_data, name=f"sl{n}")
 
 
-def su_compact_basis(n: int) -> tuple[LieAlgebraData, AlgElement]:
-    """su(n) on the basis X_a = e_a - f_a, Y_a = i(e_a + f_a), t_m = i h_m.
-
-    Structure constants come out real rational and are stored that way; the
-    returned element is the compact r-matrix sum of d_a/2 X_a ^ Y_a.
-    """
+def _su_basis(n: int) -> tuple[list[str], list[linalg.Matrix], RootData]:
+    """Labels, matrices and root data of the compact basis X_a = e_a - f_a,
+    Y_a = i(e_a + f_a), t_m = i h_m of su(n); the root records point at (X_a, Y_a)."""
     _, sl_mats, sl_roots = _sl_basis(n)
     pos = [info.pair for info in sl_roots.roots]
     nroots = len(pos)
@@ -347,13 +344,22 @@ def su_compact_basis(n: int) -> tuple[LieAlgebraData, AlgElement]:
     for m in range(n - 1):
         mats.append(linalg.mat_scale(sl_mats[2 * nroots + m], SCALAR_I))
         labels.append(f"t{m+1}")
+    return labels, mats, sl_roots
 
+
+def su_compact_basis(n: int) -> tuple[LieAlgebraData, AlgElement]:
+    """su(n) on the basis X_a = e_a - f_a, Y_a = i(e_a + f_a), t_m = i h_m.
+
+    Structure constants come out real rational and are stored that way; the
+    returned element is the compact r-matrix sum of d_a/2 X_a ^ Y_a.
+    """
+    labels, mats, roots = _su_basis(n)
     brackets = _expand_table(mats)
     for entry in brackets.values():
         for coeff in entry.values():
             if coeff.im != 0:
                 raise AssertionError("compact real form produced a non-real constant")
-    g = LieAlgebraData.from_brackets(labels, brackets, mats, sl_roots, name=f"su{n}")
+    g = LieAlgebraData.from_brackets(labels, brackets, mats, roots, name=f"su{n}")
 
     r_hat = AlgElement(g, 2, {(info.e_index, info.f_index): Scalar(info.d / 2) for info in g.root_data.roots})
     return g, r_hat

@@ -159,16 +159,16 @@ def alg_schouten_oracle(a, b):
 def rand_scalar(rng, with_i: bool = True) -> Scalar:
     """A Gaussian integer, real part in -3..3; the imaginary part is drawn only
     when ``with_i``, and then is in -1..1 with probability 0.3, else 0."""
-    im = rng.randint(-1, 1) if (with_i and rng.random() < 0.3) else 0
-    return Scalar(rng.randint(-3, 3), im)
+    im = rng.randrange(-1, 2) if (with_i and rng.random() < 0.3) else 0
+    return Scalar(rng.randrange(-3, 4), im)
 
 
 def rand_poly(rng, dim: int, max_deg: int = 2, max_terms: int = 3, with_i: bool = True) -> Poly:
     """Up to ``max_terms`` monomials of degree at most ``max_deg``."""
     terms = {}
-    for _ in range(rng.randint(0, max_terms)):
+    for _ in range(rng.randrange(0, max_terms + 1)):
         exps = [0] * dim
-        for _ in range(rng.randint(0, max_deg)):
+        for _ in range(rng.randrange(0, max_deg + 1)):
             exps[rng.randrange(dim)] += 1
         terms[tuple(exps)] = rand_scalar(rng, with_i)
     return Poly(dim, terms)

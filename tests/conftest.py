@@ -15,8 +15,9 @@ with.
 
 For ``poissonkit.dynr``: [r, r] and every [x_b, t] on dense arrays, the
 references for the exact ``alg_schouten`` and the scan's invariance defect,
-and the sampled equivariance check of a family under an anti-morphism, which
-no command runs.
+the one-sample-at-a-time lambda sampler, the reference for the scan's
+round-by-round one, and the sampled equivariance check of a family under an
+anti-morphism, which no command runs.
 For ``poissonkit.poisson``: the full contraction of a multivector with
 exact differentials, by a cofactor expansion, the bracket {f, g} summed
 pair by pair over the components of pi, the reference for ``bracket``, and
@@ -34,10 +35,11 @@ import pytest
 
 import poissonkit
 from poissonkit import dynr, linalg, report
+from poissonkit.dynr import DynamicalRFamily
 from poissonkit.exactalg import SCALAR_ZERO, Poly, PolyMultiVec, wedge
 from poissonkit.liealg import LieAlgebraData
 from poissonkit.poisson import PoissonChart
-from poissonkit.report import Report
+from poissonkit.report import Report, sample_rngs
 
 
 def subprocess_env():
@@ -227,6 +229,16 @@ def _ad_defect(C: np.ndarray, t: np.ndarray) -> np.ndarray:
     return first + first.transpose(0, 2, 3, 1) + first.transpose(0, 3, 1, 2)
 
 
+def _sample_lambda(family: DynamicalRFamily, seed: int, index: int) -> np.ndarray:
+    """Sample ``index``: a lambda whose every root pairing is at least 0.5 from 0."""
+    (rng,) = sample_rngs(seed, [index])
+    for _ in range(1000):
+        lam = rng.uniform(-2.0, 2.0, size=family.rank)
+        if (np.abs(family.pairings(lam)) >= 0.5).all():
+            return lam
+    raise RuntimeError("could not sample lambda away from the singular set")
+
+
 def equivariance_check(family, s, samples: int = 10, seed: int = 0, tol: float = 1e-10) -> Report:
     """max over samples of || (Lambda^2 s) r(lambda) + r(s_h* lambda) ||, as
     ``values["defect"]``; the report passes iff it is at most ``tol``.
@@ -246,7 +258,7 @@ def equivariance_check(family, s, samples: int = 10, seed: int = 0, tol: float =
     s_h = S[np.ix_(cartan, cartan)]  # restriction of s to the Cartan, on lambda-coordinates
 
     def block(ks: range) -> float:
-        lam = np.stack([dynr._sample_lambda(family, seed, idx) for idx in ks])
+        lam = np.stack([_sample_lambda(family, seed, idx) for idx in ks])
         moved = lam @ s_h  # (s_h)* lambda in coordinates, one row per sample
         return dynr._max_upper(S @ dynr.eval_r(family, lam) @ S.T + dynr.eval_r(family, moved), 2)
 

@@ -15,6 +15,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import conftest
 from conftest import _ad_defect, algebra_element, equivariance_check
 from poissonkit import dynr, groupnum, report
 from poissonkit.groupnum import TOL_CROSS, TOL_MEMBER, InvolutionSpec, TangentBivector
@@ -160,7 +161,7 @@ def _ref_residual_scan(family, samples, seed, tol=1e-7):
     first = None
     spread = invariance = deriv_defect = 0.0
     for idx in range(samples):
-        lam = dynr._sample_lambda(family, seed, idx)
+        lam = conftest._sample_lambda(family, seed, idx)
         res = dynr.cdybe_residual(family, lam)
         for m in range(family.rank):
             lp, lmn = lam.copy(), lam.copy()
@@ -183,7 +184,7 @@ def _ref_equivariance(family, s, samples, seed, tol=1e-10):
     s_h = S[np.ix_(cartan, cartan)]
     defect = 0.0
     for idx in range(samples):
-        lam = dynr._sample_lambda(family, seed, idx)
+        lam = conftest._sample_lambda(family, seed, idx)
         rotated = S @ dynr.eval_r(family, lam) @ S.T
         defect = max(defect, dynr._max_upper(rotated + dynr.eval_r(family, s_h.T @ lam), 2))
     return Report(defect <= tol, {"algebra": family.algebra.name, "defect": defect, "tol": tol},
@@ -242,6 +243,38 @@ def test_equivariance_matches_the_per_sample_loop(block, samples, seed, monkeypa
     g = sl_chevalley(3)
     family, s = dynr.DynamicalRFamily(g, "trig"), transpose_antimorphism(g)
     _assert_agree(equivariance_check(family, s, samples, seed), _ref_equivariance(family, s, samples, seed))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_sample_lambdas_match_the_per_sample_loop(n):
+    # the rounds of LAMBDA_ROUND draws give every sample the lambda of its one-draw-at-a-time
+    # loop, bit for bit, at seeds past 2^32 too and for a block that does not start at sample 0
+    family = dynr.DynamicalRFamily(sl_chevalley(n), "trig")
+    second_round = 0
+    for seed in (0, 1, 5, 2**32, 2**40 + 7):
+        loop = np.stack([conftest._sample_lambda(family, seed, k) for k in range(130)])
+        rounds = dynr._sample_lambdas(family, seed, range(130))
+        assert rounds.shape == loop.shape and rounds.tobytes() == loop.tobytes()
+        assert dynr._sample_lambdas(family, seed, range(64, 130)).tobytes() == loop[64:].tobytes()
+        for k in range(130):
+            first = np.random.default_rng([seed, k]).uniform(-2.0, 2.0, size=(dynr.LAMBDA_ROUND, family.rank))
+            second_round += not (np.abs(family.pairings(first)) >= 0.5).all(axis=-1).any()
+    if n == 4:
+        assert second_round > 0  # some sample rejected its whole first round and drew another
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_max_ad_defect_matches_the_dense_reference(n):
+    # random antisymmetric trivectors, not ad-invariant, so the defect is of order 1; on sl2 every
+    # trivector is a multiple of e ^ f ^ h, which is ad-invariant, so there it is rounding error
+    C = dynr.structure_tensor(sl_chevalley(n))
+    dim = C.shape[0]
+    t = dynr._cyclic(np.random.default_rng(n).normal(size=(5, dim, dim, dim)))
+    per_sample = [dynr._max_upper(_ad_defect(C, sample), 3) for sample in t]
+    assert min(per_sample) > 0.1 if n > 2 else max(per_sample) < 1e-12
+    for got, want in [(dynr._max_ad_defect(C, t), max(per_sample))] + [
+            (dynr._max_ad_defect(C, sample), value) for sample, value in zip(t, per_sample)]:
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (got, want)
 
 
 def test_crosscheck_matches_the_per_sample_loop_at_n4(monkeypatch):
@@ -320,15 +353,22 @@ def test_non_invariant_bivector_raises_as_the_loop_does(monkeypatch):
     assert _raised(lambda: groupnum.stokes_report(3, 12, 1)) == loop
 
 
+def _inject_lambdas(monkeypatch, special):
+    """Make both samplers, the round-by-round one of the scan and the per-sample one of the
+    loops and of ``equivariance_check``, return special[k] for each sample k listed in special."""
+    sample_one, sample_many = conftest._sample_lambda, dynr._sample_lambdas
+    monkeypatch.setattr(conftest, "_sample_lambda",
+                        lambda fam, seed, idx: special[idx].copy() if idx in special else sample_one(fam, seed, idx))
+    monkeypatch.setattr(dynr, "_sample_lambdas", lambda fam, seed, ks: np.stack(
+        [special[k].copy() if k in special else lam for k, lam in zip(ks, sample_many(fam, seed, ks))]))
+
+
 def test_near_singular_lambda_raises_as_the_loop_does(monkeypatch):
     # sample 9 passes the guard, but its backward difference lambda - step e_0 does not;
     # sample 10 fails at lambda itself.  The loop meets sample 9's difference first.
     _set_block(monkeypatch, SMALL_BLOCK)
     family = dynr.DynamicalRFamily(sl_chevalley(3), "trig")
-    special = {9: np.array([0.5 * (dynr.SINGULAR_GUARD + 5e-6), 0.8]), 10: np.array([0.7, 1e-4])}
-    original = dynr._sample_lambda
-    monkeypatch.setattr(dynr, "_sample_lambda",
-                        lambda fam, seed, idx: special[idx].copy() if idx in special else original(fam, seed, idx))
+    _inject_lambdas(monkeypatch, {9: np.array([0.5 * (dynr.SINGULAR_GUARD + 5e-6), 0.8]), 10: np.array([0.7, 1e-4])})
     loop = _raised(lambda: _ref_residual_scan(family, 12, 0))
     assert loop[0] is dynr.NearSingular and "9.85e-04" in loop[1]
     assert _raised(lambda: dynr.residual_scan(family, 12, 0)) == loop
@@ -344,10 +384,7 @@ def test_near_singular_moved_lambda_raises_as_the_loop_does(monkeypatch):
     rows = [list(row) for row in transpose_antimorphism(g).matrix]
     rows[c1][c0] = rows[c1][c1]
     s = LinearAlgMap(g, g, tuple(map(tuple, rows)))
-    special = {9: np.array([1.0, -0.5 + 1e-4]), 10: np.array([0.7, 1e-4])}
-    original = dynr._sample_lambda
-    monkeypatch.setattr(dynr, "_sample_lambda",
-                        lambda fam, seed, idx: special[idx].copy() if idx in special else original(fam, seed, idx))
+    _inject_lambdas(monkeypatch, {9: np.array([1.0, -0.5 + 1e-4]), 10: np.array([0.7, 1e-4])})
     loop = _raised(lambda: _ref_equivariance(family, s, 12, 0))
     assert loop[0] is dynr.NearSingular and "root (0, 2)" in loop[1]
     assert _raised(lambda: equivariance_check(family, s, 12, 0)) == loop

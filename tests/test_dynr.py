@@ -7,7 +7,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import _ad_defect, assert_pass_rule, equivariance_check, make_rng, rr_bracket
+from conftest import _ad_defect, assert_pass_rule, counted_calls, equivariance_check, make_rng, rr_bracket
+from poissonkit import dynr, report
 from poissonkit.dynr import (
     DynamicalRFamily,
     NearSingular,
@@ -213,6 +214,20 @@ def test_scan_negative_control_sl3():
     rep = residual_scan(DynamicalRFamily(sl_chevalley(3), "tanh-corrupted"), samples=6, seed=5, tol=1e-7)
     assert not rep.ok
     assert rep.values["spread"] > 1e-3
+
+
+def test_residual_scan_evaluates_r_once_per_block(monkeypatch):
+    # per block: one eval_r call, at every lambda and its shifted copies, and one r_derivative
+    # call per coordinate, from which the residual is formed; no second evaluation through
+    # cdybe_residual, and one round-by-round draw of the block's lambda
+    assert not hasattr(dynr, "_sample_lambda")
+    monkeypatch.setattr(report, "BLOCK", 4)
+    calls = counted_calls(monkeypatch, dynr, ["eval_r", "r_derivative", "cdybe_residual", "_sample_lambdas"])
+    for n in (3, 4):
+        family = DynamicalRFamily(sl_chevalley(n), "trig")
+        calls.update(dict.fromkeys(calls, 0))
+        assert residual_scan(family, samples=9, seed=2).ok  # blocks of 4, 4 and 1
+        assert calls == {"eval_r": 3, "r_derivative": 3 * family.rank, "cdybe_residual": 0, "_sample_lambdas": 3}
 
 
 def test_scan_deterministic():

@@ -30,6 +30,7 @@ from poissonkit.groupnum import (
     _dual_points,
     _fixed_points,
 )
+from poissonkit.liealg import sl_chevalley, standard_r_matrix, su_compact_basis
 
 
 # -- matrix exponential -----------------------------------------------------------
@@ -93,6 +94,22 @@ def test_expm_of_strictly_upper_stack_is_its_finite_series(n):
     assert np.max(_normwise_difference(matrix_exp(x), series)) <= 1e-14
 
 
+# -- group data -----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_groups_carry_the_basis_and_r_matrix_of_their_algebra(n):
+    # the groups are built from the matrix bases and root data alone; they must agree with the
+    # exact algebras, whose structure constants no numeric code reads
+    for group, (alg, r) in ((sl_group(n), (sl_chevalley(n), standard_r_matrix(sl_chevalley(n)))),
+                            (su_group(n), su_compact_basis(n))):
+        mats = groupnum._complex_matrices(alg.matrices)
+        assert len(group.basis) == alg.dim
+        assert all(np.array_equal(b, m.real if group.name.startswith("SL") else m) for b, m in zip(group.basis, mats))
+        assert group.r_terms == [(i, j, float(c.re)) for (i, j), c in r.comps.items()]
+        assert all(type(c) is float for _, _, c in group.r_terms)
+
+
 # -- cocycle ------------------------------------------------------------------------
 
 
@@ -120,10 +137,10 @@ def test_cocycle_identity_random_pairs():
 def test_lambda_sl2_one_parameter_hand_value():
     # g = exp(t e): Ad_g f = f + t h - t^2 e, Ad_g h = h - 2t e, Ad_g e = e,
     # so lambda(g) = e ^ (t h): single coefficient t on the (e, h) slot
-    group = sl_group(2)
-    e = group.algebra.label_index("e12")
-    f = group.algebra.label_index("f12")
-    h = group.algebra.label_index("h1")
+    group, alg = sl_group(2), sl_chevalley(2)
+    e = alg.label_index("e12")
+    f = alg.label_index("f12")
+    h = alg.label_index("h1")
     t = 0.63
     g = matrix_exp(t * group.basis[e])
     lam = cocycle_lambda(group, g)
@@ -324,7 +341,7 @@ def test_su3_specialized_formula():
     # projection route at sampled symmetric unitaries
     group = su_group(3)
     spec = InvolutionSpec("transpose")
-    alg = group.algebra
+    alg = su_compact_basis(3)[0]
     worst = 0.0
     for k in range(5):
         g = _fixed_points(group, [np.random.default_rng([37, k])])[0]
@@ -338,6 +355,7 @@ def test_su3_specialized_formula():
         worst = max(worst, _bracket_difference(projected, special))
     assert worst <= 1e-12
     assert alg.name == "su3"
+    assert all(np.array_equal(b, m) for b, m in zip(group.basis, groupnum._complex_matrices(alg.matrices)))
 
 
 def test_swapped_arrow_binding_rejected():
