@@ -46,7 +46,8 @@ from typing import Callable, Sequence
 import numpy as np
 import numpy.random  # noqa: F401  numpy 2 loads it lazily; here it is paid at import, not inside a command
 
-from .liealg import _sl_basis, _su_basis
+# sl_chevalley is bound here only for perfbench's tracer test, which reads groupnum.sl_chevalley
+from .liealg import _sl_basis, _su_basis, sl_chevalley  # noqa: F401
 from .report import Report, sample_blocks, sample_rngs
 
 __all__ = [
