@@ -39,8 +39,10 @@ dd = drinfeld_double(g, r)
 print("double dim:", dd.sigma.dim, "| chi conditions:", chi_check(dd, phi).ok)
 
 # The compact form su(3): basis X_a = e_a - f_a, Y_a = i(e_a + f_a),
-# t_m = i h_m with real rational constants, and the compact r-matrix.
-k, r_hat = su_compact_basis(3)
+# t_m = i h_m with real rational constants, and the compact r-matrix
+# sum d_a/2 X_a ^ Y_a, which its root data carry.
+k = su_compact_basis(3)
+r_hat = standard_r_matrix(k)
 print("\nsu3 validates:", validate_lie(k).ok)
 # symmetric_bialgebra_check checks only what phi adds; the r-matrix condition is coboundary_check's.
 phi_k = transpose_antimorphism(k)

@@ -41,7 +41,6 @@ __all__ = [
     "parse_algebra_text",
     "load_algebra",
     "fixture_path",
-    "list_fixtures",
 ]
 
 
@@ -259,7 +258,3 @@ def _read_text(name: str | Path) -> str:
         return path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as err:
         raise InvalidInput(f"cannot read {name}: {err.strerror if isinstance(err, OSError) else err}") from None
-
-
-def list_fixtures() -> list[str]:
-    return sorted(p.name for p in _data_dir().iterdir() if p.suffix in (".chart", ".alg"))

@@ -222,11 +222,8 @@ def _lie_validate(args) -> Report:
 
 
 def _lie_bialgebra(args) -> Report:
-    if args.algebra.startswith("su"):
-        g, r = liealg.su_compact_basis(int(args.algebra[2:]))
-    else:
-        g = chartio.load_algebra(args.algebra)
-        r = liealg.standard_r_matrix(g)
+    g = chartio.load_algebra(args.algebra)
+    r = liealg.standard_r_matrix(g)
     phi = liealg.transpose_antimorphism(g)
     cob = liealg.coboundary_check(g, r)
     sym = liealg.symmetric_bialgebra_check(g, r, phi)

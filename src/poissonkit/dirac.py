@@ -19,7 +19,7 @@ from typing import Sequence
 
 from . import linalg
 from .exactalg import Poly, PolyMultiVec, Scalar, schouten, wedge
-from .poisson import PoissonChart, hamiltonian_vf, jacobiator
+from .poisson import PoissonChart, jacobiator
 from .report import InvalidInput, Report
 
 __all__ = [
@@ -129,22 +129,19 @@ def check_aligned_dirac(q: AlignedSubmanifold) -> Report:
     return Report(True, {"induced": chart_q})
 
 
-def _pushforward(chart: PoissonChart, a: linalg.Matrix, a_inv: linalg.Matrix) -> PolyMultiVec:
-    """A_* pi along x -> A x: (A_* pi)_ij = {(A x)_i, (A x)_j} o A^-1.  The caller
-    passes A^-1, as it holds it already: an involution S is its own inverse, so
-    S_* pi is ``_pushforward(chart, S, S)``, and the eigenbasis change built P.
-    Each row field X_(Ax)_i is formed once and applied to every (A x)_j, j > i."""
-    n = chart.dim
-    # (A x)_i = sum_j a_ij x_j: row i is the linear form with coefficient a_ij on the exponent of x_j
+def _pushforward(mv: PolyMultiVec, a: linalg.Matrix, a_inv: linalg.Matrix) -> PolyMultiVec:
+    """A_* X along x -> A x, for a field X of any degree: (A_* X)(x) = A X(A^-1 x),
+    each component composed with A^-1 and each leg d_k carried to the column
+    A d_k = sum_i a_ik d_i by ``Wedge.carry``.  The caller passes A^-1, as it
+    holds it already: an involution S is its own inverse, so S_* pi is
+    ``_pushforward(pi, S, S)``, and the eigenbasis change built P."""
+    n = mv.dim
+    # x_i <- (A^-1 x)_i = sum_j b_ij x_j: coefficient b_ij on the exponent of x_j
     units = [tuple(int(k == j) for k in range(n)) for j in range(n)]
-    ax, back = ([Poly(n, dict(zip(units, row))) for row in m] for m in (a, a_inv))
-    fns = [PolyMultiVec.function(p) for p in ax]
-    comps = {}
-    for i in range(n - 1):
-        xf = hamiltonian_vf(chart, ax[i])
-        for j in range(i + 1, n):
-            comps[(i, j)] = schouten(xf, fns[j]).component(()).compose(back)
-    return PolyMultiVec(n, 2, comps)
+    back = [Poly(n, dict(zip(units, row))) for row in a_inv]
+    columns = [[(i, a[i][k]) for i in range(n) if a[i][k]] for k in range(n)]
+    moved = PolyMultiVec._new(n, mv.degree, {idxs: p.compose(back) for idxs, p in mv.comps.items()})
+    return moved.carry(n, columns)
 
 
 def fixed_locus_symbolic(chart: PoissonChart, s: LinearInvolution) -> Report:
@@ -160,7 +157,7 @@ def fixed_locus_symbolic(chart: PoissonChart, s: LinearInvolution) -> Report:
     if s.dim != chart.dim:
         raise InvalidInput("involution dimension does not match the chart")
     srows = s.rows()
-    residual = _pushforward(chart, srows, srows) - chart.pi
+    residual = _pushforward(chart.pi, srows, srows) - chart.pi
     if not residual.is_zero():
         return Report(False, reason="S is not a Poisson involution", witness=sorted(residual.comps.items())[0])
 
@@ -171,7 +168,7 @@ def fixed_locus_symbolic(chart: PoissonChart, s: LinearInvolution) -> Report:
         raise AssertionError("eigenspaces of an involution must span")
     # columns of P are the eigenbasis; the map z -> x = P z straightens S
     p_mat = [[plus[j][i] for j in range(len(plus))] + [minus[j][i] for j in range(len(minus))] for i in range(n)]
-    pi_z = _pushforward(chart, linalg.inverse(p_mat), p_mat)
+    pi_z = _pushforward(chart.pi, linalg.inverse(p_mat), p_mat)
 
     names = tuple(f"z{k+1}" for k in range(n))
     chart_z = PoissonChart(n, names, pi_z)
@@ -183,10 +180,11 @@ def fixed_locus_symbolic(chart: PoissonChart, s: LinearInvolution) -> Report:
 def fixed_locus_projection(chart: PoissonChart, s: LinearInvolution) -> PoissonChart:
     """Same induced structure via the plus-projection of every wedge leg.
 
-    Works in the eigen-chart of S, decomposes pi into wedge terms, replaces
-    each leg X by (X + S_* X)/2, restricts to the fixed block and drops the
-    complement.  Route-agreement with ``fixed_locus_symbolic`` is part of the
-    verification suite.  S must be a Poisson involution of a Poisson chart.
+    Works in the eigen-chart of S, where S is D = diag(+-1), decomposes pi
+    into wedge terms, replaces each leg X by (X + D_* X)/2, restricts to the
+    fixed block and drops the complement.  Route-agreement with
+    ``fixed_locus_symbolic`` is part of the verification suite.  S must be a
+    Poisson involution of a Poisson chart.
     """
     verdict = fixed_locus_symbolic(chart, s)
     if not verdict:
@@ -194,18 +192,11 @@ def fixed_locus_projection(chart: PoissonChart, s: LinearInvolution) -> PoissonC
     sub = verdict.values["submanifold"]
     chart_z = sub.chart
     n = chart_z.dim
-    signs = [1 if i in sub.x_indices else -1 for i in range(n)]
-
+    d = [[Scalar(0 if i != j else 1 if i in sub.x_indices else -1) for j in range(n)] for i in range(n)]
     half = Scalar(Fraction(1, 2))
-    flip = [Poly.var(n, i) if signs[i] == 1 else -Poly.var(n, i) for i in range(n)]
 
     def leg_plus(leg: PolyMultiVec) -> PolyMultiVec:
-        out = PolyMultiVec.zero(n, 1)
-        for (i,), poly in leg.comps.items():
-            flipped = poly.compose(flip)
-            pushed = flipped if signs[i] == 1 else -flipped
-            out = out + PolyMultiVec.from_terms(n, 1, [((i,), (poly + pushed) * half)])
-        return out
+        return (leg + _pushforward(leg, d, d)) * half
 
     total = PolyMultiVec.zero(n, 2)
     for (i, j), poly in chart_z.pi.comps.items():

@@ -7,7 +7,7 @@ Families over the dual Cartan h* with coordinates lambda_m = lambda(h_m):
 where the root pairing is evaluated on the coroot-type element of the
 bracket relations,
 
-    <alpha, lambda> = 2 lambda(h_alpha),     h_alpha = [e_alpha, f_alpha],
+    <alpha, lambda> = 2 lambda(h_alpha),     h_alpha = d_alpha [e_alpha, f_alpha],
 
 g = coth for the trigonometric family and g(x) = 1/x for its rational
 degeneration.  This normalization is additive in the root and makes the

@@ -11,12 +11,14 @@ a sparse map from exponent tuples to nonzero scalars.  A wedge element
 coefficients, and one class holds that storage and its arithmetic for both
 kinds the toolkit brackets: a k-vector field on a chart (``PolyMultiVec``,
 with ``Poly`` components) and an element of a wedge power of a Lie algebra
-(``liealg.AlgElement``, with ``Scalar`` coefficients).
+(``liealg.AlgElement``, with ``Scalar`` coefficients).  ``Wedge.carry``,
+the one action of a linear map on wedge elements, serves both:
+``liealg.LinearAlgMap.apply`` and the linear pushforwards of ``dirac``.
 
 The public constructors ``Poly(...)`` and ``Wedge(...)``, through either
 subclass, validate their input.  Internal operations whose results hold the
 invariants by construction (``+``, ``-``, negation, ``*``, ``diff``,
-``wedge``, ``schouten``) build them with the trusted ``_poly`` and
+``wedge``, ``carry``, ``schouten``) build them with the trusted ``_poly`` and
 ``Wedge._new`` instead.
 
 Schouten bracket convention
@@ -68,8 +70,8 @@ for even p and 0 for odd p.
 ``schouten`` is the one contraction kernel of the chart layer: [pi, pi] in
 ``poisson.jacobiator``, L_X pi in ``dirac.leaf_slice_obstruction``, every
 Hamiltonian field X_f = -[pi, f] (``poisson.hamiltonian_vf``, read by
-``is_casimir``, ``relative_modular`` and ``dirac._pushforward``) and every
-bracket {f, g} = [X_f, g] (``poisson.bracket``, ``dirac._pushforward``).
+``is_casimir`` and ``relative_modular``) and every bracket {f, g} = [X_f, g]
+(``poisson.bracket``).
 
 Expressions
 -----------
@@ -85,7 +87,8 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import chain
+from functools import reduce
+from itertools import chain, product
 from operator import add, mul
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -867,6 +870,22 @@ class Wedge:
                 term = ca * cb
                 _accumulate(out, key, term if sign == 1 else -term)
         return self._new(self.space, self.degree + other.degree, out)
+
+    def carry(self, space, columns: Sequence[Sequence[tuple[int, Scalar]]]) -> "Wedge":
+        """The image on ``space`` under the linear map that sends basis element k
+        to the sum of c * e_i over the nonzero entries (i, c) of ``columns[k]``:
+        every factor goes to its image, each product sorted with its sign."""
+        out: dict[tuple, object] = {}
+        for idxs, coeff in self.comps.items():
+            scales: dict[tuple, Scalar] = {}
+            for legs in product(*(columns[k] for k in idxs)):
+                sp = sort_with_parity([i for i, _ in legs])
+                if sp is not None:
+                    scale = reduce(mul, (c for _, c in legs), SCALAR_ONE)
+                    _accumulate(scales, sp[0], scale if sp[1] == 1 else -scale)
+            for key, scale in scales.items():
+                _accumulate(out, key, coeff * scale)
+        return self._new(space, self.degree, out)
 
     def is_zero(self) -> bool:
         return not self.comps

@@ -61,7 +61,6 @@ __all__ = [
     "su_group",
     "dual_group",
     "pl_bivector",
-    "xplus",
     "pi_q_projection",
     "pi_q_formula",
     "dual_group_bivector",
@@ -268,7 +267,7 @@ def sl_group(n: int) -> MatrixGroup:
     """SL(n, R) with the standard r-matrix sum of e_a ^ f_a over positive roots."""
     _check_n(n)
     _, mats, root_data = _sl_basis(n)
-    terms = [(info.e_index, info.f_index, float(info.d)) for info in root_data.roots]
+    terms = [(i, j, float(c)) for i, j, c in root_data.r_terms]
     return MatrixGroup(f"SL({n},R)", [m.real.copy() for m in _complex_matrices(mats)], terms, _membership_sl)
 
 
@@ -276,7 +275,7 @@ def su_group(n: int) -> MatrixGroup:
     """SU(n) with the compact r-matrix sum of d_a/2 X_a ^ Y_a."""
     _check_n(n)
     _, mats, root_data = _su_basis(n)
-    terms = [(info.e_index, info.f_index, float(info.d / 2)) for info in root_data.roots]
+    terms = [(i, j, float(c)) for i, j, c in root_data.r_terms]
     return MatrixGroup(f"SU({n})", _complex_matrices(mats), terms, _membership_su)
 
 
@@ -377,24 +376,18 @@ class InvolutionSpec:
         return _max_over(self.apply(g) - g, 2 if self.kind == "transpose" else 3)
 
 
-def xplus(spec: InvolutionSpec, g: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """v+ = (v + Phi_* v) / 2 at a fixed point of the involution; v may be a
-    stack of tangent vectors, and g a stack of points."""
-    res = _first_failure(spec.fixed_residual(g), TOL_MEMBER)
-    if res is not None:
-        raise ValueError(f"point is not fixed by the involution (residual {res:.2e})")
-    return 0.5 * (v + spec.apply(v))
-
-
 def pi_q_projection(spec: InvolutionSpec, pi: TangentBivector) -> TangentBivector:
-    """Project every wedge leg with (1 + Phi_*)/2; requires Phi_* pi = pi, with
-    || Phi_* pi - pi || of the sharp matrices at each point's scale max(1, |pi|)^2."""
+    """Project every wedge leg v to v+ = (v + Phi_* v)/2.  Requires Phi_* pi = pi,
+    with || Phi_* pi - pi || of the sharp matrices at each point's scale
+    max(1, |pi|)^2, and then base points fixed by the involution."""
     invariance = _max_over(pi.map_legs(spec.apply).sharp_matrix() - pi.sharp_matrix(), 2)
     res = _first_failure(invariance, TOL_MEMBER * np.maximum(1.0, pi.max_abs()) ** 2)
     if res is not None:
         raise ValueError(f"bivector is not involution-invariant (residual {res:.2e})")
-    g = pi.base
-    return pi.map_legs(lambda v: xplus(spec, g, v))
+    res = _first_failure(spec.fixed_residual(pi.base), TOL_MEMBER)
+    if res is not None:
+        raise ValueError(f"point is not fixed by the involution (residual {res:.2e})")
+    return pi.map_legs(lambda v: 0.5 * (v + spec.apply(v)))
 
 
 def pi_q_formula(group: MatrixGroup, g: np.ndarray) -> TangentBivector:

@@ -28,7 +28,8 @@ raw real and imaginary parts (int or ``Fraction``) and building no
 intermediate ``Scalar``.  The matrix builds form commutators and the
 expansion residual on the nonzero matrix entries.  ``AlgElement`` is an
 ``exactalg.Wedge`` on g with ``Scalar`` coefficients: its validating public
-constructor, its trusted ``_new`` and its arithmetic are the ones
+constructor, its trusted ``_new``, its arithmetic and its linear-map action
+(``Wedge.carry``, which ``LinearAlgMap.apply`` calls) are the ones
 ``PolyMultiVec`` uses.  ``alg_schouten`` sums the pair-sum terms in its own
 loop and builds its result with ``_new`` alone.
 """
@@ -75,8 +76,9 @@ class RootInfo:
     """One positive root: indices of its raising/lowering basis elements.
 
     For compact forms the same record points at the (X_a, Y_a) pair instead
-    of (e_a, f_a).  ``h_coords`` are the coordinates of h_a = [e_a, f_a] in
-    the Cartan basis (for the compact form, of t_a = [X_a, Y_a] / 2).
+    of (e_a, f_a).  ``h_coords`` are the coordinates of h_a = d_a [e_a, f_a]
+    in the Cartan basis (for the compact form, of t_a = d_a [X_a, Y_a] / 2);
+    on the elementary-matrix bases of sl(n) and su(n), d_a = 1.
     """
 
     pair: tuple[int, int]
@@ -88,8 +90,11 @@ class RootInfo:
 
 @dataclass(frozen=True)
 class RootData:
+    """Positive roots, Cartan indices and the terms (i, j, c) of the standard r-matrix."""
+
     roots: tuple[RootInfo, ...]
     cartan: tuple[int, ...]
+    r_terms: tuple[tuple[int, int, Fraction], ...]
 
 
 class LieAlgebraData:
@@ -311,7 +316,8 @@ def _sl_basis(n: int) -> tuple[list[str], list[linalg.Matrix], RootData]:
         # [E_ab, E_ba] = E_aa - E_bb = h_a + h_(a+1) + ... + h_(b-1)
         h_coords = tuple(1 if a <= m < b else 0 for m in range(n - 1))
         roots.append(RootInfo((a, b), r, nroots + r, Fraction(1), h_coords))
-    return labels, mats, RootData(tuple(roots), tuple(range(2 * nroots, 2 * nroots + n - 1)))
+    r_terms = tuple((info.e_index, info.f_index, info.d) for info in roots)
+    return labels, mats, RootData(tuple(roots), tuple(range(2 * nroots, 2 * nroots + n - 1)), r_terms)
 
 
 def sl_chevalley(n: int) -> LieAlgebraData:
@@ -327,7 +333,8 @@ def sl_chevalley(n: int) -> LieAlgebraData:
 
 def _su_basis(n: int) -> tuple[list[str], list[linalg.Matrix], RootData]:
     """Labels, matrices and root data of the compact basis X_a = e_a - f_a,
-    Y_a = i(e_a + f_a), t_m = i h_m of su(n); the root records point at (X_a, Y_a)."""
+    Y_a = i(e_a + f_a), t_m = i h_m of su(n); the root records point at (X_a, Y_a),
+    and the r-terms make the compact r-matrix, sum of d_a/2 X_a ^ Y_a."""
     _, sl_mats, sl_roots = _sl_basis(n)
     pos = [info.pair for info in sl_roots.roots]
     nroots = len(pos)
@@ -344,14 +351,15 @@ def _su_basis(n: int) -> tuple[list[str], list[linalg.Matrix], RootData]:
     for m in range(n - 1):
         mats.append(linalg.mat_scale(sl_mats[2 * nroots + m], SCALAR_I))
         labels.append(f"t{m+1}")
-    return labels, mats, sl_roots
+    r_terms = tuple((i, j, d / 2) for i, j, d in sl_roots.r_terms)
+    return labels, mats, RootData(sl_roots.roots, sl_roots.cartan, r_terms)
 
 
-def su_compact_basis(n: int) -> tuple[LieAlgebraData, AlgElement]:
+def su_compact_basis(n: int) -> LieAlgebraData:
     """su(n) on the basis X_a = e_a - f_a, Y_a = i(e_a + f_a), t_m = i h_m.
 
     Structure constants come out real rational and are stored that way; the
-    returned element is the compact r-matrix sum of d_a/2 X_a ^ Y_a.
+    root data carry the compact r-matrix, sum of d_a/2 X_a ^ Y_a.
     """
     labels, mats, roots = _su_basis(n)
     brackets = _expand_table(mats)
@@ -359,10 +367,7 @@ def su_compact_basis(n: int) -> tuple[LieAlgebraData, AlgElement]:
         for coeff in entry.values():
             if coeff.im != 0:
                 raise AssertionError("compact real form produced a non-real constant")
-    g = LieAlgebraData.from_brackets(labels, brackets, mats, roots, name=f"su{n}")
-
-    r_hat = AlgElement(g, 2, {(info.e_index, info.f_index): Scalar(info.d / 2) for info in g.root_data.roots})
-    return g, r_hat
+    return LieAlgebraData.from_brackets(labels, brackets, mats, roots, name=f"su{n}")
 
 
 def so3() -> LieAlgebraData:
@@ -387,17 +392,18 @@ BUILTIN_ALGEBRAS = {
     "sl2": lambda: sl_chevalley(2),
     "sl3": lambda: sl_chevalley(3),
     "sl4": lambda: sl_chevalley(4),
-    "su2": lambda: su_compact_basis(2)[0],
-    "su3": lambda: su_compact_basis(3)[0],
+    "su2": lambda: su_compact_basis(2),
+    "su3": lambda: su_compact_basis(3),
     "so3": so3,
 }
 
 
 def standard_r_matrix(g: LieAlgebraData) -> AlgElement:
-    """r = sum of d_a e_a ^ f_a over the positive roots."""
+    """The r-matrix of the root data: sum of d_a e_a ^ f_a over the positive
+    roots of sl(n), and of d_a/2 X_a ^ Y_a on su(n)."""
     if g.root_data is None:
         raise ValueError("algebra carries no root data")
-    return AlgElement(g, 2, {(info.e_index, info.f_index): Scalar(info.d) for info in g.root_data.roots})
+    return AlgElement(g, 2, {(i, j): Scalar(c) for i, j, c in g.root_data.r_terms})
 
 
 def transpose_antimorphism(g: LieAlgebraData) -> "LinearAlgMap":
@@ -454,13 +460,7 @@ class LinearAlgMap:
         """Wedge-power action on an element of Lambda^k(source)."""
         if elem.algebra is not self.source:
             raise ValueError("element does not live in the source algebra")
-        total = AlgElement.zero(self.target, elem.degree)
-        for idxs, coeff in elem.comps.items():
-            acc = AlgElement(self.target, 0, {(): coeff})
-            for j in idxs:
-                acc = acc.wedge(AlgElement(self.target, 1, {(i,): c for i, c in self._column_support[j]}))
-            total = total + acc
-        return total
+        return elem.carry(self.target, self._column_support)
 
     def is_involution(self) -> bool:
         if self.source is not self.target:

@@ -5,11 +5,12 @@ algebra elements for the group tests, the adjoint matrix and r-matrix
 cocycle of a matrix group and the fixed-locus formula with its invariant-field
 arrows swapped (the rejected binding), which only the tests use, and the
 leg-by-leg pushforward of an exact multivector along a linear map, the
-reference for the bracket-form pushforward of ``poissonkit.dirac``.
+reference for the pushforward of ``poissonkit.dirac``.
 
 For ``poissonkit.liealg``: the abelian algebra, a structure constant read
 from the table, the dense image of a coefficient vector and the canonical
-pairing of a Drinfeld double, which only the tests use, and the
+pairing of a Drinfeld double, which only the tests use, the wedge of the
+images leg by leg, the reference for ``LinearAlgMap.apply``, and the
 triple-by-triple Jacobi check that ``validate_lie``'s sparse sweep must agree
 with.
 
@@ -37,7 +38,7 @@ import poissonkit
 from poissonkit import dynr, linalg, report
 from poissonkit.dynr import DynamicalRFamily
 from poissonkit.exactalg import SCALAR_ZERO, Poly, PolyMultiVec, wedge
-from poissonkit.liealg import LieAlgebraData
+from poissonkit.liealg import AlgElement, LieAlgebraData
 from poissonkit.poisson import PoissonChart
 from poissonkit.report import Report, sample_rngs
 
@@ -171,6 +172,19 @@ def apply_vector(phi, coeffs):
     for i, c in phi._apply_support([(j, c) for j, c in enumerate(coeffs) if c]).items():
         out[i] = c
     return out
+
+
+def apply_by_wedges(phi, elem):
+    """phi(elem) as the sum over the components of elem of the coefficient times the wedge
+    of the images of the legs, formed one leg at a time from the columns of phi's matrix:
+    the reference for ``LinearAlgMap.apply``."""
+    total = AlgElement.zero(phi.target, elem.degree)
+    for idxs, coeff in elem.comps.items():
+        acc = AlgElement(phi.target, 0, {(): coeff})
+        for j in idxs:
+            acc = acc.wedge(AlgElement(phi.target, 1, {(i,): row[j] for i, row in enumerate(phi.matrix) if row[j]}))
+        total = total + acc
+    return total
 
 
 def double_pairing(double, u, v):

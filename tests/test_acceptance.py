@@ -125,13 +125,8 @@ def test_c06_symmetric_bialgebra_suite():
     t0 = time.perf_counter()
     ok = True
     detail = []
-    cases = []
-    for n in (2, 3):
-        g = sl_chevalley(n)
-        cases.append((g, standard_r_matrix(g)))
-    for n in (2, 3):
-        cases.append(su_compact_basis(n))
-    for g, r in cases:
+    for g in (sl_chevalley(2), sl_chevalley(3), su_compact_basis(2), su_compact_basis(3)):
+        r = standard_r_matrix(g)
         phi = transpose_antimorphism(g)
         cob = coboundary_check(g, r)
         sym = symmetric_bialgebra_check(g, r, phi)

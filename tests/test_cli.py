@@ -21,7 +21,6 @@ from poissonkit.chartio import (
     ChartFileError,
     emit_chart,
     fixture_path,
-    list_fixtures,
     load_algebra,
     parse_algebra_text,
     parse_chart_file,
@@ -98,7 +97,7 @@ def test_algebra_jacobi_error_names_the_failing_triple():
 def test_algebra_fixture_files_validate():
     for name in ("sl2.alg", "sl3.alg", "su3.alg", "so3.alg"):
         assert validate_lie(load_algebra(name)).ok
-    assert "dubrovin3.chart" in list_fixtures()
+    assert fixture_path("dubrovin3.chart") == Path(poissonkit.__file__).parent / "data" / "dubrovin3.chart"
 
 
 # -- exit codes ------------------------------------------------------------------
@@ -519,22 +518,33 @@ def _names_in(tree):
             yield node.value, node.lineno
 
 
+def _all_lines(tree) -> range:
+    """The lines of a module's ``__all__`` assignment, or none."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return range(node.lineno, node.end_lineno + 1)
+    return range(0)
+
+
 def test_every_function_in_src_has_a_caller_outside_tests():
     # code that only the tests call lives in tests/: every function or method defined in
     # src/poissonkit, dunders exempt, is named in src/, demos/ or perfbench/ outside its own body
+    # and outside its own module's __all__, which exports it but calls nothing
     repo = Path(__file__).resolve().parents[1]
     trees = {path: ast.parse(path.read_text(), str(path))
              for root in ("src", "demos", "perfbench") for path in sorted((repo / root).rglob("*.py"))}
-    defined = [(node.name, path, node.lineno, node.end_lineno) for path, tree in trees.items()
+    defined = [(node.name, path, range(node.lineno, node.end_lineno + 1)) for path, tree in trees.items()
                if path.is_relative_to(repo / "src") for node in ast.walk(tree)
                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
                and not (node.name.startswith("__") and node.name.endswith("__"))]
+    exports = {path: _all_lines(tree) for path, tree in trees.items()}
     named = {}
     for path, tree in trees.items():
         for name, line in _names_in(tree):
             named.setdefault(name, []).append((path, line))
-    uncalled = [f"{path.relative_to(repo)}:{start} {name}" for name, path, start, end in defined
-                if not any(where != path or not start <= line <= end for where, line in named.get(name, ()))]
+    uncalled = [f"{path.relative_to(repo)}:{body.start} {name}" for name, path, body in defined
+                if not any(where != path or not (line in body or line in exports[path])
+                           for where, line in named.get(name, ()))]
     assert len(defined) > 200
     assert not uncalled, uncalled
 

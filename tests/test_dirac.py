@@ -271,18 +271,17 @@ def _random_invertible(rng, dim):
 
 
 @settings(max_examples=60, deadline=None)
-@given(dim=st.integers(2, 4), seed=st.integers(0, 2**32 - 1))
-def test_pushforward_matches_leg_wedge_reference(dim, seed):
-    # {(A x)_i, (A x)_j} o A^-1 against the leg-by-leg wedge of the columns of A, on random
-    # Gaussian-rational bivectors: along involutions, passed as their own inverse as
+@given(dim=st.integers(2, 4), degree=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
+def test_pushforward_matches_leg_wedge_reference(dim, degree, seed):
+    # the carried legs against the leg-by-leg wedge of the columns of A, on random
+    # Gaussian-rational fields of degree 0-3: along involutions, passed as their own inverse as
     # fixed_locus_symbolic passes them, and along generic invertible maps
     rng = make_rng(seed)
-    pi = rand_multivec(rng, dim, 2)
-    chart = PoissonChart(dim, tuple(f"x{k + 1}" for k in range(dim)), pi)
+    mv = rand_multivec(rng, dim, degree)
     s = _random_involution(rng, dim)
-    assert _pushforward(chart, s, s) == pushforward_linear(pi, s)
+    assert _pushforward(mv, s, s) == pushforward_linear(mv, s)
     a = _random_invertible(rng, dim)
-    assert _pushforward(chart, a, linalg.inverse(a)) == pushforward_linear(pi, a)
+    assert _pushforward(mv, a, linalg.inverse(a)) == pushforward_linear(mv, a)
 
 
 def test_fixed_locus_runs_three_eliminations_and_one_inverse(monkeypatch, capsys):

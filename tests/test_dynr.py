@@ -181,7 +181,7 @@ def _dense(elem):
 
 @pytest.mark.parametrize("name", ["sl2", "sl3", "sl4", "su2", "su3"])
 def test_einsum_brackets_match_alg_schouten(name):
-    g = sl_chevalley(int(name[2:])) if name.startswith("sl") else su_compact_basis(int(name[2:]))[0]
+    g = sl_chevalley(int(name[2:])) if name.startswith("sl") else su_compact_basis(int(name[2:]))
     C = structure_tensor(g)
     rng = make_rng(45)
     density = 0.6 if g.dim < 5 else 0.2

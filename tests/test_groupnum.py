@@ -25,11 +25,11 @@ from poissonkit.groupnum import (
     sl_group,
     stokes_report,
     su_group,
-    xplus,
     _bracket_difference,
     _dual_points,
     _fixed_points,
 )
+from poissonkit.exactalg import Scalar
 from poissonkit.liealg import sl_chevalley, standard_r_matrix, su_compact_basis
 
 
@@ -101,13 +101,27 @@ def test_expm_of_strictly_upper_stack_is_its_finite_series(n):
 def test_groups_carry_the_basis_and_r_matrix_of_their_algebra(n):
     # the groups are built from the matrix bases and root data alone; they must agree with the
     # exact algebras, whose structure constants no numeric code reads
-    for group, (alg, r) in ((sl_group(n), (sl_chevalley(n), standard_r_matrix(sl_chevalley(n)))),
-                            (su_group(n), su_compact_basis(n))):
+    for group, alg in ((sl_group(n), sl_chevalley(n)), (su_group(n), su_compact_basis(n))):
+        r = standard_r_matrix(alg)
         mats = groupnum._complex_matrices(alg.matrices)
         assert len(group.basis) == alg.dim
         assert all(np.array_equal(b, m.real if group.name.startswith("SL") else m) for b, m in zip(group.basis, mats))
         assert group.r_terms == [(i, j, float(c.re)) for (i, j), c in r.comps.items()]
         assert all(type(c) is float for _, _, c in group.r_terms)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_su_standard_r_matrix_is_the_compact_one(n):
+    # one r-matrix per algebra: standard_r_matrix on su(n) is sum d_a/2 X_a ^ Y_a, the r-matrix
+    # that su_group carries, not sum d_a X_a ^ Y_a
+    g = su_compact_basis(n)
+    compact = {}
+    for info in g.root_data.roots:
+        a, b = info.pair
+        compact[(g.label_index(f"X{a + 1}{b + 1}"), g.label_index(f"Y{a + 1}{b + 1}"))] = Scalar(info.d / 2)
+    r = standard_r_matrix(g)
+    assert r.comps == compact
+    assert su_group(n).r_terms == [(i, j, float(c.re)) for (i, j), c in r.comps.items()]
 
 
 # -- cocycle ------------------------------------------------------------------------
@@ -251,23 +265,28 @@ def test_pair_swap_pushforward():
     assert np.array_equal(out[1], u.T)
 
 
+def _xplus(spec, g, v):
+    """v+ through pi_q_projection, as the leg of v ^ v, which every involution fixes."""
+    return pi_q_projection(spec, TangentBivector(g, [v], [v])).u[0]
+
+
 def test_xplus_projector():
     spec = InvolutionSpec("transpose")
     g = np.eye(3)
     sym = np.array([[0.0, 1, 2], [1, 0, 3], [2, 3, 0]])
     anti = np.array([[0.0, 1, -2], [-1, 0, 3], [2, -3, 0]])
-    assert np.array_equal(xplus(spec, g, sym), sym)
-    assert np.max(np.abs(xplus(spec, g, anti))) == 0
+    assert np.array_equal(_xplus(spec, g, sym), sym)
+    assert np.max(np.abs(_xplus(spec, g, anti))) == 0
     mixed = sym + anti
-    once = xplus(spec, g, mixed)
-    assert np.max(np.abs(xplus(spec, g, once) - once)) < 1e-12
+    once = _xplus(spec, g, mixed)
+    assert np.max(np.abs(_xplus(spec, g, once) - once)) < 1e-12
 
 
 def test_xplus_requires_fixed_point():
     spec = InvolutionSpec("transpose")
     g = matrix_exp(np.array([[0.0, 1], [0, 0]]))  # not symmetric
-    with pytest.raises(ValueError):
-        xplus(spec, g, np.eye(2))
+    with pytest.raises(ValueError, match="point is not fixed by the involution"):
+        _xplus(spec, g, np.eye(2))
 
 
 def test_projection_fixed_and_antifixed_cases():
@@ -292,6 +311,10 @@ def test_projection_rejects_non_invariant():
     anti = np.array([[0.0, 1, 0], [-1, 0, 0], [0, 0, 0]])
     with pytest.raises(ValueError):
         pi_q_projection(spec, TangentBivector(g, [anti], [sym]))
+    # invariance is checked before the base point: at a point the involution moves, it still fails first
+    moved = matrix_exp(np.array([[0.0, 1, 0], [0, 0, 0], [0, 0, 0]]))
+    with pytest.raises(ValueError, match="not involution-invariant"):
+        pi_q_projection(spec, TangentBivector(moved, [anti], [sym]))
 
 
 def test_projected_legs_tangent_to_symmetric_locus():
@@ -326,7 +349,7 @@ def test_crosscheck_flags_legs_off_the_plus_eigenspace(monkeypatch):
     # rank relation holds, so only the +1 eigenspace check, run on both stacks, fails the report
     # (the report hands it a block of samples, so it keeps the bivector's batch axis)
     def u_only(spec, pi):
-        return TangentBivector(pi.base, xplus(spec, pi.base, pi.u), pi.v, pi.batch_ndim)
+        return TangentBivector(pi.base, 0.5 * (pi.u + spec.apply(pi.u)), pi.v, pi.batch_ndim)
 
     monkeypatch.setattr(groupnum, "pi_q_projection", u_only)
     for kind in ("sl", "su"):
@@ -341,7 +364,7 @@ def test_su3_specialized_formula():
     # projection route at sampled symmetric unitaries
     group = su_group(3)
     spec = InvolutionSpec("transpose")
-    alg = su_compact_basis(3)[0]
+    alg = su_compact_basis(3)
     worst = 0.0
     for k in range(5):
         g = _fixed_points(group, [np.random.default_rng([37, k])])[0]

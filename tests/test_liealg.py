@@ -8,11 +8,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import abelian, apply_vector, counted_calls, double_pairing, structure_constant, validate_lie_reference
+from conftest import (
+    abelian,
+    apply_by_wedges,
+    apply_vector,
+    counted_calls,
+    double_pairing,
+    make_rng,
+    structure_constant,
+    validate_lie_reference,
+)
 from poissonkit import liealg
 from poissonkit.cli import run_command
 from poissonkit.exactalg import Poly, PolyMultiVec, Scalar, schouten
-from poissonkit.oracle import alg_schouten_oracle
+from poissonkit.oracle import alg_schouten_oracle, rand_alg_element
 from poissonkit.liealg import (
     AlgElement,
     LieAlgebraData,
@@ -88,7 +97,7 @@ def test_sl_trace_pairing_is_one():
 
 
 def test_su2_relations():
-    g, r_hat = su_compact_basis(2)
+    g = su_compact_basis(2)
     assert validate_lie(g).ok
     x, y, t = g.label_index("X12"), g.label_index("Y12"), g.label_index("t1")
     # [t, X] = 2Y, [t, Y] = -2X, [X, Y] = 2t
@@ -98,13 +107,13 @@ def test_su2_relations():
 
 
 def test_su_r_hat_single_root():
-    g, r_hat = su_compact_basis(2)
+    g = su_compact_basis(2)
     x, y = g.label_index("X12"), g.label_index("Y12")
-    assert r_hat == AlgElement(g, 2, {(x, y): Scalar(Fraction(1, 2))})
+    assert standard_r_matrix(g) == AlgElement(g, 2, {(x, y): Scalar(Fraction(1, 2))})
 
 
 def test_su_constants_are_real_rationals():
-    g, _ = su_compact_basis(3)
+    g = su_compact_basis(3)
     assert validate_lie(g).ok
     for entry in g.table.values():
         for coeff in entry.values():
@@ -173,8 +182,8 @@ def test_wedge_collects_repeated_terms():
 def test_cobracket_is_ad_of_r():
     # delta(x_k) = [x_k, r] = ad_{x_k} r, as drinfeld_double forms it, against the independent
     # oracle; the double's dual block [xi^i, xi^j] = sum_k delta(x_k)^{ij} xi^k reads it back
-    cases = [(g, standard_r_matrix(g)) for g in (sl_chevalley(2), sl_chevalley(3))] + [su_compact_basis(2)]
-    for g, r in cases:
+    for g in (sl_chevalley(2), sl_chevalley(3), su_compact_basis(2)):
+        r = standard_r_matrix(g)
         n = g.dim
         sigma = drinfeld_double(g, r).sigma
         for k in range(n):
@@ -200,14 +209,8 @@ def test_coboundary_zero_r():
 
 
 def test_symmetric_bialgebra_sl_and_su():
-    cases = [(sl_chevalley(2), None), (sl_chevalley(3), None)]
-    for n in (2, 3):
-        g, r_hat = su_compact_basis(n)
-        cases.append((g, r_hat))
-    for g, r in cases:
-        r = standard_r_matrix(g) if r is None else r
-        phi = transpose_antimorphism(g)
-        assert symmetric_bialgebra_check(g, r, phi).ok
+    for g in (sl_chevalley(2), sl_chevalley(3), su_compact_basis(2), su_compact_basis(3)):
+        assert symmetric_bialgebra_check(g, standard_r_matrix(g), transpose_antimorphism(g)).ok
 
 
 def test_symmetric_fails_for_identity_map():
@@ -244,7 +247,7 @@ def _ref_phi_table(g, compact):
 
 
 def test_transpose_antimorphism_matches_basis_table():
-    cases = [(sl_chevalley(n), False) for n in (2, 3, 4)] + [(su_compact_basis(n)[0], True) for n in (2, 3)]
+    cases = [(sl_chevalley(n), False) for n in (2, 3, 4)] + [(su_compact_basis(n), True) for n in (2, 3)]
     for g, compact in cases:
         phi = transpose_antimorphism(g)
         assert phi.matrix == _ref_phi_table(g, compact), g.name
@@ -309,8 +312,9 @@ def test_double_dual_block_jacobi():
 
 # the double is a Lie algebra exactly when [r, r] is ad-invariant; on sl2, su2 and so3 every
 # r in Lambda^2 g is an r-matrix (Lambda^3 g is the invariant line), on sl3 most sparse r are not
-_R_ALGEBRAS = {name: (g, standard_r_matrix(g)) for name, g in (("sl2", sl_chevalley(2)), ("sl3", sl_chevalley(3)))}
-_R_ALGEBRAS.update(su2=su_compact_basis(2), so3=(so3(), None))  # (algebra, standard r); so3 has none
+_R_ALGEBRAS = {name: (g, standard_r_matrix(g))
+               for name, g in (("sl2", sl_chevalley(2)), ("sl3", sl_chevalley(3)), ("su2", su_compact_basis(2)))}
+_R_ALGEBRAS.update(so3=(so3(), None))  # (algebra, standard r); so3 has none
 _GAUSSIAN_INTEGERS = [Scalar(1), Scalar(-1), Scalar(2), Scalar(0, 1), Scalar(1, -1), Scalar(-3, 2)]
 
 
@@ -365,6 +369,14 @@ def test_lie_bialgebra_checks_the_r_matrix_once(name, monkeypatch, capsys):
     assert counts == {"coboundary_check": 1, "alg_schouten": 2 * dim + 1}
 
 
+@pytest.mark.parametrize("name, double_dim", [("sl2", 6), ("sl3", 16), ("sl4", 30), ("su2", 6), ("su3", 16)])
+def test_lie_bialgebra_porcelain_is_pinned(name, double_dim, capsys):
+    # the handler reads every algebra's r-matrix from its root data, su(n) included
+    assert run_command(["--porcelain", "lie", "bialgebra", "--algebra", name])[0] == 0
+    assert capsys.readouterr().out == (
+        f"algebra={name}\ncoboundary=True\nsymmetric=True\ndouble_dim={double_dim}\nchi=True\npass=True\n")
+
+
 # -- chi -----------------------------------------------------------------------------
 
 
@@ -387,8 +399,8 @@ def test_chi_abelian_negated_identity():
 
 def test_chi_su_doubles():
     for n in (2, 3):
-        g, r_hat = su_compact_basis(n)
-        dd = drinfeld_double(g, r_hat)
+        g = su_compact_basis(n)
+        dd = drinfeld_double(g, standard_r_matrix(g))
         assert chi_check(dd, transpose_antimorphism(g)).ok
 
 
@@ -424,7 +436,7 @@ def _as_text(brackets):
 def test_expand_table_matches_per_pair_solves():
     from poissonkit.liealg import _expand_table
 
-    algebras = [sl_chevalley(n) for n in (2, 3, 4, 5)] + [su_compact_basis(n)[0] for n in (2, 3, 4)]
+    algebras = [sl_chevalley(n) for n in (2, 3, 4, 5)] + [su_compact_basis(n) for n in (2, 3, 4)]
     for g in algebras:
         reference = _as_text(_per_pair_expand(g.matrices))
         assert _as_text(_expand_table(g.matrices)) == reference, g.name
@@ -576,11 +588,37 @@ _SL3 = sl_chevalley(3)
 _PERTURBED = {
     "sl2": _SL2,
     "sl3": _SL3,
-    "su2": su_compact_basis(2)[0],
-    "su3": su_compact_basis(3)[0],
+    "su2": su_compact_basis(2),
+    "su3": su_compact_basis(3),
     "double(sl3)": drinfeld_double(_SL3, standard_r_matrix(_SL3)).sigma,
 }
 _DELTAS = [Scalar(1), Scalar(-2), Scalar(Fraction(1, 2)), Scalar(0, 1), Scalar(1, -1)]
+
+
+_MAP_ENTRIES = [Scalar(0)] * 4 + [Scalar(1), Scalar(-1), Scalar(2), Scalar(Fraction(1, 2)), Scalar(0, 1)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(name=st.sampled_from(["sl3", "su3"]), degree=st.integers(0, 3), transpose=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_apply_matches_the_wedge_of_images(name, degree, transpose, seed):
+    # LinearAlgMap.apply carries the legs in one pass; the reference wedges the images of the legs one
+    # at a time, on the transpose and on random invertible maps (unit lower times unit upper triangular)
+    from poissonkit import linalg
+    from poissonkit.liealg import LinearAlgMap
+
+    g = _PERTURBED[name]
+    rng = make_rng(seed)
+    if transpose:
+        phi = transpose_antimorphism(g)
+    else:
+        lower = [[Scalar(1) if r == c else rng.choice(_MAP_ENTRIES) if r > c else Scalar(0)
+                  for c in range(g.dim)] for r in range(g.dim)]
+        upper = linalg.transpose([[Scalar(1) if r == c else rng.choice(_MAP_ENTRIES) if r > c else Scalar(0)
+                                   for c in range(g.dim)] for r in range(g.dim)])
+        phi = LinearAlgMap.from_rows(g, g, linalg.mat_mul(lower, upper))
+    elem = rand_alg_element(rng, g, degree, 0.3)
+    assert phi.apply(elem) == apply_by_wedges(phi, elem)
 
 
 @settings(max_examples=150, deadline=None)
@@ -636,7 +674,7 @@ def test_chi_check_matches_the_dense_sweep_for_any_phi(entries):
     assert (chi_check(dd, phi).witness or ()) == _dense_chi_failures(dd, phi)
 
 
-_SU2 = su_compact_basis(2)[0]
+_SU2 = su_compact_basis(2)
 _COEFFS = [Scalar(0), Scalar(1), Scalar(-1), Scalar(2), Scalar(Fraction(-1, 2)), Scalar(0, 1), Scalar(1, 1)]
 # the other wedge type: multivector fields on the chart of 3 coordinates, with polynomial components
 _CHART = 3
