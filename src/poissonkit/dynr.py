@@ -37,7 +37,8 @@ Batching.  ``pairings``, ``eval_r``, ``r_derivative`` and ``cdybe_residual``
 also take a stack of lambda, shape (..., rank), and return one result per
 lambda; ``residual_scan`` runs its samples through them in blocks, by
 ``report.sample_blocks``.  A block draws lambda candidates in rounds of
-LAMBDA_ROUND from each sample's own generator (``report.sample_rngs``) and
+LAMBDA_ROUND from each sample's own generator (``report.sample_rngs``, which
+seeds the whole block in one pass) and
 checks a round of every sample still without a lambda in one ``pairings``
 call.  Each sample keeps its first accepted candidate, so the values, and the
 stream each generator is drawn from, are those of drawing one candidate at a

@@ -220,16 +220,16 @@ class TangentBivector:
 
     def sharp_matrix(self) -> np.ndarray:
         """Matrix of the sharp map, U^T V - V^T U on the leg stacks flattened by
-        ``_real_flat``; its column space is the image."""
-        lead = self.batch_ndim + 1
-        return _wedge_matrix(_real_flat(self.u, lead), _real_flat(self.v, lead))
+        ``_real_flat``; its column space is the image.  Formed once per bivector,
+        so read-only."""
+        return self._sharp
 
     @functools.cached_property
-    def _sharp_svd(self) -> tuple[np.ndarray, np.ndarray]:
-        """Left singular vectors and singular values of ``sharp_matrix()``: one SVD
-        serves the tangency residual and the rank relation, each at its threshold."""
-        u, s, _ = np.linalg.svd(self.sharp_matrix(), full_matrices=False)
-        return u, s
+    def _sharp(self) -> np.ndarray:
+        lead = self.batch_ndim + 1
+        sharp = _wedge_matrix(_real_flat(self.u, lead), _real_flat(self.v, lead))
+        sharp.setflags(write=False)
+        return sharp
 
     def max_abs(self) -> float | np.ndarray:
         ndim = self.u.ndim - self.batch_ndim
@@ -429,19 +429,13 @@ def dual_tangency_residual(pi: TangentBivector) -> float | np.ndarray:
     beta_ii C_ii + B_ii gamma_ii = 0.
     """
     b, c = (np.diagonal(pi.base[..., None, k, :, :], axis1=-2, axis2=-1) for k in (0, 1))
-    image = _image_basis(pi, 1e-10)
+    # an orthonormal basis of each image (singular values above 1e-10), zero-padded to the largest rank
+    u, s, _ = np.linalg.svd(pi.sharp_matrix(), full_matrices=False)
+    image = (u * (s > 1e-10)[..., None, :])[..., :np.max(np.sum(s > 1e-10, axis=-1), initial=0)]
     legs = _transpose(image[..., :math.prod(pi.point_shape), :]).reshape(*image.shape[:-2], image.shape[-1], *pi.point_shape)
     beta, gamma = legs[..., 0, :, :], legs[..., 1, :, :]
     diag = np.diagonal(beta, axis1=-2, axis2=-1) * c + b * np.diagonal(gamma, axis1=-2, axis2=-1)
     return np.maximum.reduce([_max_over(np.tril(beta, -1), 3), _max_over(np.triu(gamma, 1), 3), _max_over(diag, 2)])
-
-
-def _image_basis(pi: TangentBivector, thresh: float) -> np.ndarray:
-    """Orthonormal columns spanning the image of pi^# (singular values above thresh)
-    at each point, padded with zero columns to the largest rank in the stack."""
-    u, s = pi._sharp_svd
-    keep = s > thresh
-    return (u * keep[..., None, :])[..., :np.max(np.sum(keep, axis=-1), initial=0)]
 
 
 def _rank(mat: np.ndarray) -> np.ndarray:
@@ -466,13 +460,17 @@ def _plus_eigenspace(spec: InvolutionSpec, shape: tuple[int, ...], dtype: np.dty
 
 
 def rank_relation_holds(spec: InvolutionSpec, pi: TangentBivector, projected: TangentBivector) -> bool | np.ndarray:
-    """rank pi_Q^# == dim( im pi^# intersect T_x Q ), by SVD at TOL_CROSS, per point;
-    ``projected`` is ``pi_q_projection(spec, pi)``, which every caller already holds."""
-    image = _image_basis(pi, TOL_CROSS)
+    """rank pi_Q^# == dim( im pi^# intersect T_x Q ), both by SVD at TOL_CROSS, per point;
+    ``projected`` is ``pi_q_projection(spec, pi)``, which every caller already holds.
+
+    That projection checked Phi_* pi = pi, so im pi^# is stable under Phi's differential,
+    an orthogonal involution in ``sharp_matrix()``'s coordinates: the image is the sum of
+    its +1 and -1 parts, and the +1 part, the intersection, is its projection to the +1
+    eigenspace.  So the intersection's dimension is the rank of P^T S, P the basis of
+    ``_plus_eigenspace`` and S pi's sharp matrix.  rank pi_Q^# comes from the projected
+    legs, so a broken projection still fails."""
     plus = _plus_eigenspace(spec, pi.point_shape, pi.base.dtype, TOL_CROSS)
-    joint = np.concatenate([image, np.broadcast_to(plus, (*image.shape[:-1], plus.shape[1]))], axis=-1)
-    dim_int = np.sum(pi._sharp_svd[1] > TOL_CROSS, axis=-1) + plus.shape[1] - _rank(joint)
-    return _rank(projected.sharp_matrix()) == dim_int
+    return _rank(projected.sharp_matrix()) == _rank(plus.T @ pi.sharp_matrix())
 
 
 # ---------------------------------------------------------------------------

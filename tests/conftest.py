@@ -14,6 +14,9 @@ images leg by leg, the reference for ``LinearAlgMap.apply``, and the
 triple-by-triple Jacobi check that ``validate_lie``'s sparse sweep must agree
 with.
 
+For ``poissonkit.report``: the per-sample generators ``default_rng([seed, k])``,
+the reference for the block-hashed ``sample_rngs``.
+
 For ``poissonkit.dynr``: [r, r] and every [x_b, t] on dense arrays, the
 references for the exact ``alg_schouten`` and the scan's invariance defect,
 the one-sample-at-a-time lambda sampler, the reference for the scan's
@@ -40,7 +43,7 @@ from poissonkit.dynr import DynamicalRFamily
 from poissonkit.exactalg import SCALAR_ZERO, Poly, PolyMultiVec, wedge
 from poissonkit.liealg import AlgElement, LieAlgebraData
 from poissonkit.poisson import PoissonChart
-from poissonkit.report import Report, sample_rngs
+from poissonkit.report import Report
 
 
 def subprocess_env():
@@ -243,9 +246,15 @@ def _ad_defect(C: np.ndarray, t: np.ndarray) -> np.ndarray:
     return first + first.transpose(0, 2, 3, 1) + first.transpose(0, 3, 1, 2)
 
 
+def per_sample_rngs(seed: int, ks) -> list[np.random.Generator]:
+    """``default_rng([seed, k])`` built one sample at a time: the reference for
+    ``report.sample_rngs``, which hashes a block's seed sequences at once."""
+    return [np.random.default_rng([seed, k]) for k in ks]
+
+
 def _sample_lambda(family: DynamicalRFamily, seed: int, index: int) -> np.ndarray:
     """Sample ``index``: a lambda whose every root pairing is at least 0.5 from 0."""
-    (rng,) = sample_rngs(seed, [index])
+    (rng,) = per_sample_rngs(seed, [index])
     for _ in range(1000):
         lam = rng.uniform(-2.0, 2.0, size=family.rank)
         if (np.abs(family.pairings(lam)) >= 0.5).all():

@@ -14,6 +14,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import conftest
 from conftest import _ad_defect, algebra_element, equivariance_check
@@ -263,6 +265,36 @@ def test_sample_lambdas_match_the_per_sample_loop(n):
         assert second_round > 0  # some sample rejected its whole first round and drew another
 
 
+# seeds at the 32-bit word boundaries of SeedSequence's entropy, and past 2^128, where the
+# seed's words and k's overflow its pool of 4 words
+BOUNDARY_SEEDS = [0, 2**32 - 1, 2**32, 2**64, 2**96, 2**128, 2**160 + 5]
+
+
+def _assert_same_streams(seed, ks):
+    for got, want in zip(report.sample_rngs(seed, ks), conftest.per_sample_rngs(seed, ks), strict=True):
+        assert got.normal(0.0, 0.5, size=5).tobytes() == want.normal(0.0, 0.5, size=5).tobytes()
+        assert got.uniform(-2.0, 2.0, size=5).tobytes() == want.uniform(-2.0, 2.0, size=5).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.one_of(st.sampled_from(BOUNDARY_SEEDS), st.integers(0, 2**200)), start=st.integers(0, 2**34))
+def test_sample_rngs_give_the_per_sample_streams(seed, start):
+    # a block hashed at once gives every sample the stream of its own default_rng([seed, k])
+    _assert_same_streams(seed, range(start, start + report.BLOCK))
+
+
+@pytest.mark.parametrize("seed", BOUNDARY_SEEDS)
+def test_sample_rngs_give_the_per_sample_streams_across_two_word_ks(seed):
+    # k takes one entropy word below 2^32 and two from 2^32 on, within one block
+    _assert_same_streams(seed, range(2**32 - 3, 2**32 + 3))
+
+
+def test_sample_rngs_reject_what_default_rng_rejects(monkeypatch):
+    assert _raised(lambda: report.sample_rngs(-1, range(3))) == _raised(lambda: np.random.default_rng([-1, 0]))
+    monkeypatch.setattr(report, "_MULT_B", report._MULT_B ^ 1)  # a hash that is no longer numpy's
+    assert _raised(lambda: report.sample_rngs(5, range(3)))[0] is AssertionError
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_max_ad_defect_matches_the_dense_reference(n):
     # random antisymmetric trivectors, not ad-invariant, so the defect is of order 1; on sl2 every
@@ -431,6 +463,44 @@ def test_stokes_membership_failure_raises_as_the_loop_does(monkeypatch):
     loop = _raised(lambda: _ref_stokes(12, 1))
     assert loop[0] is AssertionError
     assert _raised(lambda: groupnum.stokes_report(3, 12, 1)) == loop
+
+
+def _fixed_stack(kind, n, samples=6, seed=3):
+    """A group, its involution and a stack of sampled fixed points, as the reports draw them."""
+    if kind == "dual":
+        b = groupnum._unipotent_points(n, report.sample_rngs(seed, range(samples)))
+        return groupnum.dual_group(n), InvolutionSpec("pair-swap"), np.stack([b, np.swapaxes(b, -1, -2)], axis=1)
+    group = groupnum.sl_group(n) if kind == "sl" else groupnum.su_group(n)
+    return group, InvolutionSpec("transpose"), groupnum._fixed_points(group, report.sample_rngs(seed, range(samples)))
+
+
+def _rank_relation_both_routes(spec, pi, projected):
+    """``rank_relation_holds`` on the stack, and the joint-rank route point by point."""
+    loop = [_ref_rank_relation(spec, TangentBivector(p, u, v), TangentBivector(p, pu, pv))
+            for p, u, v, pu, pv in zip(pi.base, pi.u, pi.v, projected.u, projected.v)]
+    return list(groupnum.rank_relation_holds(spec, pi, projected)), loop
+
+
+@pytest.mark.parametrize("kind, n", [("sl", n) for n in range(2, 7)] + [("su", n) for n in range(2, 7)]
+                         + [("dual", n) for n in range(2, 5)])
+def test_rank_relation_matches_the_joint_rank_route(kind, n):
+    group, spec, points = _fixed_stack(kind, n)
+    pi = groupnum.pl_bivector(group, points)
+    stacked, loop = _rank_relation_both_routes(spec, pi, groupnum.pi_q_projection(spec, pi))
+    assert stacked == loop == [True] * len(points)
+
+
+@pytest.mark.parametrize("legs", ["u", "v"])
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_rank_relation_fails_where_a_point_keeps_unprojected_legs(n, legs):
+    # only on sl(n), n >= 3: on sl2, su(n) and the dual group the unprojected legs keep the rank
+    group, spec, points = _fixed_stack("sl", n)
+    pi = groupnum.pl_bivector(group, points)
+    projected = groupnum.pi_q_projection(spec, pi)
+    kept = {"u": projected.u.copy(), "v": projected.v.copy()}
+    kept[legs][2] = getattr(pi, legs)[2]
+    stacked, loop = _rank_relation_both_routes(spec, pi, TangentBivector(points, kept["u"], kept["v"], 1))
+    assert stacked == loop == [True, True, False, True, True, True]
 
 
 def test_stacked_verdicts_are_per_point():
