@@ -1,9 +1,9 @@
 """Dirac-submanifold criteria in aligned charts.
 
 Covers: the local criterion for Q = {y = 0}, induced structures, fixed loci
-of linear Poisson involutions (two independent routes), affine subspaces of
-Lie-Poisson duals, the leaf-slice obstruction, and the relative modular
-identity.
+of linear Poisson involutions (by an exact eigenbasis change), affine
+subspaces of Lie-Poisson duals, the leaf-slice obstruction, and the relative
+modular identity.
 
 Run as: python demos/dirac_submanifolds.py
 """
@@ -14,7 +14,6 @@ from poissonkit.dirac import (
     LinearInvolution,
     affine_lie_poisson_dirac,
     check_aligned_dirac,
-    fixed_locus_projection,
     fixed_locus_symbolic,
     leaf_slice_obstruction,
 )
@@ -44,12 +43,11 @@ axis = AlignedSubmanifold(so3_chart, (2,), (0, 1))
 print("\nso(3) axis passes:", check_aligned_dirac(axis).ok)
 
 # Fixed locus of the linear Poisson involution S = diag(-1, -1, 1) on
-# so(3)*: computed once by an exact eigenbasis change of coordinates, and
-# once by projecting every wedge leg with (1 + S_*)/2.  The routes agree.
+# so(3)*: an exact change of coordinates to the eigenbasis of S puts it in
+# the aligned form, where the criterion above decides it.
 s = LinearInvolution.from_rows([[-1, 0, 0], [0, -1, 0], [0, 0, 1]])
 fixed = fixed_locus_symbolic(so3_chart, s).values
-projected = fixed_locus_projection(so3_chart, s)
-print("fixed locus dim:", len(fixed["submanifold"].x_indices), "| routes agree:", projected.pi == fixed["induced"].pi)
+print("fixed locus dim:", len(fixed["submanifold"].x_indices), "| induced bracket zero:", fixed["induced"].pi.is_zero())
 
 # Affine subspaces mu + m-perp of a Lie-Poisson dual: the criterion is a
 # reductive decomposition plus an ad* condition on mu.

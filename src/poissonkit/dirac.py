@@ -14,11 +14,10 @@ coordinates to their (+1, -1) eigenbasis.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 from typing import Sequence
 
 from . import linalg
-from .exactalg import Poly, PolyMultiVec, Scalar, schouten, wedge
+from .exactalg import Poly, PolyMultiVec, Scalar, schouten
 from .poisson import PoissonChart, jacobiator
 from .report import InvalidInput, Report
 
@@ -27,7 +26,6 @@ __all__ = [
     "LinearInvolution",
     "check_aligned_dirac",
     "fixed_locus_symbolic",
-    "fixed_locus_projection",
     "affine_lie_poisson_dirac",
     "transverse_from_reductive",
     "leaf_slice_obstruction",
@@ -175,35 +173,6 @@ def fixed_locus_symbolic(chart: PoissonChart, s: LinearInvolution) -> Report:
     sub = AlignedSubmanifold(chart_z, tuple(range(len(plus))), tuple(range(len(plus), n)))
     verdict = check_aligned_dirac(sub)
     return replace(verdict, values={"submanifold": sub, **verdict.values})
-
-
-def fixed_locus_projection(chart: PoissonChart, s: LinearInvolution) -> PoissonChart:
-    """Same induced structure via the plus-projection of every wedge leg.
-
-    Works in the eigen-chart of S, where S is D = diag(+-1), decomposes pi
-    into wedge terms, replaces each leg X by (X + D_* X)/2, restricts to the
-    fixed block and drops the complement.  Route-agreement with
-    ``fixed_locus_symbolic`` is part of the verification suite.  S must be a
-    Poisson involution of a Poisson chart.
-    """
-    verdict = fixed_locus_symbolic(chart, s)
-    if not verdict:
-        raise ValueError(verdict.reason)
-    sub = verdict.values["submanifold"]
-    chart_z = sub.chart
-    n = chart_z.dim
-    d = [[Scalar(0 if i != j else 1 if i in sub.x_indices else -1) for j in range(n)] for i in range(n)]
-    half = Scalar(Fraction(1, 2))
-
-    def leg_plus(leg: PolyMultiVec) -> PolyMultiVec:
-        return (leg + _pushforward(leg, d, d)) * half
-
-    total = PolyMultiVec.zero(n, 2)
-    for (i, j), poly in chart_z.pi.comps.items():
-        left = PolyMultiVec.from_terms(n, 1, [((i,), poly)])
-        right = PolyMultiVec.basis(n, j)
-        total = total + wedge(leg_plus(left), leg_plus(right))
-    return _induced_chart(total, sub)
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,12 @@ formula agrees with the projection route (half-sum of each wedge leg with
 its involution image) to machine precision at every sampled fixed point,
 and with the arrows swapped it does not.
 
+Every group report runs one sampled check, ``_fixed_locus_blocks``: per block
+of fixed points, membership, pi = r^L - r^R and its projection, the route
+residual of the projected entry brackets against the report's target (the
+formula for crosscheck and bruhat, KAPPA times the Dubrovin brackets for
+stokes), the +1-eigenspace residual of the projected legs, the rank relation.
+
 Stated conventions for the Stokes check: the double's pairing
 <(a,b),(c,d)> = tr(ac) - tr(bd), its r-matrix r = DOUBLE_R_SCALE
 sum_i D_i ^ xi^i and pi = r^L - r^R.  With them the induced bracket on the
@@ -478,13 +484,14 @@ def rank_relation_holds(spec: InvolutionSpec, pi: TangentBivector, projected: Ta
 # ---------------------------------------------------------------------------
 
 
-def _unipotent_points(n: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
-    """Unipotent upper-triangular points, one per generator, which draws the
-    strictly upper entries of the exponent row by row."""
+def _stokes_points(n: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+    """Points (B, B^T) of G* fixed by (B, C) -> (C^T, B^T), B unipotent upper-triangular, one per
+    generator, which draws the strictly upper entries of B's exponent row by row."""
     a, b = np.triu_indices(n, 1)
     x = np.zeros((len(rngs), n, n))
     x[:, a, b] = [rng.normal(0.0, SAMPLE_SCALE, size=len(a)) for rng in rngs]
-    return matrix_exp(x)
+    upper = matrix_exp(x)
+    return np.stack([upper, _transpose(upper)], axis=1)
 
 
 def _dual_points(n: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
@@ -500,15 +507,27 @@ def _dual_points(n: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
     return matrix_exp(x)
 
 
-def _fixed_locus_step(group: MatrixGroup, spec: InvolutionSpec, points: np.ndarray):
-    """pi at a stack of sampled fixed points, its projection to the fixed locus,
-    and whether the rank relation holds at every point.  The points are drawn
-    on the group, so one off it is a sampling bug, raised as AssertionError."""
-    if np.any(group.membership(points) > TOL_MEMBER):
-        raise AssertionError("sampled point failed group membership")
-    pi = pl_bivector(group, points)
-    projected = pi_q_projection(spec, pi)
-    return pi, projected, bool(np.all(rank_relation_holds(spec, pi, projected)))
+def _fixed_locus_blocks(group: MatrixGroup, spec: InvolutionSpec, samples: int, seed: int,
+                        draw: Callable[[list], np.ndarray], target: Callable[[np.ndarray], np.ndarray],
+                        entries: Sequence[tuple] | None = None, readout: Callable[..., tuple] = lambda *_: ()):
+    """The sampled check of every group report (module docstring); a point drawn off the group is
+    a sampling bug, raised as AssertionError.  Returns the largest route and +1 residuals, whether
+    every rank relation held, and the columns of the report's ``readout(points, pi, brackets)``."""
+
+    def block(ks: range) -> tuple:
+        points = draw(sample_rngs(seed, ks))
+        if np.any(group.membership(points) > TOL_MEMBER):
+            raise AssertionError("sampled point failed group membership")
+        pi = pl_bivector(group, points)
+        projected = pi_q_projection(spec, pi)
+        brackets = projected.bracket_matrix(entries)
+        legs = np.concatenate([projected.u, projected.v], axis=1)
+        return (float(np.max(np.abs(brackets - target(points)))),
+                float(np.max(np.abs(spec.apply(legs) - legs), initial=0.0)),
+                bool(np.all(rank_relation_holds(spec, pi, projected))), *readout(points, pi, brackets))
+
+    route, plus, ranks, *readouts = zip(*sample_blocks(range(samples), block))
+    return max(route), max(plus), all(ranks), readouts
 
 
 CHART_N3 = ((0, 0, 1), (0, 0, 2), (0, 1, 2))  # x = B_12, y = B_13, z = B_23
@@ -535,26 +554,25 @@ def stokes_report(n: int = 3, samples: int = 20, seed: int = 1, tol: float = 1e-
 
     The report passes iff the Dubrovin residual, |kappa - KAPPA| and the
     pushforward residual are at most ``tol``, the tangency residual at most
-    TOL_CROSS, the Markoff defect at most 1e-7, and the rank relation holds.
+    TOL_CROSS, the Markoff defect at most 1e-7, the +1 residual at most
+    TOL_MEMBER, and the rank relation holds.
     """
     if n != 3:
         raise ValueError("the Dubrovin chart readout is specific to n = 3")
     group = dual_group(n)
-    psi = InvolutionSpec("pair-swap")
 
-    def fixed_block(ks: range):
-        b = _unipotent_points(n, sample_rngs(seed, ks))
-        point = np.stack([b, _transpose(b)], axis=1)
-        pi, pi_q, rank_ok = _fixed_locus_step(group, psi, point)
-        x, y, z = (point[(Ellipsis, *idx)] for idx in CHART_N3)
-        brackets, target = pi_q.bracket_matrix(CHART_N3), _dubrovin_target(x, y, z)
+    def chart(point):
+        return (point[(Ellipsis, *idx)] for idx in CHART_N3)
+
+    def readout(point, pi, brackets):
+        x, y, z = chart(point)
+        target = _dubrovin_target(x, y, z)
         largest = np.argmax(np.abs(target))  # flat index, the first of the block's largest entries
         # Markoff polynomial m = x^2 + y^2 + z^2 - xyz is constant along
         # Hamiltonian directions: {m, w} = sum_v dm/dv {v, w}
         grad = np.stack([2 * x - y * z, 2 * y - x * z, 2 * z - x * y], axis=-1)
-        return (float(np.max(np.abs(brackets - KAPPA * target))), abs(float(target.flat[largest])),
-                float(brackets.flat[largest] / target.flat[largest]), float(np.max(dual_tangency_residual(pi))),
-                float(np.max(np.abs(grad[:, None, :] @ brackets))), rank_ok)
+        return (abs(float(target.flat[largest])), float(brackets.flat[largest] / target.flat[largest]),
+                float(np.max(dual_tangency_residual(pi))), float(np.max(np.abs(grad[:, None, :] @ brackets))))
 
     def push_block(ks: range) -> float:
         point = _dual_points(n, sample_rngs(seed, ks))
@@ -566,20 +584,23 @@ def stokes_report(n: int = 3, samples: int = 20, seed: int = 1, tol: float = 1e-
         target = _dubrovin_target(image[:, 0, 1], image[:, 0, 2], image[:, 1, 2])
         return float(np.max(np.abs(pushed.bracket_matrix(((0, 1), (0, 2), (1, 2))) - 2.0 * KAPPA * target)))
 
-    resids, largest, ratios, tangency, markoff, ranks = zip(*sample_blocks(range(samples), fixed_block))
+    resid, max_plus, rank_ok, (largest, ratios, tangency, markoff) = _fixed_locus_blocks(
+        group, InvolutionSpec("pair-swap"), samples, seed, lambda rngs: _stokes_points(n, rngs),
+        lambda point: KAPPA * _dubrovin_target(*chart(point)), CHART_N3, readout)
     kappa = ratios[int(np.argmax(largest))]
     values = {
         "kappa": kappa,
         "kappa_two_defect": abs(kappa - KAPPA),
-        "max_dubrovin_residual": max(resids),
+        "max_dubrovin_residual": resid,
         "max_pushforward_residual": max(sample_blocks(range(samples, 2 * samples), push_block)),
         "max_tangency_residual": max(tangency),
         "max_markoff_defect": max(markoff),
-        "rank_relation_ok": all(ranks),
+        "max_plus_residual": max_plus,
+        "rank_relation_ok": rank_ok,
     }
     ok = (all(values[key] <= tol for key in ("max_dubrovin_residual", "kappa_two_defect", "max_pushforward_residual"))
           and values["max_tangency_residual"] <= TOL_CROSS and values["max_markoff_defect"] <= 1e-7
-          and values["rank_relation_ok"])
+          and max_plus <= TOL_MEMBER and rank_ok)
     return Report(ok, values, seed=seed, samples=samples)
 
 
@@ -594,12 +615,6 @@ def _fixed_points(group: MatrixGroup, rngs: Sequence[np.random.Generator]) -> np
     return matrix_exp(0.5 * (x + _transpose(x)))
 
 
-def _bracket_difference(a: TangentBivector, b: TangentBivector) -> float | np.ndarray:
-    """Largest entrywise-bracket difference over all entry pairs, per point."""
-    diff = np.abs(a.bracket_matrix() - b.bracket_matrix())
-    return np.max(diff[(Ellipsis, *np.triu_indices(diff.shape[-1], 1))], axis=-1, initial=0.0)
-
-
 def crosscheck_report(kind: str, samples: int = 10, seed: int = 2, tol: float = TOL_CROSS, n: int = 3) -> Report:
     """Two-route agreement at transpose-fixed points.
 
@@ -609,28 +624,13 @@ def crosscheck_report(kind: str, samples: int = 10, seed: int = 2, tol: float = 
     legs leave the +1 eigenspace by at most TOL_MEMBER, and the rank relation
     holds.
     """
-    if kind == "sl":
-        group = sl_group(n)
-    elif kind == "su":
-        group = su_group(n)
-    else:
+    groups = {"sl": sl_group, "su": su_group}  # read at call time, so a traced binding is the one called
+    if kind not in groups:
         raise ValueError("kind must be 'sl' or 'su'")
-    spec = InvolutionSpec("transpose")
-
-    def block(ks: range):
-        g = _fixed_points(group, sample_rngs(seed, ks))
-        _, projected, rank_ok = _fixed_locus_step(group, spec, g)
-        legs = np.concatenate([projected.u, projected.v], axis=1)  # must lie in the +1 eigenspace
-        return (float(np.max(_bracket_difference(projected, pi_q_formula(group, g)))),
-                float(np.max(np.abs(spec.apply(legs) - legs), initial=0.0)), rank_ok)
-
-    diffs, pluses, ranks = zip(*sample_blocks(range(samples), block))
-    max_diff, max_plus, rank_ok = max(diffs), max(pluses), all(ranks)
-    ok = max_diff <= tol and max_plus <= TOL_MEMBER and rank_ok
-    values = {
-        "group": group.name,
-        "max_route_difference": max_diff,
-        "max_plus_residual": max_plus,
-        "rank_relation_ok": rank_ok,
-    }
-    return Report(ok, values, seed=seed, samples=samples)
+    group = groups[kind](n)
+    max_diff, max_plus, rank_ok, _ = _fixed_locus_blocks(
+        group, InvolutionSpec("transpose"), samples, seed, lambda rngs: _fixed_points(group, rngs),
+        lambda g: pi_q_formula(group, g).bracket_matrix())
+    values = {"group": group.name, "max_route_difference": max_diff, "max_plus_residual": max_plus,
+              "rank_relation_ok": rank_ok}
+    return Report(max_diff <= tol and max_plus <= TOL_MEMBER and rank_ok, values, seed=seed, samples=samples)

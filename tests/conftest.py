@@ -3,7 +3,9 @@ are in ``poissonkit.oracle``), the environment for tests that start a
 Python subprocess, a call counter for a module's functions, random Lie
 algebra elements for the group tests, the adjoint matrix and r-matrix
 cocycle of a matrix group and the fixed-locus formula with its invariant-field
-arrows swapped (the rejected binding), which only the tests use, and the
+arrows swapped (the rejected binding), which only the tests use, the largest
+entry-bracket difference of two bivectors over the entry pairs p < q, the
+reference for the group reports' route residual, and the
 leg-by-leg pushforward of an exact multivector along a linear map, the
 reference for the pushforward of ``poissonkit.dirac``.
 
@@ -134,6 +136,13 @@ def pi_q_formula_swapped(group, g: np.ndarray):
         u += [0.25 * c * (e @ g + g @ e.T), -0.25 * c * (g @ e + e.T @ g)]
         v += [f @ g + g @ f.T, g @ f + f.T @ g]
     return TangentBivector(g, np.stack(u), np.stack(v))
+
+
+def bracket_difference(a, b):
+    """Largest entry-bracket difference of two bivectors over the entry pairs p < q, per point.
+    Both bracket matrices are exactly antisymmetric, so this is also the largest over all pairs."""
+    diff = np.abs(a.bracket_matrix() - b.bracket_matrix())
+    return np.max(diff[(Ellipsis, *np.triu_indices(diff.shape[-1], 1))], axis=-1, initial=0.0)
 
 
 def pushforward_linear(mv: PolyMultiVec, a) -> PolyMultiVec:

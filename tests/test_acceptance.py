@@ -30,7 +30,7 @@ from poissonkit.groupnum import (
     su_group,
     sl_group,
     _fixed_points,
-    _unipotent_points,
+    _stokes_points,
 )
 from poissonkit.liealg import (
     builtin_algebra,
@@ -196,8 +196,7 @@ def test_c10_rank_relation_at_sampled_fixed_points():
     psi = InvolutionSpec("pair-swap")
     for k in range(20):
         rng = np.random.default_rng([1, k])
-        b = _unipotent_points(3, [rng])[0]
-        pi = dual_group_bivector(group, np.stack([b, b.T]))
+        pi = dual_group_bivector(group, _stokes_points(3, [rng])[0])
         ok = ok and rank_relation_holds(psi, pi, pi_q_projection(psi, pi))
     # criterion 8 points: transpose-fixed points of SL(3, R) and SU(3)
     spec = InvolutionSpec("transpose")

@@ -91,7 +91,7 @@ def _ref_stokes(samples, seed, tol=1e-8):
     kappa_predicted = 2.0  # {x, y} = 2 (xy - 2z), sign included
     group = groupnum.dual_group(n)
     psi = InvolutionSpec("pair-swap")
-    max_resid = max_tangency = max_markoff = largest = 0.0
+    max_resid = max_tangency = max_markoff = max_plus = largest = 0.0
     kappa = None
     rank_ok = True
     for k in range(samples):
@@ -103,6 +103,8 @@ def _ref_stokes(samples, seed, tol=1e-8):
         max_tangency = max(max_tangency, _ref_tangency(pi))
         pi_q = groupnum.pi_q_projection(psi, pi)
         rank_ok = rank_ok and _ref_rank_relation(psi, pi, pi_q)
+        legs = np.concatenate([pi_q.u, pi_q.v])
+        max_plus = max(max_plus, float(np.max(np.abs(psi.apply(legs) - legs), initial=0.0)))
         x, y, z = (float(point[idx]) for idx in groupnum.CHART_N3)
         chart = pi_q.bracket_matrix(groupnum.CHART_N3)
         for (p, q), rhs in zip(((0, 1), (1, 2), (2, 0)), (x * y - 2 * z, y * z - 2 * x, z * x - 2 * y)):
@@ -124,7 +126,7 @@ def _ref_stokes(samples, seed, tol=1e-8):
             max_push = max(max_push, abs(float(lhs) - 2.0 * kappa_predicted * float(rhs)))
     kappa_two_defect = abs(kappa - kappa_predicted)
     ok = (max_resid <= tol and kappa_two_defect <= tol and max_push <= tol and max_tangency <= TOL_CROSS
-          and max_markoff <= 1e-7 and rank_ok)
+          and max_markoff <= 1e-7 and max_plus <= TOL_MEMBER and rank_ok)
     return Report(ok, {
         "kappa": kappa,
         "kappa_two_defect": kappa_two_defect,
@@ -132,6 +134,7 @@ def _ref_stokes(samples, seed, tol=1e-8):
         "max_pushforward_residual": max_push,
         "max_tangency_residual": max_tangency,
         "max_markoff_defect": max_markoff,
+        "max_plus_residual": max_plus,
         "rank_relation_ok": rank_ok,
     }, seed=seed, samples=samples)
 
@@ -148,7 +151,7 @@ def _ref_crosscheck(kind, samples, seed, tol=TOL_CROSS, n=3):
         pi = groupnum.pl_bivector(group, g)
         projected = groupnum.pi_q_projection(spec, pi)
         direct = groupnum.pi_q_formula(group, g)
-        max_diff = max(max_diff, float(groupnum._bracket_difference(projected, direct)))
+        max_diff = max(max_diff, float(conftest.bracket_difference(projected, direct)))
         rank_ok = rank_ok and _ref_rank_relation(spec, pi, projected)
         legs = np.concatenate([projected.u, projected.v])
         max_plus = max(max_plus, float(np.max(np.abs(spec.apply(legs) - legs), initial=0.0)))
@@ -468,8 +471,8 @@ def test_stokes_membership_failure_raises_as_the_loop_does(monkeypatch):
 def _fixed_stack(kind, n, samples=6, seed=3):
     """A group, its involution and a stack of sampled fixed points, as the reports draw them."""
     if kind == "dual":
-        b = groupnum._unipotent_points(n, report.sample_rngs(seed, range(samples)))
-        return groupnum.dual_group(n), InvolutionSpec("pair-swap"), np.stack([b, np.swapaxes(b, -1, -2)], axis=1)
+        points = groupnum._stokes_points(n, report.sample_rngs(seed, range(samples)))
+        return groupnum.dual_group(n), InvolutionSpec("pair-swap"), points
     group = groupnum.sl_group(n) if kind == "sl" else groupnum.su_group(n)
     return group, InvolutionSpec("transpose"), groupnum._fixed_points(group, report.sample_rngs(seed, range(samples)))
 

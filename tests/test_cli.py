@@ -2,7 +2,7 @@
 
 import argparse
 import ast
-import importlib
+import importlib.util
 import re
 import shlex
 import subprocess
@@ -549,6 +549,22 @@ def test_every_function_in_src_has_a_caller_outside_tests():
     assert not uncalled, uncalled
 
 
+def test_every_name_the_tracer_spans_resolves():
+    # perfbench's tracer wraps the functions SPANNED names; its own tests are not part of this
+    # suite, so a function dropped or renamed in src/ would otherwise break only traced runs
+    spec = importlib.util.spec_from_file_location("perfbench_tracing",
+                                                  Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    pairs = [(module, name) for module, names in tracing.SPANNED.items() for name in names]
+    missing = [f"{module}.{name}" for module, name in pairs
+               if not callable(getattr(importlib.import_module(f"poissonkit.{module}"), name, None))]
+    assert not missing, missing
+    spanned = {f"{module}.{name}" for module, name in pairs}
+    assert {*tracing.BUILDS, *tracing.GROUP_BUILDS, *tracing.REPORTS} <= spanned
+    assert len(spanned) > 40
+
+
 # exact commands: the full porcelain stdout; numeric ones: the porcelain keys
 PINNED = {
     "check jacobi": "chart=dubrovin3.chart\njacobiator=0\npass=True\n",
@@ -568,7 +584,8 @@ PINNED = {
     "oracle schouten": "dim=3\npairs=100\nmismatches=0\nseed=0\npass=True\n",
     "oracle alg": "algebra=sl3\npairs=100\nmismatches=0\nseed=0\npass=True\n",
     "group stokes": ["kappa", "kappa_two_defect", "max_dubrovin_residual", "max_pushforward_residual",
-                     "max_tangency_residual", "max_markoff_defect", "rank_relation_ok", "seed", "pass"],
+                     "max_tangency_residual", "max_markoff_defect", "max_plus_residual", "rank_relation_ok", "seed",
+                     "pass"],
     "group crosscheck": ["group", "max_route_difference", "max_plus_residual", "rank_relation_ok", "seed", "pass"],
     "group bruhat": ["group", "max_route_difference", "max_plus_residual", "rank_relation_ok", "seed", "pass"],
     "dynr cdybe": ["algebra", "family", "spread", "invariance_defect", "derivative_defect", "tol", "seed", "pass"],

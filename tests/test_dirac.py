@@ -14,16 +14,15 @@ from poissonkit.dirac import (
     LinearInvolution,
     affine_lie_poisson_dirac,
     check_aligned_dirac,
-    fixed_locus_projection,
     fixed_locus_symbolic,
     leaf_slice_obstruction,
     transverse_from_reductive,
 )
 from poissonkit.exactalg import Poly, PolyMultiVec, Scalar, schouten
-from poissonkit.liealg import builtin_algebra, lie_poisson_chart
+from poissonkit.liealg import builtin_algebra, lie_poisson_chart, transpose_antimorphism
 from poissonkit.dirac import _pushforward
-from poissonkit.oracle import rand_multivec
-from poissonkit.poisson import PoissonChart, jacobiator
+from poissonkit.oracle import rand_multivec, rand_poly
+from poissonkit.poisson import PoissonChart, bracket, jacobiator
 
 
 def product_chart():
@@ -209,20 +208,60 @@ def test_fixed_locus_rejects_non_invariant():
     assert verdict.witness == ((0, 1), Poly.var(3, 2) * Poly.const(3, -2))  # {x1, x2} = x3 flips sign
 
 
+def _eigenbasis(s):
+    """The columns P of the eigen-chart of ``fixed_locus_symbolic``, the +1 eigenvectors first,
+    and their count."""
+    n = len(s)
+    plus = linalg.nullspace(linalg.mat_sub(s, linalg.identity(n)))
+    minus = linalg.nullspace(linalg.mat_add(s, linalg.identity(n)))
+    return [[vec[i] for vec in plus + minus] for i in range(n)], len(plus)
+
+
+def _linear_forms(rows, nvars):
+    """The linear polynomials sum_j rows[i][j] x_j, one per row."""
+    return [sum((Poly.var(nvars, j) * c for j, c in enumerate(row)), Poly.zero(nvars)) for row in rows]
+
+
+def _bracket_route(chart, s):
+    """pi_Q from the brackets of the S-invariant coordinates z_a = (P^-1 x)_a, a in the +1
+    eigenspace: {z_a, z_b} by ``poisson.bracket`` on the input chart, composed onto Q by
+    x = P (z+, 0).  No pushforward and no leg is formed.  The components a < b, on Q."""
+    p, k = _eigenbasis(s)
+    z = _linear_forms(linalg.inverse(p)[:k], chart.dim)
+    onto_q = _linear_forms([row[:k] for row in p], k)
+    return {(a, b): bracket(chart, z[a], z[b]).compose(onto_q) for a in range(k) for b in range(a + 1, k)}
+
+
+def _assert_routes_agree(chart, s):
+    sub, ind = fixed_locus(chart, LinearInvolution.from_rows(s))
+    route = _bracket_route(chart, s)
+    assert len(sub.x_indices) == _eigenbasis(s)[1]
+    assert set(ind.pi.comps) <= set(route)
+    assert {idx: ind.pi.component(idx) for idx in route} == route
+
+
 def test_fixed_locus_two_routes_agree():
+    # the pushforward to the eigen-chart restricted to Q, against the brackets of the invariant
+    # coordinates on the input chart
+    sl3 = builtin_algebra("sl3")
     charts = [
-        (lie_poisson_chart(builtin_algebra("so3")),
-         LinearInvolution.from_rows([[-1, 0, 0], [0, -1, 0], [0, 0, 1]])),
-        (PoissonChart(2, ("x", "y"), PolyMultiVec.monomial(2, (0, 1), Poly.const(2, 1))),
-         LinearInvolution.from_rows([[1, 0], [0, -1]])),
-        (product_chart(), LinearInvolution.from_rows(
-            [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])),
+        (lie_poisson_chart(builtin_algebra("so3")), [[-1, 0, 0], [0, -1, 0], [0, 0, 1]]),
+        (PoissonChart(2, ("x", "y"), PolyMultiVec.monomial(2, (0, 1), Poly.var(2, 1))), [[1, 0], [0, -1]]),
+        (product_chart(), [[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]]),
+        (lie_poisson_chart(sl3), [[-c for c in row] for row in linalg.transpose(transpose_antimorphism(sl3).matrix)]),
     ]
-    for chart, s in charts:
-        verdict = fixed_locus_symbolic(chart, s)
-        if not verdict.ok:
-            continue
-        assert fixed_locus_projection(chart, s).pi == verdict.values["induced"].pi
+    for chart, rows in charts:
+        _assert_routes_agree(chart, [[Scalar.coerce(c) for c in row] for row in rows])
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.integers(3, 5), seed=st.integers(0, 2**32 - 1))
+def test_fixed_locus_two_routes_agree_on_random_involutions(dim, seed):
+    # an S-invariant chart f d_u ^ d_v for each involution drawn; Q carries a nonzero bracket in
+    # about one draw in three
+    rng = make_rng(seed)
+    s = _random_involution(rng, dim)
+    _assert_routes_agree(_invariant_chart(rng, s), s)
 
 
 def test_fixed_locus_rotated_eigenbasis():
@@ -235,8 +274,7 @@ def test_fixed_locus_rotated_eigenbasis():
     sub, ind = fixed_locus(chart, s)
     assert len(sub.x_indices) == 2
     assert jacobiator(ind).is_zero()
-    proj = fixed_locus_projection(chart, s)
-    assert proj.pi == ind.pi
+    _assert_routes_agree(chart, s.rows())
 
 
 def _random_involution(rng, dim):
@@ -268,6 +306,27 @@ def _random_invertible(rng, dim):
     lower = [[Scalar(1) if r == c else entry() if r > c else Scalar(0) for c in range(dim)] for r in range(dim)]
     upper = [[Scalar(1) if r == c else entry() if r < c else Scalar(0) for c in range(dim)] for r in range(dim)]
     return linalg.mat_mul(lower, upper)
+
+
+def _invariant_chart(rng, s):
+    """f d_u ^ d_v for eigenvectors u, v of S, with f(Sx) = e_u e_v f(x), e_u and e_v their
+    eigenvalues: Poisson, as a function times the wedge of two commuting fields, and S-invariant."""
+    n = len(s)
+    p, k = _eigenbasis(s)
+
+    def eigenvector(sides):
+        side, eigenvalue = rng.choice([(side, e) for side, e in sides if side])
+        coeffs = {a: rng.choice((-2, -1, 1, 2)) for a in side}
+        return [sum((p[i][a] * c for a, c in coeffs.items()), Scalar(0)) for i in range(n)], eigenvalue
+
+    # u from the +1 eigenspace when there is one, and v three times in four, so that Q often
+    # carries a nonzero bracket
+    (u, e_u), (v, e_v) = eigenvector([(range(k), 1)] if k else [(range(n), -1)]), eigenvector(
+        [(range(k), 1)] * 3 + [(range(k, n), -1)])
+    g = rand_poly(rng, n, max_deg=3, max_terms=4)
+    f = (g + g.compose(_linear_forms(s, n)) * (e_u * e_v)) * Fraction(1, 2)
+    comps = {(i, j): f * (u[i] * v[j] - u[j] * v[i]) for i in range(n) for j in range(i + 1, n)}
+    return PoissonChart(n, tuple(f"x{i + 1}" for i in range(n)), PolyMultiVec(n, 2, comps))
 
 
 @settings(max_examples=60, deadline=None)

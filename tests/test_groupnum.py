@@ -6,7 +6,8 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import adjoint_coordinate_matrix, algebra_element, assert_pass_rule, cocycle_lambda, pi_q_formula_swapped
+from conftest import (adjoint_coordinate_matrix, algebra_element, assert_pass_rule, bracket_difference, cocycle_lambda,
+                      pi_q_formula_swapped)
 from poissonkit import groupnum
 from poissonkit.groupnum import (
     TOL_MEMBER,
@@ -25,7 +26,6 @@ from poissonkit.groupnum import (
     sl_group,
     stokes_report,
     su_group,
-    _bracket_difference,
     _dual_points,
     _fixed_points,
 )
@@ -345,17 +345,29 @@ def test_two_routes_agree_sl3_su3():
 
 
 def test_crosscheck_flags_legs_off_the_plus_eigenspace(monkeypatch):
-    # a projection that leaves the v legs as they are; on SU(3) the two routes still agree and the
-    # rank relation holds, so only the +1 eigenspace check, run on both stacks, fails the report
-    # (the report hands it a block of samples, so it keeps the bivector's batch axis)
+    # a projection that leaves the u legs or the v legs as they are; on SU(3) the two routes still
+    # agree and the rank relation holds, and on the dual group every Stokes readout still passes,
+    # so only the +1 eigenspace check, run on both stacks, fails those reports (the report hands
+    # it a block of samples, so it keeps the bivector's batch axis); on SL(3) the rank relation
+    # fails too
     def u_only(spec, pi):
         return TangentBivector(pi.base, 0.5 * (pi.u + spec.apply(pi.u)), pi.v, pi.batch_ndim)
 
-    monkeypatch.setattr(groupnum, "pi_q_projection", u_only)
-    for kind in ("sl", "su"):
-        rep = crosscheck_report(kind, samples=3, seed=2, tol=1e-8, n=3)
-        assert rep.values["max_plus_residual"] > TOL_MEMBER
-        assert not rep.ok
+    def v_only(spec, pi):
+        return TangentBivector(pi.base, pi.u, 0.5 * (pi.v + spec.apply(pi.v)), pi.batch_ndim)
+
+    for half in (u_only, v_only):
+        monkeypatch.setattr(groupnum, "pi_q_projection", half)
+        sl, su = (crosscheck_report(kind, samples=3, seed=2, tol=1e-8, n=3) for kind in ("sl", "su"))
+        stokes = stokes_report(3, 20, 1)
+        for rep in (sl, su, stokes):
+            assert rep.values["max_plus_residual"] > TOL_MEMBER, half.__name__
+            assert not rep.ok
+        assert not sl.values["rank_relation_ok"]
+        assert su.values["max_route_difference"] <= 1e-8 and su.values["rank_relation_ok"]
+        assert stokes.values["rank_relation_ok"] and stokes.values["kappa_two_defect"] <= 1e-8
+        assert max(stokes.values[key] for key in ("max_dubrovin_residual", "max_pushforward_residual",
+                                                  "max_tangency_residual", "max_markoff_defect")) <= 1e-8
 
 
 def test_su3_specialized_formula():
@@ -375,7 +387,7 @@ def test_su3_specialized_formula():
             v.append(g @ y_mat + y_mat @ g)
         special = TangentBivector(g, u, v)
         projected = pi_q_projection(spec, pl_bivector(group, g))
-        worst = max(worst, _bracket_difference(projected, special))
+        worst = max(worst, bracket_difference(projected, special))
     assert worst <= 1e-12
     assert alg.name == "su3"
     assert all(np.array_equal(b, m) for b, m in zip(group.basis, groupnum._complex_matrices(alg.matrices)))
@@ -387,7 +399,7 @@ def test_swapped_arrow_binding_rejected():
     g = _fixed_points(group, [np.random.default_rng([33, 0])])[0]
     proj = pi_q_projection(spec, pl_bivector(group, g))
     swapped = pi_q_formula_swapped(group, g)
-    assert _bracket_difference(proj, swapped) > 1e-3
+    assert bracket_difference(proj, swapped) > 1e-3
 
 
 # -- dual group and Stokes -------------------------------------------------------------------
@@ -588,8 +600,8 @@ def test_stacked_bracket_difference_matches_double_loop():
     cases = list(_stacked_cases())
     for (name_a, a), (name_b, b) in zip(cases[::2], cases[1::2]):
         scale = max(1.0, a.max_abs(), b.max_abs()) ** 2
-        assert abs(_bracket_difference(a, b) - _ref_bracket_difference(a, b)) <= 1e-14 * scale, name_a
-        assert _bracket_difference(a, a) == 0.0
+        assert abs(bracket_difference(a, b) - _ref_bracket_difference(a, b)) <= 1e-14 * scale, name_a
+        assert bracket_difference(a, a) == 0.0
 
 
 def test_stacked_push_matches_per_leg_push():
@@ -647,7 +659,7 @@ def test_empty_bivector():
     assert pi.max_abs() == 0.0
     assert pi_q_projection(spec, pi).u.shape == (0, 2, 3, 3)
     assert dual_tangency_residual(pi) == 0.0
-    assert _bracket_difference(pi, pi) == 0.0
+    assert bracket_difference(pi, pi) == 0.0
     assert rank_relation_holds(spec, pi, pi_q_projection(spec, pi))
 
 
