@@ -14,10 +14,11 @@ coordinates to their (+1, -1) eigenbasis.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import combinations_with_replacement
 from typing import Sequence
 
 from . import linalg
-from .exactalg import Poly, PolyMultiVec, Scalar, schouten
+from .exactalg import SCALAR_ZERO, Poly, PolyMultiVec, Scalar, schouten
 from .poisson import PoissonChart, jacobiator
 from .report import InvalidInput, Report
 
@@ -150,7 +151,9 @@ def fixed_locus_symbolic(chart: PoissonChart, s: LinearInvolution) -> Report:
     coordinates to the (+1, -1) eigenbasis of S (exact, since the eigenvalues
     are known), forms Q = {minus-block = 0}, and returns the report of
     ``check_aligned_dirac`` on it with the aligned submanifold added as
-    ``values["submanifold"]``.
+    ``values["submanifold"]`` and the change of basis as ``values["eigenbasis"]``:
+    the matrix P whose columns are the +1 eigenvectors, then the -1 ones, so that
+    x = P z and the z's are the coordinates of the submanifold's chart.
     """
     if s.dim != chart.dim:
         raise InvalidInput("involution dimension does not match the chart")
@@ -172,7 +175,7 @@ def fixed_locus_symbolic(chart: PoissonChart, s: LinearInvolution) -> Report:
     chart_z = PoissonChart(n, names, pi_z)
     sub = AlignedSubmanifold(chart_z, tuple(range(len(plus))), tuple(range(len(plus), n)))
     verdict = check_aligned_dirac(sub)
-    return replace(verdict, values={"submanifold": sub, **verdict.values})
+    return replace(verdict, values={"submanifold": sub, "eigenbasis": p_mat, **verdict.values})
 
 
 # ---------------------------------------------------------------------------
@@ -277,17 +280,9 @@ def transverse_from_reductive(g, l_basis, m_basis, mu) -> Report:
 
 def _monomials_up_to(nvars: int, degree: int) -> list[tuple]:
     """Exponent tuples of total degree <= degree, in graded order."""
-    out: list[tuple] = []
-
-    def rec(prefix, remaining, pos):
-        if pos == nvars:
-            out.append(tuple(prefix))
-            return
-        for e in range(remaining + 1):
-            rec(prefix + [e], remaining - e, pos + 1)
-
-    rec([], degree, 0)
-    return sorted(out, key=lambda e: (sum(e), e))
+    monos = (tuple(combo.count(i) for i in range(nvars))
+             for d in range(degree + 1) for combo in combinations_with_replacement(range(nvars), d))
+    return sorted(monos, key=lambda e: (sum(e), e))
 
 
 def leaf_slice_obstruction(chart: PoissonChart, t_indices: Sequence[int], t0: Sequence, degree_bound: int) -> Report:
@@ -343,18 +338,18 @@ def leaf_slice_obstruction(chart: PoissonChart, t_indices: Sequence[int], t0: Se
         columns.append(col)
         row_keys.update(col)
 
+    # one elimination: a right-hand-side column per t, over the rows of every image and right-hand side
+    rhs = [bivec_rows(-chart.pi.diff(ti).project(xs, frozen)) for ti in ts]
+    keys = sorted(row_keys.union(*rhs))
+    a_mat = [[col.get(kk, SCALAR_ZERO) for col in columns] for kk in keys]
+    sol = linalg.solve(a_mat, [[b.get(kk, SCALAR_ZERO) for b in rhs] for kk in keys])
+    if sol is None:
+        return Report(False, reason=f"unsolvable up to degree {degree_bound} (not a proof of non-existence)")
     witnesses = []
-    for ti in ts:
-        rhs = bivec_rows(-chart.pi.diff(ti).project(xs, frozen))
-        keys = sorted(row_keys | set(rhs))
-        a_mat = [[col.get(kk, Scalar(0)) for col in columns] for kk in keys]
-        b_vec = [rhs.get(kk, Scalar(0)) for kk in keys]
-        sol = linalg.solve(a_mat, b_vec)
-        if sol is None:
-            return Report(False, reason=f"unsolvable up to degree {degree_bound} (not a proof of non-existence)")
+    for c in range(len(ts)):
         field = PolyMultiVec.zero(nx, 1)
-        for (m, j), coeff in zip(unknowns, sol):
-            if not coeff.is_zero():
-                field = field + PolyMultiVec.monomial(nx, (j,), Poly(nx, {m: coeff}))
+        for (m, j), row in zip(unknowns, sol):
+            if row[c]:
+                field = field + PolyMultiVec.monomial(nx, (j,), Poly(nx, {m: row[c]}))
         witnesses.append(field)
     return Report(True, witness=tuple(witnesses))

@@ -36,7 +36,7 @@ formula for crosscheck and bruhat, KAPPA times the Dubrovin brackets for
 stokes), the +1-eigenspace residual of the projected legs, the rank relation.
 
 Stated conventions for the Stokes check: the double's pairing
-<(a,b),(c,d)> = tr(ac) - tr(bd), its r-matrix r = DOUBLE_R_SCALE
+<(a,b),(c,d)> = tr(ac) - tr(bd), its r-matrix r = liealg.DOUBLE_R_SCALE
 sum_i D_i ^ xi^i and pi = r^L - r^R.  With them the induced bracket on the
 Stokes matrices is predicted to be KAPPA times the Dubrovin brackets, sign
 included; the report measures that constant, it does not fit it.
@@ -53,7 +53,7 @@ import numpy as np
 import numpy.random  # noqa: F401  numpy 2 loads it lazily; here it is paid at import, not inside a command
 
 # sl_chevalley is bound here only for perfbench's tracer test, which reads groupnum.sl_chevalley
-from .liealg import _sl_basis, _su_basis, sl_chevalley  # noqa: F401
+from .liealg import _double_basis, _sl_basis, _su_basis, sl_chevalley  # noqa: F401
 from .report import Report, sample_blocks, sample_rngs
 
 __all__ = [
@@ -79,14 +79,6 @@ __all__ = [
 TOL_MEMBER = 1e-9  # group membership and invariance residuals
 TOL_CROSS = 1e-8  # cross-route bracket comparisons
 
-# The double's r-matrix is r = DOUBLE_R_SCALE * sum_i D_i ^ xi^i, a stated
-# convention (README, Conventions).  Wedge and pairing conventions in the
-# literature each move this scalar by factors of 2 or by its sign; with this
-# one the Stokes bracket comes out as KAPPA times the Dubrovin brackets
-# (xy - 2z, ...), and ``stokes_report`` fails when it does not.  The other
-# verified identities (two-route agreement, rank relations, tangency) are
-# invariant under this scalar.
-DOUBLE_R_SCALE = 4.0
 KAPPA = 2.0  # predicted Stokes constant, sign included: {x, y} = KAPPA (xy - 2z) and cyclically
 
 SAMPLE_SCALE = 0.5  # standard deviation of the normal draws behind every sampled point
@@ -256,11 +248,6 @@ def _membership_su(g: np.ndarray) -> np.ndarray:
     return np.maximum(unitarity, np.abs(np.linalg.det(g) - 1.0))
 
 
-def _complex_matrices(mats: Sequence[Sequence[Sequence]]) -> list[np.ndarray]:
-    """Exact matrices of Scalars as complex arrays."""
-    return [np.array([[c.to_complex() for c in row] for row in m], dtype=complex) for m in mats]
-
-
 N_CAP = 6  # dual-basis solves are O(dim^3); keep the check suite quick
 
 
@@ -269,20 +256,28 @@ def _check_n(n: int) -> None:
         raise ValueError(f"n must be between 2 and {N_CAP}")
 
 
+def _from_exact(name: str, matrices: Sequence, r_terms: Sequence[tuple], membership: Callable) -> MatrixGroup:
+    """The MatrixGroup on exact basis matrices, or pairs of them, and exact r-terms (i, j, c).
+    Its basis is real when no entry has an imaginary part, and complex otherwise."""
+    exact = np.array(matrices, dtype=object)
+    basis = np.array([c.to_complex() for c in exact.flat]).reshape(exact.shape)
+    if not basis.imag.any():
+        basis = basis.real.copy()
+    return MatrixGroup(name, list(basis), [(i, j, float(c)) for i, j, c in r_terms], membership)
+
+
 def sl_group(n: int) -> MatrixGroup:
     """SL(n, R) with the standard r-matrix sum of e_a ^ f_a over positive roots."""
     _check_n(n)
     _, mats, root_data = _sl_basis(n)
-    terms = [(i, j, float(c)) for i, j, c in root_data.r_terms]
-    return MatrixGroup(f"SL({n},R)", [m.real.copy() for m in _complex_matrices(mats)], terms, _membership_sl)
+    return _from_exact(f"SL({n},R)", mats, root_data.r_terms, _membership_sl)
 
 
 def su_group(n: int) -> MatrixGroup:
     """SU(n) with the compact r-matrix sum of d_a/2 X_a ^ Y_a."""
     _check_n(n)
     _, mats, root_data = _su_basis(n)
-    terms = [(i, j, float(c)) for i, j, c in root_data.r_terms]
-    return MatrixGroup(f"SU({n})", _complex_matrices(mats), terms, _membership_su)
+    return _from_exact(f"SU({n})", mats, root_data.r_terms, _membership_su)
 
 
 def _membership_dual(g: np.ndarray) -> np.ndarray:
@@ -294,40 +289,13 @@ def _membership_dual(g: np.ndarray) -> np.ndarray:
 
 
 def dual_group(n: int) -> MatrixGroup:
-    """The dual group B+ * B- inside the double D = SL(n) x SL(n).
-
-    sigma = sl(n) + sl(n) carries the pairing <(a,b),(c,d)> = tr(ac) - tr(bd);
-    the diagonal is sl(n), and the dual sits as pairs (X+, X-) of upper/lower
-    triangular matrices with opposite diagonals.  The r-matrix of the double
-    is sum_i D_i ^ xi^i over a basis D_i of the diagonal and its dual basis
-    xi^i of the dual, the first and second halves of ``basis``; the dual
-    basis comes from an exactly solvable linear system whose residual the
-    tests check.
+    """The dual group B+ * B- inside the double D = SL(n) x SL(n), on the exact basis and
+    r-terms of ``liealg._double_basis``: the diagonal D_i, then the dual basis xi^i of pairs
+    (X+, X-) of upper/lower triangular matrices with opposite diagonals, and
+    r = DOUBLE_R_SCALE sum_i D_i ^ xi^i.
     """
     _check_n(n)
-    sl_basis = [m.real.copy() for m in _complex_matrices(_sl_basis(n)[1])]
-    diagonal = [np.stack([m, m]) for m in sl_basis]
-
-    unit = np.eye(n * n).reshape(n * n, n, n)  # unit[n a + b] = E_ab
-    zero = np.zeros((n, n))
-    upper = [n * a + b for a in range(n) for b in range(a + 1, n)]
-    gstar_basis = [np.stack([unit[k], zero]) for k in upper] + [np.stack([zero, unit[k].T]) for k in upper]
-    gstar_basis += [np.stack([h, -h]) for h in (unit[(n + 1) * m] - unit[(n + 1) * (m + 1)] for m in range(n - 1))]
-
-    dim = len(sl_basis)
-    assert len(gstar_basis) == dim
-
-    gram = np.array([[pair_trace(x, d) for d in diagonal] for x in gstar_basis])
-    dual_vectors = np.linalg.solve(gram.T, np.eye(dim))  # column i: coeffs of xi^i
-    xis = [sum(dual_vectors[a, i] * gstar_basis[a] for a in range(dim)) for i in range(dim)]
-
-    r_terms = [(i, dim + i, DOUBLE_R_SCALE) for i in range(dim)]
-    return MatrixGroup(f"B+*B-({n})", diagonal + xis, r_terms, _membership_dual)
-
-
-def pair_trace(x: np.ndarray, y: np.ndarray) -> float:
-    """<(a,b),(c,d)> = tr(ac) - tr(bd)."""
-    return float(np.trace(x[0] @ y[0]) - np.trace(x[1] @ y[1]))
+    return _from_exact(f"B+*B-({n})", *_double_basis(n), _membership_dual)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,10 @@ the basis.  ``so3`` is written out by hand.  The test suite runs
 are built.  Chevalley bases of sl(n) use elementary matrices, so the trace
 form gives (e_a, f_a) = 1 for every positive root; compact real forms su(n)
 are stored over real rational structure constants by construction.
+``_double_basis`` holds the exact data of the double sl(n) + sl(n) from
+which ``groupnum`` builds G* = B+ * B-: the diagonal, its dual basis in
+b+ + b- from one exact solve against the Gram matrix of the pairing, and
+the r-terms at ``DOUBLE_R_SCALE``, the one source of that convention.
 
 The algebraic Schouten bracket on wedge powers of g is the pair-sum formula
 
@@ -318,6 +322,40 @@ def _sl_basis(n: int) -> tuple[list[str], list[linalg.Matrix], RootData]:
         roots.append(RootInfo((a, b), r, nroots + r, Fraction(1), h_coords))
     r_terms = tuple((info.e_index, info.f_index, info.d) for info in roots)
     return labels, mats, RootData(tuple(roots), tuple(range(2 * nroots, 2 * nroots + n - 1)), r_terms)
+
+
+# The double's r-matrix is r = DOUBLE_R_SCALE * sum_i D_i ^ xi^i, a stated
+# convention (README, Conventions).  Wedge and pairing conventions in the
+# literature each move this scalar by factors of 2 or by its sign; with this
+# one the Stokes bracket comes out as groupnum.KAPPA times the Dubrovin
+# brackets (xy - 2z, ...), and ``groupnum.stokes_report`` fails when it does
+# not.  The other verified identities (two-route agreement, rank relations,
+# tangency) are invariant under this scalar.
+DOUBLE_R_SCALE = Fraction(4)
+
+
+def _trace_product(a: linalg.Matrix, b: linalg.Matrix) -> Scalar:
+    """tr(ab), over the nonzero entries of a."""
+    return sum((v * b[c][r] for r, c, v in _entries(a)), SCALAR_ZERO)
+
+
+def _double_basis(n: int) -> tuple[list[tuple[linalg.Matrix, linalg.Matrix]], tuple[tuple[int, int, Fraction], ...]]:
+    """Basis pairs and r-terms of the double sl(n) + sl(n), paired by <(a,b),(c,d)> = tr(ac) - tr(bd).
+
+    The basis is the diagonal D_i = (m_i, m_i) over ``_sl_basis(n)``, then its dual basis xi^i in
+    b+ + b-, spanned by the pairs x_a = (E_ab, 0), (0, E_ba) over a < b and (h, -h) over the Cartan.
+    With G_aj = <x_a, D_j> the Gram matrix, xi^i = sum_a (G^-T)_ai x_a, so the flattened xi^i are
+    the rows of G^-1 B, B the flattened x_a: one exact solve.  The r-terms (i, dim + i,
+    DOUBLE_R_SCALE) make r = DOUBLE_R_SCALE sum_i D_i ^ xi^i; the scale is read at call time.
+    """
+    _, mats, roots = _sl_basis(n)
+    zero = linalg.zeros(n, n)
+    borel = ([(mats[root.e_index], zero) for root in roots.roots] + [(zero, mats[root.f_index]) for root in roots.roots]
+             + [(mats[h], linalg.mat_scale(mats[h], -1)) for h in roots.cartan])
+    gram = [[_trace_product(x, d) - _trace_product(y, d) for d in mats] for x, y in borel]
+    flat = linalg.solve(gram, [[v for half in x for row in half for v in row] for x in borel])
+    duals = [tuple([xi[(h * n + r) * n:(h * n + r + 1) * n] for r in range(n)] for h in (0, 1)) for xi in flat]
+    return [(m, m) for m in mats] + duals, tuple((i, len(mats) + i, DOUBLE_R_SCALE) for i in range(len(mats)))
 
 
 def sl_chevalley(n: int) -> LieAlgebraData:

@@ -17,10 +17,6 @@ from .exactalg import SCALAR_ONE, SCALAR_ZERO, Scalar
 Matrix = list[list[Scalar]]
 
 
-def mat(rows: Sequence[Sequence]) -> Matrix:
-    return [[Scalar.coerce(v) for v in row] for row in rows]
-
-
 def identity(n: int) -> Matrix:
     return [[SCALAR_ONE if i == j else SCALAR_ZERO for j in range(n)] for i in range(n)]
 
@@ -98,12 +94,6 @@ def rref(a: Matrix) -> tuple[Matrix, list[int]]:
         if lead == nrows:
             break
     return r, pivots
-
-
-def rank(a: Matrix) -> int:
-    if not a:
-        return 0
-    return len(rref(a)[1])
 
 
 def solve(a: Matrix, b: Sequence) -> list | None:

@@ -24,6 +24,9 @@ references for the exact ``alg_schouten`` and the scan's invariance defect,
 the one-sample-at-a-time lambda sampler, the reference for the scan's
 round-by-round one, and the sampled equivariance check of a family under an
 anti-morphism, which no command runs.
+For ``poissonkit.linalg``: a matrix of Scalars from rows of numbers, and the
+rank of an exact matrix, which only the tests use.
+
 For ``poissonkit.poisson``: the full contraction of a multivector with
 exact differentials, by a cofactor expansion, the bracket {f, g} summed
 pair by pair over the components of pi, the reference for ``bracket``, and
@@ -42,7 +45,7 @@ import pytest
 import poissonkit
 from poissonkit import dynr, linalg, report
 from poissonkit.dynr import DynamicalRFamily
-from poissonkit.exactalg import SCALAR_ZERO, Poly, PolyMultiVec, wedge
+from poissonkit.exactalg import SCALAR_ZERO, Poly, PolyMultiVec, Scalar, wedge
 from poissonkit.liealg import AlgElement, LieAlgebraData
 from poissonkit.poisson import PoissonChart
 from poissonkit.report import Report
@@ -167,6 +170,16 @@ def pushforward_linear(mv: PolyMultiVec, a) -> PolyMultiVec:
             acc = PolyMultiVec.function(Poly.const(n, 1))
         out = out + acc * moved
     return out
+
+
+def mat(rows: Sequence[Sequence]) -> linalg.Matrix:
+    """An exact matrix from rows of numbers."""
+    return [[Scalar.coerce(v) for v in row] for row in rows]
+
+
+def rank(a: linalg.Matrix) -> int:
+    """The rank of an exact matrix: its number of pivots."""
+    return len(linalg.rref(a)[1]) if a else 0
 
 
 def abelian(dim: int) -> LieAlgebraData:

@@ -7,6 +7,7 @@ import re
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 from conftest import subprocess_env
 
 import poissonkit
-from poissonkit import cli, groupnum, liealg
+from poissonkit import cli, liealg
 from poissonkit.chartio import (
     ChartFileError,
     emit_chart,
@@ -142,14 +143,15 @@ def test_group_stokes_cli():
     assert abs(float(report.values["kappa"]) - 2.0) < 1e-8
 
 
-@pytest.mark.parametrize("scale, code", [(-4.0, 1), (2.0, 1), (4.0, 0)], ids=["sign-flipped", "halved", "stated"])
+@pytest.mark.parametrize("scale, code", [(Fraction(-4), 1), (Fraction(2), 1), (Fraction(4), 0)],
+                         ids=["sign-flipped", "halved", "stated"])
 def test_stokes_checks_the_predicted_kappa(scale, code, monkeypatch):
     # kappa = +2 is predicted, not fitted: r with its sign flipped measures kappa = -2 and r at
-    # scale 2 measures kappa = 1, and each fails
-    monkeypatch.setattr(groupnum, "DOUBLE_R_SCALE", scale)
+    # scale 2 measures kappa = 1, and each fails; the scale has one exact source, read per build
+    monkeypatch.setattr(liealg, "DOUBLE_R_SCALE", scale)
     got, report = run_command(["group", "stokes", "--n", "3", "--samples", "20", "--seed", "1"])
     assert got == code
-    assert report.values["kappa"] == pytest.approx(scale / 2, abs=1e-8)
+    assert report.values["kappa"] == pytest.approx(float(scale) / 2, abs=1e-8)
 
 
 def test_porcelain_deterministic(capsys):
@@ -518,6 +520,24 @@ def _names_in(tree):
             yield node.value, node.lineno
 
 
+def _module_uses(tree, stem, in_perfbench):
+    """((module, name), line) of every use of a name through its module: ``m.f`` (also as
+    ``pkg.m.f``), ``from .m import f``, a bare ``f`` inside m itself (``stem``), and in
+    perfbench an entry ``"m": ("f", ...)`` of a table such as the tracer's ``SPANNED``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, (ast.Name, ast.Attribute)):
+            yield (getattr(node.value, "id", None) or node.value.attr, node.attr), node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield from (((node.module.split(".")[-1], alias.name), node.lineno) for alias in node.names)
+        elif isinstance(node, ast.Name):
+            yield (stem, node.id), node.lineno
+        elif in_perfbench and isinstance(node, ast.Dict):
+            for key, value in zip(node.keys, node.values):
+                if isinstance(key, ast.Constant) and isinstance(value, ast.Tuple):
+                    yield from (((key.value, item.value), item.lineno) for item in value.elts
+                                if isinstance(item, ast.Constant))
+
+
 def _all_lines(tree) -> range:
     """The lines of a module's ``__all__`` assignment, or none."""
     for node in tree.body:
@@ -529,22 +549,28 @@ def _all_lines(tree) -> range:
 def test_every_function_in_src_has_a_caller_outside_tests():
     # code that only the tests call lives in tests/: every function or method defined in
     # src/poissonkit, dunders exempt, is named in src/, demos/ or perfbench/ outside its own body
-    # and outside its own module's __all__, which exports it but calls nothing
+    # and outside its own module's __all__, which exports it but calls nothing.  A module-level
+    # function is named only through its module (``_module_uses``), so a local variable or a
+    # method of the same name does not count; methods and nested functions are matched by name
     repo = Path(__file__).resolve().parents[1]
     trees = {path: ast.parse(path.read_text(), str(path))
              for root in ("src", "demos", "perfbench") for path in sorted((repo / root).rglob("*.py"))}
-    defined = [(node.name, path, range(node.lineno, node.end_lineno + 1)) for path, tree in trees.items()
-               if path.is_relative_to(repo / "src") for node in ast.walk(tree)
+    src = [path for path in trees if path.is_relative_to(repo / "src")]
+    top_level = {node for path in src for node in trees[path].body}
+    defined = [(node, path, range(node.lineno, node.end_lineno + 1)) for path in src for node in ast.walk(trees[path])
                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
                and not (node.name.startswith("__") and node.name.endswith("__"))]
     exports = {path: _all_lines(tree) for path, tree in trees.items()}
-    named = {}
+    named, qualified = {}, {}
     for path, tree in trees.items():
         for name, line in _names_in(tree):
             named.setdefault(name, []).append((path, line))
-    uncalled = [f"{path.relative_to(repo)}:{body.start} {name}" for name, path, body in defined
+        for key, line in _module_uses(tree, path.stem, path.is_relative_to(repo / "perfbench")):
+            qualified.setdefault(key, []).append((path, line))
+    uncalled = [f"{path.relative_to(repo)}:{body.start} {node.name}" for node, path, body in defined
                 if not any(where != path or not (line in body or line in exports[path])
-                           for where, line in named.get(name, ()))]
+                           for where, line in (qualified.get((path.stem, node.name), ()) if node in top_level
+                                               else named.get(node.name, ())))]
     assert len(defined) > 200
     assert not uncalled, uncalled
 

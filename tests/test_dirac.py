@@ -1,12 +1,13 @@
 """Aligned Dirac criterion, fixed loci, affine Lie-Poisson subspaces, slices."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import abelian, counted_calls, make_rng, pushforward_linear
+from conftest import abelian, counted_calls, make_rng, pushforward_linear, rank
 from poissonkit import linalg
 from poissonkit.cli import run_command
 from poissonkit.dirac import (
@@ -20,7 +21,7 @@ from poissonkit.dirac import (
 )
 from poissonkit.exactalg import Poly, PolyMultiVec, Scalar, schouten
 from poissonkit.liealg import builtin_algebra, lie_poisson_chart, transpose_antimorphism
-from poissonkit.dirac import _pushforward
+from poissonkit.dirac import _monomials_up_to, _pushforward
 from poissonkit.oracle import rand_multivec, rand_poly
 from poissonkit.poisson import PoissonChart, bracket, jacobiator
 
@@ -132,15 +133,15 @@ def test_rank_relation_exact_points():
                 point[y] = Scalar(0)
             amb = _sharp_matrix_at(chart, point)
             q_point = [point[i] for i in sub.x_indices]
-            ind_rank = linalg.rank(_sharp_matrix_at(ind, q_point))
+            ind_rank = rank(_sharp_matrix_at(ind, q_point))
             # columns of the ambient sharp, joined with the x-block axes
             image_cols = [[amb[i][j] for i in range(chart.dim)] for j in range(chart.dim)]
             x_axes = [
                 [Scalar(1) if i == x else Scalar(0) for i in range(chart.dim)]
                 for x in sub.x_indices
             ]
-            rank_img = linalg.rank(linalg.transpose(image_cols))
-            rank_join = linalg.rank(linalg.transpose(image_cols + x_axes))
+            rank_img = rank(linalg.transpose(image_cols))
+            rank_join = rank(linalg.transpose(image_cols + x_axes))
             dim_intersect = rank_img + len(x_axes) - rank_join
             assert ind_rank == dim_intersect
 
@@ -208,13 +209,23 @@ def test_fixed_locus_rejects_non_invariant():
     assert verdict.witness == ((0, 1), Poly.var(3, 2) * Poly.const(3, -2))  # {x1, x2} = x3 flips sign
 
 
-def _eigenbasis(s):
-    """The columns P of the eigen-chart of ``fixed_locus_symbolic``, the +1 eigenvectors first,
-    and their count."""
+def _eigenbasis(verdict, s):
+    """The change of basis P of a passing ``fixed_locus_symbolic``, read from its values, and the
+    count k of its +1 eigenvectors.  Both routes agree for any invertible P, so P is pinned here:
+    S P = P diag(I_k, -I) and P is invertible."""
+    p, k = verdict.values["eigenbasis"], len(verdict.values["submanifold"].x_indices)
     n = len(s)
-    plus = linalg.nullspace(linalg.mat_sub(s, linalg.identity(n)))
-    minus = linalg.nullspace(linalg.mat_add(s, linalg.identity(n)))
-    return [[vec[i] for vec in plus + minus] for i in range(n)], len(plus)
+    signs = [[Scalar(1 if i == j < k else -1 if i == j else 0) for j in range(n)] for i in range(n)]
+    assert linalg.mat_eq(linalg.mat_mul(s, p), linalg.mat_mul(p, signs))
+    assert linalg.inverse(p) is not None
+    return p, k
+
+
+def _involution_eigenbasis(s):
+    """``_eigenbasis`` of S, read from ``fixed_locus_symbolic`` on the zero chart, which every S preserves."""
+    n = len(s)
+    zero = PoissonChart(n, tuple(f"x{i + 1}" for i in range(n)), PolyMultiVec.zero(n, 2))
+    return _eigenbasis(fixed_locus_symbolic(zero, LinearInvolution.from_rows(s)), s)
 
 
 def _linear_forms(rows, nvars):
@@ -222,20 +233,20 @@ def _linear_forms(rows, nvars):
     return [sum((Poly.var(nvars, j) * c for j, c in enumerate(row)), Poly.zero(nvars)) for row in rows]
 
 
-def _bracket_route(chart, s):
+def _bracket_route(chart, p, k):
     """pi_Q from the brackets of the S-invariant coordinates z_a = (P^-1 x)_a, a in the +1
     eigenspace: {z_a, z_b} by ``poisson.bracket`` on the input chart, composed onto Q by
     x = P (z+, 0).  No pushforward and no leg is formed.  The components a < b, on Q."""
-    p, k = _eigenbasis(s)
     z = _linear_forms(linalg.inverse(p)[:k], chart.dim)
     onto_q = _linear_forms([row[:k] for row in p], k)
     return {(a, b): bracket(chart, z[a], z[b]).compose(onto_q) for a in range(k) for b in range(a + 1, k)}
 
 
 def _assert_routes_agree(chart, s):
-    sub, ind = fixed_locus(chart, LinearInvolution.from_rows(s))
-    route = _bracket_route(chart, s)
-    assert len(sub.x_indices) == _eigenbasis(s)[1]
+    verdict = fixed_locus_symbolic(chart, LinearInvolution.from_rows(s))
+    assert verdict.ok, verdict.reason
+    ind = verdict.values["induced"]
+    route = _bracket_route(chart, *_eigenbasis(verdict, s))
     assert set(ind.pi.comps) <= set(route)
     assert {idx: ind.pi.component(idx) for idx in route} == route
 
@@ -312,7 +323,7 @@ def _invariant_chart(rng, s):
     """f d_u ^ d_v for eigenvectors u, v of S, with f(Sx) = e_u e_v f(x), e_u and e_v their
     eigenvalues: Poisson, as a function times the wedge of two commuting fields, and S-invariant."""
     n = len(s)
-    p, k = _eigenbasis(s)
+    p, k = _involution_eigenbasis(s)
 
     def eigenvector(sides):
         side, eigenvalue = rng.choice([(side, e) for side, e in sides if side])
@@ -460,6 +471,43 @@ def test_slice_unsolvable_at_degree_zero():
     rep = leaf_slice_obstruction(slice_chart(), (2,), [0], 0)
     assert not rep.ok
     assert rep.witness is None
+
+
+@pytest.mark.parametrize("nvars", range(5))
+def test_slice_monomials_are_every_exponent_in_graded_order(nvars):
+    # the unknowns' order decides which solution the elimination returns, so it is pinned: the
+    # exponents of total degree <= d, by degree, then lexicographically
+    for degree in range(4):
+        every = [e for e in itertools.product(range(degree + 1), repeat=nvars) if sum(e) <= degree]
+        assert _monomials_up_to(nvars, degree) == sorted(every, key=lambda e: (sum(e), e))
+
+
+def _freeze(chart, index, value):
+    """The chart with coordinate ``index`` dropped and set to ``value`` in every component."""
+    keep = [i for i in range(chart.dim) if i != index]
+    images = [Poly.const(len(keep), value) if i == index else Poly.var(len(keep), keep.index(i))
+              for i in range(chart.dim)]
+    return PoissonChart(len(keep), tuple(chart.coords[i] for i in keep), chart.pi.project(keep, images))
+
+
+@pytest.mark.parametrize("degree, solvable", [(1, False), (2, True)])
+def test_slice_solves_every_t_in_one_elimination(degree, solvable):
+    # pi = (1 + s + t x1) d1^d2 on (x1, x2, s, t), at s = 1/2, t = 0: d pi/ds needs a field of
+    # degree 1, d pi/dt one of degree 2.  The reference solves each t on its own, with the other
+    # frozen at its t0, which leaves that t at index 2 of a three-coordinate chart
+    pi = PolyMultiVec(4, 2, {(0, 1): Poly.const(4, 1) + Poly.var(4, 2) + Poly.var(4, 3) * Poly.var(4, 0)})
+    chart, t0 = PoissonChart(4, ("x1", "x2", "s", "t"), pi), [Fraction(1, 2), 0]
+    rep = leaf_slice_obstruction(chart, (2, 3), t0, degree)
+    per_t = [leaf_slice_obstruction(_freeze(chart, other, t0[other - 2]), (2,), [t0[ti - 2]], degree)
+             for ti, other in ((2, 3), (3, 2))]
+    assert [r.ok for r in per_t] == [True, solvable]
+    assert rep.ok == solvable and rep.reason == per_t[1].reason
+    if solvable:
+        assert rep.witness == tuple(w for r in per_t for w in r.witness)
+        frozen = [Poly.var(2, 0), Poly.var(2, 1), Poly.const(2, t0[0]), Poly.const(2, t0[1])]
+        pi0 = chart.pi.project([0, 1], frozen)
+        for ti, w in zip((2, 3), rep.witness):  # d pi/dt_i + [X_i, pi_0] = 0
+            assert not w.is_zero() and (chart.pi.diff(ti).project([0, 1], frozen) + schouten(w, pi0)).is_zero()
 
 
 def test_slice_rejects_non_poisson_slice():

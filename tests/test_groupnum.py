@@ -1,5 +1,7 @@
 """Matrix-group numerics: exponentials, cocycles, fixed-locus tensors, Stokes."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -18,7 +20,6 @@ from poissonkit.groupnum import (
     dual_group_bivector,
     dual_tangency_residual,
     matrix_exp,
-    pair_trace,
     pi_q_formula,
     pi_q_projection,
     pl_bivector,
@@ -29,8 +30,9 @@ from poissonkit.groupnum import (
     _dual_points,
     _fixed_points,
 )
+from poissonkit import linalg
 from poissonkit.exactalg import Scalar
-from poissonkit.liealg import sl_chevalley, standard_r_matrix, su_compact_basis
+from poissonkit.liealg import DOUBLE_R_SCALE, _double_basis, sl_chevalley, standard_r_matrix, su_compact_basis
 
 
 # -- matrix exponential -----------------------------------------------------------
@@ -97,17 +99,28 @@ def test_expm_of_strictly_upper_stack_is_its_finite_series(n):
 # -- group data -----------------------------------------------------------------------
 
 
+def _as_complex(exact) -> np.ndarray:
+    """An exact matrix, or a pair of them, entry by entry as complex numbers."""
+    return np.vectorize(lambda c: c.to_complex(), otypes=[complex])(np.array(exact, dtype=object))
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_groups_carry_the_basis_and_r_matrix_of_their_algebra(n):
-    # the groups are built from the matrix bases and root data alone; they must agree with the
-    # exact algebras, whose structure constants no numeric code reads
-    for group, alg in ((sl_group(n), sl_chevalley(n)), (su_group(n), su_compact_basis(n))):
-        r = standard_r_matrix(alg)
-        mats = groupnum._complex_matrices(alg.matrices)
-        assert len(group.basis) == alg.dim
-        assert all(np.array_equal(b, m.real if group.name.startswith("SL") else m) for b, m in zip(group.basis, mats))
-        assert group.r_terms == [(i, j, float(c.re)) for (i, j), c in r.comps.items()]
+    # the groups are built from the exact matrix bases and r-terms alone; they must agree with the
+    # exact algebras, whose structure constants no numeric code reads, and with the double's exact
+    # basis.  A basis is real exactly when no entry has an imaginary part, so SU(n) keeps its i's
+    sl, su = sl_chevalley(n), su_compact_basis(n)
+    double, double_terms = _double_basis(n)
+    cases = [(sl_group(n), sl.matrices, standard_r_matrix(sl).comps.items(), True),
+             (su_group(n), su.matrices, standard_r_matrix(su).comps.items(), False),
+             (dual_group(n), double, [((i, j), Scalar(c)) for i, j, c in double_terms], True)]
+    for group, mats, terms, real in cases:
+        assert len(group.basis) == len(mats)
+        assert all(np.array_equal(b, _as_complex(m)) and np.isrealobj(b) == real for b, m in zip(group.basis, mats))
+        assert group.r_terms == [(i, j, float(c.re)) for (i, j), c in terms]
         assert all(type(c) is float for _, _, c in group.r_terms)
+    dim = len(double) // 2
+    assert dual_group(n).r_terms == [(i, dim + i, 4.0) for i in range(dim)]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -390,7 +403,7 @@ def test_su3_specialized_formula():
         worst = max(worst, bracket_difference(projected, special))
     assert worst <= 1e-12
     assert alg.name == "su3"
-    assert all(np.array_equal(b, m) for b, m in zip(group.basis, groupnum._complex_matrices(alg.matrices)))
+    assert all(np.array_equal(b, _as_complex(m)) for b, m in zip(group.basis, alg.matrices))
 
 
 def test_swapped_arrow_binding_rejected():
@@ -411,7 +424,32 @@ def test_dual_basis_duality():
     for i, xi in enumerate(group.basis[dim:]):
         for j, d in enumerate(group.basis[:dim]):
             target = 1.0 if i == j else 0.0
-            assert abs(pair_trace(xi, d) - target) < 1e-12
+            assert abs(np.trace(xi[0] @ d[0]) - np.trace(xi[1] @ d[1]) - target) < 1e-12
+
+
+def _exact_pairing(x, y):
+    """<(a,b),(c,d)> = tr(ac) - tr(bd), exactly."""
+    def trace(m):
+        return sum((m[k][k] for k in range(len(m))), Scalar(0))
+    return trace(linalg.mat_mul(x[0], y[0])) - trace(linalg.mat_mul(x[1], y[1]))
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_double_basis_is_dual_exactly(n):
+    # <xi^i, D_j> = delta_ij in exact arithmetic; the xi^i lie in b+ + b-: (upper, lower) pairs
+    # with opposite diagonals; and r = DOUBLE_R_SCALE sum_i D_i ^ xi^i
+    basis, r_terms = _double_basis(n)
+    dim = len(basis) // 2
+    assert dim == n * n - 1
+    diagonal, duals = basis[:dim], basis[dim:]
+    assert all(top is bottom or linalg.mat_eq(top, bottom) for top, bottom in diagonal)
+    for i, xi in enumerate(duals):
+        assert [_exact_pairing(xi, d) for d in diagonal] == [Scalar(int(i == j)) for j in range(dim)]
+        upper, lower = xi
+        assert all(not upper[a][b] and not lower[b][a] for a in range(n) for b in range(a))
+        assert all(upper[a][a] == -lower[a][a] for a in range(n))
+    assert r_terms == tuple((i, dim + i, DOUBLE_R_SCALE) for i in range(dim))
+    assert DOUBLE_R_SCALE == 4 and isinstance(DOUBLE_R_SCALE, Fraction)
 
 
 def test_dual_bivector_identity_zero():

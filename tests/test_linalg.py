@@ -5,6 +5,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import mat, rank
 from poissonkit import linalg
 from poissonkit.exactalg import Scalar
 
@@ -69,9 +70,9 @@ def _check_matrix_rhs(system):
 
 
 def test_one_inconsistent_column_fails_the_whole_solve():
-    a = linalg.mat([[1, 0], [0, 1], [1, 1]])
+    a = mat([[1, 0], [0, 1], [1, 1]])
     good = [[1, 2], [3, 4], [4, 6]]
-    assert linalg.solve(a, good) == linalg.mat([[1, 2], [3, 4]])
+    assert linalg.solve(a, good) == mat([[1, 2], [3, 4]])
     for p in range(2):
         bad = [row[:] for row in good]
         bad[2][p] += 1
@@ -80,7 +81,7 @@ def test_one_inconsistent_column_fails_the_whole_solve():
 
 
 def test_vector_rhs_keeps_its_shape():
-    a = linalg.mat([[2, 0], [0, 4]])
+    a = mat([[2, 0], [0, 4]])
     assert linalg.solve(a, [1, 1]) == [Scalar(Fraction(1, 2)), Scalar(Fraction(1, 4))]
     assert linalg.solve(a, [[1], [1]]) == [[Scalar(Fraction(1, 2))], [Scalar(Fraction(1, 4))]]
 
@@ -90,7 +91,7 @@ def test_vector_rhs_keeps_its_shape():
 def test_inverse_is_exact_exactly_when_invertible(a):
     n = len(a)
     inv = linalg.inverse(a)
-    assert (inv is None) == (linalg.rank(a) < n)
+    assert (inv is None) == (rank(a) < n)
     if inv is not None:
         assert linalg.mat_mul(inv, a) == linalg.identity(n)
         assert linalg.mat_mul(a, inv) == linalg.identity(n)
@@ -101,10 +102,10 @@ def test_inverse_is_exact_exactly_when_invertible(a):
 def test_rref_is_idempotent_and_keeps_rank_and_row_space(a):
     r, pivots = linalg.rref(a)
     assert linalg.rref(r) == (r, pivots)
-    rank = len(pivots)
-    assert rank == linalg.rank(a) == linalg.rank(r)
+    npivots = len(pivots)
+    assert npivots == rank(a) == rank(r)
     # the rows of R lie in the row space of A and span a space of the same dimension
-    assert linalg.rank(a + r) == rank
-    assert all(row == [Scalar(0)] * len(row) for row in r[rank:])
+    assert rank(a + r) == npivots
+    assert all(row == [Scalar(0)] * len(row) for row in r[npivots:])
     for i, col in enumerate(pivots):
         assert [row[col] for row in r] == [Scalar(int(k == i)) for k in range(len(r))]
