@@ -151,10 +151,11 @@ def _max_over(x: np.ndarray, ndim: int) -> np.ndarray:
     return np.max(np.abs(x), axis=tuple(range(-ndim, 0)), initial=0.0)
 
 
-def _first_failure(residual: np.ndarray, bound) -> float | None:
-    """The residual of the first point whose residual exceeds its bound, or None."""
+def _require(residual: np.ndarray, bound, failure: str) -> None:
+    """Raise ValueError, naming ``failure`` and the residual, at the first point whose residual exceeds its bound."""
     over = np.ravel(residual > bound)
-    return float(np.ravel(residual)[over.argmax()]) if over.any() else None
+    if over.any():
+        raise ValueError(f"{failure} (residual {float(np.ravel(residual)[over.argmax()]):.2e})")
 
 
 @dataclass
@@ -351,17 +352,26 @@ class InvolutionSpec:
 
 
 def pi_q_projection(spec: InvolutionSpec, pi: TangentBivector) -> TangentBivector:
-    """Project every wedge leg v to v+ = (v + Phi_* v)/2.  Requires Phi_* pi = pi,
-    with || Phi_* pi - pi || of the sharp matrices at each point's scale
-    max(1, |pi|)^2, and then base points fixed by the involution."""
-    invariance = _max_over(pi.map_legs(spec.apply).sharp_matrix() - pi.sharp_matrix(), 2)
-    res = _first_failure(invariance, TOL_MEMBER * np.maximum(1.0, pi.max_abs()) ** 2)
-    if res is not None:
-        raise ValueError(f"bivector is not involution-invariant (residual {res:.2e})")
-    res = _first_failure(spec.fixed_residual(pi.base), TOL_MEMBER)
-    if res is not None:
-        raise ValueError(f"point is not fixed by the involution (residual {res:.2e})")
+    """Project every wedge leg v to v+ = (v + Phi_* v)/2.  Requires Phi_* pi = pi, read as S
+    permuted on both axes by ``_permutation`` against pi's sharp matrix S, at each point's
+    scale max(1, |pi|)^2, and then base points fixed by the involution."""
+    sharp, perm = pi.sharp_matrix(), _permutation(spec, pi.point_shape, pi.u.dtype)
+    invariance = _max_over(sharp[..., perm[:, None], perm] - sharp, 2)
+    _require(invariance, TOL_MEMBER * np.maximum(1.0, pi.max_abs()) ** 2, "bivector is not involution-invariant")
+    _require(spec.fixed_residual(pi.base), TOL_MEMBER, "point is not fixed by the involution")
     return pi.map_legs(lambda v: 0.5 * (v + spec.apply(v)))
+
+
+@functools.lru_cache(maxsize=None)
+def _permutation(spec: InvolutionSpec, shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
+    """The differential in ``sharp_matrix()``'s coordinates, the permutation with (Phi_* v)[k] =
+    v[perm[k]]; complex legs' real and imaginary halves move alike.  Cached, so read-only."""
+    size = math.prod(shape)
+    perm = spec.apply(np.arange(size).reshape(shape)).ravel()
+    if np.issubdtype(dtype, np.complexfloating):
+        perm = np.concatenate([perm, perm + size])
+    perm.setflags(write=False)
+    return perm
 
 
 def pi_q_formula(group: MatrixGroup, g: np.ndarray) -> TangentBivector:
@@ -386,30 +396,24 @@ def pi_q_formula(group: MatrixGroup, g: np.ndarray) -> TangentBivector:
 
 def dual_group_bivector(group: MatrixGroup, point: np.ndarray) -> TangentBivector:
     """pi_D at a point of G* inside the double, with membership enforced."""
-    res = _first_failure(group.membership(point), TOL_MEMBER)
-    if res is not None:
-        raise ValueError(f"point is not in {group.name} (residual {res:.2e})")
+    _require(group.membership(point), TOL_MEMBER, f"point is not in {group.name}")
     return pl_bivector(group, point)
 
 
 def dual_tangency_residual(pi: TangentBivector) -> float | np.ndarray:
-    """How far the sharp image of a bivector at (B, C) leaves T(B,C) G*.
+    """How far the sharp image of a bivector at (B, C) leaves T(B,C) G*, per point.
 
-    Individual wedge legs of the stored decomposition need not be tangent;
-    the invariant statement is about the image of the sharp map, so each
-    unit basis vector of the image is paired against the constraint
-    differentials cutting out G*: strictly lower part of beta, strictly
-    upper part of gamma, and the diagonal relation
-    beta_ii C_ii + B_ii gamma_ii = 0.
-    """
+    Wedge legs need not be tangent; the image of the sharp map, spanned by the columns of
+    ``sharp_matrix()``, must be.  So every column is paired against the constraint
+    differentials cutting out G*: strictly lower beta, strictly upper gamma, and
+    beta_ii C_ii + B_ii gamma_ii.  The largest pairing is divided by the point's scale
+    max(1, |pi|)^2, as in ``pi_q_projection``."""
     b, c = (np.diagonal(pi.base[..., None, k, :, :], axis1=-2, axis2=-1) for k in (0, 1))
-    # an orthonormal basis of each image (singular values above 1e-10), zero-padded to the largest rank
-    u, s, _ = np.linalg.svd(pi.sharp_matrix(), full_matrices=False)
-    image = (u * (s > 1e-10)[..., None, :])[..., :np.max(np.sum(s > 1e-10, axis=-1), initial=0)]
-    legs = _transpose(image[..., :math.prod(pi.point_shape), :]).reshape(*image.shape[:-2], image.shape[-1], *pi.point_shape)
-    beta, gamma = legs[..., 0, :, :], legs[..., 1, :, :]
+    columns = _transpose(pi.sharp_matrix())[..., :math.prod(pi.point_shape)]
+    beta, gamma = np.moveaxis(columns.reshape(*columns.shape[:-1], *pi.point_shape), -3, 0)
     diag = np.diagonal(beta, axis1=-2, axis2=-1) * c + b * np.diagonal(gamma, axis1=-2, axis2=-1)
-    return np.maximum.reduce([_max_over(np.tril(beta, -1), 3), _max_over(np.triu(gamma, 1), 3), _max_over(diag, 2)])
+    worst = np.maximum.reduce([_max_over(np.tril(beta, -1), 3), _max_over(np.triu(gamma, 1), 3), _max_over(diag, 2)])
+    return worst / np.maximum(1.0, pi.max_abs()) ** 2
 
 
 def _rank(mat: np.ndarray) -> np.ndarray:
@@ -418,17 +422,14 @@ def _rank(mat: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _plus_eigenspace(spec: InvolutionSpec, shape: tuple[int, ...], dtype: np.dtype, thresh: float) -> np.ndarray:
-    """Orthonormal basis of the +1 eigenspace of the differential at points of
-    this shape and dtype, in the coordinates of ``sharp_matrix()``: the
-    flattened entries for real points, the realified ones for complex points.
-    Cached, so read-only.
-    """
-    units = np.eye(math.prod(shape)).reshape(-1, *shape)
-    probes = np.concatenate([units, 1j * units]) if np.issubdtype(dtype, np.complexfloating) else units
-    p = _real_flat(spec.apply(probes)).T  # column k: the pushed k-th unit vector of the realified space
-    _, s, vt = np.linalg.svd(p - np.eye(len(p)))
-    basis = vt[s <= thresh].T
+def _plus_eigenspace(spec: InvolutionSpec, shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
+    """Orthonormal basis of the +1 eigenspace of the differential, in the coordinates of
+    ``sharp_matrix()``: one column per orbit of ``_permutation``, e_k for a fixed coordinate k
+    and (e_k + e_perm(k))/sqrt(2) for a swapped pair.  Cached, so read-only."""
+    perm = _permutation(spec, shape, dtype)
+    first = np.flatnonzero(np.arange(len(perm)) <= perm)  # the least coordinate of each orbit
+    basis, cols = np.zeros((len(perm), len(first))), np.arange(len(first))
+    basis[first, cols] = basis[perm[first], cols] = np.where(perm[first] == first, 1.0, math.sqrt(0.5))
     basis.setflags(write=False)  # cached, so shared by every caller
     return basis
 
@@ -437,13 +438,12 @@ def rank_relation_holds(spec: InvolutionSpec, pi: TangentBivector, projected: Ta
     """rank pi_Q^# == dim( im pi^# intersect T_x Q ), both by SVD at TOL_CROSS, per point;
     ``projected`` is ``pi_q_projection(spec, pi)``, which every caller already holds.
 
-    That projection checked Phi_* pi = pi, so im pi^# is stable under Phi's differential,
-    an orthogonal involution in ``sharp_matrix()``'s coordinates: the image is the sum of
-    its +1 and -1 parts, and the +1 part, the intersection, is its projection to the +1
-    eigenspace.  So the intersection's dimension is the rank of P^T S, P the basis of
-    ``_plus_eigenspace`` and S pi's sharp matrix.  rank pi_Q^# comes from the projected
-    legs, so a broken projection still fails."""
-    plus = _plus_eigenspace(spec, pi.point_shape, pi.base.dtype, TOL_CROSS)
+    That projection checked Phi_* pi = pi, so im pi^# is stable under Phi's differential, a
+    permutation of ``sharp_matrix()``'s coordinates: the image is the sum of its +1 and -1
+    parts, and the +1 part, the intersection, is its projection to the +1 eigenspace.  So the
+    intersection has the rank of P^T S, P the orbit basis of ``_plus_eigenspace`` and S pi's
+    sharp matrix.  rank pi_Q^# comes from the projected legs, so a broken projection fails."""
+    plus = _plus_eigenspace(spec, pi.point_shape, pi.u.dtype)
     return _rank(projected.sharp_matrix()) == _rank(plus.T @ pi.sharp_matrix())
 
 

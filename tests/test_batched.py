@@ -36,9 +36,20 @@ def _ref_image(mat, thresh):
     return u[:, s > thresh]
 
 
+def _ref_plus_basis(spec, shape, dtype, thresh):
+    """Orthonormal basis of the involution's +1 eigenspace in the sharp matrix's coordinates: the
+    differential's matrix from pushed unit probes, realified for complex points, and an SVD."""
+    units = np.eye(int(np.prod(shape))).reshape(-1, *shape)
+    probes = np.concatenate([units, 1j * units]) if np.issubdtype(dtype, np.complexfloating) else units
+    pushed = spec.apply(probes).reshape(len(probes), -1)
+    p = (np.concatenate([pushed.real, pushed.imag], axis=1) if np.iscomplexobj(pushed) else pushed).T
+    _, s, vt = np.linalg.svd(p - np.eye(len(p)))
+    return vt[s <= thresh].T
+
+
 def _ref_rank_relation(spec, pi, projected, thresh=TOL_CROSS):
     image = _ref_image(pi.sharp_matrix(), thresh)
-    plus = groupnum._plus_eigenspace(spec, pi.base.shape, pi.base.dtype, thresh)
+    plus = _ref_plus_basis(spec, pi.base.shape, pi.base.dtype, thresh)
     if image.shape[1] == 0 or plus.shape[1] == 0:
         dim_int = 0
     else:
@@ -47,13 +58,15 @@ def _ref_rank_relation(spec, pi, projected, thresh=TOL_CROSS):
 
 
 def _ref_tangency(pi):
+    """The largest pairing of a sharp-matrix column with the constraint differentials of G*, over
+    the scale max(1, |pi|)^2."""
     b, c = pi.base[0], pi.base[1]
-    legs = _ref_image(pi.sharp_matrix(), 1e-10)[:pi.base.size].T.reshape(-1, *pi.base.shape)
-    beta, gamma = legs[:, 0], legs[:, 1]
-    diag = np.diagonal(beta, axis1=1, axis2=2) * np.diag(c) + np.diag(b) * np.diagonal(gamma, axis1=1, axis2=2)
-    return float(max(np.max(np.abs(np.tril(beta, -1)), initial=0.0),
-                     np.max(np.abs(np.triu(gamma, 1)), initial=0.0),
-                     np.max(np.abs(diag), initial=0.0)))
+    res = 0.0
+    for col in pi.sharp_matrix().T:
+        beta, gamma = col[:pi.base.size].reshape(pi.base.shape)
+        diag = np.diag(beta) * np.diag(c) + np.diag(b) * np.diag(gamma)
+        res = max(res, np.max(np.abs(np.tril(beta, -1))), np.max(np.abs(np.triu(gamma, 1))), np.max(np.abs(diag)))
+    return float(res / max(1.0, pi.max_abs()) ** 2)
 
 
 def _ref_unipotent(n, rng):

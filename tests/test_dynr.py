@@ -245,6 +245,22 @@ def test_residual_scan_pass_rule(kind):
     assert_pass_rule(lambda tol: residual_scan(family, samples=3, seed=4, tol=tol), bounded, 4, 3)
 
 
+def test_residual_scan_fails_through_the_spread_alone(monkeypatch):
+    # the trig residual times 1 + |r(lambda)|^2 / 1000: a scalar multiple stays ad-invariant and
+    # the derivative check never reads it, so only the spread across lambda leaves its bound
+    family = DynamicalRFamily(sl_chevalley(3), "trig")
+    residual = dynr._residual
+
+    def scaled(family, r, dr):
+        return residual(family, r, dr) * (1.0 + 1e-3 * np.sum(r * r, axis=(-2, -1)))[..., None, None, None]
+
+    assert residual_scan(family, samples=3, seed=4).ok
+    monkeypatch.setattr(dynr, "_residual", scaled)
+    rep = residual_scan(family, samples=3, seed=4)
+    assert rep.values["spread"] > 1e-3
+    assert max(rep.values["invariance_defect"], rep.values["derivative_defect"]) <= rep.values["tol"] and not rep.ok
+
+
 def test_equivariance_pass_rule():
     # the identity is not an anti-morphism, so its defect is nonzero
     g = sl_chevalley(2)

@@ -1,5 +1,6 @@
 """Matrix-group numerics: exponentials, cocycles, fixed-locus tensors, Stokes."""
 
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -29,6 +30,7 @@ from poissonkit.groupnum import (
     su_group,
     _dual_points,
     _fixed_points,
+    _stokes_points,
 )
 from poissonkit import linalg
 from poissonkit.exactalg import Scalar
@@ -499,6 +501,63 @@ def test_stokes_pass_rule(seed):
     assert_pass_rule(lambda tol: stokes_report(3, samples=3, seed=seed, tol=tol), bounded, seed, 3)
 
 
+def _failed_stokes_gates(values, tol):
+    """The gates of stokes_report's pass rule that its values fail, at ``tol``."""
+    bounds = {"max_dubrovin_residual": tol, "kappa_two_defect": tol, "max_pushforward_residual": tol,
+              "max_tangency_residual": groupnum.TOL_CROSS, "max_markoff_defect": 1e-7, "max_plus_residual": TOL_MEMBER}
+    return [key for key, bound in bounds.items() if not values[key] <= bound] + (
+        [] if values["rank_relation_ok"] else ["rank_relation_ok"])
+
+
+def _with_invariant_term(monkeypatch, eps, w_entry, z_entry):
+    """pl_bivector plus eps (w ^ z + Phi w ^ Phi z) at points fixed by the pair-swap Phi, with w
+    and z the unit vectors at the given entries of (B, C); points Phi moves keep pi as it is."""
+    spec, original = InvolutionSpec("pair-swap"), groupnum.pl_bivector
+    w, z = np.zeros((2, 2, 3, 3)), np.zeros((2, 2, 3, 3))
+    w[0, 0][w_entry] = z[0, 0][z_entry] = 1.0
+    w[1], z[1] = spec.apply(w[0]), spec.apply(z[0])
+
+    def perturbed(group, g):
+        pi = original(group, g)
+        if np.any(spec.fixed_residual(g) > TOL_MEMBER):
+            return pi
+        extra = (len(g), 2, 2, 3, 3)
+        return TangentBivector(g, np.concatenate([pi.u, np.broadcast_to(eps * w, extra)], axis=1),
+                               np.concatenate([pi.v, np.broadcast_to(z, extra)], axis=1), 1)
+
+    monkeypatch.setattr(groupnum, "pl_bivector", perturbed)
+
+
+# each control makes stokes_report fail through one gate alone, every other value within its bound.
+# w strictly lower in beta leaves T G* and moves only the tangency residual.  w, z along B_12 and
+# B_13 are tangent and move only {x, y}, by eps / 2, which is not the entry kappa is read at: at
+# eps = 1e-4 and tol = 1 the Markoff defect fails alone, at eps = 1e-8 and tol = 1e-9 the
+# Dubrovin residual does, the Markoff defect staying near 1.6e-8
+@pytest.mark.parametrize("gate, eps, w_entry, z_entry, tol", [
+    ("max_tangency_residual", 1e-4, (1, 0), (0, 1), 1e-8),
+    ("max_markoff_defect", 1e-4, (0, 1), (0, 2), 1.0),
+    ("max_dubrovin_residual", 1e-8, (0, 1), (0, 2), 1e-9),
+], ids=["tangency", "markoff", "dubrovin"])
+def test_stokes_fails_through_one_gate(monkeypatch, gate, eps, w_entry, z_entry, tol):
+    assert _failed_stokes_gates(stokes_report(3, 20, 1, tol).values, tol) == []
+    _with_invariant_term(monkeypatch, eps, w_entry, z_entry)
+    rep = stokes_report(3, 20, 1, tol)
+    assert _failed_stokes_gates(rep.values, tol) == [gate] and not rep.ok
+
+
+def test_stokes_fails_through_the_rank_relation_alone(monkeypatch):
+    # the rank relation alone reads the +1 basis; handed the -1 eigenspace, it fails by itself
+    plus = groupnum._plus_eigenspace
+
+    def minus(spec, shape, dtype):
+        p = plus(spec, shape, dtype)
+        return np.linalg.svd(np.eye(len(p)) - p @ p.T)[0][:, :len(p) - p.shape[1]]
+
+    monkeypatch.setattr(groupnum, "_plus_eigenspace", minus)
+    rep = stokes_report(3, 20, 1)
+    assert _failed_stokes_gates(rep.values, 1e-8) == ["rank_relation_ok"] and not rep.ok
+
+
 @pytest.mark.parametrize("kind", ["sl", "su"])
 def test_crosscheck_pass_rule(kind):
     # tol bounds the route difference only; the +1 eigenspace residual has TOL_MEMBER
@@ -584,17 +643,18 @@ def _ref_plus_projector(spec, template, thresh=1e-8):
 
 
 def _ref_tangency(pi):
+    """The largest pairing of a column of the sharp matrix with the constraint differentials of G*,
+    over the scale max(1, |pi|)^2."""
     b, c = pi.base[0], pi.base[1]
     half = pi.base.size
-    u, s, _ = np.linalg.svd(_ref_sharp(pi), full_matrices=False)
     res = 0.0
-    for col in u[:, s > 1e-10].T:
-        leg = col[:half].reshape(pi.base.shape)
-        beta, gamma = leg[0], leg[1]
+    for col in _ref_sharp(pi).T:
+        beta, gamma = col[:half].reshape(pi.base.shape)
         res = max(res, float(np.max(np.abs(np.tril(beta, -1)))))
         res = max(res, float(np.max(np.abs(np.triu(gamma, 1)))))
         res = max(res, float(np.max(np.abs(np.diag(beta) * np.diag(c) + np.diag(b) * np.diag(gamma)))))
-    return res
+    legs = [abs(x) for leg in (*pi.u, *pi.v) for x in np.ravel(leg)]
+    return res / max(1.0, *legs) ** 2
 
 
 def _random_bivector(rng, base, m):
@@ -656,17 +716,55 @@ def test_stacked_push_matches_per_leg_push():
 def test_plus_eigenspace_matches_per_probe_loop():
     from poissonkit.groupnum import _plus_eigenspace
 
-    templates = (
-        ("transpose", np.eye(3)),
-        ("transpose", np.eye(3, dtype=complex)),
-        ("pair-swap", np.stack([np.eye(3), np.eye(3)])),
-    )
-    for kind, template in templates:
+    for n in range(2, 7):
+        templates = (
+            ("transpose", np.eye(n)),
+            ("transpose", np.eye(n, dtype=complex)),
+            ("pair-swap", np.stack([np.eye(n), np.eye(n)])),
+            ("pair-swap", np.stack([np.eye(n), np.eye(n)]).astype(complex)),
+        )
+        for kind, template in templates:
+            spec = InvolutionSpec(kind)
+            basis = _plus_eigenspace(spec, template.shape, template.dtype)
+            ref = _ref_plus_projector(spec, template)
+            assert np.max(np.abs(basis @ basis.T - ref)) <= 1e-14, (n, kind, template.dtype)
+            assert basis.shape[1] == round(np.trace(ref))
+
+
+def _ref_invariance(spec, pi):
+    """|| Phi_* pi - pi || of the sharp matrices, Phi_* pi's legs pushed one by one."""
+    pushed = TangentBivector(pi.base, [_ref_push(spec, u) for u in pi.u], [_ref_push(spec, v) for v in pi.v])
+    return float(np.max(np.abs(_ref_sharp(pushed) - _ref_sharp(pi))))
+
+
+def test_permuted_invariance_matches_pushed_legs():
+    # pi_q_projection reads Phi_* pi as the sharp matrix permuted on both axes; on random legs at
+    # fixed points, with and without their pushed copies, it must raise exactly where the pushed
+    # legs' residual exceeds TOL_MEMBER max(1, |pi|)^2, and report that residual
+    rng = np.random.default_rng(54)
+    stokes = _stokes_points(3, [rng])[0]
+    bases = (("transpose", _fixed_points(sl_group(3), [rng])[0]), ("transpose", _fixed_points(su_group(3), [rng])[0]),
+             ("pair-swap", stokes), ("pair-swap", stokes.astype(complex)))
+    for kind, base in bases:
         spec = InvolutionSpec(kind)
-        basis = _plus_eigenspace(spec, template.shape, template.dtype, 1e-8)
-        ref = _ref_plus_projector(spec, template)
-        assert np.max(np.abs(basis @ basis.T - ref)) <= 1e-14, (kind, template.dtype)
-        assert basis.shape[1] == round(np.trace(ref))
+        off = _random_bivector(rng, base, 4)
+        on = TangentBivector(base, [*off.u, *spec.apply(off.u)], [*off.v, *spec.apply(off.v)])
+        assert _ref_invariance(spec, on) <= 1e-14 * max(1.0, on.max_abs()) ** 2
+        pi_q_projection(spec, on)
+        ref = _ref_invariance(spec, off)
+        with pytest.raises(ValueError, match=re.escape(f"not involution-invariant (residual {ref:.2e})")):
+            pi_q_projection(spec, off)
+        # on plus t off, just below and just above the bound; t off's legs stay below |on|
+        bound = TOL_MEMBER * max(1.0, on.max_abs()) ** 2
+        for factor, raises in ((0.5, False), (2.0, True)):
+            t = factor * bound / ref
+            mixed = TangentBivector(base, [*on.u, *(t * off.u)], [*on.v, *off.v])
+            assert mixed.max_abs() == on.max_abs() and (_ref_invariance(spec, mixed) > bound) == raises
+            if raises:
+                with pytest.raises(ValueError, match="not involution-invariant"):
+                    pi_q_projection(spec, mixed)
+            else:
+                pi_q_projection(spec, mixed)
 
 
 def test_dual_tangency_matches_per_column_loop():
@@ -684,6 +782,15 @@ def test_dual_tangency_matches_per_column_loop():
     upper_gamma = TangentBivector(point, [np.stack([np.zeros((3, 3)), e01])], [np.stack([np.eye(3), np.zeros((3, 3))])])
     assert abs(dual_tangency_residual(upper_gamma) - _ref_tangency(upper_gamma)) <= 1e-14
     assert dual_tangency_residual(upper_gamma) > 0.5
+    # a leaving direction of weight 1e-6 |pi|^2 beside the tangent pi: strictly lower beta paired
+    # with the tangent B_12, which keeps |pi| and reads 1e-6 at the scale max(1, |pi|)^2
+    scale = max(1.0, tangent.max_abs()) ** 2
+    lower_beta, b12 = np.zeros((2, 3, 3)), np.zeros((2, 3, 3))
+    lower_beta[0, 1, 0] = b12[0, 0, 1] = 1.0
+    weak = TangentBivector(point, [*tangent.u, 1e-6 * scale * lower_beta], [*tangent.v, b12])
+    assert weak.max_abs() == tangent.max_abs()
+    assert abs(dual_tangency_residual(weak) - _ref_tangency(weak)) <= 1e-14
+    assert abs(dual_tangency_residual(weak) - 1e-6) <= 1e-12 and dual_tangency_residual(weak) > groupnum.TOL_CROSS
 
 
 def test_empty_bivector():
