@@ -97,18 +97,19 @@ def _induced_chart(pi: PolyMultiVec, q: AlignedSubmanifold) -> PoissonChart:
     return PoissonChart(len(q.x_indices), q.x_names, pi.project(q.x_indices, q.to_q))
 
 
-def check_aligned_dirac(q: AlignedSubmanifold) -> Report:
-    """Decide the aligned criterion; on failure the witness is the offending
-    symbol as ((i, j), polynomial on the chart).
-
-    A chart that is not Poisson fails first, with the first nonzero component
-    of its Jacobiator, (index triple, polynomial), as witness.  On success
-    ``values["induced"]`` is the induced chart (Q, pi_Q), pi_Q = phi_ij(x, 0).
-    """
-    chart = q.chart
+def _not_poisson(chart: PoissonChart) -> Report | None:
+    """None if the chart is Poisson, else the failing report, with the first nonzero
+    component of its Jacobiator, (index triple, polynomial), as witness."""
     jac = jacobiator(chart)
-    if not jac.is_zero():
-        return Report(False, reason="chart is not Poisson", witness=sorted(jac.comps.items())[0])
+    if jac.is_zero():
+        return None
+    return Report(False, reason="chart is not Poisson", witness=sorted(jac.comps.items())[0])
+
+
+def _aligned_criterion(q: AlignedSubmanifold) -> Report:
+    """The aligned criterion on a chart already known to be Poisson: lambda_ij(x, 0) = 0
+    and d phi_ij / d y_l (x, 0) = 0, then the induced chart (see ``check_aligned_dirac``)."""
+    chart = q.chart
     ys = q.y_indices
     for i in q.x_indices:
         for j in ys:
@@ -126,6 +127,18 @@ def check_aligned_dirac(q: AlignedSubmanifold) -> Report:
     if not jacobiator(chart_q).is_zero():
         raise AssertionError("induced structure failed the Jacobi identity; this is a bug")
     return Report(True, {"induced": chart_q})
+
+
+def check_aligned_dirac(q: AlignedSubmanifold) -> Report:
+    """Decide the aligned criterion; on failure the witness is the offending
+    symbol as ((i, j), polynomial on the chart).
+
+    A chart that is not Poisson fails first, with the first nonzero component
+    of its Jacobiator, (index triple, polynomial), as witness.  On success
+    ``values["induced"]`` is the induced chart (Q, pi_Q), pi_Q = phi_ij(x, 0).
+    """
+    failed = _not_poisson(q.chart)
+    return _aligned_criterion(q) if failed is None else failed
 
 
 def _pushforward(mv: PolyMultiVec, a: linalg.Matrix, a_inv: linalg.Matrix) -> PolyMultiVec:
@@ -147,13 +160,19 @@ def fixed_locus_symbolic(chart: PoissonChart, s: LinearInvolution) -> Report:
     """Induced Poisson structure on the fixed locus of a linear involution.
 
     Fails if S is not Poisson, with the first nonzero component of
-    S_* pi - pi, ((i, j), polynomial), as witness.  Otherwise changes
+    S_* pi - pi, ((i, j), polynomial), as witness.  Then fails if the chart is
+    not Poisson, with the first nonzero component of the input chart's
+    Jacobiator, (index triple, polynomial), as witness, in the input
+    coordinates.  A linear change of coordinates keeps a chart Poisson,
+    [P^* pi, P^* pi] = P^* [pi, pi], so this one Jacobiator decides it for
+    the eigen-chart too, and none is formed there.  Otherwise changes
     coordinates to the (+1, -1) eigenbasis of S (exact, since the eigenvalues
-    are known), forms Q = {minus-block = 0}, and returns the report of
-    ``check_aligned_dirac`` on it with the aligned submanifold added as
-    ``values["submanifold"]`` and the change of basis as ``values["eigenbasis"]``:
-    the matrix P whose columns are the +1 eigenvectors, then the -1 ones, so that
-    x = P z and the z's are the coordinates of the submanifold's chart.
+    are known), forms Q = {minus-block = 0}, and returns the report of the
+    aligned criterion of ``check_aligned_dirac`` on it with the aligned
+    submanifold added as ``values["submanifold"]`` and the change of basis as
+    ``values["eigenbasis"]``: the matrix P whose columns are the +1
+    eigenvectors, then the -1 ones, so that x = P z and the z's are the
+    coordinates of the submanifold's chart.
     """
     if s.dim != chart.dim:
         raise InvalidInput("involution dimension does not match the chart")
@@ -161,6 +180,9 @@ def fixed_locus_symbolic(chart: PoissonChart, s: LinearInvolution) -> Report:
     residual = _pushforward(chart.pi, srows, srows) - chart.pi
     if not residual.is_zero():
         return Report(False, reason="S is not a Poisson involution", witness=sorted(residual.comps.items())[0])
+    failed = _not_poisson(chart)
+    if failed is not None:
+        return failed
 
     n = chart.dim
     plus = linalg.nullspace(linalg.mat_sub(srows, linalg.identity(n)))
@@ -174,7 +196,7 @@ def fixed_locus_symbolic(chart: PoissonChart, s: LinearInvolution) -> Report:
     names = tuple(f"z{k+1}" for k in range(n))
     chart_z = PoissonChart(n, names, pi_z)
     sub = AlignedSubmanifold(chart_z, tuple(range(len(plus))), tuple(range(len(plus), n)))
-    verdict = check_aligned_dirac(sub)
+    verdict = _aligned_criterion(sub)
     return replace(verdict, values={"submanifold": sub, "eigenbasis": p_mat, **verdict.values})
 
 

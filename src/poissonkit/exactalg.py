@@ -54,18 +54,27 @@ with the classical pair-sum formula
 together with [A, f] = (-1)^(p-1) i_df A, which is what the independent
 oracle in ``schouten_oracle`` computes.  ``schouten`` evaluates both
 contractions term by term, without the ``wedge`` and ``Poly`` products the
-oracle uses, on packed exponent keys: each distinct exponent tuple of the
-inputs becomes one int once, whose field j holds the exponent of x_j.  The
-field width is one bit more than the largest input exponent needs, so a
-field of a product, at most twice that exponent, never carries into the
-next, however large the exponents; a negative exponent, which no
-polynomial has, raises ``ValueError``.  A monomial product is then one int
-addition, and d/dx_l subtracts one unit of field l.  ``schouten`` sums the
-raw real and imaginary parts of the products per (index tuple, packed key),
-reads each surviving key that is no input key back into an exponent tuple
-once, and builds each output ``Scalar`` once, in canonical form.
-``schouten(a, a)`` on one object runs one contraction: [A, A] = 2 (A o A)
-for even p and 0 for odd p.
+oracle uses, on packed int keys:
+
+* each distinct exponent tuple of the inputs becomes one int once, whose
+  field j holds the exponent of x_j.  The field width is one bit more than
+  the largest input exponent needs, so a field of a product, at most twice
+  that exponent, never carries into the next, however large the exponents;
+  a negative exponent, which no polynomial has, raises ``ValueError``.  A
+  monomial product is then one int addition, and d/dx_l subtracts one unit
+  of field l;
+* each wedge index set becomes its bitmask, bit j for index j, placed above
+  the exponent fields.  Two index sets share an index exactly when their
+  masks intersect, the union's mask is their sum, and the sign of sorting
+  the concatenation is the parity of one AND of masks (see ``_hook``), so
+  no index tuple is concatenated or sorted per product.
+
+``schouten`` sums the raw real and imaginary parts of the products per key,
+splits each surviving key into its index mask and its exponent key, reads
+each exponent key that is no input key back into a tuple once and each mask
+into its index tuple once, and builds each output ``Scalar`` once, in
+canonical form.  ``schouten(a, a)`` on one object runs one contraction:
+[A, A] = 2 (A o A) for even p and 0 for odd p.
 
 ``schouten`` is the one contraction kernel of the chart layer: [pi, pi] in
 ``poisson.jacobiator``, L_X pi in ``dirac.leaf_slice_obstruction``, every
@@ -88,7 +97,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import reduce
-from itertools import chain, product
+from itertools import chain, compress, product
 from operator import add, mul
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -1018,94 +1027,113 @@ def _packed_exponents(a: PolyMultiVec, b: PolyMultiVec) -> tuple[dict, list, int
     return {e: sum(map(mul, e, units)) for e in exps}, units, width
 
 
-def _hook(a: PolyMultiVec, b: PolyMultiVec, out: dict, factor: int, slots: dict, packed: dict, units: list) -> None:
+def _hook(a: PolyMultiVec, b: PolyMultiVec, out: dict, factor: int, packed: dict, lower: list, shift: int) -> None:
     """Add factor * (A o B), A o B = sum_l (d^R A / dxi_l)(dB/dx_l), into ``out``.
 
-    ``out`` maps an index tuple to {packed exponent key: [re, im]}, the running
-    raw parts of its component's coefficients; ``schouten`` builds the
-    Scalars once at the end.  ``packed`` holds the packed key of every
-    exponent tuple of A and B, and ``units`` the unit of each field (see
-    ``_packed_exponents``).  The work runs term by term: the left odd
-    derivative of xi_I by xi_l, l at position pos of I, is (-1)^pos
-    xi_{I minus l}; the right derivative is (-1)^(p-1) times the left one;
-    dB/dx_l is formed once per l.  ``slots`` maps each concatenated index
-    tuple (I minus l) + J to the ``out`` entry of its sorted form and whether
-    that sort is even, or to () when an index repeats.  A function A has no
-    odd derivative and adds nothing, so B's derivatives are not formed.  A
-    component A_I adds nothing either when B depends on no x_l with l in I,
-    and its terms are not read.
+    ``out`` maps a key to [re, im], the running raw parts of one coefficient;
+    ``schouten`` builds the Scalars once at the end.  A key packs an index
+    set K, as mask(K) with bit ``shift`` + j set for each j in K, above the
+    exponent fields of a ``packed`` key.  The left odd derivative of xi_I by
+    xi_l, l at position pos of I, is (-1)^pos xi_R with R = I minus l, and
+    the right one (-1)^(p-1) times it.  xi_R xi_J vanishes when mask(R) &
+    mask(J) is nonzero; otherwise it is the sort parity of R + J times
+    xi_(R union J), whose mask is mask(R) + mask(J).  R and J are increasing,
+    so the parity counts the pairs j < r, r in R, j in J: it is the parity of
+    the bits of mask(R) in odd_below(J), the XOR of -1 << (j + 1) over j in
+    J, whose bit i is set when an odd number of the j lie below i.
+
+    mask(J) and odd_below(J) are built once per component of B, mask(I) once
+    per component of A.  A term of A_I carries mask(I) in its key, and a term
+    of dB_J/dx_l, formed once per l, carries mask(J) minus bit l: its key is
+    the term's key minus ``lower[l]``, one unit of field l plus bit
+    ``shift`` + l.  A product's key is then the sum of its factors' keys, and
+    no index tuple is concatenated or sorted per product.  A function A adds
+    nothing, so B's derivatives are not formed, and neither does a component
+    A_I when B depends on no x_l with l in I; its terms are not read.
     """
     if not a.degree:
         return
     if a.degree % 2 == 0:  # right derivative: (-1)^(p-1)
         factor = -factor
-    db: dict[int, list] = {}  # l -> [(J, [(packed key, re, im) of dB_J/dx_l])]
+    db: dict[int, list] = {}  # l -> [(mask(J), odd_below(J), [(key of dB_J/dx_l, re, im)])]
+    every = range(b.dim)
     for ib, pb in b.comps.items():
+        mask_b = below_b = 0
+        for j in ib:
+            mask_b |= 1 << j
+            below_b ^= -1 << (j + 1)
+        base = mask_b << shift
         by_var: dict[int, list] = {}
         for exps, coeff in pb.terms.items():
-            key, re, im = packed[exps], coeff.re, coeff.im
-            for l, k in enumerate(exps):
-                if k:
-                    by_var.setdefault(l, []).append((key - units[l], re * k, im * k))
+            key, re, im = packed[exps] + base, coeff.re, coeff.im
+            for l in compress(every, exps):  # the l with x_l in the monomial
+                k = exps[l]
+                by_var.setdefault(l, []).append((key - lower[l], re * k, im * k))
         for l, terms in by_var.items():
-            db.setdefault(l, []).append((ib, terms))
+            db.setdefault(l, []).append((mask_b, below_b, terms))
     for ia, pa in a.comps.items():
         if db.keys().isdisjoint(ia):
             continue
-        # the terms of A_I times +factor and -factor, so the sign is picked, not multiplied
-        plus = [(packed[e], c.re * factor, c.im * factor) for e, c in pa.terms.items()]
+        mask_a = 0
+        for l in ia:
+            mask_a |= 1 << l
+        # the terms of A_I times +factor and -factor, so the sign of a product is picked, not multiplied
+        base = mask_a << shift
+        plus = [(packed[e] + base, c.re * factor, c.im * factor) for e, c in pa.terms.items()]
         minus = [(e, -re, -im) for e, re, im in plus]
         for pos, l in enumerate(ia):
-            rest = ia[:pos] + ia[pos + 1 :]
-            # left derivative (-1)^pos, times the parity of the sort
-            even, odd = (plus, minus) if pos % 2 == 0 else (minus, plus)
-            for ib, terms_b in db.get(l, ()):
-                cat = rest + ib
-                slot = slots.get(cat)
-                if slot is None:
-                    sp = sort_with_parity(cat)
-                    slot = slots[cat] = (out.setdefault(sp[0], {}), sp[1] == 1) if sp else ()
-                if not slot:
+            rest = mask_a ^ (1 << l)
+            signed = (minus, plus) if pos % 2 else (plus, minus)  # left derivative: (-1)^pos
+            for mask_b, below_b, terms_b in db.get(l, ()):
+                if rest & mask_b:
                     continue
-                comp, positive = slot
-                for ea, ar, ai in even if positive else odd:
+                for ea, ar, ai in signed[(below_b & rest).bit_count() & 1]:
                     for eb, br, bi in terms_b:
-                        re, im = ar * br - ai * bi, ar * bi + ai * br
                         e = ea + eb
-                        acc = comp.get(e)
+                        acc = out.get(e)
                         if acc is None:
-                            comp[e] = [re, im]
+                            out[e] = [ar * br - ai * bi, ar * bi + ai * br]
                         else:
-                            acc[0] += re
-                            acc[1] += im
+                            acc[0] += ar * br - ai * bi
+                            acc[1] += ar * bi + ai * br
 
 
 def schouten(a: PolyMultiVec, b: PolyMultiVec) -> PolyMultiVec:
-    """Schouten-Nijenhuis bracket; see the module docstring for the convention."""
+    """Schouten-Nijenhuis bracket; see the module docstring for the convention.
+
+    Both contractions add into one dict keyed by ``_hook``'s packed ints.  Each
+    surviving key splits once into its index bitmask, the bits from
+    ``shift`` = width * dim up, and its exponent key below them; each bitmask
+    becomes its index tuple once, when the result is built.
+    """
     a._check(b)
     p, q = a.degree, b.degree
-    out: dict[tuple, dict[int, list]] = {}
+    out: dict[int, list] = {}
     packed, units, width = _packed_exponents(a, b)
-    slots: dict[tuple, tuple] = {}
+    shift = width * a.dim  # the index bits start above the exponent fields
+    # d/dx_l lowers field l by one unit and takes l out of the index set of the A_I it meets
+    lower = [unit + (1 << (shift + l)) for l, unit in enumerate(units)]
     if a is b:
         # [A, A] = A o A - (-1)^((p-1)^2) A o A: 2 (A o A) for even p, 0 for odd p
         if p % 2 == 0:
-            _hook(a, a, out, 2, slots, packed, units)
+            _hook(a, a, out, 2, packed, lower, shift)
     else:
-        _hook(a, b, out, 1, slots, packed, units)
-        _hook(b, a, out, -1 if ((p - 1) * (q - 1)) % 2 == 0 else 1, slots, packed, units)
-    # each surviving key is read back into an exponent tuple once; an input key reuses its tuple
-    mask, shifts = (1 << width) - 1, range(0, width * a.dim, width)
+        _hook(a, b, out, 1, packed, lower, shift)
+        _hook(b, a, out, -1 if ((p - 1) * (q - 1)) % 2 == 0 else 1, packed, lower, shift)
+    # each surviving exponent key is read back into a tuple once; an input key reuses its tuple
+    mask, shifts, low = (1 << width) - 1, range(0, shift, width), (1 << shift) - 1
     exps = dict(zip(packed.values(), packed))
-    comps = {}
-    for key, terms in out.items():
-        poly = {}
-        for k, (re, im) in terms.items():
-            if re or im:
-                e = exps.get(k)
-                if e is None:
-                    e = exps[k] = tuple([(k >> s) & mask for s in shifts])
-                poly[e] = _from_parts(_canon(re), _canon(im))
-        if poly:
-            comps[key] = _poly(a.dim, poly)
+    polys: dict[int, dict] = {}
+    for k, (re, im) in out.items():
+        if re or im:
+            bits, k = k >> shift, k & low
+            e = exps.get(k)
+            if e is None:
+                e = exps[k] = tuple([(k >> s) & mask for s in shifts])
+            poly = polys.get(bits)
+            if poly is None:
+                poly = polys[bits] = {}
+            poly[e] = _from_parts(_canon(re), _canon(im))
+    every = range(a.dim)
+    comps = {tuple(j for j in every if bits >> j & 1): _poly(a.dim, poly) for bits, poly in polys.items()}
     return PolyMultiVec._new(a.dim, max(p + q - 1, 0), comps)

@@ -23,7 +23,8 @@ from poissonkit.exactalg import Poly, PolyMultiVec, Scalar, schouten
 from poissonkit.liealg import builtin_algebra, lie_poisson_chart, transpose_antimorphism
 from poissonkit.dirac import _monomials_up_to, _pushforward
 from poissonkit.oracle import rand_multivec, rand_poly
-from poissonkit.poisson import PoissonChart, bracket, jacobiator
+from poissonkit import dirac
+from poissonkit.poisson import PoissonChart, bracket, jacobiator, modular_vf
 
 
 def product_chart():
@@ -207,6 +208,84 @@ def test_fixed_locus_rejects_non_invariant():
     verdict = fixed_locus_symbolic(chart, s)
     assert not verdict.ok and "not a Poisson involution" in verdict.reason
     assert verdict.witness == ((0, 1), Poly.var(3, 2) * Poly.const(3, -2))  # {x1, x2} = x3 flips sign
+
+
+def test_fixed_locus_rejects_non_poisson_chart_in_input_coordinates():
+    # S = diag(-1, -1, 1) preserves x3 d1^d2 + x2 d2^d3, which is not Poisson; the witness is the
+    # input chart's Jacobiator component, as check_aligned_dirac gives it, not the eigen-chart's
+    pi = PolyMultiVec(3, 2, {(0, 1): Poly.var(3, 2), (1, 2): Poly.var(3, 1)})
+    chart = PoissonChart(3, ("x1", "x2", "x3"), pi)
+    verdict = fixed_locus_symbolic(chart, LinearInvolution.from_rows([[-1, 0, 0], [0, -1, 0], [0, 0, 1]]))
+    assert not verdict.ok and verdict.reason == "chart is not Poisson"
+    assert verdict.witness == ((0, 1, 2), Poly.var(3, 2) + Poly.var(3, 2))
+    assert verdict.witness == check_aligned_dirac(aligned(chart, (0, 1))).witness
+
+
+def _gl_chart(n):
+    """The Lie-Poisson chart of gl(n)*, {x_ij, x_kl} = d_jk x_il - d_li x_kj, coordinates row by row."""
+    m = n * n
+    entries = [(i, j) for i in range(n) for j in range(n)]
+    comps = {}
+    for a, (i, j) in enumerate(entries):
+        for b in range(a + 1, m):
+            k, l = entries[b]
+            poly = Poly.zero(m)
+            if j == k:
+                poly = poly + Poly.var(m, i * n + l)
+            if l == i:
+                poly = poly - Poly.var(m, k * n + j)
+            if poly:
+                comps[(a, b)] = poly
+    return PoissonChart(m, tuple(f"x{i + 1}{j + 1}" for i, j in entries), PolyMultiVec(m, 2, comps))
+
+
+def _transpose_rows(n, sign):
+    """X -> sign X^T on the coordinates of ``_gl_chart(n)``."""
+    m = n * n
+    rows = [[0] * m for _ in range(m)]
+    for i in range(n):
+        for j in range(n):
+            rows[j * n + i][i * n + j] = sign
+    return rows
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_fixed_locus_of_minus_transpose_on_gl_is_so(n):
+    # X -> -X^T is an automorphism of gl(n), so its dual is a Poisson involution of gl(n)*; the fixed
+    # locus is the skew matrices, so(n)* of dimension n(n-1)/2, unimodular.  X -> X^T reverses
+    # brackets, so it is anti-Poisson and fails the invariance check.  The eigenbasis pairs x_ij
+    # with x_ji, so P^-1 has the halves that run the kernel on Fractions
+    chart = _gl_chart(n)
+    verdict = fixed_locus_symbolic(chart, LinearInvolution.from_rows(_transpose_rows(n, -1)))
+    assert verdict.ok, verdict.reason
+    induced = verdict.values["induced"]
+    assert len(verdict.values["submanifold"].x_indices) == induced.dim == n * (n - 1) // 2
+    assert modular_vf(induced).is_zero()
+    assert jacobiator(induced).is_zero()
+    if n > 2:  # so(2)* is a line, with the zero bracket
+        assert not induced.pi.is_zero()
+    control = fixed_locus_symbolic(chart, LinearInvolution.from_rows(_transpose_rows(n, 1)))
+    assert not control.ok and control.reason == "S is not a Poisson involution"
+
+
+def test_fixed_locus_forms_no_jacobiator_on_the_eigen_chart(monkeypatch):
+    # [P^* pi, P^* pi] = P^* [pi, pi]: the input chart's Jacobiator decides Poisson-ness, and the
+    # only other one is the induced chart's assertion
+    seen = []
+
+    def recording(chart):
+        seen.append(chart)
+        return jacobiator(chart)
+
+    monkeypatch.setattr(dirac, "jacobiator", recording)
+    chart = _gl_chart(3)
+    verdict = fixed_locus_symbolic(chart, LinearInvolution.from_rows(_transpose_rows(3, -1)))
+    assert verdict.ok
+    assert len(seen) == 2 and seen[0] is chart and seen[1] is verdict.values["induced"]
+    # the aligned criterion alone still checks its own chart first
+    seen.clear()
+    sub = aligned(product_chart(), (0, 1))
+    assert check_aligned_dirac(sub).ok and seen[0] is sub.chart and len(seen) == 2
 
 
 def _eigenbasis(verdict, s):

@@ -425,6 +425,42 @@ def test_schouten_matches_oracle_at_exponent_boundaries(fields):
     assert schouten(a, a) == schouten(a, copy) == schouten_oracle(a, a)
 
 
+@st.composite
+def wide_fields(draw):
+    """Two fields on 1-70 coordinates, of degree 0-4, whose index sets and monomials draw from up to
+    6 active coordinates spread over the whole range.  Dimensions 65-70 and the top 8 coordinates
+    are drawn often, so that the kernel's index masks meet, collide and sort past bit 63."""
+    dim = draw(st.integers(1, 70) | st.integers(65, 70))
+    coordinate = st.integers(0, dim - 1) | st.integers(max(0, dim - 8), dim - 1)
+    active = draw(st.lists(coordinate, min_size=1, max_size=6, unique=True))
+
+    def field():
+        degree = draw(st.integers(0, min(4, len(active))))
+        comps = {}
+        for _ in range(draw(st.integers(1, 3))):
+            idxs = tuple(sorted(draw(st.lists(st.sampled_from(active), min_size=degree, max_size=degree,
+                                              unique=True))))
+            terms = {}
+            for _ in range(draw(st.integers(1, 2))):
+                exps = [0] * dim
+                for j in draw(st.lists(st.sampled_from(active), max_size=3)):
+                    exps[j] += 1
+                terms[tuple(exps)] = draw(boundary_coeffs)
+            comps[idxs] = Poly(dim, terms)
+        return PolyMultiVec(dim, degree, comps)
+
+    return field(), field()
+
+
+@settings(max_examples=100, deadline=None)
+@given(wide_fields())
+def test_schouten_matches_oracle_past_bit_63(fields):
+    a, b = fields
+    assert schouten(a, b) == schouten_oracle(a, b)
+    copy = PolyMultiVec(a.dim, a.degree, a.comps)
+    assert schouten(a, a) == schouten(a, copy)
+
+
 def test_schouten_refuses_a_negative_exponent():
     # Poly(...) takes any int exponent, but a negative field would borrow from its neighbour in the
     # packed key and give a wrong bracket without an error
