@@ -24,7 +24,6 @@ work.  Built-in algebras (sl2, sl3, sl4, su2, su3, so3) and the bundled
 
 from __future__ import annotations
 
-import importlib.resources
 from pathlib import Path
 
 from .dirac import AlignedSubmanifold
@@ -236,8 +235,7 @@ def load_algebra(name_or_path: str | Path) -> LieAlgebraData:
 # ---------------------------------------------------------------------------
 
 
-def _data_dir() -> Path:
-    return Path(importlib.resources.files("poissonkit") / "data")
+_DATA_DIR = Path(__file__).with_name("data")
 
 
 def fixture_path(name: str | Path) -> Path:
@@ -245,7 +243,7 @@ def fixture_path(name: str | Path) -> Path:
     p = Path(name)
     if p.exists():
         return p
-    candidate = _data_dir() / str(name)
+    candidate = _DATA_DIR / str(name)
     if candidate.exists():
         return candidate
     raise FileNotFoundError(f"no such file or bundled fixture: {name}")
@@ -255,6 +253,7 @@ def _read_text(name: str | Path) -> str:
     """The text of a path or bundled fixture; a directory, an unreadable file or bytes that are not UTF-8 are bad input."""
     path = fixture_path(name)
     try:
-        return path.read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as file:
+            return file.read()
     except (OSError, UnicodeDecodeError) as err:
         raise InvalidInput(f"cannot read {name}: {err.strerror if isinstance(err, OSError) else err}") from None

@@ -1,18 +1,22 @@
 """Command-line front end.
 
-Subcommand tree: check | dirac | modular | lie | group | dynr | oracle.
-Exit codes: 0 on pass, 1 on a verification failure (a report ending
-``pass=False``), 2 on usage or input errors.  ``--porcelain`` switches to
-machine-readable ``key=value`` lines; reports are deterministic for fixed
-inputs and seeds.
+Commands: check | dirac | modular | lie | group | dynr | oracle, each with its
+subcommands.  Exit codes: 0 on pass, 1 on a verification failure (a report
+ending ``pass=False``), 2 on usage or input errors.  ``--porcelain``, before
+the command, switches to machine-readable ``key=value`` lines; reports are
+deterministic for fixed inputs and seeds.  An option is ``--name=value`` or
+``--name value``: the value is the next token, whatever it starts with, the
+last occurrence wins, and no name is abbreviated.  ``-h``/``--help`` prints
+this help, or after a command and its subcommand that leaf's options.
 """
 
 from __future__ import annotations
 
-import argparse
 import math
 import random
 import sys
+from functools import partial
+from types import SimpleNamespace
 
 from . import chartio, dirac, dynr, groupnum, liealg, linalg, oracle, poisson
 from .exactalg import parse_poly, parse_scalar, print_poly, schouten
@@ -25,46 +29,39 @@ class _UsageError(Exception):
     pass
 
 
-class _HelpShown(Exception):
-    pass
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # exit code 2 without argparse's sys.exit noise
-        raise _UsageError(message)
-
-    def exit(self, status=0, message=None):  # reached only from -h/--help, after the help is printed
-        raise _HelpShown()
+def _number(kind, text: str):
+    """``kind(text)`` for ``kind`` int or float; a ValueError names the kind and the text."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise ValueError(f"invalid {kind.__name__} value: {text!r}") from None
 
 
 def _int_in_range(low: int, high: int | None = None):
-    """argparse type for an int of at least ``low`` and, if given, at most ``high``;
-    outside that range a command would check nothing or reject its input."""
+    """Parser of an int of at least ``low`` and, if given, at most ``high``; outside
+    that range a command would check nothing or reject its input."""
 
     def parse(text: str) -> int:
-        value = int(text)  # argparse reports a ValueError as "invalid <__name__> value: 'text'"
+        value = _number(int, text)
         if value < low or (high is not None and value > high):
             bound = f"at least {low}" if high is None else f"between {low} and {high}"
-            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
+            raise ValueError(f"must be {bound}, got {value}")
         return value
 
-    parse.__name__ = "int"
     return parse
 
 
 def _tolerance(text: str) -> float:
-    """argparse type for --tol: a finite float of at least 0.  Every residual is at
-    most inf, and none is at most nan or a negative value, so those check nothing."""
-    value = float(text)  # argparse reports a ValueError as "invalid float value: 'text'"
+    """Parser of --tol: a finite float of at least 0.  Every residual is at most
+    inf, and none is at most nan or a negative value, so those check nothing."""
+    value = _number(float, text)
     if not 0 <= value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be finite and at least 0, got {text}")
+        raise ValueError(f"must be finite and at least 0, got {text}")
     return value
 
 
-_tolerance.__name__ = "float"
 _sample_count = _int_in_range(1)  # --samples, --pairs, --dim
 _nonnegative = _int_in_range(0)  # --degree, --seed
-_group_n = _int_in_range(2, groupnum.N_CAP)  # group crosscheck|bruhat --n
 
 
 def _split_csv(text: str) -> list[str]:
@@ -278,110 +275,136 @@ def _oracle_alg(args) -> Report:
     return Report(mismatches == 0, values, seed=args.seed)
 
 
-# -- the command tree ----------------------------------------------------------
+# -- the command table ---------------------------------------------------------
+# _LEAVES: (command, sub) -> (handler, help, positionals, options); each option is
+# name -> (parse, default, required, choices, help), choices checked on the parsed value
+
+_CHART = ("chart",)
+_X = {"x": (str, None, False, None, "comma-separated Q coordinates (overrides the file)")}
+_SPLIT = {
+    "algebra": (str, None, True, None, "algebra name or file"),
+    "l": (str, None, True, None, "comma-separated basis labels of l"),
+    "m": (str, None, True, None, "comma-separated basis labels of m"),
+    "mu": (str, None, True, None, "comma-separated exact covector entries"),
+}
+_GROUP = {
+    "n": (_int_in_range(2, groupnum.N_CAP), 3, False, None, "matrix size"),
+    "samples": (_sample_count, 10, False, None, "number of samples"),
+    "seed": (_nonnegative, 1, False, None, "seed of the per-sample generators"),
+    "tol": (_tolerance, 1e-8, False, None, "tolerance of every residual"),
+}
+_F = (str, None, True, None, "polynomial over the chart coordinates")
+_PAIRS = (_sample_count, 100, False, None, "number of random pairs")
+_SEED = (_nonnegative, 0, False, None, "seed of the random pairs")
+
+_LEAVES = {
+    ("check", "jacobi"): (_check_jacobi, "verify [pi, pi] = 0 for a chart file", _CHART, {}),
+    ("check", "casimir"): (_check_casimir, "verify a polynomial is a Casimir", _CHART, {"f": _F}),
+    ("check", "bracket"): (_check_bracket, "print {f, g}", _CHART, {"f": _F, "g": _F}),
+    ("dirac", "aligned"): (_dirac_aligned, "aligned criterion for Q = {y = 0}", _CHART, _X),
+    ("dirac", "fixed-locus"): (_dirac_fixed_locus, "fixed locus of a linear Poisson involution", _CHART, {
+        "matrix": (str, None, True, None, "rows 'a,b;c,d' of an exact involution")}),
+    ("dirac", "affine-lie"): (_dirac_affine_lie, "affine subspace of a Lie-Poisson dual", (), _SPLIT),
+    ("dirac", "slice"): (_dirac_slice, "leaf-slice coboundary obstruction", _CHART, {
+        "t": (str, None, True, None, "comma-separated parameter coordinates"),
+        "t0": (str, None, True, None, "comma-separated exact parameter values"),
+        "degree": (_nonnegative, 1, False, None, "degree bound of the vector fields")}),
+    ("dirac", "transverse"): (_dirac_transverse, "transverse structure via a reductive split", (), _SPLIT),
+    ("modular", "vf"): (_modular_vf, "modular vector field of a chart", _CHART, {}),
+    ("modular", "relative"): (_modular_relative, "relative modular field of an aligned submanifold", _CHART, _X),
+    ("lie", "validate"): (_lie_validate, "antisymmetry + Jacobi for an algebra", ("algebra",), {}),
+    ("lie", "bialgebra"): (_lie_bialgebra, "r-matrix, anti-morphism, double and chi checks", (), {
+        "algebra": (str, None, True, ("sl2", "sl3", "sl4", "su2", "su3"), "built-in algebra")}),
+    ("group", "stokes"): (_group_report, "Stokes-matrix bracket from the dual group", (), {
+        **_GROUP, "n": (partial(_number, int), 3, False, (3,), "matrix size"),
+        "samples": (_sample_count, 20, False, None, "number of samples")}),
+    ("group", "crosscheck"): (_group_report, "two-route fixed-locus tensor on SL(n, R)", (), _GROUP),
+    ("group", "bruhat"): (_group_report, "two-route fixed-locus tensor on SU(n)", (), _GROUP),
+    ("dynr", "cdybe"): (_dynr_cdybe, "residual constancy, invariance, gradient check", (), {
+        "algebra": (str, None, True, ("sl2", "sl3", "sl4"), "built-in algebra"),
+        "family": (str, "trig", False, ("trig", "rational", "tanh-corrupted"), "r-matrix family"),
+        "samples": (_int_in_range(2), 10, False, None, "number of samples (a spread over one is 0)"),
+        "seed": (_nonnegative, 0, False, None, "seed of the per-sample generators"),
+        "tol": (_tolerance, 1e-7, False, None, "tolerance of every residual")}),
+    ("oracle", "schouten"): (_oracle_schouten, "chart bracket vs monomial-expansion oracle", (), {
+        "dim": (_sample_count, 3, False, None, "chart dimension"), "pairs": _PAIRS, "seed": _SEED}),
+    ("oracle", "alg"): (_oracle_alg, "algebraic bracket vs recursive-Leibniz oracle", (), {
+        "algebra": (str, "sl2", False, None, "algebra name or file"), "pairs": _PAIRS, "seed": _SEED}),
+}
 
 
-def _build_parser() -> _Parser:
-    """The command tree; each leaf parser carries its handler as ``handler``."""
-    top = _Parser(prog="poissonkit", description=__doc__)
-    top.add_argument("--porcelain", action="store_true", help="machine-readable key=value output")
-    sub = top.add_subparsers(dest="command", required=True)
-
-    # arguments shared by several leaves, declared once
-    chart_file = argparse.ArgumentParser(add_help=False)
-    chart_file.add_argument("chart")
-    x_override = argparse.ArgumentParser(add_help=False)
-    x_override.add_argument("--x", help="comma-separated Q coordinates (overrides the file)")
-    split = argparse.ArgumentParser(add_help=False)
-    split.add_argument("--algebra", required=True)
-    split.add_argument("--l", required=True, help="comma-separated basis labels of l")
-    split.add_argument("--m", required=True, help="comma-separated basis labels of m")
-    split.add_argument("--mu", required=True, help="comma-separated exact covector entries")
-
-    def group(name: str, help_text: str):
-        return sub.add_parser(name, help=help_text).add_subparsers(dest="sub", required=True)
-
-    def leaf(parent, name: str, handler, help_text: str, *shared) -> _Parser:
-        p = parent.add_parser(name, help=help_text, parents=list(shared))
-        p.set_defaults(handler=handler)
-        return p
-
-    check = group("check", "chart-level checks")
-    leaf(check, "jacobi", _check_jacobi, "verify [pi, pi] = 0 for a chart file", chart_file)
-    p = leaf(check, "casimir", _check_casimir, "verify a polynomial is a Casimir", chart_file)
-    p.add_argument("--f", required=True, help="polynomial over the chart coordinates")
-    p = leaf(check, "bracket", _check_bracket, "print {f, g}", chart_file)
-    p.add_argument("--f", required=True)
-    p.add_argument("--g", required=True)
-
-    dsub = group("dirac", "Dirac-submanifold criteria")
-    leaf(dsub, "aligned", _dirac_aligned, "aligned criterion for Q = {y = 0}", chart_file, x_override)
-    p = leaf(dsub, "fixed-locus", _dirac_fixed_locus, "fixed locus of a linear Poisson involution", chart_file)
-    p.add_argument("--matrix", required=True, help="rows 'a,b;c,d' of an exact involution")
-    leaf(dsub, "affine-lie", _dirac_affine_lie, "affine subspace of a Lie-Poisson dual", split)
-    p = leaf(dsub, "slice", _dirac_slice, "leaf-slice coboundary obstruction", chart_file)
-    p.add_argument("--t", required=True, help="comma-separated parameter coordinates")
-    p.add_argument("--t0", required=True, help="comma-separated exact parameter values")
-    p.add_argument("--degree", type=_nonnegative, default=1)
-    leaf(dsub, "transverse", _dirac_transverse, "transverse structure via a reductive split", split)
-
-    msub = group("modular", "modular vector fields")
-    leaf(msub, "vf", _modular_vf, "modular vector field of a chart", chart_file)
-    leaf(msub, "relative", _modular_relative, "relative modular field of an aligned submanifold",
-         chart_file, x_override)
-
-    lsub = group("lie", "Lie-algebra checks")
-    p = leaf(lsub, "validate", _lie_validate, "antisymmetry + Jacobi for an algebra")
-    p.add_argument("algebra")
-    p = leaf(lsub, "bialgebra", _lie_bialgebra, "r-matrix, anti-morphism, double and chi checks")
-    p.add_argument("--algebra", required=True, choices=["sl2", "sl3", "sl4", "su2", "su3"])
-
-    gsub = group("group", "matrix-group numerics")
-    for name, help_text in (
-        ("stokes", "Stokes-matrix bracket from the dual group"),
-        ("crosscheck", "two-route fixed-locus tensor on SL(n, R)"),
-        ("bruhat", "two-route fixed-locus tensor on SU(n)"),
-    ):
-        p = leaf(gsub, name, _group_report, help_text)
-        if name == "stokes":
-            p.add_argument("--n", type=int, default=3, choices=[3])
-        else:
-            p.add_argument("--n", type=_group_n, default=3)
-        p.add_argument("--samples", type=_sample_count, default=20 if name == "stokes" else 10)
-        p.add_argument("--seed", type=_nonnegative, default=1)
-        p.add_argument("--tol", type=_tolerance, default=1e-8)
-
-    p = leaf(group("dynr", "dynamical r-matrix checks"), "cdybe", _dynr_cdybe,
-             "residual constancy, invariance, gradient check")
-    p.add_argument("--algebra", required=True, choices=["sl2", "sl3", "sl4"])
-    p.add_argument("--family", default="trig", choices=["trig", "rational", "tanh-corrupted"])
-    p.add_argument("--samples", type=_int_in_range(2), default=10)  # a spread over one sample is 0
-    p.add_argument("--seed", type=_nonnegative, default=0)
-    p.add_argument("--tol", type=_tolerance, default=1e-7)
-
-    osub = group("oracle", "brute-force cross-checks")
-    p = leaf(osub, "schouten", _oracle_schouten, "chart bracket vs monomial-expansion oracle")
-    p.add_argument("--dim", type=_sample_count, default=3)
-    p.add_argument("--pairs", type=_sample_count, default=100)
-    p.add_argument("--seed", type=_nonnegative, default=0)
-    p = leaf(osub, "alg", _oracle_alg, "algebraic bracket vs recursive-Leibniz oracle")
-    p.add_argument("--algebra", default="sl2")
-    p.add_argument("--pairs", type=_sample_count, default=100)
-    p.add_argument("--seed", type=_nonnegative, default=0)
-    return top
+def _check_choice(what: str, value, choices) -> None:
+    if value not in choices:
+        raise _UsageError(f"argument {what}: invalid choice: {value!r} (choose from {', '.join(map(repr, choices))})")
 
 
-_PARSER = _build_parser()  # built once: building takes about a hundred times as long as parsing
+def _help(key: tuple[str, ...] = ()) -> str:
+    """The usage line and the commands, or for a leaf ``key`` its options."""
+    if not key:
+        usage, text = "<command> <sub> ...", __doc__.strip()
+        rows = {" ".join(k): leaf[1] for k, leaf in _LEAVES.items()}
+    else:
+        _, text, positionals, options = _LEAVES[key]
+        flags = {f"--{name} {name.upper()}": spec for name, spec in options.items()}
+        usage = " ".join([*key, *positionals, *(f if spec[2] else f"[{f}]" for f, spec in flags.items())])
+        rows = {f: spec[4] + (f"; one of {', '.join(map(str, spec[3]))}" if spec[3] else "")
+                + ("" if spec[1] is None else f"; default {spec[1]}") for f, spec in flags.items()}
+    width = max(map(len, rows), default=0) + 2
+    lines = [f"usage: poissonkit [--porcelain] {usage}", "", text, "", *(f"  {k:<{width}}{v}" for k, v in rows.items())]
+    return "\n".join(lines)
+
+
+def _read(argv: list[str]) -> SimpleNamespace | None:
+    """``argv`` read against ``_LEAVES``: the command, the sub, ``porcelain`` and one attribute
+    per positional and option of the leaf, or None once -h/--help has printed its help."""
+    i = 0
+    while argv[i:i + 1] == ["--porcelain"]:
+        i += 1
+    porcelain, key = i > 0, ()
+    for what in ("command", "sub"):
+        if i == len(argv):
+            raise _UsageError(f"the following arguments are required: {what}")
+        if argv[i] in ("-h", "--help"):
+            print(_help())
+            return None
+        _check_choice(what, argv[i], dict.fromkeys(k[len(key)] for k in _LEAVES if k[:len(key)] == key))
+        key, i = (*key, argv[i]), i + 1
+    _, _, positionals, options = _LEAVES[key]
+    values = {name: spec[1] for name, spec in options.items() if not spec[2]}
+    found, extras, tokens = [], [], iter(argv[i:])
+    for token in tokens:
+        if token in ("-h", "--help"):
+            print(_help(key))
+            return None
+        flag, eq, text = token.partition("=")
+        spec = options.get(flag[2:]) if flag.startswith("--") else None
+        if spec is None:  # a positional, or an argument no option of the leaf takes
+            (found if len(found) < len(positionals) and not token.startswith("-") else extras).append(token)
+            continue
+        if not eq and (text := next(tokens, None)) is None:
+            raise _UsageError(f"argument {flag}: expected one argument")
+        try:
+            values[flag[2:]] = spec[0](text)
+        except ValueError as err:
+            raise _UsageError(f"argument {flag}: {err}") from None
+        if spec[3] is not None:
+            _check_choice(flag, values[flag[2:]], spec[3])
+    missing = [*positionals[len(found):], *(f"--{name}" for name in options if name not in values)]
+    if missing:
+        raise _UsageError(f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        raise _UsageError(f"unrecognized arguments: {' '.join(extras)}")
+    return SimpleNamespace(command=key[0], sub=key[1], porcelain=porcelain, **dict(zip(positionals, found)), **values)
 
 
 def run_command(argv: list[str]) -> tuple[int, Report | None]:
     """Execute a CLI invocation; returns (exit code, report), and (0, None) after
     printing the help for -h/--help."""
     try:
-        args = _PARSER.parse_args(argv)
-        report = args.handler(args)
-    except _HelpShown:
-        return 0, None
+        args = _read(argv)
+        if args is None:
+            return 0, None
+        report = _LEAVES[args.command, args.sub][0](args)
     except _UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 2, None

@@ -1,6 +1,5 @@
 """Command-line surface: exit codes, file formats, report determinism."""
 
-import argparse
 import ast
 import importlib.util
 import re
@@ -27,7 +26,7 @@ from poissonkit.chartio import (
     parse_chart_file,
     parse_chart_text,
 )
-from poissonkit.cli import _build_parser, run_command
+from poissonkit.cli import run_command
 from poissonkit.liealg import LieAlgebraData, builtin_algebra, lie_poisson_chart, validate_lie
 
 
@@ -349,6 +348,18 @@ def _write_bad_files(directory):
     (["lie", "validate", "dim0.alg"], "line 1: bad dimension '0': must be at least 1"),
     (["oracle", "alg", "--algebra", "dim0.alg"], "line 1: bad dimension '0': must be at least 1"),
     (["lie", "validate", "nonjacobi.alg"], "structure constants invalid: Jacobi identity fails on (e12, e13, f12)"),
+    (["check", "jacobi", ""], "cannot read : Is a directory"),
+    (["frobnicate"], "argument command: invalid choice: 'frobnicate' (choose from 'check', 'dirac', 'modular', "),
+    (["check", "frobnicate"], "argument sub: invalid choice: 'frobnicate' (choose from 'jacobi', 'casimir', 'bracket')"),
+    (["check", "casimir", "dubrovin3.chart"], "the following arguments are required: --f"),
+    (["dirac", "affine-lie", "--l", "x3"], "the following arguments are required: --algebra, --m, --mu"),
+    (["check", "casimir", "dubrovin3.chart", "--f"], "argument --f: expected one argument"),
+    (["check", "jacobi", "dubrovin3.chart", "so3.chart"], "unrecognized arguments: so3.chart"),
+    (["check", "jacobi", "dubrovin3.chart", "--porcelain"], "unrecognized arguments: --porcelain"),
+    (["group", "crosscheck", "--sam", "5"], "unrecognized arguments: --sam 5"),  # no abbreviated names
+    (["check", "casimir", "dubrovin3.chart", "--f=x=y"], "unexpected character '=' (at position 1)"),
+    (["group", "stokes", "--n", "x"], "argument --n: invalid int value: 'x'"),
+    (["lie", "bialgebra", "--algebra", "so3"], "argument --algebra: invalid choice: 'so3' (choose from 'sl2', 'sl3', "),
 ])
 def test_bad_input_is_a_usage_error(argv, needle, capsys, tmp_path, monkeypatch):
     # each of these used to exit 1, as if a verification had failed, to pass having checked nothing,
@@ -357,6 +368,22 @@ def test_bad_input_is_a_usage_error(argv, needle, capsys, tmp_path, monkeypatch)
     _write_bad_files(tmp_path)
     assert run_command(argv) == (2, None)
     assert needle in capsys.readouterr().err
+
+
+def test_option_value_is_the_next_token(capsys):
+    # a value that starts with '-' is read as the value, as in the --name=value form
+    spaced = run_command(["--porcelain", "dirac", "fixed-locus", "so3.chart", "--matrix", "-1,0,0;0,-1,0;0,0,1"])
+    first = capsys.readouterr()
+    joined = run_command(["--porcelain", "dirac", "fixed-locus", "so3.chart", "--matrix=-1,0,0;0,-1,0;0,0,1"])
+    assert (spaced[0], first) == (joined[0], capsys.readouterr()) and spaced[0] == 0
+    assert first.out == PINNED["dirac fixed-locus"]
+
+
+@pytest.mark.parametrize("fs, code", [(["x", "x^2+y^2+z^2-x*y*z"], 0), (["x^2+y^2+z^2-x*y*z", "x"], 1)])
+def test_last_occurrence_of_an_option_wins(fs, code):
+    argv = ["check", "casimir", "dubrovin3.chart", "--f", fs[0], f"--f={fs[1]}"]
+    got, report = run_command(argv)
+    assert got == code and report.values["f"] == fs[1]
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -459,6 +486,19 @@ def test_numeric_commands_load_no_module():
     assert done.stdout.strip() == "[0, 0, 0] []"
 
 
+def test_cli_loads_no_argument_parser_module():
+    # the CLI reads argv itself: importing argparse and gettext took about 5 ms per process
+    code = "\n".join([
+        "import contextlib, io, sys, poissonkit.cli",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    code, _ = poissonkit.cli.run_command(['check', 'jacobi', 'dubrovin3.chart'])",
+        "print(code, sorted({'argparse', 'gettext'} & set(sys.modules)))",
+    ])
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=subprocess_env(), timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "0 []"
+
+
 # -- the README's CLI block, pinned --------------------------------------------------
 
 
@@ -468,13 +508,10 @@ def _readme_commands():
     return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("poissonkit ") and "<" not in line]
 
 
-def _leaf_commands(parser, prefix=()):
-    """'command sub' of every leaf parser, each asserted to carry a handler."""
-    subparsers = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    if not subparsers:
-        assert callable(parser.get_default("handler")), prefix
-        return [" ".join(prefix)]
-    return [leaf for name, p in subparsers[0].choices.items() for leaf in _leaf_commands(p, (*prefix, name))]
+def _leaf_commands():
+    """'command sub' of every leaf of the CLI's table, each asserted to carry a handler."""
+    assert all(callable(handler) for handler, *_ in cli._LEAVES.values())
+    return [" ".join(key) for key in cli._LEAVES]
 
 
 def test_readme_layout_names_every_module():
@@ -621,8 +658,8 @@ PINNED = {
 @pytest.mark.parametrize("leaf", sorted(PINNED))
 def test_readme_commands_porcelain_output(leaf, capsys):
     readme = _readme_commands()
-    # the README block names each leaf command of the parser once, and nothing else
-    assert sorted(" ".join(argv[:2]) for argv in readme) == sorted(_leaf_commands(_build_parser())) == sorted(PINNED)
+    # the README block names each leaf command of the table once, and nothing else
+    assert sorted(" ".join(argv[:2]) for argv in readme) == sorted(_leaf_commands()) == sorted(PINNED)
     (argv,) = [argv for argv in readme if " ".join(argv[:2]) == leaf]
     code, _ = run_command(["--porcelain", *argv])
     out = capsys.readouterr().out
@@ -633,9 +670,21 @@ def test_readme_commands_porcelain_output(leaf, capsys):
         assert [line.split("=", 1)[0] for line in out.splitlines()] == PINNED[leaf]
 
 
+@pytest.mark.parametrize("leaf", _leaf_commands())
+def test_leaf_help_names_every_option(leaf, capsys):
+    # the help is read off the table, so it names each argument the leaf takes
+    assert run_command([*leaf.split(), "-h"]) == (0, None)
+    out, err = capsys.readouterr()
+    assert out.startswith(f"usage: poissonkit [--porcelain] {leaf}") and err == ""
+    _, _, positionals, options = cli._LEAVES[tuple(leaf.split())]
+    usage = out.splitlines()[0].split()
+    assert all(name in usage for name in positionals)
+    assert all(f"\n  --{name} {name.upper()} " in out for name in options)
+
+
 # -- the exit-code contract, fuzzed ----------------------------------------------------
 
-# values per argparse dest, good and bad mixed; an optional flag may also be left out
+# values per argument name, good and bad mixed; an optional flag may also be left out
 FUZZ_POOLS = {
     "chart": ["dubrovin3.chart", "so3.chart", "product22.chart", "product22_bad.chart", "relmod2.chart",
               "slice_family.chart", "missing.chart",
@@ -664,27 +713,28 @@ FUZZ_POOLS = {
 }
 
 
-def _leaf_parser(parser, leaf):
-    for name in leaf.split():
-        parser = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices[name]
-    return parser
+def _leaf_arguments(leaf):
+    """(name, kind) of every argument of a leaf in the CLI's table: the flag -h/--help, named
+    "help", then each positional and each option, of kind "flag", "positional", "required"
+    or "optional"."""
+    _, _, positionals, options = cli._LEAVES[tuple(leaf.split())]
+    return [("help", "flag"), *((name, "positional") for name in positionals),
+            *((name, "required" if spec[2] else "optional") for name, spec in options.items())]
 
 
-def _draw_argv(data, parser):
-    """An argv for one leaf of the parser's own command tree, its values drawn from FUZZ_POOLS."""
-    leaf = data.draw(st.sampled_from(_leaf_commands(parser)))
+def _draw_argv(data):
+    """An argv for one leaf of the CLI's own table, its values drawn from FUZZ_POOLS."""
+    leaf = data.draw(st.sampled_from(_leaf_commands()))
     argv = [*(["--porcelain"] if data.draw(st.booleans()) else []), *leaf.split()]
-    for action in _leaf_parser(parser, leaf)._actions:
-        if action.dest not in FUZZ_POOLS:
-            continue
-        value = data.draw(st.sampled_from(FUZZ_POOLS[action.dest]))
-        if not action.option_strings:
+    for name, kind in _leaf_arguments(leaf):
+        value = data.draw(st.sampled_from(FUZZ_POOLS[name]))
+        if kind == "positional":
             argv.append(value)
-        elif action.nargs == 0:  # a flag, -h/--help: drawn into about one argv in six
+        elif kind == "flag":  # -h/--help: drawn into about one argv in six
             if data.draw(st.integers(0, 5)) == 0:
                 argv.append(value)
-        elif action.required or data.draw(st.booleans()):
-            argv.append(f"{action.option_strings[0]}={value}")
+        elif kind == "required" or data.draw(st.booleans()):
+            argv.append(f"--{name}={value}")
     return argv
 
 
@@ -711,12 +761,11 @@ def test_exit_code_contract(capsys, tmp_path, monkeypatch):
     # anything raised out of run_command is a bug
     monkeypatch.chdir(tmp_path)
     _write_bad_files(tmp_path)
-    parser = _build_parser()
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
     def check(data):
-        argv = _draw_argv(data, parser)
+        argv = _draw_argv(data)
         code, report = run_command(argv)
         out, err = capsys.readouterr()
         _assert_exit_code_contract(argv, code, report, out, err)
@@ -730,13 +779,15 @@ CHEAPEST = {"samples": "1", "pairs": "1", ("dynr cdybe", "samples"): "2"}
 PAIRED = {"dirac fixed-locus": ("chart", "matrix")}
 
 
-def _with_value(argv, action, value):
-    """argv with the value of one action replaced, or added when argv leaves it out."""
-    if not action.option_strings:  # the positional follows the two command words
+def _with_value(argv, argument, value):
+    """argv with the value of one argument, a (name, kind) pair, replaced, or added when argv
+    leaves it out."""
+    name, kind = argument
+    if kind == "positional":  # the positional follows the two command words
         return [*argv[:2], value, *argv[3:]]
-    if action.nargs == 0:
+    if kind == "flag":
         return [*argv, value]
-    opt, kept, skip = action.option_strings[0], [], False
+    opt, kept, skip = f"--{name}", [], False
     for token in argv:
         if skip:
             skip = False
@@ -751,23 +802,22 @@ def _reach_rows():
     """One argv per leaf, option of that leaf and FUZZ_POOLS value of the option: the README's
     argv for the leaf, with that value and every cost option at its cheapest valid value.  For
     the options PAIRED in a leaf, one argv per pair of their values as well."""
-    parser = _build_parser()
     rows = []
     for readme in _readme_commands():
         leaf = " ".join(readme[:2])
-        actions = _leaf_parser(parser, leaf)._actions
+        arguments = _leaf_arguments(leaf)
         base = readme
-        for action in actions:
-            cheap = CHEAPEST.get((leaf, action.dest), CHEAPEST.get(action.dest))
+        for argument in arguments:
+            cheap = CHEAPEST.get((leaf, argument[0]), CHEAPEST.get(argument[0]))
             if cheap is not None:
-                base = _with_value(base, action, cheap)
-        rows += [pytest.param(_with_value(base, action, value), id=f"{leaf}-{action.dest}={value}")
-                 for action in actions for value in FUZZ_POOLS.get(action.dest, ())]
+                base = _with_value(base, argument, cheap)
+        rows += [pytest.param(_with_value(base, argument, value), id=f"{leaf}-{argument[0]}={value}")
+                 for argument in arguments for value in FUZZ_POOLS[argument[0]]]
         if leaf in PAIRED:
-            first, second = ({a.dest: a for a in actions}[dest] for dest in PAIRED[leaf])
+            first, second = ((name, dict(arguments)[name]) for name in PAIRED[leaf])
             rows += [pytest.param(_with_value(_with_value(base, first, u), second, v),
-                                  id=f"{leaf}-{first.dest}={u}+{second.dest}={v}")
-                     for u in FUZZ_POOLS[first.dest] for v in FUZZ_POOLS[second.dest]]
+                                  id=f"{leaf}-{first[0]}={u}+{second[0]}={v}")
+                     for u in FUZZ_POOLS[first[0]] for v in FUZZ_POOLS[second[0]]]
     return rows
 
 
