@@ -53,7 +53,7 @@ print("su3 symmetric bialgebra:", bool(coboundary_check(k, r_hat) and symmetric_
 # sum h_m ^ dr/dlambda_m + (1/2)[r, r] must be a constant, ad-invariant
 # element of the third wedge power -- here checked at seeded sample points.
 for fam in (DynamicalRFamily(g, "trig"), DynamicalRFamily(g, "rational")):
-    rep = residual_scan(fam, samples=10, seed=0, tol=1e-7)
+    rep = residual_scan(fam, samples=10, seed=0)
     v = rep.values
     print(f"\n{fam.kind} family: spread {v['spread']:.2e}, "
           f"invariance {v['invariance_defect']:.2e}, gradient {v['derivative_defect']:.2e}")
@@ -67,5 +67,5 @@ print(f"\nsl2 trig residual: {float(res[e, f, h]):.12f} * e12^f12^h1")
 
 # Replacing coth by tanh breaks constancy at rank >= 2 (at rank 1 the two
 # functions satisfy the same differential equation, so sl2 cannot tell).
-bad = residual_scan(DynamicalRFamily(g, "tanh-corrupted"), samples=6, seed=0, tol=1e-7)
+bad = residual_scan(DynamicalRFamily(g, "tanh-corrupted"), samples=6, seed=0)
 print("tanh corruption on sl3 fails:", not bad.ok, f"(spread {bad.values['spread']:.2e})")

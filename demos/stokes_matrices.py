@@ -51,7 +51,7 @@ print(f"{{z, x}} = {zx:+.6f}   target 2(zx - 2y) = {2 * (z * x - 2 * y):+.6f}")
 
 # The full seeded report: bracket shape, predicted kappa, the multiplier-2
 # pushforward along (B, C) -> B C^T, Markoff conservation, rank relation.
-rep = stokes_report(3, samples=20, seed=1, tol=1e-8)
+rep = stokes_report(3, samples=20, seed=1)
 print("\nstokes report:")
 for line in rep.lines(True, "group stokes"):
     print(" ", line)

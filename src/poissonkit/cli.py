@@ -12,7 +12,6 @@ this help, or after a command and its subcommand that leaf's options.
 
 from __future__ import annotations
 
-import math
 import random
 import sys
 from functools import partial
@@ -49,15 +48,6 @@ def _int_in_range(low: int, high: int | None = None):
         return value
 
     return parse
-
-
-def _tolerance(text: str) -> float:
-    """Parser of --tol: a finite float of at least 0.  Every residual is at most
-    inf, and none is at most nan or a negative value, so those check nothing."""
-    value = _number(float, text)
-    if not 0 <= value < math.inf:
-        raise ValueError(f"must be finite and at least 0, got {text}")
-    return value
 
 
 _sample_count = _int_in_range(1)  # --samples, --pairs, --dim
@@ -239,14 +229,14 @@ def _lie_bialgebra(args) -> Report:
 def _group_report(args) -> Report:
     """``group stokes|crosscheck|bruhat``: the groupnum report as it is."""
     if args.sub == "stokes":
-        return groupnum.stokes_report(args.n, args.samples, args.seed, args.tol)
+        return groupnum.stokes_report(args.n, args.samples, args.seed)
     kind = "sl" if args.sub == "crosscheck" else "su"
-    return groupnum.crosscheck_report(kind, args.samples, args.seed, args.tol, args.n)
+    return groupnum.crosscheck_report(kind, args.samples, args.seed, args.n)
 
 
 def _dynr_cdybe(args) -> Report:
     family = dynr.DynamicalRFamily(chartio.load_algebra(args.algebra), args.family)
-    return dynr.residual_scan(family, args.samples, args.seed, args.tol)
+    return dynr.residual_scan(family, args.samples, args.seed)
 
 
 def _oracle_schouten(args) -> Report:
@@ -291,7 +281,6 @@ _GROUP = {
     "n": (_int_in_range(2, groupnum.N_CAP), 3, False, None, "matrix size"),
     "samples": (_sample_count, 10, False, None, "number of samples"),
     "seed": (_nonnegative, 1, False, None, "seed of the per-sample generators"),
-    "tol": (_tolerance, 1e-8, False, None, "tolerance of every residual"),
 }
 _F = (str, None, True, None, "polynomial over the chart coordinates")
 _PAIRS = (_sample_count, 100, False, None, "number of random pairs")
@@ -324,8 +313,7 @@ _LEAVES = {
         "algebra": (str, None, True, ("sl2", "sl3", "sl4"), "built-in algebra"),
         "family": (str, "trig", False, ("trig", "rational", "tanh-corrupted"), "r-matrix family"),
         "samples": (_int_in_range(2), 10, False, None, "number of samples (a spread over one is 0)"),
-        "seed": (_nonnegative, 0, False, None, "seed of the per-sample generators"),
-        "tol": (_tolerance, 1e-7, False, None, "tolerance of every residual")}),
+        "seed": (_nonnegative, 0, False, None, "seed of the per-sample generators")}),
     ("oracle", "schouten"): (_oracle_schouten, "chart bracket vs monomial-expansion oracle", (), {
         "dim": (_sample_count, 3, False, None, "chart dimension"), "pairs": _PAIRS, "seed": _SEED}),
     ("oracle", "alg"): (_oracle_alg, "algebraic bracket vs recursive-Leibniz oracle", (), {

@@ -255,15 +255,14 @@ def affine_lie_poisson_dirac(g, l_basis, m_basis, mu) -> Report:
                 return Report(False, reason=f"l is not a subalgebra: [l_{a}, l_{b}] leaves l")
             l_struct[(a, b)] = w[:k]
     # (ii) [l, m] contained in m
-    for a in range(k):
-        for b in range(len(mv)):
-            w = coords(g.bracket_vectors(lv[a], mv[b]))
-            if any(not c.is_zero() for c in w[:k]):
+    l_m = [[g.bracket_vectors(u, v) for v in mv] for u in lv]
+    for a, row in enumerate(l_m):
+        for b, w in enumerate(row):
+            if any(not c.is_zero() for c in coords(w)[:k]):
                 return Report(False, reason=f"[l, m] not contained in m: [l_{a}, m_{b}] has an l-part")
     # (iii) mu vanishes on [l, m]
-    for a in range(k):
-        for b in range(len(mv)):
-            w = g.bracket_vectors(lv[a], mv[b])
+    for a, row in enumerate(l_m):
+        for b, w in enumerate(row):
             pairing = sum((mu[i] * w[i] for i in range(g.dim)), Scalar(0))
             if not pairing.is_zero():
                 return Report(False, reason=f"ad*-condition fails: <mu, [l_{a}, m_{b}]> = {pairing}")
@@ -287,8 +286,9 @@ def transverse_from_reductive(g, l_basis, m_basis, mu) -> Report:
     if len(mu_s) != g.dim:
         raise InvalidInput("mu has the wrong length")
     # isotropy: <mu, [l_a, X]> = 0 for every basis element X of g
+    basis = _as_vectors(g, range(g.dim))
     for a, u in enumerate(lv):
-        for x in _as_vectors(g, range(g.dim)):
+        for x in basis:
             w = g.bracket_vectors(u, x)
             if not sum((m * c for m, c in zip(mu_s, w)), Scalar(0)).is_zero():
                 return Report(False, reason=f"l is not contained in the isotropy algebra of mu (element {a})")
@@ -335,10 +335,9 @@ def leaf_slice_obstruction(chart: PoissonChart, t_indices: Sequence[int], t0: Se
     # t = t0, onto the x-chart
     frozen = [Poly.const(nx, t0[ts.index(i)]) if i in ts else Poly.var(nx, xs.index(i)) for i in range(chart.dim)]
     pi0 = chart.pi.project(xs, frozen)
-    slice_chart = PoissonChart(nx, tuple(chart.coords[i] for i in xs), pi0)
-    jac = jacobiator(slice_chart)
-    if not jac.is_zero():
-        return Report(False, reason="slice bivector at t0 is not Poisson", witness=sorted(jac.comps.items())[0])
+    failed = _not_poisson(PoissonChart(nx, tuple(chart.coords[i] for i in xs), pi0))
+    if failed is not None:
+        return replace(failed, reason="slice bivector at t0 is not Poisson")
 
     monos = _monomials_up_to(nx, degree_bound)
     unknowns = [(m, j) for m in monos for j in range(nx)]

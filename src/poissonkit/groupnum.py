@@ -59,6 +59,8 @@ from .report import Report, sample_blocks, sample_rngs
 __all__ = [
     "TOL_MEMBER",
     "TOL_CROSS",
+    "TOL_MARKOFF",
+    "TOL_RANK",
     "MatrixGroup",
     "TangentBivector",
     "InvolutionSpec",
@@ -77,7 +79,9 @@ __all__ = [
 ]
 
 TOL_MEMBER = 1e-9  # group membership and invariance residuals
-TOL_CROSS = 1e-8  # cross-route bracket comparisons
+TOL_CROSS = 1e-8  # cross-route bracket comparisons: the route gates of every report, and tangency
+TOL_MARKOFF = 1e-7  # the Markoff polynomial's change along the sampled Stokes brackets
+TOL_RANK = 1e-8  # singular values above it count toward a numeric rank
 
 KAPPA = 2.0  # predicted Stokes constant, sign included: {x, y} = KAPPA (xy - 2z) and cyclically
 
@@ -417,8 +421,8 @@ def dual_tangency_residual(pi: TangentBivector) -> float | np.ndarray:
 
 
 def _rank(mat: np.ndarray) -> np.ndarray:
-    """Numeric rank of each matrix of a stack: its singular values above TOL_CROSS."""
-    return np.sum(np.linalg.svd(mat, compute_uv=False) > TOL_CROSS, axis=-1)
+    """Numeric rank of each matrix of a stack: its singular values above TOL_RANK."""
+    return np.sum(np.linalg.svd(mat, compute_uv=False) > TOL_RANK, axis=-1)
 
 
 @functools.lru_cache(maxsize=None)
@@ -435,7 +439,7 @@ def _plus_eigenspace(spec: InvolutionSpec, shape: tuple[int, ...], dtype: np.dty
 
 
 def rank_relation_holds(spec: InvolutionSpec, pi: TangentBivector, projected: TangentBivector) -> bool | np.ndarray:
-    """rank pi_Q^# == dim( im pi^# intersect T_x Q ), both by SVD at TOL_CROSS, per point;
+    """rank pi_Q^# == dim( im pi^# intersect T_x Q ), both by SVD at TOL_RANK, per point;
     ``projected`` is ``pi_q_projection(spec, pi)``, which every caller already holds.
 
     That projection checked Phi_* pi = pi, so im pi^# is stable under Phi's differential, a
@@ -508,7 +512,7 @@ def _dubrovin_target(x, y, z) -> np.ndarray:
     return np.stack([np.stack(row, axis=-1) for row in ((zero, xy, -zx), (-xy, zero, yz), (zx, -yz, zero))], axis=-2)
 
 
-def stokes_report(n: int = 3, samples: int = 20, seed: int = 1, tol: float = 1e-8) -> Report:
+def stokes_report(n: int = 3, samples: int = 20, seed: int = 1) -> Report:
     """Reproduce the Stokes-matrix Poisson structure from the dual group.
 
     Samples points (B, B^T) with B unipotent upper-triangular, projects the
@@ -520,10 +524,10 @@ def stokes_report(n: int = 3, samples: int = 20, seed: int = 1, tol: float = 1e-
     along (B, C) -> B C^T and compared against 2 KAPPA times the same target
     at the image.
 
-    The report passes iff the Dubrovin residual, |kappa - KAPPA| and the
-    pushforward residual are at most ``tol``, the tangency residual at most
-    TOL_CROSS, the Markoff defect at most 1e-7, the +1 residual at most
-    TOL_MEMBER, and the rank relation holds.
+    The report passes iff the Dubrovin residual, |kappa - KAPPA|, the
+    pushforward residual and the tangency residual are at most TOL_CROSS, the
+    Markoff defect at most TOL_MARKOFF, the +1 residual at most TOL_MEMBER,
+    and the rank relation holds.
     """
     if n != 3:
         raise ValueError("the Dubrovin chart readout is specific to n = 3")
@@ -566,9 +570,9 @@ def stokes_report(n: int = 3, samples: int = 20, seed: int = 1, tol: float = 1e-
         "max_plus_residual": max_plus,
         "rank_relation_ok": rank_ok,
     }
-    ok = (all(values[key] <= tol for key in ("max_dubrovin_residual", "kappa_two_defect", "max_pushforward_residual"))
-          and values["max_tangency_residual"] <= TOL_CROSS and values["max_markoff_defect"] <= 1e-7
-          and max_plus <= TOL_MEMBER and rank_ok)
+    ok = (all(values[key] <= TOL_CROSS for key in ("max_dubrovin_residual", "kappa_two_defect",
+                                                   "max_pushforward_residual", "max_tangency_residual"))
+          and values["max_markoff_defect"] <= TOL_MARKOFF and max_plus <= TOL_MEMBER and rank_ok)
     return Report(ok, values, seed=seed, samples=samples)
 
 
@@ -583,12 +587,12 @@ def _fixed_points(group: MatrixGroup, rngs: Sequence[np.random.Generator]) -> np
     return matrix_exp(0.5 * (x + _transpose(x)))
 
 
-def crosscheck_report(kind: str, samples: int = 10, seed: int = 2, tol: float = TOL_CROSS, n: int = 3) -> Report:
+def crosscheck_report(kind: str, samples: int = 10, seed: int = 2, n: int = 3) -> Report:
     """Two-route agreement at transpose-fixed points.
 
     kind 'sl' uses SL(n, R) and the split r-matrix; kind 'su' uses SU(n) and
     the compact one (the Bruhat-type fixed locus of symmetric unitaries).  The
-    report passes iff the route difference is at most ``tol``, the projected
+    report passes iff the route difference is at most TOL_CROSS, the projected
     legs leave the +1 eigenspace by at most TOL_MEMBER, and the rank relation
     holds.
     """
@@ -601,4 +605,4 @@ def crosscheck_report(kind: str, samples: int = 10, seed: int = 2, tol: float = 
         lambda g: pi_q_formula(group, g).bracket_matrix())
     values = {"group": group.name, "max_route_difference": max_diff, "max_plus_residual": max_plus,
               "rank_relation_ok": rank_ok}
-    return Report(max_diff <= tol and max_plus <= TOL_MEMBER and rank_ok, values, seed=seed, samples=samples)
+    return Report(max_diff <= TOL_CROSS and max_plus <= TOL_MEMBER and rank_ok, values, seed=seed, samples=samples)

@@ -57,10 +57,18 @@ def subprocess_env():
     return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
+def with_bound(monkeypatch, module, name, run):
+    """``check(tol)`` for ``assert_pass_rule``: ``run()`` with the bound ``module.name`` set to tol."""
+    def check(tol):
+        monkeypatch.setattr(module, name, tol)
+        return run()
+    return check
+
+
 def assert_pass_rule(check, bounded, seed, samples):
-    """``check(tol)`` runs a sampled check.  With t the largest of the values named in
-    ``bounded``, the ones that tol bounds, the report passes at tol = t and fails just
-    below it.  It records its seed and sample count, and every value is a bool, float
+    """``check(tol)`` runs a sampled check with its bound at tol.  With t the largest of the
+    values named in ``bounded``, the ones that bound reads, the report passes at tol = t and
+    fails just below it.  It records its seed and sample count, and every value is a bool, float
     or str whose ``str`` is its ``repr`` unless it is a str, so its porcelain text is
     the value's own."""
     rep = check(1.0)

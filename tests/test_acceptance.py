@@ -142,7 +142,7 @@ def test_c06_symmetric_bialgebra_suite():
 
 def test_c07_stokes_flagship():
     t0 = time.perf_counter()
-    rep = stokes_report(3, samples=20, seed=1, tol=1e-8)
+    rep = stokes_report(3, samples=20, seed=1)
     elapsed = time.perf_counter() - t0
     ok = (
         rep.ok
@@ -157,8 +157,8 @@ def test_c07_stokes_flagship():
 
 def test_c08_two_route_agreement():
     t0 = time.perf_counter()
-    sl = crosscheck_report("sl", samples=10, seed=2, tol=1e-8, n=3)
-    su = crosscheck_report("su", samples=10, seed=2, tol=1e-8, n=3)
+    sl = crosscheck_report("sl", samples=10, seed=2, n=3)
+    su = crosscheck_report("su", samples=10, seed=2, n=3)
     elapsed = time.perf_counter() - t0
     ok = sl.ok and su.ok
     _report(8, ok and elapsed < 30.0,
@@ -173,13 +173,13 @@ def test_c09_cdybe():
     for n in (2, 3):
         g = sl_chevalley(n)
         for fam in (DynamicalRFamily(g, "trig"), DynamicalRFamily(g, "rational")):
-            rep = residual_scan(fam, samples=10, seed=5, tol=1e-7)
+            rep = residual_scan(fam, samples=10, seed=5)
             good = (rep.values["spread"] <= 1e-7 and rep.values["invariance_defect"] <= 1e-7
                     and rep.values["derivative_defect"] <= 1e-7)
             ok = ok and good
             detail.append(f"sl{n}/{fam.kind}:{rep.values['spread']:.1e}")
     g3 = sl_chevalley(3)
-    neg = residual_scan(DynamicalRFamily(g3, "tanh-corrupted"), samples=6, seed=5, tol=1e-7)
+    neg = residual_scan(DynamicalRFamily(g3, "tanh-corrupted"), samples=6, seed=5)
     ok = ok and not neg.ok
     eq = equivariance_check(DynamicalRFamily(g3, "trig"), transpose_antimorphism(g3))
     ok = ok and eq.ok

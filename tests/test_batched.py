@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 import conftest
 from conftest import _ad_defect, algebra_element, equivariance_check
 from poissonkit import dynr, groupnum, report
-from poissonkit.groupnum import TOL_CROSS, TOL_MEMBER, InvolutionSpec, TangentBivector
+from poissonkit.groupnum import TOL_CROSS, TOL_MARKOFF, TOL_MEMBER, TOL_RANK, InvolutionSpec, TangentBivector
 from poissonkit.liealg import LinearAlgMap, sl_chevalley, transpose_antimorphism
 from poissonkit.report import Report
 
@@ -47,7 +47,7 @@ def _ref_plus_basis(spec, shape, dtype, thresh):
     return vt[s <= thresh].T
 
 
-def _ref_rank_relation(spec, pi, projected, thresh=TOL_CROSS):
+def _ref_rank_relation(spec, pi, projected, thresh=TOL_RANK):
     image = _ref_image(pi.sharp_matrix(), thresh)
     plus = _ref_plus_basis(spec, pi.base.shape, pi.base.dtype, thresh)
     if image.shape[1] == 0 or plus.shape[1] == 0:
@@ -99,7 +99,7 @@ def _ref_fixed_point(group, rng):
     return groupnum.matrix_exp(0.5 * (x + x.T))
 
 
-def _ref_stokes(samples, seed, tol=1e-8):
+def _ref_stokes(samples, seed):
     n = 3
     kappa_predicted = 2.0  # {x, y} = 2 (xy - 2z), sign included
     group = groupnum.dual_group(n)
@@ -138,8 +138,8 @@ def _ref_stokes(samples, seed, tol=1e-8):
         for lhs, rhs in zip((image[0, 1], image[1, 2], image[2, 0]), (x * y - 2 * z, y * z - 2 * x, z * x - 2 * y)):
             max_push = max(max_push, abs(float(lhs) - 2.0 * kappa_predicted * float(rhs)))
     kappa_two_defect = abs(kappa - kappa_predicted)
-    ok = (max_resid <= tol and kappa_two_defect <= tol and max_push <= tol and max_tangency <= TOL_CROSS
-          and max_markoff <= 1e-7 and max_plus <= TOL_MEMBER and rank_ok)
+    ok = (max_resid <= TOL_CROSS and kappa_two_defect <= TOL_CROSS and max_push <= TOL_CROSS
+          and max_tangency <= TOL_CROSS and max_markoff <= TOL_MARKOFF and max_plus <= TOL_MEMBER and rank_ok)
     return Report(ok, {
         "kappa": kappa,
         "kappa_two_defect": kappa_two_defect,
@@ -152,7 +152,7 @@ def _ref_stokes(samples, seed, tol=1e-8):
     }, seed=seed, samples=samples)
 
 
-def _ref_crosscheck(kind, samples, seed, tol=TOL_CROSS, n=3):
+def _ref_crosscheck(kind, samples, seed, n=3):
     group = groupnum.sl_group(n) if kind == "sl" else groupnum.su_group(n)
     spec = InvolutionSpec("transpose")
     max_diff = max_plus = 0.0
@@ -170,10 +170,10 @@ def _ref_crosscheck(kind, samples, seed, tol=TOL_CROSS, n=3):
         max_plus = max(max_plus, float(np.max(np.abs(spec.apply(legs) - legs), initial=0.0)))
     values = {"group": group.name, "max_route_difference": max_diff, "max_plus_residual": max_plus,
               "rank_relation_ok": rank_ok}
-    return Report(max_diff <= tol and max_plus <= TOL_MEMBER and rank_ok, values, seed=seed, samples=samples)
+    return Report(max_diff <= TOL_CROSS and max_plus <= TOL_MEMBER and rank_ok, values, seed=seed, samples=samples)
 
 
-def _ref_residual_scan(family, samples, seed, tol=1e-7):
+def _ref_residual_scan(family, samples, seed):
     C = family.structure
     step = 1e-5
     first = None
@@ -192,8 +192,8 @@ def _ref_residual_scan(family, samples, seed, tol=1e-7):
         spread = max(spread, dynr._max_upper(res - first, 3))
         invariance = max(invariance, dynr._max_upper(_ad_defect(C, res), 3))
     values = {"algebra": family.algebra.name, "family": family.kind, "spread": spread,
-              "invariance_defect": invariance, "derivative_defect": deriv_defect, "tol": tol}
-    return Report(max(spread, invariance, deriv_defect) <= tol, values, seed=seed, samples=samples)
+              "invariance_defect": invariance, "derivative_defect": deriv_defect, "tol": dynr.TOL_CDYBE}
+    return Report(max(spread, invariance, deriv_defect) <= dynr.TOL_CDYBE, values, seed=seed, samples=samples)
 
 
 def _ref_equivariance(family, s, samples, seed, tol=1e-10):

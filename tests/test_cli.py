@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from conftest import subprocess_env
 
 import poissonkit
-from poissonkit import cli, liealg
+from poissonkit import cli, dynr, groupnum, liealg
 from poissonkit.chartio import (
     ChartFileError,
     emit_chart,
@@ -136,7 +136,7 @@ def test_help_exits_zero_without_a_report(argv, capsys):
 
 def test_group_stokes_cli():
     code, report = run_command([
-        "group", "stokes", "--n", "3", "--samples", "5", "--seed", "1", "--tol", "1e-8",
+        "group", "stokes", "--n", "3", "--samples", "5", "--seed", "1",
     ])
     assert code == 0
     assert abs(float(report.values["kappa"]) - 2.0) < 1e-8
@@ -154,7 +154,7 @@ def test_stokes_checks_the_predicted_kappa(scale, code, monkeypatch):
 
 
 def test_porcelain_deterministic(capsys):
-    argv = ["--porcelain", "group", "stokes", "--n", "3", "--samples", "4", "--seed", "3", "--tol", "1e-8"]
+    argv = ["--porcelain", "group", "stokes", "--n", "3", "--samples", "4", "--seed", "3"]
     run_command(argv)
     first = capsys.readouterr().out
     run_command(argv)
@@ -315,11 +315,11 @@ def _write_bad_files(directory):
     (["oracle", "schouten", "--pairs", "x"], "--pairs: invalid int value: 'x'"),
     (["dirac", "slice", "slice_family.chart", "--t", "", "--t0", ""], "--t must name at least one coordinate"),
     (["dynr", "cdybe", "--algebra", "sl3", "--family", "tanh-corrupted", "--samples", "5", "--tol", "inf"],
-     "--tol: must be finite and at least 0, got inf"),
-    (["dynr", "cdybe", "--algebra", "sl3", "--tol", "nan"], "--tol: must be finite and at least 0, got nan"),
-    (["group", "stokes", "--tol", "-1"], "--tol: must be finite and at least 0, got -1"),
-    (["group", "crosscheck", "--tol=-inf"], "--tol: must be finite and at least 0, got -inf"),
-    (["group", "bruhat", "--tol", "x"], "--tol: invalid float value: 'x'"),
+     "unrecognized arguments: --tol inf"),  # every bound is fixed in the check, so no --tol moves it
+    (["dynr", "cdybe", "--algebra", "sl3", "--tol", "nan"], "unrecognized arguments: --tol nan"),
+    (["group", "stokes", "--tol", "-1"], "unrecognized arguments: --tol -1"),
+    (["group", "crosscheck", "--tol=-inf"], "unrecognized arguments: --tol=-inf"),
+    (["group", "bruhat", "--tol", "x"], "unrecognized arguments: --tol x"),
     (["group", "stokes", "--seed", "-1"], "--seed: must be at least 0, got -1"),
     (["dynr", "cdybe", "--algebra", "sl2", "--seed=-1"], "--seed: must be at least 0, got -1"),
     (["oracle", "schouten", "--seed", "-1"], "--seed: must be at least 0, got -1"),
@@ -545,6 +545,14 @@ def test_readme_dotted_names_resolve():
     assert "report.sample_blocks" in checked and "liealg.AlgElement" in checked
 
 
+def test_readme_lists_every_bound():
+    # README names each bound of a sampled check by its constant, with the constant's value
+    section = (Path(__file__).resolve().parents[1] / "README.md").read_text().split("## Reproducibility")[1]
+    listed = {name: float(value) for name, value in re.findall(r"^\* `(\w+\.TOL_\w+)` = (\S+):", section, re.M)}
+    assert listed == {f"{m.__name__.split('.')[-1]}.{name}": getattr(m, name)
+                      for m in (groupnum, dynr) for name in vars(m) if name.startswith("TOL_")}
+
+
 def _names_in(tree):
     """(name, line) of every identifier a module names: a variable, an attribute, or a
     string that is an identifier (``__all__`` and the getattr tables)."""
@@ -695,7 +703,6 @@ FUZZ_POOLS = {
     "pairs": ["0", "1", "2", "3", "x"],
     "dim": ["0", "1", "3"],
     "n": ["1", "3", "4", "7"],
-    "tol": ["1e-8", "-1", "nan", "inf"],
     "seed": ["0", "1", "-1", "4294967296"],
     "degree": ["-1", "0", "1"],
     "family": ["trig", "tanh-corrupted"],
@@ -798,6 +805,15 @@ def _with_value(argv, argument, value):
     return [*kept, f"{opt}={value}"]
 
 
+def _at_cheapest(leaf, argv, arguments):
+    """argv with each cost option among ``arguments``, (name, kind) pairs, at its cheapest valid value."""
+    for argument in arguments:
+        cheap = CHEAPEST.get((leaf, argument[0]), CHEAPEST.get(argument[0]))
+        if cheap is not None:
+            argv = _with_value(argv, argument, cheap)
+    return argv
+
+
 def _reach_rows():
     """One argv per leaf, option of that leaf and FUZZ_POOLS value of the option: the README's
     argv for the leaf, with that value and every cost option at its cheapest valid value.  For
@@ -806,11 +822,7 @@ def _reach_rows():
     for readme in _readme_commands():
         leaf = " ".join(readme[:2])
         arguments = _leaf_arguments(leaf)
-        base = readme
-        for argument in arguments:
-            cheap = CHEAPEST.get((leaf, argument[0]), CHEAPEST.get(argument[0]))
-            if cheap is not None:
-                base = _with_value(base, argument, cheap)
+        base = _at_cheapest(leaf, readme, arguments)
         rows += [pytest.param(_with_value(base, argument, value), id=f"{leaf}-{argument[0]}={value}")
                  for argument in arguments for value in FUZZ_POOLS[argument[0]]]
         if leaf in PAIRED:
@@ -836,3 +848,52 @@ def test_every_pool_value_reaches_every_leaf(argv, bad_files_dir, capsys, monkey
     code, report = run_command(argv)
     out, err = capsys.readouterr()
     _assert_exit_code_contract(argv, code, report, out, err)
+
+
+def test_every_argument_has_a_pool():
+    # the fuzz and the reach rows draw each argument from its pool; a pool that no argument takes is stale
+    assert {name for leaf in _leaf_commands() for name, _ in _leaf_arguments(leaf)} == set(FUZZ_POOLS)
+
+
+# argvs that README or perfbench expects to exit 1, each with the options that make it a control:
+# --x replaces the chart's split, and tanh solves the rank-one equation, so sl2 passes by right
+CONTROLS = {
+    "dynr cdybe": (["dynr", "cdybe", "--algebra", "sl3", "--family", "tanh-corrupted"], ("algebra", "family")),
+    "dirac aligned": (["dirac", "aligned", "product22_bad.chart"], ("x",)),
+    "check casimir": (["check", "casimir", "dubrovin3.chart", "--f", "x"], ()),
+}
+
+
+def _control_rows():
+    """Each control with every cost option at its cheapest valid value, and one argv per option
+    of its leaf other than those that make it a control and FUZZ_POOLS value of that option."""
+    rows = []
+    for leaf, (control, held) in CONTROLS.items():
+        options = [arg for arg in _leaf_arguments(leaf) if arg[1] in ("required", "optional") and arg[0] not in held]
+        control = _at_cheapest(leaf, control, options)
+        rows += [pytest.param(control, id=leaf)]
+        rows += [pytest.param(_with_value(control, argument, value), id=f"{leaf}-{argument[0]}={value}")
+                 for argument in options for value in FUZZ_POOLS[argument[0]]]
+    return rows
+
+
+@pytest.mark.parametrize("argv", _control_rows())
+def test_a_control_stays_a_control(argv, bad_files_dir, monkeypatch, capsys):
+    # no value of another option turns a negative control into a pass: it fails (1) or is bad input (2)
+    monkeypatch.chdir(bad_files_dir)
+    code, report = run_command(argv)
+    out, err = capsys.readouterr()
+    _assert_exit_code_contract(argv, code, report, out, err)
+    assert code != 0, argv
+
+
+@pytest.mark.parametrize("argv", [
+    *(pytest.param([*readme, "--tol", value], id=f"{readme[0]} {readme[1]}-tol={value}")
+      for readme in _readme_commands() if readme[0] in ("group", "dynr") for value in ("1e-8", "-1", "nan", "inf")),
+    pytest.param(["dynr", "cdybe", "--algebra", "sl3", "--family", "tanh-corrupted", "--samples", "5", "--tol", "1e300"],
+                 id="dynr cdybe-tanh-corrupted-tol=1e300"),
+])
+def test_no_sampled_check_takes_a_tolerance(argv, capsys):
+    # the bounds are fixed in each check; a --tol of 1e300 once passed the tanh-corrupted control
+    assert run_command(argv) == (2, None)
+    assert capsys.readouterr().err == f"usage error: unrecognized arguments: --tol {argv[-1]}\n"

@@ -486,6 +486,16 @@ def test_affine_ad_condition_fails():
     assert "ad*" in verdict.reason
 
 
+def test_affine_checks_l_m_before_the_ad_condition():
+    # m = (f, e + h): [h, f] = -2f breaks the ad* condition for mu = f* at the first pair, and
+    # [h, e + h] = 2e = 2(e + h) - 2h has an l-part at the second; [l, m] in m is decided first
+    g = builtin_algebra("sl2")
+    verdict = affine_lie_poisson_dirac(g, ["h1"], ["f12", [1, 0, 1]], [0, 1, 0])
+    assert verdict.reason == "[l, m] not contained in m: [l_0, m_1] has an l-part" and not verdict.ok
+    verdict = affine_lie_poisson_dirac(g, ["h1"], ["f12", "e12"], [0, 1, 0])
+    assert verdict.reason == "ad*-condition fails: <mu, [l_0, m_0]> = -2" and not verdict.ok
+
+
 def test_affine_rejects_non_basis():
     g = builtin_algebra("so3")
     with pytest.raises(ValueError):

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import _ad_defect, assert_pass_rule, counted_calls, equivariance_check, make_rng, rr_bracket
+from conftest import _ad_defect, assert_pass_rule, counted_calls, equivariance_check, make_rng, rr_bracket, with_bound
 from poissonkit import dynr, report
 from poissonkit.dynr import (
     DynamicalRFamily,
@@ -197,8 +197,9 @@ def test_einsum_brackets_match_alg_schouten(name):
 # -- scans ----------------------------------------------------------------------
 
 
-def test_scan_sl2_trig_tight():
-    rep = residual_scan(DynamicalRFamily(sl_chevalley(2), "trig"), samples=10, seed=5, tol=1e-8)
+def test_scan_sl2_trig_tight(monkeypatch):
+    monkeypatch.setattr(dynr, "TOL_CDYBE", 1e-8)
+    rep = residual_scan(DynamicalRFamily(sl_chevalley(2), "trig"), samples=10, seed=5)
     assert rep.ok
     assert rep.values["spread"] <= 1e-8
 
@@ -206,14 +207,20 @@ def test_scan_sl2_trig_tight():
 def test_scan_sl3_both_families():
     g = sl_chevalley(3)
     for fam in (DynamicalRFamily(g, "trig"), DynamicalRFamily(g, "rational")):
-        rep = residual_scan(fam, samples=10, seed=5, tol=1e-7)
+        rep = residual_scan(fam, samples=10, seed=5)
         assert rep.ok, (fam.kind, rep)
 
 
 def test_scan_negative_control_sl3():
-    rep = residual_scan(DynamicalRFamily(sl_chevalley(3), "tanh-corrupted"), samples=6, seed=5, tol=1e-7)
+    rep = residual_scan(DynamicalRFamily(sl_chevalley(3), "tanh-corrupted"), samples=6, seed=5)
     assert not rep.ok
     assert rep.values["spread"] > 1e-3
+
+
+def test_tanh_family_solves_the_rank_one_equation():
+    # tanh' + tanh^2 = 1, as coth' + coth^2 = 1, so on sl(2) the corrupted family is no control
+    rep = residual_scan(DynamicalRFamily(sl_chevalley(2), "tanh-corrupted"), samples=6, seed=5)
+    assert rep.ok and max(rep.values["spread"], rep.values["invariance_defect"]) <= 1e-12
 
 
 def test_residual_scan_evaluates_r_once_per_block(monkeypatch):
@@ -231,18 +238,19 @@ def test_residual_scan_evaluates_r_once_per_block(monkeypatch):
 
 
 def test_scan_deterministic():
-    rep1 = residual_scan(DynamicalRFamily(sl_chevalley(3), "trig"), samples=6, seed=9, tol=1e-7)
-    rep2 = residual_scan(DynamicalRFamily(sl_chevalley(3), "trig"), samples=6, seed=9, tol=1e-7)
+    rep1 = residual_scan(DynamicalRFamily(sl_chevalley(3), "trig"), samples=6, seed=9)
+    rep2 = residual_scan(DynamicalRFamily(sl_chevalley(3), "trig"), samples=6, seed=9)
     assert rep1 == rep2
 
 
 @pytest.mark.parametrize("kind", ["trig", "tanh-corrupted"], ids=["trig_family", "corrupted_family"])
-def test_residual_scan_pass_rule(kind):
-    # tol bounds all three defects; the trig family's largest is the derivative defect,
+def test_residual_scan_pass_rule(kind, monkeypatch):
+    # TOL_CDYBE bounds all three defects; the trig family's largest is the derivative defect,
     # the corrupted family's the spread
     family = DynamicalRFamily(sl_chevalley(3), kind)
     bounded = ("spread", "invariance_defect", "derivative_defect")
-    assert_pass_rule(lambda tol: residual_scan(family, samples=3, seed=4, tol=tol), bounded, 4, 3)
+    check = with_bound(monkeypatch, dynr, "TOL_CDYBE", lambda: residual_scan(family, samples=3, seed=4))
+    assert_pass_rule(check, bounded, 4, 3)
 
 
 def test_residual_scan_fails_through_the_spread_alone(monkeypatch):

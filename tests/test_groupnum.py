@@ -1,5 +1,7 @@
 """Matrix-group numerics: exponentials, cocycles, fixed-locus tensors, Stokes."""
 
+import ast
+import inspect
 import re
 from fractions import Fraction
 
@@ -10,9 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (adjoint_coordinate_matrix, algebra_element, assert_pass_rule, bracket_difference, cocycle_lambda,
-                      pi_q_formula_swapped)
-from poissonkit import groupnum
+                      pi_q_formula_swapped, with_bound)
+from poissonkit import dynr, groupnum
 from poissonkit.groupnum import (
+    TOL_CROSS,
+    TOL_MARKOFF,
     TOL_MEMBER,
     InvolutionSpec,
     TangentBivector,
@@ -354,7 +358,7 @@ def test_formula_vanishes_at_identity():
 
 def test_two_routes_agree_sl3_su3():
     for rep_kind in ("sl", "su"):
-        rep = crosscheck_report(rep_kind, samples=10, seed=2, tol=1e-8, n=3)
+        rep = crosscheck_report(rep_kind, samples=10, seed=2, n=3)
         assert rep.ok, rep
         assert rep.values["max_route_difference"] <= 1e-8
 
@@ -373,7 +377,7 @@ def test_crosscheck_flags_legs_off_the_plus_eigenspace(monkeypatch):
 
     for half in (u_only, v_only):
         monkeypatch.setattr(groupnum, "pi_q_projection", half)
-        sl, su = (crosscheck_report(kind, samples=3, seed=2, tol=1e-8, n=3) for kind in ("sl", "su"))
+        sl, su = (crosscheck_report(kind, samples=3, seed=2, n=3) for kind in ("sl", "su"))
         stokes = stokes_report(3, 20, 1)
         for rep in (sl, su, stokes):
             assert rep.values["max_plus_residual"] > TOL_MEMBER, half.__name__
@@ -478,7 +482,7 @@ def test_dual_tangency_random_points():
 
 
 def test_stokes_report_passes():
-    rep = stokes_report(3, samples=20, seed=1, tol=1e-8)
+    rep = stokes_report(3, samples=20, seed=1)
     assert rep.ok
     assert abs(rep.values["kappa"] - 2.0) <= 1e-8
     assert rep.values["max_dubrovin_residual"] <= 1e-8
@@ -488,23 +492,28 @@ def test_stokes_report_passes():
 
 
 def test_stokes_deterministic_bitwise():
-    rep1 = stokes_report(3, samples=6, seed=7, tol=1e-8)
-    rep2 = stokes_report(3, samples=6, seed=7, tol=1e-8)
+    rep1 = stokes_report(3, samples=6, seed=7)
+    rep2 = stokes_report(3, samples=6, seed=7)
     assert rep1 == rep2
     assert rep1.lines(True, "group stokes") == rep2.lines(True, "group stokes")
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
-def test_stokes_pass_rule(seed):
-    # tol bounds the Dubrovin residual, the kappa-two defect and the pushforward residual
-    bounded = ("max_dubrovin_residual", "kappa_two_defect", "max_pushforward_residual")
-    assert_pass_rule(lambda tol: stokes_report(3, samples=3, seed=seed, tol=tol), bounded, seed, 3)
+def test_stokes_pass_rule(seed, monkeypatch):
+    # TOL_CROSS bounds the Dubrovin residual, the kappa-two defect, the pushforward residual and
+    # the tangency residual; the rank cut has its own bound, so it stays where it is
+    bounded = ("max_dubrovin_residual", "kappa_two_defect", "max_pushforward_residual", "max_tangency_residual")
+    check = with_bound(monkeypatch, groupnum, "TOL_CROSS", lambda: stokes_report(3, samples=3, seed=seed))
+    assert_pass_rule(check, bounded, seed, 3)
 
 
-def _failed_stokes_gates(values, tol):
-    """The gates of stokes_report's pass rule that its values fail, at ``tol``."""
-    bounds = {"max_dubrovin_residual": tol, "kappa_two_defect": tol, "max_pushforward_residual": tol,
-              "max_tangency_residual": groupnum.TOL_CROSS, "max_markoff_defect": 1e-7, "max_plus_residual": TOL_MEMBER}
+def _failed_stokes_gates(values, route=TOL_CROSS):
+    """The gates of stokes_report's pass rule that its values fail, with the route gates at
+    ``route`` and the others at their bounds as imported; the tangency gate reads the route
+    bound, and is held to TOL_CROSS also where a control raises that bound."""
+    bounds = {"max_dubrovin_residual": route, "kappa_two_defect": route, "max_pushforward_residual": route,
+              "max_tangency_residual": min(route, TOL_CROSS), "max_markoff_defect": TOL_MARKOFF,
+              "max_plus_residual": TOL_MEMBER}
     return [key for key, bound in bounds.items() if not values[key] <= bound] + (
         [] if values["rank_relation_ok"] else ["rank_relation_ok"])
 
@@ -531,18 +540,19 @@ def _with_invariant_term(monkeypatch, eps, w_entry, z_entry):
 # each control makes stokes_report fail through one gate alone, every other value within its bound.
 # w strictly lower in beta leaves T G* and moves only the tangency residual.  w, z along B_12 and
 # B_13 are tangent and move only {x, y}, by eps / 2, which is not the entry kappa is read at: at
-# eps = 1e-4 and tol = 1 the Markoff defect fails alone, at eps = 1e-8 and tol = 1e-9 the
-# Dubrovin residual does, the Markoff defect staying near 1.6e-8
-@pytest.mark.parametrize("gate, eps, w_entry, z_entry, tol", [
+# eps = 1e-4 and TOL_CROSS = 1 the Markoff defect fails alone, at eps = 1e-8 and TOL_CROSS = 1e-9
+# the Dubrovin residual does, the Markoff defect staying near 1.6e-8
+@pytest.mark.parametrize("gate, eps, w_entry, z_entry, route", [
     ("max_tangency_residual", 1e-4, (1, 0), (0, 1), 1e-8),
     ("max_markoff_defect", 1e-4, (0, 1), (0, 2), 1.0),
     ("max_dubrovin_residual", 1e-8, (0, 1), (0, 2), 1e-9),
 ], ids=["tangency", "markoff", "dubrovin"])
-def test_stokes_fails_through_one_gate(monkeypatch, gate, eps, w_entry, z_entry, tol):
-    assert _failed_stokes_gates(stokes_report(3, 20, 1, tol).values, tol) == []
+def test_stokes_fails_through_one_gate(monkeypatch, gate, eps, w_entry, z_entry, route):
+    monkeypatch.setattr(groupnum, "TOL_CROSS", route)
+    assert _failed_stokes_gates(stokes_report(3, 20, 1).values, route) == []
     _with_invariant_term(monkeypatch, eps, w_entry, z_entry)
-    rep = stokes_report(3, 20, 1, tol)
-    assert _failed_stokes_gates(rep.values, tol) == [gate] and not rep.ok
+    rep = stokes_report(3, 20, 1)
+    assert _failed_stokes_gates(rep.values, route) == [gate] and not rep.ok
 
 
 def test_stokes_fails_through_the_rank_relation_alone(monkeypatch):
@@ -555,13 +565,30 @@ def test_stokes_fails_through_the_rank_relation_alone(monkeypatch):
 
     monkeypatch.setattr(groupnum, "_plus_eigenspace", minus)
     rep = stokes_report(3, 20, 1)
-    assert _failed_stokes_gates(rep.values, 1e-8) == ["rank_relation_ok"] and not rep.ok
+    assert _failed_stokes_gates(rep.values) == ["rank_relation_ok"] and not rep.ok
 
 
 @pytest.mark.parametrize("kind", ["sl", "su"])
-def test_crosscheck_pass_rule(kind):
-    # tol bounds the route difference only; the +1 eigenspace residual has TOL_MEMBER
-    assert_pass_rule(lambda tol: crosscheck_report(kind, 3, 2, tol, n=3), ("max_route_difference",), 2, 3)
+def test_crosscheck_pass_rule(kind, monkeypatch):
+    # TOL_CROSS bounds the route difference only; the +1 eigenspace residual has TOL_MEMBER
+    check = with_bound(monkeypatch, groupnum, "TOL_CROSS", lambda: crosscheck_report(kind, 3, 2, n=3))
+    assert_pass_rule(check, ("max_route_difference",), 2, 3)
+
+
+@pytest.mark.parametrize("module, name", [("groupnum", "stokes_report"), ("groupnum", "crosscheck_report"),
+                                          ("dynr", "residual_scan")])
+def test_every_bound_of_a_pass_rule_is_a_module_constant(module, name):
+    # a bound is fixed in the check's definition: each order comparison in the report compares
+    # with a module-level constant, never a literal or a parameter, so no caller can move it
+    tree = ast.parse(inspect.getsource({"groupnum": groupnum, "dynr": dynr}[module]))
+    constants = {target.id for node in tree.body if isinstance(node, ast.Assign)
+                 for target in node.targets if isinstance(target, ast.Name) and target.id.isupper()}
+    (function,) = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == name]
+    bounds = [comparator for node in ast.walk(function) if isinstance(node, ast.Compare)
+              for op, comparator in zip(node.ops, node.comparators) if isinstance(op, (ast.Lt, ast.LtE))]
+    assert bounds and not [ast.unparse(b) for b in bounds if not (isinstance(b, ast.Name) and b.id in constants)]
+    assert not [node for node in ast.walk(function) if isinstance(node, ast.Compare)
+                and any(isinstance(op, (ast.Gt, ast.GtE)) for op in node.ops)]
 
 
 def test_stokes_requires_n3_chart():
