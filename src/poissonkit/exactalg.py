@@ -455,10 +455,6 @@ class Poly:
                 _accumulate(out, key, c)
         return _poly(nvars, out)
 
-    def eval(self, point: Sequence[ScalarLike]) -> Scalar:
-        """The exact value at a point: composition onto the chart of no variables."""
-        return self.compose([Poly.const(0, v) for v in point]).constant_value()
-
     def divide_exact(self, q: "Poly") -> "Poly | None":
         """Return self / q when the division is exact, else None."""
         self._check(q)
@@ -997,13 +993,6 @@ class PolyMultiVec(Wedge):
             raise ValueError(f"variable index {var} out of range")
         derivs = ((k, p.diff(var)) for k, p in self.comps.items())
         return self._new(self.space, self.degree, {k: d for k, d in derivs if d})
-
-    def eval(self, point: Sequence[ScalarLike]) -> dict[tuple, Scalar]:
-        """Exact evaluation of every component at a point."""
-        if len(point) != self.dim:
-            raise ValueError(f"point length {len(point)} != dim {self.dim}")
-        values = ((k, p.eval(point)) for k, p in self.comps.items())
-        return {k: v for k, v in values if not v.is_zero()}
 
 
 def _packed_exponents(a: PolyMultiVec, b: PolyMultiVec) -> tuple[dict, list, int]:

@@ -163,9 +163,6 @@ class LieAlgebraData:
                     out[k] = out.get(k, SCALAR_ZERO) + cij * c
         return {k: c for k, c in out.items() if c}
 
-    def label_index(self, label: str) -> int:
-        return self.labels.index(label)
-
     def __repr__(self) -> str:
         return f"LieAlgebraData({self.name or self.labels}, dim={self.dim})"
 

@@ -15,9 +15,9 @@ rho = 1 always qualify.  A non-dividing density raises ``UnsupportedDensity``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from functools import cached_property
 
-from .exactalg import Poly, PolyMultiVec, PolyParser, parse_poly, schouten
+from .exactalg import Poly, PolyMultiVec, schouten
 from .report import InvalidInput, Report
 
 __all__ = [
@@ -57,26 +57,16 @@ class PoissonChart:
         if self.rho.is_zero():
             raise ValueError("volume density must not be identically zero")
 
-    @staticmethod
-    def from_brackets(coords: Sequence[str], entries: dict[tuple[int, int], str | Poly], rho: Poly | None = None) -> "PoissonChart":
-        """Build a chart from {x_i, x_j} strings or polynomials, i < j."""
-        dim = len(coords)
-        parser = PolyParser(coords)
-        comps = {}
-        for (i, j), val in entries.items():
-            if not 0 <= i < j < dim:
-                raise ValueError(f"bracket pair ({i}, {j}) must satisfy 0 <= i < j < dim")
-            poly = parser.parse(val) if isinstance(val, str) else val
-            comps[(i, j)] = poly
-        return PoissonChart(dim, tuple(coords), PolyMultiVec(dim, 2, comps), rho)
-
-    def parse(self, text: str) -> Poly:
-        return parse_poly(text, self.coords)
+    @cached_property
+    def _jacobiator(self) -> PolyMultiVec:
+        """[pi, pi], formed once: the chart is immutable, so a load check and a command's own
+        check read the same field."""
+        return schouten(self.pi, self.pi)
 
 
 def jacobiator(chart: PoissonChart) -> PolyMultiVec:
     """[pi, pi]; the chart is Poisson iff this degree-3 field vanishes."""
-    return schouten(chart.pi, chart.pi)
+    return chart._jacobiator
 
 
 def hamiltonian_vf(chart: PoissonChart, f: Poly) -> PolyMultiVec:

@@ -27,6 +27,9 @@ anti-morphism, which no command runs.
 For ``poissonkit.linalg``: a matrix of Scalars from rows of numbers, and the
 rank of an exact matrix, which only the tests use.
 
+For ``poissonkit.exactalg``: the exact value of a polynomial, or of every
+component of a multivector, at a point, by ``Poly.compose``.
+
 For ``poissonkit.poisson``: the full contraction of a multivector with
 exact differentials, by a cofactor expansion, the bracket {f, g} summed
 pair by pair over the components of pi, the reference for ``bracket``, and
@@ -137,8 +140,8 @@ def cocycle_lambda(group, g: np.ndarray) -> np.ndarray:
 
 
 def pi_q_formula_swapped(group, g: np.ndarray):
-    """``groupnum.pi_q_formula`` at one point with the invariant-field arrows
-    swapped, X^L(g) = Xg and X^R(g) = gX: the rejected reading of the formula."""
+    """``groupnum.pi_q_formula`` with the invariant-field arrows swapped, X^L(g) = Xg and
+    X^R(g) = gX: the rejected reading of the formula, at a point or a stack of points."""
     from poissonkit.groupnum import TangentBivector
 
     u, v = [], []
@@ -146,7 +149,7 @@ def pi_q_formula_swapped(group, g: np.ndarray):
         e, f = group.basis[i], group.basis[j]
         u += [0.25 * c * (e @ g + g @ e.T), -0.25 * c * (g @ e + e.T @ g)]
         v += [f @ g + g @ f.T, g @ f + f.T @ g]
-    return TangentBivector(g, np.stack(u), np.stack(v))
+    return TangentBivector(g, np.stack(u, axis=-3), np.stack(v, axis=-3), g.ndim - 2)
 
 
 def bracket_difference(a, b):
@@ -345,6 +348,19 @@ def _det(rows: list[list[Poly]], nvars: int) -> Poly:
         term = rows[0][j] * _det(minor, nvars)
         total = total + term if j % 2 == 0 else total - term
     return total
+
+
+def poly_at(p: Poly, point) -> Scalar:
+    """The exact value of p at a point: composition onto the chart of no variables."""
+    return p.compose([Poly.const(0, v) for v in point]).constant_value()
+
+
+def multivec_at(mv: PolyMultiVec, point) -> dict[tuple, Scalar]:
+    """The exact value of every component of mv at a point, zero values dropped."""
+    if len(point) != mv.dim:
+        raise ValueError(f"point length {len(point)} != dim {mv.dim}")
+    values = ((k, poly_at(p, point)) for k, p in mv.comps.items())
+    return {k: v for k, v in values if not v.is_zero()}
 
 
 def bracket_by_pairs(chart, f: Poly, g: Poly) -> Poly:

@@ -6,10 +6,25 @@ takes its place.  ``killed_by`` lists test ids, as pytest prints them, that fail
 on the mutant, a few of them where many do; each mutant was applied to a copy
 of the package and the whole suite run.  ``tests/test_mutants.py`` checks in
 tier-1 that each pattern still occurs exactly once, so the table cannot rot
-silently, and so fails on any applied mutant by design; applying the mutants
-and running their tests is not part of tier-1.
+silently, and so fails on any applied mutant by design.
+
+Run ``python tests/mutants.py`` to apply the mutants; it is not part of tier-1.
+It copies the repository into a temporary directory, checks that every listed
+test passes there, then applies each mutant in turn and runs only its
+``killed_by`` tests, ``tests/test_mutants.py`` left out.  A mutant is killed
+when every one of its tests fails.  The runner names each mutant that survives
+any of its tests and then exits 1.
 """
 
+import ast
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+import xml.etree.ElementTree as ET
+from pathlib import Path
 from typing import NamedTuple
 
 
@@ -79,7 +94,7 @@ MUTANTS = (
                "tests/test_dirac.py::test_affine_checks_l_m_before_the_ad_condition",
                "tests/test_dirac.py::test_affine_so3_axis_passes",
                "tests/test_dirac.py::test_transverse_sl2",
-               "tests/test_acceptance.py::test_c04_dirac_criterion_examples",
+               "tests/test_acceptance.py::test_claim[affine-so3]",
            )),
     Mutant("transverse-isotropy-first-element-only", "dirac", "transverse_from_reductive",
            "for x in basis:", "for x in basis[:1]:", (
@@ -95,3 +110,65 @@ MUTANTS = (
                "tests/test_dirac.py::test_slice_rejects_non_poisson_slice",
            )),
 )
+
+
+def _apply(root: Path, mutant: Mutant) -> None:
+    """Substitute the mutant's pattern, once, in its function's source under ``root``."""
+    path = root / "src" / "poissonkit" / f"{mutant.module}.py"
+    text = path.read_text()
+    node = ast.parse(text)
+    for name in mutant.function.split("."):
+        node = next(n for n in node.body if isinstance(n, (ast.FunctionDef, ast.ClassDef)) and n.name == name)
+    lines = text.splitlines(keepends=True)
+    head, body, tail = ("".join(part) for part in (lines[:node.lineno - 1], lines[node.lineno - 1:node.end_lineno],
+                                                   lines[node.end_lineno:]))
+    if body.count(mutant.pattern) != 1:
+        raise ValueError(f"{mutant.name}: the pattern does not occur exactly once in {mutant.function}")
+    path.write_text(head + body.replace(mutant.pattern, mutant.replacement) + tail)
+
+
+def _failed(root: Path, ids) -> dict[str, bool | None]:
+    """Whether each test id fails when pytest runs the ids under ``root``; None for an id not run."""
+    report = root / "mutants-junit.xml"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
+    subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--ignore=tests/test_mutants.py",
+                    f"--junitxml={report}", *ids], cwd=root, env=env, capture_output=True)
+    outcome = {f"{case.get('classname').replace('.', '/')}.py::{case.get('name')}":
+               case.find("failure") is not None or case.find("error") is not None
+               for case in ET.parse(report).iter("testcase")}
+    return {test_id: outcome.get(test_id) for test_id in ids}
+
+
+def main() -> int:
+    start = time.perf_counter()
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp) / "repo"
+        shutil.copytree(Path(__file__).resolve().parents[1], root,
+                        ignore=shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis"))
+        unkilled = [test_id for test_id, failed in _failed(root, sorted({i for m in MUTANTS for i in m.killed_by})).items()
+                    if failed is not False]
+        if unkilled:
+            print("these tests fail or do not run without a mutant:", *unkilled, sep="\n  ")
+            return 1
+        survivors = []
+        for mutant in MUTANTS:
+            path = root / "src" / "poissonkit" / f"{mutant.module}.py"
+            original = path.read_text()
+            t0 = time.perf_counter()
+            _apply(root, mutant)
+            try:
+                passed = [test_id for test_id, failed in _failed(root, mutant.killed_by).items() if not failed]
+            finally:
+                path.write_text(original)
+            print(f"{'survived' if passed else 'killed':<9} {mutant.name} ({time.perf_counter() - t0:.1f} s)")
+            for test_id in passed:
+                print(f"  not killed by {test_id}")
+            survivors += [mutant.name] if passed else []
+    print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} mutants killed in {time.perf_counter() - start:.1f} s")
+    if survivors:
+        print("survived:", ", ".join(survivors))
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

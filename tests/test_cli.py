@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from conftest import subprocess_env
 
 import poissonkit
-from poissonkit import cli, dynr, groupnum, liealg
+from poissonkit import cli, dynr, groupnum, liealg, poisson
 from poissonkit.chartio import (
     ChartFileError,
     emit_chart,
@@ -27,7 +27,16 @@ from poissonkit.chartio import (
     parse_chart_text,
 )
 from poissonkit.cli import run_command
+from poissonkit.exactalg import parse_poly
 from poissonkit.liealg import LieAlgebraData, builtin_algebra, lie_poisson_chart, validate_lie
+
+
+def _by_argv(rows):
+    """One pytest param per row, whose first item is an argv, with the argv as its id, so a
+    row inserted above shifts no other row's id."""
+    params = [pytest.param(*row, id=shlex.join(row[0])) for row in rows]
+    assert len({param.id for param in params}) == len(params)
+    return params
 
 
 # -- chart files -----------------------------------------------------------------
@@ -37,7 +46,7 @@ def test_parse_dubrovin_fixture():
     chart, sub = parse_chart_file("dubrovin3.chart")
     assert chart.coords == ("x", "y", "z")
     assert sub is None
-    assert chart.pi.comps[(0, 1)] == chart.parse("x*y - 2*z")
+    assert chart.pi.comps[(0, 1)] == parse_poly("x*y - 2*z", chart.coords)
 
 
 def test_chart_round_trip_exact():
@@ -83,7 +92,7 @@ def test_algebra_jacobi_error_names_the_failing_triple():
     # the message names validate_lie's witness, the smallest failing triple, by its labels
     sl3 = load_algebra("sl3.alg")
     brackets = {(i, j): dict(entry) for (i, j), entry in sl3.table.items() if i < j}
-    e12, f12, h1 = (sl3.label_index(name) for name in ("e12", "f12", "h1"))
+    e12, f12, h1 = (sl3.labels.index(name) for name in ("e12", "f12", "h1"))
     brackets[(e12, f12)][h1] = brackets[(e12, f12)][h1] * 2
     verdict = validate_lie(LieAlgebraData.from_brackets(sl3.labels, brackets))
     names = ", ".join(sl3.labels[i] for i in verdict.witness)
@@ -126,7 +135,8 @@ def test_exit_two_on_usage_and_parse_errors():
     assert run_command(["check", "casimir", "dubrovin3.chart", "--f", "x +* y"])[0] == 2
 
 
-@pytest.mark.parametrize("argv", [["-h"], ["check", "jacobi", "-h"], ["--porcelain", "group", "stokes", "--help"]])
+@pytest.mark.parametrize("argv", _by_argv([(["-h"],), (["check", "jacobi", "-h"],),
+                                           (["--porcelain", "group", "stokes", "--help"],)]))
 def test_help_exits_zero_without_a_report(argv, capsys):
     # the help used to leave run_command as argparse's SystemExit(0)
     assert run_command(argv) == (0, None)
@@ -190,10 +200,10 @@ def _with_extra_component(kernel, wrong):
     return patched
 
 
-@pytest.mark.parametrize("argv, module, name", [
+@pytest.mark.parametrize("argv, module, name", _by_argv([
     (["oracle", "schouten", "--pairs", "25", "--seed", "1"], cli, "schouten"),
     (["oracle", "alg", "--algebra", "sl3", "--pairs", "25", "--seed", "1"], liealg, "alg_schouten"),
-])
+]))
 def test_oracle_cli_catches_a_wrong_kernel(argv, module, name, monkeypatch):
     # the kernel as the handler calls it, wrong on every nonzero bracket: each of those pairs is a
     # mismatch, and the command fails; with the kernel as it is, none is
@@ -224,12 +234,12 @@ def test_lie_bialgebra_cli():
     assert report.values["double_dim"] == 6
 
 
-@pytest.mark.parametrize("argv", [
-    ["group", "stokes"],
-    ["group", "crosscheck"],
-    ["group", "bruhat"],
-    ["dynr", "cdybe", "--algebra", "sl3"],
-])
+@pytest.mark.parametrize("argv", _by_argv([
+    (["group", "stokes"],),
+    (["group", "crosscheck"],),
+    (["group", "bruhat"],),
+    (["dynr", "cdybe", "--algebra", "sl3"],),
+]))
 def test_sample_count_below_one_is_a_usage_error(argv, capsys):
     # zero samples used to crash (stokes) or pass without checking anything
     for samples in ("0", "-1"):
@@ -273,7 +283,7 @@ def _write_bad_files(directory):
         (directory / name).write_bytes(data)
 
 
-@pytest.mark.parametrize("argv, needle", [
+BAD_INPUT = [
     (["dirac", "aligned", "product22.chart", "--x", "q"], "unknown coordinate 'q' in --x"),
     (["modular", "relative", "relmod2.chart", "--x", "q"], "unknown coordinate 'q' in --x"),
     (["dirac", "slice", "slice_family.chart", "--t", "q", "--t0", "0"], "unknown coordinate 'q' in --t"),
@@ -341,7 +351,8 @@ def _write_bad_files(directory):
     (["lie", "validate", "."], "cannot read .: Is a directory"),
     (["dirac", "affine-lie", "--algebra", ".", "--l", "a", "--m", "b", "--mu", "0,0"], "cannot read .: Is a directory"),
     (["check", "jacobi", "latin1.chart"], "cannot read latin1.chart: 'utf-8' codec can't decode byte 0xff in position 31"),
-    (["lie", "validate", "latin1.alg"], "cannot read latin1.alg: 'utf-8' codec can't decode byte 0xff in position 27"),    (["dirac", "aligned", "emptysub.chart"], "line 4: submanifold must name at least one coordinate"),
+    (["lie", "validate", "latin1.alg"], "cannot read latin1.alg: 'utf-8' codec can't decode byte 0xff in position 27"),
+    (["dirac", "aligned", "emptysub.chart"], "line 4: submanifold must name at least one coordinate"),
     (["modular", "relative", "emptysub.chart"], "line 4: submanifold must name at least one coordinate"),
     (["check", "jacobi", "dim0.chart"], "line 1: bad dimension '0': must be at least 1"),
     (["check", "casimir", "dim0.chart", "--f", "1"], "line 1: bad dimension '0': must be at least 1"),
@@ -360,7 +371,10 @@ def _write_bad_files(directory):
     (["check", "casimir", "dubrovin3.chart", "--f=x=y"], "unexpected character '=' (at position 1)"),
     (["group", "stokes", "--n", "x"], "argument --n: invalid int value: 'x'"),
     (["lie", "bialgebra", "--algebra", "so3"], "argument --algebra: invalid choice: 'so3' (choose from 'sl2', 'sl3', "),
-])
+]
+
+
+@pytest.mark.parametrize("argv, needle", _by_argv(BAD_INPUT))
 def test_bad_input_is_a_usage_error(argv, needle, capsys, tmp_path, monkeypatch):
     # each of these used to exit 1, as if a verification had failed, to pass having checked nothing,
     # or to raise out of run_command
@@ -379,14 +393,15 @@ def test_option_value_is_the_next_token(capsys):
     assert first.out == PINNED["dirac fixed-locus"]
 
 
-@pytest.mark.parametrize("fs, code", [(["x", "x^2+y^2+z^2-x*y*z"], 0), (["x^2+y^2+z^2-x*y*z", "x"], 1)])
+@pytest.mark.parametrize("fs, code", [pytest.param(["x", "x^2+y^2+z^2-x*y*z"], 0, id="markoff-last"),
+                                      pytest.param(["x^2+y^2+z^2-x*y*z", "x"], 1, id="x-last")])
 def test_last_occurrence_of_an_option_wins(fs, code):
     argv = ["check", "casimir", "dubrovin3.chart", "--f", fs[0], f"--f={fs[1]}"]
     got, report = run_command(argv)
     assert got == code and report.values["f"] == fs[1]
 
 
-@pytest.mark.parametrize("argv, code", [
+@pytest.mark.parametrize("argv, code", _by_argv([
     (["check", "jacobi"], 1),
     (["check", "casimir", "--f", "x"], 1),
     (["check", "bracket", "--f", "x", "--g", "y"], 0),
@@ -396,7 +411,7 @@ def test_last_occurrence_of_an_option_wins(fs, code):
     (["dirac", "aligned", "--x", "x,y"], 2),
     (["dirac", "aligned", "--x", "x,y", "--skip-jacobi"], 2),
     (["dirac", "fixed-locus", "--matrix=1,0,0,0;0,1,0,0;0,0,1,0;0,0,0,1"], 2),
-])
+]))
 def test_load_time_jacobi_check(argv, code, tmp_path):
     # check * and dirac slice read charts that need not be Poisson; dirac aligned|fixed-locus and
     # modular * reject a non-Poisson chart at load time (exit 2), and --skip-jacobi is no option.
@@ -404,6 +419,28 @@ def test_load_time_jacobi_check(argv, code, tmp_path):
     chart = tmp_path / "nonpoisson.chart"
     chart.write_text(BAD_FILES["nonpoisson.chart"])
     assert run_command([*argv[:2], str(chart), *argv[2:]])[0] == code
+
+
+@pytest.mark.parametrize("argv, dims", [
+    pytest.param(["dirac", "aligned", "product22.chart"], [4, 2], id="dirac aligned"),
+    pytest.param(["dirac", "fixed-locus", "so3.chart", "--matrix=-1,0,0;0,-1,0;0,0,1"], [3, 1], id="dirac fixed-locus"),
+    pytest.param(["modular", "relative", "relmod2.chart"], [2, 1], id="modular relative"),
+])
+def test_one_jacobiator_per_input_chart(argv, dims, monkeypatch):
+    # the load check and the command's own Poisson check read one Jacobiator of the input chart;
+    # the other is the induced chart's, checked once as a guard.  [pi, pi] is the one Schouten
+    # call of poisson whose two arguments are one object
+    seen = []
+    kernel = poisson.schouten
+
+    def counting(a, b):
+        if a is b:
+            seen.append(a.dim)
+        return kernel(a, b)
+
+    monkeypatch.setattr(poisson, "schouten", counting)
+    assert run_command(argv)[0] == 0
+    assert seen == dims
 
 
 def test_dirac_slice_reports_a_non_poisson_slice(capsys, tmp_path):
@@ -423,13 +460,13 @@ def test_non_poisson_involution_is_a_verification_failure(capsys):
     assert capsys.readouterr().out == "witness=(x1,x2): -2*x3\npass=False\n"
 
 
-@pytest.mark.parametrize("argv, witness", [
+@pytest.mark.parametrize("argv, witness", _by_argv([
     (["dirac", "fixed-locus", "so3.chart", "--matrix=0,1,0;1,0,0;0,0,1"], "(x1,x2): -2*x3"),
     (["dirac", "transverse", "--algebra", "so3", "--l", "x1,x2", "--m", "x3", "--mu", "0,0,0"],
      "l is not a subalgebra: [l_0, l_1] leaves l"),
     (["dirac", "transverse", "--algebra", "so3", "--l", "x3", "--m", "x1,x2", "--mu", "1,0,0"],
      "l is not contained in the isotropy algebra of mu (element 0)"),
-])
+]))
 def test_failed_check_prints_a_report(argv, witness, capsys):
     # these exited 1 with only an error line, and no report, witness or pass= line (so did
     # diag(1, 1, -1), above); the transverse witnesses are what dirac affine-lie prints on the same split
@@ -593,13 +630,13 @@ def _all_lines(tree) -> range:
 
 def test_every_function_in_src_has_a_caller_outside_tests():
     # code that only the tests call lives in tests/: every function or method defined in
-    # src/poissonkit, dunders exempt, is named in src/, demos/ or perfbench/ outside its own body
+    # src/poissonkit, dunders exempt, is named in src/ or perfbench/ outside its own body
     # and outside its own module's __all__, which exports it but calls nothing.  A module-level
     # function is named only through its module (``_module_uses``), so a local variable or a
     # method of the same name does not count; methods and nested functions are matched by name
     repo = Path(__file__).resolve().parents[1]
     trees = {path: ast.parse(path.read_text(), str(path))
-             for root in ("src", "demos", "perfbench") for path in sorted((repo / root).rglob("*.py"))}
+             for root in ("src", "perfbench") for path in sorted((repo / root).rglob("*.py"))}
     src = [path for path in trees if path.is_relative_to(repo / "src")]
     top_level = {node for path in src for node in trees[path].body}
     defined = [(node, path, range(node.lineno, node.end_lineno + 1)) for path in src for node in ast.walk(trees[path])

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import abelian, counted_calls, make_rng, pushforward_linear, rank
+from conftest import abelian, counted_calls, make_rng, poly_at, pushforward_linear, rank
 from poissonkit import linalg
 from poissonkit.cli import run_command
 from poissonkit.dirac import (
@@ -110,7 +110,7 @@ def _sharp_matrix_at(chart, point):
     n = chart.dim
     mat = [[Scalar(0)] * n for _ in range(n)]
     for (i, j), poly in chart.pi.comps.items():
-        val = poly.eval(point)
+        val = poly_at(poly, point)
         mat[i][j] = mat[i][j] + val
         mat[j][i] = mat[j][i] - val
     return mat

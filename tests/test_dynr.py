@@ -52,7 +52,7 @@ def test_eval_r_sl2_trig_value():
     fam = DynamicalRFamily(g, "trig")
     lam = [0.7]
     r = eval_r(fam, lam)
-    e, f = g.label_index("e12"), g.label_index("f12")
+    e, f = g.labels.index("e12"), g.labels.index("f12")
     # coefficient g(<alpha, lambda>/2) = coth(lambda(h_alpha)) = coth(0.7)
     assert abs(r[e, f] - 1.0 / math.tanh(0.7)) < 1e-15
 
@@ -60,7 +60,7 @@ def test_eval_r_sl2_trig_value():
 def test_eval_r_antisymmetric_storage():
     g = sl_chevalley(2)
     r = eval_r(DynamicalRFamily(g, "trig"), [0.9])
-    e, f = g.label_index("e12"), g.label_index("f12")
+    e, f = g.labels.index("e12"), g.labels.index("f12")
     assert r.shape == (g.dim, g.dim)
     assert r[f, e] == -r[e, f]
     assert np.array_equal(r, -r.T)
@@ -98,7 +98,7 @@ def test_residual_constant_two_points_sl2():
     r2 = cdybe_residual(fam, [-1.4])
     assert np.max(np.abs(r1 - r2)) < 1e-12
     # the surviving constant is exactly e ^ f ^ h
-    e, f, h = (g.label_index(k) for k in ("e12", "f12", "h1"))
+    e, f, h = (g.labels.index(k) for k in ("e12", "f12", "h1"))
     assert abs(r1[e, f, h] - 1.0) < 1e-12
 
 
@@ -269,6 +269,12 @@ def test_residual_scan_fails_through_the_spread_alone(monkeypatch):
     assert max(rep.values["invariance_defect"], rep.values["derivative_defect"]) <= rep.values["tol"] and not rep.ok
 
 
+def test_trig_family_is_equivariant_under_the_transpose():
+    # the root-swapping anti-morphism fixes the Cartan, so r(lambda) must go to -r(lambda)
+    g = sl_chevalley(3)
+    assert equivariance_check(DynamicalRFamily(g, "trig"), transpose_antimorphism(g)).ok
+
+
 def test_equivariance_pass_rule():
     # the identity is not an anti-morphism, so its defect is nonzero
     g = sl_chevalley(2)
@@ -333,7 +339,7 @@ def test_no_samples_is_no_pass():
 def test_equivariance_rejects_a_map_that_leaves_the_cartan():
     g = sl_chevalley(2)
     rows = [list(row) for row in linalg.identity(g.dim)]
-    rows[g.label_index("e12")][g.label_index("h1")] = Scalar(1)  # h -> h + e
+    rows[g.labels.index("e12")][g.labels.index("h1")] = Scalar(1)  # h -> h + e
     s = LinearAlgMap(g, g, tuple(map(tuple, rows)))
     with pytest.raises(ValueError, match="Cartan"):
         equivariance_check(DynamicalRFamily(g, "trig"), s, samples=2)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_rng
+from conftest import make_rng, multivec_at, poly_at
 from poissonkit import exactalg, liealg, linalg
 from poissonkit.exactalg import (
     ParseError,
@@ -223,7 +223,7 @@ def test_poly_diff_eval():
     p = x**2 * y + 3 * y
     assert p.diff(0) == 2 * x * y
     assert p.diff(1) == x**2 + 3
-    assert p.eval([Scalar(2), Scalar(-1)]) == Scalar(-7)
+    assert poly_at(p, [Scalar(2), Scalar(-1)]) == Scalar(-7)
 
 
 def test_poly_divide_exact():
@@ -542,7 +542,7 @@ def test_eval_multivec_dubrovin_origin():
         (1, 2): parse_poly("y*z - 2*x", coords),
         (0, 2): parse_poly("-(z*x - 2*y)", coords),
     })
-    assert pi.eval([Scalar(0)] * 3) == {}
+    assert multivec_at(pi, [Scalar(0)] * 3) == {}
 
 
 def test_eval_multivec_so3_point():
@@ -552,15 +552,15 @@ def test_eval_multivec_so3_point():
         (1, 2): Poly.var(3, 0),
         (0, 2): -Poly.var(3, 1),
     })
-    values = pi.eval([Scalar(1), Scalar(2), Scalar(3)])
+    values = multivec_at(pi, [Scalar(1), Scalar(2), Scalar(3)])
     assert values == {(0, 1): Scalar(3), (1, 2): Scalar(1), (0, 2): Scalar(-2)}
-    assert pi.component((2, 0)).eval([Scalar(1), Scalar(2), Scalar(3)]) == Scalar(2)
+    assert poly_at(pi.component((2, 0)), [Scalar(1), Scalar(2), Scalar(3)]) == Scalar(2)
 
 
 def test_eval_point_length_mismatch():
     mv = PolyMultiVec.basis(3, 0)
     with pytest.raises(ValueError):
-        mv.eval([Scalar(0)])
+        multivec_at(mv, [Scalar(0)])
 
 
 # -- one wedge class ----------------------------------------------------------------------

@@ -137,7 +137,7 @@ def test_su_standard_r_matrix_is_the_compact_one(n):
     compact = {}
     for info in g.root_data.roots:
         a, b = info.pair
-        compact[(g.label_index(f"X{a + 1}{b + 1}"), g.label_index(f"Y{a + 1}{b + 1}"))] = Scalar(info.d / 2)
+        compact[(g.labels.index(f"X{a + 1}{b + 1}"), g.labels.index(f"Y{a + 1}{b + 1}"))] = Scalar(info.d / 2)
     r = standard_r_matrix(g)
     assert r.comps == compact
     assert su_group(n).r_terms == [(i, j, float(c.re)) for (i, j), c in r.comps.items()]
@@ -171,9 +171,9 @@ def test_lambda_sl2_one_parameter_hand_value():
     # g = exp(t e): Ad_g f = f + t h - t^2 e, Ad_g h = h - 2t e, Ad_g e = e,
     # so lambda(g) = e ^ (t h): single coefficient t on the (e, h) slot
     group, alg = sl_group(2), sl_chevalley(2)
-    e = alg.label_index("e12")
-    f = alg.label_index("f12")
-    h = alg.label_index("h1")
+    e = alg.labels.index("e12")
+    f = alg.labels.index("f12")
+    h = alg.labels.index("h1")
     t = 0.63
     g = matrix_exp(t * group.basis[e])
     lam = cocycle_lambda(group, g)

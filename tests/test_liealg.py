@@ -61,7 +61,7 @@ def test_validate_antisymmetry_failure():
 def test_validate_jacobi_failure_perturbed_sl2():
     g = sl_chevalley(2)
     table = {pair: dict(entry) for pair, entry in g.table.items()}
-    e, f, h = g.label_index("e12"), g.label_index("f12"), g.label_index("h1")
+    e, f, h = g.labels.index("e12"), g.labels.index("f12"), g.labels.index("h1")
     table[(h, e)][e] = Scalar(3)  # was 2
     table[(e, h)][e] = Scalar(-3)
     bad = LieAlgebraData(g.labels, table)
@@ -76,7 +76,7 @@ def test_validate_jacobi_failure_perturbed_sl2():
 
 def test_sl2_relations():
     g = sl_chevalley(2)
-    e, f, h = g.label_index("e12"), g.label_index("f12"), g.label_index("h1")
+    e, f, h = g.labels.index("e12"), g.labels.index("f12"), g.labels.index("h1")
     assert g.bracket_basis(h, e) == AlgElement(g, 1, {(e,): Scalar(2)})
     assert g.bracket_basis(h, f) == AlgElement(g, 1, {(f,): Scalar(-2)})
     assert g.bracket_basis(e, f) == AlgElement(g, 1, {(h,): Scalar(1)})
@@ -99,7 +99,7 @@ def test_sl_trace_pairing_is_one():
 def test_su2_relations():
     g = su_compact_basis(2)
     assert validate_lie(g).ok
-    x, y, t = g.label_index("X12"), g.label_index("Y12"), g.label_index("t1")
+    x, y, t = g.labels.index("X12"), g.labels.index("Y12"), g.labels.index("t1")
     # [t, X] = 2Y, [t, Y] = -2X, [X, Y] = 2t
     assert g.bracket_basis(t, x) == AlgElement(g, 1, {(y,): Scalar(2)})
     assert g.bracket_basis(t, y) == AlgElement(g, 1, {(x,): Scalar(-2)})
@@ -108,7 +108,7 @@ def test_su2_relations():
 
 def test_su_r_hat_single_root():
     g = su_compact_basis(2)
-    x, y = g.label_index("X12"), g.label_index("Y12")
+    x, y = g.labels.index("X12"), g.labels.index("Y12")
     assert standard_r_matrix(g) == AlgElement(g, 2, {(x, y): Scalar(Fraction(1, 2))})
 
 
@@ -137,7 +137,7 @@ def test_lie_poisson_abelian_zero():
 def test_lie_poisson_sl2_trace_casimir():
     g = sl_chevalley(2)
     chart = lie_poisson_chart(g)
-    e, f, h = g.label_index("e12"), g.label_index("f12"), g.label_index("h1")
+    e, f, h = g.labels.index("e12"), g.labels.index("f12"), g.labels.index("h1")
     quad = 4 * (Poly.var(3, e) * Poly.var(3, f)) + Poly.var(3, h) ** 2
     assert is_casimir(chart, quad).ok
 
@@ -158,7 +158,7 @@ def test_alg_schouten_r_r_sl2():
     g = sl_chevalley(2)
     r = standard_r_matrix(g)
     w = alg_schouten(r, r)
-    e, f, h = g.label_index("e12"), g.label_index("f12"), g.label_index("h1")
+    e, f, h = g.labels.index("e12"), g.labels.index("f12"), g.labels.index("h1")
     assert w == AlgElement(g, 3, {(e, f, h): Scalar(2)})
 
 
@@ -173,7 +173,7 @@ def test_alg_element_rejects_inexact_and_plain_coefficients(coeff):
 
 def test_wedge_collects_repeated_terms():
     g = sl_chevalley(2)
-    e, f = AlgElement.basis(g, g.label_index("e12")), AlgElement.basis(g, g.label_index("f12"))
+    e, f = AlgElement.basis(g, g.labels.index("e12")), AlgElement.basis(g, g.labels.index("f12"))
     assert (e + f).wedge(e + f).is_zero()
     assert (e + f).wedge(e - f) == e.wedge(f) * Scalar(-2)
     assert AlgElement.from_terms(g, 2, [((0, 1), Scalar(1)), ((1, 0), Scalar(3))]) == e.wedge(f) * Scalar(-2)
@@ -342,7 +342,7 @@ def test_double_raises_exactly_when_r_is_not_an_r_matrix(name, kind, data):
 
 def test_double_of_a_non_r_matrix_raises_value_error():
     g = sl_chevalley(3)
-    r = AlgElement(g, 2, {(g.label_index("e12"), g.label_index("f12")): Scalar(1)})
+    r = AlgElement(g, 2, {(g.labels.index("e12"), g.labels.index("f12")): Scalar(1)})
     cob = coboundary_check(g, r)
     assert not cob.ok
     with pytest.raises(ValueError) as err:
@@ -447,7 +447,7 @@ def test_expand_table_rejects_a_basis_that_misses_commutators():
     from poissonkit.liealg import _expand_table
 
     g = sl_chevalley(2)
-    e, f = g.label_index("e12"), g.label_index("f12")
+    e, f = g.labels.index("e12"), g.labels.index("f12")
     # span{e, f} does not contain [e, f] = h
     with pytest.raises(AssertionError, match="left the span"):
         _expand_table([g.matrices[e], g.matrices[f]])
@@ -544,7 +544,7 @@ def test_sparse_supports_drop_cancelled_entries():
     from poissonkit.liealg import LinearAlgMap
 
     g = sl_chevalley(2)
-    e, f, h = (g.label_index(k) for k in ("e12", "f12", "h1"))
+    e, f, h = (g.labels.index(k) for k in ("e12", "f12", "h1"))
     one = Scalar(1)
     assert g._bracket_supports([(e, one), (f, one)], [(e, one), (f, one)]) == {}
     rows = [[Scalar(int(i == j)) for j in range(g.dim)] for i in range(g.dim)]

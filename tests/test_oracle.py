@@ -55,7 +55,7 @@ def test_alg_schouten_oracle_memo_is_per_algebra(perturbed_first):
     # labels, not their tables: each gets its own monomial brackets, whichever is bracketed first
     g = sl_chevalley(2)
     table = {pair: dict(entry) for pair, entry in g.table.items()}
-    e, h = g.label_index("e12"), g.label_index("h1")
+    e, h = g.labels.index("e12"), g.labels.index("h1")
     table[(h, e)][e] = Scalar(3)
     table[(e, h)][e] = Scalar(-3)
     bad = LieAlgebraData(g.labels, table)
@@ -79,8 +79,8 @@ def test_alg_schouten_oracle_memo_does_not_keep_its_algebra():
 
 
 @pytest.mark.parametrize("argv, generator, next_draw", [
-    (["oracle", "schouten", "--dim", "3"], "rand_multivec", 0.38223256097056324),
-    (["oracle", "alg", "--algebra", "sl3"], "rand_alg_element", 0.14228347384241602),
+    pytest.param(["oracle", "schouten", "--dim", "3"], "rand_multivec", 0.38223256097056324, id="oracle schouten"),
+    pytest.param(["oracle", "alg", "--algebra", "sl3"], "rand_alg_element", 0.14228347384241602, id="oracle alg"),
 ])
 def test_cli_oracle_streams_are_pinned(argv, generator, next_draw, monkeypatch):
     # at a fixed seed `poissonkit oracle` draws the same inputs on every commit: real coefficients with no
