@@ -29,7 +29,7 @@ from pathlib import Path
 from .dirac import AlignedSubmanifold
 from .exactalg import ParseError, Poly, PolyMultiVec, PolyParser, parse_scalar, print_poly
 from .liealg import BUILTIN_ALGEBRAS, LieAlgebraData, builtin_algebra, validate_lie
-from .poisson import PoissonChart, jacobiator
+from .poisson import PoissonChart, _not_poisson
 from .report import InvalidInput
 
 __all__ = [
@@ -151,9 +151,9 @@ def parse_chart_text(text: str, check_jacobi: bool = True) -> tuple[PoissonChart
     chart = PoissonChart(dim, tuple(coords), pi, volume)
 
     if check_jacobi:
-        jac = jacobiator(chart)
-        if not jac.is_zero():
-            key, witness = sorted(jac.comps.items())[0]
+        failed = _not_poisson(chart)
+        if failed is not None:
+            key, witness = failed.witness
             names = ", ".join(coords[i] for i in key)
             raise ChartFileError(
                 f"bracket is not Poisson: Jacobiator component ({names}) = {print_poly(witness, coords)}"

@@ -117,9 +117,9 @@ def _reductive_split(args, check, key: str) -> Report:
 
 def _check_jacobi(args) -> Report:
     chart, _ = _load_chart(args, check_jacobi=False)
-    jac = poisson.jacobiator(chart)
-    ok = jac.is_zero()
-    witness = None if ok else _component(sorted(jac.comps.items())[0], chart.coords)
+    failed = poisson._not_poisson(chart)
+    ok = failed is None
+    witness = None if ok else _component(failed.witness, chart.coords)
     return Report(ok, {"chart": args.chart, "jacobiator": "0" if ok else "nonzero"}, witness=witness)
 
 
@@ -239,30 +239,27 @@ def _dynr_cdybe(args) -> Report:
     return dynr.residual_scan(family, args.samples, args.seed)
 
 
-def _oracle_schouten(args) -> Report:
+def _oracle_report(args, head: dict, draw, kernel, reference) -> Report:
+    """``oracle``: ``kernel`` against ``reference`` on ``args.pairs`` pairs (a, b), each drawn a
+    then b by ``draw`` from one generator seeded with ``args.seed``; ``head`` leads the values."""
     rng = random.Random(args.seed)
     mismatches = 0
     for _ in range(args.pairs):
-        a = oracle.rand_multivec(rng, args.dim, rng.randrange(0, 3), with_i=False)
-        b = oracle.rand_multivec(rng, args.dim, rng.randrange(0, 3), with_i=False)
-        if schouten(a, b) != oracle.schouten_oracle(a, b):
-            mismatches += 1
-    values = {"dim": args.dim, "pairs": args.pairs, "mismatches": mismatches}
-    return Report(mismatches == 0, values, seed=args.seed)
+        a, b = draw(rng), draw(rng)
+        mismatches += kernel(a, b) != reference(a, b)
+    return Report(mismatches == 0, {**head, "pairs": args.pairs, "mismatches": mismatches}, seed=args.seed)
+
+
+def _oracle_schouten(args) -> Report:
+    return _oracle_report(args, {"dim": args.dim}, lambda rng: oracle.rand_multivec(
+        rng, args.dim, rng.randrange(0, 3), with_i=False), schouten, oracle.schouten_oracle)
 
 
 def _oracle_alg(args) -> Report:
     g = chartio.load_algebra(args.algebra)
-    rng = random.Random(args.seed)
     density = 0.5 if g.dim < 5 else 0.15
-    mismatches = 0
-    for _ in range(args.pairs):
-        a = oracle.rand_alg_element(rng, g, rng.randrange(0, 3), density)
-        b = oracle.rand_alg_element(rng, g, rng.randrange(0, 3), density)
-        if liealg.alg_schouten(a, b) != oracle.alg_schouten_oracle(a, b):
-            mismatches += 1
-    values = {"algebra": args.algebra, "pairs": args.pairs, "mismatches": mismatches}
-    return Report(mismatches == 0, values, seed=args.seed)
+    return _oracle_report(args, {"algebra": args.algebra}, lambda rng: oracle.rand_alg_element(
+        rng, g, rng.randrange(0, 3), density), liealg.alg_schouten, oracle.alg_schouten_oracle)
 
 
 # -- the command table ---------------------------------------------------------

@@ -19,7 +19,7 @@ from typing import Sequence
 
 from . import linalg
 from .exactalg import SCALAR_ZERO, Poly, PolyMultiVec, Scalar, schouten
-from .poisson import PoissonChart, jacobiator
+from .poisson import PoissonChart, _not_poisson, jacobiator
 from .report import InvalidInput, Report
 
 __all__ = [
@@ -95,15 +95,6 @@ class LinearInvolution:
 def _induced_chart(pi: PolyMultiVec, q: AlignedSubmanifold) -> PoissonChart:
     """Q with the x-x components of the bivector pi at y = 0, in the coordinates of Q."""
     return PoissonChart(len(q.x_indices), q.x_names, pi.project(q.x_indices, q.to_q))
-
-
-def _not_poisson(chart: PoissonChart) -> Report | None:
-    """None if the chart is Poisson, else the failing report, with the first nonzero
-    component of its Jacobiator, (index triple, polynomial), as witness."""
-    jac = jacobiator(chart)
-    if jac.is_zero():
-        return None
-    return Report(False, reason="chart is not Poisson", witness=sorted(jac.comps.items())[0])
 
 
 def _aligned_criterion(q: AlignedSubmanifold) -> Report:

@@ -209,17 +209,7 @@ class Scalar:
         return Scalar.coerce(other) / self
 
     def __pow__(self, n: int) -> "Scalar":
-        if n < 0:
-            return Scalar(1) / self ** (-n)
-        out = Scalar(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:  # no square after the last bit
-                base = base * base
-        return out
+        return Scalar(1) / self ** (-n) if n < 0 else _power(self, n, Scalar(1))
 
     def is_zero(self) -> bool:
         return not self.re and not self.im
@@ -292,6 +282,18 @@ def _from_parts(re: Union[int, Fraction], im: Union[int, Fraction]) -> Scalar:
     out = _new_scalar(Scalar)
     _set_re(out, re)
     _set_im(out, im)
+    return out
+
+
+def _power(base, n: int, one):
+    """base ** n for n >= 0 by square-and-multiply from ``one``: the power of Scalar and of Poly."""
+    out = one
+    while n:
+        if n & 1:
+            out = out * base
+        n >>= 1
+        if n:  # no square after the last bit
+            base = base * base
     return out
 
 
@@ -395,15 +397,7 @@ class Poly:
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        out = Poly.const(self.nvars, 1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:  # no square after the last bit
-                base = base * base
-        return out
+        return _power(self, n, Poly.const(self.nvars, 1))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction, Scalar)):

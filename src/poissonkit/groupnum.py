@@ -366,15 +366,13 @@ def pi_q_projection(spec: InvolutionSpec, pi: TangentBivector) -> TangentBivecto
     return pi.map_legs(lambda v: 0.5 * (v + spec.apply(v)))
 
 
-@functools.lru_cache(maxsize=None)
 def _permutation(spec: InvolutionSpec, shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
     """The differential in ``sharp_matrix()``'s coordinates, the permutation with (Phi_* v)[k] =
-    v[perm[k]]; complex legs' real and imaginary halves move alike.  Cached, so read-only."""
+    v[perm[k]]; complex legs' real and imaginary halves move alike."""
     size = math.prod(shape)
     perm = spec.apply(np.arange(size).reshape(shape)).ravel()
     if np.issubdtype(dtype, np.complexfloating):
         perm = np.concatenate([perm, perm + size])
-    perm.setflags(write=False)
     return perm
 
 
@@ -425,16 +423,14 @@ def _rank(mat: np.ndarray) -> np.ndarray:
     return np.sum(np.linalg.svd(mat, compute_uv=False) > TOL_RANK, axis=-1)
 
 
-@functools.lru_cache(maxsize=None)
 def _plus_eigenspace(spec: InvolutionSpec, shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
     """Orthonormal basis of the +1 eigenspace of the differential, in the coordinates of
     ``sharp_matrix()``: one column per orbit of ``_permutation``, e_k for a fixed coordinate k
-    and (e_k + e_perm(k))/sqrt(2) for a swapped pair.  Cached, so read-only."""
+    and (e_k + e_perm(k))/sqrt(2) for a swapped pair."""
     perm = _permutation(spec, shape, dtype)
     first = np.flatnonzero(np.arange(len(perm)) <= perm)  # the least coordinate of each orbit
     basis, cols = np.zeros((len(perm), len(first))), np.arange(len(first))
     basis[first, cols] = basis[perm[first], cols] = np.where(perm[first] == first, 1.0, math.sqrt(0.5))
-    basis.setflags(write=False)  # cached, so shared by every caller
     return basis
 
 
@@ -502,12 +498,13 @@ def _fixed_locus_blocks(group: MatrixGroup, spec: InvolutionSpec, samples: int, 
     return max(route), max(plus), all(ranks), readouts
 
 
-CHART_N3 = ((0, 0, 1), (0, 0, 2), (0, 1, 2))  # x = B_12, y = B_13, z = B_23
+STOKES_COORDS = ((0, 1), (0, 2), (1, 2))  # the Stokes coordinates (x, y, z) = (S_12, S_13, S_23)
 
 
-def _dubrovin_target(x, y, z) -> np.ndarray:
-    """The bracket matrix over (x, y, z) of {x, y} = xy - 2z, {y, z} = yz - 2x,
-    {z, x} = zx - 2y, one per point."""
+def _dubrovin_target(s: np.ndarray) -> np.ndarray:
+    """The bracket matrix over the Stokes coordinates of {x, y} = xy - 2z, {y, z} = yz - 2x,
+    {z, x} = zx - 2y, one per unipotent matrix of a stack."""
+    x, y, z = (s[..., i, j] for i, j in STOKES_COORDS)
     xy, yz, zx, zero = x * y - 2 * z, y * z - 2 * x, z * x - 2 * y, np.zeros_like(x)
     return np.stack([np.stack(row, axis=-1) for row in ((zero, xy, -zx), (-xy, zero, yz), (zx, -yz, zero))], axis=-2)
 
@@ -517,8 +514,8 @@ def stokes_report(n: int = 3, samples: int = 20, seed: int = 1) -> Report:
 
     Samples points (B, B^T) with B unipotent upper-triangular, projects the
     dual-group tensor to the fixed locus of (B, C) -> (C^T, B^T), and compares
-    the brackets of the entries (x, y, z) = (B_12, B_13, B_23) against the
-    predicted KAPPA times the target brackets (xy - 2z, yz - 2x, zx - 2y).
+    the brackets of B's Stokes coordinates (x, y, z), ``STOKES_COORDS``, against
+    the predicted KAPPA times the target brackets (xy - 2z, yz - 2x, zx - 2y).
     ``kappa`` is the measured ratio at the largest target entry over all
     samples.  Independently, the tensor at generic dual points is pushed
     along (B, C) -> B C^T and compared against 2 KAPPA times the same target
@@ -533,16 +530,12 @@ def stokes_report(n: int = 3, samples: int = 20, seed: int = 1) -> Report:
         raise ValueError("the Dubrovin chart readout is specific to n = 3")
     group = dual_group(n)
 
-    def chart(point):
-        return (point[(Ellipsis, *idx)] for idx in CHART_N3)
-
     def readout(point, pi, brackets):
-        x, y, z = chart(point)
-        target = _dubrovin_target(x, y, z)
+        target = _dubrovin_target(point[:, 0])
         largest = np.argmax(np.abs(target))  # flat index, the first of the block's largest entries
-        # Markoff polynomial m = x^2 + y^2 + z^2 - xyz is constant along
-        # Hamiltonian directions: {m, w} = sum_v dm/dv {v, w}
-        grad = np.stack([2 * x - y * z, 2 * y - x * z, 2 * z - x * y], axis=-1)
+        # Markoff polynomial m = x^2 + y^2 + z^2 - xyz is constant along Hamiltonian directions:
+        # {m, w} = sum_v dm/dv {v, w}; the target is {x, y} = -dm/dz cyclically, so it holds dm/dv
+        grad = -target[:, (1, 2, 0), (2, 0, 1)]
         return (abs(float(target.flat[largest])), float(brackets.flat[largest] / target.flat[largest]),
                 float(np.max(dual_tangency_residual(pi))), float(np.max(np.abs(grad[:, None, :] @ brackets))))
 
@@ -552,13 +545,12 @@ def stokes_report(n: int = 3, samples: int = 20, seed: int = 1) -> Report:
         b, c = point[:, None, 0], point[:, None, 1]  # broadcast over the wedge pairs
         pushed = pi.map_legs(lambda legs: legs[:, :, 0] @ _transpose(c) + b @ _transpose(legs[:, :, 1]),
                              base=point[:, 0] @ _transpose(point[:, 1]))
-        image = pushed.base
-        target = _dubrovin_target(image[:, 0, 1], image[:, 0, 2], image[:, 1, 2])
-        return float(np.max(np.abs(pushed.bracket_matrix(((0, 1), (0, 2), (1, 2))) - 2.0 * KAPPA * target)))
+        target = 2.0 * KAPPA * _dubrovin_target(pushed.base)
+        return float(np.max(np.abs(pushed.bracket_matrix(STOKES_COORDS) - target)))
 
     resid, max_plus, rank_ok, (largest, ratios, tangency, markoff) = _fixed_locus_blocks(
         group, InvolutionSpec("pair-swap"), samples, seed, lambda rngs: _stokes_points(n, rngs),
-        lambda point: KAPPA * _dubrovin_target(*chart(point)), CHART_N3, readout)
+        lambda point: KAPPA * _dubrovin_target(point[:, 0]), [(0, *ij) for ij in STOKES_COORDS], readout)
     kappa = ratios[int(np.argmax(largest))]
     values = {
         "kappa": kappa,

@@ -69,6 +69,15 @@ def jacobiator(chart: PoissonChart) -> PolyMultiVec:
     return chart._jacobiator
 
 
+def _not_poisson(chart: PoissonChart) -> Report | None:
+    """None if the chart is Poisson, else the failing report, with the first nonzero
+    component of its Jacobiator, (index triple, polynomial), as witness."""
+    jac = jacobiator(chart)
+    if jac.is_zero():
+        return None
+    return Report(False, reason="chart is not Poisson", witness=sorted(jac.comps.items())[0])
+
+
 def hamiltonian_vf(chart: PoissonChart, f: Poly) -> PolyMultiVec:
     """X_f with X_f(g) = {f, g}: X_f = pi^#(df) = -[pi, f], formed as [pi, -f]."""
     if f.nvars != chart.dim:

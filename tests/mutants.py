@@ -1,12 +1,13 @@
 """Named mutants of ``src/poissonkit``, each with the tests expected to kill it.
 
-A mutant is one exact text substitution in the source of one function of the
-package: ``pattern`` occurs in that source exactly once, and ``replacement``
-takes its place.  ``killed_by`` lists test ids, as pytest prints them, that fail
-on the mutant, a few of them where many do; each mutant was applied to a copy
-of the package and the whole suite run.  ``tests/test_mutants.py`` checks in
-tier-1 that each pattern still occurs exactly once, so the table cannot rot
-silently, and so fails on any applied mutant by design.
+A mutant is one exact text substitution in the source of one function, or of
+one module constant's assignment, of the package: ``pattern`` occurs in that
+source exactly once, and ``replacement`` takes its place.  ``killed_by`` lists
+test ids, as pytest prints them, that fail on the mutant, a few of them where
+many do; each mutant was applied to a copy of the package and the whole suite
+run.  ``tests/test_mutants.py`` checks in tier-1 that each pattern still occurs
+exactly once, so the table cannot rot silently, and so fails on any applied
+mutant by design.
 
 Run ``python tests/mutants.py`` to apply the mutants; it is not part of tier-1.
 It copies the repository into a temporary directory, checks that every listed
@@ -31,7 +32,7 @@ from typing import NamedTuple
 class Mutant(NamedTuple):
     name: str
     module: str  # poissonkit.<module>
-    function: str  # the function's name in the module, dotted for a method
+    function: str  # the function's name in the module, dotted for a method, or a module constant's name
     pattern: str
     replacement: str
     killed_by: tuple[str, ...]
@@ -109,19 +110,83 @@ MUTANTS = (
            'replace(failed, reason="slice bivector at t0 is not Poisson")', "failed", (
                "tests/test_dirac.py::test_slice_rejects_non_poisson_slice",
            )),
+    # the exact kernel and the checks over it
+    Mutant("hook-parity-ignored", "exactalg", "_hook",
+           "signed[(below_b & rest).bit_count() & 1]", "signed[0]", (
+               "tests/test_exactalg.py::test_schouten_graded_leibniz",
+               "tests/test_oracle.py::test_schouten_oracle_dim3_100_pairs",
+               "tests/test_poisson.py::test_jacobiator_dubrovin_zero",
+               "tests/test_acceptance.py::test_claim[stokes-jacobi]",
+           )),
+    Mutant("bialgebra-phi-r-unchecked", "liealg", "symmetric_bialgebra_check",
+           "if not (phi.apply(r) + r).is_zero():", "if False:", (
+               "tests/test_liealg.py::test_symmetric_fails_for_an_r_that_phi_does_not_negate",
+           )),
+    Mutant("solve-inconsistency-ignored", "linalg", "solve",
+           "if pivots and pivots[-1] >= ncols:", "if False:", (
+               "tests/test_linalg.py::test_one_inconsistent_column_fails_the_whole_solve",
+               "tests/test_dirac.py::test_slice_unsolvable_at_degree_zero",
+               "tests/test_acceptance.py::test_claim[leaf-slice]",
+           )),
+    Mutant("modular-sweep-sign", "poisson", "modular_vf",
+           "nums[b] = nums[b] - q.diff(a)", "nums[b] = nums[b] + q.diff(a)", (
+               "tests/test_poisson.py::test_modular_linear_example",
+               "tests/test_poisson.py::test_modular_sweep_matches_per_coordinate_route",
+           )),
+    Mutant("sample-rerun-dropped", "report", "sample_blocks",
+           "for k in ks:", "for k in ks[:0]:", (
+               "tests/test_batched.py::test_non_fixed_point_raises_as_the_loop_does",
+               "tests/test_batched.py::test_non_invariant_bivector_raises_as_the_loop_does",
+               "tests/test_batched.py::test_near_singular_moved_lambda_raises_as_the_loop_does",
+           )),
+    # each shared decision has one home, which every caller reads
+    Mutant("stokes-coordinates-swapped", "groupnum", "STOKES_COORDS",
+           "((0, 1), (0, 2), (1, 2))", "((0, 2), (0, 1), (1, 2))", (
+               "tests/test_groupnum.py::test_dubrovin_target_is_the_exact_chart_at_dyadic_points",
+               "tests/test_groupnum.py::test_stokes_report_passes",
+               "tests/test_acceptance.py::test_claim[stokes-kappa]",
+           )),
+    Mutant("witness-last-component", "poisson", "_not_poisson",
+           "sorted(jac.comps.items())[0]", "sorted(jac.comps.items())[-1]", (
+               "tests/test_cli.py::test_a_non_poisson_witness_is_the_first_jacobiator_component[check jacobi]",
+               "tests/test_cli.py::test_a_non_poisson_witness_is_the_first_jacobiator_component[load check]",
+           )),
+    Mutant("power-drops-factors", "exactalg", "_power",
+           "out = out * base", "out = base", (
+               "tests/test_exactalg.py::test_scalar_field_arithmetic",
+               "tests/test_exactalg.py::test_power_takes_no_square_after_the_last_bit",
+               "tests/test_parser.py::test_parser_matches_reference_on_fixed_rows",
+           )),
+    Mutant("oracle-compares-kernel-with-itself", "cli", "_oracle_report",
+           "kernel(a, b) != reference(a, b)", "kernel(a, b) != kernel(a, b)", (
+               "tests/test_acceptance.py::test_claim[schouten-oracle]",
+               "tests/test_cli.py::test_oracle_cli_catches_a_wrong_kernel[oracle schouten --pairs 25 --seed 1]",
+               "tests/test_cli.py::test_oracle_cli_catches_a_wrong_kernel[oracle alg --algebra sl3 --pairs 25 --seed 1]",
+           )),
 )
+
+
+def _defines(node: ast.stmt, name: str) -> bool:
+    """Whether the statement defines ``name``: a function or class of that name, or an assignment to it."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return node.name == name
+    return isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == [name]
+
+
+def split(text: str, function: str) -> tuple[str, str, str]:
+    """A module's source as the text before the definition ``function`` names, its lines, and the text after."""
+    node = ast.parse(text)
+    for name in function.split("."):
+        node = next(n for n in node.body if _defines(n, name))
+    lines = text.splitlines(keepends=True)
+    return tuple("".join(part) for part in (lines[:node.lineno - 1], lines[node.lineno - 1:node.end_lineno],
+                                            lines[node.end_lineno:]))
 
 
 def _apply(root: Path, mutant: Mutant) -> None:
     """Substitute the mutant's pattern, once, in its function's source under ``root``."""
     path = root / "src" / "poissonkit" / f"{mutant.module}.py"
-    text = path.read_text()
-    node = ast.parse(text)
-    for name in mutant.function.split("."):
-        node = next(n for n in node.body if isinstance(n, (ast.FunctionDef, ast.ClassDef)) and n.name == name)
-    lines = text.splitlines(keepends=True)
-    head, body, tail = ("".join(part) for part in (lines[:node.lineno - 1], lines[node.lineno - 1:node.end_lineno],
-                                                   lines[node.end_lineno:]))
+    head, body, tail = split(path.read_text(), mutant.function)
     if body.count(mutant.pattern) != 1:
         raise ValueError(f"{mutant.name}: the pattern does not occur exactly once in {mutant.function}")
     path.write_text(head + body.replace(mutant.pattern, mutant.replacement) + tail)

@@ -118,8 +118,8 @@ def _ref_stokes(samples, seed):
         rank_ok = rank_ok and _ref_rank_relation(psi, pi, pi_q)
         legs = np.concatenate([pi_q.u, pi_q.v])
         max_plus = max(max_plus, float(np.max(np.abs(psi.apply(legs) - legs), initial=0.0)))
-        x, y, z = (float(point[idx]) for idx in groupnum.CHART_N3)
-        chart = pi_q.bracket_matrix(groupnum.CHART_N3)
+        x, y, z = (float(b[idx]) for idx in groupnum.STOKES_COORDS)
+        chart = pi_q.bracket_matrix([(0, *idx) for idx in groupnum.STOKES_COORDS])
         for (p, q), rhs in zip(((0, 1), (1, 2), (2, 0)), (x * y - 2 * z, y * z - 2 * x, z * x - 2 * y)):
             lhs = float(chart[p, q])
             max_resid = max(max_resid, abs(lhs - kappa_predicted * rhs))

@@ -421,6 +421,20 @@ def test_load_time_jacobi_check(argv, code, tmp_path):
     assert run_command([*argv[:2], str(chart), *argv[2:]])[0] == code
 
 
+@pytest.mark.parametrize("command, code, stream, line", [
+    pytest.param("check jacobi", 1, "out", "witness=(x,y,z): 2*z", id="check jacobi"),
+    pytest.param("modular vf", 2, "err", "input error: bracket is not Poisson: Jacobiator component (x, y, z) = 2*z",
+                 id="load check"),
+])
+def test_a_non_poisson_witness_is_the_first_jacobiator_component(command, code, stream, line, tmp_path, capsys):
+    # check jacobi and the load check print one witness: of this chart's three Jacobiator
+    # components, (x,y,z), (x,y,w) and (y,z,w), the first in index order
+    chart = tmp_path / "jacobi3.chart"
+    chart.write_text("dim 4\ncoords x y z w\nbracket x y = z\nbracket y z = y\nbracket z w = x\n")
+    assert run_command(["--porcelain", *command.split(), str(chart)])[0] == code
+    assert line in getattr(capsys.readouterr(), stream).splitlines()
+
+
 @pytest.mark.parametrize("argv, dims", [
     pytest.param(["dirac", "aligned", "product22.chart"], [4, 2], id="dirac aligned"),
     pytest.param(["dirac", "fixed-locus", "so3.chart", "--matrix=-1,0,0;0,-1,0;0,0,1"], [3, 1], id="dirac fixed-locus"),

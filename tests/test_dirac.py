@@ -23,7 +23,7 @@ from poissonkit.exactalg import Poly, PolyMultiVec, Scalar, schouten
 from poissonkit.liealg import builtin_algebra, lie_poisson_chart, transpose_antimorphism
 from poissonkit.dirac import _monomials_up_to, _pushforward
 from poissonkit.oracle import rand_multivec, rand_poly
-from poissonkit import dirac
+from poissonkit import dirac, poisson
 from poissonkit.poisson import PoissonChart, bracket, jacobiator, modular_vf
 
 
@@ -278,6 +278,7 @@ def test_fixed_locus_forms_no_jacobiator_on_the_eigen_chart(monkeypatch):
         return jacobiator(chart)
 
     monkeypatch.setattr(dirac, "jacobiator", recording)
+    monkeypatch.setattr(poisson, "jacobiator", recording)  # the input chart's, read by poisson._not_poisson
     chart = _gl_chart(3)
     verdict = fixed_locus_symbolic(chart, LinearInvolution.from_rows(_transpose_rows(3, -1)))
     assert verdict.ok

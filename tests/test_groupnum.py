@@ -2,6 +2,7 @@
 
 import ast
 import inspect
+import itertools
 import re
 from fractions import Fraction
 
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (adjoint_coordinate_matrix, algebra_element, assert_pass_rule, bracket_difference, cocycle_lambda,
-                      pi_q_formula_swapped, with_bound)
+                      pi_q_formula_swapped, poly_at, with_bound)
 from poissonkit import dynr, groupnum
 from poissonkit.groupnum import (
     TOL_CROSS,
@@ -37,7 +38,9 @@ from poissonkit.groupnum import (
     _stokes_points,
 )
 from poissonkit import linalg
-from poissonkit.exactalg import Scalar
+from poissonkit.chartio import parse_chart_file
+from poissonkit.exactalg import Poly, Scalar
+from poissonkit.poisson import bracket
 from poissonkit.liealg import DOUBLE_R_SCALE, _double_basis, sl_chevalley, standard_r_matrix, su_compact_basis
 
 
@@ -489,6 +492,21 @@ def test_stokes_report_passes():
     assert rep.values["max_pushforward_residual"] <= 1e-8
     assert rep.values["max_markoff_defect"] <= 1e-7
     assert rep.values["rank_relation_ok"]
+
+
+def test_dubrovin_target_is_the_exact_chart_at_dyadic_points():
+    # the float target and dubrovin3.chart state one bracket, on (x, y, z) = (S_12, S_13, S_23) as
+    # the chart file says; with entries k/8 every product and difference is exact in binary floats
+    chart, _ = parse_chart_file("dubrovin3.chart")
+    variables = [Poly.var(3, p) for p in range(3)]
+    exact = [[bracket(chart, f, g) for g in variables] for f in variables]
+    values = [Fraction(k, 8) for k in (-13, -8, -1, 0, 3, 8, 16)]
+    points = list(itertools.product(values, repeat=3))
+    s = np.tile(np.eye(3), (len(points), 1, 1))
+    s[:, 0, 1], s[:, 0, 2], s[:, 1, 2] = np.array(points, dtype=float).T
+    target = groupnum._dubrovin_target(s)
+    for point, got in zip(points, target):
+        assert [[Fraction(v) for v in row] for row in got] == [[poly_at(b, point) for b in row] for row in exact]
 
 
 def test_stokes_deterministic_bitwise():

@@ -224,6 +224,15 @@ def test_symmetric_fails_for_identity_map():
     assert any("anti-morphism" in msg for msg in rep.witness)
 
 
+def test_symmetric_fails_for_an_r_that_phi_does_not_negate():
+    # the transpose is an involutive anti-morphism, so the only failure is phi r = -r:
+    # phi(e ^ h) = f ^ h
+    g = sl_chevalley(2)
+    e, h = g.labels.index("e12"), g.labels.index("h1")
+    rep = symmetric_bialgebra_check(g, AlgElement(g, 2, {(min(e, h), max(e, h)): Scalar(1)}), transpose_antimorphism(g))
+    assert not rep.ok and rep.witness == ("phi r != -r",)
+
+
 def test_phi_fixes_cartan_pointwise():
     for g in (sl_chevalley(2), sl_chevalley(3)):
         phi = transpose_antimorphism(g)
