@@ -26,25 +26,33 @@ combination c' + c^2 = 1 is constant, while c' - c^2 is not, and the
 coefficient of the surviving constant lands on e ^ f ^ h exactly.  The
 residual is treated as Lambda^3 g-valued.
 
-Storage.  Bivectors and trivectors are dense antisymmetric float arrays
-whose entry at i < j (< k) is the coefficient of x_i ^ x_j (^ x_k); the
-structure constants are the real tensor C[i, j, k] = c_ij^k.  With
-M_kbd = sum_ac C_ac^k R_ab R_cd, [r, r]_ijk = 2 (M_ijk + M_jki + M_kij), which
-the test suite checks against ``liealg.alg_schouten``.  Reported statistics
-range over strictly increasing index tuples.
+Storage.  r(lambda) = sum_a c_a(lambda) E_a with E_a = e_a ^ f_a, so the scan
+works in root coordinates: r is the array of coefficients c_a = d_a g(x_a),
+x_a = <alpha, lambda>/2, and dr/dlambda_m the array dc[m, a] = (d_a h_am) g'(x_a).
+The residual is sum_f phi_f Q_f over the features phi = (c_a c_b for a <= b,
+then dc[m, a]) with constant trivectors Q_aa = (1/2)[E_a, E_a], Q_ab = [E_a, E_b]
+for a < b and Q_ma = h_m ^ E_a, bracketed exactly by ``liealg.alg_schouten``.
+``DynamicalRFamily`` builds once, as floats, Q with one row per feature on the
+strictly increasing triples, and AD, whose row f holds [x_b, Q_f] for every
+basis element b in turn, from the real structure tensor C[i, j, k] = c_ij^k;
+the residual is phi @ Q and its ad-images are phi @ AD.  ``eval_r``,
+``r_derivative`` and ``cdybe_residual`` return dense antisymmetric arrays
+whose entry at i < j (< k) is the coefficient of x_i ^ x_j (^ x_k); the test
+suite checks them against a dense einsum route.  Reported statistics range
+over root coordinates and strictly increasing triples.
 
 Batching.  ``pairings``, ``eval_r``, ``r_derivative`` and ``cdybe_residual``
 also take a stack of lambda, shape (..., rank), and return one result per
-lambda; ``residual_scan`` runs its samples through them in blocks, by
+lambda; ``residual_scan`` runs its samples in blocks, by
 ``report.sample_blocks``.  A block draws lambda candidates in rounds of
 LAMBDA_ROUND from each sample's own generator (``report.sample_rngs``, which
 seeds the whole block in one pass) and
 checks a round of every sample still without a lambda in one ``pairings``
 call.  Each sample keeps its first accepted candidate, so the values, and the
 stream each generator is drawn from, are those of drawing one candidate at a
-time.  The block evaluates r(lambda) and every dr/dlambda_m once, r(lambda) in
-the same ``eval_r`` call as the finite-difference points, and forms the
-residual from them.
+time.  The block evaluates c at every lambda and its finite-difference points
+in one ``guard`` call and dc once, and forms the residual, a matrix product,
+from them.
 """
 
 from __future__ import annotations
@@ -53,12 +61,13 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
 from .exactalg import Scalar
-from .liealg import LieAlgebraData
+from .liealg import AlgElement, LieAlgebraData, alg_schouten
 from .report import Report, sample_blocks, sample_rngs
 
 __all__ = [
@@ -110,13 +119,6 @@ class DynamicalRFamily:
     def rank(self) -> int:
         return len(self.algebra.root_data.cartan)
 
-    @functools.cached_property
-    def structure(self) -> np.ndarray:
-        """The algebra's ``structure_tensor``, built once per family; read-only."""
-        C = structure_tensor(self.algebra)
-        C.setflags(write=False)
-        return C
-
     def _g(self, x: np.ndarray) -> np.ndarray:
         if self.kind == "trig":
             return 1.0 / _tanh(x)
@@ -147,6 +149,47 @@ class DynamicalRFamily:
         for a in (h, d, *index):
             a.setflags(write=False)
         return h, d, index
+
+    @functools.cached_property
+    def _trivectors(self) -> tuple[np.ndarray, np.ndarray]:
+        """Q and AD of the module docstring, read-only: Q of shape (features, triples), and AD with
+        one row per feature and one column per (b, triple) at which some [x_b, Q_f] is nonzero.
+
+        Q comes from the exact brackets of the root bivectors.  AD replaces one slot p of each
+        nonzero entry of Q by [x_b, x_p] = sum_l C[b, p, l] x_l and moves x_l to its place among
+        the two other indices: past `below` of them from slot s, with sign (-1)^(below + s)."""
+        g = self.algebra
+        C = structure_tensor(g)
+        roots = g.root_data.roots
+        E = [AlgElement.from_terms(g, 2, [((info.e_index, info.f_index), Scalar(1))]) for info in roots]
+        half = Scalar(Fraction(1, 2))
+        rows = [alg_schouten(E[a], E[b]) * (half if a == b else Scalar(1))
+                for a, b in zip(*np.triu_indices(len(roots)))]
+        rows += [AlgElement.basis(g, h).wedge(e) for h in g.root_data.cartan for e in E]
+        entries = [(f, idx, _real(c, "bracket of root bivectors")) for f, row in enumerate(rows)
+                   for idx, c in row.comps.items()]
+        feature = np.array([f for f, _, _ in entries], dtype=int)
+        triple = np.array([idx for _, idx, _ in entries], dtype=int).reshape(-1, 3)
+        value = np.array([v for _, _, v in entries])
+        dim, T = g.dim, len(_increasing(g.dim, 3)[0])
+        column = np.zeros((dim,) * 3, dtype=int)  # the column of a triple in any order
+        for order in itertools.permutations(_increasing(dim, 3)):
+            column[order] = np.arange(T)
+        Q = np.zeros((len(rows), T))
+        Q[feature, column[tuple(triple.T)]] = value
+        new, slot = np.arange(dim), np.arange(3)[:, None]  # the index l of x_l, the slot s it enters
+        stay = triple[:, [[1, 2], [0, 2], [0, 1]]]  # (entry, s, the two indices that stay, in order)
+        below = (stay[..., None] < new).sum(axis=-2)
+        sign = np.where((stay[..., None] == new).any(axis=-2), 0.0, (-1.0) ** (below + slot))
+        weight = (value[:, None, None] * sign)[:, :, None, :] * C[:, triple, :].transpose(1, 2, 0, 3)
+        entry, s, b, l = np.nonzero(weight)  # weight is indexed (entry, s, b, l)
+        # one column per (b, triple) that some image reaches; the others are zero for every feature
+        columns, where = np.unique(b * T + column[l, stay[entry, s, 0], stay[entry, s, 1]], return_inverse=True)
+        AD = np.zeros((len(rows), len(columns)))
+        np.add.at(AD, (feature[entry], where), weight[entry, s, b, l])
+        for a in (Q, AD):
+            a.setflags(write=False)
+        return Q, AD
 
     def pairings(self, lam: Sequence[float] | np.ndarray) -> np.ndarray:
         """<alpha, lambda> = 2 lambda(h_alpha) for every positive root, as an array
@@ -195,88 +238,63 @@ def _increasing(dim: int, degree: int) -> tuple[np.ndarray, ...]:
     return tuple(tuples.T)
 
 
-def _max_upper(t: np.ndarray, degree: int) -> float:
-    """Largest |entry| of an antisymmetric tensor (its last degree axes) on strictly increasing tuples."""
-    return float(np.max(np.abs(t[(Ellipsis, *_increasing(t.shape[-1], degree))]), initial=0.0))
+def _max_abs(a: np.ndarray) -> float:
+    return float(np.max(np.abs(a), initial=0.0))
 
 
-def _m_tensor(C: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """M_kbd = sum_ac C_ac^k R_ab R_cd, so that [r, r] = sum_kbd M_kbd x_k ^ x_b ^ x_d;
-    batched over the leading axes of R."""
-    return np.einsum("...cbk,...cd->...kbd", np.einsum("ack,...ab->...cbk", C, R, optimize=True), R, optimize=True)
-
-
-def _cyclic(n: np.ndarray) -> np.ndarray:
-    """The antisymmetric trivector with entry n_ijk + n_jki + n_kij at i < j < k,
-    batched over the leading axes of n.
-
-    For n antisymmetric in its last two indices this is the trivector
-    (1/2) sum_abc n_abc x_a ^ x_b ^ x_c.
-    """
-    i, j, k = _increasing(n.shape[-1], 3)
-    values = n[..., i, j, k] + n[..., j, k, i] + n[..., k, i, j]
-    t = np.zeros_like(n)
-    for p, q, s in ((i, j, k), (j, k, i), (k, i, j)):
-        t[..., p, q, s] = values
-        t[..., q, p, s] = -values
-    return t
-
-
-def _max_ad_defect(C: np.ndarray, t: np.ndarray) -> float:
-    """Largest |coefficient| of [x_b, t] over every basis element b and strictly
-    increasing triple, over a stack of trivectors t.  One b at a time, with
-    R_jkl = sum_i C_bi^l t_ijk the coefficient at i < j < k is R_jki + R_ijk + R_kij,
-    so the dim^4 tensor of all [x_b, t] (0.4 MB a sample at dim 15) is never built.
-    As t_ijk = t_jki, R is t read as a matrix with rows (j, k) and columns i, times
-    C_b: one matrix product per b, from one reshape of the stack."""
-    dim = t.shape[-1]
-    i, j, k = _increasing(dim, 3)
-    jki, ijk, kij = (np.ravel_multi_index(idx, (dim,) * 3) for idx in ((j, k, i), (i, j, k), (k, i, j)))
-    rows = t.reshape(-1, dim)  # row (j, k) of each trivector
-    worst = 0.0
-    for cb in C:
-        r = (rows @ cb).reshape(-1, dim ** 3)
-        worst = max(worst, float(np.max(np.abs(r[:, jki] + r[:, ijk] + r[:, kij]), initial=0.0)))
-    return worst
-
-
-def _root_matrix(
-    family: DynamicalRFamily, lam: Sequence[float] | np.ndarray, g: Callable[[np.ndarray], np.ndarray],
-    factor: np.ndarray,
-) -> np.ndarray:
-    """The antisymmetric matrix with entry factor_a * g(<alpha, lambda>/2) at (e_a, f_a),
-    one per lambda of a stack."""
-    c = factor * g(0.5 * family.guard(lam))
+def _root_matrix(family: DynamicalRFamily, c: np.ndarray) -> np.ndarray:
+    """The antisymmetric matrix with entry c_a at (e_a, f_a), one per row of a stack of c."""
     out = np.zeros((*c.shape[:-1], family.algebra.dim, family.algebra.dim))
     out[(Ellipsis, *family._roots[2])] = np.concatenate([c, -c], axis=-1)
     return out
 
 
+def _coefficients(family: DynamicalRFamily, x: np.ndarray) -> np.ndarray:
+    """r in root coordinates at x = <alpha, lambda>/2: c_a = d_a g(x_a), shape (..., roots)."""
+    return family._roots[1] * family._g(x)
+
+
+def _derivatives(family: DynamicalRFamily, x: np.ndarray) -> np.ndarray:
+    """Every dr/dlambda_m in root coordinates at x = <alpha, lambda>/2:
+    dc[m, a] = (d_a h_am) g'(x_a), shape (..., rank, roots)."""
+    h, d, _ = family._roots
+    return (d * h.T) * family._g_prime(x)[..., None, :]
+
+
 def eval_r(family: DynamicalRFamily, lam: Sequence[float] | np.ndarray) -> np.ndarray:
     """r(lambda) as an antisymmetric dim x dim matrix (one per lambda of a stack)."""
-    return _root_matrix(family, lam, family._g, family._roots[1])
+    return _root_matrix(family, _coefficients(family, 0.5 * family.guard(lam)))
 
 
 def r_derivative(family: DynamicalRFamily, lam: Sequence[float] | np.ndarray, m: int) -> np.ndarray:
     """Analytic dr/dlambda_m as an antisymmetric dim x dim matrix (one per lambda of a stack)."""
-    h, d, _ = family._roots
-    return _root_matrix(family, lam, family._g_prime, d * h[:, m])
+    return _root_matrix(family, _derivatives(family, 0.5 * family.guard(lam))[..., m, :])
 
 
-def _residual(family: DynamicalRFamily, r: np.ndarray, dr: np.ndarray) -> np.ndarray:
-    """sum_m h_m ^ dr[..., m, :, :] + (1/2)[r, r] from r(lambda) and every dr/dlambda_m
-    stacked on the third axis from the end, batched over the leading axes."""
-    n = _m_tensor(family.structure, r)
-    for m, h in enumerate(family.algebra.root_data.cartan):
-        n[..., h, :, :] += dr[..., m, :, :]  # h_m ^ dr/dlambda_m
-    return _cyclic(n)
+def _features(c: np.ndarray, dc: np.ndarray) -> np.ndarray:
+    """phi: c_a c_b for a <= b, then dc[m, a] m-major, batched over the leading axes."""
+    a, b = np.triu_indices(c.shape[-1])
+    return np.concatenate([c[..., a] * c[..., b], dc.reshape(*dc.shape[:-2], -1)], axis=-1)
+
+
+def _residual(family: DynamicalRFamily, c: np.ndarray, dc: np.ndarray) -> np.ndarray:
+    """sum_m h_m ^ dr/dlambda_m + (1/2)[r, r] on the strictly increasing triples, from r and
+    every dr/dlambda_m in root coordinates (``_coefficients``, ``_derivatives``), batched over
+    the leading axes."""
+    return _features(c, dc) @ family._trivectors[0]
 
 
 def cdybe_residual(family: DynamicalRFamily, lam: Sequence[float] | np.ndarray) -> np.ndarray:
     """sum_m h_m ^ dr/dlambda_m + (1/2)[r, r], as an antisymmetric dim^3 tensor
     (one per lambda of a stack)."""
-    r = eval_r(family, lam)
-    return _residual(family, r, np.stack([r_derivative(family, lam, m) for m in range(family.rank)], axis=-3))
+    x = 0.5 * family.guard(lam)
+    values = _residual(family, _coefficients(family, x), _derivatives(family, x))
+    i, j, k = _increasing(family.algebra.dim, 3)
+    out = np.zeros((*values.shape[:-1], *(family.algebra.dim,) * 3))
+    for p, q, s in ((i, j, k), (j, k, i), (k, i, j)):
+        out[..., p, q, s] = values
+        out[..., q, p, s] = -values
+    return out
 
 
 def _sample_lambdas(family: DynamicalRFamily, seed: int, ks: Sequence[int]) -> np.ndarray:
@@ -312,7 +330,6 @@ def residual_scan(family: DynamicalRFamily, samples: int = 10, seed: int = 0) ->
     The report passes iff all three are at most TOL_CDYBE, printed as ``tol``.
     """
     g = family.algebra
-    C = family.structure
     step = 1e-5
     # per sample: lambda, then lambda +- step along each coordinate, in the order
     # a per-sample loop evaluates r at them, so a sample raises the loop's NearSingular
@@ -324,14 +341,14 @@ def residual_scan(family: DynamicalRFamily, samples: int = 10, seed: int = 0) ->
     def block(ks: range) -> tuple[float, float, float]:
         """The block's spread, invariance and derivative defects."""
         nonlocal first
-        lam = _sample_lambdas(family, seed, ks)
-        r = eval_r(family, lam[:, None, :] + shifts)
-        analytic = np.stack([r_derivative(family, lam, m) for m in range(family.rank)], axis=1)
-        res = _residual(family, r[:, 0], analytic)
-        fd = (r[:, 1::2] - r[:, 2::2]) * (1.0 / (2 * step))
+        x = 0.5 * family.guard(_sample_lambdas(family, seed, ks)[:, None, :] + shifts)
+        c, analytic = _coefficients(family, x), _derivatives(family, x[:, 0])
+        res = _residual(family, c[:, 0], analytic)
+        fd = (c[:, 1::2] - c[:, 2::2]) * (1.0 / (2 * step))
         if first is None:
             first = res[0].copy()
-        return _max_upper(res - first, 3), _max_ad_defect(C, res), _max_upper(fd - analytic, 2)
+        ad = _features(c[:, 0], analytic) @ family._trivectors[1]
+        return _max_abs(res - first), _max_abs(ad), _max_abs(fd - analytic)
 
     spread, invariance, deriv_defect = map(max, zip(*sample_blocks(range(samples), block)))
     values = {

@@ -480,7 +480,8 @@ def _fixed_locus_blocks(group: MatrixGroup, spec: InvolutionSpec, samples: int, 
                         entries: Sequence[tuple] | None = None, readout: Callable[..., tuple] = lambda *_: ()):
     """The sampled check of every group report (module docstring); a point drawn off the group is
     a sampling bug, raised as AssertionError.  Returns the largest route and +1 residuals, whether
-    every rank relation held, and the columns of the report's ``readout(points, pi, brackets)``."""
+    every rank relation held, and the columns of the report's ``readout(points, pi, brackets,
+    expected)``, ``expected`` the block's ``target(points)``."""
 
     def block(ks: range) -> tuple:
         points = draw(sample_rngs(seed, ks))
@@ -488,11 +489,11 @@ def _fixed_locus_blocks(group: MatrixGroup, spec: InvolutionSpec, samples: int, 
             raise AssertionError("sampled point failed group membership")
         pi = pl_bivector(group, points)
         projected = pi_q_projection(spec, pi)
-        brackets = projected.bracket_matrix(entries)
+        brackets, expected = projected.bracket_matrix(entries), target(points)
         legs = np.concatenate([projected.u, projected.v], axis=1)
-        return (float(np.max(np.abs(brackets - target(points)))),
+        return (float(np.max(np.abs(brackets - expected))),
                 float(np.max(np.abs(spec.apply(legs) - legs), initial=0.0)),
-                bool(np.all(rank_relation_holds(spec, pi, projected))), *readout(points, pi, brackets))
+                bool(np.all(rank_relation_holds(spec, pi, projected))), *readout(points, pi, brackets, expected))
 
     route, plus, ranks, *readouts = zip(*sample_blocks(range(samples), block))
     return max(route), max(plus), all(ranks), readouts
@@ -530,8 +531,8 @@ def stokes_report(n: int = 3, samples: int = 20, seed: int = 1) -> Report:
         raise ValueError("the Dubrovin chart readout is specific to n = 3")
     group = dual_group(n)
 
-    def readout(point, pi, brackets):
-        target = _dubrovin_target(point[:, 0])
+    def readout(point, pi, brackets, expected):
+        target = expected / KAPPA  # the Dubrovin brackets themselves, exactly, as KAPPA is 2
         largest = np.argmax(np.abs(target))  # flat index, the first of the block's largest entries
         # Markoff polynomial m = x^2 + y^2 + z^2 - xyz is constant along Hamiltonian directions:
         # {m, w} = sum_v dm/dv {v, w}; the target is {x, y} = -dm/dz cyclically, so it holds dm/dv

@@ -21,7 +21,7 @@ __all__ = ["InvalidInput", "Report", "BLOCK", "sample_rngs", "sample_blocks"]
 
 # Samples per block of the sampled checks: a block runs as one round of stacked
 # calls, and holding one block at a time keeps memory flat in the sample count
-# (a Stokes block peaks at about 1.5 MB, a residual scan block at sl4 about 8 MB).
+# (a Stokes block peaks at about 1.7 MB, a residual scan block at sl4 about 0.9 MB).
 BLOCK = 64
 
 

@@ -19,8 +19,9 @@ with.
 For ``poissonkit.report``: the per-sample generators ``default_rng([seed, k])``,
 the reference for the block-hashed ``sample_rngs``.
 
-For ``poissonkit.dynr``: [r, r] and every [x_b, t] on dense arrays, the
-references for the exact ``alg_schouten`` and the scan's invariance defect,
+For ``poissonkit.dynr``: the dense einsum route, [r, r], the CDYBE residual and
+every [x_b, t] on dense arrays, the references for the exact ``alg_schouten``
+and for the scan's root-coordinate residual and invariance defect,
 the one-sample-at-a-time lambda sampler, the reference for the scan's
 round-by-round one, and the sampled equivariance check of a family under an
 anti-morphism, which no command runs.
@@ -264,9 +265,46 @@ def validate_lie_reference(g: LieAlgebraData) -> Report:
     return Report(True)
 
 
+def _max_upper(t: np.ndarray, degree: int) -> float:
+    """Largest |entry| of an antisymmetric tensor (its last degree axes) on strictly increasing tuples."""
+    return float(np.max(np.abs(t[(Ellipsis, *dynr._increasing(t.shape[-1], degree))]), initial=0.0))
+
+
+def _m_tensor(C: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """M_kbd = sum_ac C_ac^k R_ab R_cd, so that [r, r] = sum_kbd M_kbd x_k ^ x_b ^ x_d;
+    batched over the leading axes of R."""
+    return np.einsum("...cbk,...cd->...kbd", np.einsum("ack,...ab->...cbk", C, R, optimize=True), R, optimize=True)
+
+
+def _cyclic(n: np.ndarray) -> np.ndarray:
+    """The antisymmetric trivector with entry n_ijk + n_jki + n_kij at i < j < k,
+    batched over the leading axes of n.
+
+    For n antisymmetric in its last two indices this is the trivector
+    (1/2) sum_abc n_abc x_a ^ x_b ^ x_c.
+    """
+    i, j, k = dynr._increasing(n.shape[-1], 3)
+    values = n[..., i, j, k] + n[..., j, k, i] + n[..., k, i, j]
+    t = np.zeros_like(n)
+    for p, q, s in ((i, j, k), (j, k, i), (k, i, j)):
+        t[..., p, q, s] = values
+        t[..., q, p, s] = -values
+    return t
+
+
 def rr_bracket(C: np.ndarray, R: np.ndarray) -> np.ndarray:
     """[r, r] for the bivector with antisymmetric matrix R, as an antisymmetric dim^3 tensor."""
-    return 2.0 * dynr._cyclic(dynr._m_tensor(C, R))
+    return 2.0 * _cyclic(_m_tensor(C, R))
+
+
+def dense_residual(family: DynamicalRFamily, lam) -> np.ndarray:
+    """sum_m h_m ^ dr/dlambda_m + (1/2)[r, r] from the dense matrices r(lambda) and
+    dr/dlambda_m by the einsum route, as an antisymmetric dim^3 tensor: the reference for
+    the root-coordinate residual of ``dynr``."""
+    n = _m_tensor(dynr.structure_tensor(family.algebra), dynr.eval_r(family, lam))
+    for m, h in enumerate(family.algebra.root_data.cartan):
+        n[..., h, :, :] += dynr.r_derivative(family, lam, m)  # h_m ^ dr/dlambda_m
+    return _cyclic(n)
 
 
 def _ad_defect(C: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -277,6 +315,24 @@ def _ad_defect(C: np.ndarray, t: np.ndarray) -> np.ndarray:
     """
     first = np.einsum("bil,ijk->bljk", C, t)
     return first + first.transpose(0, 2, 3, 1) + first.transpose(0, 3, 1, 2)
+
+
+def _max_ad_defect(C: np.ndarray, t: np.ndarray) -> float:
+    """Largest |coefficient| of [x_b, t] over every basis element b and strictly
+    increasing triple, over a stack of trivectors t.  One b at a time, with
+    R_jkl = sum_i C_bi^l t_ijk the coefficient at i < j < k is R_jki + R_ijk + R_kij,
+    so the dim^4 tensor of all [x_b, t] (0.4 MB a sample at dim 15) is never built.
+    As t_ijk = t_jki, R is t read as a matrix with rows (j, k) and columns i, times
+    C_b: one matrix product per b, from one reshape of the stack."""
+    dim = t.shape[-1]
+    i, j, k = dynr._increasing(dim, 3)
+    jki, ijk, kij = (np.ravel_multi_index(idx, (dim,) * 3) for idx in ((j, k, i), (i, j, k), (k, i, j)))
+    rows = t.reshape(-1, dim)  # row (j, k) of each trivector
+    worst = 0.0
+    for cb in C:
+        r = (rows @ cb).reshape(-1, dim ** 3)
+        worst = max(worst, float(np.max(np.abs(r[:, jki] + r[:, ijk] + r[:, kij]), initial=0.0)))
+    return worst
 
 
 def per_sample_rngs(seed: int, ks) -> list[np.random.Generator]:
@@ -316,7 +372,7 @@ def equivariance_check(family, s, samples: int = 10, seed: int = 0, tol: float =
     def block(ks: range) -> float:
         lam = np.stack([_sample_lambda(family, seed, idx) for idx in ks])
         moved = lam @ s_h  # (s_h)* lambda in coordinates, one row per sample
-        return dynr._max_upper(S @ dynr.eval_r(family, lam) @ S.T + dynr.eval_r(family, moved), 2)
+        return _max_upper(S @ dynr.eval_r(family, lam) @ S.T + dynr.eval_r(family, moved), 2)
 
     defect = max(report.sample_blocks(range(samples), block))
     values = {"algebra": g.name, "defect": defect, "tol": tol}

@@ -77,6 +77,30 @@ MUTANTS = (
                "tests/test_dynr.py::test_residual_scan_pass_rule[corrupted_family]",
                "tests/test_groupnum.py::test_every_bound_of_a_pass_rule_is_a_module_constant[dynr-residual_scan]",
            )),
+    # the root-coordinate CDYBE kernel: the 1/2 of (1/2)[r, r] on the diagonal features c_a^2, the
+    # sign (-1)^s of the slot an ad-image replaces, and the scan's own difference quotient, which
+    # the per-sample loop forms as (r(lambda + h) - r(lambda - h)) * (1 / 2h): a division by 2h
+    # moves the derivative defect by rounding alone, so only its exact agreement kills it
+    Mutant("cdybe-diagonal-half-dropped", "dynr", "DynamicalRFamily._trivectors",
+           "(half if a == b else Scalar(1))", "Scalar(1)", (
+               "tests/test_dynr.py::test_residual_constant_two_points_sl2",
+               "tests/test_dynr.py::test_root_coordinate_residual_matches_the_dense_route[3-trig]",
+               "tests/test_dynr.py::test_scan_sl3_both_families",
+               "tests/test_acceptance.py::test_claim[cdybe-sl2-trig]",
+           )),
+    Mutant("ad-image-slot-parity-flipped", "dynr", "DynamicalRFamily._trivectors",
+           "(-1.0) ** (below + slot)", "(-1.0) ** below", (
+               "tests/test_batched.py::test_max_ad_defect_matches_the_dense_reference[3]",
+               "tests/test_batched.py::test_max_ad_defect_matches_the_dense_reference[4]",
+               "tests/test_dynr.py::test_scan_sl3_both_families",
+               "tests/test_acceptance.py::test_claim[cdybe-sl3-trig]",
+           )),
+    Mutant("cdybe-difference-quotient-reordered", "dynr", "residual_scan",
+           "* (1.0 / (2 * step))", "/ (2 * step)", (
+               "tests/test_batched.py::test_residual_scan_matches_the_per_sample_loop[4-4-1-trig]",
+               "tests/test_batched.py::test_residual_scan_matches_the_per_sample_loop[4-5-1-rational]",
+               "tests/test_batched.py::test_residual_scan_matches_the_per_sample_loop[4-12-2-trig]",
+           )),
     # the rank cut moving with the route bound: at a route bound near 1e-16 the SU(3) rank relation fails
     Mutant("rank-cut-at-route-bound", "groupnum", "_rank",
            "> TOL_RANK", "> TOL_CROSS", (

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import conftest
 from conftest import _ad_defect, assert_pass_rule, counted_calls, equivariance_check, make_rng, rr_bracket, with_bound
 from poissonkit import dynr, report
 from poissonkit.dynr import (
@@ -164,6 +165,17 @@ def test_rational_residual_matches_exact_route(n, points):
         assert _max_gap(total, cdybe_residual(fam, lam_f)) < 1e-12
 
 
+@pytest.mark.parametrize("kind", ["trig", "rational", "tanh-corrupted"])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_root_coordinate_residual_matches_the_dense_route(n, kind):
+    # phi @ Q against the einsum route on the dense matrices r(lambda) and dr/dlambda_m
+    family = DynamicalRFamily(sl_chevalley(n), kind)
+    for k in range(20):
+        lam = conftest._sample_lambda(family, 17, k)
+        res, want = cdybe_residual(family, lam), conftest.dense_residual(family, lam)
+        assert np.max(np.abs(res - want)) <= 1e-13 * max(1.0, float(np.max(np.abs(want)))), (k, lam)
+
+
 def _parity(perm):
     inversions = sum(1 for a, b in itertools.combinations(perm, 2) if a > b)
     return -1 if inversions % 2 else 1
@@ -224,17 +236,19 @@ def test_tanh_family_solves_the_rank_one_equation():
 
 
 def test_residual_scan_evaluates_r_once_per_block(monkeypatch):
-    # per block: one eval_r call, at every lambda and its shifted copies, and one r_derivative
-    # call per coordinate, from which the residual is formed; no second evaluation through
-    # cdybe_residual, and one round-by-round draw of the block's lambda
+    # per block: r at every lambda and its shifted copies and every dr/dlambda_m, each in one
+    # call, and one residual formed from them; no second evaluation through cdybe_residual,
+    # and one round-by-round draw of the block's lambda
     assert not hasattr(dynr, "_sample_lambda")
     monkeypatch.setattr(report, "BLOCK", 4)
-    calls = counted_calls(monkeypatch, dynr, ["eval_r", "r_derivative", "cdybe_residual", "_sample_lambdas"])
+    names = ["_coefficients", "_derivatives", "_residual", "cdybe_residual", "_sample_lambdas"]
+    calls = counted_calls(monkeypatch, dynr, names)
     for n in (3, 4):
         family = DynamicalRFamily(sl_chevalley(n), "trig")
         calls.update(dict.fromkeys(calls, 0))
         assert residual_scan(family, samples=9, seed=2).ok  # blocks of 4, 4 and 1
-        assert calls == {"eval_r": 3, "r_derivative": 3 * family.rank, "cdybe_residual": 0, "_sample_lambdas": 3}
+        assert calls == {"_coefficients": 3, "_derivatives": 3, "_residual": 3, "cdybe_residual": 0,
+                         "_sample_lambdas": 3}
 
 
 def test_scan_deterministic():
@@ -255,12 +269,13 @@ def test_residual_scan_pass_rule(kind, monkeypatch):
 
 def test_residual_scan_fails_through_the_spread_alone(monkeypatch):
     # the trig residual times 1 + |r(lambda)|^2 / 1000: a scalar multiple stays ad-invariant and
-    # the derivative check never reads it, so only the spread across lambda leaves its bound
+    # the derivative check never reads it, so only the spread across lambda leaves its bound.
+    # In root coordinates |r|^2, the sum of the squared entries of r's matrix, is 2 sum_a c_a^2
     family = DynamicalRFamily(sl_chevalley(3), "trig")
     residual = dynr._residual
 
-    def scaled(family, r, dr):
-        return residual(family, r, dr) * (1.0 + 1e-3 * np.sum(r * r, axis=(-2, -1)))[..., None, None, None]
+    def scaled(family, c, dc):
+        return residual(family, c, dc) * (1.0 + 1e-3 * 2.0 * np.sum(c * c, axis=-1))[..., None]
 
     assert residual_scan(family, samples=3, seed=4).ok
     monkeypatch.setattr(dynr, "_residual", scaled)
