@@ -7,8 +7,9 @@ lambda_ij = {x_i, y_j}, the submanifold is Dirac in this presentation iff
     lambda_ij(x, 0) = 0   and   d phi_ij / d y_l (x, 0) = 0
 
 identically, in which case pi_Q = phi_ij(x, 0) is a Poisson structure on Q.
-Linear involutions are reduced to this normal form by an exact change of
-coordinates to their (+1, -1) eigenbasis.
+The bracket condition (d phi / d y) is decided before the anchor condition
+(lambda).  Linear involutions reach this one criterion through their (+1, -1)
+eigenbasis, affine subspaces of Lie-Poisson duals through adapted coordinates.
 """
 
 from __future__ import annotations
@@ -60,10 +61,6 @@ class AlignedSubmanifold:
         object.__setattr__(self, "zero_y", tuple(zero_y))
         object.__setattr__(self, "to_q", tuple(to_q))
 
-    @property
-    def x_names(self) -> tuple[str, ...]:
-        return tuple(self.chart.coords[i] for i in self.x_indices)
-
 
 @dataclass(frozen=True)
 class LinearInvolution:
@@ -92,21 +89,11 @@ class LinearInvolution:
         return [list(row) for row in self.matrix]
 
 
-def _induced_chart(pi: PolyMultiVec, q: AlignedSubmanifold) -> PoissonChart:
-    """Q with the x-x components of the bivector pi at y = 0, in the coordinates of Q."""
-    return PoissonChart(len(q.x_indices), q.x_names, pi.project(q.x_indices, q.to_q))
-
-
 def _aligned_criterion(q: AlignedSubmanifold) -> Report:
-    """The aligned criterion on a chart already known to be Poisson: lambda_ij(x, 0) = 0
-    and d phi_ij / d y_l (x, 0) = 0, then the induced chart (see ``check_aligned_dirac``)."""
+    """The aligned criterion on a chart already known to be Poisson: d phi_ij / d y_l (x, 0) = 0,
+    then lambda_ij(x, 0) = 0, then the induced chart (see ``check_aligned_dirac``)."""
     chart = q.chart
     ys = q.y_indices
-    for i in q.x_indices:
-        for j in ys:
-            lam = chart.pi.component((i, j)).compose(q.zero_y)
-            if not lam.is_zero():
-                return Report(False, reason=f"lambda_({i},{j}) = {{x_{i}, y_{j}}} nonzero on Q", witness=((i, j), lam))
     for a, i in enumerate(q.x_indices):
         for j in q.x_indices[a + 1 :]:
             phi = chart.pi.component((i, j))
@@ -114,7 +101,13 @@ def _aligned_criterion(q: AlignedSubmanifold) -> Report:
                 dphi = phi.diff(l).compose(q.zero_y)
                 if not dphi.is_zero():
                     return Report(False, reason=f"d phi_({i},{j}) / d y_{l} nonzero on Q", witness=((i, j), dphi))
-    chart_q = _induced_chart(chart.pi, q)
+    for i in q.x_indices:
+        for j in ys:
+            lam = chart.pi.component((i, j)).compose(q.zero_y)
+            if not lam.is_zero():
+                return Report(False, reason=f"lambda_({i},{j}) = {{x_{i}, y_{j}}} nonzero on Q", witness=((i, j), lam))
+    chart_q = PoissonChart(len(q.x_indices), tuple(chart.coords[i] for i in q.x_indices),
+                           chart.pi.project(q.x_indices, q.to_q))
     if not jacobiator(chart_q).is_zero():
         raise AssertionError("induced structure failed the Jacobi identity; this is a bug")
     return Report(True, {"induced": chart_q})
@@ -123,6 +116,12 @@ def _aligned_criterion(q: AlignedSubmanifold) -> Report:
 def check_aligned_dirac(q: AlignedSubmanifold) -> Report:
     """Decide the aligned criterion; on failure the witness is the offending
     symbol as ((i, j), polynomial on the chart).
+
+    It says that A = V_Q-perp = span{dx_i} along Q is a Lie subalgebroid of T*P
+    (anchor pi^#, bracket [df, dg] = d{f, g}), the infinitesimal form of a
+    symplectic subgroupoid (Moerdijk and Mrcun, Adv. Math. 204, 2006).  As
+    f dx_i adds only multiples of dx: pi^#(dx_i) is tangent to Q iff
+    lambda_ij(x, 0) = 0, and d phi_ij lies in A iff d phi_ij / d y_l (x, 0) = 0.
 
     A chart that is not Poisson fails first, with the first nonzero component
     of its Jacobiator, (index triple, polynomial), as witness.  On success
@@ -215,54 +214,42 @@ def _as_vectors(g, elems) -> list[list[Scalar]]:
 def affine_lie_poisson_dirac(g, l_basis, m_basis, mu) -> Report:
     """Decide whether mu + m-perp is a Dirac submanifold of g* (constant V_Q).
 
-    Checks, in order: l is a subalgebra, [l, m] stays in m, and mu kills
-    [l, m].  On success ``values["induced"]`` is the induced structure, the
-    Lie-Poisson chart of l*.
+    The aligned criterion on g*'s Lie-Poisson chart in the coordinates
+    x_a = <xi, l_a>, y_b = <xi - mu, m_b>, with Q = {y = 0}: its bracket
+    condition says that l is a subalgebra, and a lambda_ab that fails says
+    that [l_a, m_b] has an l-part (lambda non-constant) or that mu does not
+    kill it (constant).  On success ``values["induced"]`` is the induced
+    structure, the Lie-Poisson chart of l*.
     """
-    from .liealg import LieAlgebraData, lie_poisson_chart
+    from .liealg import lie_poisson_chart
 
     lv = _as_vectors(g, l_basis)
     mv = _as_vectors(g, m_basis)
     if len(lv) + len(mv) != g.dim:
         raise InvalidInput("l and m have the wrong total dimension")
-    inv = linalg.inverse(linalg.transpose(lv + mv))  # the columns are the basis vectors
-    if inv is None:
+    a = lv + mv  # the rows of A, for the coordinates A xi
+    a_inv = linalg.inverse(a)
+    if a_inv is None:
         raise InvalidInput("l_basis and m_basis do not form a basis of g")
     mu = [Scalar.coerce(c) for c in mu]
     if len(mu) != g.dim:
         raise InvalidInput("mu has the wrong length")
 
-    k = len(lv)
-
-    def coords(vec: list[Scalar]) -> list[Scalar]:
-        return linalg.mat_vec(inv, vec)
-
-    # (i) l is a subalgebra, recording its structure constants on the fly
-    l_struct = {}
-    for a in range(k):
-        for b in range(a + 1, k):
-            w = coords(g.bracket_vectors(lv[a], lv[b]))
-            if any(not c.is_zero() for c in w[k:]):
-                return Report(False, reason=f"l is not a subalgebra: [l_{a}, l_{b}] leaves l")
-            l_struct[(a, b)] = w[:k]
-    # (ii) [l, m] contained in m
-    l_m = [[g.bracket_vectors(u, v) for v in mv] for u in lv]
-    for a, row in enumerate(l_m):
-        for b, w in enumerate(row):
-            if any(not c.is_zero() for c in coords(w)[:k]):
-                return Report(False, reason=f"[l, m] not contained in m: [l_{a}, m_{b}] has an l-part")
-    # (iii) mu vanishes on [l, m]
-    for a, row in enumerate(l_m):
-        for b, w in enumerate(row):
-            pairing = sum((mu[i] * w[i] for i in range(g.dim)), Scalar(0))
-            if not pairing.is_zero():
-                return Report(False, reason=f"ad*-condition fails: <mu, [l_{a}, m_{b}]> = {pairing}")
-
-    sub = LieAlgebraData.from_brackets(
-        [f"l{a+1}" for a in range(k)],
-        {pair: {c: coeff for c, coeff in enumerate(w) if not coeff.is_zero()} for pair, w in l_struct.items()},
-    )
-    return Report(True, {"induced": lie_poisson_chart(sub)})
+    n, k = g.dim, len(lv)
+    # y_b <- y_b + <mu, m_b>, so that mu + m-perp is {y = 0}
+    offset = [SCALAR_ZERO] * k + [sum((c * u for c, u in zip(mu, row)), SCALAR_ZERO) for row in mv]
+    shift = [Poly.var(n, i) + offset[i] for i in range(n)]
+    pi = _pushforward(lie_poisson_chart(g).pi, a, a_inv).project(range(n), shift)
+    names = tuple(f"l{i+1}" for i in range(k)) + tuple(f"m{b+1}" for b in range(n - k))
+    verdict = _aligned_criterion(AlignedSubmanifold(PoissonChart(n, names, pi), tuple(range(k)), tuple(range(k, n))))
+    if verdict.ok:
+        return verdict
+    (i, j), lam = verdict.witness
+    if j < k:
+        return Report(False, reason=f"l is not a subalgebra: [l_{i}, l_{j}] leaves l")
+    if any(any(e) for e in lam.terms):
+        return Report(False, reason=f"[l, m] not contained in m: [l_{i}, m_{j - k}] has an l-part")
+    return Report(False, reason=f"ad*-condition fails: <mu, [l_{i}, m_{j - k}]> = {lam.constant_value()}")
 
 
 def transverse_from_reductive(g, l_basis, m_basis, mu) -> Report:

@@ -42,10 +42,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return out
 
 
-def mat_vec(a: Matrix, v: Sequence[Scalar]) -> list[Scalar]:
-    return [sum((aij * vj for aij, vj in zip(row, v)), SCALAR_ZERO) for row in a]
-
-
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
@@ -58,9 +54,6 @@ def mat_scale(a: Matrix, c) -> Matrix:
     c = Scalar.coerce(c)
     return [[c * x for x in row] for row in a]
 
-
-def transpose(a: Matrix) -> Matrix:
-    return [list(col) for col in zip(*a)] if a else []
 
 def mat_eq(a: Matrix, b: Matrix) -> bool:
     return len(a) == len(b) and all(ra == rb for ra, rb in zip(a, b))

@@ -25,8 +25,12 @@ and for the scan's root-coordinate residual and invariance defect,
 the one-sample-at-a-time lambda sampler, the reference for the scan's
 round-by-round one, and the sampled equivariance check of a family under an
 anti-morphism, which no command runs.
-For ``poissonkit.linalg``: a matrix of Scalars from rows of numbers, and the
-rank of an exact matrix, which only the tests use.
+For ``poissonkit.linalg``: a matrix of Scalars from rows of numbers, the
+rank of an exact matrix, a matrix times a vector and the transpose, which only
+the tests use.
+
+For ``poissonkit.dirac``: the three conditions on a split g = l + m, the
+reference for ``affine_lie_poisson_dirac``.
 
 For ``poissonkit.exactalg``: the exact value of a polynomial, or of every
 component of a multivector, at a point, by ``Poly.compose``.
@@ -47,10 +51,10 @@ import numpy as np
 import pytest
 
 import poissonkit
-from poissonkit import dynr, linalg, report
+from poissonkit import dirac, dynr, linalg, report
 from poissonkit.dynr import DynamicalRFamily
 from poissonkit.exactalg import SCALAR_ZERO, Poly, PolyMultiVec, Scalar, wedge
-from poissonkit.liealg import AlgElement, LieAlgebraData
+from poissonkit.liealg import AlgElement, LieAlgebraData, lie_poisson_chart
 from poissonkit.poisson import PoissonChart
 from poissonkit.report import Report
 
@@ -192,6 +196,44 @@ def mat(rows: Sequence[Sequence]) -> linalg.Matrix:
 def rank(a: linalg.Matrix) -> int:
     """The rank of an exact matrix: its number of pivots."""
     return len(linalg.rref(a)[1]) if a else 0
+
+
+def mat_vec(a: linalg.Matrix, v: Sequence[Scalar]) -> list[Scalar]:
+    return [sum((aij * vj for aij, vj in zip(row, v)), SCALAR_ZERO) for row in a]
+
+
+def transpose(a: linalg.Matrix) -> linalg.Matrix:
+    return [list(col) for col in zip(*a)] if a else []
+
+
+def affine_lie_reference(g: LieAlgebraData, l_basis, m_basis, mu) -> Report:
+    """Whether mu + m-perp is Dirac in g*, by three conditions on the split: l is a
+    subalgebra (over every pair of l first), then, pair by pair, [l_a, m_b] has no l-part
+    and mu kills it, with the reasons of ``dirac.affine_lie_poisson_dirac``.  On success
+    ``values["induced"]`` is the Lie-Poisson chart of l*, built from l's structure constants."""
+    lv, mv = dirac._as_vectors(g, l_basis), dirac._as_vectors(g, m_basis)
+    inv = linalg.inverse(transpose(lv + mv))  # the columns are the basis vectors
+    k = len(lv)
+    l_struct = {}
+    for a in range(k):
+        for b in range(a + 1, k):
+            w = mat_vec(inv, g.bracket_vectors(lv[a], lv[b]))
+            if any(not c.is_zero() for c in w[k:]):
+                return Report(False, reason=f"l is not a subalgebra: [l_{a}, l_{b}] leaves l")
+            l_struct[(a, b)] = w[:k]
+    for a, u in enumerate(lv):
+        for b, v in enumerate(mv):
+            w = g.bracket_vectors(u, v)
+            if any(not c.is_zero() for c in mat_vec(inv, w)[:k]):
+                return Report(False, reason=f"[l, m] not contained in m: [l_{a}, m_{b}] has an l-part")
+            pairing = sum((Scalar.coerce(m) * c for m, c in zip(mu, w)), SCALAR_ZERO)
+            if not pairing.is_zero():
+                return Report(False, reason=f"ad*-condition fails: <mu, [l_{a}, m_{b}]> = {pairing}")
+    sub = LieAlgebraData.from_brackets(
+        [f"l{a+1}" for a in range(k)],
+        {pair: {c: coeff for c, coeff in enumerate(w) if not coeff.is_zero()} for pair, w in l_struct.items()},
+    )
+    return Report(True, {"induced": lie_poisson_chart(sub)})
 
 
 def abelian(dim: int) -> LieAlgebraData:

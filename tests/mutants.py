@@ -114,12 +114,17 @@ MUTANTS = (
                "tests/test_cli.py::test_no_sampled_check_takes_a_tolerance[dynr cdybe-tanh-corrupted-tol=1e300]",
            )),
     # the Dirac checks keep their order and their reasons
-    Mutant("affine-l-part-read-as-m-part", "dirac", "affine_lie_poisson_dirac",
-           "coords(w)[:k]", "coords(w)[k:]", (
-               "tests/test_dirac.py::test_affine_checks_l_m_before_the_ad_condition",
-               "tests/test_dirac.py::test_affine_so3_axis_passes",
-               "tests/test_dirac.py::test_transverse_sl2",
-               "tests/test_acceptance.py::test_claim[affine-so3]",
+    Mutant("affine-mu-shift-sign", "dirac", "affine_lie_poisson_dirac",
+           "Poly.var(n, i) + offset[i]", "Poly.var(n, i) - offset[i]", (
+               "tests/test_dirac.py::test_affine_reads_l_m_and_ad_in_pair_order",
+               "tests/test_dirac.py::test_affine_lie_agrees_with_the_three_condition_loop[sl2]",
+               "tests/test_dirac.py::test_affine_lie_agrees_with_the_three_condition_loop[sl3]",
+           )),
+    Mutant("affine-lambda-split-negated", "dirac", "affine_lie_poisson_dirac",
+           "if any(any(e) for e in lam.terms):", "if not any(any(e) for e in lam.terms):", (
+               "tests/test_dirac.py::test_affine_ad_condition_fails",
+               "tests/test_dirac.py::test_affine_l_part_alone",
+               "tests/test_dirac.py::test_affine_lie_agrees_with_the_three_condition_loop[sl3]",
            )),
     Mutant("transverse-isotropy-first-element-only", "dirac", "transverse_from_reductive",
            "for x in basis:", "for x in basis[:1]:", (
@@ -133,6 +138,12 @@ MUTANTS = (
     Mutant("slice-reason-dropped", "dirac", "leaf_slice_obstruction",
            'replace(failed, reason="slice bivector at t0 is not Poisson")', "failed", (
                "tests/test_dirac.py::test_slice_rejects_non_poisson_slice",
+           )),
+    Mutant("slice-monomials-lexicographic", "dirac", "_monomials_up_to",
+           "key=lambda e: (sum(e), e)", "key=lambda e: e", (
+               "tests/test_dirac.py::test_slice_monomials_are_every_exponent_in_graded_order[2]",
+               "tests/test_dirac.py::test_slice_monomials_are_every_exponent_in_graded_order[3]",
+               "tests/test_dirac.py::test_slice_monomials_are_every_exponent_in_graded_order[4]",
            )),
     # the exact kernel and the checks over it
     Mutant("hook-parity-ignored", "exactalg", "_hook",

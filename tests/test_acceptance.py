@@ -149,8 +149,13 @@ ROWS = (
         "exact", "dim 3, 100 seeded pairs of degree 0-2",
         ("oracle", "schouten", "--dim", "3", "--pairs", "100", "--seed", "0"), {"mismatches": "0"},
         Patch("cli.schouten", lambda kernel: lambda a, b: kernel(b, a), "with its arguments swapped"), 10.0),
-    Row("symplectic-subgroupoids", 2, "Dirac submanifolds as symplectic subgroupoids of the symplectic groupoid",
-        "open", "no ROADMAP item yet"),
+    Row("symplectic-subgroupoids", 2,
+        "a Dirac submanifold corresponds to a symplectic subgroupoid, in infinitesimal (Lie subalgebroid) form: "
+        "along Q = {y = 0} with V_Q = span ∂/∂y, A = V_Q⊥ = span{dx1, dx2} is a Lie subalgebroid of T*P, since "
+        "π^#(dx_i) is tangent to Q and d{x1, x2} stays in A there",
+        "exact", "R³, {x1, x2} = 1 + y², y a Casimir", ("dirac", "aligned", "subalgebroid3.chart"),
+        {"induced": "dim 2; coords x1 x2; bracket x1 x2 = 1"},
+        ("dirac", "aligned", "subalgebroid3_bad.chart"), 1.0),
     Row("fixed-locus-so3", 3,
         "the stable locus of the Poisson involution diag(−1, −1, 1) of so(3)* is Dirac: the x3-axis",
         "exact", "so(3)*, a linear involution",

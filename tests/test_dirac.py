@@ -7,7 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import abelian, counted_calls, make_rng, poly_at, pushforward_linear, rank
+from conftest import (
+    abelian,
+    affine_lie_reference,
+    counted_calls,
+    make_rng,
+    poly_at,
+    pushforward_linear,
+    rank,
+    transpose,
+)
 from poissonkit import linalg
 from poissonkit.cli import run_command
 from poissonkit.dirac import (
@@ -20,7 +29,7 @@ from poissonkit.dirac import (
     transverse_from_reductive,
 )
 from poissonkit.exactalg import Poly, PolyMultiVec, Scalar, schouten
-from poissonkit.liealg import builtin_algebra, lie_poisson_chart, transpose_antimorphism
+from poissonkit.liealg import LieAlgebraData, builtin_algebra, lie_poisson_chart, transpose_antimorphism
 from poissonkit.dirac import _monomials_up_to, _pushforward
 from poissonkit.oracle import rand_multivec, rand_poly
 from poissonkit import dirac, poisson
@@ -141,8 +150,8 @@ def test_rank_relation_exact_points():
                 [Scalar(1) if i == x else Scalar(0) for i in range(chart.dim)]
                 for x in sub.x_indices
             ]
-            rank_img = rank(linalg.transpose(image_cols))
-            rank_join = rank(linalg.transpose(image_cols + x_axes))
+            rank_img = rank(transpose(image_cols))
+            rank_join = rank(transpose(image_cols + x_axes))
             dim_intersect = rank_img + len(x_axes) - rank_join
             assert ind_rank == dim_intersect
 
@@ -339,7 +348,7 @@ def test_fixed_locus_two_routes_agree():
         (lie_poisson_chart(builtin_algebra("so3")), [[-1, 0, 0], [0, -1, 0], [0, 0, 1]]),
         (PoissonChart(2, ("x", "y"), PolyMultiVec.monomial(2, (0, 1), Poly.var(2, 1))), [[1, 0], [0, -1]]),
         (product_chart(), [[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]]),
-        (lie_poisson_chart(sl3), [[-c for c in row] for row in linalg.transpose(transpose_antimorphism(sl3).matrix)]),
+        (lie_poisson_chart(sl3), [[-c for c in row] for row in transpose(transpose_antimorphism(sl3).matrix)]),
     ]
     for chart, rows in charts:
         _assert_routes_agree(chart, [[Scalar.coerce(c) for c in row] for row in rows])
@@ -487,14 +496,71 @@ def test_affine_ad_condition_fails():
     assert "ad*" in verdict.reason
 
 
-def test_affine_checks_l_m_before_the_ad_condition():
+def test_affine_reads_l_m_and_ad_in_pair_order():
     # m = (f, e + h): [h, f] = -2f breaks the ad* condition for mu = f* at the first pair, and
-    # [h, e + h] = 2e = 2(e + h) - 2h has an l-part at the second; [l, m] in m is decided first
+    # [h, e + h] = 2e = 2(e + h) - 2h has an l-part at the second; both are read off the one
+    # lambda_(0, b) = {l_0, m_b} on Q, so the first failing pair decides
     g = builtin_algebra("sl2")
     verdict = affine_lie_poisson_dirac(g, ["h1"], ["f12", [1, 0, 1]], [0, 1, 0])
-    assert verdict.reason == "[l, m] not contained in m: [l_0, m_1] has an l-part" and not verdict.ok
+    assert verdict.reason == "ad*-condition fails: <mu, [l_0, m_0]> = -2" and not verdict.ok
     verdict = affine_lie_poisson_dirac(g, ["h1"], ["f12", "e12"], [0, 1, 0])
     assert verdict.reason == "ad*-condition fails: <mu, [l_0, m_0]> = -2" and not verdict.ok
+
+
+def test_affine_l_part_alone():
+    # the same split at mu = 0: [h, f] = -2f is killed by mu, and [h, e + h] has an l-part
+    g = builtin_algebra("sl2")
+    verdict = affine_lie_poisson_dirac(g, ["h1"], ["f12", [1, 0, 1]], [0, 0, 0])
+    assert verdict.reason == "[l, m] not contained in m: [l_0, m_1] has an l-part" and not verdict.ok
+
+
+def _sl2_plus_line() -> LieAlgebraData:
+    """sl(2) + R z, z central: [e, f] = h, [h, e] = 2e, [h, f] = -2f."""
+    return LieAlgebraData.from_brackets(["e", "f", "h", "z"], {(0, 1): {2: 1}, (0, 2): {0: -2}, (1, 2): {1: 2}})
+
+
+def test_affine_not_a_subalgebra_alone():
+    # l = span(e, f, h + z), m = span(z), mu = z*: [e, f] = h = (h + z) - z leaves l, while
+    # [l, m] = 0 lies in m and mu kills it; so neither route can report anything else
+    g = _sl2_plus_line()
+    for check in (affine_lie_poisson_dirac, affine_lie_reference):
+        verdict = check(g, ["e", "f", [0, 0, 1, 1]], ["z"], [0, 0, 0, 1])
+        assert verdict.reason == "l is not a subalgebra: [l_0, l_1] leaves l" and not verdict.ok
+
+
+def _random_split(g, rng):
+    """A seeded split g = l + m and a mu with entries in {0, 1, -1}: basis vectors in a random
+    order, each of the later ones, half of the time, plus or minus some of the earlier ones, so
+    that the split is either along the coordinates or mixed; l takes the first k."""
+    n = g.dim
+    rows = [[Scalar(int(i == j)) for j in range(n)] for i in rng.sample(range(n), n)]
+    if rng.random() < 0.5:
+        for r in range(1, n):
+            for s in range(r):
+                if rng.random() < 0.2:
+                    sign = rng.choice((1, -1))
+                    rows[r] = [x + sign * y for x, y in zip(rows[r], rows[s])]
+    k = rng.randint(1, n)
+    mu = [0] * n if rng.random() < 0.5 else [rng.choice((0, 1, -1)) for _ in range(n)]
+    return rows[:k], rows[k:], mu
+
+
+@pytest.mark.parametrize("name", ["so3", "sl2", "sl3", "su3"])
+def test_affine_lie_agrees_with_the_three_condition_loop(name):
+    # second route: the aligned criterion on the adapted chart against the three conditions on
+    # the split, in verdict, reason and induced chart; every outcome is reached on each algebra
+    g = builtin_algebra(name)
+    rng = make_rng(name)
+    outcomes = set()
+    for _ in range(150):
+        l, m, mu = _random_split(g, rng)
+        verdict, reference = affine_lie_poisson_dirac(g, l, m, mu), affine_lie_reference(g, l, m, mu)
+        assert (verdict.ok, verdict.reason) == (reference.ok, reference.reason), (l, m, mu)
+        if verdict.ok:
+            induced, expected = verdict.values["induced"], reference.values["induced"]
+            assert (induced.coords, induced.pi) == (expected.coords, expected.pi), (l, m, mu)
+        outcomes.add("pass" if verdict.ok else verdict.reason.split(":")[0])
+    assert outcomes >= {"pass", "l is not a subalgebra", "[l, m] not contained in m", "ad*-condition fails"}, outcomes
 
 
 def test_affine_rejects_non_basis():

@@ -15,7 +15,9 @@ from conftest import (
     counted_calls,
     double_pairing,
     make_rng,
+    mat_vec,
     structure_constant,
+    transpose,
     validate_lie_reference,
 )
 from poissonkit import liealg
@@ -537,7 +539,7 @@ def test_sparse_vector_routines_match_dense_formulas():
     phi = LinearAlgMap(g, g, tuple(map(tuple, rows)))
     for _ in range(20):
         u, v = vec(n), vec(n)
-        assert apply_vector(phi, u) == linalg.mat_vec(rows, u)
+        assert apply_vector(phi, u) == mat_vec(rows, u)
         dense = [Scalar(0)] * n
         for i in range(n):
             for j in range(n):
@@ -608,9 +610,9 @@ _MAP_ENTRIES = [Scalar(0)] * 4 + [Scalar(1), Scalar(-1), Scalar(2), Scalar(Fract
 
 
 @settings(max_examples=80, deadline=None)
-@given(name=st.sampled_from(["sl3", "su3"]), degree=st.integers(0, 3), transpose=st.booleans(),
+@given(name=st.sampled_from(["sl3", "su3"]), degree=st.integers(0, 3), on_transpose=st.booleans(),
        seed=st.integers(0, 2**32 - 1))
-def test_apply_matches_the_wedge_of_images(name, degree, transpose, seed):
+def test_apply_matches_the_wedge_of_images(name, degree, on_transpose, seed):
     # LinearAlgMap.apply carries the legs in one pass; the reference wedges the images of the legs one
     # at a time, on the transpose and on random invertible maps (unit lower times unit upper triangular)
     from poissonkit import linalg
@@ -618,13 +620,13 @@ def test_apply_matches_the_wedge_of_images(name, degree, transpose, seed):
 
     g = _PERTURBED[name]
     rng = make_rng(seed)
-    if transpose:
+    if on_transpose:
         phi = transpose_antimorphism(g)
     else:
         lower = [[Scalar(1) if r == c else rng.choice(_MAP_ENTRIES) if r > c else Scalar(0)
                   for c in range(g.dim)] for r in range(g.dim)]
-        upper = linalg.transpose([[Scalar(1) if r == c else rng.choice(_MAP_ENTRIES) if r > c else Scalar(0)
-                                   for c in range(g.dim)] for r in range(g.dim)])
+        upper = transpose([[Scalar(1) if r == c else rng.choice(_MAP_ENTRIES) if r > c else Scalar(0)
+                            for c in range(g.dim)] for r in range(g.dim)])
         phi = LinearAlgMap.from_rows(g, g, linalg.mat_mul(lower, upper))
     elem = rand_alg_element(rng, g, degree, 0.3)
     assert phi.apply(elem) == apply_by_wedges(phi, elem)

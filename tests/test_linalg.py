@@ -5,7 +5,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import mat, rank
+from conftest import mat, mat_vec, rank
 from poissonkit import linalg
 from poissonkit.exactalg import Scalar
 
@@ -36,7 +36,7 @@ def systems(draw, entries=small):
     for p in range(nrhs):
         if draw(st.booleans()):
             x = draw(st.lists(entries, min_size=ncols, max_size=ncols))
-            col = linalg.mat_vec(a, x)
+            col = mat_vec(a, x)
         else:
             col = draw(st.lists(entries, min_size=nrows, max_size=nrows))
         for i in range(nrows):
