@@ -45,12 +45,11 @@ Batching.  ``pairings``, ``eval_r``, ``r_derivative`` and ``cdybe_residual``
 also take a stack of lambda, shape (..., rank), and return one result per
 lambda; ``residual_scan`` runs its samples in blocks, by
 ``report.sample_blocks``.  A block draws lambda candidates in rounds of
-LAMBDA_ROUND from each sample's own generator (``report.sample_rngs``, which
-seeds the whole block in one pass) and
-checks a round of every sample still without a lambda in one ``pairings``
-call.  Each sample keeps its first accepted candidate, so the values, and the
-stream each generator is drawn from, are those of drawing one candidate at a
-time.  The block evaluates c at every lambda and its finite-difference points
+LAMBDA_ROUND, round r from each sample's words of stream r
+(``report.sample_words``), and checks a round of every sample still without
+a lambda in one ``pairings`` call.  Each sample keeps its first accepted
+candidate, so its lambda depends on its own words alone, not on its block.
+The block evaluates c at every lambda and its finite-difference points
 in one ``guard`` call and dc once, and forms the residual, a matrix product,
 from them.
 """
@@ -68,7 +67,7 @@ import numpy as np
 
 from .exactalg import Scalar
 from .liealg import AlgElement, LieAlgebraData, alg_schouten
-from .report import Report, sample_blocks, sample_rngs
+from .report import Report, sample_blocks, sample_words
 
 __all__ = [
     "TOL_CDYBE",
@@ -297,18 +296,18 @@ def cdybe_residual(family: DynamicalRFamily, lam: Sequence[float] | np.ndarray) 
     return out
 
 
-def _sample_lambdas(family: DynamicalRFamily, seed: int, ks: Sequence[int]) -> np.ndarray:
-    """The lambda of each sample k of ks, one row each: the first of the draws of
-    ``default_rng([seed, k])`` whose every root pairing is at least 0.5 from 0.
+def _sample_lambdas(family: DynamicalRFamily, seed: int, ks: range) -> np.ndarray:
+    """The lambda of each sample k of ks, one row each: the first candidate whose every root
+    pairing is at least 0.5 from 0.
 
-    The draws come LAMBDA_ROUND at a time, which gives the same doubles in the same
-    order as one draw at a time; one ``pairings`` call checks a round of every sample
-    still without a lambda."""
-    rngs = sample_rngs(seed, ks)
-    out = np.empty((len(rngs), family.rank))
-    pending = np.arange(len(rngs))
-    for _ in range(MAX_LAMBDA_TRIES // LAMBDA_ROUND):
-        draws = np.stack([rngs[p].uniform(-2.0, 2.0, size=(LAMBDA_ROUND, family.rank)) for p in pending])
+    Round r reads LAMBDA_ROUND candidates from sample k's words of stream r, each coordinate
+    uniform on [-2, 2) as numpy's ``uniform(-2, 2)`` maps a word w: -2 + 4 (w >> 11) 2^-53.  One
+    ``pairings`` call checks a round of every sample still without a lambda."""
+    out = np.empty((len(ks), family.rank))
+    pending = np.arange(len(ks))
+    for stream in range(MAX_LAMBDA_TRIES // LAMBDA_ROUND):
+        words = sample_words(seed, ks, stream)[pending, :LAMBDA_ROUND * family.rank]
+        draws = (-2.0 + 4.0 * ((words >> 11) * 2.0**-53)).reshape(len(pending), LAMBDA_ROUND, family.rank)
         ok = (np.abs(family.pairings(draws)) >= 0.5).all(axis=-1)
         found = ok.any(axis=-1)
         out[pending[found]] = draws[found, ok[found].argmax(axis=-1)]

@@ -29,6 +29,11 @@ formula agrees with the projection route (half-sum of each wedge leg with
 its involution image) to machine precision at every sampled fixed point,
 and with the arrows swapped it does not.
 
+Sampled points are built in closed form on their locus from each sample's raw
+words (``report.sample_words``), with small dyadic entries k/8 and no matrix
+exponential: unit triangular factors, diagonals of powers of 2 and, for SU(n),
+a Cayley transform.  The SL(n) and Stokes points are exact in binary floats.
+
 Every group report runs one sampled check, ``_fixed_locus_blocks``: per block
 of fixed points, membership, pi = r^L - r^R and its projection, the route
 residual of the projected entry brackets against the report's target (the
@@ -54,7 +59,7 @@ import numpy.random  # noqa: F401  numpy 2 loads it lazily; here it is paid at i
 
 # sl_chevalley is bound here only for perfbench's tracer test, which reads groupnum.sl_chevalley
 from .liealg import _double_basis, _sl_basis, _su_basis, sl_chevalley  # noqa: F401
-from .report import Report, sample_blocks, sample_rngs
+from .report import Report, sample_blocks, sample_words
 
 __all__ = [
     "TOL_MEMBER",
@@ -64,7 +69,6 @@ __all__ = [
     "MatrixGroup",
     "TangentBivector",
     "InvolutionSpec",
-    "matrix_exp",
     "sl_group",
     "su_group",
     "dual_group",
@@ -84,49 +88,6 @@ TOL_MARKOFF = 1e-7  # the Markoff polynomial's change along the sampled Stokes b
 TOL_RANK = 1e-8  # singular values above it count toward a numeric rank
 
 KAPPA = 2.0  # predicted Stokes constant, sign included: {x, y} = KAPPA (xy - 2z) and cyclically
-
-SAMPLE_SCALE = 0.5  # standard deviation of the normal draws behind every sampled point
-
-
-# The [13/13] Pade approximant of exp, and the 1-norm up to which its backward error stays
-# below the unit roundoff (Higham 2005).  The coefficients b_0..b_13 are divided by b_0, so
-# that V has constant term I and the exponential of 0 comes out exactly I.  Row 0 holds
-# the even coefficients (those of V), row 1 the odd ones (those of U).
-PADE13 = np.array([64764752532480000, 32382376266240000, 7771770303897600, 1187353796428800,
-                   129060195264000, 10559470521600, 670442572800, 33522128640, 1323241920,
-                   40840800, 960960, 16380, 182, 1]).reshape(7, 2).T / 64764752532480000
-THETA13 = 5.371920351148152
-
-
-def matrix_exp(x: np.ndarray) -> np.ndarray:
-    """Matrix exponential, batched over leading axes: Pade-13 scaling and squaring
-    (N. J. Higham, "The scaling and squaring method for the matrix exponential
-    revisited", SIAM J. Matrix Anal. Appl. 26 (2005)).
-
-    Each matrix A is scaled by its own 2^-s, s = max(0, ceil(log2(|A|_1 / theta_13))),
-    r = (V - U)^-1 (V + U) is the approximant at A / 2^s, and r is squared s times.
-    """
-    x = np.asarray(x)
-    n = x.shape[-1]
-    a = x.reshape(-1, n, n)
-    mantissa, exponent = np.frexp(np.abs(a).sum(axis=-2).max(axis=-1, initial=0.0) / THETA13)
-    s = np.maximum(0, exponent - (mantissa == 0.5))  # ceil(log2), exact at powers of two
-    a = a / np.ldexp(1.0, s)[:, None, None]
-    a2 = a @ a
-    a4 = a2 @ a2
-    a6 = a4 @ a2
-    powers = np.stack([np.broadcast_to(np.eye(n), a.shape), a2, a4, a6])
-    # V = c_0 I + c_2 A^2 + c_4 A^4 + c_6 A^6 + A^6 (c_8 A^2 + c_10 A^4 + c_12 A^6), and U / A
-    # alike from the odd coefficients, in one stacked evaluation
-    low, high = np.tensordot(PADE13[:, :4], powers, axes=1), np.tensordot(PADE13[:, 4:], powers[1:], axes=1)
-    v, u_over_a = low + a6 @ high
-    u = a @ u_over_a
-    r = np.linalg.solve(v - u, v + u)
-    for i in range(s.max(initial=0)):
-        still = s > i
-        r[still] = r[still] @ r[still]
-    return r.reshape(x.shape)
-
 
 def _transpose(v: np.ndarray) -> np.ndarray:
     return np.swapaxes(v, -1, -2)
@@ -175,10 +136,6 @@ class MatrixGroup:
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    def combine(self, coeffs: np.ndarray) -> np.ndarray:
-        """sum_i coeffs[..., i] basis[i], in basis order; one element per row of coeffs."""
-        return sum(np.multiply.outer(coeffs[..., i], b) for i, b in enumerate(self.basis))
 
     @functools.cached_property
     def r_legs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -448,43 +405,79 @@ def rank_relation_holds(spec: InvolutionSpec, pi: TangentBivector, projected: Ta
 
 
 # ---------------------------------------------------------------------------
-# reports
+# sampled points and reports
 # ---------------------------------------------------------------------------
 
 
-def _stokes_points(n: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
-    """Points (B, B^T) of G* fixed by (B, C) -> (C^T, B^T), B unipotent upper-triangular, one per
-    generator, which draws the strictly upper entries of B's exponent row by row."""
-    a, b = np.triu_indices(n, 1)
-    x = np.zeros((len(rngs), n, n))
-    x[:, a, b] = [rng.normal(0.0, SAMPLE_SCALE, size=len(a)) for rng in rngs]
-    upper = matrix_exp(x)
-    return np.stack([upper, _transpose(upper)], axis=1)
+def _dyadic(words: np.ndarray) -> np.ndarray:
+    """One k/8 per word, k in -8..-1, 1..8, read off the word's last 4 bits."""
+    k = (words % 16).astype(int) - 8
+    return (k + (k >= 0)) / 8
 
 
-def _dual_points(n: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
-    """Generic points of G*, one per generator: exponentials of opposite-diagonal
-    upper/lower-triangular pairs (X+, X-), drawn as the pairs (X+_ab, X-_ba),
-    then the diagonal."""
+def _unit_upper(words: np.ndarray, n: int) -> np.ndarray:
+    """Unit upper-triangular matrices, one per row of words, with the ``_dyadic`` strictly upper
+    entries of the row's first n(n - 1)/2 words, row by row."""
     a, b = np.triu_indices(n, 1)
-    draws = np.array([rng.normal(0.0, SAMPLE_SCALE, size=2 * len(a) + n) for rng in rngs])
-    d = draws[:, 2 * len(a):] - draws[:, 2 * len(a):].mean(axis=1, keepdims=True)
-    x = np.zeros((len(rngs), 2, n, n))
-    x[:, 0, a, b], x[:, 1, b, a] = draws[:, 0:2 * len(a):2], draws[:, 1:2 * len(a):2]
-    x[:, 0, range(n), range(n)], x[:, 1, range(n), range(n)] = d, -d
-    return matrix_exp(x)
+    out = np.broadcast_to(np.eye(n), (len(words), n, n)).copy()
+    out[:, a, b] = _dyadic(words[:, :len(a)])
+    return out
+
+
+def _exponents(words: np.ndarray, n: int) -> np.ndarray:
+    """Distinct integers with sum 0, -(n // 2)..n // 2 and 0 left out for even n, one row per row of
+    words, permuted as the row's first n words sort."""
+    values = np.array([e for e in range(-(n // 2), n // 2 + 1) if e or n % 2])
+    return values[np.argsort(words[:, :n], axis=1)]
+
+
+def _stokes_points(n: int, words: np.ndarray) -> np.ndarray:
+    """Points (S, S^T) of G* fixed by (B, C) -> (C^T, B^T), S = ``_unit_upper``, one per row of words."""
+    s = _unit_upper(words, n)
+    return np.stack([s, _transpose(s)], axis=1)
+
+
+def _dual_points(n: int, words: np.ndarray) -> np.ndarray:
+    """Generic points (D U+, D^-1 U-) of G*, one per row of words: U+ and U-^T are ``_unit_upper``
+    on the row's first and next n(n - 1)/2 words, and D = diag(2^e), e the ``_exponents`` of the
+    words after them."""
+    m = n * (n - 1) // 2
+    d = np.ldexp(1.0, _exponents(words[:, 2 * m:], n))[..., None]
+    return np.stack([d * _unit_upper(words, n), _transpose(_unit_upper(words[:, m:], n)) / d], axis=1)
+
+
+def _fixed_points(kind: str, n: int, words: np.ndarray) -> np.ndarray:
+    """Transpose-fixed points of SL(n, R) (kind 'sl') or SU(n) ('su'), one per row of words, whose
+    first n(n - 1)/2 words give a U = ``_unit_upper`` and whose next ones a diagonal D of det 1.
+
+    SL(n): h D h^T, h = U^T, D = diag(2^e) with e the ``_exponents``.  SU(n): V D V^T, with V =
+    (I + K)^-1 (I - K) orthogonal, the Cayley transform of the skew K = U - U^T, and D the unit
+    complex numbers (1 - t^2 + 2it)/(1 + t^2), t ``_dyadic``, the last one the conjugate of the
+    others' product.
+    """
+    m = n * (n - 1) // 2
+    u = _unit_upper(words, n)
+    if kind == "sl":
+        return (_transpose(u) * np.ldexp(1.0, _exponents(words[:, m:], n))[:, None, :]) @ u
+    t = _dyadic(words[:, m:m + n - 1])
+    z = (1 - t * t + 2j * t) / (1 + t * t)
+    d = np.concatenate([z, np.prod(z, axis=1, keepdims=True).conj()], axis=1)
+    skew = u - _transpose(u)
+    v = np.linalg.solve(np.eye(n) + skew, np.eye(n) - skew)
+    return (v * d[:, None, :]) @ _transpose(v)
 
 
 def _fixed_locus_blocks(group: MatrixGroup, spec: InvolutionSpec, samples: int, seed: int,
-                        draw: Callable[[list], np.ndarray], target: Callable[[np.ndarray], np.ndarray],
+                        draw: Callable[[np.ndarray], np.ndarray], target: Callable[[np.ndarray], np.ndarray],
                         entries: Sequence[tuple] | None = None, readout: Callable[..., tuple] = lambda *_: ()):
-    """The sampled check of every group report (module docstring); a point drawn off the group is
-    a sampling bug, raised as AssertionError.  Returns the largest route and +1 residuals, whether
-    every rank relation held, and the columns of the report's ``readout(points, pi, brackets,
-    expected)``, ``expected`` the block's ``target(points)``."""
+    """The sampled check of every group report (module docstring), at the points ``draw`` builds
+    from each block's ``sample_words``; a point drawn off the group is a sampling bug, raised as
+    AssertionError.  Returns the largest route and +1 residuals, whether every rank relation held,
+    and the columns of the report's ``readout(points, pi, brackets, expected)``, ``expected`` the
+    block's ``target(points)``."""
 
     def block(ks: range) -> tuple:
-        points = draw(sample_rngs(seed, ks))
+        points = draw(sample_words(seed, ks))
         if np.any(group.membership(points) > TOL_MEMBER):
             raise AssertionError("sampled point failed group membership")
         pi = pl_bivector(group, points)
@@ -541,7 +534,7 @@ def stokes_report(n: int = 3, samples: int = 20, seed: int = 1) -> Report:
                 float(np.max(dual_tangency_residual(pi))), float(np.max(np.abs(grad[:, None, :] @ brackets))))
 
     def push_block(ks: range) -> float:
-        point = _dual_points(n, sample_rngs(seed, ks))
+        point = _dual_points(n, sample_words(seed, ks))
         pi = dual_group_bivector(group, point)
         b, c = point[:, None, 0], point[:, None, 1]  # broadcast over the wedge pairs
         pushed = pi.map_legs(lambda legs: legs[:, :, 0] @ _transpose(c) + b @ _transpose(legs[:, :, 1]),
@@ -550,7 +543,7 @@ def stokes_report(n: int = 3, samples: int = 20, seed: int = 1) -> Report:
         return float(np.max(np.abs(pushed.bracket_matrix(STOKES_COORDS) - target)))
 
     resid, max_plus, rank_ok, (largest, ratios, tangency, markoff) = _fixed_locus_blocks(
-        group, InvolutionSpec("pair-swap"), samples, seed, lambda rngs: _stokes_points(n, rngs),
+        group, InvolutionSpec("pair-swap"), samples, seed, lambda words: _stokes_points(n, words),
         lambda point: KAPPA * _dubrovin_target(point[:, 0]), [(0, *ij) for ij in STOKES_COORDS], readout)
     kappa = ratios[int(np.argmax(largest))]
     values = {
@@ -569,17 +562,6 @@ def stokes_report(n: int = 3, samples: int = 20, seed: int = 1) -> Report:
     return Report(ok, values, seed=seed, samples=samples)
 
 
-def _fixed_points(group: MatrixGroup, rngs: Sequence[np.random.Generator]) -> np.ndarray:
-    """Transpose-fixed group points exp((x + x^T)/2), one per generator, which draws
-    the coefficients of x in the algebra basis.
-
-    Both sl(n) and su(n) are stable under transposition, so the symmetrized
-    element stays in the algebra and its exponential is a fixed group point.
-    """
-    x = group.combine(np.array([rng.normal(0.0, SAMPLE_SCALE, size=group.dim) for rng in rngs]))
-    return matrix_exp(0.5 * (x + _transpose(x)))
-
-
 def crosscheck_report(kind: str, samples: int = 10, seed: int = 2, n: int = 3) -> Report:
     """Two-route agreement at transpose-fixed points.
 
@@ -594,7 +576,7 @@ def crosscheck_report(kind: str, samples: int = 10, seed: int = 2, n: int = 3) -
         raise ValueError("kind must be 'sl' or 'su'")
     group = groups[kind](n)
     max_diff, max_plus, rank_ok, _ = _fixed_locus_blocks(
-        group, InvolutionSpec("transpose"), samples, seed, lambda rngs: _fixed_points(group, rngs),
+        group, InvolutionSpec("transpose"), samples, seed, lambda words: _fixed_points(kind, n, words),
         lambda g: pi_q_formula(group, g).bracket_matrix())
     values = {"group": group.name, "max_route_difference": max_diff, "max_plus_residual": max_plus,
               "rank_relation_ok": rank_ok}

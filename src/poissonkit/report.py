@@ -4,25 +4,28 @@ sampling policy of the sampled checks.
 Every pass/fail check in the package returns a ``Report`` and the CLI prints
 it.  This module imports nothing from the package, so every layer can use it.
 
-Sample k draws from ``default_rng([seed, k])``; ``sample_rngs`` seeds a whole
-block of them in one vectorized pass of numpy's SeedSequence hash.
+Sample k of a stream reads its own fixed block of raw words, ``sample_words``,
+from a counter-based generator: a block of samples is one contiguous draw, and
+each sample's words do not depend on the block that draws them.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Iterable
+from typing import TYPE_CHECKING, Any, Callable
 
 if TYPE_CHECKING:
     import numpy as np
 
-__all__ = ["InvalidInput", "Report", "BLOCK", "sample_rngs", "sample_blocks"]
+__all__ = ["InvalidInput", "Report", "BLOCK", "WORDS", "sample_words", "sample_blocks"]
 
 # Samples per block of the sampled checks: a block runs as one round of stacked
 # calls, and holding one block at a time keeps memory flat in the sample count
 # (a Stokes block peaks at about 1.7 MB, a residual scan block at sl4 about 0.9 MB).
 BLOCK = 64
+# Raw 64-bit words per sample and stream: a group report's point takes at most 35 at n = 6, and a
+# round of dynr's lambda candidates LAMBDA_ROUND words per rank, so 64 covers rank 8
+WORDS = 64
 
 
 class InvalidInput(ValueError):
@@ -63,71 +66,17 @@ class Report:
         return [f"[{command}]"] + [f"  {k:<{width}}  {v}" for k, v in items.items()]
 
 
-# numpy's SeedSequence hash (numpy/random/bit_generator.pyx): 4 pool words, hash and mix constants
-_POOL, _MASK32 = 4, 0xFFFFFFFF
-_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-
-
-@dataclass
-class _HashedSeed:
-    """A SeedSequence already hashed: PCG64 asks it for generate_state(4, uint64) alone."""
-
-    state: np.ndarray
-
-    def generate_state(self, n_words: int, dtype=None) -> np.ndarray:
-        return self.state
-
-
-def _seed_states(seed: int, ks: np.ndarray) -> np.ndarray:
-    """``SeedSequence([seed, k]).generate_state(4, uint64)`` for each k < 2^64, one row each,
-    hashed for all ks at once in wrapping uint32 arithmetic, as the constants are data-free."""
-    import numpy as np
-
-    def constants(value: int, mult: int, steps: int) -> np.ndarray:
-        return np.array([*itertools.accumulate([mult] * steps, lambda c, m: c * m & _MASK32, initial=value)],
-                        np.uint32)[:, None]
-
-    def hashed(value, consts):  # xor the running constant, step it, multiply by it, fold
-        value = (value ^ consts[:-1]) * consts[1:]
-        return value ^ value >> 16
-
-    def mix(x, y):
-        value = _MIX_MULT_L * x - _MIX_MULT_R * y
-        return value ^ value >> 16
-
-    # entropy rows: the seed's words, least significant first, then k's one or two; zeros fill the pool
-    words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
-    entropy = np.zeros((max(len(words) + 2, _POOL), len(ks)), np.uint32)
-    entropy[:len(words)] = np.array(words, np.uint32)[:, None]
-    entropy[len(words)], entropy[len(words) + 1] = ks & _MASK32, ks >> 32
-    length = len(words) + 1 + (ks >> 32 > 0)
-    a = constants(_INIT_A, _MULT_A, _POOL * len(entropy))
-    pool = hashed(entropy[:_POOL], a[:_POOL + 1])
-    for src in range(_POOL):  # every pool word into every other, in numpy's order
-        step, dst = _POOL + (_POOL - 1) * src, [i for i in range(_POOL) if i != src]
-        pool[dst] = mix(pool[dst], hashed(pool[src], a[step:step + _POOL]))
-    for i in range(_POOL, len(entropy)):  # each word past the pool into every pool word
-        pool = np.where(i < length, mix(pool, hashed(entropy[i], a[_POOL * i:_POOL * i + _POOL + 1])), pool)
-    # 8 uint32 words, cycling the pool, paired little-endian into 4 uint64; PCG64 reads each row raw
-    state = hashed(pool[[*range(_POOL)] * 2], constants(_INIT_B, _MULT_B, 2 * _POOL)).astype(np.uint64)
-    return np.ascontiguousarray((state[0::2] | state[1::2] << 32).T)
-
-
-def sample_rngs(seed: int, ks: Iterable[int]) -> list[np.random.Generator]:
-    """The generator ``default_rng([seed, k])`` of each sample k < 2^64, the same in every
-    block.  The block's seed sequences are hashed at once; a guard checks the first against
-    numpy's SeedSequence, which also rejects a negative seed as ``default_rng`` does."""
+def sample_words(seed: int, ks: range, stream: int = 0) -> np.ndarray:
+    """The raw words of samples ks of one stream, one row of WORDS per sample.  Sample k's row is
+    Philox keyed by ``seed`` (Salmon et al., SC 2011) from counter (stream << 128) + k WORDS / 4,
+    as the counter steps by 4 words, so it is the same in every block.  A seed outside
+    [0, 2^128 - 1], which a Philox key cannot hold, is bad input."""
     import numpy as np  # here, so that the exact half of the package loads no numpy
-    from numpy.random.bit_generator import ISeedSequence
 
-    ISeedSequence.register(_HashedSeed)  # a no-op once registered
-    ks = np.asarray(ks, dtype=np.uint64)
-    seqs = [_HashedSeed(state) for state in _seed_states(seed, ks)]
-    if not np.array_equal(seqs[0].generate_state(4, np.uint64),
-                          np.random.SeedSequence([seed, int(ks[0])]).generate_state(4, np.uint64)):
-        raise AssertionError("the block's seed hash disagrees with numpy's SeedSequence")
-    return [np.random.Generator(np.random.PCG64(seq)) for seq in seqs]
+    if not 0 <= seed < 1 << 128:
+        raise InvalidInput(f"a seed must be between 0 and 2^128 - 1, got {seed}")
+    words = np.random.Philox(key=seed, counter=(stream << 128) + ks.start * WORDS // 4).random_raw(len(ks) * WORDS)
+    return words.reshape(len(ks), WORDS)
 
 
 def sample_blocks(indices: range, run: Callable[[range], Any]) -> list:

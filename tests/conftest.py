@@ -16,8 +16,8 @@ images leg by leg, the reference for ``LinearAlgMap.apply``, and the
 triple-by-triple Jacobi check that ``validate_lie``'s sparse sweep must agree
 with.
 
-For ``poissonkit.report``: the per-sample generators ``default_rng([seed, k])``,
-the reference for the block-hashed ``sample_rngs``.
+For ``poissonkit.report``: each sample's own Philox generator, the reference
+for the block-drawn ``sample_words``.
 
 For ``poissonkit.dynr``: the dense einsum route, [r, r], the CDYBE residual and
 every [x_b, t] on dense arrays, the references for the exact ``alg_schouten``
@@ -76,9 +76,9 @@ def with_bound(monkeypatch, module, name, run):
 def assert_pass_rule(check, bounded, seed, samples):
     """``check(tol)`` runs a sampled check with its bound at tol.  With t the largest of the
     values named in ``bounded``, the ones that bound reads, the report passes at tol = t and
-    fails just below it.  It records its seed and sample count, and every value is a bool, float
-    or str whose ``str`` is its ``repr`` unless it is a str, so its porcelain text is
-    the value's own."""
+    fails at the next float below it, which is negative where t is 0.  It records its seed and
+    sample count, and every value is a bool, float or str whose ``str`` is its ``repr`` unless it
+    is a str, so its porcelain text is the value's own."""
     rep = check(1.0)
     assert (rep.seed, rep.samples) == (seed, samples)
     for key, value in rep.values.items():
@@ -86,7 +86,7 @@ def assert_pass_rule(check, bounded, seed, samples):
         assert type(value) is str or str(value) == repr(value), key
     t = max(rep.values[key] for key in bounded)
     assert check(t).ok
-    assert not check(math.nextafter(t, 0.0)).ok
+    assert not check(math.nextafter(t, -math.inf)).ok
 
 
 def counted_calls(monkeypatch, module, names):
@@ -110,11 +110,10 @@ def rng():
 
 
 def algebra_element(group, rng):
-    """A random element of the group's Lie algebra, drawn as the numeric reports
-    draw their sampled points: normal coefficients in the basis."""
-    from poissonkit.groupnum import SAMPLE_SCALE
-
-    return group.combine(rng.normal(0.0, SAMPLE_SCALE, size=group.dim))
+    """A random element of the group's Lie algebra: normal coefficients in the basis, of standard
+    deviation 0.5.  Its exponential (``scipy.linalg.expm``) is a generic group point, off the
+    fixed loci the reports sample."""
+    return sum(c * b for c, b in zip(rng.normal(0.0, 0.5, size=group.dim), group.basis))
 
 
 def adjoint_coordinate_matrix(group, g: np.ndarray) -> np.ndarray:
@@ -377,19 +376,25 @@ def _max_ad_defect(C: np.ndarray, t: np.ndarray) -> float:
     return worst
 
 
-def per_sample_rngs(seed: int, ks) -> list[np.random.Generator]:
-    """``default_rng([seed, k])`` built one sample at a time: the reference for
-    ``report.sample_rngs``, which hashes a block's seed sequences at once."""
-    return [np.random.default_rng([seed, k]) for k in ks]
+def per_sample_rngs(seed: int, ks, stream: int = 0) -> list[np.random.Generator]:
+    """Each sample k's own generator, built one sample at a time: Philox keyed by ``seed``, its
+    256-bit counter given as four 64-bit words, least significant first.  The low 128 bits hold
+    sample k's start, k WORDS / 4 as the counter steps once per 4 words, and the high 128 bits
+    the stream.  The reference for ``report.sample_words``, which draws a block at once."""
+    starts = [k * report.WORDS // 4 for k in ks]
+    return [np.random.Generator(np.random.Philox(key=seed, counter=np.array(
+        [start % 2**64, start >> 64, stream % 2**64, stream >> 64], dtype=np.uint64))) for start in starts]
 
 
 def _sample_lambda(family: DynamicalRFamily, seed: int, index: int) -> np.ndarray:
-    """Sample ``index``: a lambda whose every root pairing is at least 0.5 from 0."""
-    (rng,) = per_sample_rngs(seed, [index])
-    for _ in range(1000):
-        lam = rng.uniform(-2.0, 2.0, size=family.rank)
-        if (np.abs(family.pairings(lam)) >= 0.5).all():
-            return lam
+    """Sample ``index``: the first lambda, one candidate at a time, whose every root pairing is at
+    least 0.5 from 0; round r draws its LAMBDA_ROUND candidates from stream r's generator."""
+    for stream in range(dynr.MAX_LAMBDA_TRIES // dynr.LAMBDA_ROUND):
+        (rng,) = per_sample_rngs(seed, [index], stream)
+        for _ in range(dynr.LAMBDA_ROUND):
+            lam = rng.uniform(-2.0, 2.0, size=family.rank)
+            if (np.abs(family.pairings(lam)) >= 0.5).all():
+                return lam
     raise RuntimeError("could not sample lambda away from the singular set")
 
 

@@ -68,7 +68,6 @@ MUTANTS = (
                "tests/test_dynr.py::test_scan_sl3_both_families",
                "tests/test_dynr.py::test_residual_scan_pass_rule[trig_family]",
                "tests/test_dynr.py::test_residual_scan_fails_through_the_spread_alone",
-               "tests/test_cli.py::test_readme_commands_porcelain_output[dynr cdybe]",
                "tests/test_groupnum.py::test_every_bound_of_a_pass_rule_is_a_module_constant[dynr-residual_scan]",
            )),
     Mutant("cdybe-bound-literal", "dynr", "residual_scan",
@@ -99,7 +98,7 @@ MUTANTS = (
            "* (1.0 / (2 * step))", "/ (2 * step)", (
                "tests/test_batched.py::test_residual_scan_matches_the_per_sample_loop[4-4-1-trig]",
                "tests/test_batched.py::test_residual_scan_matches_the_per_sample_loop[4-5-1-rational]",
-               "tests/test_batched.py::test_residual_scan_matches_the_per_sample_loop[4-12-2-trig]",
+               "tests/test_batched.py::test_residual_scan_matches_the_per_sample_loop[4-5-1-trig]",
            )),
     # the rank cut moving with the route bound: at a route bound near 1e-16 the SU(3) rank relation fails
     Mutant("rank-cut-at-route-bound", "groupnum", "_rank",
@@ -153,6 +152,12 @@ MUTANTS = (
                "tests/test_poisson.py::test_jacobiator_dubrovin_zero",
                "tests/test_acceptance.py::test_claim[stokes-jacobi]",
            )),
+    Mutant("hook-overlap-unchecked", "exactalg", "_hook",
+           "if rest & mask_b:", "if False:", (
+               "tests/test_poisson.py::test_jacobiator_dubrovin_zero",
+               "tests/test_oracle.py::test_schouten_oracle_dim3_100_pairs",
+               "tests/test_acceptance.py::test_claim[stokes-jacobi]",
+           )),
     Mutant("bialgebra-phi-r-unchecked", "liealg", "symmetric_bialgebra_check",
            "if not (phi.apply(r) + r).is_zero():", "if False:", (
                "tests/test_liealg.py::test_symmetric_fails_for_an_r_that_phi_does_not_negate",
@@ -173,6 +178,27 @@ MUTANTS = (
                "tests/test_batched.py::test_non_fixed_point_raises_as_the_loop_does",
                "tests/test_batched.py::test_non_invariant_bivector_raises_as_the_loop_does",
                "tests/test_batched.py::test_near_singular_moved_lambda_raises_as_the_loop_does",
+           )),
+    # each sample reads its own words: its own counter in any block, its own stream per round of
+    # lambda candidates, and only from a key that holds the seed
+    Mutant("sample-words-block-restarts", "report", "sample_words",
+           "(stream << 128) + ks.start * WORDS // 4", "(stream << 128)", (
+               "tests/test_batched.py::test_sample_words_are_each_samples_own_philox_words",
+               "tests/test_batched.py::test_drawn_points_match_the_per_sample_loop[sl-3]",
+               "tests/test_batched.py::test_sample_lambdas_match_the_per_sample_loop[2]",
+               "tests/test_batched.py::test_membership_failure_raises_as_the_loop_does",
+               "tests/test_batched.py::test_stokes_membership_failure_raises_as_the_loop_does",
+           )),
+    Mutant("lambda-rounds-share-a-stream", "dynr", "_sample_lambdas",
+           "sample_words(seed, ks, stream)", "sample_words(seed, ks, 0)", (
+               "tests/test_batched.py::test_sample_lambdas_match_the_per_sample_loop[4]",
+           )),
+    Mutant("sample-words-seed-unchecked", "report", "sample_words",
+           "if not 0 <= seed < 1 << 128:", "if False:", (
+               "tests/test_batched.py::test_sample_words_reject_a_seed_a_philox_key_cannot_hold[-1]",
+               "tests/test_batched.py::test_sample_words_reject_a_seed_a_philox_key_cannot_hold[2^128]",
+               "tests/test_cli.py::test_bad_input_is_a_usage_error[group stokes --seed 340282366920938463463374607431768211456]",
+               "tests/test_cli.py::test_bad_input_is_a_usage_error[dynr cdybe --algebra sl2 --seed=340282366920938463463374607431768211456]",
            )),
     # each shared decision has one home, which every caller reads
     Mutant("stokes-coordinates-swapped", "groupnum", "STOKES_COORDS",

@@ -10,6 +10,7 @@ report must agree exactly, every float to 1e-12 * max(1, |value|), and a
 failing sample must raise what the loop raises.
 """
 
+import sys
 import tracemalloc
 
 import numpy as np
@@ -18,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import conftest
-from conftest import _ad_defect, _max_ad_defect, _max_upper, algebra_element, equivariance_check
+from conftest import _ad_defect, _max_ad_defect, _max_upper, equivariance_check
 from poissonkit import dynr, groupnum, report
 from poissonkit.groupnum import TOL_CROSS, TOL_MARKOFF, TOL_MEMBER, TOL_RANK, InvolutionSpec, TangentBivector
 from poissonkit.liealg import LinearAlgMap, sl_chevalley, transpose_antimorphism
@@ -69,34 +70,55 @@ def _ref_tangency(pi):
     return float(res / max(1.0, pi.max_abs()) ** 2)
 
 
-def _ref_unipotent(n, rng):
-    x = np.zeros((n, n))
+def _rng(seed, k):
+    """Sample k's own generator of stream 0."""
+    (rng,) = conftest.per_sample_rngs(seed, [k])
+    return rng
+
+
+def _ref_dyadic(rng):
+    """The generator's next raw word as k/8: k is its last 4 bits less 8, with 1 added from 0 on."""
+    k = int(rng.bit_generator.random_raw()) % 16 - 8
+    return (k + (k >= 0)) / 8
+
+
+def _ref_unit_upper(n, rng):
+    u = np.eye(n)
     for a in range(n):
         for b in range(a + 1, n):
-            x[a, b] = rng.normal(0.0, 0.5)
-    return groupnum.matrix_exp(x)
+            u[a, b] = _ref_dyadic(rng)
+    return u
+
+
+def _ref_exponents(n, rng):
+    """n distinct integers with sum 0, 0 among them for odd n only: entry j is the one at the position
+    of the j-th smallest of the next n words, in ascending order."""
+    values = [*range(-(n // 2), 0), *[0] * (n % 2), *range(1, n // 2 + 1)]
+    words = [int(rng.bit_generator.random_raw()) for _ in range(n)]
+    return [values[i] for i in sorted(range(n), key=words.__getitem__)]
+
+
+def _ref_stokes_point(n, rng):
+    s = _ref_unit_upper(n, rng)
+    return np.stack([s, s.T])
 
 
 def _ref_dual_point(n, rng):
-    up = np.zeros((n, n))
-    low = np.zeros((n, n))
-    for a in range(n):
-        for b in range(a + 1, n):
-            up[a, b] = rng.normal(0.0, 0.5)
-            low[b, a] = rng.normal(0.0, 0.5)
-    d = rng.normal(0.0, 0.5, size=n)
-    d -= d.mean()
-    up += np.diag(d)
-    low -= np.diag(d)
-    return np.stack([groupnum.matrix_exp(up), groupnum.matrix_exp(low)])
+    up, low = _ref_unit_upper(n, rng), _ref_unit_upper(n, rng).T
+    for i, e in enumerate(_ref_exponents(n, rng)):
+        up[i] *= 2.0 ** e
+        low[i] /= 2.0 ** e
+    return np.stack([up, low])
 
 
-def _ref_fixed_point(group, rng):
-    coeffs = rng.normal(0.0, 0.5, size=group.dim)
-    x = np.zeros_like(group.basis[0])
-    for c, b in zip(coeffs, group.basis):
-        x = x + c * b
-    return groupnum.matrix_exp(0.5 * (x + x.T))
+def _ref_fixed_point(kind, n, rng):
+    u = _ref_unit_upper(n, rng)
+    if kind == "sl":
+        return u.T @ np.diag([2.0 ** e for e in _ref_exponents(n, rng)]) @ u
+    skew = u - u.T
+    v = np.linalg.inv(np.eye(n) + skew) @ (np.eye(n) - skew)
+    z = [complex(1 - t * t, 2 * t) / (1 + t * t) for t in [_ref_dyadic(rng) for _ in range(n - 1)]]
+    return v @ np.diag([*z, np.prod(z).conjugate()]) @ v.T
 
 
 def _ref_stokes(samples, seed):
@@ -108,8 +130,8 @@ def _ref_stokes(samples, seed):
     kappa = None
     rank_ok = True
     for k in range(samples):
-        b = _ref_unipotent(n, np.random.default_rng([seed, k]))
-        point = np.stack([b, b.T])
+        point = _ref_stokes_point(n, _rng(seed, k))
+        b = point[0]
         if group.membership(point) > TOL_MEMBER:
             raise AssertionError("sampled point failed group membership")
         pi = groupnum.pl_bivector(group, point)
@@ -129,7 +151,7 @@ def _ref_stokes(samples, seed):
         max_markoff = max(max_markoff, float(np.max(np.abs(grad @ chart))))
     max_push = 0.0
     for k in range(samples):
-        point = _ref_dual_point(n, np.random.default_rng([seed, samples + k]))
+        point = _ref_dual_point(n, _rng(seed, samples + k))
         pi = groupnum.dual_group_bivector(group, point)
         b, c = point
         pushed = pi.map_legs(lambda legs: legs[:, 0] @ c.T + b @ np.swapaxes(legs[:, 1], -1, -2), base=b @ c.T)
@@ -158,7 +180,7 @@ def _ref_crosscheck(kind, samples, seed, n=3):
     max_diff = max_plus = 0.0
     rank_ok = True
     for k in range(samples):
-        g = _ref_fixed_point(group, np.random.default_rng([seed, k]))
+        g = _ref_fixed_point(kind, n, _rng(seed, k))
         if group.membership(g) > TOL_MEMBER:
             raise AssertionError("sampled point failed group membership")
         pi = groupnum.pl_bivector(group, g)
@@ -268,49 +290,69 @@ def test_equivariance_matches_the_per_sample_loop(block, samples, seed, monkeypa
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_sample_lambdas_match_the_per_sample_loop(n):
     # the rounds of LAMBDA_ROUND draws give every sample the lambda of its one-draw-at-a-time
-    # loop, bit for bit, at seeds past 2^32 too and for a block that does not start at sample 0
+    # loop, bit for bit, at seeds past 2^64 too and for a block that does not start at sample 0
     family = dynr.DynamicalRFamily(sl_chevalley(n), "trig")
     second_round = 0
-    for seed in (0, 1, 5, 2**32, 2**40 + 7):
+    for seed in (0, 1, 5, 2**32, 2**64 + 7, 2**128 - 1):
         loop = np.stack([conftest._sample_lambda(family, seed, k) for k in range(130)])
         rounds = dynr._sample_lambdas(family, seed, range(130))
         assert rounds.shape == loop.shape and rounds.tobytes() == loop.tobytes()
         assert dynr._sample_lambdas(family, seed, range(64, 130)).tobytes() == loop[64:].tobytes()
         for k in range(130):
-            first = np.random.default_rng([seed, k]).uniform(-2.0, 2.0, size=(dynr.LAMBDA_ROUND, family.rank))
+            first = _rng(seed, k).uniform(-2.0, 2.0, size=(dynr.LAMBDA_ROUND, family.rank))
             second_round += not (np.abs(family.pairings(first)) >= 0.5).all(axis=-1).any()
     if n == 4:
         assert second_round > 0  # some sample rejected its whole first round and drew another
 
 
-# seeds at the 32-bit word boundaries of SeedSequence's entropy, and past 2^128, where the
-# seed's words and k's overflow its pool of 4 words
-BOUNDARY_SEEDS = [0, 2**32 - 1, 2**32, 2**64, 2**96, 2**128, 2**160 + 5]
-
-
-def _assert_same_streams(seed, ks):
-    for got, want in zip(report.sample_rngs(seed, ks), conftest.per_sample_rngs(seed, ks), strict=True):
-        assert got.normal(0.0, 0.5, size=5).tobytes() == want.normal(0.0, 0.5, size=5).tobytes()
-        assert got.uniform(-2.0, 2.0, size=5).tobytes() == want.uniform(-2.0, 2.0, size=5).tobytes()
-
-
 @settings(max_examples=40, deadline=None)
-@given(seed=st.one_of(st.sampled_from(BOUNDARY_SEEDS), st.integers(0, 2**200)), start=st.integers(0, 2**34))
-def test_sample_rngs_give_the_per_sample_streams(seed, start):
-    # a block hashed at once gives every sample the stream of its own default_rng([seed, k])
-    _assert_same_streams(seed, range(start, start + report.BLOCK))
+@given(seed=st.integers(0, 2**128 - 1), start=st.integers(0, 2**34), stream=st.integers(0, 3))
+def test_sample_words_are_each_samples_own_philox_words(seed, start, stream):
+    # a block drawn at once gives every sample the words of its own one-sample draw, at its own
+    # counter, whatever block it sits in; another stream gives other words
+    ks = range(start, start + 5)
+    block = report.sample_words(seed, ks, stream)
+    assert block.shape == (len(ks), report.WORDS) and block.dtype == np.uint64
+    for k, row in zip(ks, block, strict=True):
+        # the counter steps once per 4 words, so sample k's 64 words start at 16 k
+        one = np.random.Philox(key=seed, counter=(stream << 128) + 16 * k).random_raw(report.WORDS)
+        assert np.array_equal(row, one)
+        (rng,) = conftest.per_sample_rngs(seed, [k], stream)
+        assert np.array_equal(row, rng.bit_generator.random_raw(report.WORDS))
+    assert not np.array_equal(report.sample_words(seed, ks, 0), report.sample_words(seed, ks, 1))
 
 
-@pytest.mark.parametrize("seed", BOUNDARY_SEEDS)
-def test_sample_rngs_give_the_per_sample_streams_across_two_word_ks(seed):
-    # k takes one entropy word below 2^32 and two from 2^32 on, within one block
-    _assert_same_streams(seed, range(2**32 - 3, 2**32 + 3))
+@pytest.mark.parametrize("seed", [-1, 2**128, 2**160 + 5], ids=["-1", "2^128", "2^160+5"])
+def test_sample_words_reject_a_seed_a_philox_key_cannot_hold(seed):
+    with pytest.raises(report.InvalidInput, match=f"a seed must be between 0 and 2\\^128 - 1, got {seed}"):
+        report.sample_words(seed, range(3))
+    report.sample_words(2**128 - 1, range(3))
 
 
-def test_sample_rngs_reject_what_default_rng_rejects(monkeypatch):
-    assert _raised(lambda: report.sample_rngs(-1, range(3))) == _raised(lambda: np.random.default_rng([-1, 0]))
-    monkeypatch.setattr(report, "_MULT_B", report._MULT_B ^ 1)  # a hash that is no longer numpy's
-    assert _raised(lambda: report.sample_rngs(5, range(3)))[0] is AssertionError
+_POINT_DRAWS = {
+    "stokes": (groupnum._stokes_points, _ref_stokes_point),
+    "dual": (groupnum._dual_points, _ref_dual_point),
+    "sl": (lambda n, words: groupnum._fixed_points("sl", n, words), lambda n, rng: _ref_fixed_point("sl", n, rng)),
+    "su": (lambda n, words: groupnum._fixed_points("su", n, words), lambda n, rng: _ref_fixed_point("su", n, rng)),
+}
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("kind", _POINT_DRAWS)
+def test_drawn_points_match_the_per_sample_loop(kind, n):
+    # a block of points, drawn at once from a block of words that does not start at sample 0, is
+    # the points of the one-sample loop: the reports' values at dyadic points are too exact to
+    # tell which points were drawn, so the points themselves are compared
+    draw, ref = _POINT_DRAWS[kind]
+    for seed in (1, 7, 2**64 + 3):
+        ks = range(61, 70)
+        stacked = draw(n, report.sample_words(seed, ks))
+        loop = np.stack([ref(n, _rng(seed, k)) for k in ks])
+        assert stacked.shape == loop.shape
+        if kind == "su":  # a solve against the loop's inverse: equal to rounding
+            np.testing.assert_allclose(stacked, loop, rtol=0, atol=1e-12)
+        else:  # dyadic entries and products: exact
+            assert np.array_equal(stacked, loop)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -357,18 +399,23 @@ def _hits(g, bad, point_ndim):
     return np.all(g == bad, axis=tuple(range(-point_ndim, 0)))
 
 
-def _corrupt_exp(monkeypatch, corrupt):
-    """groupnum.matrix_exp with corrupt[generator] applied to the exponential of each listed
-    generator, in a single call and in a stacked one alike."""
-    original = groupnum.matrix_exp
+_DRAWS = {"fixed": ("_fixed_points", "_ref_fixed_point"), "stokes": ("_stokes_points", "_ref_stokes_point")}
 
-    def exp(x):
-        out = original(x)
-        for generator, fn in corrupt:
-            out = np.where(_hits(x, generator, 2)[..., None, None], fn(out), out)
-        return out
 
-    monkeypatch.setattr(groupnum, "matrix_exp", exp)
+def _corrupt_draw(monkeypatch, kind, corrupt):
+    """The reports' draw of ``kind``'s points and the loops' alike, with fn applied to each drawn point
+    equal to ``point``, for (point, fn) in corrupt, in a stack and a single draw alike.  The SL(n) and
+    Stokes points are exact in binary floats, so both routes draw a sample's point bit for bit."""
+    module = sys.modules[__name__]
+    for owner, name in zip((groupnum, module), _DRAWS[kind]):
+        def draw(*args, original=getattr(owner, name)):
+            out = original(*args)
+            for point, fn in corrupt:
+                hit = _hits(out, point, point.ndim)
+                out = np.where(hit.reshape(hit.shape + (1,) * point.ndim), fn(out), out)
+            return out
+
+        monkeypatch.setattr(owner, name, draw)
 
 
 def test_non_fixed_point_raises_as_the_loop_does(monkeypatch):
@@ -376,14 +423,10 @@ def test_non_fixed_point_raises_as_the_loop_does(monkeypatch):
     # projection) and sample 10 scaled off SL(3) (an error at the earlier membership check);
     # the loop fails at sample 9, and so must the blocks
     _set_block(monkeypatch, SMALL_BLOCK)
-    group = groupnum.sl_group(3)
     shear = np.eye(3)
     shear[0, 1] = 0.3
-    generators = []
-    for k in (9, 10):
-        x = algebra_element(group, np.random.default_rng([2, k]))
-        generators.append(0.5 * (x + x.T))
-    _corrupt_exp(monkeypatch, [(generators[0], lambda g: g @ shear), (generators[1], lambda g: 1.01 * g)])
+    points = [_ref_fixed_point("sl", 3, _rng(2, k)) for k in (9, 10)]
+    _corrupt_draw(monkeypatch, "fixed", [(points[0], lambda g: g @ shear), (points[1], lambda g: 1.01 * g)])
     loop = _raised(lambda: _ref_crosscheck("sl", 12, 2))
     assert loop[0] is ValueError
     assert _raised(lambda: groupnum.crosscheck_report("sl", 12, 2)) == loop
@@ -395,8 +438,7 @@ def test_non_invariant_bivector_raises_as_the_loop_does(monkeypatch):
     # (B, C) -> (C^T, B^T), and sample 10's point is scaled off G* (an error at the earlier
     # membership check); the loop fails at sample 9, and so must the blocks
     _set_block(monkeypatch, SMALL_BLOCK)
-    b = _ref_unipotent(3, np.random.default_rng([1, 9]))
-    bad_point, factor = np.stack([b, b.T]), np.array([1.5, 1.0])[:, None, None]
+    bad_point, factor = _ref_stokes_point(3, _rng(1, 9)), np.array([1.5, 1.0])[:, None, None]
     original = groupnum.pl_bivector
 
     def rescaled(group, g):
@@ -405,10 +447,7 @@ def test_non_invariant_bivector_raises_as_the_loop_does(monkeypatch):
         return TangentBivector(pi.base, u, pi.v, pi.batch_ndim)
 
     monkeypatch.setattr(groupnum, "pl_bivector", rescaled)
-    rng = np.random.default_rng([1, 10])
-    generator = np.zeros((3, 3))
-    generator[np.triu_indices(3, 1)] = rng.normal(0.0, 0.5, size=3)
-    _corrupt_exp(monkeypatch, [(generator, lambda g: 1.01 * g)])
+    _corrupt_draw(monkeypatch, "stokes", [(_ref_stokes_point(3, _rng(1, 10)), lambda g: 1.01 * g)])
     loop = _raised(lambda: _ref_stokes(12, 1))
     assert loop[0] is ValueError and "not involution-invariant" in loop[1]
     assert _raised(lambda: groupnum.stokes_report(3, 12, 1)) == loop
@@ -474,8 +513,7 @@ def test_stacked_checks_report_the_first_failing_point():
 def test_membership_failure_raises_as_the_loop_does(monkeypatch):
     # only sample 10, the third point of its block, leaves SL(3)
     _set_block(monkeypatch, SMALL_BLOCK)
-    x = algebra_element(groupnum.sl_group(3), np.random.default_rng([2, 10]))
-    _corrupt_exp(monkeypatch, [(0.5 * (x + x.T), lambda g: 1.01 * g)])
+    _corrupt_draw(monkeypatch, "fixed", [(_ref_fixed_point("sl", 3, _rng(2, 10)), lambda g: 1.01 * g)])
     loop = _raised(lambda: _ref_crosscheck("sl", 12, 2))
     assert loop[0] is AssertionError
     assert _raised(lambda: groupnum.crosscheck_report("sl", 12, 2)) == loop
@@ -485,10 +523,7 @@ def test_stokes_membership_failure_raises_as_the_loop_does(monkeypatch):
     # only sample 10, the third point of its block, is scaled off G*; it stays fixed by the
     # involution, so the shared sampling step's membership check is what fails
     _set_block(monkeypatch, SMALL_BLOCK)
-    rng = np.random.default_rng([1, 10])
-    generator = np.zeros((3, 3))
-    generator[np.triu_indices(3, 1)] = rng.normal(0.0, 0.5, size=3)
-    _corrupt_exp(monkeypatch, [(generator, lambda g: 1.01 * g)])
+    _corrupt_draw(monkeypatch, "stokes", [(_ref_stokes_point(3, _rng(1, 10)), lambda g: 1.01 * g)])
     loop = _raised(lambda: _ref_stokes(12, 1))
     assert loop[0] is AssertionError
     assert _raised(lambda: groupnum.stokes_report(3, 12, 1)) == loop
@@ -497,10 +532,11 @@ def test_stokes_membership_failure_raises_as_the_loop_does(monkeypatch):
 def _fixed_stack(kind, n, samples=6, seed=3):
     """A group, its involution and a stack of sampled fixed points, as the reports draw them."""
     if kind == "dual":
-        points = groupnum._stokes_points(n, report.sample_rngs(seed, range(samples)))
+        points = groupnum._stokes_points(n, report.sample_words(seed, range(samples)))
         return groupnum.dual_group(n), InvolutionSpec("pair-swap"), points
     group = groupnum.sl_group(n) if kind == "sl" else groupnum.su_group(n)
-    return group, InvolutionSpec("transpose"), groupnum._fixed_points(group, report.sample_rngs(seed, range(samples)))
+    points = groupnum._fixed_points(kind, n, report.sample_words(seed, range(samples)))
+    return group, InvolutionSpec("transpose"), points
 
 
 def _rank_relation_both_routes(spec, pi, projected):
@@ -535,7 +571,7 @@ def test_rank_relation_fails_where_a_point_keeps_unprojected_legs(n, legs):
 def test_stacked_verdicts_are_per_point():
     spec = InvolutionSpec("transpose")
     group = groupnum.sl_group(3)
-    g = np.stack([groupnum._fixed_points(group, [np.random.default_rng([7, k])])[0] for k in range(3)])
+    g = np.stack([groupnum._fixed_points("sl", 3, report.sample_words(7, range(k, k + 1)))[0] for k in range(3)])
     pi = groupnum.pl_bivector(group, g)
     # point 1 alone keeps its unprojected u legs, which breaks its rank relation
     u = groupnum.pi_q_projection(spec, pi).u.copy()

@@ -333,6 +333,9 @@ BAD_INPUT = [
     (["group", "stokes", "--seed", "-1"], "--seed: must be at least 0, got -1"),
     (["dynr", "cdybe", "--algebra", "sl2", "--seed=-1"], "--seed: must be at least 0, got -1"),
     (["oracle", "schouten", "--seed", "-1"], "--seed: must be at least 0, got -1"),
+    *((["group", sub, "--seed", str(2**128)], f"a seed must be between 0 and 2^128 - 1, got {2**128}")
+      for sub in ("stokes", "crosscheck", "bruhat")),  # a Philox key holds 128 bits
+    (["dynr", "cdybe", "--algebra", "sl2", f"--seed={2**128}"], "a seed must be between 0 and 2^128 - 1"),
     (["dirac", "aligned", "product22.chart", "--x="], "--x must name at least one coordinate"),
     (["modular", "relative", "relmod2.chart", "--x", ""], "--x must name at least one coordinate"),
     (["dirac", "affine-lie", "--algebra", "so3", "--l", "", "--m", "x1,x2,x3", "--mu", "0,0,1"],
@@ -754,7 +757,7 @@ FUZZ_POOLS = {
     "pairs": ["0", "1", "2", "3", "x"],
     "dim": ["0", "1", "3"],
     "n": ["1", "3", "4", "7"],
-    "seed": ["0", "1", "-1", "4294967296"],
+    "seed": ["0", "1", "-1", "4294967296", str(2**128)],
     "degree": ["-1", "0", "1"],
     "family": ["trig", "tanh-corrupted"],
     "f": ["x", "1/0", "x +* y", "q", "x^²"],

@@ -1,4 +1,4 @@
-"""Matrix-group numerics: exponentials, cocycles, fixed-locus tensors, Stokes."""
+"""Matrix-group numerics: sampled points, cocycles, fixed-locus tensors, Stokes."""
 
 import ast
 import inspect
@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from conftest import (adjoint_coordinate_matrix, algebra_element, assert_pass_rule, bracket_difference, cocycle_lambda,
                       pi_q_formula_swapped, poly_at, with_bound)
 from poissonkit import dynr, groupnum
+from poissonkit.report import WORDS, sample_words
 from poissonkit.groupnum import (
     TOL_CROSS,
     TOL_MARKOFF,
@@ -25,7 +26,6 @@ from poissonkit.groupnum import (
     dual_group,
     dual_group_bivector,
     dual_tangency_residual,
-    matrix_exp,
     pi_q_formula,
     pi_q_projection,
     pl_bivector,
@@ -44,65 +44,45 @@ from poissonkit.poisson import bracket
 from poissonkit.liealg import DOUBLE_R_SCALE, _double_basis, sl_chevalley, standard_r_matrix, su_compact_basis
 
 
-# -- matrix exponential -----------------------------------------------------------
+# -- sampled points ---------------------------------------------------------------------
 
 
-def test_expm_zero():
-    assert np.array_equal(matrix_exp(np.zeros((3, 3))), np.eye(3))
+def _words(rng) -> np.ndarray:
+    """One sample's row of raw words, drawn from a test's own generator."""
+    return rng.integers(0, 2**64, size=(1, WORDS), dtype=np.uint64)
 
 
-def test_expm_diagonal():
-    a = 0.37
-    out = matrix_exp(np.diag([a, -a]))
-    assert np.max(np.abs(out - np.diag([np.exp(a), np.exp(-a)]))) < 1e-14
-
-
-def test_expm_inverse_property():
-    rng = np.random.default_rng(4)
-    for _ in range(5):
-        x = rng.normal(size=(4, 4))
-        prod = matrix_exp(x) @ matrix_exp(-x)
-        assert np.max(np.abs(prod - np.eye(4))) < 1e-12
-
-
-def _mixed_norm_stack(x: np.ndarray) -> np.ndarray:
-    """x rescaled so that its matrices' 1-norms run from 1e-3 to 40 inside the one stack:
-    each matrix gets its own scaling, from no squaring to three."""
-    norms = np.logspace(-3, np.log10(40), np.prod(x.shape[:-2])).reshape(*x.shape[:-2], 1, 1)
-    return x * norms / np.abs(x).sum(axis=-2).max(axis=-1)[..., None, None]
-
-
-def _normwise_difference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.linalg.norm(a - b, axis=(-2, -1)) / np.linalg.norm(b, axis=(-2, -1))
+def _is_dyadic(x: np.ndarray, bits: int) -> bool:
+    """Whether every entry of x is an integer over 2^bits."""
+    return np.array_equal(x * 2.0**bits, np.round(x * 2.0**bits))
 
 
 @pytest.mark.parametrize("n", range(2, 7))
-@pytest.mark.parametrize("lead", [(8,), (4, 2)])
-@pytest.mark.parametrize("complex_entries", [False, True])
-def test_expm_matches_scipy_on_mixed_norm_stacks(n, lead, complex_entries):
-    # The second route is scipy's expm, which only the tests use.  The bound grows with |A|_1, a
-    # lower bound of exp's relative condition number: on real matrices of norm near 40, scipy's
-    # result is itself up to 6e-12 away from a 40-digit exponential (mpmath), where matrix_exp
-    # stays within 1.2e-13.
-    rng = np.random.default_rng([n, len(lead), complex_entries])
-    x = rng.normal(size=(*lead, n, n))
-    if complex_entries:
-        x = x + 1j * rng.normal(size=x.shape)
-    x = _mixed_norm_stack(x)
-    ours, reference = matrix_exp(x), scipy.linalg.expm(x)
-    assert ours.shape == x.shape and ours.dtype == reference.dtype
-    norms = np.abs(x).sum(axis=-2).max(axis=-1)
-    assert np.all(_normwise_difference(ours, reference) <= 1e-12 * np.maximum(1.0, norms))
+def test_sampled_points_lie_on_their_loci(n):
+    # at seeds 1-20, 200 samples each: every point is in its group and the fixed points are fixed
+    # by their involution; the SL(n), Stokes and G* entries are dyadic, h D h^T over 8 * 8 * 2^(n // 2)
+    # and D U over 8 * 2^(n // 2); the SL(n) points have distinct eigenvalues, so the route
+    # comparison runs at generic points of the locus
+    transpose, swap = InvolutionSpec("transpose"), InvolutionSpec("pair-swap")
+    sl_n, su_n, dual_n = sl_group(n), su_group(n), dual_group(n)
+    for seed in range(1, 21):
+        words = sample_words(seed, range(200))
+        sl, su = _fixed_points("sl", n, words), _fixed_points("su", n, words)
+        stokes, dual = _stokes_points(n, words), _dual_points(n, words)
+        for group, points in ((sl_n, sl), (su_n, su), (dual_n, stokes), (dual_n, dual)):
+            assert np.max(group.membership(points)) <= TOL_MEMBER, (group.name, seed)
+        assert max(np.max(transpose.fixed_residual(sl)), np.max(transpose.fixed_residual(su)),
+                   np.max(swap.fixed_residual(stokes))) <= TOL_MEMBER
+        assert _is_dyadic(sl, 6 + n // 2) and _is_dyadic(stokes, 3) and _is_dyadic(dual, 3 + n // 2)
+        eigenvalues = np.linalg.eigvalsh(sl)
+        assert np.min(np.diff(eigenvalues, axis=1) / np.abs(eigenvalues[:, 1:])) > 1e-6, seed
 
 
 @pytest.mark.parametrize("n", range(2, 7))
-def test_expm_of_strictly_upper_stack_is_its_finite_series(n):
-    x = _mixed_norm_stack(np.triu(np.random.default_rng(n).normal(size=(8, n, n)), 1))
-    term = series = np.broadcast_to(np.eye(n), x.shape)
-    for k in range(1, n):  # X^n = 0
-        term = term @ x / k
-        series = series + term
-    assert np.max(_normwise_difference(matrix_exp(x), series)) <= 1e-14
+def test_sl_crosscheck_routes_agree_exactly(n):
+    # at the dyadic SL(n) points no float operation of either route rounds
+    for seed in range(1, 6):
+        assert crosscheck_report("sl", 200, seed, n).values["max_route_difference"] == 0.0, seed
 
 
 # -- group data -----------------------------------------------------------------------
@@ -161,8 +141,8 @@ def test_cocycle_identity_random_pairs():
     for k in range(20):
         r1 = np.random.default_rng([11, k])
         r2 = np.random.default_rng([12, k])
-        g = matrix_exp(algebra_element(group, r1))
-        h = matrix_exp(algebra_element(group, r2))
+        g = scipy.linalg.expm(algebra_element(group, r1))
+        h = scipy.linalg.expm(algebra_element(group, r2))
         lhs = cocycle_lambda(group, g @ h)
         a = adjoint_coordinate_matrix(group, g)
         rhs = cocycle_lambda(group, g) + a @ cocycle_lambda(group, h) @ a.T
@@ -178,7 +158,7 @@ def test_lambda_sl2_one_parameter_hand_value():
     f = alg.labels.index("f12")
     h = alg.labels.index("h1")
     t = 0.63
-    g = matrix_exp(t * group.basis[e])
+    g = scipy.linalg.expm(t * group.basis[e])
     lam = cocycle_lambda(group, g)
     expected = np.zeros((3, 3))
     expected[e, h] = t
@@ -201,8 +181,8 @@ def test_pl_multiplicativity():
         for k in range(20):
             r1 = np.random.default_rng([21, k])
             r2 = np.random.default_rng([22, k])
-            g = matrix_exp(algebra_element(group, r1))
-            h = matrix_exp(algebra_element(group, r2))
+            g = scipy.linalg.expm(algebra_element(group, r1))
+            h = scipy.linalg.expm(algebra_element(group, r2))
             lhs = pl_bivector(group, g @ h)
             right = pl_bivector(group, g).map_legs(lambda v: v @ h)
             left = pl_bivector(group, h).map_legs(lambda v: g @ v)
@@ -228,9 +208,9 @@ def _pl_cases():
     for n in (2, 3, 4):
         for group in (sl_group(n), su_group(n)):
             rngs = [np.random.default_rng([61, n, k]) for k in range(4)]
-            yield group.name, group, matrix_exp(np.stack([algebra_element(group, rng) for rng in rngs]))
+            yield group.name, group, scipy.linalg.expm(np.stack([algebra_element(group, rng) for rng in rngs]))
     for n in (3, 4):
-        yield f"dual {n}", dual_group(n), _dual_points(n, [np.random.default_rng([62, n, k]) for k in range(4)])
+        yield f"dual {n}", dual_group(n), _dual_points(n, sample_words(62, range(4), stream=n))
 
 
 def test_pl_bivector_matches_ad_form():
@@ -260,7 +240,7 @@ def test_pl_bivector_inverts_nothing(monkeypatch):
 
 def test_entry_bracket_antisymmetry():
     group = sl_group(3)
-    g = matrix_exp(algebra_element(group, np.random.default_rng(3)))
+    g = scipy.linalg.expm(algebra_element(group, np.random.default_rng(3)))
     pi = pl_bivector(group, g)
     assert np.array_equal(pi.bracket_matrix([(0, 0), (0, 0)]), np.zeros((2, 2)))
     a = pi.bracket_matrix([(0, 1), (2, 0)])[0, 1]
@@ -306,7 +286,7 @@ def test_xplus_projector():
 
 def test_xplus_requires_fixed_point():
     spec = InvolutionSpec("transpose")
-    g = matrix_exp(np.array([[0.0, 1], [0, 0]]))  # not symmetric
+    g = scipy.linalg.expm(np.array([[0.0, 1], [0, 0]]))  # not symmetric
     with pytest.raises(ValueError, match="point is not fixed by the involution"):
         _xplus(spec, g, np.eye(2))
 
@@ -334,7 +314,7 @@ def test_projection_rejects_non_invariant():
     with pytest.raises(ValueError):
         pi_q_projection(spec, TangentBivector(g, [anti], [sym]))
     # invariance is checked before the base point: at a point the involution moves, it still fails first
-    moved = matrix_exp(np.array([[0.0, 1, 0], [0, 0, 0], [0, 0, 0]]))
+    moved = scipy.linalg.expm(np.array([[0.0, 1, 0], [0, 0, 0], [0, 0, 0]]))
     with pytest.raises(ValueError, match="not involution-invariant"):
         pi_q_projection(spec, TangentBivector(moved, [anti], [sym]))
 
@@ -342,7 +322,7 @@ def test_projection_rejects_non_invariant():
 def test_projected_legs_tangent_to_symmetric_locus():
     group = sl_group(3)
     spec = InvolutionSpec("transpose")
-    g = _fixed_points(group, [np.random.default_rng([31, 0])])[0]
+    g = _fixed_points("sl", 3, sample_words(31, range(1)))[0]
     out = pi_q_projection(spec, pl_bivector(group, g))
     for u, v in zip(out.u, out.v):
         assert np.max(np.abs(u - u.T)) < 1e-9
@@ -401,7 +381,7 @@ def test_su3_specialized_formula():
     alg = su_compact_basis(3)
     worst = 0.0
     for k in range(5):
-        g = _fixed_points(group, [np.random.default_rng([37, k])])[0]
+        g = _fixed_points("su", 3, sample_words(37, range(k, k + 1)))[0]
         u, v = [], []
         for i, j, c in group.r_terms:  # c = d_a / 2 on the (X_a, Y_a) slot
             x_mat, y_mat = group.basis[i], group.basis[j]
@@ -418,7 +398,7 @@ def test_su3_specialized_formula():
 def test_swapped_arrow_binding_rejected():
     group = sl_group(3)
     spec = InvolutionSpec("transpose")
-    g = _fixed_points(group, [np.random.default_rng([33, 0])])[0]
+    g = _fixed_points("sl", 3, sample_words(33, range(1)))[0]
     proj = pi_q_projection(spec, pl_bivector(group, g))
     swapped = pi_q_formula_swapped(group, g)
     assert bracket_difference(proj, swapped) > 1e-3
@@ -478,7 +458,7 @@ def test_dual_tangency_random_points():
     group = dual_group(3)
     worst = 0.0
     for k in range(20):
-        point = _dual_points(3, [np.random.default_rng([41, k])])[0]
+        point = _dual_points(3, sample_words(41, range(k, k + 1)))[0]
         pi = dual_group_bivector(group, point)
         worst = max(worst, dual_tangency_residual(pi))
     assert worst <= 1e-8
@@ -559,7 +539,7 @@ def _with_invariant_term(monkeypatch, eps, w_entry, z_entry):
 # w strictly lower in beta leaves T G* and moves only the tangency residual.  w, z along B_12 and
 # B_13 are tangent and move only {x, y}, by eps / 2, which is not the entry kappa is read at: at
 # eps = 1e-4 and TOL_CROSS = 1 the Markoff defect fails alone, at eps = 1e-8 and TOL_CROSS = 1e-9
-# the Dubrovin residual does, the Markoff defect staying near 1.6e-8
+# the Dubrovin residual does, the Markoff defect staying near 1.4e-8
 @pytest.mark.parametrize("gate, eps, w_entry, z_entry, route", [
     ("max_tangency_residual", 1e-4, (1, 0), (0, 1), 1e-8),
     ("max_markoff_defect", 1e-4, (0, 1), (0, 2), 1.0),
@@ -717,9 +697,9 @@ def _stacked_cases():
     rng = np.random.default_rng(51)
     sl3, su3 = sl_group(3), su_group(3)
     points = {
-        "SL(3)": (sl3, matrix_exp(algebra_element(sl3, rng))),
-        "SU(3)": (su3, matrix_exp(algebra_element(su3, rng))),
-        "pair": (dual_group(3), _dual_points(3, [rng])[0]),
+        "SL(3)": (sl3, scipy.linalg.expm(algebra_element(sl3, rng))),
+        "SU(3)": (su3, scipy.linalg.expm(algebra_element(su3, rng))),
+        "pair": (dual_group(3), _dual_points(3, _words(rng))[0]),
     }
     for name, (group, g) in points.items():
         yield f"{name} random", _random_bivector(rng, g, 7)
@@ -787,8 +767,9 @@ def test_permuted_invariance_matches_pushed_legs():
     # fixed points, with and without their pushed copies, it must raise exactly where the pushed
     # legs' residual exceeds TOL_MEMBER max(1, |pi|)^2, and report that residual
     rng = np.random.default_rng(54)
-    stokes = _stokes_points(3, [rng])[0]
-    bases = (("transpose", _fixed_points(sl_group(3), [rng])[0]), ("transpose", _fixed_points(su_group(3), [rng])[0]),
+    stokes = _stokes_points(3, _words(rng))[0]
+    bases = (("transpose", _fixed_points("sl", 3, _words(rng))[0]),
+             ("transpose", _fixed_points("su", 3, _words(rng))[0]),
              ("pair-swap", stokes), ("pair-swap", stokes.astype(complex)))
     for kind, base in bases:
         spec = InvolutionSpec(kind)
@@ -815,7 +796,7 @@ def test_permuted_invariance_matches_pushed_legs():
 def test_dual_tangency_matches_per_column_loop():
     group = dual_group(3)
     rng = np.random.default_rng(53)
-    point = _dual_points(3, [rng])[0]
+    point = _dual_points(3, _words(rng))[0]
     tangent = dual_group_bivector(group, point)
     off = _random_bivector(rng, point, 3)  # generic legs leave T G*
     for pi in (tangent, off):
