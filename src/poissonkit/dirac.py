@@ -20,6 +20,7 @@ from typing import Sequence
 
 from . import linalg
 from .exactalg import SCALAR_ZERO, Poly, PolyMultiVec, Scalar, schouten
+from .liealg import lie_poisson_chart
 from .poisson import PoissonChart, _not_poisson, jacobiator
 from .report import InvalidInput, Report
 
@@ -221,8 +222,6 @@ def affine_lie_poisson_dirac(g, l_basis, m_basis, mu) -> Report:
     kill it (constant).  On success ``values["induced"]`` is the induced
     structure, the Lie-Poisson chart of l*.
     """
-    from .liealg import lie_poisson_chart
-
     lv = _as_vectors(g, l_basis)
     mv = _as_vectors(g, m_basis)
     if len(lv) + len(mv) != g.dim:

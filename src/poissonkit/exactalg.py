@@ -675,16 +675,11 @@ def parse_scalar(text: str) -> Scalar:
 
 
 def _format_coeff(coeff: Scalar) -> tuple[str, str]:
-    """Return (sign, magnitude-string) for use in term sequences."""
-    if coeff.im == 0:
-        sign = "-" if coeff.re < 0 else "+"
-        mag = abs(coeff.re)
-        return sign, str(mag)
-    if coeff.re == 0:
-        sign = "-" if coeff.im < 0 else "+"
-        mag = abs(coeff.im)
-        return sign, ("i" if mag == 1 else f"{mag}*i")
-    return "+", f"({coeff})"
+    """Return (sign, magnitude-string) for use in term sequences, read off ``str(coeff)``."""
+    text = str(coeff)
+    if coeff.re and coeff.im:
+        return "+", f"({text})"
+    return ("-", text[1:]) if text.startswith("-") else ("+", text)
 
 
 def print_poly(poly: Poly, var_names: Sequence[str]) -> str:

@@ -23,14 +23,15 @@ Hamiltonian vector field of its linear function on g* intertwines the two
 (that identification is exercised by the test suite).
 
 Drinfeld doubles use the mixed bracket [X, xi] = ad*_X xi - ad*_xi X with
-coadjoints defined by <ad*_X xi, Y> = -<xi, [X, Y]>; the exact Jacobi sweep
+coadjoints defined by <ad*_X xi, Y> = -<xi, [X, Y]>; the exact Jacobi check
 and the invariance of the canonical pairing pin this convention.
 
-The kernels visit only nonzero entries.  ``validate_lie`` sums each
-Jacobiator in one sweep over the nonzero products c_ab^m c_mc^l, adding the
-raw real and imaginary parts (int or ``Fraction``) and building no
-intermediate ``Scalar``.  The matrix builds form commutators and the
-expansion residual on the nonzero matrix entries.  ``AlgElement`` is an
+``validate_lie`` decides Jacobi as the Poisson condition of g*'s Lie-Poisson
+chart, with ``poisson._not_poisson``, the one kernel that decides every
+chart; each ``LieAlgebraData`` forms that chart once, from its nonzero
+constants, and ``lie_poisson_chart`` returns it.  The kernels visit only
+nonzero entries: the matrix builds form commutators and the expansion
+residual on the nonzero matrix entries.  ``AlgElement`` is an
 ``exactalg.Wedge`` on g with ``Scalar`` coefficients: its validating public
 constructor, its trusted ``_new``, its arithmetic and its linear-map action
 (``Wedge.carry``, which ``LinearAlgMap.apply`` calls) are the ones
@@ -42,10 +43,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from . import linalg
-from .exactalg import Poly, PolyMultiVec, SCALAR_I, SCALAR_ONE, SCALAR_ZERO, Scalar, Wedge, sort_with_parity
+from .exactalg import PolyMultiVec, SCALAR_I, SCALAR_ONE, SCALAR_ZERO, Scalar, Wedge, _poly, sort_with_parity
+from .poisson import PoissonChart, _not_poisson
 from .report import Report
 
 __all__ = [
@@ -103,7 +106,8 @@ class RootData:
 
 class LieAlgebraData:
     """Basis labels plus exact structure constants, with optional extras.  The
-    table never changes after construction; ``oracle`` memoises on that."""
+    table never changes after construction; ``oracle`` memoises on that, and
+    the Lie-Poisson chart that ``validate_lie`` decides is formed once."""
 
     def __init__(
         self,
@@ -163,6 +167,19 @@ class LieAlgebraData:
                     out[k] = out.get(k, SCALAR_ZERO) + cij * c
         return {k: c for k, c in out.items() if c}
 
+    @cached_property
+    def _lie_poisson_chart(self) -> PoissonChart:
+        """The Lie-Poisson chart on g*, read off the nonzero constants c_ij^k, i < j,
+        and formed once, like its Jacobiator: ``lie_poisson_chart`` returns it."""
+        n = self.dim
+        units = [tuple(int(a == k) for a in range(n)) for k in range(n)]  # the exponents of x_k
+        comps = {}
+        for i, j in sorted(pair for pair in self.table if pair[0] < pair[1]):
+            terms = {units[k]: c for k, c in self.table[(i, j)].items() if c}
+            if terms:
+                comps[(i, j)] = _poly(n, terms)
+        return PoissonChart(n, tuple(self.labels), PolyMultiVec._new(n, 2, comps))
+
     def __repr__(self) -> str:
         return f"LieAlgebraData({self.name or self.labels}, dim={self.dim})"
 
@@ -197,7 +214,12 @@ class AlgElement(Wedge):
 
 def validate_lie(g: LieAlgebraData) -> Report:
     """Exact antisymmetry and Jacobi check; on failure the witness is the index
-    tuple of the first violation (for Jacobi, the smallest failing i < j < k)."""
+    tuple of the first violation (for Jacobi, the smallest failing i < j < k).
+
+    Jacobi is the Poisson condition of g*'s Lie-Poisson chart: the (i, j, k)
+    component of its [pi, pi] is a nonzero multiple of the Jacobiator of x_i,
+    x_j, x_k, so ``poisson._not_poisson`` decides it.  The chart reads the
+    pairs i < j only, so antisymmetry is checked first."""
     for (i, j), entry in g.table.items():
         if i == j and any(not c.is_zero() for c in entry.values()):
             return Report(False, reason=f"[x_{i}, x_{i}] != 0", witness=(i, i))
@@ -207,33 +229,10 @@ def validate_lie(g: LieAlgebraData) -> Report:
             if entry.get(k, SCALAR_ZERO) != -mirror.get(k, SCALAR_ZERO):
                 reason = f"antisymmetry fails: c_({i},{j})^{k} != -c_({j},{i})^{k}"
                 return Report(False, reason=reason, witness=(i, j, k))
-    # The Jacobiator of i < j < k sums [[x_a, x_b], x_c] over the cyclic rotations (a, b, c)
-    # of (i, j, k): one sweep adds each product c_ab^m c_mc^l, in raw parts, to its triple.
-    rows: dict[int, list] = {}  # m -> [(c, [(l, re, im) of c_mc^l])]
-    for (m, c), entry in g.table.items():
-        rows.setdefault(m, []).append((c, [(l, v.re, v.im) for l, v in entry.items()]))
-    jacobiators: dict[tuple, dict[int, list]] = {}
-    for (a, b), entry in g.table.items():
-        for m, v in entry.items():
-            vr, vi = v.re, v.im
-            for c, terms in rows.get(m, ()):
-                if a < b < c:
-                    key = (a, b, c)
-                elif b < c < a:
-                    key = (b, c, a)
-                elif c < a < b:
-                    key = (c, a, b)
-                else:  # not a cyclic rotation of its sorted triple, or an index repeats
-                    continue
-                acc = jacobiators.setdefault(key, {})
-                for l, wr, wi in terms:
-                    part = acc.setdefault(l, [0, 0])
-                    part[0] += vr * wr - vi * wi
-                    part[1] += vr * wi + vi * wr
-    failing = [t for t, acc in jacobiators.items() if any(re or im for re, im in acc.values())]
-    if failing:
-        return Report(False, reason="Jacobi identity fails", witness=min(failing))
-    return Report(True)
+    failed = _not_poisson(g._lie_poisson_chart)
+    if failed is None:
+        return Report(True)
+    return Report(False, reason="Jacobi identity fails", witness=failed.witness[0])
 
 
 # ---------------------------------------------------------------------------
@@ -617,10 +616,12 @@ def drinfeld_double(g: LieAlgebraData, r: AlgElement) -> DrinfeldDouble:
 
     sigma is a Lie algebra exactly when delta is a Lie bialgebra, that is,
     when [r, r] is ad-invariant (Drinfeld; Chari-Pressley, A Guide to Quantum
-    Groups, 2.1).  So the exhaustive Jacobi sweep of sigma is a second route
-    to ``coboundary_check``, and only a failed sweep runs that check, to tell
-    the two causes apart: an r that is not an r-matrix raises ValueError, and
-    an r-matrix whose double fails is a convention bug (AssertionError).
+    Groups, 2.1).  So ``validate_lie`` on sigma, the Poisson check of the
+    Lie-Poisson chart of sigma*, is a second route to ``coboundary_check``, and
+    only a failed check runs ``coboundary_check``, to tell the two causes
+    apart: an r that is not an r-matrix raises ValueError, and an r-matrix
+    whose double fails is a convention bug (AssertionError).  sigma keeps
+    that chart and its Jacobiator.
     """
     _check_bivector(g, r)
     n = g.dim
@@ -705,19 +706,9 @@ def chi_check(double: DrinfeldDouble, phi: LinearAlgMap) -> Report:
     return _failures_report(failures)
 
 
-def lie_poisson_chart(g: LieAlgebraData):
-    """The Lie-Poisson chart on g*: {x_i, x_j} = sum_k c_ij^k x_k."""
-    from .poisson import PoissonChart
-
+def lie_poisson_chart(g: LieAlgebraData) -> PoissonChart:
+    """The Lie-Poisson chart on g*: {x_i, x_j} = sum_k c_ij^k x_k, the one ``validate_lie`` decides."""
     verdict = validate_lie(g)
     if not verdict:
         raise ValueError(f"structure constants invalid: {verdict.reason}")
-    comps = {}
-    for i in range(g.dim):
-        for j in range(i + 1, g.dim):
-            entry = g.table.get((i, j), {})
-            poly = Poly(g.dim, {tuple(int(a == k) for a in range(g.dim)): c for k, c in entry.items()})
-            if not poly.is_zero():
-                comps[(i, j)] = poly
-    pi = PolyMultiVec(g.dim, 2, comps)
-    return PoissonChart(g.dim, tuple(g.labels), pi)
+    return g._lie_poisson_chart

@@ -13,8 +13,8 @@ For ``poissonkit.liealg``: the abelian algebra, a structure constant read
 from the table, the dense image of a coefficient vector and the canonical
 pairing of a Drinfeld double, which only the tests use, the wedge of the
 images leg by leg, the reference for ``LinearAlgMap.apply``, and the
-triple-by-triple Jacobi check that ``validate_lie``'s sparse sweep must agree
-with.
+triple-by-triple Jacobi check that ``validate_lie``'s Lie-Poisson chart route
+must agree with.
 
 For ``poissonkit.report``: each sample's own Philox generator, the reference
 for the block-drawn ``sample_words``.

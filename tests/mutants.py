@@ -158,6 +158,22 @@ MUTANTS = (
                "tests/test_oracle.py::test_schouten_oracle_dim3_100_pairs",
                "tests/test_acceptance.py::test_claim[stokes-jacobi]",
            )),
+    # validate_lie's Jacobi verdict is its Lie-Poisson chart's, and its witness that chart's first failing
+    # component, not another
+    Mutant("lie-jacobi-verdict-ignored", "liealg", "validate_lie",
+           "if failed is None:", "if True:", (
+               "tests/test_cli.py::test_algebra_jacobi_error_names_the_failing_triple",
+               "tests/test_cli.py::test_bad_input_is_a_usage_error[lie validate nonjacobi.alg]",
+               "tests/test_liealg.py::test_validate_jacobi_failure_perturbed_sl2",
+               "tests/test_liealg.py::test_double_of_a_non_r_matrix_raises_value_error",
+               "tests/test_liealg.py::test_explicit_zero_constants_change_neither_the_verdict_nor_the_chart[nonjacobi-sl3]",
+           )),
+    Mutant("lie-jacobi-witness-not-first", "liealg", "validate_lie",
+           "witness=failed.witness[0]", "witness=max(g._lie_poisson_chart._jacobiator.comps)", (
+               "tests/test_cli.py::test_algebra_jacobi_error_names_the_failing_triple",
+               "tests/test_cli.py::test_bad_input_is_a_usage_error[lie validate nonjacobi.alg]",
+               "tests/test_liealg.py::test_explicit_zero_constants_change_neither_the_verdict_nor_the_chart[nonjacobi-sl3]",
+           )),
     Mutant("bialgebra-phi-r-unchecked", "liealg", "symmetric_bialgebra_check",
            "if not (phi.apply(r) + r).is_zero():", "if False:", (
                "tests/test_liealg.py::test_symmetric_fails_for_an_r_that_phi_does_not_negate",

@@ -463,6 +463,14 @@ def test_affine_lie_runs_one_elimination(monkeypatch, capsys):
     assert counts == {"rref": 1}
 
 
+def test_affine_lie_forms_two_jacobiators(monkeypatch):
+    # the Lie-Poisson chart's, which validate_lie decides and the pushforward reads, and the
+    # induced chart's assertion
+    counts = [counted_calls(monkeypatch, module, ("schouten",)) for module in (poisson, dirac)]
+    assert run_command(["dirac", "affine-lie", "--algebra", "so3", "--l", "x3", "--m", "x1,x2", "--mu", "0,0,1"])[0] == 0
+    assert sum(c["schouten"] for c in counts) == 2
+
+
 # -- affine subspaces of Lie-Poisson duals ----------------------------------------
 
 

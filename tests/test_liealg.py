@@ -20,7 +20,7 @@ from conftest import (
     transpose,
     validate_lie_reference,
 )
-from poissonkit import liealg
+from poissonkit import liealg, poisson
 from poissonkit.cli import run_command
 from poissonkit.exactalg import Poly, PolyMultiVec, Scalar, schouten
 from poissonkit.oracle import alg_schouten_oracle, rand_alg_element
@@ -371,7 +371,7 @@ def test_double_rejects_r_that_is_not_a_bivector_of_g():
 
 @pytest.mark.parametrize("name", ["sl2", "sl3", "sl4", "su2", "su3"])
 def test_lie_bialgebra_checks_the_r_matrix_once(name, monkeypatch, capsys):
-    # the double's Jacobi sweep is the second route to the r-matrix condition, so only the handler
+    # the double's Jacobi check is the second route to the r-matrix condition, so only the handler
     # runs coboundary_check; alg_schouten runs for [r, r], its dim ad-actions and the dim cobrackets
     counts = counted_calls(monkeypatch, liealg, ("coboundary_check", "alg_schouten"))
     code, report = run_command(["lie", "bialgebra", "--algebra", name])
@@ -584,7 +584,7 @@ def test_double_pairing_sweep_catches_a_tampered_mixed_bracket(monkeypatch):
     monkeypatch.setattr(LieAlgebraData, "from_brackets", staticmethod(tampered))
     with pytest.raises(AssertionError):
         drinfeld_double(g, r)
-    # with the Jacobi sweep out of the way, the pairing sweep alone must catch it
+    # with the Jacobi check out of the way, the pairing sweep alone must catch it
     monkeypatch.setattr(liealg, "validate_lie", lambda alg: Report(True))
     with pytest.raises(AssertionError, match="pairing is not invariant"):
         drinfeld_double(g, r)
@@ -634,7 +634,7 @@ def test_apply_matches_the_wedge_of_images(name, degree, on_transpose, seed):
 
 @settings(max_examples=150, deadline=None)
 @given(name=st.sampled_from(sorted(_PERTURBED)), data=st.data())
-def test_sparse_jacobi_sweep_matches_the_triple_loop(name, data):
+def test_lie_poisson_jacobi_matches_the_triple_loop(name, data):
     # one antisymmetric pair c_ij^k, c_ji^k moves by +-delta (mostly), or c_ij^k alone;
     # a moved constant may become zero, and a pair that was absent appears
     g = _PERTURBED[name]
@@ -651,9 +651,57 @@ def test_sparse_jacobi_sweep_matches_the_triple_loop(name, data):
     assert (got.ok, got.reason, got.witness) == (want.ok, want.reason, want.witness)
 
 
-def test_sparse_jacobi_sweep_passes_every_builtin_and_double():
+def test_lie_poisson_jacobi_passes_every_builtin_and_double():
     for g in _PERTURBED.values():
         assert validate_lie(g).ok and validate_lie_reference(g).ok, g.name
+
+
+def test_each_algebra_has_one_lie_poisson_chart_and_one_jacobiator(monkeypatch):
+    # validate_lie forms the chart and its Jacobiator once; lie_poisson_chart returns that chart
+    counts = counted_calls(monkeypatch, poisson, ("schouten",))
+    g = sl_chevalley(3)
+    assert validate_lie(g).ok
+    chart = lie_poisson_chart(g)
+    assert chart is lie_poisson_chart(g)
+    assert jacobiator(chart) is jacobiator(lie_poisson_chart(g))
+    assert counts == {"schouten": 1}
+
+
+def _nonjacobi_sl3() -> LieAlgebraData:
+    """sl3 with c e12 f12 h1 doubled, as ``nonjacobi.alg``: antisymmetric, with several failing triples."""
+    brackets = {(i, j): dict(entry) for (i, j), entry in _SL3.table.items() if i < j}
+    e12, f12, h1 = (_SL3.labels.index(name) for name in ("e12", "f12", "h1"))
+    brackets[(e12, f12)][h1] = brackets[(e12, f12)][h1] * 2
+    return LieAlgebraData.from_brackets(_SL3.labels, brackets)
+
+
+def _with_explicit_zeros(g: LieAlgebraData) -> dict:
+    """g's table with explicit zero constants: beside the nonzero ones of every entry, as the whole
+    entry of the first commuting pair, if any (other keys in each order), and on the diagonal."""
+    table = {pair: dict(entry) for pair, entry in g.table.items()}
+    for entry in table.values():
+        entry[min(set(range(g.dim)) - set(entry))] = Scalar(0)
+    commuting = [(i, j) for i in range(g.dim) for j in range(i + 1, g.dim) if (i, j) not in g.table]
+    if commuting:  # sl2 and su2 have none
+        i, j = commuting[0]
+        table[(i, j)], table[(j, i)] = {0: Scalar(0)}, {1: Scalar(0), 2: Scalar(0)}
+    table[(0, 0)] = {0: Scalar(0)}
+    return table
+
+
+@pytest.mark.parametrize("name", sorted(_PERTURBED) + ["nonjacobi-sl3"])
+def test_explicit_zero_constants_change_neither_the_verdict_nor_the_chart(name):
+    # LieAlgebraData keeps explicit zeros; the chart, built on the trusted _poly and _new, must drop them
+    g = _nonjacobi_sl3() if name == "nonjacobi-sl3" else _PERTURBED[name]
+    table = _with_explicit_zeros(g)
+    zeros = LieAlgebraData(g.labels, table)
+    clean = LieAlgebraData(g.labels, {pair: {k: c for k, c in entry.items() if c} for pair, entry in table.items()})
+    got, want = validate_lie(zeros), validate_lie_reference(zeros)
+    assert (got.ok, got.reason, got.witness) == (want.ok, want.reason, want.witness)
+    assert got.ok == (name != "nonjacobi-sl3")
+    chart = zeros._lie_poisson_chart
+    assert chart == clean._lie_poisson_chart == g._lie_poisson_chart
+    assert all(poly.terms and all(c for c in poly.terms.values()) for poly in chart.pi.comps.values())
 
 
 @pytest.mark.parametrize("position", ["first", "middle", "last"])
