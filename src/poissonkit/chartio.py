@@ -214,7 +214,7 @@ def parse_algebra_text(text: str, name: str = "") -> LieAlgebraData:
             if k in entry:
                 raise ChartFileError("structure constant declared twice", lineno)
             entry[k] = coeff if sign == 1 else -coeff
-    g = LieAlgebraData.from_brackets(labels, brackets, name=name)
+    g = LieAlgebraData(labels, brackets, name=name)
     verdict = validate_lie(g)
     if not verdict:  # the witness is an index tuple: for Jacobi, the smallest failing triple
         where = ", ".join(labels[i] for i in verdict.witness)

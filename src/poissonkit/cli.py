@@ -298,7 +298,7 @@ _LEAVES = {
     ("dirac", "transverse"): (_dirac_transverse, "transverse structure via a reductive split", (), _SPLIT),
     ("modular", "vf"): (_modular_vf, "modular vector field of a chart", _CHART, {}),
     ("modular", "relative"): (_modular_relative, "relative modular field of an aligned submanifold", _CHART, _X),
-    ("lie", "validate"): (_lie_validate, "antisymmetry + Jacobi for an algebra", ("algebra",), {}),
+    ("lie", "validate"): (_lie_validate, "Jacobi identity for an algebra", ("algebra",), {}),
     ("lie", "bialgebra"): (_lie_bialgebra, "r-matrix, anti-morphism, double and chi checks", (), {
         "algebra": (str, None, True, ("sl2", "sl3", "sl4", "su2", "su3"), "built-in algebra")}),
     ("group", "stokes"): (_group_report, "Stokes-matrix bracket from the dual group", (), {

@@ -10,7 +10,8 @@ leg-by-leg pushforward of an exact multivector along a linear map, the
 reference for the pushforward of ``poissonkit.dirac``.
 
 For ``poissonkit.liealg``: the abelian algebra, a structure constant read
-from the table, the dense image of a coefficient vector and the canonical
+from the table, an algebra's brackets on the pairs i < j, to build changed
+copies from, the dense image of a coefficient vector and the canonical
 pairing of a Drinfeld double, which only the tests use, the wedge of the
 images leg by leg, the reference for ``LinearAlgMap.apply``, and the
 triple-by-triple Jacobi check that ``validate_lie``'s Lie-Poisson chart route
@@ -228,20 +229,22 @@ def affine_lie_reference(g: LieAlgebraData, l_basis, m_basis, mu) -> Report:
             pairing = sum((Scalar.coerce(m) * c for m, c in zip(mu, w)), SCALAR_ZERO)
             if not pairing.is_zero():
                 return Report(False, reason=f"ad*-condition fails: <mu, [l_{a}, m_{b}]> = {pairing}")
-    sub = LieAlgebraData.from_brackets(
-        [f"l{a+1}" for a in range(k)],
-        {pair: {c: coeff for c, coeff in enumerate(w) if not coeff.is_zero()} for pair, w in l_struct.items()},
-    )
+    sub = LieAlgebraData([f"l{a+1}" for a in range(k)], {pair: dict(enumerate(w)) for pair, w in l_struct.items()})
     return Report(True, {"induced": lie_poisson_chart(sub)})
 
 
 def abelian(dim: int) -> LieAlgebraData:
-    return LieAlgebraData.from_brackets([f"a{k+1}" for k in range(dim)], {}, name=f"abelian{dim}")
+    return LieAlgebraData([f"a{k+1}" for k in range(dim)], {}, name=f"abelian{dim}")
 
 
 def structure_constant(g: LieAlgebraData, i: int, j: int, k: int):
     """c_ij^k, the coefficient of x_k in [x_i, x_j]."""
     return g.table.get((i, j), {}).get(k, SCALAR_ZERO)
+
+
+def pair_brackets(g: LieAlgebraData) -> dict:
+    """g's brackets on the pairs i < j, copied, in the form ``LieAlgebraData`` takes."""
+    return {(i, j): dict(entry) for (i, j), entry in g.table.items() if i < j}
 
 
 def apply_vector(phi, coeffs):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import subprocess_env
+from conftest import pair_brackets, subprocess_env
 
 import poissonkit
 from poissonkit import cli, dynr, groupnum, liealg, poisson
@@ -91,10 +91,10 @@ def test_so3_fixture_matches_builtin():
 def test_algebra_jacobi_error_names_the_failing_triple():
     # the message names validate_lie's witness, the smallest failing triple, by its labels
     sl3 = load_algebra("sl3.alg")
-    brackets = {(i, j): dict(entry) for (i, j), entry in sl3.table.items() if i < j}
+    brackets = pair_brackets(sl3)
     e12, f12, h1 = (sl3.labels.index(name) for name in ("e12", "f12", "h1"))
     brackets[(e12, f12)][h1] = brackets[(e12, f12)][h1] * 2
-    verdict = validate_lie(LieAlgebraData.from_brackets(sl3.labels, brackets))
+    verdict = validate_lie(LieAlgebraData(sl3.labels, brackets))
     names = ", ".join(sl3.labels[i] for i in verdict.witness)
     assert names == "e12, e13, f12"
     with pytest.raises(ChartFileError) as err:

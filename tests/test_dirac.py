@@ -524,7 +524,7 @@ def test_affine_l_part_alone():
 
 def _sl2_plus_line() -> LieAlgebraData:
     """sl(2) + R z, z central: [e, f] = h, [h, e] = 2e, [h, f] = -2f."""
-    return LieAlgebraData.from_brackets(["e", "f", "h", "z"], {(0, 1): {2: 1}, (0, 2): {0: -2}, (1, 2): {1: 2}})
+    return LieAlgebraData(["e", "f", "h", "z"], {(0, 1): {2: 1}, (0, 2): {0: -2}, (1, 2): {1: 2}})
 
 
 def test_affine_not_a_subalgebra_alone():

@@ -84,7 +84,7 @@ def test_singular_guard():
 
 
 def test_structure_tensor_rejects_non_real_constants():
-    g = LieAlgebraData.from_brackets(["a", "b"], {(0, 1): {0: Scalar(0, 1)}})
+    g = LieAlgebraData(["a", "b"], {(0, 1): {0: Scalar(0, 1)}})
     with pytest.raises(ValueError, match="not real"):
         structure_tensor(g)
 

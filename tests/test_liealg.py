@@ -16,6 +16,7 @@ from conftest import (
     double_pairing,
     make_rng,
     mat_vec,
+    pair_brackets,
     structure_constant,
     transpose,
     validate_lie_reference,
@@ -51,26 +52,59 @@ def test_validate_so3():
     assert validate_lie(so3()).ok
 
 
-def test_validate_antisymmetry_failure():
-    # a raw table with c_12^3 = c_21^3 = 1 breaks antisymmetry
-    table = {(0, 1): {2: Scalar(1)}, (1, 0): {2: Scalar(1)}}
-    g = LieAlgebraData(["a", "b", "c"], table)
-    verdict = validate_lie(g)
-    assert not verdict.ok
-    assert "antisymmetry" in verdict.reason
-
-
 def test_validate_jacobi_failure_perturbed_sl2():
     g = sl_chevalley(2)
-    table = {pair: dict(entry) for pair, entry in g.table.items()}
+    brackets = pair_brackets(g)
     e, f, h = g.labels.index("e12"), g.labels.index("f12"), g.labels.index("h1")
-    table[(h, e)][e] = Scalar(3)  # was 2
-    table[(e, h)][e] = Scalar(-3)
-    bad = LieAlgebraData(g.labels, table)
+    brackets[(e, h)][e] = Scalar(-3)  # [h, e] = 3e, was 2e
+    bad = LieAlgebraData(g.labels, brackets)
     verdict = validate_lie(bad)
     assert not verdict.ok
     assert "Jacobi" in verdict.reason
     assert verdict.witness == (e, f, h)
+
+
+# -- construction -----------------------------------------------------------------
+
+
+def test_repeated_labels_raise():
+    with pytest.raises(ValueError, match="^labels must be distinct$"):
+        LieAlgebraData(["a", "a", "c"], {(0, 1): {2: 1}})
+
+
+def test_double_of_an_algebra_with_a_starred_label_raises_when_it_builds_sigma(monkeypatch):
+    # sigma names the duals x*, so labels x and x* give it two basis elements x*
+    g = LieAlgebraData(["x", "x*"], {})
+    counts = counted_calls(monkeypatch, liealg, ("validate_lie", "coboundary_check"))
+    with pytest.raises(ValueError, match="^labels must be distinct$"):
+        drinfeld_double(g, AlgElement.zero(g, 2))
+    assert counts == {"validate_lie": 0, "coboundary_check": 0}
+
+
+@pytest.mark.parametrize("entry", [{0: 1}, {}], ids=["nonzero", "empty"])
+def test_diagonal_bracket_raises(entry):
+    with pytest.raises(ValueError, match=r"^diagonal brackets must be omitted \(they vanish\)$"):
+        LieAlgebraData(["a", "b"], {(0, 1): {0: 1}, (1, 1): entry})
+
+
+@pytest.mark.parametrize("mirror", [-1, 1], ids=["antisymmetric", "symmetric"])
+def test_bracket_given_twice_raises(mirror):
+    # (1, 0) after (0, 1) is the same pair, even when its constants are the negatives
+    with pytest.raises(ValueError, match=r"^bracket \(1, 0\) given twice$"):
+        LieAlgebraData(["a", "b", "c"], {(0, 1): {2: 1}, (1, 0): {2: mirror}})
+
+
+@pytest.mark.parametrize("brackets", [{(0, 3): {2: 1}}, {(-1, 1): {0: 1}}, {(0, 1): {3: 0}}], ids=["j", "i", "k"])
+def test_bracket_index_out_of_range_raises(brackets):
+    # a zero constant at an index outside the basis is bad input too
+    with pytest.raises(ValueError, match=r"^bracket \(-?\d, \d\) has an index outside range\(3\)$"):
+        LieAlgebraData(["a", "b", "c"], brackets)
+
+
+def test_brackets_fill_in_the_antisymmetric_table_without_zeros():
+    g = LieAlgebraData(["a", "b", "c"], {(0, 1): {2: 1, 0: 0}, (2, 1): {0: Scalar(0, 1)}, (0, 2): {1: 0}})
+    assert g.table == {(0, 1): {2: Scalar(1)}, (1, 0): {2: Scalar(-1)},
+                       (2, 1): {0: Scalar(0, 1)}, (1, 2): {0: Scalar(0, -1)}}
 
 
 # -- Chevalley bases --------------------------------------------------------------
@@ -286,8 +320,6 @@ def test_double_sl2():
     dd = drinfeld_double(g, standard_r_matrix(g))
     assert dd.sigma.dim == 6
     assert validate_lie(dd.sigma).ok
-    # r_sigma = sum X_i ^ xi^i
-    assert dd.r_sigma.comps == {(i, 3 + i): Scalar(1) for i in range(3)}
 
 
 def test_double_pairing_invariance_sweep():
@@ -309,15 +341,13 @@ def test_double_dual_block_jacobi():
     g = sl_chevalley(2)
     dd = drinfeld_double(g, standard_r_matrix(g))
     n = g.dim
-    table = {}
-    for (i, j), entry in dd.sigma.table.items():
-        if i >= n and j >= n:
-            sub_entry = {k - n: c for k, c in entry.items() if k >= n}
+    brackets = {}
+    for (i, j), entry in pair_brackets(dd.sigma).items():
+        if i >= n:
             if any(k < n for k in entry):
                 raise AssertionError("dual block is not closed")
-            if sub_entry:
-                table[(i - n, j - n)] = sub_entry
-    dual = LieAlgebraData([f"{x}*" for x in g.labels], table)
+            brackets[(i - n, j - n)] = {k - n: c for k, c in entry.items()}
+    dual = LieAlgebraData([f"{x}*" for x in g.labels], brackets)
     assert validate_lie(dual).ok
 
 
@@ -569,9 +599,9 @@ def test_double_pairing_sweep_catches_a_tampered_mixed_bracket(monkeypatch):
 
     g = sl_chevalley(2)
     r = standard_r_matrix(g)
-    build = LieAlgebraData.from_brackets
+    build = LieAlgebraData.__init__
 
-    def tampered(labels, brackets, *args, **kwargs):
+    def tampered(self, labels, brackets, *args, **kwargs):
         if kwargs.get("name", "").startswith("double"):
             n = len(labels) // 2
             key = min(pair for pair in brackets if pair[0] < n <= pair[1])
@@ -579,16 +609,16 @@ def test_double_pairing_sweep_catches_a_tampered_mixed_bracket(monkeypatch):
             m = min(entry)
             entry[m] = entry[m] + 1
             brackets = {**brackets, key: entry}
-        return build(labels, brackets, *args, **kwargs)
+        build(self, labels, brackets, *args, **kwargs)
 
-    monkeypatch.setattr(LieAlgebraData, "from_brackets", staticmethod(tampered))
+    monkeypatch.setattr(LieAlgebraData, "__init__", tampered)
     with pytest.raises(AssertionError):
         drinfeld_double(g, r)
     # with the Jacobi check out of the way, the pairing sweep alone must catch it
     monkeypatch.setattr(liealg, "validate_lie", lambda alg: Report(True))
     with pytest.raises(AssertionError, match="pairing is not invariant"):
         drinfeld_double(g, r)
-    monkeypatch.setattr(LieAlgebraData, "from_brackets", staticmethod(build))
+    monkeypatch.setattr(LieAlgebraData, "__init__", build)
     assert drinfeld_double(g, r).sigma.dim == 6
 
 
@@ -635,20 +665,47 @@ def test_apply_matches_the_wedge_of_images(name, degree, on_transpose, seed):
 @settings(max_examples=150, deadline=None)
 @given(name=st.sampled_from(sorted(_PERTURBED)), data=st.data())
 def test_lie_poisson_jacobi_matches_the_triple_loop(name, data):
-    # one antisymmetric pair c_ij^k, c_ji^k moves by +-delta (mostly), or c_ij^k alone;
-    # a moved constant may become zero, and a pair that was absent appears
+    # one constant c_ij^k, i < j, moves by +-delta, and c_ji^k with it; a moved constant
+    # may become zero, and a pair that was absent appears
     g = _PERTURBED[name]
     i, j = sorted(data.draw(st.lists(st.integers(0, g.dim - 1), min_size=2, max_size=2, unique=True)))
     k = data.draw(st.integers(0, g.dim - 1))
     old = structure_constant(g, i, j, k)
     delta = data.draw(st.sampled_from(_DELTAS + ([-old] if old else [])))
-    table = {pair: dict(entry) for pair, entry in g.table.items()}
-    table.setdefault((i, j), {})[k] = old + delta
-    if data.draw(st.integers(0, 4)):
-        table.setdefault((j, i), {})[k] = -(old + delta)
-    bad = LieAlgebraData(g.labels, table)
+    brackets = pair_brackets(g)
+    brackets.setdefault((i, j), {})[k] = old + delta
+    bad = LieAlgebraData(g.labels, brackets)
     got, want = validate_lie(bad), validate_lie_reference(bad)
     assert (got.ok, got.reason, got.witness) == (want.ok, want.reason, want.witness)
+
+
+_LABELS = ["x", "y", "x*", "y*"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_validate_lie_returns_a_report_for_every_algebra_that_builds(data):
+    # labels that may repeat, brackets on pairs in either order, indices one past either end of the
+    # basis and zeros among the constants: the constructor raises ValueError exactly as its rules
+    # say, or validate_lie reports, and agrees with the triple-by-triple route
+    labels = data.draw(st.lists(st.sampled_from(_LABELS), min_size=1, max_size=4))
+    index = st.integers(-1, len(labels))
+    entries = st.dictionaries(index, st.sampled_from(_DELTAS + [Scalar(0)]), max_size=2)
+    brackets = data.draw(st.dictionaries(st.tuples(index, index), entries, max_size=5))
+    given_twice = any(i < j and any(entry.values()) and any(brackets.get((j, i), {}).values())
+                      for (i, j), entry in brackets.items())
+    if len(set(labels)) < len(labels):
+        with pytest.raises(ValueError, match="^labels must be distinct$"):
+            LieAlgebraData(labels, brackets)
+    elif (any(i == j for i, j in brackets) or given_twice
+          or not all(0 <= x < len(labels) for (i, j), entry in brackets.items() for x in (i, j, *entry))):
+        with pytest.raises(ValueError, match="diagonal|given twice|outside"):
+            LieAlgebraData(labels, brackets)
+    else:
+        g = LieAlgebraData(labels, brackets)
+        got, want = validate_lie(g), validate_lie_reference(g)
+        assert isinstance(got, Report)
+        assert (got.ok, got.reason, got.witness) == (want.ok, want.reason, want.witness)
 
 
 def test_lie_poisson_jacobi_passes_every_builtin_and_double():
@@ -669,38 +726,37 @@ def test_each_algebra_has_one_lie_poisson_chart_and_one_jacobiator(monkeypatch):
 
 def _nonjacobi_sl3() -> LieAlgebraData:
     """sl3 with c e12 f12 h1 doubled, as ``nonjacobi.alg``: antisymmetric, with several failing triples."""
-    brackets = {(i, j): dict(entry) for (i, j), entry in _SL3.table.items() if i < j}
+    brackets = pair_brackets(_SL3)
     e12, f12, h1 = (_SL3.labels.index(name) for name in ("e12", "f12", "h1"))
     brackets[(e12, f12)][h1] = brackets[(e12, f12)][h1] * 2
-    return LieAlgebraData.from_brackets(_SL3.labels, brackets)
+    return LieAlgebraData(_SL3.labels, brackets)
 
 
 def _with_explicit_zeros(g: LieAlgebraData) -> dict:
-    """g's table with explicit zero constants: beside the nonzero ones of every entry, as the whole
-    entry of the first commuting pair, if any (other keys in each order), and on the diagonal."""
-    table = {pair: dict(entry) for pair, entry in g.table.items()}
-    for entry in table.values():
+    """g's brackets on the pairs i < j with explicit zero constants: beside the nonzero ones of
+    every entry, and as the whole entry of the first commuting pair, if any, given as (j, i)."""
+    brackets = pair_brackets(g)
+    for entry in brackets.values():
         entry[min(set(range(g.dim)) - set(entry))] = Scalar(0)
     commuting = [(i, j) for i in range(g.dim) for j in range(i + 1, g.dim) if (i, j) not in g.table]
     if commuting:  # sl2 and su2 have none
         i, j = commuting[0]
-        table[(i, j)], table[(j, i)] = {0: Scalar(0)}, {1: Scalar(0), 2: Scalar(0)}
-    table[(0, 0)] = {0: Scalar(0)}
-    return table
+        brackets[(j, i)] = {0: Scalar(0), 1: Scalar(0)}
+    return brackets
 
 
 @pytest.mark.parametrize("name", sorted(_PERTURBED) + ["nonjacobi-sl3"])
-def test_explicit_zero_constants_change_neither_the_verdict_nor_the_chart(name):
-    # LieAlgebraData keeps explicit zeros; the chart, built on the trusted _poly and _new, must drop them
+def test_explicit_zero_constants_build_the_same_table_and_chart(name):
+    # the constructor drops explicit zeros, so the table, the chart and the verdict are g's
     g = _nonjacobi_sl3() if name == "nonjacobi-sl3" else _PERTURBED[name]
-    table = _with_explicit_zeros(g)
-    zeros = LieAlgebraData(g.labels, table)
-    clean = LieAlgebraData(g.labels, {pair: {k: c for k, c in entry.items() if c} for pair, entry in table.items()})
+    zeros = LieAlgebraData(g.labels, _with_explicit_zeros(g))
+    assert zeros.table == g.table
+    assert all(c for entry in zeros.table.values() for c in entry.values())
     got, want = validate_lie(zeros), validate_lie_reference(zeros)
     assert (got.ok, got.reason, got.witness) == (want.ok, want.reason, want.witness)
     assert got.ok == (name != "nonjacobi-sl3")
     chart = zeros._lie_poisson_chart
-    assert chart == clean._lie_poisson_chart == g._lie_poisson_chart
+    assert chart == g._lie_poisson_chart
     assert all(poly.terms and all(c for c in poly.terms.values()) for poly in chart.pi.comps.values())
 
 

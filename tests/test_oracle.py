@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_rng
+from conftest import make_rng, pair_brackets
 from poissonkit import oracle
 from poissonkit.cli import run_command
 from poissonkit.exactalg import PolyMultiVec, Scalar, schouten, wedge
@@ -54,11 +54,10 @@ def test_alg_schouten_oracle_memo_is_per_algebra(perturbed_first):
     # sl2 and a copy with [h, e] = 3e (as in test_validate_jacobi_failure_perturbed_sl2) share their
     # labels, not their tables: each gets its own monomial brackets, whichever is bracketed first
     g = sl_chevalley(2)
-    table = {pair: dict(entry) for pair, entry in g.table.items()}
+    brackets = pair_brackets(g)
     e, h = g.labels.index("e12"), g.labels.index("h1")
-    table[(h, e)][e] = Scalar(3)
-    table[(e, h)][e] = Scalar(-3)
-    bad = LieAlgebraData(g.labels, table)
+    brackets[(e, h)][e] = Scalar(-3)  # [e, h] = -3e, so [h, e] = 3e
+    bad = LieAlgebraData(g.labels, brackets)
     brackets = {}
     for alg in ([bad, g] if perturbed_first else [g, bad]):
         monos = _monomials(alg)
