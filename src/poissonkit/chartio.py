@@ -11,7 +11,9 @@ Chart files::
     submanifold x = x
 
 ``bracket`` accepts coordinate names or 0-based indices; ``volume`` and
-``submanifold`` are optional.  ``#`` starts a comment.  Algebra files::
+``submanifold`` are optional.  ``#`` starts a comment.  A second ``dim``,
+names, ``volume`` or ``submanifold`` line, or a second bracket on one pair, is
+an error on its line.  Algebra files::
 
     dim 3
     labels x1 x2 x3
@@ -19,11 +21,13 @@ Chart files::
 
 list only the nonzero structure constants with i < j; names or indices both
 work.  Built-in algebras (sl2, sl3, sl4, su2, su3, so3) and the bundled
-``.chart``/``.alg`` fixtures resolve by bare name.
+``.chart``/``.alg`` fixtures resolve by bare name.  A file's bytes are decoded
+as UTF-8 once; a decode error names the byte offset of the first bad byte.
 """
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 from .dirac import AlignedSubmanifold
@@ -52,33 +56,32 @@ class ChartFileError(InvalidInput):
         self.line = line
 
 
-def _logical_lines(text: str):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line
-
-
-def _coord_index(token: str, coords: list[str], lineno: int) -> int:
-    if token in coords:
-        return coords.index(token)
+def _coord_index(token: str, index: dict[str, int], lineno: int) -> int:
+    j = index.get(token)
+    if j is not None:
+        return j
     try:
-        idx = int(token)
+        j = int(token)
     except ValueError:
         raise ChartFileError(f"unknown coordinate {token!r}", lineno) from None
-    if not 0 <= idx < len(coords):
-        raise ChartFileError(f"coordinate index {idx} out of range", lineno)
-    return idx
+    if not 0 <= j < len(index):
+        raise ChartFileError(f"coordinate index {j} out of range", lineno)
+    return j
 
 
 def _header(text: str, names_key: str, noun: str) -> tuple[int, list[str], list[tuple[int, str, str]]]:
     """The ``dim`` line and the names line (``coords`` or ``labels``) of either format, read
     wherever they stand, and the other lines as (line number, directive, rest of the line)."""
     dim, names, names_line, body = None, None, 1, []
-    for lineno, line in _logical_lines(text):
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.partition("#")[0].strip()
+        if not line:
+            continue
         head, _, rest = line.partition(" ")
         rest = rest.strip()
         if head == "dim":
+            if dim is not None:
+                raise ChartFileError("dim declared twice", lineno)
             try:
                 dim = int(rest)
             except ValueError:
@@ -86,6 +89,8 @@ def _header(text: str, names_key: str, noun: str) -> tuple[int, list[str], list[
             if dim < 1:  # a space of no coordinates: every check would pass on nothing
                 raise ChartFileError(f"bad dimension {rest!r}: must be at least 1", lineno)
         elif head == names_key:
+            if names is not None:
+                raise ChartFileError(f"{names_key} declared twice", lineno)
             names, names_line = rest.split(), lineno
             if len(set(names)) != len(names):
                 raise ChartFileError(f"repeated name in {names_key}", lineno)
@@ -102,7 +107,7 @@ def _header(text: str, names_key: str, noun: str) -> tuple[int, list[str], list[
 
 def parse_chart_text(text: str, check_jacobi: bool = True) -> tuple[PoissonChart, AlignedSubmanifold | None]:
     dim, coords, body = _header(text, "coords", "coordinate names")
-    parser = PolyParser(coords)  # one name table for every line
+    parser = PolyParser(coords)  # one name table for every line, which the left-hand sides read too
     entries: dict[tuple[int, int], Poly] = {}
     volume: Poly | None = None
     sub_names: list[str] | None = None
@@ -114,29 +119,31 @@ def parse_chart_text(text: str, check_jacobi: bool = True) -> tuple[PoissonChart
             tokens = lhs.split()
             if len(tokens) != 2 or not expr.strip():
                 raise ChartFileError("expected 'bracket i j = <poly>'", lineno)
-            i = _coord_index(tokens[0], coords, lineno)
-            j = _coord_index(tokens[1], coords, lineno)
+            i = _coord_index(tokens[0], parser.vars, lineno)
+            j = _coord_index(tokens[1], parser.vars, lineno)
             if i == j:
                 raise ChartFileError("bracket of a coordinate with itself", lineno)
             try:
                 poly = parser.parse(expr.strip())
             except ParseError as err:
                 raise ChartFileError(f"bad polynomial: {err}", lineno) from None
-            sign = 1
             if i > j:
-                i, j, sign = j, i, -1
+                i, j, poly = j, i, -poly
             if (i, j) in entries:
                 raise ChartFileError(f"bracket ({coords[i]}, {coords[j]}) declared twice", lineno)
-            entries[(i, j)] = poly if sign == 1 else -poly
+            entries[(i, j)] = poly
         elif head == "volume":
-            _, _, expr = rest.partition("=")
+            if volume is not None:
+                raise ChartFileError("volume declared twice", lineno)
             try:
-                volume = parser.parse(expr.strip())
+                volume = parser.parse(rest.partition("=")[2].strip())
             except ParseError as err:
                 raise ChartFileError(f"bad volume density: {err}", lineno) from None
             if volume.is_zero():
                 raise ChartFileError("volume density must not be identically zero", lineno)
         elif head == "submanifold":
+            if sub_names is not None:
+                raise ChartFileError("submanifold declared twice", lineno)
             lhs, _, names = rest.partition("=")
             if lhs.strip() != "x":
                 raise ChartFileError("expected 'submanifold x = <names>'", lineno)
@@ -147,7 +154,8 @@ def parse_chart_text(text: str, check_jacobi: bool = True) -> tuple[PoissonChart
         else:
             raise ChartFileError(f"unknown directive {head!r}", lineno)
 
-    pi = PolyMultiVec(dim, 2, {k: p for k, p in entries.items() if not p.is_zero()})
+    # i < j, both in range, and each value a nonzero Poly on dim variables: pi's invariants hold
+    pi = PolyMultiVec._new(dim, 2, {k: p for k, p in entries.items() if p})
     chart = PoissonChart(dim, tuple(coords), pi, volume)
 
     if check_jacobi:
@@ -161,13 +169,13 @@ def parse_chart_text(text: str, check_jacobi: bool = True) -> tuple[PoissonChart
 
     sub = None
     if sub_names is not None:
-        xs = tuple(_coord_index(t, coords, sub_line) for t in sub_names)
+        xs = tuple(_coord_index(t, parser.vars, sub_line) for t in sub_names)
         ys = tuple(i for i in range(dim) if i not in xs)
         sub = AlignedSubmanifold(chart, xs, ys)
     return chart, sub
 
 
-def parse_chart_file(path: str | Path, check_jacobi: bool = True) -> tuple[PoissonChart, AlignedSubmanifold | None]:
+def parse_chart_file(path: str | os.PathLike, check_jacobi: bool = True) -> tuple[PoissonChart, AlignedSubmanifold | None]:
     """Load a chart file from a path or a bundled fixture name."""
     return parse_chart_text(_read_text(path), check_jacobi)
 
@@ -191,6 +199,7 @@ def emit_chart(chart: PoissonChart, sub: AlignedSubmanifold | None = None) -> st
 
 def parse_algebra_text(text: str, name: str = "") -> LieAlgebraData:
     _, labels, body = _header(text, "labels", "labels")
+    index = {name: j for j, name in enumerate(labels)}
     brackets: dict[tuple[int, int], dict[int, object]] = {}
     for lineno, head, rest in body:
         if head == "c":
@@ -198,9 +207,9 @@ def parse_algebra_text(text: str, name: str = "") -> LieAlgebraData:
             tokens = lhs.split()
             if len(tokens) != 3 or not value.strip():
                 raise ChartFileError("expected 'c i j k = <scalar>'", lineno)
-            i = _coord_index(tokens[0], labels, lineno)
-            j = _coord_index(tokens[1], labels, lineno)
-            k = _coord_index(tokens[2], labels, lineno)
+            i = _coord_index(tokens[0], index, lineno)
+            j = _coord_index(tokens[1], index, lineno)
+            k = _coord_index(tokens[2], index, lineno)
             try:
                 coeff = parse_scalar(value.strip())
             except (ParseError, ValueError) as err:
@@ -235,25 +244,24 @@ def load_algebra(name_or_path: str | Path) -> LieAlgebraData:
 # ---------------------------------------------------------------------------
 
 
-_DATA_DIR = Path(__file__).with_name("data")
+_DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
 
-def fixture_path(name: str | Path) -> Path:
+def fixture_path(name: str | os.PathLike) -> str:
     """An existing path as-is, else the bundled fixture of that name."""
-    p = Path(name)
-    if p.exists():
-        return p
-    candidate = _DATA_DIR / str(name)
-    if candidate.exists():
+    if os.path.exists(name):
+        return os.fspath(name)
+    candidate = os.path.join(_DATA_DIR, name)
+    if os.path.exists(candidate):
         return candidate
     raise FileNotFoundError(f"no such file or bundled fixture: {name}")
 
 
-def _read_text(name: str | Path) -> str:
-    """The text of a path or bundled fixture; a directory, an unreadable file or bytes that are not UTF-8 are bad input."""
+def _read_text(name: str | os.PathLike) -> str:
+    """The text of a path or bundled fixture, decoded from UTF-8 once; a directory, an unreadable file or other bytes are bad input."""
     path = fixture_path(name)
     try:
-        with open(path, encoding="utf-8") as file:
-            return file.read()
+        with open(path, "rb") as file:
+            return file.read().decode("utf-8")
     except (OSError, UnicodeDecodeError) as err:
         raise InvalidInput(f"cannot read {name}: {err.strerror if isinstance(err, OSError) else err}") from None

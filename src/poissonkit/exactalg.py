@@ -97,8 +97,8 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import reduce
-from itertools import chain, compress, product
-from operator import add, mul
+from itertools import chain, compress, islice, product
+from operator import add, lshift, mul
 from typing import Iterable, Mapping, Sequence, Union
 
 from .report import InvalidInput
@@ -532,33 +532,32 @@ class ParseError(InvalidInput):
         self.pos = pos
 
 
-# one token after optional white space: an ASCII number literal, integral (group 1) or with a
-# denominator (group 2, empty when malformed); a word (group 3), which is a name when it starts with
-# a letter or '_'; an operator (group 4); or any other character (group 5).  White space at the end
-# matches nothing.
-_TOKEN = re.compile(r"\s*(?:([0-9]+)(?:/([0-9]*))?|(\w+)|([-+*^()])|(\S))")
+# one token after optional white space: an ASCII number literal, integral or with a denominator (which
+# is malformed when empty); a word, which is a name when it starts with a letter or '_'; an operator; or
+# any other character.  White space at the end matches nothing.
+_TOKEN = re.compile(r"\s*([0-9]+(?:/[0-9]*)?|\w+|[-+*^()]|\S)")
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    for m in _TOKEN.finditer(text):
-        kind = m.lastindex
-        k = m.start(1 if kind == 2 else kind)
-        if kind == 1:
-            tokens.append(("number", m[1], k))
-        elif kind == 2:
-            if not m[2]:
-                raise ParseError("malformed rational literal", m.start(2) - 1)
-            if not int(m[2]):
-                raise ParseError("zero denominator", k)
-            tokens.append(("number", text[k : m.end()], k))
-        elif kind == 3 and (m[3][0].isalpha() or m[3][0] == "_"):
-            tokens.append(("name", m[3], k))
-        elif kind == 4:
-            tokens.append((m[4], m[4], k))
-        else:  # any other character, or a word that starts with a digit other than 0-9
-            raise ParseError(f"unexpected character {text[k]!r}", k)
-    tokens.append(("end", "", len(text)))
+def _position(text: str, t: int) -> int:
+    """Where token t of ``text`` starts, found again only for an error; the end token's is len(text)."""
+    return next(islice((m.start(1) for m in _TOKEN.finditer(text)), t, None), len(text))
+
+
+def _tokenize(text: str) -> list[str]:
+    """The tokens of ``text`` as strings, each checked, then "" for the end."""
+    tokens = _TOKEN.findall(text)
+    for t, tok in enumerate(tokens):
+        head = tok[0]
+        if head in "0123456789":
+            if "/" in tok:
+                num, _, den = tok.partition("/")
+                if not den:
+                    raise ParseError("malformed rational literal", _position(text, t) + len(num))
+                if not int(den):
+                    raise ParseError("zero denominator", _position(text, t))
+        elif not (head.isalpha() or head == "_" or head in "-+*^()"):
+            raise ParseError(f"unexpected character {head!r}", _position(text, t))
+    tokens.append("")
     return tokens
 
 
@@ -569,14 +568,21 @@ def _number(text: str) -> Scalar:
     return _from_parts(int(text), 0)
 
 
+def _unexpected(text: str, tokens: list[str], t: int, expected: str = "") -> ParseError:
+    """The error at token t: it is not the ``expected`` kind of token, or not expected at all."""
+    tok = tokens[t]
+    found = repr(tok) if tok else "end of input"
+    return ParseError(f"expected {expected}, found {found}" if expected else f"unexpected {found}", _position(text, t))
+
+
 class PolyParser:
     """Reads expressions over one list of coordinate names into exact Polys.
 
-    The name table is built once, in the constructor, and serves every
-    expression read over the same names, such as the lines of one chart.  A
-    term is read into one coefficient and one exponent list; only a
-    parenthesised factor is a ``Poly`` multiplied in.  The terms of a sum are
-    accumulated into one dict and built into a ``Poly`` once.
+    The name table, ``vars``, is built once and serves every expression read
+    over the same names, such as the lines of one chart.  ``parse`` reads the
+    tokens in one descent with its state in locals, and a term into one
+    coefficient and one exponent list; only a parenthesised factor is a
+    ``Poly`` multiplied in, and the terms of a sum are built into one ``Poly``.
     """
 
     def __init__(self, var_names: Sequence[str]):
@@ -584,84 +590,79 @@ class PolyParser:
             raise ValueError("coordinate name 'i' collides with the imaginary unit")
         self.vars = {name: j for j, name in enumerate(var_names)}
         self.nvars = len(var_names)
+        # the names a name token can spell: a digit starts a number token, and "" is the end
+        self._names = {name: j for name, j in self.vars.items() if name[:1].isalpha() or name[:1] == "_"}
 
     def parse(self, text: str) -> Poly:
-        self.tokens = _tokenize(text)
-        self.pos = 0
-        out = self.expr()
-        kind, tok, pos = self.tokens[self.pos]
-        if kind != "end":
-            raise ParseError(f"unexpected {tok!r}", pos)
+        tokens = _tokenize(text)
+        out, t = self._sum(text, tokens, 0)
+        if tokens[t]:
+            raise _unexpected(text, tokens, t)
         return out
 
-    def take(self, kind):
-        tok = self.tokens[self.pos]
-        if tok[0] != kind:
-            raise ParseError(f"expected {kind}, found {tok[1]!r}" if tok[0] != "end" else f"expected {kind}, found end of input", tok[2])
-        self.pos += 1
-        return tok
-
-    def expr(self) -> Poly:
+    def _sum(self, text: str, tokens: list[str], t: int) -> tuple[Poly, int]:
+        """The sum of products of powers that starts at token t, and the index of the token after it."""
+        names, nvars = self._names, self.nvars
         out: dict[tuple, Scalar] = {}
-        negate = False
+        negate = False  # the sign of the term: its '-' in the sum, flipped by each unary '-'
         while True:
-            coeff, exps, factor = self.term()
+            coeff = SCALAR_ONE
+            exps = [0] * nvars
+            factor = None
+            while True:
+                tok = tokens[t]
+                while tok == "-":
+                    negate = not negate
+                    t += 1
+                    tok = tokens[t]
+                j = names.get(tok)
+                if j is None:
+                    if tok[:1].isdigit():
+                        value = _number(tok)
+                    elif tok == "i":
+                        value = SCALAR_I
+                    elif tok == "(":
+                        sub, t = self._sum(text, tokens, t + 1)
+                        if tokens[t] != ")":
+                            raise _unexpected(text, tokens, t, ")")
+                    elif tok[:1].isalpha() or tok[:1] == "_":
+                        raise ParseError(f"unknown identifier {tok!r}", _position(text, t))
+                    else:
+                        raise _unexpected(text, tokens, t)
+                t += 1
+                k = 1  # (a^m)^n = a^(m n)
+                while tokens[t] == "^":
+                    power = tokens[t + 1]
+                    if not power[:1].isdigit():
+                        raise _unexpected(text, tokens, t + 1, "number")
+                    if "/" in power:
+                        raise ParseError("exponent must be a nonnegative integer", _position(text, t + 1))
+                    k *= int(power)
+                    t += 2
+                if j is not None:
+                    exps[j] += k
+                elif tok == "(":
+                    sub = sub if k == 1 else sub**k
+                    factor = sub if factor is None else factor * sub
+                else:
+                    value = value if k == 1 else value**k
+                    coeff = value if coeff is SCALAR_ONE else coeff * value
+                if tokens[t] != "*":
+                    break
+                t += 1
             if coeff:
                 if negate:
                     coeff = -coeff
                 if factor is None:
-                    _accumulate(out, exps, coeff)
+                    _accumulate(out, tuple(exps), coeff)
                 else:
                     for e, c in factor.terms.items():
                         _accumulate(out, tuple(map(add, e, exps)), c * coeff)
-            kind = self.tokens[self.pos][0]
-            if kind != "+" and kind != "-":
-                return _poly(self.nvars, out)
-            negate = kind == "-"
-            self.pos += 1
-
-    def term(self) -> tuple[Scalar, tuple, Poly | None]:
-        """A product of powers, each with its unary minus signs, as (coefficient, exponent
-        tuple, product of the parenthesised factors or None)."""
-        tokens = self.tokens
-        coeff = SCALAR_ONE
-        exps = [0] * self.nvars
-        factor = None
-        negate = False
-        while True:
-            kind, text, pos = tokens[self.pos]
-            while kind == "-":
-                negate = not negate
-                self.pos += 1
-                kind, text, pos = tokens[self.pos]
-            self.pos += 1
-            if kind == "(":
-                sub = self.expr()
-                self.take(")")
-            elif kind == "name":
-                j = self.vars.get(text)
-                if j is None and text != "i":
-                    raise ParseError(f"unknown identifier {text!r}", pos)
-            elif kind != "number":
-                raise ParseError(f"unexpected {text!r}" if kind != "end" else "unexpected end of input", pos)
-            k = 1  # (a^m)^n = a^(m n)
-            while tokens[self.pos][0] == "^":
-                self.pos += 1
-                tok = self.take("number")
-                if "/" in tok[1]:
-                    raise ParseError("exponent must be a nonnegative integer", tok[2])
-                k *= int(tok[1])
-            if kind == "(":
-                sub = sub if k == 1 else sub**k
-                factor = sub if factor is None else factor * sub
-            elif kind == "name" and j is not None:
-                exps[j] += k
-            else:
-                value = SCALAR_I if kind == "name" else _number(text)
-                coeff = coeff * (value if k == 1 else value**k)
-            if tokens[self.pos][0] != "*":
-                return (-coeff if negate else coeff), tuple(exps), factor
-            self.pos += 1
+            tok = tokens[t]
+            if tok != "+" and tok != "-":
+                return _poly(nvars, out), t
+            negate = tok == "-"
+            t += 1
 
 
 def parse_poly(text: str, var_names: Sequence[str]) -> Poly:
@@ -995,14 +996,16 @@ def _packed_exponents(a: PolyMultiVec, b: PolyMultiVec) -> tuple[dict, list, int
     large the exponents are.  A product of monomials is then one int
     addition, and d/dx_l of a monomial whose x_l field is nonzero subtracts
     ``units[l]`` without a borrow.  A negative exponent would borrow, so it
-    raises ``ValueError``.
+    raises ``ValueError``.  The exponents are scanned once for both bounds, and
+    only the nonzero ones, a few per chart monomial, are shifted into place.
     """
     exps = {e for f in (a, b) for poly in f.comps.values() for e in poly.terms}
-    if min(chain.from_iterable(exps), default=0) < 0:
+    values = set(chain.from_iterable(exps))
+    if min(values, default=0) < 0:
         raise ValueError("schouten takes polynomials, and an exponent is negative")
-    width = max(chain.from_iterable(exps), default=0).bit_length() + 1
-    units = [1 << s for s in range(0, width * a.dim, width)]
-    return {e: sum(map(mul, e, units)) for e in exps}, units, width
+    width = max(values, default=0).bit_length() + 1
+    shifts = range(0, width * a.dim, width)
+    return {e: sum(map(lshift, filter(None, e), compress(shifts, e))) for e in exps}, [1 << s for s in shifts], width
 
 
 def _hook(a: PolyMultiVec, b: PolyMultiVec, out: dict, factor: int, packed: dict, lower: list, shift: int) -> None:

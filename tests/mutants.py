@@ -251,6 +251,45 @@ MUTANTS = (
                "tests/test_exactalg.py::test_power_takes_no_square_after_the_last_bit",
                "tests/test_parser.py::test_parser_matches_reference_on_fixed_rows",
            )),
+    # the chart reader's checks: each pair once and off the diagonal, each index in range, each name
+    # declared, and each directive that may stand once given once
+    Mutant("chart-bracket-twice-unchecked", "chartio", "parse_chart_text",
+           "if (i, j) in entries:", "if False:", (
+               "tests/test_cli.py::test_duplicate_bracket_rejected",
+               "tests/test_cli.py::test_bad_input_is_a_usage_error[check jacobi twice.chart]",
+           )),
+    Mutant("chart-self-bracket-unchecked", "chartio", "parse_chart_text",
+           "if i == j:", "if False:", (
+               "tests/test_cli.py::test_bad_input_is_a_usage_error[check jacobi selfbracket.chart]",
+           )),
+    Mutant("chart-index-range-unchecked", "chartio", "_coord_index",
+           "if not 0 <= j < len(index):", "if False:", (
+               "tests/test_cli.py::test_bad_input_is_a_usage_error[check jacobi index2.chart]",
+               "tests/test_cli.py::test_bad_input_is_a_usage_error[check jacobi indexminus.chart]",
+           )),
+    Mutant("parser-unknown-identifier-unnamed", "exactalg", "PolyParser._sum",
+           'elif tok[:1].isalpha() or tok[:1] == "_":', "elif False:", (
+               "tests/test_cli.py::test_bad_input_is_a_usage_error[check jacobi unknownname.chart]",
+               "tests/test_parser.py::test_parser_matches_reference_on_fixed_rows",
+           )),
+    Mutant("chart-dim-twice-unchecked", "chartio", "_header",
+           "if dim is not None:", "if False:", (
+               "tests/test_cli.py::test_bad_input_is_a_usage_error[check jacobi dim2.chart]",
+               "tests/test_cli.py::test_bad_input_is_a_usage_error[lie validate dim2.alg]",
+           )),
+    Mutant("chart-names-twice-unchecked", "chartio", "_header",
+           "if names is not None:", "if False:", (
+               "tests/test_cli.py::test_bad_input_is_a_usage_error[check jacobi coords2.chart]",
+               "tests/test_cli.py::test_bad_input_is_a_usage_error[lie validate labels2.alg]",
+           )),
+    Mutant("chart-volume-twice-unchecked", "chartio", "parse_chart_text",
+           "if volume is not None:", "if False:", (
+               "tests/test_cli.py::test_bad_input_is_a_usage_error[modular vf volume2.chart]",
+           )),
+    Mutant("chart-submanifold-twice-unchecked", "chartio", "parse_chart_text",
+           'raise ChartFileError("submanifold declared twice", lineno)', "pass", (
+               "tests/test_cli.py::test_bad_input_is_a_usage_error[dirac aligned submanifold2.chart]",
+           )),
     Mutant("oracle-compares-kernel-with-itself", "cli", "_oracle_report",
            "kernel(a, b) != reference(a, b)", "kernel(a, b) != kernel(a, b)", (
                "tests/test_acceptance.py::test_claim[schouten-oracle]",

@@ -27,8 +27,9 @@ from poissonkit.chartio import (
     parse_chart_text,
 )
 from poissonkit.cli import run_command
-from poissonkit.exactalg import parse_poly
+from poissonkit.exactalg import Poly, PolyMultiVec, Scalar, parse_poly, print_poly
 from poissonkit.liealg import LieAlgebraData, builtin_algebra, lie_poisson_chart, validate_lie
+from poissonkit.poisson import PoissonChart
 
 
 def _by_argv(rows):
@@ -57,6 +58,65 @@ def test_chart_round_trip_exact():
         assert chart2 == chart
         if sub is not None:
             assert sub2.x_indices == sub.x_indices
+
+
+CHART_NAMES = ["x", "y2", "_z", "a_b", "w10"]
+small_parts = st.one_of(st.integers(-3, 3), st.fractions(min_value=-2, max_value=2, max_denominator=4))
+
+
+@st.composite
+def chart_files(draw):
+    """A chart file, written with every freedom the format allows, and the chart and x indices it
+    declares: names or 0-based indices, pairs in either order with the polynomial negated, lines in
+    any order, comments, blank lines, CRLF endings, a volume and a submanifold."""
+    dim = draw(st.integers(1, len(CHART_NAMES)))
+    names = CHART_NAMES[:dim]
+
+    def poly():
+        terms = draw(st.dictionaries(st.tuples(*[st.integers(0, 2)] * dim), st.tuples(small_parts, small_parts),
+                                     max_size=3))
+        return Poly(dim, {e: Scalar(re, im) for e, (re, im) in terms.items()})
+
+    def token(i):
+        return draw(st.sampled_from([names[i], str(i)]))
+
+    comps, lines = {}, [f"dim {dim}", "coords " + " ".join(names)]
+    pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
+    for i, j in draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []:
+        p = comps[(i, j)] = poly()
+        if draw(st.booleans()):  # the reversed pair carries -p
+            lines.append(f"bracket {token(j)} {token(i)} = {print_poly(-p, names)}")
+        else:
+            lines.append(f"bracket {token(i)} {token(j)} = {print_poly(p, names)}")
+    volume = None
+    if draw(st.booleans()):
+        volume = poly() or Poly.const(dim, draw(st.integers(1, 3)))
+        lines.append(f"volume = {print_poly(volume, names)}")
+    xs = None
+    if draw(st.booleans()):
+        xs = tuple(draw(st.lists(st.integers(0, dim - 1), min_size=1, unique=True)))
+        lines.append("submanifold x = " + " ".join(token(i) for i in xs))
+    lines = draw(st.permutations(lines))
+    lines = [line + draw(st.sampled_from(["", "  ", " # note", "# note"])) for line in lines]
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", "   ", "# only a comment"])))
+    text = draw(st.sampled_from(["\n", "\r\n"])).join(lines) + draw(st.sampled_from(["", "\n", "\r\n"]))
+    return text, PoissonChart(dim, tuple(names), PolyMultiVec(dim, 2, comps), volume), xs
+
+
+@settings(max_examples=200, deadline=None)
+@given(chart_files())
+def test_chart_reader_reads_back_the_chart_it_was_written_from(case):
+    # the reader builds pi without the constructor's checks, so the law also holds pi to them
+    text, chart, xs = case
+    got, sub = parse_chart_text(text, check_jacobi=False)
+    assert got == chart
+    assert PolyMultiVec(got.dim, 2, got.pi.comps).comps == got.pi.comps
+    assert got.pi.degree == 2 and got.pi.dim == got.dim
+    if xs is None:
+        assert sub is None
+    else:
+        assert sub.x_indices == xs and sub.y_indices == tuple(i for i in range(got.dim) if i not in xs)
 
 
 def test_duplicate_bracket_rejected():
@@ -106,7 +166,7 @@ def test_algebra_jacobi_error_names_the_failing_triple():
 def test_algebra_fixture_files_validate():
     for name in ("sl2.alg", "sl3.alg", "su3.alg", "so3.alg"):
         assert validate_lie(load_algebra(name)).ok
-    assert fixture_path("dubrovin3.chart") == Path(poissonkit.__file__).parent / "data" / "dubrovin3.chart"
+    assert fixture_path("dubrovin3.chart") == str(Path(poissonkit.__file__).parent / "data" / "dubrovin3.chart")
 
 
 # -- exit codes ------------------------------------------------------------------
@@ -267,7 +327,31 @@ BAD_FILES = {
     "dimx.alg": "dim x\nlabels a b\n",
     "dim0.alg": "dim 0\nlabels\n",
     "zerodenominator.alg": "dim 2\nlabels a b\nc a b a = 1/0\n",
-    "nonjacobi.alg": fixture_path("sl3.alg").read_text().replace("c e12 f12 h1 = 1", "c e12 f12 h1 = 2"),
+    "nonjacobi.alg": Path(fixture_path("sl3.alg")).read_text().replace("c e12 f12 h1 = 1", "c e12 f12 h1 = 2"),
+    # one file per check of the reader, each failing on its last line
+    "selfbracket.chart": "dim 2\ncoords x y\nbracket x x = 1\n",
+    "twice.chart": "dim 2\ncoords x y\nbracket x y = 1\nbracket y x = -1\n",
+    "index2.chart": "dim 2\ncoords x y\nbracket 0 2 = 1\n",
+    "indexminus.chart": "dim 2\ncoords x y\nbracket -1 1 = 1\n",
+    "unknowncoord.chart": "dim 2\ncoords x y\nbracket x q = 1\n",
+    "unknownname.chart": "dim 2\ncoords x y\nbracket x y = x*w\n",
+    "directive.chart": "dim 2\ncoords x y\nbrackets x y = 1\n",
+    "bracketform.chart": "dim 2\ncoords x y\nbracket x = 1\n",
+    "subform.chart": "dim 2\ncoords x y\nbracket x y = 1\nsubmanifold y = x\n",
+    "subname.chart": "dim 2\ncoords x y\nbracket x y = 1\nsubmanifold x = q\n",
+    "nocoords.chart": "dim 2\nbracket x y = 1\n",
+    "shortcoords.chart": "dim 3\ncoords x y\n",
+    "badvolume.chart": "dim 2\ncoords x y\nbracket x y = 1\nvolume = x +\n",
+    "diagonal.alg": "dim 2\nlabels a b\nc a a b = 1\n",
+    "cform.alg": "dim 2\nlabels a b\nc a b = 1\n",
+    "unknownlabel.alg": "dim 2\nlabels a b\nc a q a = 1\n",
+    # a directive that may stand once, given twice: the second line is the error, not a new value
+    "dim2.chart": "dim 2\ndim 3\ncoords x y z\n",
+    "coords2.chart": "dim 2\ncoords x y\ncoords y x\nbracket x y = 1\n",
+    "volume2.chart": "dim 2\ncoords x y\nbracket x y = 1\nvolume = 1\nvolume = x\n",
+    "submanifold2.chart": "dim 2\ncoords x y\nbracket x y = 1\nsubmanifold x = x\nsubmanifold x = y\n",
+    "dim2.alg": "dim 2\ndim 3\nlabels a b c\n",
+    "labels2.alg": "dim 2\nlabels a b\nlabels b a\n",
 }
 # files that are not UTF-8 text, written as bytes
 BAD_BYTES = {
@@ -362,6 +446,29 @@ BAD_INPUT = [
     (["lie", "validate", "dim0.alg"], "line 1: bad dimension '0': must be at least 1"),
     (["oracle", "alg", "--algebra", "dim0.alg"], "line 1: bad dimension '0': must be at least 1"),
     (["lie", "validate", "nonjacobi.alg"], "structure constants invalid: Jacobi identity fails on (e12, e13, f12)"),
+    (["check", "jacobi", "selfbracket.chart"], "line 3: bracket of a coordinate with itself"),
+    (["check", "jacobi", "twice.chart"], "line 4: bracket (x, y) declared twice"),
+    (["check", "jacobi", "index2.chart"], "line 3: coordinate index 2 out of range"),
+    (["check", "jacobi", "indexminus.chart"], "line 3: coordinate index -1 out of range"),
+    (["check", "jacobi", "unknowncoord.chart"], "line 3: unknown coordinate 'q'"),
+    (["check", "jacobi", "unknownname.chart"], "line 3: bad polynomial: unknown identifier 'w' (at position 2)"),
+    (["check", "jacobi", "directive.chart"], "line 3: unknown directive 'brackets'"),
+    (["check", "jacobi", "bracketform.chart"], "line 3: expected 'bracket i j = <poly>'"),
+    (["dirac", "aligned", "subform.chart"], "line 4: expected 'submanifold x = <names>'"),
+    (["dirac", "aligned", "subname.chart"], "line 4: unknown coordinate 'q'"),
+    (["check", "jacobi", "nocoords.chart"], "line 1: file must declare dim and coords"),
+    (["check", "jacobi", "shortcoords.chart"], "line 2: expected 3 coordinate names, got 2"),
+    (["modular", "vf", "badvolume.chart"], "line 4: bad volume density: unexpected end of input (at position 3)"),
+    (["lie", "validate", "diagonal.alg"], "line 3: diagonal structure constant"),
+    (["lie", "validate", "cform.alg"], "line 3: expected 'c i j k = <scalar>'"),
+    (["lie", "validate", "unknownlabel.alg"], "line 3: unknown coordinate 'q'"),
+    (["check", "jacobi", "dim2.chart"], "line 2: dim declared twice"),
+    (["check", "jacobi", "coords2.chart"], "line 3: coords declared twice"),
+    (["modular", "vf", "volume2.chart"], "line 5: volume declared twice"),
+    (["dirac", "aligned", "submanifold2.chart"], "line 5: submanifold declared twice"),
+    (["lie", "validate", "dim2.alg"], "line 2: dim declared twice"),
+    (["lie", "validate", "labels2.alg"], "line 3: labels declared twice"),
+    (["check", "jacobi", "so3.chart/"], "no such file or bundled fixture: so3.chart/"),  # a file has no trailing /
     (["check", "jacobi", ""], "cannot read : Is a directory"),
     (["frobnicate"], "argument command: invalid choice: 'frobnicate' (choose from 'check', 'dirac', 'modular', "),
     (["check", "frobnicate"], "argument sub: invalid choice: 'frobnicate' (choose from 'jacobi', 'casimir', 'bracket')"),

@@ -33,5 +33,5 @@ def test_mutant_pattern_occurs_once_in_its_function(mutant):
 
 def test_every_checking_module_has_a_mutant():
     # the exact kernel and the checks over it are mutated too, not only the sampled gates
-    modules = {"exactalg", "liealg", "linalg", "poisson", "dirac", "groupnum", "dynr", "report"}
+    modules = {"exactalg", "liealg", "linalg", "poisson", "dirac", "groupnum", "dynr", "report", "chartio"}
     assert modules <= {m.module for m in MUTANTS}, modules - {m.module for m in MUTANTS}
