@@ -327,27 +327,19 @@ def leaf_slice_obstruction(chart: PoissonChart, t_indices: Sequence[int], t0: Se
                 rows[(idxs, exps)] = coeff
         return rows
 
-    columns = []
-    row_keys: set[tuple] = set()
-    for m, j in unknowns:
-        xvec = PolyMultiVec.monomial(nx, (j,), Poly(nx, {m: Scalar(1)}))
-        img = schouten(xvec, pi0)
-        col = bivec_rows(img)
-        columns.append(col)
-        row_keys.update(col)
-
-    # one elimination: a right-hand-side column per t, over the rows of every image and right-hand side
+    # one elimination: a column per unknown and a right-hand-side column per t, over their rows
+    images = [bivec_rows(schouten(PolyMultiVec.monomial(nx, (j,), Poly(nx, {m: Scalar(1)})), pi0))
+              for m, j in unknowns]
     rhs = [bivec_rows(-chart.pi.diff(ti).project(xs, frozen)) for ti in ts]
-    keys = sorted(row_keys.union(*rhs))
-    a_mat = [[col.get(kk, SCALAR_ZERO) for col in columns] for kk in keys]
-    sol = linalg.solve(a_mat, [[b.get(kk, SCALAR_ZERO) for b in rhs] for kk in keys])
+    sol = linalg.solve(*linalg.sparse_system(images, rhs))
     if sol is None:
         return Report(False, reason=f"unsolvable up to degree {degree_bound} (not a proof of non-existence)")
     witnesses = []
     for c in range(len(ts)):
         field = PolyMultiVec.zero(nx, 1)
-        for (m, j), row in zip(unknowns, sol):
-            if row[c]:
+        for u, row in sol.items():
+            if c in row:
+                m, j = unknowns[u]
                 field = field + PolyMultiVec.monomial(nx, (j,), Poly(nx, {m: row[c]}))
         witnesses.append(field)
     return Report(True, witness=tuple(witnesses))

@@ -30,15 +30,17 @@ and the invariance of the canonical pairing pin this convention.
 
 ``validate_lie`` decides Jacobi only, as the Poisson condition of g*'s
 Lie-Poisson chart, with ``poisson._not_poisson``, the one kernel that decides
-every chart; each ``LieAlgebraData`` forms that chart once, from its
-constants on the pairs i < j, and ``lie_poisson_chart`` returns it.  The
-kernels visit only nonzero entries: the matrix builds form commutators and
-the expansion residual on the nonzero matrix entries.  ``AlgElement`` is an
-``exactalg.Wedge`` on g with ``Scalar`` coefficients: its validating public
-constructor, its trusted ``_new``, its arithmetic and its linear-map action
-(``Wedge.carry``, which ``LinearAlgMap.apply`` calls) are the ones
-``PolyMultiVec`` uses.  ``alg_schouten`` sums the pair-sum terms in its own
-loop and builds its result with ``_new`` alone.
+every chart; each ``LieAlgebraData`` forms that chart once, from its constants
+on the pairs i < j, and ``lie_poisson_chart`` returns it.  The kernels visit
+only nonzero entries: the matrix builds form commutators, their coordinates
+(by ``linalg.solve`` on sparse rows) and the expansion residual on nonzero
+matrix entries, as do ``_double_basis``'s Gram solve and
+``LinearAlgMap.is_involution``.  ``AlgElement`` is an ``exactalg.Wedge`` on g
+with ``Scalar`` coefficients: its validating public constructor, its trusted
+``_new``, its arithmetic and its linear-map action (``Wedge.carry``, which
+``LinearAlgMap.apply`` calls) are the ones ``PolyMultiVec`` uses.
+``alg_schouten`` sums the pair-sum terms in its own loop and builds its result
+with ``_new`` alone.
 """
 
 from __future__ import annotations
@@ -231,22 +233,24 @@ def validate_lie(g: LieAlgebraData) -> Report:
 # ---------------------------------------------------------------------------
 
 
-def _elementary(n: int, a: int, b: int) -> linalg.Matrix:
+def _matrix(n: int, entries: dict) -> linalg.Matrix:
+    """The n x n matrix with the nonzero entries {(row, column): value}."""
     m = linalg.zeros(n, n)
-    m[a][b] = SCALAR_ONE
+    for (r, c), v in entries.items():
+        m[r][c] = v
     return m
 
 
-def _entries(m: linalg.Matrix) -> list[tuple[int, int, Scalar]]:
-    """The nonzero entries (row, column, value) of a matrix."""
-    return [(r, c, v) for r, row in enumerate(m) for c, v in enumerate(row) if v]
+def _entries(m: linalg.Matrix) -> dict[tuple[int, int], Scalar]:
+    """The nonzero entries {(row, column): value} of a matrix."""
+    return {(r, c): v for r, row in enumerate(m) for c, v in enumerate(row) if v}
 
 
-def _bracket_entries(xs: list, ys: list) -> dict[tuple[int, int], Scalar]:
+def _bracket_entries(xs: dict, ys: dict) -> dict[tuple[int, int], Scalar]:
     """XY - YX as {(row, column): nonzero}, from the nonzero entries of X and Y (see ``_entries``)."""
     out: dict[tuple[int, int], Scalar] = {}
-    for r, k, a in xs:
-        for s, c, b in ys:
+    for (r, k), a in xs.items():
+        for (s, c), b in ys.items():
             if k == s:  # (XY)_rc += x_rk y_kc
                 out[(r, c)] = out.get((r, c), SCALAR_ZERO) + a * b
             if c == r:  # (YX)_sk += y_sr x_rk
@@ -254,28 +258,28 @@ def _bracket_entries(xs: list, ys: list) -> dict[tuple[int, int], Scalar]:
     return {rc: v for rc, v in out.items() if v}
 
 
-def _coordinates(matrices: list[linalg.Matrix], targets: list[dict]) -> linalg.Matrix:
-    """X with B X = V: column p holds the coordinates of targets[p] in the basis ``matrices``.
+def _coordinates(basis: list[dict], targets: list[dict]) -> list[dict[int, Scalar]]:
+    """The coordinates of each target in the matrix basis, as {basis index: nonzero}.
 
-    Each target is given by its nonzero entries {(row, column): value}.  One
+    Each basis matrix and each target is given by its nonzero entries
+    {(row, column): value} (see ``_entries``).  One sparse
     elimination solves B X = V, where the columns of B are the flattened basis
     matrices and the columns of V the flattened targets.  A target outside the
     span of the basis, or a nonzero residual B X - V (formed on the nonzero
     entries of the basis matrices and of X), is a construction bug and raises.
     """
-    n = len(matrices[0])
-    basis_cols = [[m[r][c] for m in matrices] for r in range(n) for c in range(n)]
-    rhs = [[t.get((r, c), SCALAR_ZERO) for t in targets] for r in range(n) for c in range(n)]
-    coords = linalg.solve(basis_cols, rhs)
-    if coords is None:
+    solution = linalg.solve(*linalg.sparse_system(basis, targets))
+    if solution is None:
         raise AssertionError("a matrix left the span of the basis")
-    basis = [_entries(m) for m in matrices]
-    for target, column in zip(targets, zip(*coords)):
+    coords: list[dict[int, Scalar]] = [{} for _ in targets]
+    for k, row in solution.items():
+        for p, x in row.items():
+            coords[p][k] = x
+    for target, column in zip(targets, coords):
         image: dict[tuple[int, int], Scalar] = {}
-        for k, x in enumerate(column):
-            if x:
-                for r, c, b in basis[k]:
-                    image[(r, c)] = image.get((r, c), SCALAR_ZERO) + b * x
+        for k, x in column.items():
+            for rc, b in basis[k].items():
+                image[rc] = image.get(rc, SCALAR_ZERO) + b * x
         if {rc: v for rc, v in image.items() if v} != target:
             raise AssertionError("inconsistent expansion")
     return coords
@@ -285,9 +289,8 @@ def _expand_table(matrices: list[linalg.Matrix]) -> dict:
     """Structure constants by expanding the commutators [m_i, m_j], i < j, in the given matrix basis."""
     basis = [_entries(m) for m in matrices]
     pairs = [(i, j) for i in range(len(matrices)) for j in range(i + 1, len(matrices))]
-    coords = _coordinates(matrices, [_bracket_entries(basis[i], basis[j]) for i, j in pairs])
-    entries = ({k: row[p] for k, row in enumerate(coords) if row[p]} for p in range(len(pairs)))
-    return {pair: entry for pair, entry in zip(pairs, entries) if entry}
+    coords = _coordinates(basis, [_bracket_entries(basis[i], basis[j]) for i, j in pairs])
+    return {pair: entry for pair, entry in zip(pairs, coords) if entry}
 
 
 def _sl_basis(n: int) -> tuple[list[str], list[linalg.Matrix], RootData]:
@@ -298,8 +301,8 @@ def _sl_basis(n: int) -> tuple[list[str], list[linalg.Matrix], RootData]:
     labels = [f"e{a+1}{b+1}" for a, b in pos] + [f"f{a+1}{b+1}" for a, b in pos] + [
         f"h{m+1}" for m in range(n - 1)
     ]
-    mats = [_elementary(n, a, b) for a, b in pos] + [_elementary(n, b, a) for a, b in pos] + [
-        linalg.mat_sub(_elementary(n, m, m), _elementary(n, m + 1, m + 1)) for m in range(n - 1)
+    mats = [_matrix(n, {(a, b): SCALAR_ONE}) for a, b in pos] + [_matrix(n, {(b, a): SCALAR_ONE}) for a, b in pos] + [
+        _matrix(n, {(m, m): SCALAR_ONE, (m + 1, m + 1): -SCALAR_ONE}) for m in range(n - 1)
     ]
     nroots = len(pos)
     roots = []
@@ -321,9 +324,9 @@ def _sl_basis(n: int) -> tuple[list[str], list[linalg.Matrix], RootData]:
 DOUBLE_R_SCALE = Fraction(4)
 
 
-def _trace_product(a: linalg.Matrix, b: linalg.Matrix) -> Scalar:
-    """tr(ab), over the nonzero entries of a."""
-    return sum((v * b[c][r] for r, c, v in _entries(a)), SCALAR_ZERO)
+def _trace_product(a: dict, b: dict) -> Scalar:
+    """tr(ab), over the nonzero entries of a and b (see ``_entries``)."""
+    return sum((v * b[(c, r)] for (r, c), v in a.items() if (c, r) in b), SCALAR_ZERO)
 
 
 def _double_basis(n: int) -> tuple[list[tuple[linalg.Matrix, linalg.Matrix]], tuple[tuple[int, int, Fraction], ...]]:
@@ -339,9 +342,14 @@ def _double_basis(n: int) -> tuple[list[tuple[linalg.Matrix, linalg.Matrix]], tu
     zero = linalg.zeros(n, n)
     borel = ([(mats[root.e_index], zero) for root in roots.roots] + [(zero, mats[root.f_index]) for root in roots.roots]
              + [(mats[h], linalg.mat_scale(mats[h], -1)) for h in roots.cartan])
-    gram = [[_trace_product(x, d) - _trace_product(y, d) for d in mats] for x, y in borel]
-    flat = linalg.solve(gram, [[v for half in x for row in half for v in row] for x in borel])
-    duals = [tuple([xi[(h * n + r) * n:(h * n + r + 1) * n] for r in range(n)] for h in (0, 1)) for xi in flat]
+    halves = [(_entries(x), _entries(y)) for x, y in borel]
+    entries = [_entries(m) for m in mats]
+    gram = [{j: v for j, d in enumerate(entries) if (v := _trace_product(x, d) - _trace_product(y, d))}
+            for x, y in halves]
+    flat = linalg.solve(gram, [{(h * n + r) * n + c: v for h, half in enumerate(pair) for (r, c), v in half.items()}
+                               for pair in halves])
+    duals = [tuple([[xi.get((h * n + r) * n + c, SCALAR_ZERO) for c in range(n)] for r in range(n)] for h in (0, 1))
+             for xi in flat.values()]
     return [(m, m) for m in mats] + duals, tuple((i, len(mats) + i, DOUBLE_R_SCALE) for i in range(len(mats)))
 
 
@@ -360,22 +368,12 @@ def _su_basis(n: int) -> tuple[list[str], list[linalg.Matrix], RootData]:
     """Labels, matrices and root data of the compact basis X_a = e_a - f_a,
     Y_a = i(e_a + f_a), t_m = i h_m of su(n); the root records point at (X_a, Y_a),
     and the r-terms make the compact r-matrix, sum of d_a/2 X_a ^ Y_a."""
-    _, sl_mats, sl_roots = _sl_basis(n)
+    _, _, sl_roots = _sl_basis(n)
     pos = [info.pair for info in sl_roots.roots]
-    nroots = len(pos)
-    mats = []
-    labels = []
-    for r, (a, b) in enumerate(pos):
-        e_mat, f_mat = sl_mats[r], sl_mats[nroots + r]
-        mats.append(linalg.mat_sub(e_mat, f_mat))
-        labels.append(f"X{a+1}{b+1}")
-    for r, (a, b) in enumerate(pos):
-        e_mat, f_mat = sl_mats[r], sl_mats[nroots + r]
-        mats.append(linalg.mat_scale(linalg.mat_add(e_mat, f_mat), SCALAR_I))
-        labels.append(f"Y{a+1}{b+1}")
-    for m in range(n - 1):
-        mats.append(linalg.mat_scale(sl_mats[2 * nroots + m], SCALAR_I))
-        labels.append(f"t{m+1}")
+    labels = [f"X{a+1}{b+1}" for a, b in pos] + [f"Y{a+1}{b+1}" for a, b in pos] + [f"t{m+1}" for m in range(n - 1)]
+    mats = ([_matrix(n, {(a, b): SCALAR_ONE, (b, a): -SCALAR_ONE}) for a, b in pos]
+            + [_matrix(n, {(a, b): SCALAR_I, (b, a): SCALAR_I}) for a, b in pos]
+            + [_matrix(n, {(m, m): SCALAR_I, (m + 1, m + 1): -SCALAR_I}) for m in range(n - 1)])
     r_terms = tuple((i, j, d / 2) for i, j, d in sl_roots.r_terms)
     return labels, mats, RootData(sl_roots.roots, sl_roots.cartan, r_terms)
 
@@ -441,8 +439,9 @@ def transpose_antimorphism(g: LieAlgebraData) -> "LinearAlgMap":
     """
     if g.matrices is None:
         raise ValueError("algebra carries no matrix basis")
-    transposes = [{(c, r): v for r, c, v in _entries(m)} for m in g.matrices]
-    return LinearAlgMap.from_rows(g, g, _coordinates(g.matrices, transposes))
+    basis = [_entries(m) for m in g.matrices]
+    images = _coordinates(basis, [{(c, r): v for (r, c), v in entries.items()} for entries in basis])
+    return LinearAlgMap.from_rows(g, g, [[image.get(i, SCALAR_ZERO) for image in images] for i in range(g.dim)])
 
 
 # ---------------------------------------------------------------------------
@@ -490,8 +489,7 @@ class LinearAlgMap:
     def is_involution(self) -> bool:
         if self.source is not self.target:
             return False
-        m = self.rows()
-        return linalg.mat_eq(linalg.mat_mul(m, m), linalg.identity(self.source.dim))
+        return all(self._apply_support(image) == {j: SCALAR_ONE} for j, image in enumerate(self._column_support))
 
 
 # ---------------------------------------------------------------------------

@@ -1,20 +1,24 @@
-"""Exact dense linear algebra over the Gaussian rationals.
+"""Exact linear algebra over the Gaussian rationals.
 
-Matrices are lists of rows of ``Scalar``.  Everything here is plain Gaussian
-elimination with exact division; sizes in this package stay small (at most a
-few dozen rows), so no pivoting strategy beyond "first nonzero" is needed.
-Row operations touch only the nonzero entries of the pivot row.  ``solve``
-takes a vector or, like ``numpy.linalg.solve``, a matrix of right-hand-side
-columns, which it solves with a single elimination.
+``rref`` is the one elimination.  It runs over sparse rows, ``{column: nonzero
+Scalar}`` dicts, along their nonzeros: each row in turn is cleared of the
+pivots found so far and, if anything is left, scaled to a leading 1 at its
+first nonzero column, the new pivot, which is cleared from the earlier pivot
+rows.  R is unique, so this is the dense first-nonzero elimination's result.
+``solve`` takes A and a block of right-hand sides B as sparse rows, which
+``sparse_system`` forms from sparse columns, and answers sparse, in one
+elimination of [A | B].  ``nullspace`` and ``inverse`` read dense matrices
+(lists of rows of ``Scalar``) into it and their answers back out.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .exactalg import SCALAR_ONE, SCALAR_ZERO, Scalar
 
 Matrix = list[list[Scalar]]
+Row = dict[int, Scalar]  # a sparse row: {column: nonzero}
 
 
 def identity(n: int) -> Matrix:
@@ -59,59 +63,70 @@ def mat_eq(a: Matrix, b: Matrix) -> bool:
     return len(a) == len(b) and all(ra == rb for ra, rb in zip(a, b))
 
 
-def rref(a: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form; returns (R, pivot column indices)."""
-    r = [row[:] for row in a]
-    nrows = len(r)
-    ncols = len(r[0]) if nrows else 0
-    pivots: list[int] = []
-    lead = 0
-    for col in range(ncols):
-        pivot_row = next((i for i in range(lead, nrows) if not r[i][col].is_zero()), None)
-        if pivot_row is None:
+def _sparse(row: Sequence) -> Row:
+    return {j: Scalar.coerce(v) for j, v in enumerate(row) if v}
+
+
+def _clear(row: Row, col: int, pivot: Row) -> None:
+    """row -= row[col] * pivot in place, along the nonzeros of pivot, which holds a 1 at col."""
+    neg = -row[col]
+    for j, y in pivot.items():
+        v = row[j] + neg * y if j in row else neg * y
+        if v:
+            row[j] = v
+        else:
+            del row[j]
+
+
+def rref(rows: Sequence[Row]) -> tuple[list[Row], list[int]]:
+    """Reduced row echelon form of sparse rows: (the nonzero rows of R, their pivot columns, ascending)."""
+    reduced: dict[int, Row] = {}  # pivot column -> its row: 1 there, 0 in every other pivot column
+    for row in rows:
+        row = dict(row)
+        for col in [c for c in row if c in reduced]:
+            _clear(row, col, reduced[col])
+        if not row:
             continue
-        r[lead], r[pivot_row] = r[pivot_row], r[lead]
-        inv = SCALAR_ONE / r[lead][col]
-        r[lead] = [x * inv for x in r[lead]]
-        # eliminate along the nonzero entries of the pivot row only
-        support = [(j, y) for j, y in enumerate(r[lead]) if not y.is_zero()]
-        for i in range(nrows):
-            if i != lead and not r[i][col].is_zero():
-                factor = r[i][col]
-                row = r[i][:]
-                for j, y in support:
-                    row[j] = row[j] - factor * y
-                r[i] = row
-        pivots.append(col)
-        lead += 1
-        if lead == nrows:
-            break
-    return r, pivots
+        lead = min(row)
+        if row[lead] != SCALAR_ONE:
+            inv = SCALAR_ONE / row[lead]
+            row = {j: v * inv for j, v in row.items()}
+        for other in reduced.values():
+            if lead in other:
+                _clear(other, lead, row)
+        reduced[lead] = row
+    pivots = sorted(reduced)
+    return [reduced[col] for col in pivots], pivots
 
 
-def solve(a: Matrix, b: Sequence) -> list | None:
-    """One exact solution of A X = B, or None if inconsistent.
+def sparse_system(a_columns: Sequence[Mapping], b_columns: Sequence[Mapping]) -> tuple[list[Row], list[Row]]:
+    """The sparse rows of A and of B, from their columns given as {row key: nonzero}, in sorted key order."""
+    rows: dict = {}
+    for part, columns in enumerate((a_columns, b_columns)):
+        for k, column in enumerate(columns):
+            for key, v in column.items():
+                rows.setdefault(key, ({}, {}))[part][k] = v
+    keys = sorted(rows)
+    return [rows[key][0] for key in keys], [rows[key][1] for key in keys]
 
-    As in ``numpy.linalg.solve``, B is either a vector or a matrix (list of
-    rows) whose columns are right-hand sides, and X is a vector or a matrix
-    to match; one elimination of [A | B] serves every column.  With a matrix
-    B the result is None as soon as any one column is inconsistent.  Free
-    variables are set to zero, so the result is deterministic.
+
+def solve(a: Sequence[Row], b: Sequence[Row]) -> dict[int, Row] | None:
+    """One exact solution X of A X = B, or None if inconsistent.
+
+    A and B are lists of sparse rows, row i of B the right-hand sides of row i
+    of A (``sparse_system`` forms them from sparse columns).  One elimination
+    of [A | B] serves every column of B, and the result is None as soon as any
+    one column is inconsistent.  X is {unknown: {column of B: nonzero}} over
+    the pivot unknowns in ascending order; the free unknowns are zero, so the
+    result is deterministic.
     """
     if len(a) != len(b):
         raise ValueError("right-hand side has wrong length")
-    ncols = len(a[0]) if a else 0
-    columns = bool(b) and isinstance(b[0], (list, tuple))
-    rhs = [[Scalar.coerce(v) for v in row] for row in b] if columns else [[Scalar.coerce(v)] for v in b]
-    aug = [row[:] + extra for row, extra in zip(a, rhs)]
-    r, pivots = rref(aug)
+    ncols = 1 + max((max(row) for row in a if row), default=-1)
+    r, pivots = rref([{**row, **{ncols + p: v for p, v in extra.items()}} for row, extra in zip(a, b)])
     if pivots and pivots[-1] >= ncols:  # a zero row of A with a nonzero right-hand side
         return None
-    nrhs = len(rhs[0]) if rhs else 1
-    x = [[SCALAR_ZERO] * nrhs for _ in range(ncols)]
-    for i, col in enumerate(pivots):
-        x[col] = r[i][ncols:]
-    return x if columns else [row[0] for row in x]
+    return {col: {j - ncols: v for j, v in row.items() if j >= ncols} for col, row in zip(pivots, r)}
 
 
 def nullspace(a: Matrix) -> list[list[Scalar]]:
@@ -119,14 +134,14 @@ def nullspace(a: Matrix) -> list[list[Scalar]]:
     if not a:
         return []
     ncols = len(a[0])
-    r, pivots = rref(a)
-    free = [j for j in range(ncols) if j not in pivots]
+    r, pivots = rref([_sparse(row) for row in a])
     basis = []
-    for j in free:
+    for j in (j for j in range(ncols) if j not in pivots):
         v = [SCALAR_ZERO] * ncols
         v[j] = SCALAR_ONE
-        for i, col in enumerate(pivots):
-            v[col] = -r[i][j]
+        for col, row in zip(pivots, r):
+            if j in row:
+                v[col] = -row[j]
         basis.append(v)
     return basis
 
@@ -135,8 +150,5 @@ def inverse(a: Matrix) -> Matrix | None:
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("matrix must be square")
-    aug = [row[:] + ident_row[:] for row, ident_row in zip(a, identity(n))]
-    r, pivots = rref(aug)
-    if pivots != list(range(n)):
-        return None
-    return [row[n:] for row in r]
+    r, pivots = rref([{**_sparse(row), n + i: SCALAR_ONE} for i, row in enumerate(a)])
+    return [[row.get(n + j, SCALAR_ZERO) for j in range(n)] for row in r] if pivots == list(range(n)) else None

@@ -26,9 +26,11 @@ and for the scan's root-coordinate residual and invariance defect,
 the one-sample-at-a-time lambda sampler, the reference for the scan's
 round-by-round one, and the sampled equivariance check of a family under an
 anti-morphism, which no command runs.
-For ``poissonkit.linalg``: a matrix of Scalars from rows of numbers, the
-rank of an exact matrix, a matrix times a vector and the transpose, which only
-the tests use.
+For ``poissonkit.linalg``: the dense first-nonzero Gaussian elimination and
+its readers (solve, nullspace, inverse), the reference route for the sparse
+kernel ``linalg.rref`` and its readers, a matrix of Scalars from rows of
+numbers, the rank of an exact matrix by that dense elimination, a matrix times
+a vector and the transpose, which only the tests use.
 
 For ``poissonkit.dirac``: the three conditions on a split g = l + m, the
 reference for ``affine_lie_poisson_dirac``.
@@ -54,7 +56,7 @@ import pytest
 import poissonkit
 from poissonkit import dirac, dynr, linalg, report
 from poissonkit.dynr import DynamicalRFamily
-from poissonkit.exactalg import SCALAR_ZERO, Poly, PolyMultiVec, Scalar, wedge
+from poissonkit.exactalg import SCALAR_ONE, SCALAR_ZERO, Poly, PolyMultiVec, Scalar, wedge
 from poissonkit.liealg import AlgElement, LieAlgebraData, lie_poisson_chart
 from poissonkit.poisson import PoissonChart
 from poissonkit.report import Report
@@ -193,9 +195,72 @@ def mat(rows: Sequence[Sequence]) -> linalg.Matrix:
     return [[Scalar.coerce(v) for v in row] for row in rows]
 
 
+# -- the dense elimination: a reference route for linalg's sparse one ---------------------
+
+
+def reference_rref(a: linalg.Matrix) -> tuple[linalg.Matrix, list[int]]:
+    """Reduced row echelon form by dense Gaussian elimination, first nonzero pivot; returns (R, pivot columns)."""
+    r = [row[:] for row in a]
+    nrows = len(r)
+    ncols = len(r[0]) if nrows else 0
+    pivots: list[int] = []
+    lead = 0
+    for col in range(ncols):
+        pivot_row = next((i for i in range(lead, nrows) if not r[i][col].is_zero()), None)
+        if pivot_row is None:
+            continue
+        r[lead], r[pivot_row] = r[pivot_row], r[lead]
+        inv = SCALAR_ONE / r[lead][col]
+        r[lead] = [x * inv for x in r[lead]]
+        for i in range(nrows):
+            if i != lead and not r[i][col].is_zero():
+                factor = r[i][col]
+                r[i] = [x - factor * y for x, y in zip(r[i], r[lead])]
+        pivots.append(col)
+        lead += 1
+        if lead == nrows:
+            break
+    return r, pivots
+
+
+def reference_solve(a: linalg.Matrix, b: Sequence) -> list | None:
+    """``linalg.solve``'s answer for dense A and B, free variables zero, from one dense elimination of [A | B]."""
+    ncols = len(a[0]) if a else 0
+    columns = bool(b) and isinstance(b[0], (list, tuple))
+    rhs = [[Scalar.coerce(v) for v in row] for row in b] if columns else [[Scalar.coerce(v)] for v in b]
+    r, pivots = reference_rref([row[:] + extra for row, extra in zip(a, rhs)])
+    if pivots and pivots[-1] >= ncols:
+        return None
+    x = [[SCALAR_ZERO] * (len(rhs[0]) if rhs else 1) for _ in range(ncols)]
+    for i, col in enumerate(pivots):
+        x[col] = r[i][ncols:]
+    return x if columns else [row[0] for row in x]
+
+
+def reference_nullspace(a: linalg.Matrix) -> list[list[Scalar]]:
+    """A kernel basis of A, one vector per free column, read off the dense R."""
+    if not a:
+        return []
+    r, pivots = reference_rref(a)
+    basis = []
+    for j in (j for j in range(len(a[0])) if j not in pivots):
+        v = [SCALAR_ZERO] * len(a[0])
+        v[j] = SCALAR_ONE
+        for i, col in enumerate(pivots):
+            v[col] = -r[i][j]
+        basis.append(v)
+    return basis
+
+
+def reference_inverse(a: linalg.Matrix) -> linalg.Matrix | None:
+    n = len(a)
+    r, pivots = reference_rref([row[:] + ident for row, ident in zip(a, linalg.identity(n))])
+    return [row[n:] for row in r] if pivots == list(range(n)) else None
+
+
 def rank(a: linalg.Matrix) -> int:
-    """The rank of an exact matrix: its number of pivots."""
-    return len(linalg.rref(a)[1]) if a else 0
+    """The rank of an exact matrix: its number of pivots, by the dense reference elimination."""
+    return len(reference_rref(a)[1]) if a else 0
 
 
 def mat_vec(a: linalg.Matrix, v: Sequence[Scalar]) -> list[Scalar]:

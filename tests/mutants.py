@@ -191,9 +191,21 @@ MUTANTS = (
                "tests/test_cli.py::test_bad_input_is_a_usage_error[lie validate nonjacobi.alg]",
                "tests/test_liealg.py::test_explicit_zero_constants_build_the_same_table_and_chart[nonjacobi-sl3]",
            )),
+    # the matrix builds' expansion residual, run on the nonzeros of the sparse solution
+    Mutant("coordinates-residual-skipped", "liealg", "_coordinates",
+           "if {rc: v for rc, v in image.items() if v} != target:", "if False:", (
+               "tests/test_liealg.py::test_coordinates_residual_catches_a_changed_coordinate[first]",
+               "tests/test_liealg.py::test_coordinates_residual_catches_a_changed_coordinate[middle]",
+               "tests/test_liealg.py::test_coordinates_residual_catches_a_changed_coordinate[last]",
+           )),
     Mutant("bialgebra-phi-r-unchecked", "liealg", "symmetric_bialgebra_check",
            "if not (phi.apply(r) + r).is_zero():", "if False:", (
                "tests/test_liealg.py::test_symmetric_fails_for_an_r_that_phi_does_not_negate",
+           )),
+    # the sparse elimination clears each new pivot column from the pivot rows found before it
+    Mutant("rref-back-substitution-skipped", "linalg", "rref",
+           "_clear(other, lead, row)", "pass", (
+               "tests/test_linalg.py::test_rref_of_fixed_matrices[back-substitution]",
            )),
     Mutant("solve-inconsistency-ignored", "linalg", "solve",
            "if pivots and pivots[-1] >= ncols:", "if False:", (

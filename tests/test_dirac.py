@@ -619,6 +619,19 @@ def test_slice_t_independent_gives_zero():
     assert all(w.is_zero() for w in rep.witness)
 
 
+@pytest.mark.parametrize("pi, degree", [
+    pytest.param({}, 1, id="no-brackets"),
+    pytest.param({(0, 1): Poly.var(3, 2) * Poly.var(3, 2)}, 1, id="t-squared-at-zero"),
+    pytest.param({(0, 1): Poly.const(3, 1)}, 0, id="constant-at-degree-zero"),
+])
+def test_slice_with_an_empty_system_gives_zero(pi, degree):
+    # every image [X, pi_0] and every right-hand side vanishes, so the system has no rows at all
+    chart = PoissonChart(3, ("x1", "x2", "t"), PolyMultiVec(3, 2, pi))
+    rep = leaf_slice_obstruction(chart, (2,), [0], degree)
+    assert rep.ok
+    assert len(rep.witness) == 1 and rep.witness[0].is_zero()
+
+
 def test_slice_solvable_at_degree_one():
     rep = leaf_slice_obstruction(slice_chart(), (2,), [0], 1)
     assert rep.ok
