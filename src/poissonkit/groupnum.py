@@ -218,11 +218,14 @@ def _check_n(n: int) -> None:
         raise ValueError(f"n must be between 2 and {N_CAP}")
 
 
-def _from_exact(name: str, matrices: Sequence, r_terms: Sequence[tuple], membership: Callable) -> MatrixGroup:
-    """The MatrixGroup on exact basis matrices, or pairs of them, and exact r-terms (i, j, c).
+def _from_exact(name: str, shape: tuple, matrices: Sequence[dict], r_terms: Sequence, membership: Callable) -> MatrixGroup:
+    """The MatrixGroup on exact basis matrices of ``shape``, (n, n) or (2, n, n) for pairs, each given by its
+    nonzero entries {index: value}, and exact r-terms (i, j, c): the one place an exact basis becomes dense.
     Its basis is real when no entry has an imaginary part, and complex otherwise."""
-    exact = np.array(matrices, dtype=object)
-    basis = np.array([c.to_complex() for c in exact.flat]).reshape(exact.shape)
+    basis = np.zeros((len(matrices), *shape), dtype=complex)
+    for k, entries in enumerate(matrices):
+        for idx, v in entries.items():
+            basis[(k, *idx)] = v.to_complex()
     if not basis.imag.any():
         basis = basis.real.copy()
     return MatrixGroup(name, list(basis), [(i, j, float(c)) for i, j, c in r_terms], membership)
@@ -232,14 +235,14 @@ def sl_group(n: int) -> MatrixGroup:
     """SL(n, R) with the standard r-matrix sum of e_a ^ f_a over positive roots."""
     _check_n(n)
     _, mats, root_data = _sl_basis(n)
-    return _from_exact(f"SL({n},R)", mats, root_data.r_terms, _membership_sl)
+    return _from_exact(f"SL({n},R)", (n, n), mats, root_data.r_terms, _membership_sl)
 
 
 def su_group(n: int) -> MatrixGroup:
     """SU(n) with the compact r-matrix sum of d_a/2 X_a ^ Y_a."""
     _check_n(n)
     _, mats, root_data = _su_basis(n)
-    return _from_exact(f"SU({n})", mats, root_data.r_terms, _membership_su)
+    return _from_exact(f"SU({n})", (n, n), mats, root_data.r_terms, _membership_su)
 
 
 def _membership_dual(g: np.ndarray) -> np.ndarray:
@@ -257,7 +260,7 @@ def dual_group(n: int) -> MatrixGroup:
     r = DOUBLE_R_SCALE sum_i D_i ^ xi^i.
     """
     _check_n(n)
-    return _from_exact(f"B+*B-({n})", *_double_basis(n), _membership_dual)
+    return _from_exact(f"B+*B-({n})", (2, n, n), *_double_basis(n), _membership_dual)
 
 
 # ---------------------------------------------------------------------------

@@ -31,13 +31,14 @@ and the invariance of the canonical pairing pin this convention.
 ``validate_lie`` decides Jacobi only, as the Poisson condition of g*'s
 Lie-Poisson chart, with ``poisson._not_poisson``, the one kernel that decides
 every chart; each ``LieAlgebraData`` forms that chart once, from its constants
-on the pairs i < j, and ``lie_poisson_chart`` returns it.  The kernels visit
-only nonzero entries: the matrix builds form commutators, their coordinates
-(by ``linalg.solve`` on sparse rows) and the expansion residual on nonzero
-matrix entries, as do ``_double_basis``'s Gram solve and
-``LinearAlgMap.is_involution``.  ``AlgElement`` is an ``exactalg.Wedge`` on g
-with ``Scalar`` coefficients: its validating public constructor, its trusted
-``_new``, its arithmetic and its linear-map action (``Wedge.carry``, which
+on the pairs i < j, and ``lie_poisson_chart`` returns it.  An exact matrix is
+kept as its nonzero entries only: a basis matrix as {(row, column): value}, a
+pair of the double as {(half, row, column): value}, a ``LinearAlgMap`` as the
+(index, coefficient) pairs of each column.  So every kernel visits only
+nonzero entries, and only ``groupnum._from_exact`` makes a basis dense, in
+numpy.  ``AlgElement`` is an ``exactalg.Wedge`` on g with ``Scalar``
+coefficients: its validating public constructor, its trusted ``_new``, its
+arithmetic and its linear-map action (``Wedge.carry``, which
 ``LinearAlgMap.apply`` calls) are the ones ``PolyMultiVec`` uses.
 ``alg_schouten`` sums the pair-sum terms in its own loop and builds its result
 with ``_new`` alone.
@@ -118,13 +119,13 @@ class LieAlgebraData:
     Lie-Poisson chart.  So the table is antisymmetric, holds no zero constant,
     indexes the basis only and never changes after construction; ``oracle``
     memoises on that, and the Lie-Poisson chart that ``validate_lie`` decides
-    is formed once."""
+    is formed once.  ``matrices``, if given, are the basis by nonzero entries {(row, column): value}."""
 
     def __init__(
         self,
         labels: Sequence[str],
         brackets: Mapping[tuple[int, int], Mapping[int, Scalar]],
-        matrices: list[linalg.Matrix] | None = None,
+        matrices: list[dict[tuple[int, int], Scalar]] | None = None,
         root_data: RootData | None = None,
         name: str = "",
     ):
@@ -233,21 +234,8 @@ def validate_lie(g: LieAlgebraData) -> Report:
 # ---------------------------------------------------------------------------
 
 
-def _matrix(n: int, entries: dict) -> linalg.Matrix:
-    """The n x n matrix with the nonzero entries {(row, column): value}."""
-    m = linalg.zeros(n, n)
-    for (r, c), v in entries.items():
-        m[r][c] = v
-    return m
-
-
-def _entries(m: linalg.Matrix) -> dict[tuple[int, int], Scalar]:
-    """The nonzero entries {(row, column): value} of a matrix."""
-    return {(r, c): v for r, row in enumerate(m) for c, v in enumerate(row) if v}
-
-
 def _bracket_entries(xs: dict, ys: dict) -> dict[tuple[int, int], Scalar]:
-    """XY - YX as {(row, column): nonzero}, from the nonzero entries of X and Y (see ``_entries``)."""
+    """XY - YX as {(row, column): nonzero}, from the nonzero entries of X and Y."""
     out: dict[tuple[int, int], Scalar] = {}
     for (r, k), a in xs.items():
         for (s, c), b in ys.items():
@@ -262,7 +250,7 @@ def _coordinates(basis: list[dict], targets: list[dict]) -> list[dict[int, Scala
     """The coordinates of each target in the matrix basis, as {basis index: nonzero}.
 
     Each basis matrix and each target is given by its nonzero entries
-    {(row, column): value} (see ``_entries``).  One sparse
+    {(row, column): value}.  One sparse
     elimination solves B X = V, where the columns of B are the flattened basis
     matrices and the columns of V the flattened targets.  A target outside the
     span of the basis, or a nonzero residual B X - V (formed on the nonzero
@@ -285,24 +273,24 @@ def _coordinates(basis: list[dict], targets: list[dict]) -> list[dict[int, Scala
     return coords
 
 
-def _expand_table(matrices: list[linalg.Matrix]) -> dict:
-    """Structure constants by expanding the commutators [m_i, m_j], i < j, in the given matrix basis."""
-    basis = [_entries(m) for m in matrices]
-    pairs = [(i, j) for i in range(len(matrices)) for j in range(i + 1, len(matrices))]
+def _expand_table(basis: list[dict]) -> dict:
+    """Structure constants by expanding the commutators [m_i, m_j], i < j, in the given matrix basis,
+    each matrix given by its nonzero entries {(row, column): value}."""
+    pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
     coords = _coordinates(basis, [_bracket_entries(basis[i], basis[j]) for i, j in pairs])
     return {pair: entry for pair, entry in zip(pairs, coords) if entry}
 
 
-def _sl_basis(n: int) -> tuple[list[str], list[linalg.Matrix], RootData]:
-    """Labels, matrices and root data of the Chevalley basis of sl(n)."""
+def _sl_basis(n: int) -> tuple[list[str], list[dict], RootData]:
+    """Labels, matrices {(row, column): nonzero} and root data of the Chevalley basis of sl(n)."""
     if n < 2:
         raise ValueError("n must be at least 2")
     pos = [(a, b) for a in range(n) for b in range(a + 1, n)]
     labels = [f"e{a+1}{b+1}" for a, b in pos] + [f"f{a+1}{b+1}" for a, b in pos] + [
         f"h{m+1}" for m in range(n - 1)
     ]
-    mats = [_matrix(n, {(a, b): SCALAR_ONE}) for a, b in pos] + [_matrix(n, {(b, a): SCALAR_ONE}) for a, b in pos] + [
-        _matrix(n, {(m, m): SCALAR_ONE, (m + 1, m + 1): -SCALAR_ONE}) for m in range(n - 1)
+    mats = [{(a, b): SCALAR_ONE} for a, b in pos] + [{(b, a): SCALAR_ONE} for a, b in pos] + [
+        {(m, m): SCALAR_ONE, (m + 1, m + 1): -SCALAR_ONE} for m in range(n - 1)
     ]
     nroots = len(pos)
     roots = []
@@ -325,32 +313,30 @@ DOUBLE_R_SCALE = Fraction(4)
 
 
 def _trace_product(a: dict, b: dict) -> Scalar:
-    """tr(ab), over the nonzero entries of a and b (see ``_entries``)."""
+    """tr(ab), over the nonzero entries {(row, column): value} of a and b."""
     return sum((v * b[(c, r)] for (r, c), v in a.items() if (c, r) in b), SCALAR_ZERO)
 
 
-def _double_basis(n: int) -> tuple[list[tuple[linalg.Matrix, linalg.Matrix]], tuple[tuple[int, int, Fraction], ...]]:
+def _double_basis(n: int) -> tuple[list[dict], tuple[tuple[int, int, Fraction], ...]]:
     """Basis pairs and r-terms of the double sl(n) + sl(n), paired by <(a,b),(c,d)> = tr(ac) - tr(bd).
 
-    The basis is the diagonal D_i = (m_i, m_i) over ``_sl_basis(n)``, then its dual basis xi^i in
-    b+ + b-, spanned by the pairs x_a = (E_ab, 0), (0, E_ba) over a < b and (h, -h) over the Cartan.
-    With G_aj = <x_a, D_j> the Gram matrix, xi^i = sum_a (G^-T)_ai x_a, so the flattened xi^i are
-    the rows of G^-1 B, B the flattened x_a: one exact solve.  The r-terms (i, dim + i,
+    Each pair (a, b) is given by its nonzero entries {(half, row, column): value}, half 0 for a and
+    1 for b.  The basis is the diagonal D_i = (m_i, m_i) over ``_sl_basis(n)``, then its dual basis
+    xi^i in b+ + b-, spanned by the pairs x_a = (E_ab, 0), (0, E_ba) over a < b and (h, -h) over the
+    Cartan.  With G_aj = <x_a, D_j> the Gram matrix, xi^i = sum_a (G^-T)_ai x_a, so the flattened
+    xi^i are the rows of G^-1 B, B the flattened x_a: one exact solve.  The r-terms (i, dim + i,
     DOUBLE_R_SCALE) make r = DOUBLE_R_SCALE sum_i D_i ^ xi^i; the scale is read at call time.
     """
     _, mats, roots = _sl_basis(n)
-    zero = linalg.zeros(n, n)
-    borel = ([(mats[root.e_index], zero) for root in roots.roots] + [(zero, mats[root.f_index]) for root in roots.roots]
-             + [(mats[h], linalg.mat_scale(mats[h], -1)) for h in roots.cartan])
-    halves = [(_entries(x), _entries(y)) for x, y in borel]
-    entries = [_entries(m) for m in mats]
-    gram = [{j: v for j, d in enumerate(entries) if (v := _trace_product(x, d) - _trace_product(y, d))}
-            for x, y in halves]
+    halves = ([(mats[root.e_index], {}) for root in roots.roots] + [({}, mats[root.f_index]) for root in roots.roots]
+              + [(mats[h], {rc: -v for rc, v in mats[h].items()}) for h in roots.cartan])
+    gram = [{j: v for j, d in enumerate(mats) if (v := _trace_product(x, d) - _trace_product(y, d))} for x, y in halves]
+    cells = [(h, r, c) for h in (0, 1) for r in range(n) for c in range(n)]  # (h, r, c) flattened is its place here
     flat = linalg.solve(gram, [{(h * n + r) * n + c: v for h, half in enumerate(pair) for (r, c), v in half.items()}
                                for pair in halves])
-    duals = [tuple([[xi.get((h * n + r) * n + c, SCALAR_ZERO) for c in range(n)] for r in range(n)] for h in (0, 1))
-             for xi in flat.values()]
-    return [(m, m) for m in mats] + duals, tuple((i, len(mats) + i, DOUBLE_R_SCALE) for i in range(len(mats)))
+    diagonal = [{(h, r, c): v for h in (0, 1) for (r, c), v in m.items()} for m in mats]
+    duals = [{cells[k]: v for k, v in xi.items()} for xi in flat.values()]
+    return diagonal + duals, tuple((i, len(mats) + i, DOUBLE_R_SCALE) for i in range(len(mats)))
 
 
 def sl_chevalley(n: int) -> LieAlgebraData:
@@ -364,16 +350,16 @@ def sl_chevalley(n: int) -> LieAlgebraData:
     return LieAlgebraData(labels, _expand_table(mats), mats, root_data, name=f"sl{n}")
 
 
-def _su_basis(n: int) -> tuple[list[str], list[linalg.Matrix], RootData]:
-    """Labels, matrices and root data of the compact basis X_a = e_a - f_a,
+def _su_basis(n: int) -> tuple[list[str], list[dict], RootData]:
+    """Labels, matrices {(row, column): nonzero} and root data of the compact basis X_a = e_a - f_a,
     Y_a = i(e_a + f_a), t_m = i h_m of su(n); the root records point at (X_a, Y_a),
     and the r-terms make the compact r-matrix, sum of d_a/2 X_a ^ Y_a."""
     _, _, sl_roots = _sl_basis(n)
     pos = [info.pair for info in sl_roots.roots]
     labels = [f"X{a+1}{b+1}" for a, b in pos] + [f"Y{a+1}{b+1}" for a, b in pos] + [f"t{m+1}" for m in range(n - 1)]
-    mats = ([_matrix(n, {(a, b): SCALAR_ONE, (b, a): -SCALAR_ONE}) for a, b in pos]
-            + [_matrix(n, {(a, b): SCALAR_I, (b, a): SCALAR_I}) for a, b in pos]
-            + [_matrix(n, {(m, m): SCALAR_I, (m + 1, m + 1): -SCALAR_I}) for m in range(n - 1)])
+    mats = ([{(a, b): SCALAR_ONE, (b, a): -SCALAR_ONE} for a, b in pos]
+            + [{(a, b): SCALAR_I, (b, a): SCALAR_I} for a, b in pos]
+            + [{(m, m): SCALAR_I, (m + 1, m + 1): -SCALAR_I} for m in range(n - 1)])
     r_terms = tuple((i, j, d / 2) for i, j, d in sl_roots.r_terms)
     return labels, mats, RootData(sl_roots.roots, sl_roots.cartan, r_terms)
 
@@ -439,9 +425,8 @@ def transpose_antimorphism(g: LieAlgebraData) -> "LinearAlgMap":
     """
     if g.matrices is None:
         raise ValueError("algebra carries no matrix basis")
-    basis = [_entries(m) for m in g.matrices]
-    images = _coordinates(basis, [{(c, r): v for (r, c), v in entries.items()} for entries in basis])
-    return LinearAlgMap.from_rows(g, g, [[image.get(i, SCALAR_ZERO) for image in images] for i in range(g.dim)])
+    images = _coordinates(g.matrices, [{(c, r): v for (r, c), v in m.items()} for m in g.matrices])
+    return LinearAlgMap(g, g, tuple(tuple(sorted(image.items())) for image in images))
 
 
 # ---------------------------------------------------------------------------
@@ -451,32 +436,27 @@ def transpose_antimorphism(g: LieAlgebraData) -> "LinearAlgMap":
 
 @dataclass(frozen=True)
 class LinearAlgMap:
-    """A linear map between algebras; matrix[i][j] is the i-coefficient of the
-    image of basis element j."""
+    """A linear map between algebras, by its nonzero entries: ``columns[j]`` holds the pairs
+    (i, c) of the image of basis element j, c its nonzero i-coefficient, in strictly ascending
+    i, one column per source basis element; any other columns raise ValueError."""
 
     source: LieAlgebraData
     target: LieAlgebraData
-    matrix: tuple[tuple[Scalar, ...], ...]
+    columns: tuple[tuple[tuple[int, Scalar], ...], ...]
 
     def __post_init__(self):
-        if len(self.matrix) != self.target.dim or any(len(row) != self.source.dim for row in self.matrix):
-            raise ValueError("matrix shape does not match source/target dimensions")
-        # per source basis element j, the nonzero entries (i, matrix[i][j]) of its image
-        support = [[(i, row[j]) for i, row in enumerate(self.matrix) if row[j]] for j in range(self.source.dim)]
-        object.__setattr__(self, "_column_support", support)
-
-    @staticmethod
-    def from_rows(source, target, rows) -> "LinearAlgMap":
-        return LinearAlgMap(source, target, tuple(tuple(Scalar.coerce(v) for v in row) for row in rows))
-
-    def rows(self) -> linalg.Matrix:
-        return [list(row) for row in self.matrix]
+        dim = self.target.dim
+        if not (len(self.columns) == self.source.dim and all(
+                all(0 <= i < dim and c for i, c in column) and all(a < b for (a, _), (b, _) in zip(column, column[1:]))
+                for column in self.columns)):
+            raise ValueError(f"columns must be {self.source.dim} tuples of (index in range({dim}), nonzero) pairs, "
+                             "each in strictly ascending index")
 
     def _apply_support(self, coeffs) -> dict[int, Scalar]:
         """The image of the vector with nonzero entries (index, coefficient) ``coeffs``, as {index: nonzero}."""
         out: dict[int, Scalar] = {}
         for j, cj in coeffs:
-            for i, mij in self._column_support[j]:
+            for i, mij in self.columns[j]:
                 out[i] = out.get(i, SCALAR_ZERO) + cj * mij
         return {i: c for i, c in out.items() if c}
 
@@ -484,12 +464,12 @@ class LinearAlgMap:
         """Wedge-power action on an element of Lambda^k(source)."""
         if elem.algebra is not self.source:
             raise ValueError("element does not live in the source algebra")
-        return elem.carry(self.target, self._column_support)
+        return elem.carry(self.target, self.columns)
 
     def is_involution(self) -> bool:
         if self.source is not self.target:
             return False
-        return all(self._apply_support(image) == {j: SCALAR_ONE} for j, image in enumerate(self._column_support))
+        return all(self._apply_support(image) == {j: SCALAR_ONE} for j, image in enumerate(self.columns))
 
 
 # ---------------------------------------------------------------------------
@@ -550,7 +530,7 @@ def coboundary_check(g: LieAlgebraData, r: AlgElement) -> Report:
 
 def _antimorphism_failures(g: LieAlgebraData, phi: LinearAlgMap, i: int) -> list[int]:
     """The j > i with phi [x_i, x_j] != -[phi x_i, phi x_j]."""
-    images = phi._column_support
+    images = phi.columns
     failures = []
     for j in range(i + 1, g.dim):
         lhs = phi._apply_support(g.table.get((i, j), {}).items())  # [x_i, x_j] is a table entry
@@ -656,14 +636,16 @@ def drinfeld_double(g: LieAlgebraData, r: AlgElement) -> DrinfeldDouble:
 
 
 def chi_map(double: DrinfeldDouble, phi: LinearAlgMap) -> LinearAlgMap:
-    """chi(X + xi) = phi X - phi* xi on the double."""
+    """chi(X + xi) = phi X - phi* xi on the double: column j < n is phi's own, and column
+    n + j is row j of phi, negated and shifted by n."""
+    if phi.source is not double.base or phi.target is not double.base:
+        raise ValueError("phi must be an endomorphism of the double's base")
     n = double.n
-    mat = linalg.zeros(2 * n, 2 * n)
-    for i in range(n):
-        for j in range(n):
-            mat[i][j] = phi.matrix[i][j]
-            mat[n + i][n + j] = -phi.matrix[j][i]
-    return LinearAlgMap(double.sigma, double.sigma, tuple(tuple(row) for row in mat))
+    rows: list[list] = [[] for _ in range(n)]
+    for i, column in enumerate(phi.columns):
+        for j, v in column:
+            rows[j].append((n + i, -v))
+    return LinearAlgMap(double.sigma, double.sigma, phi.columns + tuple(tuple(row) for row in rows))
 
 
 def chi_check(double: DrinfeldDouble, phi: LinearAlgMap) -> Report:
@@ -673,7 +655,7 @@ def chi_check(double: DrinfeldDouble, phi: LinearAlgMap) -> Report:
     failures = []
     if not chi.is_involution():
         failures.append("chi^2 != id")
-    images = chi._column_support
+    images = chi.columns
     dual = double.dual_index
     # <chi x_i, chi x_j> = sum_a (chi x_i)_a (chi x_j)_dual(a), so besides j = dual(i),
     # where <x_i, x_j> = 1, only a j whose image reaches some dual(a) can fail

@@ -11,7 +11,9 @@ reference for the pushforward of ``poissonkit.dirac``.
 
 For ``poissonkit.liealg``: the abelian algebra, a structure constant read
 from the table, an algebra's brackets on the pairs i < j, to build changed
-copies from, the dense image of a coefficient vector and the canonical
+copies from, a ``LinearAlgMap`` from the dense rows of its matrix and those
+rows read back off its columns, a basis matrix given by its nonzero entries
+as a dense matrix, the dense image of a coefficient vector and the canonical
 pairing of a Drinfeld double, which only the tests use, the wedge of the
 images leg by leg, the reference for ``LinearAlgMap.apply``, and the
 triple-by-triple Jacobi check that ``validate_lie``'s Lie-Poisson chart route
@@ -57,7 +59,7 @@ import poissonkit
 from poissonkit import dirac, dynr, linalg, report
 from poissonkit.dynr import DynamicalRFamily
 from poissonkit.exactalg import SCALAR_ONE, SCALAR_ZERO, Poly, PolyMultiVec, Scalar, wedge
-from poissonkit.liealg import AlgElement, LieAlgebraData, lie_poisson_chart
+from poissonkit.liealg import AlgElement, LieAlgebraData, LinearAlgMap, lie_poisson_chart
 from poissonkit.poisson import PoissonChart
 from poissonkit.report import Report
 
@@ -312,6 +314,33 @@ def pair_brackets(g: LieAlgebraData) -> dict:
     return {(i, j): dict(entry) for (i, j), entry in g.table.items() if i < j}
 
 
+def alg_map(source: LieAlgebraData, target: LieAlgebraData, rows: Sequence[Sequence]) -> LinearAlgMap:
+    """The map whose matrix has the dense rows ``rows``: row i holds the i-coefficients of the
+    images of the source basis.  A shape that does not match the dimensions raises ValueError."""
+    if len(rows) != target.dim or any(len(row) != source.dim for row in rows):
+        raise ValueError("matrix shape does not match source/target dimensions")
+    rows = [[Scalar.coerce(v) for v in row] for row in rows]
+    return LinearAlgMap(source, target, tuple(tuple((i, row[j]) for i, row in enumerate(rows) if row[j])
+                                               for j in range(source.dim)))
+
+
+def map_rows(phi: LinearAlgMap) -> linalg.Matrix:
+    """The dense rows of phi's matrix, read off its columns: rows[i][j] is the i-coefficient of phi x_j."""
+    rows = linalg.zeros(phi.target.dim, phi.source.dim)
+    for j, column in enumerate(phi.columns):
+        for i, c in column:
+            rows[i][j] = c
+    return rows
+
+
+def dense(entries: dict, shape: tuple[int, ...]) -> list:
+    """A basis matrix given by its nonzero entries {index: value} as nested lists of Scalars of ``shape``."""
+    out = np.full(shape, SCALAR_ZERO, dtype=object)
+    for idx, v in entries.items():
+        out[idx] = v
+    return out.tolist()
+
+
 def apply_vector(phi, coeffs):
     """The image phi(u) of a coefficient vector, as a dense coefficient vector."""
     out = [SCALAR_ZERO] * phi.target.dim
@@ -328,7 +357,7 @@ def apply_by_wedges(phi, elem):
     for idxs, coeff in elem.comps.items():
         acc = AlgElement(phi.target, 0, {(): coeff})
         for j in idxs:
-            acc = acc.wedge(AlgElement(phi.target, 1, {(i,): row[j] for i, row in enumerate(phi.matrix) if row[j]}))
+            acc = acc.wedge(AlgElement(phi.target, 1, {(i,): c for i, c in phi.columns[j]}))
         total = total + acc
     return total
 
@@ -478,7 +507,7 @@ def equivariance_check(family, s, samples: int = 10, seed: int = 0, tol: float =
     g = family.algebra
     if s.source is not g or s.target is not g:
         raise ValueError("s must be an endomorphism of the family's algebra")
-    S = np.array([[dynr._real(c, "entry of s") for c in row] for row in s.matrix])
+    S = np.array([[dynr._real(c, "entry of s") for c in row] for row in map_rows(s)])
     cartan = list(g.root_data.cartan)
     if np.any(np.delete(S[:, cartan], cartan, axis=0)):
         raise ValueError("s does not preserve the Cartan subalgebra")

@@ -198,6 +198,18 @@ MUTANTS = (
                "tests/test_liealg.py::test_coordinates_residual_catches_a_changed_coordinate[middle]",
                "tests/test_liealg.py::test_coordinates_residual_catches_a_changed_coordinate[last]",
            )),
+    # a linear map is its nonzero columns, and its constructor owns their form
+    Mutant("alg-map-columns-unchecked", "liealg", "LinearAlgMap.__post_init__",
+           "if not (len(self.columns) == self.source.dim and all(",
+           "if False and (len(self.columns) == self.source.dim and all(", (
+               "tests/test_liealg.py::test_alg_map_rejects_columns_that_break_its_form[one-column-per-target-element]",
+               "tests/test_liealg.py::test_alg_map_rejects_columns_that_break_its_form[too-few-columns]",
+               "tests/test_liealg.py::test_alg_map_rejects_columns_that_break_its_form[index-past-the-target]",
+               "tests/test_liealg.py::test_alg_map_rejects_columns_that_break_its_form[negative-index]",
+               "tests/test_liealg.py::test_alg_map_rejects_columns_that_break_its_form[zero-coefficient]",
+               "tests/test_liealg.py::test_alg_map_rejects_columns_that_break_its_form[descending-indices]",
+               "tests/test_liealg.py::test_alg_map_rejects_columns_that_break_its_form[repeated-index]",
+           )),
     Mutant("bialgebra-phi-r-unchecked", "liealg", "symmetric_bialgebra_check",
            "if not (phi.apply(r) + r).is_zero():", "if False:", (
                "tests/test_liealg.py::test_symmetric_fails_for_an_r_that_phi_does_not_negate",

@@ -19,10 +19,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import conftest
-from conftest import _ad_defect, _max_ad_defect, _max_upper, equivariance_check
+from conftest import _ad_defect, _max_ad_defect, _max_upper, alg_map, equivariance_check, map_rows
 from poissonkit import dynr, groupnum, report
 from poissonkit.groupnum import TOL_CROSS, TOL_MARKOFF, TOL_MEMBER, TOL_RANK, InvolutionSpec, TangentBivector
-from poissonkit.liealg import LinearAlgMap, sl_chevalley, transpose_antimorphism
+from poissonkit.liealg import sl_chevalley, transpose_antimorphism
 from poissonkit.report import Report
 
 # -- the per-sample loops ------------------------------------------------------------------
@@ -219,7 +219,7 @@ def _ref_residual_scan(family, samples, seed):
 
 
 def _ref_equivariance(family, s, samples, seed, tol=1e-10):
-    S = np.array([[float(c.re) for c in row] for row in s.matrix])
+    S = np.array([[float(c.re) for c in row] for row in map_rows(s)])
     cartan = list(family.algebra.root_data.cartan)
     s_h = S[np.ix_(cartan, cartan)]
     defect = 0.0
@@ -481,9 +481,9 @@ def test_near_singular_moved_lambda_raises_as_the_loop_does(monkeypatch):
     g = sl_chevalley(3)
     family = dynr.DynamicalRFamily(g, "trig")
     c0, c1 = g.root_data.cartan
-    rows = [list(row) for row in transpose_antimorphism(g).matrix]
+    rows = map_rows(transpose_antimorphism(g))
     rows[c1][c0] = rows[c1][c1]
-    s = LinearAlgMap(g, g, tuple(map(tuple, rows)))
+    s = alg_map(g, g, rows)
     _inject_lambdas(monkeypatch, {9: np.array([1.0, -0.5 + 1e-4]), 10: np.array([0.7, 1e-4])})
     loop = _raised(lambda: _ref_equivariance(family, s, 12, 0))
     assert loop[0] is dynr.NearSingular and "root (0, 2)" in loop[1]

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import conftest
-from conftest import _ad_defect, assert_pass_rule, counted_calls, equivariance_check, make_rng, rr_bracket, with_bound
+from conftest import _ad_defect, alg_map, assert_pass_rule, counted_calls, equivariance_check, make_rng, rr_bracket, with_bound
 from poissonkit import dynr, report
 from poissonkit.dynr import (
     DynamicalRFamily,
@@ -24,7 +24,6 @@ from poissonkit.groupnum import crosscheck_report, stokes_report
 from poissonkit.liealg import (
     AlgElement,
     LieAlgebraData,
-    LinearAlgMap,
     alg_schouten,
     sl_chevalley,
     su_compact_basis,
@@ -293,7 +292,7 @@ def test_trig_family_is_equivariant_under_the_transpose():
 def test_equivariance_pass_rule():
     # the identity is not an anti-morphism, so its defect is nonzero
     g = sl_chevalley(2)
-    ident = LinearAlgMap(g, g, tuple(tuple(row) for row in linalg.identity(g.dim)))
+    ident = alg_map(g, g, linalg.identity(g.dim))
     assert_pass_rule(lambda tol: equivariance_check(DynamicalRFamily(g, "trig"), ident, 2, 3, tol), ("defect",), 3, 2)
 
 
@@ -332,7 +331,7 @@ def test_equivariance_sl2_sl3():
 
 def test_equivariance_negative_control_identity():
     g = sl_chevalley(2)
-    ident = LinearAlgMap(g, g, tuple(tuple(row) for row in linalg.identity(g.dim)))
+    ident = alg_map(g, g, linalg.identity(g.dim))
     rep = equivariance_check(DynamicalRFamily(g, "trig"), ident, samples=4, seed=3)
     assert not rep.ok
     assert rep.values["defect"] > 0.1
@@ -355,6 +354,6 @@ def test_equivariance_rejects_a_map_that_leaves_the_cartan():
     g = sl_chevalley(2)
     rows = [list(row) for row in linalg.identity(g.dim)]
     rows[g.labels.index("e12")][g.labels.index("h1")] = Scalar(1)  # h -> h + e
-    s = LinearAlgMap(g, g, tuple(map(tuple, rows)))
+    s = alg_map(g, g, rows)
     with pytest.raises(ValueError, match="Cartan"):
         equivariance_check(DynamicalRFamily(g, "trig"), s, samples=2)

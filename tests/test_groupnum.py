@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (adjoint_coordinate_matrix, algebra_element, assert_pass_rule, bracket_difference, cocycle_lambda,
-                      pi_q_formula_swapped, poly_at, with_bound)
+                      dense, pi_q_formula_swapped, poly_at, with_bound)
 from poissonkit import dynr, groupnum
 from poissonkit.report import WORDS, sample_words
 from poissonkit.groupnum import (
@@ -93,19 +93,24 @@ def _as_complex(exact) -> np.ndarray:
     return np.vectorize(lambda c: c.to_complex(), otypes=[complex])(np.array(exact, dtype=object))
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_groups_carry_the_basis_and_r_matrix_of_their_algebra(n):
     # the groups are built from the exact matrix bases and r-terms alone; they must agree with the
     # exact algebras, whose structure constants no numeric code reads, and with the double's exact
-    # basis.  A basis is real exactly when no entry has an imaginary part, so SU(n) keeps its i's
+    # basis.  A basis is real exactly when no entry has an imaginary part, so SU(n) keeps its i's.
+    # The expected basis is the exact one densified and converted as one array, real when it has
+    # no imaginary part: equal entries and the same dtype
     sl, su = sl_chevalley(n), su_compact_basis(n)
     double, double_terms = _double_basis(n)
-    cases = [(sl_group(n), sl.matrices, standard_r_matrix(sl).comps.items(), True),
-             (su_group(n), su.matrices, standard_r_matrix(su).comps.items(), False),
-             (dual_group(n), double, [((i, j), Scalar(c)) for i, j, c in double_terms], True)]
-    for group, mats, terms, real in cases:
+    cases = [(sl_group(n), sl.matrices, (n, n), standard_r_matrix(sl).comps.items(), True),
+             (su_group(n), su.matrices, (n, n), standard_r_matrix(su).comps.items(), False),
+             (dual_group(n), double, (2, n, n), [((i, j), Scalar(c)) for i, j, c in double_terms], True)]
+    for group, mats, shape, terms, real in cases:
         assert len(group.basis) == len(mats)
-        assert all(np.array_equal(b, _as_complex(m)) and np.isrealobj(b) == real for b, m in zip(group.basis, mats))
+        expected = _as_complex([dense(m, shape) for m in mats])
+        expected = expected if expected.imag.any() else expected.real
+        assert all(np.array_equal(b, e) and b.dtype == e.dtype and np.isrealobj(b) == real
+                   for b, e in zip(group.basis, expected))
         assert group.r_terms == [(i, j, float(c.re)) for (i, j), c in terms]
         assert all(type(c) is float for _, _, c in group.r_terms)
     dim = len(double) // 2
@@ -392,7 +397,7 @@ def test_su3_specialized_formula():
         worst = max(worst, bracket_difference(projected, special))
     assert worst <= 1e-12
     assert alg.name == "su3"
-    assert all(np.array_equal(b, _as_complex(m)) for b, m in zip(group.basis, alg.matrices))
+    assert all(np.array_equal(b, _as_complex(dense(m, (3, 3)))) for b, m in zip(group.basis, alg.matrices))
 
 
 def test_swapped_arrow_binding_rejected():
@@ -430,8 +435,8 @@ def test_double_basis_is_dual_exactly(n):
     basis, r_terms = _double_basis(n)
     dim = len(basis) // 2
     assert dim == n * n - 1
-    diagonal, duals = basis[:dim], basis[dim:]
-    assert all(top is bottom or linalg.mat_eq(top, bottom) for top, bottom in diagonal)
+    diagonal, duals = ([dense(pair, (2, n, n)) for pair in half] for half in (basis[:dim], basis[dim:]))
+    assert all(linalg.mat_eq(top, bottom) for top, bottom in diagonal)
     for i, xi in enumerate(duals):
         assert [_exact_pairing(xi, d) for d in diagonal] == [Scalar(int(i == j)) for j in range(dim)]
         upper, lower = xi

@@ -10,11 +10,14 @@ from hypothesis import strategies as st
 
 from conftest import (
     abelian,
+    alg_map,
     apply_by_wedges,
     apply_vector,
     counted_calls,
+    dense,
     double_pairing,
     make_rng,
+    map_rows,
     mat_vec,
     pair_brackets,
     reference_solve,
@@ -251,11 +254,10 @@ def test_symmetric_bialgebra_sl_and_su():
 
 
 def test_symmetric_fails_for_identity_map():
-    from poissonkit.liealg import LinearAlgMap
     from poissonkit import linalg
 
     g = sl_chevalley(2)
-    ident = LinearAlgMap(g, g, tuple(tuple(row) for row in linalg.identity(g.dim)))
+    ident = alg_map(g, g, linalg.identity(g.dim))
     rep = symmetric_bialgebra_check(g, standard_r_matrix(g), ident)
     assert not rep.ok
     assert any("anti-morphism" in msg for msg in rep.witness)
@@ -272,9 +274,9 @@ def test_symmetric_fails_for_an_r_that_phi_does_not_negate():
 
 def test_phi_fixes_cartan_pointwise():
     for g in (sl_chevalley(2), sl_chevalley(3)):
-        phi = transpose_antimorphism(g)
+        rows = map_rows(transpose_antimorphism(g))
         for h_idx in g.root_data.cartan:
-            col = [phi.matrix[i][h_idx] for i in range(g.dim)]
+            col = [rows[i][h_idx] for i in range(g.dim)]
             assert col[h_idx] == Scalar(1)
             assert all(c.is_zero() for i, c in enumerate(col) if i != h_idx)
 
@@ -289,20 +291,95 @@ def _ref_phi_table(g, compact):
         else:
             mat[info.e_index][info.e_index] = mat[info.f_index][info.f_index] = Scalar(0)
             mat[info.e_index][info.f_index] = mat[info.f_index][info.e_index] = Scalar(1)
-    return tuple(tuple(row) for row in mat)
+    return mat
 
 
 def test_transpose_antimorphism_matches_basis_table():
     cases = [(sl_chevalley(n), False) for n in (2, 3, 4)] + [(su_compact_basis(n), True) for n in (2, 3)]
     for g, compact in cases:
         phi = transpose_antimorphism(g)
-        assert phi.matrix == _ref_phi_table(g, compact), g.name
+        assert map_rows(phi) == _ref_phi_table(g, compact), g.name
+        assert phi == alg_map(g, g, _ref_phi_table(g, compact)), g.name
         assert phi.is_involution(), g.name
 
 
 def test_transpose_antimorphism_needs_a_matrix_basis():
     with pytest.raises(ValueError, match="no matrix basis"):
         transpose_antimorphism(so3())
+
+
+# -- the one form of an exact matrix: its nonzero entries ------------------------------
+
+
+def _closed_form(n: int, compact: bool) -> list:
+    """The basis of sl(n), or of su(n), as dense matrices written out entry by entry: E_ab, E_ba and
+    E_mm - E_(m+1)(m+1), or X_a = E_ab - E_ba, Y_a = i(E_ab + E_ba) and t_m = i(E_mm - E_(m+1)(m+1))."""
+    one, i = Scalar(1), Scalar(0, 1)
+
+    def unit(*terms):
+        m = [[Scalar(0)] * n for _ in range(n)]
+        for r, c, v in terms:
+            m[r][c] = v
+        return m
+
+    pos = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    cartan = [unit((m, m, one), (m + 1, m + 1, -one)) for m in range(n - 1)]
+    if not compact:
+        return [unit((a, b, one)) for a, b in pos] + [unit((b, a, one)) for a, b in pos] + cartan
+    return ([unit((a, b, one), (b, a, -one)) for a, b in pos] + [unit((a, b, i), (b, a, i)) for a, b in pos]
+            + [[[i * v for v in row] for row in m] for m in cartan])
+
+
+def _entries_are_nonzero_scalars_in(entries: dict, shape: tuple) -> bool:
+    return all(type(v) is Scalar and v and len(idx) == len(shape) and all(0 <= k < s for k, s in zip(idx, shape))
+               for idx, v in entries.items())
+
+
+@pytest.mark.parametrize("name", ["sl2", "sl3", "sl4", "sl5", "su2", "su3", "su4"])
+def test_basis_matrices_are_their_nonzero_entries(name):
+    n, compact = int(name[2:]), name.startswith("su")
+    g = (su_compact_basis if compact else sl_chevalley)(n)
+    assert all(_entries_are_nonzero_scalars_in(m, (n, n)) for m in g.matrices)
+    assert [dense(m, (n, n)) for m in g.matrices] == _closed_form(n, compact)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_double_basis_pairs_are_their_nonzero_entries(n):
+    # the diagonal D_i = (m_i, m_i) over the closed-form Chevalley basis, then the solved duals
+    from poissonkit.liealg import _double_basis
+
+    basis, _ = _double_basis(n)
+    assert all(_entries_are_nonzero_scalars_in(pair, (2, n, n)) for pair in basis)
+    assert [dense(pair, (2, n, n)) for pair in basis[:n * n - 1]] == [[m, m] for m in _closed_form(n, False)]
+
+
+_SRC, _TGT = abelian(2), abelian(3)
+_COLUMNS = (((0, Scalar(1)), (2, Scalar(-1))), ((1, Scalar(2)),))  # a map from a 2- to a 3-dimensional algebra
+
+
+def test_alg_map_holds_its_columns():
+    from poissonkit.liealg import LinearAlgMap
+
+    phi = LinearAlgMap(_SRC, _TGT, _COLUMNS)
+    assert phi.columns == _COLUMNS
+    assert map_rows(phi) == [[Scalar(1), Scalar(0)], [Scalar(0), Scalar(2)], [Scalar(-1), Scalar(0)]]
+    assert phi == alg_map(_SRC, _TGT, map_rows(phi))
+
+
+@pytest.mark.parametrize("columns", [
+    pytest.param(_COLUMNS + (((0, Scalar(1)),),), id="one-column-per-target-element"),
+    pytest.param(_COLUMNS[:1], id="too-few-columns"),
+    pytest.param((((0, Scalar(1)), (3, Scalar(-1))), _COLUMNS[1]), id="index-past-the-target"),
+    pytest.param((((-1, Scalar(1)),), _COLUMNS[1]), id="negative-index"),
+    pytest.param((((0, Scalar(1)), (2, Scalar(0))), _COLUMNS[1]), id="zero-coefficient"),
+    pytest.param((((2, Scalar(-1)), (0, Scalar(1))), _COLUMNS[1]), id="descending-indices"),
+    pytest.param((((0, Scalar(1)), (0, Scalar(1))), _COLUMNS[1]), id="repeated-index"),
+])
+def test_alg_map_rejects_columns_that_break_its_form(columns):
+    from poissonkit.liealg import LinearAlgMap
+
+    with pytest.raises(ValueError, match="columns must be 2 tuples"):
+        LinearAlgMap(_SRC, _TGT, columns)
 
 
 # -- Drinfeld double --------------------------------------------------------------------
@@ -430,12 +507,10 @@ def test_chi_sl2_sl3():
 
 
 def test_chi_abelian_negated_identity():
-    from poissonkit.liealg import LinearAlgMap
-
     g = abelian(2)
     dd = drinfeld_double(g, AlgElement.zero(g, 2))
     rows = [[Scalar(-1) if i == j else Scalar(0) for j in range(2)] for i in range(2)]
-    phi = LinearAlgMap(g, g, tuple(tuple(r) for r in rows))
+    phi = alg_map(g, g, rows)
     assert chi_check(dd, phi).ok
 
 
@@ -444,6 +519,19 @@ def test_chi_su_doubles():
         g = su_compact_basis(n)
         dd = drinfeld_double(g, standard_r_matrix(g))
         assert chi_check(dd, transpose_antimorphism(g)).ok
+
+
+def test_chi_needs_a_phi_on_the_base_of_the_double():
+    # sl2's transpose on the double of so3 (r = 0): the dimensions match, the algebras do not
+    from poissonkit.liealg import chi_map
+
+    g = so3()
+    dd = drinfeld_double(g, AlgElement.zero(g, 2))
+    phi = transpose_antimorphism(sl_chevalley(2))
+    with pytest.raises(ValueError, match="endomorphism of the double's base"):
+        chi_map(dd, phi)
+    with pytest.raises(ValueError, match="endomorphism of the double's base"):
+        chi_check(dd, phi)
 
 
 # -- one elimination per algebra, sparse sweeps ---------------------------------------
@@ -478,9 +566,9 @@ def _as_text(brackets):
 def test_expand_table_matches_per_pair_solves():
     from poissonkit.liealg import _expand_table
 
-    algebras = [sl_chevalley(n) for n in (2, 3, 4, 5)] + [su_compact_basis(n) for n in (2, 3, 4)]
-    for g in algebras:
-        reference = _as_text(_per_pair_expand(g.matrices))
+    algebras = [(n, sl_chevalley(n)) for n in (2, 3, 4, 5)] + [(n, su_compact_basis(n)) for n in (2, 3, 4)]
+    for n, g in algebras:
+        reference = _as_text(_per_pair_expand([dense(m, (n, n)) for m in g.matrices]))
         assert _as_text(_expand_table(g.matrices)) == reference, g.name
         assert _as_text({(i, j): e for (i, j), e in g.table.items() if i < j}) == reference, g.name
 
@@ -515,19 +603,20 @@ def _dense_chi_failures(double, phi):
         return sum((u[a] * v[n + a] + u[n + a] * v[a] for a in range(n)), zero)
 
     chi = chi_map(double, phi)
+    rows = map_rows(chi)
     failures = [] if chi.is_involution() else ["chi^2 != id"]
     for i in range(dim):
-        vi = [chi.matrix[a][i] for a in range(dim)]
+        vi = [rows[a][i] for a in range(dim)]
         ei = [Scalar(int(a == i)) for a in range(dim)]
         for j in range(i + 1, dim):
-            vj = [chi.matrix[a][j] for a in range(dim)]
+            vj = [rows[a][j] for a in range(dim)]
             ej = [Scalar(int(a == j)) for a in range(dim)]
             bij = bracket(ei, ej)
-            lhs = [sum((chi.matrix[a][b] * bij[b] for b in range(dim)), zero) for a in range(dim)]
+            lhs = [sum((rows[a][b] * bij[b] for b in range(dim)), zero) for a in range(dim)]
             if lhs != [-c for c in bracket(vi, vj)]:
                 failures.append(f"chi anti-morphism fails on ({sigma.labels[i]}, {sigma.labels[j]})")
         for j in range(dim):
-            vj = [chi.matrix[a][j] for a in range(dim)]
+            vj = [rows[a][j] for a in range(dim)]
             ej = [Scalar(int(a == j)) for a in range(dim)]
             if not (pairing(vi, vj) + pairing(ei, ej)).is_zero():
                 failures.append(f"pairing flip fails on ({sigma.labels[i]}, {sigma.labels[j]})")
@@ -536,14 +625,13 @@ def _dense_chi_failures(double, phi):
 
 def test_chi_check_negative_controls_match_dense_sweep():
     from poissonkit import linalg
-    from poissonkit.liealg import LinearAlgMap
 
     g = sl_chevalley(3)
     dd = drinfeld_double(g, standard_r_matrix(g))
     ident = linalg.identity(g.dim)
     failures = {}
     for name, rows in (("identity", ident), ("twice", linalg.mat_scale(ident, 2))):
-        phi = LinearAlgMap(g, g, tuple(tuple(row) for row in rows))
+        phi = alg_map(g, g, rows)
         failures[name] = chi_check(dd, phi).witness
         assert failures[name] == _dense_chi_failures(dd, phi)
     # the identity is an involutive morphism: only the anti-morphism identity fails
@@ -555,9 +643,6 @@ def test_chi_check_negative_controls_match_dense_sweep():
 
 
 def test_sparse_vector_routines_match_dense_formulas():
-    from poissonkit import linalg
-    from poissonkit.liealg import LinearAlgMap
-
     rng = random.Random(7)
     g = sl_chevalley(3)
     dd = drinfeld_double(g, standard_r_matrix(g))
@@ -567,7 +652,7 @@ def test_sparse_vector_routines_match_dense_formulas():
         return [Scalar(rng.choice((0, 0, 1, -2, 3))) for _ in range(size)]
 
     rows = [vec(n) for _ in range(n)]
-    phi = LinearAlgMap(g, g, tuple(map(tuple, rows)))
+    phi = alg_map(g, g, rows)
     for _ in range(20):
         u, v = vec(n), vec(n)
         assert apply_vector(phi, u) == mat_vec(rows, u)
@@ -583,15 +668,13 @@ def test_sparse_vector_routines_match_dense_formulas():
 
 def test_sparse_supports_drop_cancelled_entries():
     # the anti-morphism sweep compares these dicts, so a cancelled entry must not linger as a zero
-    from poissonkit.liealg import LinearAlgMap
-
     g = sl_chevalley(2)
     e, f, h = (g.labels.index(k) for k in ("e12", "f12", "h1"))
     one = Scalar(1)
     assert g._bracket_supports([(e, one), (f, one)], [(e, one), (f, one)]) == {}
     rows = [[Scalar(int(i == j)) for j in range(g.dim)] for i in range(g.dim)]
     rows[e][f] = Scalar(-1)  # f -> f - e
-    phi = LinearAlgMap(g, g, tuple(map(tuple, rows)))
+    phi = alg_map(g, g, rows)
     assert phi._apply_support([(e, one), (f, one)]) == {f: one}
 
 
@@ -647,7 +730,6 @@ def test_apply_matches_the_wedge_of_images(name, degree, on_transpose, seed):
     # LinearAlgMap.apply carries the legs in one pass; the reference wedges the images of the legs one
     # at a time, on the transpose and on random invertible maps (unit lower times unit upper triangular)
     from poissonkit import linalg
-    from poissonkit.liealg import LinearAlgMap
 
     g = _PERTURBED[name]
     rng = make_rng(seed)
@@ -658,7 +740,7 @@ def test_apply_matches_the_wedge_of_images(name, degree, on_transpose, seed):
                   for c in range(g.dim)] for r in range(g.dim)]
         upper = transpose([[Scalar(1) if r == c else rng.choice(_MAP_ENTRIES) if r > c else Scalar(0)
                             for c in range(g.dim)] for r in range(g.dim)])
-        phi = LinearAlgMap.from_rows(g, g, linalg.mat_mul(lower, upper))
+        phi = alg_map(g, g, linalg.mat_mul(lower, upper))
     elem = rand_alg_element(rng, g, degree, 0.3)
     assert phi.apply(elem) == apply_by_wedges(phi, elem)
 
@@ -783,10 +865,8 @@ def test_coordinates_residual_catches_a_changed_coordinate(monkeypatch, position
 @given(entries=st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(1, 2)]), min_size=9, max_size=9))
 def test_chi_check_matches_the_dense_sweep_for_any_phi(entries):
     # the pairing flip is checked only where the dual index reaches; every failing pair must still be listed
-    from poissonkit.liealg import LinearAlgMap
-
     dd = drinfeld_double(_SL2, standard_r_matrix(_SL2))
-    phi = LinearAlgMap.from_rows(_SL2, _SL2, [entries[3 * i : 3 * i + 3] for i in range(3)])
+    phi = alg_map(_SL2, _SL2, [entries[3 * i : 3 * i + 3] for i in range(3)])
     assert (chi_check(dd, phi).witness or ()) == _dense_chi_failures(dd, phi)
 
 
