@@ -67,14 +67,19 @@ oracle uses, on packed int keys:
   the exponent fields.  Two index sets share an index exactly when their
   masks intersect, the union's mask is their sum, and the sign of sorting
   the concatenation is the parity of one AND of masks (see ``_hook``), so
-  no index tuple is concatenated or sorted per product.
+  no index tuple is concatenated or sorted per product;
+* a real or imaginary part is a separate real term, and its power of i sits
+  in a 2-bit i field above the index bits: 0 or 1 in an input, 0, 1 or 2 in
+  a product.
 
-``schouten`` sums the raw real and imaginary parts of the products per key,
-splits each surviving key into its index mask and its exponent key, reads
-each exponent key that is no input key back into a tuple once and each mask
-into its index tuple once, and builds each output ``Scalar`` once, in
-canonical form.  ``schouten(a, a)`` on one object runs one contraction:
-[A, A] = 2 (A o A) for even p and 0 for odd p.
+``_hook`` flattens each side once into term lists per variable l, and the
+contraction is one double loop per l that adds each product into one
+accumulator per packed key.  ``schouten`` adds the sums of i field 2 into
+the real parts with a minus sign (i^2 = -1), splits each surviving key into
+its index mask and its exponent key, reads each exponent key that is no input
+key back into a tuple once and each mask into its index tuple once, and
+builds each output ``Scalar`` once, in canonical form.  ``schouten(a, a)`` on
+one object runs one contraction: [A, A] = 2 (A o A) for even p and 0 for odd p.
 
 ``schouten`` is the one contraction kernel of the chart layer: [pi, pi] in
 ``poisson.jacobiator``, L_X pi in ``dirac.leaf_slice_obstruction``, every
@@ -1008,104 +1013,112 @@ def _packed_exponents(a: PolyMultiVec, b: PolyMultiVec) -> tuple[dict, list, int
     return {e: sum(map(lshift, filter(None, e), compress(shifts, e))) for e in exps}, [1 << s for s in shifts], width
 
 
-def _hook(a: PolyMultiVec, b: PolyMultiVec, out: dict, factor: int, packed: dict, lower: list, shift: int) -> None:
+def _hook(a: PolyMultiVec, b: PolyMultiVec, out: dict, factor: int, packed: dict, units: list, shift: int) -> None:
     """Add factor * (A o B), A o B = sum_l (d^R A / dxi_l)(dB/dx_l), into ``out``.
 
-    ``out`` maps a key to [re, im], the running raw parts of one coefficient;
-    ``schouten`` builds the Scalars once at the end.  A key packs an index
-    set K, as mask(K) with bit ``shift`` + j set for each j in K, above the
-    exponent fields of a ``packed`` key.  The left odd derivative of xi_I by
-    xi_l, l at position pos of I, is (-1)^pos xi_R with R = I minus l, and
-    the right one (-1)^(p-1) times it.  xi_R xi_J vanishes when mask(R) &
-    mask(J) is nonzero; otherwise it is the sort parity of R + J times
-    xi_(R union J), whose mask is mask(R) + mask(J).  R and J are increasing,
-    so the parity counts the pairs j < r, r in R, j in J: it is the parity of
-    the bits of mask(R) in odd_below(J), the XOR of -1 << (j + 1) over j in
-    J, whose bit i is set when an odd number of the j lie below i.
+    ``out`` maps a packed key to one running real sum: above the exponent
+    fields of a ``packed`` key sit mask(K), bit ``shift`` + j for each j in K,
+    and above it the i field.  Each side is flattened once into term lists
+    per variable l:
 
-    mask(J) and odd_below(J) are built once per component of B, mask(I) once
-    per component of A.  A term of A_I carries mask(I) in its key, and a term
-    of dB_J/dx_l, formed once per l, carries mask(J) minus bit l: its key is
-    the term's key minus ``lower[l]``, one unit of field l plus bit
-    ``shift`` + l.  A product's key is then the sum of its factors' keys, and
-    no index tuple is concatenated or sorted per product.  A function A adds
-    nothing, so B's derivatives are not formed, and neither does a component
-    A_I when B depends on no x_l with l in I; its terms are not read.
+    * B: l -> [(mask(J), odd_below(J), key of a term of dB_J/dx_l, value)],
+      the key being the term's, mask(J) included, less ``units[l]``;
+    * A: l -> [(mask(R), key, value)], R = I minus l, the key carrying mask(R)
+      and the value signed by the left odd derivative of xi_I by xi_l, l at
+      position pos of I, (-1)^pos xi_R, times (-1)^(p-1) for the right one.
+
+    xi_R xi_J vanishes when mask(R) & mask(J) is nonzero; otherwise it is the
+    sort parity of R + J times xi_(R union J), of mask mask(R) + mask(J).  R
+    and J are increasing, so the parity counts the pairs j < r, r in R, j in
+    J: it is the parity of the bits of mask(R) in odd_below(J), the XOR of
+    -1 << (j + 1) over j in J, whose bit i is set when an odd number of the j
+    lie below i.  So a product is one mask test, one parity bit and one
+    accumulation at the sum of its factors' keys.  A function A adds nothing,
+    and A's terms are listed only under the l on which B depends.
     """
     if not a.degree:
         return
     if a.degree % 2 == 0:  # right derivative: (-1)^(p-1)
         factor = -factor
-    db: dict[int, list] = {}  # l -> [(mask(J), odd_below(J), [(key of dB_J/dx_l, re, im)])]
+    one = 1 << (shift + a.dim)  # the unit of the i field
     every = range(b.dim)
+    db: list[list] = [[] for _ in every]
     for ib, pb in b.comps.items():
         mask_b = below_b = 0
         for j in ib:
             mask_b |= 1 << j
             below_b ^= -1 << (j + 1)
         base = mask_b << shift
-        by_var: dict[int, list] = {}
         for exps, coeff in pb.terms.items():
             key, re, im = packed[exps] + base, coeff.re, coeff.im
             for l in compress(every, exps):  # the l with x_l in the monomial
-                k = exps[l]
-                by_var.setdefault(l, []).append((key - lower[l], re * k, im * k))
-        for l, terms in by_var.items():
-            db.setdefault(l, []).append((mask_b, below_b, terms))
+                k, terms = exps[l], db[l]
+                if re:
+                    terms.append((mask_b, below_b, key - units[l], re * k))
+                if im:
+                    terms.append((mask_b, below_b, key - units[l] + one, im * k))
+    da: list[list] = [[] for _ in every]
     for ia, pa in a.comps.items():
-        if db.keys().isdisjoint(ia):
-            continue
         mask_a = 0
         for l in ia:
             mask_a |= 1 << l
-        # the terms of A_I times +factor and -factor, so the sign of a product is picked, not multiplied
-        base = mask_a << shift
-        plus = [(packed[e] + base, c.re * factor, c.im * factor) for e, c in pa.terms.items()]
-        minus = [(e, -re, -im) for e, re, im in plus]
         for pos, l in enumerate(ia):
-            rest = mask_a ^ (1 << l)
-            signed = (minus, plus) if pos % 2 else (plus, minus)  # left derivative: (-1)^pos
-            for mask_b, below_b, terms_b in db.get(l, ()):
+            if db[l]:
+                rest, sign, terms = mask_a ^ (1 << l), -factor if pos % 2 else factor, da[l]
+                base = rest << shift
+                for e, c in pa.terms.items():
+                    if c.re:
+                        terms.append((rest, packed[e] + base, c.re * sign))
+                    if c.im:
+                        terms.append((rest, packed[e] + base + one, c.im * sign))
+    get = out.get
+    for terms_a, terms_b in zip(da, db):
+        for rest, ka, va in terms_a:
+            for mask_b, below_b, kb, vb in terms_b:
                 if rest & mask_b:
                     continue
-                for ea, ar, ai in signed[(below_b & rest).bit_count() & 1]:
-                    for eb, br, bi in terms_b:
-                        e = ea + eb
-                        acc = out.get(e)
-                        if acc is None:
-                            out[e] = [ar * br - ai * bi, ar * bi + ai * br]
-                        else:
-                            acc[0] += ar * br - ai * bi
-                            acc[1] += ar * bi + ai * br
+                e = ka + kb
+                if (below_b & rest).bit_count() & 1:
+                    out[e] = get(e, 0) - va * vb
+                else:
+                    out[e] = get(e, 0) + va * vb
 
 
 def schouten(a: PolyMultiVec, b: PolyMultiVec) -> PolyMultiVec:
     """Schouten-Nijenhuis bracket; see the module docstring for the convention.
 
-    Both contractions add into one dict keyed by ``_hook``'s packed ints.  Each
-    surviving key splits once into its index bitmask, the bits from
-    ``shift`` = width * dim up, and its exponent key below them; each bitmask
-    becomes its index tuple once, when the result is built.
+    Both contractions add into one dict of real sums keyed by ``_hook``'s
+    packed ints.  A key of i field 2 adds its sum into the real key below it
+    with a minus sign (i^2 = -1), and one of field 1 is the imaginary part of
+    that key.  Each surviving key then splits once into its index bitmask,
+    the bits from ``shift`` = width * dim up, and its exponent key below them.
     """
     a._check(b)
     p, q = a.degree, b.degree
-    out: dict[int, list] = {}
+    out: dict[int, object] = {}
     packed, units, width = _packed_exponents(a, b)
     shift = width * a.dim  # the index bits start above the exponent fields
-    # d/dx_l lowers field l by one unit and takes l out of the index set of the A_I it meets
-    lower = [unit + (1 << (shift + l)) for l, unit in enumerate(units)]
     if a is b:
         # [A, A] = A o A - (-1)^((p-1)^2) A o A: 2 (A o A) for even p, 0 for odd p
         if p % 2 == 0:
-            _hook(a, a, out, 2, packed, lower, shift)
+            _hook(a, a, out, 2, packed, units, shift)
     else:
-        _hook(a, b, out, 1, packed, lower, shift)
-        _hook(b, a, out, -1 if ((p - 1) * (q - 1)) % 2 == 0 else 1, packed, lower, shift)
+        _hook(a, b, out, 1, packed, units, shift)
+        _hook(b, a, out, -1 if ((p - 1) * (q - 1)) % 2 == 0 else 1, packed, units, shift)
+    one, ims = 1 << (shift + a.dim), {}  # the unit of the i field; the imaginary sums by real key
+    for k in [k for k in out if k >= one]:
+        v, k = out.pop(k), k - one
+        if k >= one:  # i^2 = -1
+            out[k - one] = out.get(k - one, 0) - v
+        else:
+            ims[k] = v
+            out.setdefault(k, 0)
     # each surviving exponent key is read back into a tuple once; an input key reuses its tuple
     mask, shifts, low = (1 << width) - 1, range(0, shift, width), (1 << shift) - 1
     exps = dict(zip(packed.values(), packed))
     polys: dict[int, dict] = {}
-    for k, (re, im) in out.items():
+    for k, re in out.items():
+        im = ims.get(k, 0)
         if re or im:
             bits, k = k >> shift, k & low
             e = exps.get(k)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .exactalg import Poly, PolyMultiVec, schouten
+from .exactalg import Poly, PolyMultiVec, _accumulate, _poly, schouten
 from .report import InvalidInput, Report
 
 __all__ = [
@@ -75,7 +75,7 @@ def _not_poisson(chart: PoissonChart) -> Report | None:
     jac = jacobiator(chart)
     if jac.is_zero():
         return None
-    return Report(False, reason="chart is not Poisson", witness=sorted(jac.comps.items())[0])
+    return Report(False, reason="chart is not Poisson", witness=min(jac.comps.items()))
 
 
 def hamiltonian_vf(chart: PoissonChart, f: Poly) -> PolyMultiVec:
@@ -98,7 +98,7 @@ def is_casimir(chart: PoissonChart, f: Poly) -> Report:
     xf = hamiltonian_vf(chart, f)
     if xf.is_zero():
         return Report(True)
-    (idx,), poly = sorted(xf.comps.items())[0]
+    (idx,), poly = min(xf.comps.items())
     return Report(False, reason=f"X_f({chart.coords[idx]})", witness=(idx, poly))
 
 
@@ -106,26 +106,28 @@ def modular_vf(chart: PoissonChart) -> PolyMultiVec:
     """The modular vector field nu, nu(f) = div(X_f), for the chart's volume.
 
     nu_a = div(X_{x_a}) = (1/rho) sum_b d_b(rho pi^ab), where pi^ab = p_ab
-    for a < b and -p_ba for a > b.  So one sweep over the components p_ab
-    (a < b) of pi gives every numerator: with q = rho p_ab, it adds d_b q to
-    the numerator of nu_a and subtracts d_a q from that of nu_b.  Then each
-    numerator is divided by rho once, exactly, or ``UnsupportedDensity`` is
-    raised.  The density must not vanish on the region of interest; that is
-    the caller's responsibility.
+    for a < b and -p_ba for a > b.  So one sweep over the terms c x^e of each
+    q = rho p_ab (a < b) gives every numerator, one dict of terms each, summed
+    through ``_accumulate``: it adds c e_b x^(e - 1_b) to that of nu_a and
+    subtracts c e_a x^(e - 1_a) from that of nu_b.  Then each numerator is made
+    a polynomial once and divided by rho once, exactly, or ``UnsupportedDensity``
+    is raised.  The density must not vanish on the region of interest.
     """
     dim, rho = chart.dim, chart.rho
     unit = rho == Poly.const(dim, 1)
-    nums = [Poly.zero(dim)] * dim
+    nums: list[dict] = [{} for _ in range(dim)]
     for (a, b), poly in chart.pi.comps.items():
-        q = poly if unit else rho * poly
-        nums[a] = nums[a] + q.diff(b)
-        nums[b] = nums[b] - q.diff(a)
-    if not unit:
-        for a, num in enumerate(nums):
-            nums[a] = num.divide_exact(rho)
-            if nums[a] is None:
-                raise UnsupportedDensity("rho does not divide the divergence numerator exactly")
-    return PolyMultiVec.from_terms(dim, 1, [((a,), num) for a, num in enumerate(nums)])
+        for e, c in (poly if unit else rho * poly).terms.items():
+            k = e[b]
+            if k:
+                _accumulate(nums[a], e[:b] + (k - 1,) + e[b + 1:], c if k == 1 else c * k)
+            k = e[a]
+            if k:
+                _accumulate(nums[b], e[:a] + (k - 1,) + e[a + 1:], -c if k == 1 else c * -k)
+    polys = [_poly(dim, num) if unit else _poly(dim, num).divide_exact(rho) for num in nums]
+    if any(num is None for num in polys):
+        raise UnsupportedDensity("rho does not divide the divergence numerator exactly")
+    return PolyMultiVec._new(dim, 1, {(a,): num for a, num in enumerate(polys) if num})
 
 
 def relative_modular(submanifold) -> Report:

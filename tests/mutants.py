@@ -146,7 +146,7 @@ MUTANTS = (
            )),
     # the exact kernel and the checks over it
     Mutant("hook-parity-ignored", "exactalg", "_hook",
-           "signed[(below_b & rest).bit_count() & 1]", "signed[0]", (
+           "if (below_b & rest).bit_count() & 1:", "if False:", (
                "tests/test_exactalg.py::test_schouten_graded_leibniz",
                "tests/test_oracle.py::test_schouten_oracle_dim3_100_pairs",
                "tests/test_poisson.py::test_jacobiator_dubrovin_zero",
@@ -157,6 +157,10 @@ MUTANTS = (
                "tests/test_poisson.py::test_jacobiator_dubrovin_zero",
                "tests/test_oracle.py::test_schouten_oracle_dim3_100_pairs",
                "tests/test_acceptance.py::test_claim[stokes-jacobi]",
+           )),
+    Mutant("hook-imaginary-square-sign", "exactalg", "schouten",
+           "out[k - one] = out.get(k - one, 0) - v", "out[k - one] = out.get(k - one, 0) + v", (
+               "tests/test_exactalg.py::test_schouten_two_imaginary_factors_give_a_real_product",
            )),
     # the constructor owns the table's invariants: distinct labels, indices in range, each pair given once
     Mutant("lie-labels-unchecked", "liealg", "LieAlgebraData.__init__",
@@ -226,7 +230,7 @@ MUTANTS = (
                "tests/test_acceptance.py::test_claim[leaf-slice]",
            )),
     Mutant("modular-sweep-sign", "poisson", "modular_vf",
-           "nums[b] = nums[b] - q.diff(a)", "nums[b] = nums[b] + q.diff(a)", (
+           "-c if k == 1 else c * -k", "c if k == 1 else c * k", (
                "tests/test_poisson.py::test_modular_linear_example",
                "tests/test_poisson.py::test_modular_sweep_matches_per_coordinate_route",
            )),
@@ -265,9 +269,10 @@ MUTANTS = (
                "tests/test_acceptance.py::test_claim[stokes-kappa]",
            )),
     Mutant("witness-last-component", "poisson", "_not_poisson",
-           "sorted(jac.comps.items())[0]", "sorted(jac.comps.items())[-1]", (
+           "witness=min(jac.comps.items())", "witness=max(jac.comps.items())", (
                "tests/test_cli.py::test_a_non_poisson_witness_is_the_first_jacobiator_component[check jacobi]",
                "tests/test_cli.py::test_a_non_poisson_witness_is_the_first_jacobiator_component[load check]",
+               "tests/test_poisson.py::test_witnesses_are_the_first_nonzero_components",
            )),
     Mutant("power-drops-factors", "exactalg", "_power",
            "out = out * base", "out = base", (

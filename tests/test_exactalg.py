@@ -324,6 +324,14 @@ def test_schouten_vector_fields_lie_bracket():
     assert out.comps == {(0,): -x, (1,): y}
 
 
+def test_schouten_two_imaginary_factors_give_a_real_product():
+    # [i x1 d1, i x1 d2] = i^2 [x1 d1, x1 d2] = -x1 d2: two imaginary parts meet in one product,
+    # and reading i^2 back as +1 would give +x1 d2
+    ix1 = Poly(2, {(1, 0): Scalar(0, 1)})
+    out = schouten(PolyMultiVec.monomial(2, (0,), ix1), PolyMultiVec.monomial(2, (1,), ix1))
+    assert out.comps == {(1,): -Poly.var(2, 0)}
+
+
 def test_schouten_graded_antisymmetry(rng):
     # [a,b] = -(-1)^((p-1)(q-1)) [b,a], exactly
     for _ in range(120):
@@ -419,6 +427,43 @@ def boundary_fields(draw):
 @settings(max_examples=100, deadline=None)
 @given(boundary_fields())
 def test_schouten_matches_oracle_at_exponent_boundaries(fields):
+    a, b = fields
+    assert schouten(a, b) == schouten_oracle(a, b)
+    copy = PolyMultiVec(a.dim, a.degree, a.comps)
+    assert schouten(a, a) == schouten(a, copy) == schouten_oracle(a, a)
+
+
+gaussian_coeffs = st.sampled_from([Scalar(0, 1), Scalar(0, -3), Scalar(2, 1), Scalar(-1, -1), Scalar(4),
+                                   Scalar(Fraction(1, 3), Fraction(-5, 2)), Scalar(0, Fraction(7, 4))])
+
+
+@st.composite
+def gaussian_boundary_fields(draw):
+    """Two fields on 1-6 coordinates, of degree 0-3, whose components have 1-4 terms with mostly
+    imaginary or complex coefficients and exponents at the boundaries of the packed fields, so that
+    products of two imaginary parts, whose i field is 2, meet every index mask up to the widest."""
+    dim = draw(st.integers(1, 6))
+
+    def field():
+        degree = draw(st.integers(0, min(3, dim)))
+        comps = {}
+        for _ in range(draw(st.integers(1, 3))):
+            idxs = tuple(sorted(draw(st.lists(st.integers(0, dim - 1), min_size=degree, max_size=degree,
+                                              unique=True))))
+            terms = {}
+            for _ in range(draw(st.integers(1, 4))):
+                exps = tuple(draw(st.sampled_from(BOUNDARY_EXPONENTS[:4]) | st.sampled_from(BOUNDARY_EXPONENTS))
+                             for _ in range(dim))
+                terms[exps] = draw(gaussian_coeffs)
+            comps[idxs] = Poly(dim, terms)
+        return PolyMultiVec(dim, degree, comps)
+
+    return field(), field()
+
+
+@settings(max_examples=100, deadline=None)
+@given(gaussian_boundary_fields())
+def test_schouten_matches_oracle_on_gaussian_coefficients_at_exponent_boundaries(fields):
     a, b = fields
     assert schouten(a, b) == schouten_oracle(a, b)
     copy = PolyMultiVec(a.dim, a.degree, a.comps)

@@ -224,6 +224,21 @@ def test_so3_quadratic_casimir():
     assert is_casimir(chart, quad).ok
 
 
+def test_witnesses_are_the_first_nonzero_components():
+    # {y_i, y_j} = y_i y_j + y_k with k = (i j + 2) mod 6 (0-based) breaks Jacobi on every one of the
+    # 20 triples, and the kernel does not form the smallest one first; the witness is the smallest
+    coords = tuple(f"y{i + 1}" for i in range(6))
+    text = "".join(f"bracket y{i + 1} y{j + 1} = y{i + 1}*y{j + 1} + y{(i * j + 2) % 6 + 1}\n"
+                   for i in range(6) for j in range(i + 1, 6))
+    chart, _ = parse_chart_text(f"dim 6\ncoords {' '.join(coords)}\n{text}", check_jacobi=False)
+    jac = jacobiator(chart)
+    assert len(jac.comps) == 20 and next(iter(jac.comps)) != (0, 1, 2)
+    verdict = poisson._not_poisson(chart)
+    assert verdict.witness == ((0, 1, 2), parse_poly("-2*y1*y5 - 2*y2*y3 + 4*y3^2 + 2*y3 - 2*y5", coords))
+    casimir = is_casimir(chart, parse_poly("y6^2", coords))
+    assert (casimir.reason, casimir.witness) == ("X_f(y1)", (0, parse_poly("-2*y1*y6^2 - 2*y6*y3", coords)))
+
+
 def test_casimir_failure_reports_witness():
     chart = dubrovin_chart()
     verdict = is_casimir(chart, parse_poly("x", chart.coords))
