@@ -17,8 +17,8 @@ import sys
 from functools import partial
 from types import SimpleNamespace
 
-from . import chartio, dirac, dynr, groupnum, liealg, linalg, oracle, poisson
-from .exactalg import parse_poly, parse_scalar, print_poly, schouten
+from . import chartio, dirac, dynr, groupnum, liealg, oracle, poisson
+from .exactalg import SCALAR_ONE, parse_poly, parse_scalar, print_poly, schouten
 from .report import InvalidInput, Report
 
 __all__ = ["run_command", "main"]
@@ -150,7 +150,7 @@ def _dirac_fixed_locus(args) -> Report:
     chart, _ = _load_chart(args)
     rows = [[parse_scalar(v) for v in row.split(",")] for row in args.matrix.split(";")]
     s = dirac.LinearInvolution.from_rows(rows)
-    if linalg.mat_eq(s.rows(), linalg.mat_scale(linalg.identity(chart.dim), -1)):
+    if s.columns == tuple(((j, -SCALAR_ONE),) for j in range(chart.dim)):
         raise InvalidInput("--matrix fixes only the origin (-I): the fixed locus would be a point")
     verdict = dirac.fixed_locus_symbolic(chart, s)
     if not verdict.ok:  # S_* pi - pi; the chart itself passed the load-time Jacobi check

@@ -19,7 +19,7 @@ from itertools import combinations_with_replacement
 from typing import Sequence
 
 from . import linalg
-from .exactalg import SCALAR_ZERO, Poly, PolyMultiVec, Scalar, schouten
+from .exactalg import SCALAR_ONE, SCALAR_ZERO, Poly, PolyMultiVec, Scalar, schouten
 from .liealg import lie_poisson_chart
 from .poisson import PoissonChart, _not_poisson, jacobiator
 from .report import InvalidInput, Report
@@ -65,29 +65,32 @@ class AlignedSubmanifold:
 
 @dataclass(frozen=True)
 class LinearInvolution:
-    """An exact matrix S with S^2 = I acting on chart coordinates."""
+    """An exact linear map S with S^2 = I on chart coordinates, by its nonzero entries:
+    ``columns[j]`` holds the pairs (i, c) of S e_j, c its nonzero i-coefficient, in strictly
+    ascending i, one column per coordinate.  Columns of any other form, or S^2 != I, raise
+    InvalidInput."""
 
-    matrix: tuple[tuple[Scalar, ...], ...]
+    columns: tuple[linalg.Vector, ...]
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence]) -> "LinearInvolution":
-        m = tuple(tuple(Scalar.coerce(v) for v in row) for row in rows)
-        return LinearInvolution(m)
+        """The involution whose matrix has the dense rows ``rows``, read into its columns."""
+        m = [[Scalar.coerce(v) for v in row] for row in rows]
+        if any(len(row) != len(m) for row in m):
+            raise InvalidInput("involution matrix must be square")
+        return LinearInvolution(tuple(tuple((i, row[j]) for i, row in enumerate(m) if row[j]) for j in range(len(m))))
 
     def __post_init__(self):
-        m = [list(row) for row in self.matrix]
-        n = len(m)
-        if any(len(row) != n for row in m):
-            raise InvalidInput("involution matrix must be square")
-        if not linalg.mat_eq(linalg.mat_mul(m, m), linalg.identity(n)):
+        n = self.dim
+        if not linalg.is_columns(self.columns, n):
+            raise InvalidInput(f"involution columns must be (index in range({n}), nonzero) pairs, "
+                               "each in strictly ascending index")
+        if not linalg.is_involution(self.columns):
             raise InvalidInput("matrix is not an involution (S^2 != I)")
 
     @property
     def dim(self) -> int:
-        return len(self.matrix)
-
-    def rows(self) -> linalg.Matrix:
-        return [list(row) for row in self.matrix]
+        return len(self.columns)
 
 
 def _aligned_criterion(q: AlignedSubmanifold) -> Report:
@@ -132,19 +135,25 @@ def check_aligned_dirac(q: AlignedSubmanifold) -> Report:
     return _aligned_criterion(q) if failed is None else failed
 
 
-def _pushforward(mv: PolyMultiVec, a: linalg.Matrix, a_inv: linalg.Matrix) -> PolyMultiVec:
+def _pushforward(mv: PolyMultiVec, a: Sequence[linalg.Vector], a_inv: Sequence[linalg.Vector]) -> PolyMultiVec:
     """A_* X along x -> A x, for a field X of any degree: (A_* X)(x) = A X(A^-1 x),
     each component composed with A^-1 and each leg d_k carried to the column
-    A d_k = sum_i a_ik d_i by ``Wedge.carry``.  The caller passes A^-1, as it
-    holds it already: an involution S is its own inverse, so S_* pi is
+    A d_k = sum_i a_ik d_i by ``Wedge.carry``.  A and A^-1 are given by their
+    columns, as sparse vectors.  The caller passes A^-1, as it holds it
+    already: an involution S is its own inverse, so S_* pi is
     ``_pushforward(pi, S, S)``, and the eigenbasis change built P."""
     n = mv.dim
     # x_i <- (A^-1 x)_i = sum_j b_ij x_j: coefficient b_ij on the exponent of x_j
     units = [tuple(int(k == j) for k in range(n)) for j in range(n)]
-    back = [Poly(n, dict(zip(units, row))) for row in a_inv]
-    columns = [[(i, a[i][k]) for i in range(n) if a[i][k]] for k in range(n)]
+    back = [Poly(n, {units[j]: b for j, b in row}) for row in linalg.transpose(a_inv, n)]
     moved = PolyMultiVec._new(n, mv.degree, {idxs: p.compose(back) for idxs, p in mv.comps.items()})
-    return moved.carry(n, columns)
+    return moved.carry(n, a)
+
+
+def _eigenspace(rows: Sequence[linalg.Vector], e: Scalar) -> list[linalg.Vector]:
+    """A basis of the e-eigenspace of the matrix with these sparse rows: the kernel of S - e I."""
+    shifted = ({**dict(row), i: dict(row).get(i, SCALAR_ZERO) - e} for i, row in enumerate(rows))
+    return linalg.nullspace([{j: v for j, v in row.items() if v} for row in shifted], len(rows))
 
 
 def fixed_locus_symbolic(chart: PoissonChart, s: LinearInvolution) -> Report:
@@ -161,14 +170,13 @@ def fixed_locus_symbolic(chart: PoissonChart, s: LinearInvolution) -> Report:
     are known), forms Q = {minus-block = 0}, and returns the report of the
     aligned criterion of ``check_aligned_dirac`` on it with the aligned
     submanifold added as ``values["submanifold"]`` and the change of basis as
-    ``values["eigenbasis"]``: the matrix P whose columns are the +1
-    eigenvectors, then the -1 ones, so that x = P z and the z's are the
+    ``values["eigenbasis"]``: the columns of P, as sparse vectors, the kernel
+    bases of S - I and then of S + I, so that x = P z and the z's are the
     coordinates of the submanifold's chart.
     """
     if s.dim != chart.dim:
         raise InvalidInput("involution dimension does not match the chart")
-    srows = s.rows()
-    residual = _pushforward(chart.pi, srows, srows) - chart.pi
+    residual = _pushforward(chart.pi, s.columns, s.columns) - chart.pi
     if not residual.is_zero():
         return Report(False, reason="S is not a Poisson involution", witness=sorted(residual.comps.items())[0])
     failed = _not_poisson(chart)
@@ -176,19 +184,18 @@ def fixed_locus_symbolic(chart: PoissonChart, s: LinearInvolution) -> Report:
         return failed
 
     n = chart.dim
-    plus = linalg.nullspace(linalg.mat_sub(srows, linalg.identity(n)))
-    minus = linalg.nullspace(linalg.mat_add(srows, linalg.identity(n)))
+    rows = linalg.transpose(s.columns, n)
+    plus, minus = _eigenspace(rows, SCALAR_ONE), _eigenspace(rows, -SCALAR_ONE)
     if len(plus) + len(minus) != n:
         raise AssertionError("eigenspaces of an involution must span")
-    # columns of P are the eigenbasis; the map z -> x = P z straightens S
-    p_mat = [[plus[j][i] for j in range(len(plus))] + [minus[j][i] for j in range(len(minus))] for i in range(n)]
-    pi_z = _pushforward(chart.pi, linalg.inverse(p_mat), p_mat)
+    p = plus + minus  # the columns of P; the map z -> x = P z straightens S
+    pi_z = _pushforward(chart.pi, linalg.inverse(p), p)
 
     names = tuple(f"z{k+1}" for k in range(n))
     chart_z = PoissonChart(n, names, pi_z)
     sub = AlignedSubmanifold(chart_z, tuple(range(len(plus))), tuple(range(len(plus), n)))
     verdict = _aligned_criterion(sub)
-    return replace(verdict, values={"submanifold": sub, "eigenbasis": p_mat, **verdict.values})
+    return replace(verdict, values={"submanifold": sub, "eigenbasis": p, **verdict.values})
 
 
 # ---------------------------------------------------------------------------
@@ -196,19 +203,19 @@ def fixed_locus_symbolic(chart: PoissonChart, s: LinearInvolution) -> Report:
 # ---------------------------------------------------------------------------
 
 
-def _as_vectors(g, elems) -> list[list[Scalar]]:
+def _as_vectors(g, elems) -> list[linalg.Vector]:
+    """Labels, basis indices and coefficient lists as sparse vectors of g."""
     out = []
     for e in elems:
         if isinstance(e, str):
             if e not in g.labels:
                 raise InvalidInput(f"unknown label {e!r}; the algebra has {', '.join(g.labels)}")
             e = g.labels.index(e)
-        if isinstance(e, int):
-            v = [Scalar(0)] * g.dim
-            v[e] = Scalar(1)
-            out.append(v)
-        else:
-            out.append([Scalar.coerce(c) for c in e])
+        coeffs = ([SCALAR_ONE if i == e else SCALAR_ZERO for i in range(g.dim)] if isinstance(e, int)
+                  else [Scalar.coerce(c) for c in e])
+        if len(coeffs) != g.dim:
+            raise InvalidInput(f"a vector of the algebra needs {g.dim} coefficients")
+        out.append(tuple((i, c) for i, c in enumerate(coeffs) if c))
     return out
 
 
@@ -226,7 +233,8 @@ def affine_lie_poisson_dirac(g, l_basis, m_basis, mu) -> Report:
     mv = _as_vectors(g, m_basis)
     if len(lv) + len(mv) != g.dim:
         raise InvalidInput("l and m have the wrong total dimension")
-    a = lv + mv  # the rows of A, for the coordinates A xi
+    n, k = g.dim, len(lv)
+    a = linalg.transpose(lv + mv, n)  # the columns of A, whose rows are the l's and m's: the coordinates A xi
     a_inv = linalg.inverse(a)
     if a_inv is None:
         raise InvalidInput("l_basis and m_basis do not form a basis of g")
@@ -234,9 +242,8 @@ def affine_lie_poisson_dirac(g, l_basis, m_basis, mu) -> Report:
     if len(mu) != g.dim:
         raise InvalidInput("mu has the wrong length")
 
-    n, k = g.dim, len(lv)
     # y_b <- y_b + <mu, m_b>, so that mu + m-perp is {y = 0}
-    offset = [SCALAR_ZERO] * k + [sum((c * u for c, u in zip(mu, row)), SCALAR_ZERO) for row in mv]
+    offset = [SCALAR_ZERO] * k + [sum((mu[i] * c for i, c in row), SCALAR_ZERO) for row in mv]
     shift = [Poly.var(n, i) + offset[i] for i in range(n)]
     pi = _pushforward(lie_poisson_chart(g).pi, a, a_inv).project(range(n), shift)
     names = tuple(f"l{i+1}" for i in range(k)) + tuple(f"m{b+1}" for b in range(n - k))
@@ -262,12 +269,11 @@ def transverse_from_reductive(g, l_basis, m_basis, mu) -> Report:
     mu_s = [Scalar.coerce(c) for c in mu]
     if len(mu_s) != g.dim:
         raise InvalidInput("mu has the wrong length")
-    # isotropy: <mu, [l_a, X]> = 0 for every basis element X of g
-    basis = _as_vectors(g, range(g.dim))
+    # isotropy: <mu, [l_a, x_b]> = 0 for every basis element x_b of g
     for a, u in enumerate(lv):
-        for x in basis:
-            w = g.bracket_vectors(u, x)
-            if not sum((m * c for m, c in zip(mu_s, w)), Scalar(0)).is_zero():
+        for b in range(g.dim):
+            w = g._bracket_supports(u, ((b, SCALAR_ONE),))
+            if not sum((mu_s[c] * v for c, v in w.items()), SCALAR_ZERO).is_zero():
                 return Report(False, reason=f"l is not contained in the isotropy algebra of mu (element {a})")
     return affine_lie_poisson_dirac(g, l_basis, m_basis, mu)
 

@@ -78,11 +78,6 @@ __all__ = [
 ]
 
 
-def _support(vec: Sequence) -> list[tuple[int, object]]:
-    """The nonzero entries (index, coefficient) of a coefficient vector."""
-    return [(i, c) for i, c in enumerate(vec) if c]
-
-
 @dataclass(frozen=True)
 class RootInfo:
     """One positive root: indices of its raising/lowering basis elements.
@@ -154,15 +149,8 @@ class LieAlgebraData:
         entry = self.table.get((i, j), {})
         return AlgElement(self, 1, {(k,): c for k, c in entry.items()})
 
-    def bracket_vectors(self, u: Sequence[Scalar], v: Sequence[Scalar]) -> list[Scalar]:
-        """Bracket of two coefficient vectors, returned as a coefficient vector."""
-        out = [SCALAR_ZERO] * self.dim
-        for k, c in self._bracket_supports(_support(u), _support(v)).items():
-            out[k] = c
-        return out
-
-    def _bracket_supports(self, u: list, v: list) -> dict[int, Scalar]:
-        """``bracket_vectors`` on the nonzero entries of u and v (see ``_support``), as {index: nonzero}."""
+    def _bracket_supports(self, u, v) -> dict[int, Scalar]:
+        """The bracket [u, v] of the vectors with nonzero entries (index, coefficient) u and v, as {index: nonzero}."""
         out: dict[int, Scalar] = {}
         for i, ci in u:
             for j, cj in v:
@@ -442,23 +430,13 @@ class LinearAlgMap:
 
     source: LieAlgebraData
     target: LieAlgebraData
-    columns: tuple[tuple[tuple[int, Scalar], ...], ...]
+    columns: tuple[linalg.Vector, ...]
 
     def __post_init__(self):
         dim = self.target.dim
-        if not (len(self.columns) == self.source.dim and all(
-                all(0 <= i < dim and c for i, c in column) and all(a < b for (a, _), (b, _) in zip(column, column[1:]))
-                for column in self.columns)):
+        if not (len(self.columns) == self.source.dim and linalg.is_columns(self.columns, dim)):
             raise ValueError(f"columns must be {self.source.dim} tuples of (index in range({dim}), nonzero) pairs, "
                              "each in strictly ascending index")
-
-    def _apply_support(self, coeffs) -> dict[int, Scalar]:
-        """The image of the vector with nonzero entries (index, coefficient) ``coeffs``, as {index: nonzero}."""
-        out: dict[int, Scalar] = {}
-        for j, cj in coeffs:
-            for i, mij in self.columns[j]:
-                out[i] = out.get(i, SCALAR_ZERO) + cj * mij
-        return {i: c for i, c in out.items() if c}
 
     def apply(self, elem: AlgElement) -> AlgElement:
         """Wedge-power action on an element of Lambda^k(source)."""
@@ -467,9 +445,7 @@ class LinearAlgMap:
         return elem.carry(self.target, self.columns)
 
     def is_involution(self) -> bool:
-        if self.source is not self.target:
-            return False
-        return all(self._apply_support(image) == {j: SCALAR_ONE} for j, image in enumerate(self.columns))
+        return self.source is self.target and linalg.is_involution(self.columns)
 
 
 # ---------------------------------------------------------------------------
@@ -533,7 +509,7 @@ def _antimorphism_failures(g: LieAlgebraData, phi: LinearAlgMap, i: int) -> list
     images = phi.columns
     failures = []
     for j in range(i + 1, g.dim):
-        lhs = phi._apply_support(g.table.get((i, j), {}).items())  # [x_i, x_j] is a table entry
+        lhs = linalg.apply(phi.columns, g.table.get((i, j), {}).items())  # [x_i, x_j] is a table entry
         rhs = g._bracket_supports(images[i], images[j])
         if lhs != {k: -c for k, c in rhs.items()}:
             failures.append(j)
@@ -641,11 +617,8 @@ def chi_map(double: DrinfeldDouble, phi: LinearAlgMap) -> LinearAlgMap:
     if phi.source is not double.base or phi.target is not double.base:
         raise ValueError("phi must be an endomorphism of the double's base")
     n = double.n
-    rows: list[list] = [[] for _ in range(n)]
-    for i, column in enumerate(phi.columns):
-        for j, v in column:
-            rows[j].append((n + i, -v))
-    return LinearAlgMap(double.sigma, double.sigma, phi.columns + tuple(tuple(row) for row in rows))
+    negated = tuple(tuple((n + i, -v) for i, v in row) for row in linalg.transpose(phi.columns, n))
+    return LinearAlgMap(double.sigma, double.sigma, phi.columns + negated)
 
 
 def chi_check(double: DrinfeldDouble, phi: LinearAlgMap) -> Report:

@@ -1,14 +1,23 @@
-"""Exact linear algebra over the Gaussian rationals.
+"""Exact linear algebra over the Gaussian rationals, on sparse vectors and rows.
+
+A sparse vector, and so a column of a matrix, is the tuple of its (index,
+nonzero ``Scalar``) pairs in strictly ascending index: the form that
+``Wedge.carry`` reads and ``LinearAlgMap`` and ``dirac.LinearInvolution``
+hold.  ``is_columns`` is the one
+guard on that form, ``transpose`` turns columns into rows, ``apply`` applies a
+matrix given by its columns to a vector, and ``is_involution`` decides S² = I
+along the columns.
 
 ``rref`` is the one elimination.  It runs over sparse rows, ``{column: nonzero
-Scalar}`` dicts, along their nonzeros: each row in turn is cleared of the
-pivots found so far and, if anything is left, scaled to a leading 1 at its
-first nonzero column, the new pivot, which is cleared from the earlier pivot
-rows.  R is unique, so this is the dense first-nonzero elimination's result.
-``solve`` takes A and a block of right-hand sides B as sparse rows, which
-``sparse_system`` forms from sparse columns, and answers sparse, in one
-elimination of [A | B].  ``nullspace`` and ``inverse`` read dense matrices
-(lists of rows of ``Scalar``) into it and their answers back out.
+Scalar}`` dicts or sparse vectors, along their nonzeros: each row in turn is
+cleared of the pivots found so far and, if anything is left, scaled to a
+leading 1 at its first nonzero column, the new pivot, which is cleared from the
+earlier pivot rows.  R is unique, so this is the dense first-nonzero
+elimination's result.  ``solve`` takes A and a block of right-hand sides B as
+sparse rows, which ``sparse_system`` forms from sparse columns, and answers
+sparse, in one elimination of [A | B].  ``nullspace`` and ``inverse`` take
+sparse rows and answer sparse vectors: a kernel basis, and the rows of A⁻¹.
+As (Aᵀ)⁻¹ = (A⁻¹)ᵀ, ``inverse`` of A's columns is A⁻¹'s columns.
 """
 
 from __future__ import annotations
@@ -17,54 +26,39 @@ from typing import Mapping, Sequence
 
 from .exactalg import SCALAR_ONE, SCALAR_ZERO, Scalar
 
-Matrix = list[list[Scalar]]
 Row = dict[int, Scalar]  # a sparse row: {column: nonzero}
+Vector = tuple[tuple[int, Scalar], ...]  # a sparse vector: its (index, nonzero) pairs, ascending
 
 
-def identity(n: int) -> Matrix:
-    return [[SCALAR_ONE if i == j else SCALAR_ZERO for j in range(n)] for i in range(n)]
+def is_columns(columns: Sequence[Vector], nrows: int) -> bool:
+    """Whether each column is (index in range(nrows), nonzero) pairs in strictly ascending index."""
+    return all(all(0 <= i < nrows and c for i, c in column) and all(a < b for (a, _), (b, _) in zip(column, column[1:]))
+               for column in columns)
 
 
-def zeros(nrows: int, ncols: int) -> Matrix:
-    return [[SCALAR_ZERO] * ncols for _ in range(nrows)]
+def transpose(columns: Sequence[Vector], nrows: int) -> list[Vector]:
+    """The rows of the nrows-row matrix with these columns, as sparse vectors: row i holds the
+    pairs (j, c) of the columns j with the entry c at i, in ascending j."""
+    rows: list[list] = [[] for _ in range(nrows)]
+    for j, column in enumerate(columns):
+        for i, c in column:
+            rows[i].append((j, c))
+    return [tuple(row) for row in rows]
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    if not a or not b:
-        return []
-    if len(a[0]) != len(b):
-        raise ValueError("matrix shape mismatch")
-    out = zeros(len(a), len(b[0]))
-    for i, row in enumerate(a):
-        for k, aik in enumerate(row):
-            if aik.is_zero():
-                continue
-            brow = b[k]
-            orow = out[i]
-            for j, bkj in enumerate(brow):
-                orow[j] = orow[j] + aik * bkj
-    return out
+def apply(columns: Sequence[Vector], vector) -> Row:
+    """The image of the vector with nonzero entries (index, coefficient) ``vector`` under the matrix with
+    these columns, as {index: nonzero}."""
+    out: Row = {}
+    for j, cj in vector:
+        for i, mij in columns[j]:
+            out[i] = out.get(i, SCALAR_ZERO) + cj * mij
+    return {i: c for i, c in out.items() if c}
 
 
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(a: Matrix, c) -> Matrix:
-    c = Scalar.coerce(c)
-    return [[c * x for x in row] for row in a]
-
-
-def mat_eq(a: Matrix, b: Matrix) -> bool:
-    return len(a) == len(b) and all(ra == rb for ra, rb in zip(a, b))
-
-
-def _sparse(row: Sequence) -> Row:
-    return {j: Scalar.coerce(v) for j, v in enumerate(row) if v}
+def is_involution(columns: Sequence[Vector]) -> bool:
+    """Whether the square matrix with these columns squares to the identity: S (S e_j) = e_j for every j."""
+    return all(apply(columns, column) == {j: SCALAR_ONE} for j, column in enumerate(columns))
 
 
 def _clear(row: Row, col: int, pivot: Row) -> None:
@@ -129,26 +123,22 @@ def solve(a: Sequence[Row], b: Sequence[Row]) -> dict[int, Row] | None:
     return {col: {j - ncols: v for j, v in row.items() if j >= ncols} for col, row in zip(pivots, r)}
 
 
-def nullspace(a: Matrix) -> list[list[Scalar]]:
-    """Basis of the kernel of A, one vector per free column."""
-    if not a:
-        return []
-    ncols = len(a[0])
-    r, pivots = rref([_sparse(row) for row in a])
+def nullspace(rows: Sequence, ncols: int) -> list[Vector]:
+    """A kernel basis of the matrix with sparse rows ``rows`` and ``ncols`` columns, one vector per free column j:
+    1 at j and, at each pivot column, minus R's entry in column j."""
+    r, pivots = rref(rows)
     basis = []
     for j in (j for j in range(ncols) if j not in pivots):
-        v = [SCALAR_ZERO] * ncols
-        v[j] = SCALAR_ONE
-        for col, row in zip(pivots, r):
-            if j in row:
-                v[col] = -row[j]
-        basis.append(v)
+        v = {j: SCALAR_ONE, **{col: -row[j] for col, row in zip(pivots, r) if j in row}}
+        basis.append(tuple(sorted(v.items())))
     return basis
 
 
-def inverse(a: Matrix) -> Matrix | None:
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise ValueError("matrix must be square")
-    r, pivots = rref([{**_sparse(row), n + i: SCALAR_ONE} for i, row in enumerate(a)])
-    return [[row.get(n + j, SCALAR_ZERO) for j in range(n)] for row in r] if pivots == list(range(n)) else None
+def inverse(rows: Sequence) -> list[Vector] | None:
+    """The rows of A⁻¹, as sparse vectors, for the n sparse rows of a square A, their indices in range(n);
+    None if A is singular."""
+    n = len(rows)
+    r, pivots = rref([{**dict(row), n + i: SCALAR_ONE} for i, row in enumerate(rows)])
+    if pivots != list(range(n)):
+        return None
+    return [tuple(sorted((j - n, v) for j, v in row.items() if j >= n)) for row in r]

@@ -31,11 +31,16 @@ anti-morphism, which no command runs.
 For ``poissonkit.linalg``: the dense first-nonzero Gaussian elimination and
 its readers (solve, nullspace, inverse), the reference route for the sparse
 kernel ``linalg.rref`` and its readers, a matrix of Scalars from rows of
-numbers, the rank of an exact matrix by that dense elimination, a matrix times
-a vector and the transpose, which only the tests use.
+numbers, the identity and the dense product, the rank of an exact matrix by
+that dense elimination, a matrix times a vector, the transpose, and the
+converters from dense matrices to sparse rows and columns and from sparse
+vectors back to dense lists, which only the tests use.
 
-For ``poissonkit.dirac``: the three conditions on a split g = l + m, the
-reference for ``affine_lie_poisson_dirac``.
+For ``poissonkit.dirac``: the three conditions on a split g = l + m, on dense
+coefficient vectors with the bracket summed over every table entry (the dense
+reference for ``LieAlgebraData._bracket_supports``), the reference for
+``affine_lie_poisson_dirac``, and the Lie-Poisson chart of gl(n)* with the
+involutions X -> +-X^T of its coordinates.
 
 For ``poissonkit.exactalg``: the exact value of a polynomial, or of every
 component of a multivector, at a point, by ``Poly.compose``.
@@ -56,7 +61,7 @@ import numpy as np
 import pytest
 
 import poissonkit
-from poissonkit import dirac, dynr, linalg, report
+from poissonkit import dynr, linalg, report
 from poissonkit.dynr import DynamicalRFamily
 from poissonkit.exactalg import SCALAR_ONE, SCALAR_ZERO, Poly, PolyMultiVec, Scalar, wedge
 from poissonkit.liealg import AlgElement, LieAlgebraData, LinearAlgMap, lie_poisson_chart
@@ -173,7 +178,7 @@ def pushforward_linear(mv: PolyMultiVec, a) -> PolyMultiVec:
     each wedge leg d_i carried to the column A d_i and each component composed
     with A^-1."""
     n = mv.dim
-    a_inv = linalg.inverse(a)
+    a_inv = reference_inverse(a)
     if a_inv is None:
         raise ValueError("pushforward matrix is singular")
     # x_i <- sum_j (A^-1)_ij x_j
@@ -192,15 +197,42 @@ def pushforward_linear(mv: PolyMultiVec, a) -> PolyMultiVec:
     return out
 
 
-def mat(rows: Sequence[Sequence]) -> linalg.Matrix:
+Matrix = list[list[Scalar]]  # a dense exact matrix: its rows
+
+
+def mat(rows: Sequence[Sequence]) -> Matrix:
     """An exact matrix from rows of numbers."""
     return [[Scalar.coerce(v) for v in row] for row in rows]
+
+
+def identity(n: int) -> Matrix:
+    return [[SCALAR_ONE if i == j else SCALAR_ZERO for j in range(n)] for i in range(n)]
+
+
+def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    """The dense product A B, each entry a row of A times a column of B."""
+    return [[sum((x * y for x, y in zip(row, col)), SCALAR_ZERO) for col in zip(*b)] for row in a]
+
+
+def sparse_rows(a: Matrix) -> list[dict]:
+    """The rows of a dense matrix as ``{column: nonzero}`` dicts, the rows ``linalg.rref`` reads."""
+    return [{j: v for j, v in enumerate(row) if v} for row in a]
+
+
+def sparse_columns(a: Matrix) -> list[tuple]:
+    """The columns of a dense matrix as sparse vectors: the (row, nonzero) pairs of each, in ascending row."""
+    return [tuple((i, row[j]) for i, row in enumerate(a) if row[j]) for j in range(len(a[0]) if a else 0)]
+
+
+def densify(vectors, size: int) -> Matrix:
+    """Sparse vectors, (index, nonzero) pairs or ``{index: nonzero}`` dicts, as dense lists of ``size`` entries."""
+    return [[dict(v).get(j, SCALAR_ZERO) for j in range(size)] for v in vectors]
 
 
 # -- the dense elimination: a reference route for linalg's sparse one ---------------------
 
 
-def reference_rref(a: linalg.Matrix) -> tuple[linalg.Matrix, list[int]]:
+def reference_rref(a: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form by dense Gaussian elimination, first nonzero pivot; returns (R, pivot columns)."""
     r = [row[:] for row in a]
     nrows = len(r)
@@ -225,7 +257,7 @@ def reference_rref(a: linalg.Matrix) -> tuple[linalg.Matrix, list[int]]:
     return r, pivots
 
 
-def reference_solve(a: linalg.Matrix, b: Sequence) -> list | None:
+def reference_solve(a: Matrix, b: Sequence) -> list | None:
     """``linalg.solve``'s answer for dense A and B, free variables zero, from one dense elimination of [A | B]."""
     ncols = len(a[0]) if a else 0
     columns = bool(b) and isinstance(b[0], (list, tuple))
@@ -239,7 +271,7 @@ def reference_solve(a: linalg.Matrix, b: Sequence) -> list | None:
     return x if columns else [row[0] for row in x]
 
 
-def reference_nullspace(a: linalg.Matrix) -> list[list[Scalar]]:
+def reference_nullspace(a: Matrix) -> list[list[Scalar]]:
     """A kernel basis of A, one vector per free column, read off the dense R."""
     if not a:
         return []
@@ -254,23 +286,43 @@ def reference_nullspace(a: linalg.Matrix) -> list[list[Scalar]]:
     return basis
 
 
-def reference_inverse(a: linalg.Matrix) -> linalg.Matrix | None:
+def reference_inverse(a: Matrix) -> Matrix | None:
     n = len(a)
-    r, pivots = reference_rref([row[:] + ident for row, ident in zip(a, linalg.identity(n))])
+    r, pivots = reference_rref([row[:] + ident for row, ident in zip(a, identity(n))])
     return [row[n:] for row in r] if pivots == list(range(n)) else None
 
 
-def rank(a: linalg.Matrix) -> int:
+def rank(a: Matrix) -> int:
     """The rank of an exact matrix: its number of pivots, by the dense reference elimination."""
     return len(reference_rref(a)[1]) if a else 0
 
 
-def mat_vec(a: linalg.Matrix, v: Sequence[Scalar]) -> list[Scalar]:
+def mat_vec(a: Matrix, v: Sequence[Scalar]) -> list[Scalar]:
     return [sum((aij * vj for aij, vj in zip(row, v)), SCALAR_ZERO) for row in a]
 
 
-def transpose(a: linalg.Matrix) -> linalg.Matrix:
+def transpose(a: Matrix) -> Matrix:
     return [list(col) for col in zip(*a)] if a else []
+
+
+def _dense_vectors(g: LieAlgebraData, elems) -> Matrix:
+    """Labels, basis indices and coefficient lists as dense coefficient vectors of g."""
+    out = []
+    for e in elems:
+        e = g.labels.index(e) if isinstance(e, str) else e
+        out.append([Scalar(int(i == e)) for i in range(g.dim)] if isinstance(e, int)
+                   else [Scalar.coerce(c) for c in e])
+    return out
+
+
+def bracket_vectors(g: LieAlgebraData, u: Sequence[Scalar], v: Sequence[Scalar]) -> list[Scalar]:
+    """[u, v] of two dense coefficient vectors, summed over every table entry: the dense reference
+    for ``LieAlgebraData._bracket_supports``."""
+    out = [SCALAR_ZERO] * g.dim
+    for (i, j), entry in g.table.items():
+        for k, c in entry.items():
+            out[k] = out[k] + u[i] * v[j] * c
+    return out
 
 
 def affine_lie_reference(g: LieAlgebraData, l_basis, m_basis, mu) -> Report:
@@ -278,19 +330,19 @@ def affine_lie_reference(g: LieAlgebraData, l_basis, m_basis, mu) -> Report:
     subalgebra (over every pair of l first), then, pair by pair, [l_a, m_b] has no l-part
     and mu kills it, with the reasons of ``dirac.affine_lie_poisson_dirac``.  On success
     ``values["induced"]`` is the Lie-Poisson chart of l*, built from l's structure constants."""
-    lv, mv = dirac._as_vectors(g, l_basis), dirac._as_vectors(g, m_basis)
-    inv = linalg.inverse(transpose(lv + mv))  # the columns are the basis vectors
+    lv, mv = _dense_vectors(g, l_basis), _dense_vectors(g, m_basis)
+    inv = reference_inverse(transpose(lv + mv))  # the columns are the basis vectors
     k = len(lv)
     l_struct = {}
     for a in range(k):
         for b in range(a + 1, k):
-            w = mat_vec(inv, g.bracket_vectors(lv[a], lv[b]))
+            w = mat_vec(inv, bracket_vectors(g, lv[a], lv[b]))
             if any(not c.is_zero() for c in w[k:]):
                 return Report(False, reason=f"l is not a subalgebra: [l_{a}, l_{b}] leaves l")
             l_struct[(a, b)] = w[:k]
     for a, u in enumerate(lv):
         for b, v in enumerate(mv):
-            w = g.bracket_vectors(u, v)
+            w = bracket_vectors(g, u, v)
             if any(not c.is_zero() for c in mat_vec(inv, w)[:k]):
                 return Report(False, reason=f"[l, m] not contained in m: [l_{a}, m_{b}] has an l-part")
             pairing = sum((Scalar.coerce(m) * c for m, c in zip(mu, w)), SCALAR_ZERO)
@@ -298,6 +350,34 @@ def affine_lie_reference(g: LieAlgebraData, l_basis, m_basis, mu) -> Report:
                 return Report(False, reason=f"ad*-condition fails: <mu, [l_{a}, m_{b}]> = {pairing}")
     sub = LieAlgebraData([f"l{a+1}" for a in range(k)], {pair: dict(enumerate(w)) for pair, w in l_struct.items()})
     return Report(True, {"induced": lie_poisson_chart(sub)})
+
+
+def gl_chart(n):
+    """The Lie-Poisson chart of gl(n)*, {x_ij, x_kl} = d_jk x_il - d_li x_kj, coordinates row by row."""
+    m = n * n
+    entries = [(i, j) for i in range(n) for j in range(n)]
+    comps = {}
+    for a, (i, j) in enumerate(entries):
+        for b in range(a + 1, m):
+            k, l = entries[b]
+            poly = Poly.zero(m)
+            if j == k:
+                poly = poly + Poly.var(m, i * n + l)
+            if l == i:
+                poly = poly - Poly.var(m, k * n + j)
+            if poly:
+                comps[(a, b)] = poly
+    return PoissonChart(m, tuple(f"x{i + 1}{j + 1}" for i, j in entries), PolyMultiVec(m, 2, comps))
+
+
+def transpose_rows(n, sign):
+    """X -> sign X^T on the coordinates of ``gl_chart(n)``."""
+    m = n * n
+    rows = [[0] * m for _ in range(m)]
+    for i in range(n):
+        for j in range(n):
+            rows[j * n + i][i * n + j] = sign
+    return rows
 
 
 def abelian(dim: int) -> LieAlgebraData:
@@ -319,14 +399,14 @@ def alg_map(source: LieAlgebraData, target: LieAlgebraData, rows: Sequence[Seque
     images of the source basis.  A shape that does not match the dimensions raises ValueError."""
     if len(rows) != target.dim or any(len(row) != source.dim for row in rows):
         raise ValueError("matrix shape does not match source/target dimensions")
-    rows = [[Scalar.coerce(v) for v in row] for row in rows]
+    rows = mat(rows)
     return LinearAlgMap(source, target, tuple(tuple((i, row[j]) for i, row in enumerate(rows) if row[j])
                                                for j in range(source.dim)))
 
 
-def map_rows(phi: LinearAlgMap) -> linalg.Matrix:
+def map_rows(phi: LinearAlgMap) -> Matrix:
     """The dense rows of phi's matrix, read off its columns: rows[i][j] is the i-coefficient of phi x_j."""
-    rows = linalg.zeros(phi.target.dim, phi.source.dim)
+    rows = [[SCALAR_ZERO] * phi.source.dim for _ in range(phi.target.dim)]
     for j, column in enumerate(phi.columns):
         for i, c in column:
             rows[i][j] = c
@@ -344,7 +424,7 @@ def dense(entries: dict, shape: tuple[int, ...]) -> list:
 def apply_vector(phi, coeffs):
     """The image phi(u) of a coefficient vector, as a dense coefficient vector."""
     out = [SCALAR_ZERO] * phi.target.dim
-    for i, c in phi._apply_support([(j, c) for j, c in enumerate(coeffs) if c]).items():
+    for i, c in linalg.apply(phi.columns, [(j, c) for j, c in enumerate(coeffs) if c]).items():
         out[i] = c
     return out
 

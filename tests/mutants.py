@@ -126,8 +126,26 @@ MUTANTS = (
                "tests/test_dirac.py::test_affine_lie_agrees_with_the_three_condition_loop[sl3]",
            )),
     Mutant("transverse-isotropy-first-element-only", "dirac", "transverse_from_reductive",
-           "for x in basis:", "for x in basis[:1]:", (
+           "for b in range(g.dim):", "for b in range(1):", (
                "tests/test_dirac.py::test_transverse_rejects_non_isotropy",
+           )),
+    # a fixed locus is read off an involution, through the pushforward along the eigenbasis, and never off -I
+    Mutant("involution-square-unchecked", "dirac", "LinearInvolution.__post_init__",
+           "if not linalg.is_involution(self.columns):", "if False:", (
+               "tests/test_dirac.py::test_involution_validation[not-an-involution]",
+               "tests/test_cli.py::test_bad_input_is_a_usage_error[dirac fixed-locus so3.chart '--matrix=1,1,0;0,1,0;0,0,1']",
+           )),
+    Mutant("pushforward-composes-with-a", "dirac", "_pushforward",
+           "linalg.transpose(a_inv, n)", "linalg.transpose(a, n)", (
+               "tests/test_dirac.py::test_pushforward_matches_leg_wedge_reference",
+               "tests/test_dirac.py::test_fixed_locus_two_routes_agree",
+               "tests/test_dirac.py::test_affine_lie_agrees_with_the_three_condition_loop[sl3]",
+           )),
+    Mutant("fixed-locus-minus-identity-unguarded", "cli", "_dirac_fixed_locus",
+           "if s.columns == tuple(((j, -SCALAR_ONE),) for j in range(chart.dim)):", "if False:", (
+               "tests/test_cli.py::test_bad_input_is_a_usage_error[dirac fixed-locus so3.chart '--matrix=-1,0,0;0,-1,0;0,0,-1']",
+               "tests/test_cli.py::test_bad_input_is_a_usage_error[dirac fixed-locus product22.chart "
+               "'--matrix=-1,0,0,0;0,-1,0,0;0,0,-1,0;0,0,0,-1']",
            )),
     Mutant("slice-jacobi-skipped", "dirac", "leaf_slice_obstruction",
            "if failed is not None:", "if False:", (
@@ -204,8 +222,7 @@ MUTANTS = (
            )),
     # a linear map is its nonzero columns, and its constructor owns their form
     Mutant("alg-map-columns-unchecked", "liealg", "LinearAlgMap.__post_init__",
-           "if not (len(self.columns) == self.source.dim and all(",
-           "if False and (len(self.columns) == self.source.dim and all(", (
+           "if not (len(self.columns) == self.source.dim and linalg.is_columns(self.columns, dim)):", "if False:", (
                "tests/test_liealg.py::test_alg_map_rejects_columns_that_break_its_form[one-column-per-target-element]",
                "tests/test_liealg.py::test_alg_map_rejects_columns_that_break_its_form[too-few-columns]",
                "tests/test_liealg.py::test_alg_map_rejects_columns_that_break_its_form[index-past-the-target]",

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import pair_brackets, subprocess_env
+from conftest import gl_chart, pair_brackets, subprocess_env, transpose_rows
 
 import poissonkit
 from poissonkit import cli, dynr, groupnum, liealg, poisson
@@ -582,6 +582,27 @@ def test_non_poisson_involution_is_a_verification_failure(capsys):
     assert code == 1 and not report.ok
     # the first component of S_* pi - pi, in check jacobi's form
     assert capsys.readouterr().out == "witness=(x1,x2): -2*x3\npass=False\n"
+
+
+_SO4 = ("dim 6; coords z1 z2 z3 z4 z5 z6; bracket z1 z2 = 1/2*z3; bracket z1 z3 = -1/2*z2; bracket z1 z4 = 1/2*z5; "
+        "bracket z1 z5 = -1/2*z4; bracket z2 z3 = 1/2*z1; bracket z2 z4 = 1/2*z6; bracket z2 z6 = -1/2*z4; "
+        "bracket z3 z5 = 1/2*z6; bracket z3 z6 = -1/2*z5; bracket z4 z5 = 1/2*z1; bracket z4 z6 = 1/2*z2; "
+        "bracket z5 z6 = 1/2*z3")
+
+
+@pytest.mark.parametrize("sign, code, out", [
+    pytest.param(-1, 0, f"fixed_dim=6\ninduced={_SO4}\npass=True\n", id="minus-transpose"),
+    pytest.param(1, 1, "witness=(x11,x12): -2*x12\npass=False\n", id="transpose"),
+])
+def test_fixed_locus_on_the_sixteen_coordinates_of_gl4(sign, code, out, capsys, tmp_path):
+    # X -> -X^T is an automorphism of gl(4), so its dual is a Poisson involution whose fixed locus is
+    # so(4)*, of dimension 6, in the eigenbasis x_ij - x_ji; X -> X^T reverses brackets, and the first
+    # component of S_* pi - pi is its witness
+    path = tmp_path / "gl4.chart"
+    path.write_text(emit_chart(gl_chart(4)))
+    matrix = ";".join(",".join(map(str, row)) for row in transpose_rows(4, sign))
+    assert run_command(["--porcelain", "dirac", "fixed-locus", str(path), f"--matrix={matrix}"])[0] == code
+    assert capsys.readouterr() == (out, "")
 
 
 @pytest.mark.parametrize("argv, witness", _by_argv([

@@ -11,12 +11,21 @@ from conftest import (
     abelian,
     affine_lie_reference,
     counted_calls,
+    densify,
+    gl_chart,
+    identity,
     make_rng,
     map_rows,
+    mat,
+    mat_mul,
     poly_at,
     pushforward_linear,
     rank,
+    reference_inverse,
+    reference_nullspace,
+    sparse_columns,
     transpose,
+    transpose_rows,
 )
 from poissonkit import linalg
 from poissonkit.cli import run_command
@@ -35,6 +44,7 @@ from poissonkit.dirac import _monomials_up_to, _pushforward
 from poissonkit.oracle import rand_multivec, rand_poly
 from poissonkit import dirac, poisson
 from poissonkit.poisson import PoissonChart, bracket, jacobiator, modular_vf
+from poissonkit.report import InvalidInput
 
 
 def product_chart():
@@ -160,9 +170,36 @@ def test_rank_relation_exact_points():
 # -- linear involutions ----------------------------------------------------------
 
 
-def test_involution_validation():
-    with pytest.raises(ValueError):
-        LinearInvolution.from_rows([[1, 1], [0, 1]])
+_ONE, _HALF = Scalar(1), Scalar(Fraction(1, 2))
+
+
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: LinearInvolution.from_rows([[1, 0], [0]]), "involution matrix must be square", id="not-square"),
+    pytest.param(lambda: LinearInvolution((((0, _ONE),), ((2, _ONE),))), "index in range(2)",
+                 id="index-out-of-range"),
+    pytest.param(lambda: LinearInvolution((((0, _ONE),), ((0, Scalar(0)), (1, _ONE)))), "nonzero",
+                 id="stored-zero"),
+    # [[1, 0], [1/2, -1]] squares to I; its first column given as ((1, 1/2), (0, 1))
+    pytest.param(lambda: LinearInvolution((((1, _HALF), (0, _ONE)), ((1, -_ONE),))), "strictly ascending",
+                 id="indices-descend"),
+    pytest.param(lambda: LinearInvolution((((0, _ONE), (0, _ONE)), ((1, _ONE),))), "strictly ascending",
+                 id="index-repeated"),
+    pytest.param(lambda: LinearInvolution.from_rows([[1, 1], [0, 1]]), "not an involution (S^2 != I)",
+                 id="not-an-involution"),
+])
+def test_involution_validation(build, message):
+    # the form guard runs along the columns before S^2 = I, which would pass on the out-of-order and
+    # zero-holding columns above and could not index a column outside the matrix
+    with pytest.raises(InvalidInput) as raised:
+        build()
+    assert message in str(raised.value)
+
+
+def test_involution_holds_its_columns():
+    # the dense --matrix rows become the columns at the boundary, with no dense copy kept
+    s = LinearInvolution.from_rows([[1, 0, 0], [Fraction(1, 2), -1, 0], [0, 0, -1]])
+    assert s.columns == (((0, _ONE), (1, _HALF)), ((1, -_ONE),), ((2, -_ONE),))
+    assert s.dim == 3 and not hasattr(s, "rows") and not hasattr(s, "matrix")
 
 
 def fixed_locus(chart, s):
@@ -174,7 +211,7 @@ def fixed_locus(chart, s):
 
 def test_fixed_locus_identity():
     chart = product_chart()
-    s = LinearInvolution.from_rows(linalg.identity(4))
+    s = LinearInvolution.from_rows(identity(4))
     sub, ind = fixed_locus(chart, s)
     assert len(sub.x_indices) == 4
     # the eigen-chart of the identity is a permutation of the original
@@ -204,8 +241,9 @@ def test_fixed_locus_rejects_anti_poisson_reflection():
 
 def test_fixed_locus_so3():
     chart = lie_poisson_chart(builtin_algebra("so3"))
-    s = LinearInvolution.from_rows([[-1, 0, 0], [0, -1, 0], [0, 0, 1]])
-    pushed = pushforward_linear(chart.pi, s.rows())
+    rows = mat([[-1, 0, 0], [0, -1, 0], [0, 0, 1]])
+    s = LinearInvolution.from_rows(rows)
+    pushed = pushforward_linear(chart.pi, rows)
     assert pushed == chart.pi  # S_* pi = pi, termwise
     sub, ind = fixed_locus(chart, s)
     assert len(sub.x_indices) == 1
@@ -231,42 +269,14 @@ def test_fixed_locus_rejects_non_poisson_chart_in_input_coordinates():
     assert verdict.witness == check_aligned_dirac(aligned(chart, (0, 1))).witness
 
 
-def _gl_chart(n):
-    """The Lie-Poisson chart of gl(n)*, {x_ij, x_kl} = d_jk x_il - d_li x_kj, coordinates row by row."""
-    m = n * n
-    entries = [(i, j) for i in range(n) for j in range(n)]
-    comps = {}
-    for a, (i, j) in enumerate(entries):
-        for b in range(a + 1, m):
-            k, l = entries[b]
-            poly = Poly.zero(m)
-            if j == k:
-                poly = poly + Poly.var(m, i * n + l)
-            if l == i:
-                poly = poly - Poly.var(m, k * n + j)
-            if poly:
-                comps[(a, b)] = poly
-    return PoissonChart(m, tuple(f"x{i + 1}{j + 1}" for i, j in entries), PolyMultiVec(m, 2, comps))
-
-
-def _transpose_rows(n, sign):
-    """X -> sign X^T on the coordinates of ``_gl_chart(n)``."""
-    m = n * n
-    rows = [[0] * m for _ in range(m)]
-    for i in range(n):
-        for j in range(n):
-            rows[j * n + i][i * n + j] = sign
-    return rows
-
-
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_fixed_locus_of_minus_transpose_on_gl_is_so(n):
     # X -> -X^T is an automorphism of gl(n), so its dual is a Poisson involution of gl(n)*; the fixed
     # locus is the skew matrices, so(n)* of dimension n(n-1)/2, unimodular.  X -> X^T reverses
     # brackets, so it is anti-Poisson and fails the invariance check.  The eigenbasis pairs x_ij
     # with x_ji, so P^-1 has the halves that run the kernel on Fractions
-    chart = _gl_chart(n)
-    verdict = fixed_locus_symbolic(chart, LinearInvolution.from_rows(_transpose_rows(n, -1)))
+    chart = gl_chart(n)
+    verdict = fixed_locus_symbolic(chart, LinearInvolution.from_rows(transpose_rows(n, -1)))
     assert verdict.ok, verdict.reason
     induced = verdict.values["induced"]
     assert len(verdict.values["submanifold"].x_indices) == induced.dim == n * (n - 1) // 2
@@ -274,7 +284,7 @@ def test_fixed_locus_of_minus_transpose_on_gl_is_so(n):
     assert jacobiator(induced).is_zero()
     if n > 2:  # so(2)* is a line, with the zero bracket
         assert not induced.pi.is_zero()
-    control = fixed_locus_symbolic(chart, LinearInvolution.from_rows(_transpose_rows(n, 1)))
+    control = fixed_locus_symbolic(chart, LinearInvolution.from_rows(transpose_rows(n, 1)))
     assert not control.ok and control.reason == "S is not a Poisson involution"
 
 
@@ -289,8 +299,8 @@ def test_fixed_locus_forms_no_jacobiator_on_the_eigen_chart(monkeypatch):
 
     monkeypatch.setattr(dirac, "jacobiator", recording)
     monkeypatch.setattr(poisson, "jacobiator", recording)  # the input chart's, read by poisson._not_poisson
-    chart = _gl_chart(3)
-    verdict = fixed_locus_symbolic(chart, LinearInvolution.from_rows(_transpose_rows(3, -1)))
+    chart = gl_chart(3)
+    verdict = fixed_locus_symbolic(chart, LinearInvolution.from_rows(transpose_rows(3, -1)))
     assert verdict.ok
     assert len(seen) == 2 and seen[0] is chart and seen[1] is verdict.values["induced"]
     # the aligned criterion alone still checks its own chart first
@@ -300,14 +310,19 @@ def test_fixed_locus_forms_no_jacobiator_on_the_eigen_chart(monkeypatch):
 
 
 def _eigenbasis(verdict, s):
-    """The change of basis P of a passing ``fixed_locus_symbolic``, read from its values, and the
-    count k of its +1 eigenvectors.  Both routes agree for any invertible P, so P is pinned here:
-    S P = P diag(I_k, -I) and P is invertible."""
-    p, k = verdict.values["eigenbasis"], len(verdict.values["submanifold"].x_indices)
+    """The change of basis P of a passing ``fixed_locus_symbolic``, read from its values as dense
+    rows, and the count k of its +1 eigenvectors.  Both routes agree for any invertible P, so P is
+    pinned here: its columns are sparse vectors, the dense reference kernel bases of S - I and then
+    of S + I, so S P = P diag(I_k, -I), and P is invertible."""
+    columns, k = verdict.values["eigenbasis"], len(verdict.values["submanifold"].x_indices)
     n = len(s)
+    assert linalg.is_columns(columns, n) and len(columns) == n
+    shifted = [[[x - Scalar(e * int(i == j)) for j, x in enumerate(row)] for i, row in enumerate(s)] for e in (1, -1)]
+    assert densify(columns, n) == reference_nullspace(shifted[0]) + reference_nullspace(shifted[1])
+    p = transpose(densify(columns, n))
     signs = [[Scalar(1 if i == j < k else -1 if i == j else 0) for j in range(n)] for i in range(n)]
-    assert linalg.mat_eq(linalg.mat_mul(s, p), linalg.mat_mul(p, signs))
-    assert linalg.inverse(p) is not None
+    assert mat_mul(s, p) == mat_mul(p, signs)
+    assert reference_inverse(p) is not None
     return p, k
 
 
@@ -327,7 +342,7 @@ def _bracket_route(chart, p, k):
     """pi_Q from the brackets of the S-invariant coordinates z_a = (P^-1 x)_a, a in the +1
     eigenspace: {z_a, z_b} by ``poisson.bracket`` on the input chart, composed onto Q by
     x = P (z+, 0).  No pushforward and no leg is formed.  The components a < b, on Q."""
-    z = _linear_forms(linalg.inverse(p)[:k], chart.dim)
+    z = _linear_forms(reference_inverse(p)[:k], chart.dim)
     onto_q = _linear_forms([row[:k] for row in p], k)
     return {(a, b): bracket(chart, z[a], z[b]).compose(onto_q) for a in range(k) for b in range(a + 1, k)}
 
@@ -371,11 +386,11 @@ def test_fixed_locus_rotated_eigenbasis():
     # so use the invariant x3-coupled structure instead
     pi = PolyMultiVec(3, 2, {(0, 2): Poly.const(3, 1), (1, 2): Poly.const(3, 1)})
     chart = PoissonChart(3, ("x1", "x2", "x3"), pi)
-    s = LinearInvolution.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
-    sub, ind = fixed_locus(chart, s)
+    rows = mat([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+    sub, ind = fixed_locus(chart, LinearInvolution.from_rows(rows))
     assert len(sub.x_indices) == 2
     assert jacobiator(ind).is_zero()
-    _assert_routes_agree(chart, s.rows())
+    _assert_routes_agree(chart, rows)
 
 
 def _random_involution(rng, dim):
@@ -397,7 +412,9 @@ def _random_involution(rng, dim):
         i += 2
     perm = list(range(dim))
     rng.shuffle(perm)
-    return LinearInvolution.from_rows([[m[perm[r]][perm[c]] for c in range(dim)] for r in range(dim)]).rows()
+    rows = [[m[perm[r]][perm[c]] for c in range(dim)] for r in range(dim)]
+    LinearInvolution.from_rows(rows)  # S^2 = I
+    return rows
 
 
 def _random_invertible(rng, dim):
@@ -406,7 +423,7 @@ def _random_invertible(rng, dim):
         return Scalar(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
     lower = [[Scalar(1) if r == c else entry() if r > c else Scalar(0) for c in range(dim)] for r in range(dim)]
     upper = [[Scalar(1) if r == c else entry() if r < c else Scalar(0) for c in range(dim)] for r in range(dim)]
-    return linalg.mat_mul(lower, upper)
+    return mat_mul(lower, upper)
 
 
 def _invariant_chart(rng, s):
@@ -435,13 +452,14 @@ def _invariant_chart(rng, s):
 def test_pushforward_matches_leg_wedge_reference(dim, degree, seed):
     # the carried legs against the leg-by-leg wedge of the columns of A, on random
     # Gaussian-rational fields of degree 0-3: along involutions, passed as their own inverse as
-    # fixed_locus_symbolic passes them, and along generic invertible maps
+    # fixed_locus_symbolic passes them, and along generic invertible maps, whose inverse's columns
+    # linalg.inverse gives from their columns
     rng = make_rng(seed)
     mv = rand_multivec(rng, dim, degree)
     s = _random_involution(rng, dim)
-    assert _pushforward(mv, s, s) == pushforward_linear(mv, s)
+    assert _pushforward(mv, sparse_columns(s), sparse_columns(s)) == pushforward_linear(mv, s)
     a = _random_invertible(rng, dim)
-    assert _pushforward(mv, a, linalg.inverse(a)) == pushforward_linear(mv, a)
+    assert _pushforward(mv, sparse_columns(a), linalg.inverse(sparse_columns(a))) == pushforward_linear(mv, a)
 
 
 def test_fixed_locus_runs_three_eliminations_and_one_inverse(monkeypatch, capsys):

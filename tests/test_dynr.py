@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import conftest
-from conftest import _ad_defect, alg_map, assert_pass_rule, counted_calls, equivariance_check, make_rng, rr_bracket, with_bound
+from conftest import (_ad_defect, alg_map, assert_pass_rule, counted_calls, equivariance_check, identity, make_rng,
+                      rr_bracket, with_bound)
 from poissonkit import dynr, report
 from poissonkit.dynr import (
     DynamicalRFamily,
@@ -29,7 +30,6 @@ from poissonkit.liealg import (
     su_compact_basis,
     transpose_antimorphism,
 )
-from poissonkit import linalg
 from poissonkit.oracle import rand_alg_element
 from poissonkit.report import InvalidInput
 
@@ -292,7 +292,7 @@ def test_trig_family_is_equivariant_under_the_transpose():
 def test_equivariance_pass_rule():
     # the identity is not an anti-morphism, so its defect is nonzero
     g = sl_chevalley(2)
-    ident = alg_map(g, g, linalg.identity(g.dim))
+    ident = alg_map(g, g, identity(g.dim))
     assert_pass_rule(lambda tol: equivariance_check(DynamicalRFamily(g, "trig"), ident, 2, 3, tol), ("defect",), 3, 2)
 
 
@@ -331,7 +331,7 @@ def test_equivariance_sl2_sl3():
 
 def test_equivariance_negative_control_identity():
     g = sl_chevalley(2)
-    ident = alg_map(g, g, linalg.identity(g.dim))
+    ident = alg_map(g, g, identity(g.dim))
     rep = equivariance_check(DynamicalRFamily(g, "trig"), ident, samples=4, seed=3)
     assert not rep.ok
     assert rep.values["defect"] > 0.1
@@ -352,7 +352,7 @@ def test_no_samples_is_no_pass():
 
 def test_equivariance_rejects_a_map_that_leaves_the_cartan():
     g = sl_chevalley(2)
-    rows = [list(row) for row in linalg.identity(g.dim)]
+    rows = [list(row) for row in identity(g.dim)]
     rows[g.labels.index("e12")][g.labels.index("h1")] = Scalar(1)  # h -> h + e
     s = alg_map(g, g, rows)
     with pytest.raises(ValueError, match="Cartan"):

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (adjoint_coordinate_matrix, algebra_element, assert_pass_rule, bracket_difference, cocycle_lambda,
-                      dense, pi_q_formula_swapped, poly_at, with_bound)
+                      dense, mat_mul, pi_q_formula_swapped, poly_at, with_bound)
 from poissonkit import dynr, groupnum
 from poissonkit.report import WORDS, sample_words
 from poissonkit.groupnum import (
@@ -37,7 +37,6 @@ from poissonkit.groupnum import (
     _fixed_points,
     _stokes_points,
 )
-from poissonkit import linalg
 from poissonkit.chartio import parse_chart_file
 from poissonkit.exactalg import Poly, Scalar
 from poissonkit.poisson import bracket
@@ -425,7 +424,7 @@ def _exact_pairing(x, y):
     """<(a,b),(c,d)> = tr(ac) - tr(bd), exactly."""
     def trace(m):
         return sum((m[k][k] for k in range(len(m))), Scalar(0))
-    return trace(linalg.mat_mul(x[0], y[0])) - trace(linalg.mat_mul(x[1], y[1]))
+    return trace(mat_mul(x[0], y[0])) - trace(mat_mul(x[1], y[1]))
 
 
 @pytest.mark.parametrize("n", range(2, 7))
@@ -436,7 +435,7 @@ def test_double_basis_is_dual_exactly(n):
     dim = len(basis) // 2
     assert dim == n * n - 1
     diagonal, duals = ([dense(pair, (2, n, n)) for pair in half] for half in (basis[:dim], basis[dim:]))
-    assert all(linalg.mat_eq(top, bottom) for top, bottom in diagonal)
+    assert all(top == bottom for top, bottom in diagonal)
     for i, xi in enumerate(duals):
         assert [_exact_pairing(xi, d) for d in diagonal] == [Scalar(int(i == j)) for j in range(dim)]
         upper, lower = xi

@@ -13,11 +13,15 @@ from conftest import (
     alg_map,
     apply_by_wedges,
     apply_vector,
+    bracket_vectors,
     counted_calls,
     dense,
+    densify,
     double_pairing,
+    identity,
     make_rng,
     map_rows,
+    mat_mul,
     mat_vec,
     pair_brackets,
     reference_solve,
@@ -25,7 +29,7 @@ from conftest import (
     transpose,
     validate_lie_reference,
 )
-from poissonkit import liealg, poisson
+from poissonkit import liealg, linalg, poisson
 from poissonkit.cli import run_command
 from poissonkit.exactalg import Poly, PolyMultiVec, Scalar, schouten
 from poissonkit.oracle import alg_schouten_oracle, rand_alg_element
@@ -254,10 +258,8 @@ def test_symmetric_bialgebra_sl_and_su():
 
 
 def test_symmetric_fails_for_identity_map():
-    from poissonkit import linalg
-
     g = sl_chevalley(2)
-    ident = alg_map(g, g, linalg.identity(g.dim))
+    ident = alg_map(g, g, identity(g.dim))
     rep = symmetric_bialgebra_check(g, standard_r_matrix(g), ident)
     assert not rep.ok
     assert any("anti-morphism" in msg for msg in rep.witness)
@@ -408,8 +410,8 @@ def test_double_pairing_invariance_sweep():
     for i in range(dim):
         for j in range(dim):
             for k in range(dim):
-                lhs = double_pairing(dd, dd.sigma.bracket_vectors(basis[i], basis[j]), basis[k])
-                rhs = double_pairing(dd, basis[j], dd.sigma.bracket_vectors(basis[i], basis[k]))
+                lhs = double_pairing(dd, bracket_vectors(dd.sigma, basis[i], basis[j]), basis[k])
+                rhs = double_pairing(dd, basis[j], bracket_vectors(dd.sigma, basis[i], basis[k]))
                 assert (Scalar.coerce(lhs) + Scalar.coerce(rhs)).is_zero()
 
 
@@ -539,15 +541,13 @@ def test_chi_needs_a_phi_on_the_base_of_the_double():
 
 def _per_pair_expand(matrices):
     """Reference route: dense commutators, one dense elimination per bracket pair, then a dense residual."""
-    from poissonkit import linalg
-
     dim, n = len(matrices), len(matrices[0])
     basis_cols = [[m[r][c] for m in matrices] for r in range(n) for c in range(n)]
     brackets = {}
     for i in range(dim):
         for j in range(i + 1, dim):
             x, y = matrices[i], matrices[j]
-            comm = linalg.mat_sub(linalg.mat_mul(x, y), linalg.mat_mul(y, x))
+            comm = [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(mat_mul(x, y), mat_mul(y, x))]
             vec = [comm[r][c] for r in range(n) for c in range(n)]
             coords = reference_solve(basis_cols, vec)
             assert coords is not None
@@ -624,13 +624,11 @@ def _dense_chi_failures(double, phi):
 
 
 def test_chi_check_negative_controls_match_dense_sweep():
-    from poissonkit import linalg
-
     g = sl_chevalley(3)
     dd = drinfeld_double(g, standard_r_matrix(g))
-    ident = linalg.identity(g.dim)
+    ident = identity(g.dim)
     failures = {}
-    for name, rows in (("identity", ident), ("twice", linalg.mat_scale(ident, 2))):
+    for name, rows in (("identity", ident), ("twice", [[Scalar(2) * x for x in row] for row in ident])):
         phi = alg_map(g, g, rows)
         failures[name] = chi_check(dd, phi).witness
         assert failures[name] == _dense_chi_failures(dd, phi)
@@ -661,7 +659,8 @@ def test_sparse_vector_routines_match_dense_formulas():
             for j in range(n):
                 for k in range(n):
                     dense[k] = dense[k] + u[i] * v[j] * structure_constant(g, i, j, k)
-        assert g.bracket_vectors(u, v) == dense
+        support = g._bracket_supports(*([(i, c) for i, c in enumerate(w) if c] for w in (u, v)))
+        assert all(support.values()) and densify([support], n) == [dense] == [bracket_vectors(g, u, v)]
         x, y = vec(dim), vec(dim)
         assert double_pairing(dd, x, y) == sum((x[a] * y[n + a] + x[n + a] * y[a] for a in range(n)), Scalar(0))
 
@@ -675,7 +674,7 @@ def test_sparse_supports_drop_cancelled_entries():
     rows = [[Scalar(int(i == j)) for j in range(g.dim)] for i in range(g.dim)]
     rows[e][f] = Scalar(-1)  # f -> f - e
     phi = alg_map(g, g, rows)
-    assert phi._apply_support([(e, one), (f, one)]) == {f: one}
+    assert linalg.apply(phi.columns, [(e, one), (f, one)]) == {f: one}
 
 
 def test_double_pairing_sweep_catches_a_tampered_mixed_bracket(monkeypatch):
@@ -729,8 +728,6 @@ _MAP_ENTRIES = [Scalar(0)] * 4 + [Scalar(1), Scalar(-1), Scalar(2), Scalar(Fract
 def test_apply_matches_the_wedge_of_images(name, degree, on_transpose, seed):
     # LinearAlgMap.apply carries the legs in one pass; the reference wedges the images of the legs one
     # at a time, on the transpose and on random invertible maps (unit lower times unit upper triangular)
-    from poissonkit import linalg
-
     g = _PERTURBED[name]
     rng = make_rng(seed)
     if on_transpose:
@@ -740,7 +737,7 @@ def test_apply_matches_the_wedge_of_images(name, degree, on_transpose, seed):
                   for c in range(g.dim)] for r in range(g.dim)]
         upper = transpose([[Scalar(1) if r == c else rng.choice(_MAP_ENTRIES) if r > c else Scalar(0)
                             for c in range(g.dim)] for r in range(g.dim)])
-        phi = alg_map(g, g, linalg.mat_mul(lower, upper))
+        phi = alg_map(g, g, mat_mul(lower, upper))
     elem = rand_alg_element(rng, g, degree, 0.3)
     assert phi.apply(elem) == apply_by_wedges(phi, elem)
 
@@ -845,8 +842,6 @@ def test_explicit_zero_constants_build_the_same_table_and_chart(name):
 
 @pytest.mark.parametrize("position", ["first", "middle", "last"])
 def test_coordinates_residual_catches_a_changed_coordinate(monkeypatch, position):
-    from poissonkit import linalg
-
     solve = linalg.solve
 
     def off_by_one(a, b):

@@ -1,5 +1,6 @@
 """Exact elimination: the sparse kernel rref, the sparse solve (one or many right-hand sides)
-and the dense readers nullspace and inverse, against the dense reference elimination of conftest."""
+and the sparse nullspace and inverse, against the dense reference elimination of conftest; and the
+column routines transpose, apply and is_involution, against dense products."""
 
 from fractions import Fraction
 
@@ -7,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (mat, mat_vec, rank, reference_inverse, reference_nullspace, reference_rref,
-                      reference_solve)
+from conftest import (densify, identity, mat, mat_mul, mat_vec, rank, reference_inverse, reference_nullspace,
+                      reference_rref, reference_solve, sparse_columns, sparse_rows, transpose)
 from poissonkit import linalg
 from poissonkit.exactalg import SCALAR_ZERO, Scalar
 
@@ -17,8 +18,19 @@ def _column(b, p):
     return [row[p] for row in b]
 
 
-def _sparse(a):
-    return [{j: v for j, v in enumerate(row) if v} for row in a]
+def _nullspace(a):
+    """``linalg.nullspace`` of a dense A, its sparse vectors read back as dense ones: ``reference_nullspace``'s form."""
+    ncols = len(a[0]) if a else 0
+    basis = linalg.nullspace(sparse_rows(a), ncols)
+    assert linalg.is_columns(basis, ncols)
+    return densify(basis, ncols)
+
+
+def _inverse(a):
+    """``linalg.inverse`` of a dense square A, its sparse rows read back as dense ones, or None."""
+    inv = linalg.inverse(sparse_rows(a))
+    assert inv is None or linalg.is_columns(inv, len(a))
+    return None if inv is None else densify(inv, len(a))
 
 
 def _dense(rows, nrows, ncols):
@@ -32,7 +44,7 @@ def _solve(a, b):
     shape over every unknown, the free ones zero: ``reference_solve``'s form."""
     vector = not (b and isinstance(b[0], (list, tuple)))
     columns = mat([[v] for v in b] if vector else b)
-    x = linalg.solve(_sparse(mat(a)), _sparse(columns))
+    x = linalg.solve(sparse_rows(mat(a)), sparse_rows(columns))
     if x is None:
         return None
     nrhs = 1 if vector else len(b[0]) if b else 0
@@ -92,7 +104,7 @@ def _check_matrix_rhs(system):
         return
     assert x is not None and len(x) == len(a[0])
     assert [_column(x, p) for p in range(nrhs)] == columns
-    assert linalg.mat_mul(a, x) == b
+    assert mat_mul(a, x) == b
 
 
 def test_one_inconsistent_column_fails_the_whole_solve():
@@ -109,7 +121,7 @@ def test_one_inconsistent_column_fails_the_whole_solve():
 def test_vector_rhs_keeps_its_shape():
     # one right-hand side is one column of the sparse answer, column 0
     a = mat([[2, 0], [0, 4]])
-    assert linalg.solve(_sparse(a), _sparse(mat([[1], [1]]))) == {0: {0: Scalar(Fraction(1, 2))},
+    assert linalg.solve(sparse_rows(a), sparse_rows(mat([[1], [1]]))) == {0: {0: Scalar(Fraction(1, 2))},
                                                                   1: {0: Scalar(Fraction(1, 4))}}
     assert _solve(a, [1, 1]) == [Scalar(Fraction(1, 2)), Scalar(Fraction(1, 4))]
 
@@ -118,17 +130,17 @@ def test_vector_rhs_keeps_its_shape():
 @given(st.integers(1, 4).flatmap(lambda n: matrices(gaussian, n, n)))
 def test_inverse_is_exact_exactly_when_invertible(a):
     n = len(a)
-    inv = linalg.inverse(a)
+    inv = _inverse(a)
     assert (inv is None) == (rank(a) < n)
     if inv is not None:
-        assert linalg.mat_mul(inv, a) == linalg.identity(n)
-        assert linalg.mat_mul(a, inv) == linalg.identity(n)
+        assert mat_mul(inv, a) == identity(n)
+        assert mat_mul(a, inv) == identity(n)
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.tuples(st.integers(1, 4), st.integers(1, 4)).flatmap(lambda shape: matrices(gaussian, *shape)))
 def test_rref_is_idempotent_and_keeps_rank_and_row_space(a):
-    r, pivots = linalg.rref(_sparse(a))
+    r, pivots = linalg.rref(sparse_rows(a))
     assert linalg.rref(r) == (r, pivots)
     assert all(row and all(row.values()) for row in r)  # the nonzero rows, nonzeros only
     dense = _dense(r, len(a), len(a[0]))
@@ -174,20 +186,20 @@ def test_sparse_elimination_equals_the_dense_reference(system):
     # inconsistent column, the same kernel basis and the same inverse
     a, b = system
     nrows, ncols = len(a), len(a[0]) if a else 0
-    r, pivots = linalg.rref(_sparse(a))
+    r, pivots = linalg.rref(sparse_rows(a))
     assert (_dense(r, nrows, ncols), pivots) == reference_rref(a)
     assert _solve(a, b) == reference_solve(a, b)
     for p in range(len(b[0]) if b else 0):
         assert _solve(a, _column(b, p)) == reference_solve(a, _column(b, p))
-    x, want = linalg.solve(_sparse(a), _sparse(b)), reference_solve(a, b)
+    x, want = linalg.solve(sparse_rows(a), sparse_rows(b)), reference_solve(a, b)
     assert (x is None) == (want is None)
     if x is not None:  # the sparse answer: the nonzero entries of the dense one, by pivot unknown
         assert list(x) == sorted(x)
-        assert {k: row for k, row in enumerate(_sparse(want)) if row} == {k: row for k, row in x.items() if row}
-    assert linalg.nullspace(a) == reference_nullspace(a)
+        assert {k: row for k, row in enumerate(sparse_rows(want)) if row} == {k: row for k, row in x.items() if row}
+    assert _nullspace(a) == reference_nullspace(a)
     k = min(nrows, ncols)
     square = [row[:k] for row in a[:k]]
-    assert linalg.inverse(square) == reference_inverse(square)
+    assert _inverse(square) == reference_inverse(square)
 
 
 @settings(max_examples=100, deadline=None)
@@ -197,7 +209,7 @@ def test_nullspace_is_a_basis_of_the_kernel(system):
     if not a:
         return
     ncols = len(a[0])
-    basis = linalg.nullspace(a)
+    basis = _nullspace(a)
     assert all(mat_vec(a, v) == [Scalar(0)] * len(a) for v in basis)
     assert len(basis) == ncols - rank(a)
     assert rank(basis) == len(basis)  # independent
@@ -205,15 +217,19 @@ def test_nullspace_is_a_basis_of_the_kernel(system):
 
 def test_empty_and_one_by_one_shapes():
     assert linalg.rref([]) == ([], [])
-    assert linalg.solve([], []) == {} and linalg.nullspace([]) == [] and linalg.inverse([]) == []
+    assert linalg.solve([], []) == {} and linalg.nullspace([], 0) == [] and linalg.inverse([]) == []
     # a system with rows but no nonzero entry, as a slice whose images and right-hand sides all vanish forms
     assert linalg.rref([{}, {}]) == ([], []) and linalg.solve([{}, {}], [{}, {}]) == {}
     assert linalg.solve([{}], [{0: Scalar(1)}]) is None
-    assert linalg.solve(_sparse(mat([[2]])), _sparse(mat([[3]]))) == {0: {0: Scalar(Fraction(3, 2))}}
+    assert linalg.solve(sparse_rows(mat([[2]])), sparse_rows(mat([[3]]))) == {0: {0: Scalar(Fraction(3, 2))}}
     assert _solve([[]], [1]) is None and _solve([[], []], [[0], [0]]) == []
     assert _solve(mat([[0]]), [0]) == mat([[0]])[0] and _solve(mat([[0]]), [3]) is None
-    assert linalg.nullspace(mat([[0]])) == mat([[1]]) and linalg.inverse(mat([[0]])) is None
-    assert linalg.inverse(mat([[2]])) == [[Scalar(Fraction(1, 2))]]
+    assert _nullspace(mat([[0]])) == mat([[1]]) and _inverse(mat([[0]])) is None
+    assert _inverse(mat([[2]])) == [[Scalar(Fraction(1, 2))]]
+    # the sparse answers themselves: (index, nonzero) pairs; a kernel with no rows at all is every unit vector
+    one = Scalar(1)
+    assert linalg.nullspace([{}], 1) == [((0, one),)] and linalg.nullspace([], 2) == [((0, one),), ((1, one),)]
+    assert linalg.inverse([{0: Scalar(2)}]) == [((0, Scalar(Fraction(1, 2))),)] and linalg.inverse([{}]) is None
 
 
 @pytest.mark.parametrize("a, r, pivots", [
@@ -223,6 +239,47 @@ def test_empty_and_one_by_one_shapes():
 ])
 def test_rref_of_fixed_matrices(a, r, pivots):
     # each pivot column is cleared in every other row, the rows met before the pivot's own row too
-    got, got_pivots = linalg.rref(_sparse(mat(a)))
+    got, got_pivots = linalg.rref(sparse_rows(mat(a)))
     assert got_pivots == pivots
-    assert got == _sparse(mat(r))
+    assert got == sparse_rows(mat(r))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 4).flatmap(lambda n: matrices(gaussian, n, n)))
+def test_inverse_of_the_columns_is_the_columns_of_the_inverse(a):
+    # (A^T)^-1 = (A^-1)^T: the pushforwards of ``dirac`` hand A's columns to ``inverse`` and read
+    # A^-1's columns off its answer
+    want = reference_inverse(a)
+    got = linalg.inverse(sparse_columns(a))
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert got == sparse_columns(want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.tuples(st.integers(1, 4), st.integers(1, 4)).flatmap(lambda shape: matrices(gaussian, *shape)),
+       st.lists(gaussian, min_size=4, max_size=4))
+def test_column_routines_match_dense_products(a, v):
+    # transpose gives the rows as sparse vectors, apply is A v, and both keep nonzeros only
+    nrows, ncols = len(a), len(a[0])
+    columns = sparse_columns(a)
+    assert linalg.is_columns(columns, nrows)
+    assert linalg.is_columns(columns, nrows - 1) == all(i < nrows - 1 for column in columns for i, _ in column)
+    rows = linalg.transpose(columns, nrows)
+    assert linalg.is_columns(rows, ncols) and densify(rows, ncols) == a
+    v = v[:ncols]
+    image = linalg.apply(columns, [(j, c) for j, c in enumerate(v) if c])
+    assert all(image.values()) and densify([image], nrows) == [mat_vec(a, v)]
+
+
+@pytest.mark.parametrize("rows, involution", [
+    pytest.param([[1, 0], [0, 1]], True, id="identity"),
+    pytest.param([[0, 1], [1, 0]], True, id="swap"),
+    pytest.param([[1, 0], [Fraction(1, 2), -1]], True, id="shear"),
+    pytest.param([[1, 1], [0, 1]], False, id="shear-of-infinite-order"),
+    pytest.param([[-1, 0], [0, 2]], False, id="scaled"),
+    pytest.param([[0, 1], [0, 0]], False, id="nilpotent"),
+])
+def test_is_involution_is_the_dense_square(rows, involution):
+    a = mat(rows)
+    assert (mat_mul(a, a) == identity(len(a))) == involution == linalg.is_involution(sparse_columns(a))
