@@ -39,6 +39,9 @@ of fixed points, membership, pi = r^L - r^R and its projection, the route
 residual of the projected entry brackets against the report's target (the
 formula for crosscheck and bruhat, KAPPA times the Dubrovin brackets for
 stokes), the +1-eigenspace residual of the projected legs, the rank relation.
+The legs of pi and of the formula are one matrix product per side for the
+whole block (``_sides``), so the rank relation's SVDs are about half of a
+block's time, its largest cost.
 
 Stated conventions for the Stokes check: the double's pairing
 <(a,b),(c,d)> = tr(ac) - tr(bd), its r-matrix r = liealg.DOUBLE_R_SCALE
@@ -90,7 +93,12 @@ TOL_RANK = 1e-8  # singular values above it count toward a numeric rank
 KAPPA = 2.0  # predicted Stokes constant, sign included: {x, y} = KAPPA (xy - 2z) and cyclically
 
 def _transpose(v: np.ndarray) -> np.ndarray:
-    return np.swapaxes(v, -1, -2)
+    return v.swapaxes(-1, -2)
+
+
+def _strict_upper(n: int) -> np.ndarray:
+    """The mask of the strictly upper entries of an n x n matrix; indexed by it, a matrix reads them row by row."""
+    return np.arange(n)[:, None] < np.arange(n)
 
 
 def _flat(x: np.ndarray, lead: int) -> np.ndarray:
@@ -102,7 +110,7 @@ def _real_flat(x: np.ndarray, lead: int = 1) -> np.ndarray:
     """x flattened as by ``_flat``; a complex x is realified, its real parts
     followed by its imaginary parts, and a real x stays prod(shape) long."""
     flat = _flat(np.asarray(x), lead)
-    return np.concatenate([flat.real, flat.imag], axis=-1) if np.iscomplexobj(flat) else flat
+    return np.concatenate([flat.real, flat.imag], axis=-1) if flat.dtype.kind == "c" else flat
 
 
 def _wedge_matrix(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -113,14 +121,15 @@ def _wedge_matrix(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def _max_over(x: np.ndarray, ndim: int) -> np.ndarray:
     """Largest |entry| over the last ``ndim`` axes: one value per point of a stack."""
-    return np.max(np.abs(x), axis=tuple(range(-ndim, 0)), initial=0.0)
+    return np.abs(x).max(axis=tuple(range(-ndim, 0)), initial=0.0)
 
 
 def _require(residual: np.ndarray, bound, failure: str) -> None:
     """Raise ValueError, naming ``failure`` and the residual, at the first point whose residual exceeds its bound."""
-    over = np.ravel(residual > bound)
+    residual = np.asarray(residual)
+    over = (residual > bound).ravel()
     if over.any():
-        raise ValueError(f"{failure} (residual {float(np.ravel(residual)[over.argmax()]):.2e})")
+        raise ValueError(f"{failure} (residual {float(residual.ravel()[over.argmax()]):.2e})")
 
 
 @dataclass
@@ -141,7 +150,7 @@ class MatrixGroup:
     def r_legs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The r-terms as stacks: left legs, right legs and coefficients."""
         i, j, c = (np.array(col) for col in zip(*self.r_terms))
-        stack = np.stack(self.basis)
+        stack = np.array(self.basis)
         return stack[i], stack[j], c.reshape(-1, *(1,) * self.basis[0].ndim)
 
 
@@ -248,8 +257,9 @@ def su_group(n: int) -> MatrixGroup:
 def _membership_dual(g: np.ndarray) -> np.ndarray:
     """(B, C) with B upper-, C lower-triangular, diag B diag C = 1, det = 1."""
     b, c = g[..., 0, :, :], g[..., 1, :, :]
-    diag = np.diagonal(b, axis1=-2, axis2=-1) * np.diagonal(c, axis1=-2, axis2=-1) - 1.0
-    return np.maximum.reduce([_max_over(np.tril(b, -1), 2), _max_over(np.triu(c, 1), 2), _max_over(diag, 1),
+    upper = _strict_upper(g.shape[-1])
+    diag = b.diagonal(axis1=-2, axis2=-1) * c.diagonal(axis1=-2, axis2=-1) - 1.0
+    return np.maximum.reduce([_max_over(b[..., upper.T], 1), _max_over(c[..., upper], 1), _max_over(diag, 1),
                               np.abs(np.linalg.det(b) - 1.0)])
 
 
@@ -268,10 +278,32 @@ def dual_group(n: int) -> MatrixGroup:
 # ---------------------------------------------------------------------------
 
 
-def _interleave(first: np.ndarray, second: np.ndarray, axis: int) -> np.ndarray:
-    """Interleave [first[0], second[0], first[1], second[1], ...] along ``axis``."""
-    shape = first.shape
-    return np.stack([first, second], axis=axis + 1).reshape(*shape[:axis], 2 * shape[axis], *shape[axis + 1:])
+def _sides(g: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """g x and x g for every point g of a stack (B, *point shape) and every matrix x of a stack
+    (m, *point shape), side by side: out[b, k, 0] = g_b x_k and out[b, k, 1] = x_k g_b, so out
+    reshaped to (B, 2m, *point shape) interleaves the two sides.  A point is an n x n matrix, or a
+    pair (2, n, n) multiplied half by half.  Each side is one matrix product per half, (B n, n) @
+    (n, m n) and (m n, n) @ (n, B n), where a broadcast matmul would run B m products of n x n
+    matrices one by one."""
+    (b, *point), m, n = g.shape, len(x), g.shape[-1]
+    halves = math.prod(point[:-2])  # 2 for a pair
+    gs, xs = g.reshape(b, halves, n, n), x.reshape(m, halves, n, n)
+    out = np.empty((b, m, 2, halves, n, n), dtype=np.result_type(g, x))
+    for h in range(halves):
+        gh, xh = gs[:, h], xs[:, h]
+        left = (gh.reshape(b * n, n) @ xh.swapaxes(0, 1).reshape(n, m * n)).reshape(b, n, m, n).swapaxes(1, 2)
+        right = (xh.reshape(m * n, n) @ gh.swapaxes(0, 1).reshape(n, b * n)).reshape(m, n, b, n).transpose(2, 0, 1, 3)
+        out[:, :, 0, h], out[:, :, 1, h] = left, right
+    return out.reshape(b, m, 2, *point)
+
+
+def _side_pairs(g: np.ndarray, u: np.ndarray, v: np.ndarray) -> TangentBivector:
+    """The bivector at g, one point or a stack, whose wedge pairs are the side-by-side pairs of
+    ``u`` and ``v``, each (B, m, 2, *point shape) as ``_sides`` gives them."""
+    point = u.shape[3:]
+    lead = g.ndim - len(point)  # 1 for a stack of points
+    shape = (*g.shape[:lead], 2 * u.shape[1], *point)
+    return TangentBivector(g, u.reshape(shape), v.reshape(shape), lead)
 
 
 def pl_bivector(group: MatrixGroup, g: np.ndarray) -> TangentBivector:
@@ -281,11 +313,11 @@ def pl_bivector(group: MatrixGroup, g: np.ndarray) -> TangentBivector:
     r-term c a ^ b the wedge pairs at g are (c g a, g b) and (-c a g, b g).
     """
     a, b, c = group.r_legs
-    lead = g.ndim - a.ndim + 1  # 1 for a stack of points
-    gx = np.expand_dims(g, lead)  # broadcast over the r-terms
-    u = _interleave(c * (gx @ a), -c * (a @ gx), lead)
-    v = _interleave(gx @ b, b @ gx, lead)
-    return TangentBivector(g, u, v, lead)
+    m = len(a)
+    sides = _sides(g.reshape(-1, *a.shape[1:]), np.concatenate([a, b]))
+    u = c[:, None] * sides[:, :m]
+    u[:, :, 1] *= -1.0
+    return _side_pairs(g, u, sides[:, m:])
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +363,7 @@ def _permutation(spec: InvolutionSpec, shape: tuple[int, ...], dtype: np.dtype) 
     v[perm[k]]; complex legs' real and imaginary halves move alike."""
     size = math.prod(shape)
     perm = spec.apply(np.arange(size).reshape(shape)).ravel()
-    if np.issubdtype(dtype, np.complexfloating):
+    if dtype.kind == "c":
         perm = np.concatenate([perm, perm + size])
     return perm
 
@@ -343,12 +375,12 @@ def pi_q_formula(group: MatrixGroup, g: np.ndarray) -> TangentBivector:
     phi is transposition, the algebra anti-morphism of both sl(n) and su(n).
     """
     e, f, c = group.r_legs
-    lead = g.ndim - e.ndim + 1  # 1 for a stack of points
-    gx = np.expand_dims(g, lead)  # broadcast over the r-terms
-    pe, pf = _transpose(e), _transpose(f)
-    u = _interleave(0.25 * c * (gx @ e + pe @ gx), -0.25 * c * (e @ gx + gx @ pe), lead)
-    v = _interleave(gx @ f + pf @ gx, f @ gx + gx @ pf, lead)
-    return TangentBivector(g, u, v, lead)
+    m = len(e)
+    sides = _sides(g.reshape(-1, *e.shape[1:]), np.concatenate([e, _transpose(e), f, _transpose(f)]))
+    # a side-by-side pair of x plus the swapped pair of x^T is (g x + x^T g, x g + g x^T)
+    u = (0.25 * c)[:, None] * (sides[:, :m] + sides[:, m:2 * m, ::-1])
+    u[:, :, 1] *= -1.0
+    return _side_pairs(g, u, sides[:, 2 * m:3 * m] + sides[:, 3 * m:, ::-1])
 
 
 # ---------------------------------------------------------------------------
@@ -370,17 +402,18 @@ def dual_tangency_residual(pi: TangentBivector) -> float | np.ndarray:
     differentials cutting out G*: strictly lower beta, strictly upper gamma, and
     beta_ii C_ii + B_ii gamma_ii.  The largest pairing is divided by the point's scale
     max(1, |pi|)^2, as in ``pi_q_projection``."""
-    b, c = (np.diagonal(pi.base[..., None, k, :, :], axis1=-2, axis2=-1) for k in (0, 1))
+    b, c = (pi.base[..., None, k, :, :].diagonal(axis1=-2, axis2=-1) for k in (0, 1))
     columns = _transpose(pi.sharp_matrix())[..., :math.prod(pi.point_shape)]
-    beta, gamma = np.moveaxis(columns.reshape(*columns.shape[:-1], *pi.point_shape), -3, 0)
-    diag = np.diagonal(beta, axis1=-2, axis2=-1) * c + b * np.diagonal(gamma, axis1=-2, axis2=-1)
-    worst = np.maximum.reduce([_max_over(np.tril(beta, -1), 3), _max_over(np.triu(gamma, 1), 3), _max_over(diag, 2)])
+    pairs = columns.reshape(*columns.shape[:-1], *pi.point_shape)
+    beta, gamma, upper = pairs[..., 0, :, :], pairs[..., 1, :, :], _strict_upper(pi.point_shape[-1])
+    diag = beta.diagonal(axis1=-2, axis2=-1) * c + b * gamma.diagonal(axis1=-2, axis2=-1)
+    worst = np.maximum.reduce([_max_over(beta[..., upper.T], 2), _max_over(gamma[..., upper], 2), _max_over(diag, 2)])
     return worst / np.maximum(1.0, pi.max_abs()) ** 2
 
 
 def _rank(mat: np.ndarray) -> np.ndarray:
     """Numeric rank of each matrix of a stack: its singular values above TOL_RANK."""
-    return np.sum(np.linalg.svd(mat, compute_uv=False) > TOL_RANK, axis=-1)
+    return (np.linalg.svd(mat, compute_uv=False) > TOL_RANK).sum(axis=-1)
 
 
 def _plus_eigenspace(spec: InvolutionSpec, shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
@@ -388,7 +421,7 @@ def _plus_eigenspace(spec: InvolutionSpec, shape: tuple[int, ...], dtype: np.dty
     ``sharp_matrix()``: one column per orbit of ``_permutation``, e_k for a fixed coordinate k
     and (e_k + e_perm(k))/sqrt(2) for a swapped pair."""
     perm = _permutation(spec, shape, dtype)
-    first = np.flatnonzero(np.arange(len(perm)) <= perm)  # the least coordinate of each orbit
+    (first,) = (np.arange(len(perm)) <= perm).nonzero()  # the least coordinate of each orbit
     basis, cols = np.zeros((len(perm), len(first))), np.arange(len(first))
     basis[first, cols] = basis[perm[first], cols] = np.where(perm[first] == first, 1.0, math.sqrt(0.5))
     return basis
@@ -421,9 +454,9 @@ def _dyadic(words: np.ndarray) -> np.ndarray:
 def _unit_upper(words: np.ndarray, n: int) -> np.ndarray:
     """Unit upper-triangular matrices, one per row of words, with the ``_dyadic`` strictly upper
     entries of the row's first n(n - 1)/2 words, row by row."""
-    a, b = np.triu_indices(n, 1)
-    out = np.broadcast_to(np.eye(n), (len(words), n, n)).copy()
-    out[:, a, b] = _dyadic(words[:, :len(a)])
+    out = np.zeros((len(words), n, n))
+    out[:, range(n), range(n)] = 1.0
+    out[:, _strict_upper(n)] = _dyadic(words[:, :n * (n - 1) // 2])
     return out
 
 
@@ -431,13 +464,13 @@ def _exponents(words: np.ndarray, n: int) -> np.ndarray:
     """Distinct integers with sum 0, -(n // 2)..n // 2 and 0 left out for even n, one row per row of
     words, permuted as the row's first n words sort."""
     values = np.array([e for e in range(-(n // 2), n // 2 + 1) if e or n % 2])
-    return values[np.argsort(words[:, :n], axis=1)]
+    return values[words[:, :n].argsort(axis=1)]
 
 
 def _stokes_points(n: int, words: np.ndarray) -> np.ndarray:
     """Points (S, S^T) of G* fixed by (B, C) -> (C^T, B^T), S = ``_unit_upper``, one per row of words."""
-    s = _unit_upper(words, n)
-    return np.stack([s, _transpose(s)], axis=1)
+    s = _unit_upper(words, n)[:, None]
+    return np.concatenate([s, _transpose(s)], axis=1)
 
 
 def _dual_points(n: int, words: np.ndarray) -> np.ndarray:
@@ -445,8 +478,9 @@ def _dual_points(n: int, words: np.ndarray) -> np.ndarray:
     on the row's first and next n(n - 1)/2 words, and D = diag(2^e), e the ``_exponents`` of the
     words after them."""
     m = n * (n - 1) // 2
-    d = np.ldexp(1.0, _exponents(words[:, 2 * m:], n))[..., None]
-    return np.stack([d * _unit_upper(words, n), _transpose(_unit_upper(words[:, m:], n)) / d], axis=1)
+    d = np.ldexp(1.0, _exponents(words[:, 2 * m:], n))[:, None, :, None]
+    up, low = _unit_upper(words, n)[:, None], _transpose(_unit_upper(words[:, m:], n))[:, None]
+    return np.concatenate([d * up, low / d], axis=1)
 
 
 def _fixed_points(kind: str, n: int, words: np.ndarray) -> np.ndarray:
@@ -464,7 +498,7 @@ def _fixed_points(kind: str, n: int, words: np.ndarray) -> np.ndarray:
         return (_transpose(u) * np.ldexp(1.0, _exponents(words[:, m:], n))[:, None, :]) @ u
     t = _dyadic(words[:, m:m + n - 1])
     z = (1 - t * t + 2j * t) / (1 + t * t)
-    d = np.concatenate([z, np.prod(z, axis=1, keepdims=True).conj()], axis=1)
+    d = np.concatenate([z, z.prod(axis=1, keepdims=True).conj()], axis=1)
     skew = u - _transpose(u)
     v = np.linalg.solve(np.eye(n) + skew, np.eye(n) - skew)
     return (v * d[:, None, :]) @ _transpose(v)
@@ -481,15 +515,14 @@ def _fixed_locus_blocks(group: MatrixGroup, spec: InvolutionSpec, samples: int, 
 
     def block(ks: range) -> tuple:
         points = draw(sample_words(seed, ks))
-        if np.any(group.membership(points) > TOL_MEMBER):
+        if (group.membership(points) > TOL_MEMBER).any():
             raise AssertionError("sampled point failed group membership")
         pi = pl_bivector(group, points)
         projected = pi_q_projection(spec, pi)
         brackets, expected = projected.bracket_matrix(entries), target(points)
-        legs = np.concatenate([projected.u, projected.v], axis=1)
-        return (float(np.max(np.abs(brackets - expected))),
-                float(np.max(np.abs(spec.apply(legs) - legs), initial=0.0)),
-                bool(np.all(rank_relation_holds(spec, pi, projected))), *readout(points, pi, brackets, expected))
+        return (float(np.abs(brackets - expected).max()),
+                float(max(np.abs(spec.apply(legs) - legs).max() for legs in (projected.u, projected.v))),
+                bool(rank_relation_holds(spec, pi, projected).all()), *readout(points, pi, brackets, expected))
 
     route, plus, ranks, *readouts = zip(*sample_blocks(range(samples), block))
     return max(route), max(plus), all(ranks), readouts
@@ -502,8 +535,24 @@ def _dubrovin_target(s: np.ndarray) -> np.ndarray:
     """The bracket matrix over the Stokes coordinates of {x, y} = xy - 2z, {y, z} = yz - 2x,
     {z, x} = zx - 2y, one per unipotent matrix of a stack."""
     x, y, z = (s[..., i, j] for i, j in STOKES_COORDS)
-    xy, yz, zx, zero = x * y - 2 * z, y * z - 2 * x, z * x - 2 * y, np.zeros_like(x)
-    return np.stack([np.stack(row, axis=-1) for row in ((zero, xy, -zx), (-xy, zero, yz), (zx, -yz, zero))], axis=-2)
+    upper = np.zeros((*x.shape, 3, 3))
+    upper[..., 0, 1], upper[..., 1, 2], upper[..., 2, 0] = x * y - 2 * z, y * z - 2 * x, z * x - 2 * y
+    return upper - _transpose(upper)
+
+
+def _push_to_stokes(pi: TangentBivector) -> TangentBivector:
+    """A bivector at a stack of points (B, C) of G*, pushed along (B, C) -> B C^T: a wedge leg
+    (beta, gamma) goes to beta C^T + B gamma^T, the second term formed as (gamma B^T)^T.  Each term
+    is one product per point of its (m n x n) stack of legs with an n x n matrix."""
+    b, c = pi.base[:, 0], pi.base[:, 1]
+    bt, ct = _transpose(b), _transpose(c)
+
+    def push(legs: np.ndarray) -> np.ndarray:
+        batch, m, _, n, _ = legs.shape
+        beta, gamma = legs[:, :, 0].reshape(batch, m * n, n), legs[:, :, 1].reshape(batch, m * n, n)
+        return (beta @ ct).reshape(batch, m, n, n) + _transpose((gamma @ bt).reshape(batch, m, n, n))
+
+    return pi.map_legs(push, base=b @ ct)
 
 
 def stokes_report(n: int = 3, samples: int = 20, seed: int = 1) -> Report:
@@ -529,21 +578,17 @@ def stokes_report(n: int = 3, samples: int = 20, seed: int = 1) -> Report:
 
     def readout(point, pi, brackets, expected):
         target = expected / KAPPA  # the Dubrovin brackets themselves, exactly, as KAPPA is 2
-        largest = np.argmax(np.abs(target))  # flat index, the first of the block's largest entries
+        largest = np.abs(target).argmax()  # flat index, the first of the block's largest entries
         # Markoff polynomial m = x^2 + y^2 + z^2 - xyz is constant along Hamiltonian directions:
         # {m, w} = sum_v dm/dv {v, w}; the target is {x, y} = -dm/dz cyclically, so it holds dm/dv
         grad = -target[:, (1, 2, 0), (2, 0, 1)]
         return (abs(float(target.flat[largest])), float(brackets.flat[largest] / target.flat[largest]),
-                float(np.max(dual_tangency_residual(pi))), float(np.max(np.abs(grad[:, None, :] @ brackets))))
+                float(dual_tangency_residual(pi).max()), float(np.abs(grad[:, None, :] @ brackets).max()))
 
     def push_block(ks: range) -> float:
-        point = _dual_points(n, sample_words(seed, ks))
-        pi = dual_group_bivector(group, point)
-        b, c = point[:, None, 0], point[:, None, 1]  # broadcast over the wedge pairs
-        pushed = pi.map_legs(lambda legs: legs[:, :, 0] @ _transpose(c) + b @ _transpose(legs[:, :, 1]),
-                             base=point[:, 0] @ _transpose(point[:, 1]))
+        pushed = _push_to_stokes(dual_group_bivector(group, _dual_points(n, sample_words(seed, ks))))
         target = 2.0 * KAPPA * _dubrovin_target(pushed.base)
-        return float(np.max(np.abs(pushed.bracket_matrix(STOKES_COORDS) - target)))
+        return float(np.abs(pushed.bracket_matrix(STOKES_COORDS) - target).max())
 
     resid, max_plus, rank_ok, (largest, ratios, tangency, markoff) = _fixed_locus_blocks(
         group, InvolutionSpec("pair-swap"), samples, seed, lambda words: _stokes_points(n, words),

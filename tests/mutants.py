@@ -105,6 +105,23 @@ MUTANTS = (
            "> TOL_RANK", "> TOL_CROSS", (
                "tests/test_groupnum.py::test_crosscheck_pass_rule[su]",
            )),
+    # the one-product helper of pl_bivector and pi_q_formula: g x on the left of each pair, x g on the
+    # right, and each half of a pair from its own half.  Swapped sides negate both routes alike, so
+    # the crosscheck still agrees with itself; the helper's own test, kappa and the controls catch it
+    Mutant("products-sides-swapped", "groupnum", "_sides",
+           "= left, right", "= right, left", (
+               "tests/test_batched.py::test_sides_match_the_broadcast_matmul[3x3-stack]",
+               "tests/test_batched.py::test_sides_match_the_broadcast_matmul[2x3x3-one-point]",
+               "tests/test_groupnum.py::test_stokes_report_passes",
+               "tests/test_acceptance.py::test_claim[crosscheck-sl3]",
+           )),
+    Mutant("products-pair-half-zero", "groupnum", "_sides",
+           "gs[:, h], xs[:, h]", "gs[:, 0], xs[:, 0]", (
+               "tests/test_batched.py::test_sides_match_the_broadcast_matmul[2x3x3-stack]",
+               "tests/test_batched.py::test_sides_match_the_broadcast_matmul[2x6x6-one-point]",
+               "tests/test_groupnum.py::test_stokes_report_passes",
+               "tests/test_acceptance.py::test_claim[stokes-kappa]",
+           )),
     # the CLI takes no option its leaf does not declare
     Mutant("cli-unknown-option-ignored", "cli", "_read",
            "    if extras:", "    if False:", (

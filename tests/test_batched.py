@@ -595,6 +595,32 @@ def test_stacked_verdicts_are_per_point():
     assert np.array_equal(stacked.u, np.stack([p.u for p in loop]))
 
 
+# -- one matrix product per side against the broadcast matmul ---------------------------------
+
+
+def _broadcast_sides(g, x):
+    """g x and x g for every point of the stack g and every matrix of x as broadcast matmuls, one
+    n x n product per pair (and per half of a pair), laid out as ``groupnum._sides`` lays them out."""
+    points = g[:, None]
+    return np.stack([points @ x, x @ points], axis=2)
+
+
+@pytest.mark.parametrize("points", [1, 7], ids=["one-point", "stack"])
+@pytest.mark.parametrize("shape", [(n, n) for n in range(2, 7)] + [(2, n, n) for n in range(2, 7)],
+                         ids=lambda shape: "x".join(map(str, shape)))
+def test_sides_match_the_broadcast_matmul(shape, points):
+    # dyadic real entries make every product and sum exact, so both forms agree bitwise; complex
+    # entries may round apart, each entry by a few units of its |g| |x| scale
+    rng = np.random.default_rng(len(shape) * 10 + shape[-1])
+    g, x = rng.integers(-16, 17, size=(points, *shape)) / 8, rng.integers(-16, 17, size=(5, *shape)) / 8
+    assert np.array_equal(groupnum._sides(g, x), _broadcast_sides(g, x))
+    g, x = (rng.normal(size=(k, *shape)) + 1j * rng.normal(size=(k, *shape)) for k in (points, 5))
+    got, want = groupnum._sides(g, x), _broadcast_sides(g, x)
+    assert got.dtype == want.dtype == np.complex128
+    scale = _broadcast_sides(np.abs(g), np.abs(x))
+    assert np.all(np.abs(got - want) <= 4 * np.finfo(float).eps * scale)
+
+
 # -- memory stays flat in the sample count ----------------------------------------------------
 
 

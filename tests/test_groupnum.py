@@ -593,6 +593,56 @@ def test_every_bound_of_a_pass_rule_is_a_module_constant(module, name):
                 and any(isinstance(op, (ast.Gt, ast.GtE)) for op in node.ops)]
 
 
+# numpy's Python-level helpers cost most on their first call in a process, and every numeric command
+# runs in a fresh one.  Each called once in a child forked from an imported poissonkit.cli (numpy
+# 2.4.6, 2-core Xeon host, medians of 7): triu_indices 0.82 ms, tril 0.58, triu 0.49, any 0.48, all
+# 0.44, stack 0.32, max 0.30, broadcast_to 0.26, expand_dims 0.23, against 0.01 ms for a no-op and
+# 0.10 ms for ndarray.swapaxes.  The report functions and what they call per block use ndarray
+# methods, ufuncs, masks and concatenate instead.
+COLD_HELPERS = {"triu_indices", "tril", "triu", "stack", "expand_dims", "broadcast_to", "max", "any", "all"}
+PER_BLOCK_PATH = ("stokes_report", "crosscheck_report", "_fixed_locus_blocks", "_fixed_points", "_stokes_points",
+                  "_dual_points", "_unit_upper", "_dyadic", "_exponents", "_strict_upper", "_membership_sl",
+                  "_membership_su", "_membership_dual", "MatrixGroup", "TangentBivector", "InvolutionSpec", "_sides",
+                  "_side_pairs", "pl_bivector", "pi_q_formula", "pi_q_projection", "_permutation", "_require",
+                  "_transpose", "_max_over", "_flat", "_real_flat", "_wedge_matrix", "dual_group_bivector",
+                  "dual_tangency_residual", "rank_relation_holds", "_rank", "_plus_eigenspace", "_dubrovin_target",
+                  "_push_to_stokes")
+
+
+def test_the_per_block_path_calls_no_cold_numpy_helper():
+    tree = ast.parse(inspect.getsource(groupnum))
+    defs = {node.name: node for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    named = [(name, node.attr) for name in PER_BLOCK_PATH for node in ast.walk(defs[name])
+             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "np"
+             and node.attr in COLD_HELPERS]
+    assert named == []
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("kind", ["sl", "su", "dual"])
+def test_every_float_route_keeps_its_dtype(kind, n):
+    # legs and entry brackets are float64 on SL(n) and G*, complex128 on SU(n), and the realified
+    # sharp matrix float64 on all three.  An exact constant that leaked in would make them object
+    # arrays, and the one-product path would run exactly, and slowly: the control below
+    legs = np.complex128 if kind == "su" else np.float64
+    words = sample_words(3, range(4))
+    if kind == "dual":
+        group = dual_group(n)
+        points = _stokes_points(n, words)
+        routes = {"pl_bivector": pl_bivector(group, points),
+                  "stokes pushforward": groupnum._push_to_stokes(dual_group_bivector(group, _dual_points(n, words)))}
+    else:
+        group = (sl_group if kind == "sl" else su_group)(n)
+        points = _fixed_points(kind, n, words)
+        routes = {"pl_bivector": pl_bivector(group, points), "pi_q_formula": pi_q_formula(group, points)}
+    for name, pi in routes.items():
+        assert pi.u.dtype == pi.v.dtype == pi.bracket_matrix().dtype == legs, name
+        assert pi.sharp_matrix().dtype == np.float64, name
+    leaked = groupnum.MatrixGroup(group.name, group.basis, [(i, j, Fraction(c)) for i, j, c in group.r_terms],
+                                  group.membership)
+    assert pl_bivector(leaked, points).u.dtype == object
+
+
 def test_stokes_requires_n3_chart():
     with pytest.raises(ValueError):
         stokes_report(4, samples=2, seed=1)
