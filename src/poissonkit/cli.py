@@ -308,7 +308,7 @@ _LEAVES = {
     ("group", "bruhat"): (_group_report, "two-route fixed-locus tensor on SU(n)", (), _GROUP),
     ("dynr", "cdybe"): (_dynr_cdybe, "residual constancy, invariance, gradient check", (), {
         "algebra": (str, None, True, ("sl2", "sl3", "sl4"), "built-in algebra"),
-        "family": (str, "trig", False, ("trig", "rational", "tanh-corrupted"), "r-matrix family"),
+        "family": (str, "trig", False, dynr.FAMILIES, "r-matrix family"),
         "samples": (_int_in_range(2), 10, False, None, "number of samples (a spread over one is 0)"),
         "seed": (_nonnegative, 0, False, None, "seed of the per-sample generators")}),
     ("oracle", "schouten"): (_oracle_schouten, "chart bracket vs monomial-expansion oracle", (), {

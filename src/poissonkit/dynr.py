@@ -29,6 +29,8 @@ residual is treated as Lambda^3 g-valued.
 Storage.  r(lambda) = sum_a c_a(lambda) E_a with E_a = e_a ^ f_a, so the scan
 works in root coordinates: r is the array of coefficients c_a = d_a g(x_a),
 x_a = <alpha, lambda>/2, and dr/dlambda_m the array dc[m, a] = (d_a h_am) g'(x_a).
+``FAMILIES`` names the kinds of g; ``DynamicalRFamily._g`` gives g and g' of one
+kind from one dispatch, and ``_evaluate`` both arrays from one call.
 The residual is sum_f phi_f Q_f over the features phi = (c_a c_b for a <= b,
 then dc[m, a]) with constant trivectors Q_aa = (1/2)[E_a, E_a], Q_ab = [E_a, E_b]
 for a < b and Q_ma = h_m ^ E_a, bracketed exactly by ``liealg.alg_schouten``.
@@ -49,9 +51,10 @@ LAMBDA_ROUND, round r from each sample's words of stream r
 (``report.sample_words``), and checks a round of every sample still without
 a lambda in one ``pairings`` call.  Each sample keeps its first accepted
 candidate, so its lambda depends on its own words alone, not on its block.
-The block evaluates c at every lambda and its finite-difference points
-in one ``guard`` call and dc once, and forms the residual, a matrix product,
-from them.
+The block evaluates c and dc at every lambda and its finite-difference points
+by one ``guard`` and one ``_evaluate`` call, reads the analytic derivative off
+dc at lambda, and forms the residual, a matrix product, from them.  The blocks'
+defects fold by ndarray ``max``, which keeps a NaN, so a NaN fails the scan.
 """
 
 from __future__ import annotations
@@ -71,6 +74,7 @@ from .report import Report, sample_blocks, sample_words
 
 __all__ = [
     "TOL_CDYBE",
+    "FAMILIES",
     "DynamicalRFamily",
     "NearSingular",
     "structure_tensor",
@@ -81,6 +85,7 @@ __all__ = [
 ]
 
 TOL_CDYBE = 1e-7  # every defect of residual_scan
+FAMILIES = ("trig", "rational", "tanh-corrupted")  # the kinds of DynamicalRFamily
 SINGULAR_GUARD = 1e-3
 # Each sample draws lambda until its every root pairing is at least 0.5 from 0, at most
 # MAX_LAMBDA_TRIES times, in rounds of LAMBDA_ROUND draws; the round divides the cap.
@@ -100,10 +105,10 @@ class NearSingular(ValueError):
 
 @dataclass(frozen=True)
 class DynamicalRFamily:
-    """A coefficient family c_a(lambda) = d_a * g(<alpha, lambda>/2): kind 'trig'
-    (g = coth), 'rational' (g(x) = 1/x) or 'tanh-corrupted' (coth replaced by
-    tanh, a negative control from sl(3) on: tanh' + tanh^2 = 1 as for coth, so
-    on sl(2), with one root, it passes)."""
+    """A coefficient family c_a(lambda) = d_a * g(<alpha, lambda>/2), of a kind in
+    ``FAMILIES``: 'trig' (g = coth), 'rational' (g(x) = 1/x) or 'tanh-corrupted'
+    (coth replaced by tanh, a negative control from sl(3) on: tanh' + tanh^2 = 1 as
+    for coth, so on sl(2), with one root, it passes)."""
 
     algebra: LieAlgebraData
     kind: str
@@ -111,28 +116,22 @@ class DynamicalRFamily:
     def __post_init__(self):
         if self.algebra.root_data is None:
             raise ValueError("algebra carries no root data")
-        if self.kind not in ("trig", "rational", "tanh-corrupted"):
+        if self.kind not in FAMILIES:
             raise ValueError(f"unknown family kind {self.kind!r}")
 
     @property
     def rank(self) -> int:
         return len(self.algebra.root_data.cartan)
 
-    def _g(self, x: np.ndarray) -> np.ndarray:
-        if self.kind == "trig":
-            return 1.0 / _tanh(x)
-        if self.kind == "rational":
-            return 1.0 / x
-        return _tanh(x)  # deliberately wrong family for negative controls
-
-    def _g_prime(self, x: np.ndarray) -> np.ndarray:
+    def _g(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """g and g' entrywise at x."""
         if self.kind == "trig":
             c = 1.0 / _tanh(x)
-            return 1.0 - c * c
+            return c, 1.0 - c * c
         if self.kind == "rational":
-            return -1.0 / (x * x)
-        t = _tanh(x)
-        return 1.0 - t * t
+            return 1.0 / x, -1.0 / (x * x)
+        t = _tanh(x)  # deliberately wrong family for negative controls
+        return t, 1.0 - t * t
 
     @functools.cached_property
     def _roots(self) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
@@ -248,26 +247,22 @@ def _root_matrix(family: DynamicalRFamily, c: np.ndarray) -> np.ndarray:
     return out
 
 
-def _coefficients(family: DynamicalRFamily, x: np.ndarray) -> np.ndarray:
-    """r in root coordinates at x = <alpha, lambda>/2: c_a = d_a g(x_a), shape (..., roots)."""
-    return family._roots[1] * family._g(x)
-
-
-def _derivatives(family: DynamicalRFamily, x: np.ndarray) -> np.ndarray:
-    """Every dr/dlambda_m in root coordinates at x = <alpha, lambda>/2:
-    dc[m, a] = (d_a h_am) g'(x_a), shape (..., rank, roots)."""
+def _evaluate(family: DynamicalRFamily, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """r and every dr/dlambda_m in root coordinates at x = <alpha, lambda>/2: c_a = d_a g(x_a),
+    shape (..., roots), and dc[m, a] = (d_a h_am) g'(x_a), shape (..., rank, roots)."""
     h, d, _ = family._roots
-    return (d * h.T) * family._g_prime(x)[..., None, :]
+    g, g_prime = family._g(x)
+    return d * g, (d * h.T) * g_prime[..., None, :]
 
 
 def eval_r(family: DynamicalRFamily, lam: Sequence[float] | np.ndarray) -> np.ndarray:
     """r(lambda) as an antisymmetric dim x dim matrix (one per lambda of a stack)."""
-    return _root_matrix(family, _coefficients(family, 0.5 * family.guard(lam)))
+    return _root_matrix(family, _evaluate(family, 0.5 * family.guard(lam))[0])
 
 
 def r_derivative(family: DynamicalRFamily, lam: Sequence[float] | np.ndarray, m: int) -> np.ndarray:
     """Analytic dr/dlambda_m as an antisymmetric dim x dim matrix (one per lambda of a stack)."""
-    return _root_matrix(family, _derivatives(family, 0.5 * family.guard(lam))[..., m, :])
+    return _root_matrix(family, _evaluate(family, 0.5 * family.guard(lam))[1][..., m, :])
 
 
 def _features(c: np.ndarray, dc: np.ndarray) -> np.ndarray:
@@ -278,16 +273,14 @@ def _features(c: np.ndarray, dc: np.ndarray) -> np.ndarray:
 
 def _residual(family: DynamicalRFamily, c: np.ndarray, dc: np.ndarray) -> np.ndarray:
     """sum_m h_m ^ dr/dlambda_m + (1/2)[r, r] on the strictly increasing triples, from r and
-    every dr/dlambda_m in root coordinates (``_coefficients``, ``_derivatives``), batched over
-    the leading axes."""
+    every dr/dlambda_m in root coordinates (``_evaluate``), batched over the leading axes."""
     return _features(c, dc) @ family._trivectors[0]
 
 
 def cdybe_residual(family: DynamicalRFamily, lam: Sequence[float] | np.ndarray) -> np.ndarray:
     """sum_m h_m ^ dr/dlambda_m + (1/2)[r, r], as an antisymmetric dim^3 tensor
     (one per lambda of a stack)."""
-    x = 0.5 * family.guard(lam)
-    values = _residual(family, _coefficients(family, x), _derivatives(family, x))
+    values = _residual(family, *_evaluate(family, 0.5 * family.guard(lam)))
     i, j, k = _increasing(family.algebra.dim, 3)
     out = np.zeros((*values.shape[:-1], *(family.algebra.dim,) * 3))
     for p, q, s in ((i, j, k), (j, k, i), (k, i, j)):
@@ -341,7 +334,8 @@ def residual_scan(family: DynamicalRFamily, samples: int = 10, seed: int = 0) ->
         """The block's spread, invariance and derivative defects."""
         nonlocal first
         x = 0.5 * family.guard(_sample_lambdas(family, seed, ks)[:, None, :] + shifts)
-        c, analytic = _coefficients(family, x), _derivatives(family, x[:, 0])
+        c, dc = _evaluate(family, x)
+        analytic = dc[:, 0]
         res = _residual(family, c[:, 0], analytic)
         fd = (c[:, 1::2] - c[:, 2::2]) * (1.0 / (2 * step))
         if first is None:
@@ -349,7 +343,8 @@ def residual_scan(family: DynamicalRFamily, samples: int = 10, seed: int = 0) ->
         ad = _features(c[:, 0], analytic) @ family._trivectors[1]
         return _max_abs(res - first), _max_abs(ad), _max_abs(fd - analytic)
 
-    spread, invariance, deriv_defect = map(max, zip(*sample_blocks(range(samples), block)))
+    worst = np.array(sample_blocks(range(samples), block)).max(axis=0)
+    spread, invariance, deriv_defect = worst.tolist()
     values = {
         "algebra": g.name,
         "family": family.kind,
@@ -358,4 +353,4 @@ def residual_scan(family: DynamicalRFamily, samples: int = 10, seed: int = 0) ->
         "derivative_defect": deriv_defect,
         "tol": TOL_CDYBE,
     }
-    return Report(max(spread, invariance, deriv_defect) <= TOL_CDYBE, values, seed=seed, samples=samples)
+    return Report(bool(worst.max() <= TOL_CDYBE), values, seed=seed, samples=samples)

@@ -124,12 +124,17 @@ def _max_over(x: np.ndarray, ndim: int) -> np.ndarray:
     return np.abs(x).max(axis=tuple(range(-ndim, 0)), initial=0.0)
 
 
+def _largest(values: Sequence) -> float:
+    """The largest of ``values``, NaN if any is NaN; the builtin max drops a NaN that is not first."""
+    return float(np.array(values).max())
+
+
 def _require(residual: np.ndarray, bound, failure: str) -> None:
-    """Raise ValueError, naming ``failure`` and the residual, at the first point whose residual exceeds its bound."""
+    """Raise ValueError, naming ``failure`` and the residual, at the first point not within its bound (NaN is not)."""
     residual = np.asarray(residual)
-    over = (residual > bound).ravel()
-    if over.any():
-        raise ValueError(f"{failure} (residual {float(residual.ravel()[over.argmax()]):.2e})")
+    within = (residual <= bound).ravel()
+    if not within.all():
+        raise ValueError(f"{failure} (residual {float(residual.ravel()[within.argmin()]):.2e})")
 
 
 @dataclass
@@ -141,10 +146,6 @@ class MatrixGroup:
     basis: list[np.ndarray]
     r_terms: list[tuple[int, int, float]]
     membership: Callable[[np.ndarray], np.ndarray]  # residual per point of a stack
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
 
     @functools.cached_property
     def r_legs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -521,11 +522,11 @@ def _fixed_locus_blocks(group: MatrixGroup, spec: InvolutionSpec, samples: int, 
         projected = pi_q_projection(spec, pi)
         brackets, expected = projected.bracket_matrix(entries), target(points)
         return (float(np.abs(brackets - expected).max()),
-                float(max(np.abs(spec.apply(legs) - legs).max() for legs in (projected.u, projected.v))),
+                _largest([np.abs(spec.apply(legs) - legs).max() for legs in (projected.u, projected.v)]),
                 bool(rank_relation_holds(spec, pi, projected).all()), *readout(points, pi, brackets, expected))
 
     route, plus, ranks, *readouts = zip(*sample_blocks(range(samples), block))
-    return max(route), max(plus), all(ranks), readouts
+    return _largest(route), _largest(plus), all(ranks), readouts
 
 
 STOKES_COORDS = ((0, 1), (0, 2), (1, 2))  # the Stokes coordinates (x, y, z) = (S_12, S_13, S_23)
@@ -598,9 +599,9 @@ def stokes_report(n: int = 3, samples: int = 20, seed: int = 1) -> Report:
         "kappa": kappa,
         "kappa_two_defect": abs(kappa - KAPPA),
         "max_dubrovin_residual": resid,
-        "max_pushforward_residual": max(sample_blocks(range(samples, 2 * samples), push_block)),
-        "max_tangency_residual": max(tangency),
-        "max_markoff_defect": max(markoff),
+        "max_pushforward_residual": _largest(sample_blocks(range(samples, 2 * samples), push_block)),
+        "max_tangency_residual": _largest(tangency),
+        "max_markoff_defect": _largest(markoff),
         "max_plus_residual": max_plus,
         "rank_relation_ok": rank_ok,
     }

@@ -123,7 +123,7 @@ def algebra_element(group, rng):
     """A random element of the group's Lie algebra: normal coefficients in the basis, of standard
     deviation 0.5.  Its exponential (``scipy.linalg.expm``) is a generic group point, off the
     fixed loci the reports sample."""
-    return sum(c * b for c, b in zip(rng.normal(0.0, 0.5, size=group.dim), group.basis))
+    return sum(c * b for c, b in zip(rng.normal(0.0, 0.5, size=len(group.basis)), group.basis))
 
 
 def adjoint_coordinate_matrix(group, g: np.ndarray) -> np.ndarray:
@@ -141,7 +141,7 @@ def cocycle_lambda(group, g: np.ndarray) -> np.ndarray:
     and (j, i) entry -c; the cocycle identity then reads
     lambda(gh) = lambda(g) + A(g) lambda(h) A(g)^T with A the adjoint matrix.
     """
-    dim = group.dim
+    dim = len(group.basis)
     l0 = np.zeros((dim, dim), dtype=complex)
     for i, j, c in group.r_terms:
         l0[i, j] += c

@@ -64,14 +64,14 @@ MUTANTS = (
            )),
     # the cdybe gate at TOL_CROSS's value; the trig scans' derivative defect is near 2e-8
     Mutant("cdybe-bound-at-route-value", "dynr", "residual_scan",
-           "<= TOL_CDYBE, values", "<= 1e-8, values", (
+           "<= TOL_CDYBE), values", "<= 1e-8), values", (
                "tests/test_dynr.py::test_scan_sl3_both_families",
                "tests/test_dynr.py::test_residual_scan_pass_rule[trig_family]",
                "tests/test_dynr.py::test_residual_scan_fails_through_the_spread_alone",
                "tests/test_groupnum.py::test_every_bound_of_a_pass_rule_is_a_module_constant[dynr-residual_scan]",
            )),
     Mutant("cdybe-bound-literal", "dynr", "residual_scan",
-           "<= TOL_CDYBE, values", "<= 1e-7, values", (
+           "<= TOL_CDYBE), values", "<= 1e-7), values", (
                "tests/test_dynr.py::test_residual_scan_pass_rule[trig_family]",
                "tests/test_dynr.py::test_residual_scan_pass_rule[corrupted_family]",
                "tests/test_groupnum.py::test_every_bound_of_a_pass_rule_is_a_module_constant[dynr-residual_scan]",
@@ -99,6 +99,36 @@ MUTANTS = (
                "tests/test_batched.py::test_residual_scan_matches_the_per_sample_loop[4-4-1-trig]",
                "tests/test_batched.py::test_residual_scan_matches_the_per_sample_loop[4-5-1-rational]",
                "tests/test_batched.py::test_residual_scan_matches_the_per_sample_loop[4-5-1-trig]",
+           )),
+    # g' read off the g of the same dispatch: for coth, g' = 1 - g^2, which the difference quotient checks
+    Mutant("trig-derivative-sign-flipped", "dynr", "DynamicalRFamily._g",
+           "1.0 - c * c", "c * c - 1.0", (
+               "tests/test_dynr.py::test_gradient_check_explicit",
+               "tests/test_dynr.py::test_scan_sl2_trig_tight",
+               "tests/test_dynr.py::test_residual_constant_two_points_sl2",
+               "tests/test_acceptance.py::test_claim[cdybe-sl2-trig]",
+           )),
+    # a NaN compares False with everything: the builtin max keeps it only as its first argument, and a
+    # gate "residual > bound" lets it through, so each fold over blocks and each gate must keep it
+    Mutant("group-block-fold-drops-nan", "groupnum", "_largest",
+           "float(np.array(values).max())", "float(max(values))", (
+               "tests/test_batched.py::test_a_nan_in_a_later_block_fails_the_report[crosscheck-max_route_difference]",
+               "tests/test_batched.py::test_a_nan_in_a_later_block_fails_the_report[stokes-max_pushforward_residual]",
+               "tests/test_batched.py::test_a_nan_in_a_later_block_fails_the_report[stokes-max_tangency_residual]",
+           )),
+    Mutant("cdybe-block-fold-drops-nan", "dynr", "residual_scan",
+           "np.array(sample_blocks(range(samples), block)).max(axis=0)",
+           "np.array([max(v) for v in zip(*sample_blocks(range(samples), block))])", (
+               "tests/test_batched.py::test_a_nan_in_a_later_block_fails_the_report[cdybe-spread]",
+               "tests/test_batched.py::test_a_nan_in_a_later_block_fails_the_report[cdybe-invariance_defect]",
+           )),
+    Mutant("cdybe-gate-drops-nan", "dynr", "residual_scan",
+           "bool(worst.max() <= TOL_CDYBE)", "max(spread, invariance, deriv_defect) <= TOL_CDYBE", (
+               "tests/test_batched.py::test_a_nan_in_a_later_block_fails_the_report[cdybe-invariance_defect]",
+           )),
+    Mutant("require-passes-nan", "groupnum", "_require",
+           "within = (residual <= bound).ravel()", "within = ~(residual > bound).ravel()", (
+               "tests/test_groupnum.py::test_require_raises_on_nan",
            )),
     # the rank cut moving with the route bound: at a route bound near 1e-16 the SU(3) rank relation fails
     Mutant("rank-cut-at-route-bound", "groupnum", "_rank",

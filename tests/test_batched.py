@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 import conftest
 from conftest import _ad_defect, _max_ad_defect, _max_upper, alg_map, equivariance_check, map_rows
 from poissonkit import dynr, groupnum, report
+from poissonkit.cli import run_command
 from poissonkit.groupnum import TOL_CROSS, TOL_MARKOFF, TOL_MEMBER, TOL_RANK, InvolutionSpec, TangentBivector
 from poissonkit.liealg import sl_chevalley, transpose_antimorphism
 from poissonkit.report import Report
@@ -593,6 +594,47 @@ def test_stacked_verdicts_are_per_point():
     loop = [groupnum.pi_q_projection(spec, TangentBivector(p, pu, pv)) for p, pu, pv in zip(base, u, v)]
     stacked = groupnum.pi_q_projection(spec, TangentBivector(base, u, v, 1))
     assert np.array_equal(stacked.u, np.stack([p.u for p in loop]))
+
+
+# -- a NaN in a block after the first -------------------------------------------------------
+
+
+def _nan_legs(pi):
+    return pi.map_legs(lambda legs: legs * np.nan)
+
+
+# argv at blocks of 4, the function whose result turns NaN at one call alone, that call, and the
+# report key that must read NaN.  dynr's block calls _features once for its residual and then once
+# for the ad-images, so call 4 is block 2's ad-images alone
+NAN_IN_A_LATER_BLOCK = [
+    (["group", "crosscheck", "--samples", "9"], groupnum, "pi_q_formula", 2, _nan_legs, "max_route_difference"),
+    (["group", "stokes", "--samples", "9"], groupnum, "_push_to_stokes", 2, _nan_legs, "max_pushforward_residual"),
+    (["group", "stokes", "--samples", "9"], groupnum, "dual_tangency_residual", 2, lambda r: r * np.nan,
+     "max_tangency_residual"),
+    (["dynr", "cdybe", "--algebra", "sl3", "--samples", "9"], dynr, "_residual", 2, lambda r: r * np.nan, "spread"),
+    (["dynr", "cdybe", "--algebra", "sl3", "--samples", "9"], dynr, "_features", 4, lambda f: f * np.nan,
+     "invariance_defect"),
+]
+
+
+@pytest.mark.parametrize("argv, module, name, call, poison, key", NAN_IN_A_LATER_BLOCK,
+                         ids=[f"{row[0][1]}-{row[5]}" for row in NAN_IN_A_LATER_BLOCK])
+def test_a_nan_in_a_later_block_fails_the_report(argv, module, name, call, poison, key, monkeypatch, capsys):
+    # a NaN compares False with everything, so the builtin max keeps it only as its first argument,
+    # and a gate "residual > bound" lets it through; the block folds and the gates must not
+    monkeypatch.setattr(report, "BLOCK", 4)
+    real, calls = getattr(module, name), []
+
+    def poisoned(*args):
+        calls.append(None)
+        return poison(real(*args)) if len(calls) == call else real(*args)
+
+    monkeypatch.setattr(module, name, poisoned)
+    code, rep = run_command(["--porcelain", *argv])
+    assert len(calls) > call  # a block after the poisoned call ran clean
+    assert code == 1 and not rep.ok and np.isnan(rep.values[key])
+    out, err = capsys.readouterr()
+    assert f"{key}=nan" in out.splitlines() and "pass=False" in out.splitlines() and err == ""
 
 
 # -- one matrix product per side against the broadcast matmul ---------------------------------

@@ -235,19 +235,18 @@ def test_tanh_family_solves_the_rank_one_equation():
 
 
 def test_residual_scan_evaluates_r_once_per_block(monkeypatch):
-    # per block: r at every lambda and its shifted copies and every dr/dlambda_m, each in one
-    # call, and one residual formed from them; no second evaluation through cdybe_residual,
-    # and one round-by-round draw of the block's lambda
+    # per block: r and every dr/dlambda_m at every lambda and its shifted copies in one call,
+    # and one residual formed from them; no second evaluation through cdybe_residual, and one
+    # round-by-round draw of the block's lambda
     assert not hasattr(dynr, "_sample_lambda")
     monkeypatch.setattr(report, "BLOCK", 4)
-    names = ["_coefficients", "_derivatives", "_residual", "cdybe_residual", "_sample_lambdas"]
+    names = ["_evaluate", "_residual", "cdybe_residual", "_sample_lambdas"]
     calls = counted_calls(monkeypatch, dynr, names)
     for n in (3, 4):
         family = DynamicalRFamily(sl_chevalley(n), "trig")
         calls.update(dict.fromkeys(calls, 0))
         assert residual_scan(family, samples=9, seed=2).ok  # blocks of 4, 4 and 1
-        assert calls == {"_coefficients": 3, "_derivatives": 3, "_residual": 3, "cdybe_residual": 0,
-                         "_sample_lambdas": 3}
+        assert calls == {"_evaluate": 3, "_residual": 3, "cdybe_residual": 0, "_sample_lambdas": 3}
 
 
 def test_scan_deterministic():

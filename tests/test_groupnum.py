@@ -295,6 +295,16 @@ def test_xplus_requires_fixed_point():
         _xplus(spec, g, np.eye(2))
 
 
+def test_require_raises_on_nan():
+    # a NaN compares False with every bound, so it is not "within" any: a gate must raise on it
+    for residual, bound in ((np.nan, TOL_MEMBER), ([0.0, np.nan], TOL_MEMBER), ([[0.0], [np.nan]], [[1.0], [1.0]])):
+        with pytest.raises(ValueError, match=r"^NaN residual \(residual nan\)$"):
+            groupnum._require(residual, bound, "NaN residual")
+    nan_point = TangentBivector(np.full((3, 3), np.nan), np.zeros((0, 3, 3)), np.zeros((0, 3, 3)))
+    with pytest.raises(ValueError, match="point is not fixed by the involution"):
+        pi_q_projection(InvolutionSpec("transpose"), nan_point)
+
+
 def test_projection_fixed_and_antifixed_cases():
     spec = InvolutionSpec("transpose")
     g = np.eye(3)
@@ -413,7 +423,7 @@ def test_swapped_arrow_binding_rejected():
 
 def test_dual_basis_duality():
     group = dual_group(3)
-    dim = group.dim // 2  # the diagonal D_i first, then the dual xi^i
+    dim = len(group.basis) // 2  # the diagonal D_i first, then the dual xi^i
     for i, xi in enumerate(group.basis[dim:]):
         for j, d in enumerate(group.basis[:dim]):
             target = 1.0 if i == j else 0.0
@@ -606,7 +616,7 @@ PER_BLOCK_PATH = ("stokes_report", "crosscheck_report", "_fixed_locus_blocks", "
                   "_side_pairs", "pl_bivector", "pi_q_formula", "pi_q_projection", "_permutation", "_require",
                   "_transpose", "_max_over", "_flat", "_real_flat", "_wedge_matrix", "dual_group_bivector",
                   "dual_tangency_residual", "rank_relation_holds", "_rank", "_plus_eigenspace", "_dubrovin_target",
-                  "_push_to_stokes")
+                  "_push_to_stokes", "_largest")
 
 
 def test_the_per_block_path_calls_no_cold_numpy_helper():
